@@ -3,6 +3,7 @@
 //! of the seed and the [`Scale`]; the program under test only ever sees
 //! the generated values.
 
+use arsp_core::cluster::ClusterConfig;
 use arsp_core::engine::AUTO_BNB_MIN_SCORE_DIM;
 use arsp_data::{
     im_constraints, partition_dataset, Distribution, MutationOp, SyntheticConfig, UncertainDataset,
@@ -15,22 +16,27 @@ use arsp_geometry::fdom::LinearFDominance;
 pub const DIM: usize = 4;
 /// Half-space constraints per user preference region (IM constraints).
 pub const CONSTRAINTS_PER_USER: usize = 3;
+/// Most instances per generated object.
+pub const MAX_INSTANCES: usize = 16;
+/// Mutation ops per batch.
+pub const BATCH_OPS: usize = 8;
+
+/// Shards of every cluster the benchmark builds: the default cluster's.
+pub fn num_shards() -> usize {
+    ClusterConfig::default().num_shards
+}
 
 /// Size knobs. [`Scale::FULL`] is the measured configuration; [`Scale::TOY`]
 /// keeps the determinism tests fast.
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
     pub num_objects: usize,
-    pub max_instances: usize,
-    pub num_shards: usize,
     /// Users in the query palette.
     pub users: usize,
     /// Palette users whose preference region has at least
     /// `AUTO_BNB_MIN_SCORE_DIM` vertices (Auto sends them to B&B); the rest
     /// go to KDTT+.
     pub bnb_users: usize,
-    /// Mutation ops per batch.
-    pub batch_ops: usize,
     /// Batches per shard between checkpoints (churn).
     pub checkpoint_every: usize,
     /// Batches per shard before restart's checkpoint, and again after it
@@ -41,22 +47,16 @@ pub struct Scale {
 impl Scale {
     pub const FULL: Scale = Scale {
         num_objects: 1000,
-        max_instances: 16,
-        num_shards: 4,
         users: 16,
         bnb_users: 4,
-        batch_ops: 8,
         checkpoint_every: 16,
         wal_tail: 64,
     };
 
     pub const TOY: Scale = Scale {
         num_objects: 48,
-        max_instances: 16,
-        num_shards: 4,
         users: 4,
         bnb_users: 1,
-        batch_ops: 8,
         checkpoint_every: 4,
         wal_tail: 4,
     };
@@ -125,7 +125,7 @@ pub fn dataset(seed: u64, scale: &Scale) -> UncertainDataset {
     let base = loop {
         let dataset = SyntheticConfig {
             num_objects: scale.num_objects,
-            max_instances: scale.max_instances,
+            max_instances: MAX_INSTANCES,
             dim: DIM,
             region_length: 0.2,
             phi: 0.5,
@@ -232,37 +232,34 @@ const INSERT_INSTANCES: usize = 10;
 pub struct OpGen {
     rng: Rng,
     shadows: Vec<VersionedStore>,
-    batch_ops: usize,
-    batches: u64,
+    /// Batches generated so far, per shard.
+    batches: Vec<u64>,
 }
 
 impl OpGen {
-    pub fn new(dataset: &UncertainDataset, seed: u64, scale: &Scale) -> Self {
+    pub fn new(dataset: &UncertainDataset, seed: u64) -> Self {
+        let shadows: Vec<VersionedStore> = partition_dataset(dataset, num_shards())
+            .iter()
+            .map(VersionedStore::from_dataset)
+            .collect();
         Self {
             rng: stream(seed, OPS_STREAM),
-            shadows: partition_dataset(dataset, scale.num_shards)
-                .iter()
-                .map(VersionedStore::from_dataset)
-                .collect(),
-            batch_ops: scale.batch_ops,
-            batches: 0,
+            batches: vec![0; shadows.len()],
+            shadows,
         }
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.shadows.len()
-    }
-
-    /// The next batch for `shard`. One batch in four inserts an object, one
-    /// in four removes an instance; all other ops move an instance slightly.
+    /// The next batch for `shard`. Of each shard's batches, one in four
+    /// inserts an object and one in four removes an instance; all other ops
+    /// move an instance slightly.
     pub fn batch(&mut self, shard: usize) -> Vec<MutationOp> {
-        let kind = self.batches % 4;
-        self.batches += 1;
-        let mut ops = Vec::with_capacity(self.batch_ops);
-        for i in 0..self.batch_ops {
-            let op = if i + 1 == self.batch_ops && kind == 1 {
+        let kind = self.batches[shard] % 4;
+        self.batches[shard] += 1;
+        let mut ops = Vec::with_capacity(BATCH_OPS);
+        for i in 0..BATCH_OPS {
+            let op = if i + 1 == BATCH_OPS && kind == 1 {
                 self.insert_object()
-            } else if i + 1 == self.batch_ops && kind == 3 {
+            } else if i + 1 == BATCH_OPS && kind == 3 {
                 self.remove_instance(shard)
             } else {
                 self.update_instance(shard)
@@ -280,7 +277,7 @@ impl OpGen {
     pub fn round_robin(&mut self, n: usize) -> Vec<(usize, Vec<MutationOp>)> {
         (0..n)
             .map(|i| {
-                let shard = i % self.num_shards();
+                let shard = i % self.shadows.len();
                 (shard, self.batch(shard))
             })
             .collect()

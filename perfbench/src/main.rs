@@ -17,7 +17,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use arsp_data::failpoint;
-use arsp_perfbench::inputs::Scale;
+use arsp_perfbench::inputs::{num_shards, Scale};
 use arsp_perfbench::report::{peak_rss_mb, provenance, result_line, Json, Metric};
 use arsp_perfbench::trace;
 use arsp_perfbench::workloads::{self, Inputs, Measured, Tally, Workload, SETUP_REPS, WRITE_RATE};
@@ -75,7 +75,7 @@ fn parse_args() -> Result<Args, String> {
 /// `seconds` and for restart's directory.
 fn make_inputs(seed: u64, seconds: f64, scale: Scale) -> Inputs {
     let churn = (WRITE_RATE * seconds).ceil() as usize + 1;
-    let restart = 2 * scale.wal_tail * scale.num_shards;
+    let restart = 2 * scale.wal_tail * num_shards();
     Inputs::new(seed, scale, churn.max(restart))
 }
 

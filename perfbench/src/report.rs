@@ -34,13 +34,13 @@ impl Samples {
         self.percentile(50.0)
     }
 
-    /// The highest of p95, p90 and p50 that has at least ten samples above
-    /// it: `(percentile, value)`. Capped at p95: the p99 of warm_read's
+    /// The highest of p95, p90, p80 and p50 that has at least ten samples
+    /// above it: `(percentile, value)`. Capped at p95: the p99 of warm_read's
     /// parallel B&B reads moved by 20% between identical runs on a 2-core
     /// host, too much for a regression gate.
     pub fn tail(&self) -> (f64, f64) {
         let n = self.values.len() as f64;
-        let p = [95.0, 90.0]
+        let p = [95.0, 90.0, 80.0]
             .into_iter()
             .find(|p| n * (1.0 - p / 100.0) >= 10.0)
             .unwrap_or(50.0);

@@ -12,6 +12,13 @@
 //! R-tree, kernel — each looked up in per-union caches exactly as the
 //! serving caches are, so hits and builds repeat the real pattern.
 //!
+//! After each traced read, outside every span, the same query runs through
+//! the union's own `ArspService`. Its answer must equal the replay's bit for
+//! bit, and its `serving_stats()` give the cache figures: the hit fraction
+//! is the program's, and the replay's lookups must match the program's hit
+//! and build counts, so a change to the program's caching fails the traced
+//! run until this replay follows it.
+//!
 //! Spans are kept in memory per thread and summarised at the end. A span's
 //! self time is its duration minus its direct children's. The untraced
 //! half of a `--trace 1` run measures the same workload through the front
@@ -28,7 +35,7 @@ use std::time::{Duration, Instant};
 use arsp_core::algorithms::bnb::{arsp_bnb_engine, build_instance_rtree};
 use arsp_core::algorithms::kd_asp::{KdVariant, KdWorkerPool};
 use arsp_core::algorithms::kdtt::arsp_kdtt_flat_engine;
-use arsp_core::engine::{auto_select, QueryAlgorithm};
+use arsp_core::engine::{auto_select, Execution, QueryAlgorithm};
 use arsp_core::scratch::{QueryScratch, ScratchPool};
 use arsp_core::service::{ArspService, ServiceWriter};
 use arsp_core::standing::{StandingSpec, SubscriptionGuard};
@@ -42,11 +49,11 @@ use arsp_data::{
 use arsp_geometry::fdom::LinearFDominance;
 use arsp_index::RTree;
 
-use crate::inputs::User;
+use crate::inputs::{num_shards, User};
 use crate::report::{Json, Metric, Samples};
 use crate::workloads::{
     bits, churn_specs, cold_bits, dataset_from_flat, open_loop, restart_prepare, Inputs, Measured,
-    Seen, Tally, WorkDir, Workload,
+    Seen, Tally, WorkDir, Workload, PARALLEL_2,
 };
 
 // ---- spans -------------------------------------------------------------------
@@ -134,6 +141,11 @@ pub struct Counts {
     score_matrices: AtomicU64,
     cache_hits: AtomicU64,
     cache_builds: AtomicU64,
+    /// The union services' own cache lookups on the same reads.
+    program_hits: AtomicU64,
+    program_builds: AtomicU64,
+    /// Reads whose program answer differed from the replay's.
+    program_mismatches: AtomicU64,
     fdom_tests: AtomicU64,
     nodes_visited: AtomicU64,
     window_queries: AtomicU64,
@@ -162,6 +174,8 @@ impl Counts {
             ("score_matrices", get(&self.score_matrices)),
             ("cache_hits", get(&self.cache_hits)),
             ("cache_builds", get(&self.cache_builds)),
+            ("program_hits", get(&self.program_hits)),
+            ("program_builds", get(&self.program_builds)),
             ("fdom_tests", get(&self.fdom_tests)),
             ("nodes_visited", get(&self.nodes_visited)),
             ("window_queries", get(&self.window_queries)),
@@ -169,6 +183,23 @@ impl Counts {
             ("wal_bytes", get(&self.wal_bytes)),
             ("records_replayed", get(&self.records_replayed)),
         ])
+    }
+
+    /// Fails the run when the program answered a read differently from the
+    /// replay, or when its cache lookups no longer match the replay's.
+    fn check_program(&self, tally: &Tally) {
+        let mismatches = get(&self.program_mismatches);
+        tally.check(mismatches == 0, || {
+            format!("traced replay: {mismatches} reads differ from the union service's answer")
+        });
+        let replay = (get(&self.cache_hits), get(&self.cache_builds));
+        let program = (get(&self.program_hits), get(&self.program_builds));
+        tally.check(replay == program, || {
+            format!(
+                "traced replay made {replay:?} artifact (hits, builds), the union services \
+                 {program:?}: trace.rs no longer mirrors the program's caching"
+            )
+        });
     }
 }
 
@@ -264,10 +295,10 @@ impl Mirror {
         }
     }
 
-    pub fn create(dir: &Path, dataset: &UncertainDataset, num_shards: usize) -> io::Result<Self> {
+    pub fn create(dir: &Path, dataset: &UncertainDataset) -> io::Result<Self> {
         let mut tr = Tracer::default();
         let mut shards = Vec::new();
-        for (s, part) in partition_dataset(dataset, num_shards).iter().enumerate() {
+        for (s, part) in partition_dataset(dataset, num_shards()).iter().enumerate() {
             let dir = shard_dir(dir, s);
             let durable = DurableStore::create(&dir, VersionedStore::from_dataset(part))?;
             let (service, writer) = serving(&durable, &mut tr)?;
@@ -418,7 +449,9 @@ impl Mirror {
         Arc::clone(&self.union(&mut Tracer::default(), &Counts::default()).flat)
     }
 
-    /// One Auto query: `ClusterQuery::run`, traced as one `read` op.
+    /// One Auto query: `ClusterQuery::run`, traced as one `read` op, then
+    /// the same query untraced through the union's own service (see the
+    /// [module docs](self)).
     pub fn read(
         &self,
         user_id: usize,
@@ -426,10 +459,11 @@ impl Mirror {
         parallel: bool,
         tr: &mut Tracer,
         counts: &Counts,
-    ) -> (QueryAlgorithm, Vec<f64>) {
+    ) -> Read {
+        let start = Instant::now();
         let root = tr.begin("read");
         let union = self.union(tr, counts);
-        let _pin = union.service.pin();
+        let pin = union.service.pin();
         let flat = &union.flat;
         let mut arts = lock(&union.artifacts);
         let fdom = fdom_for(&mut arts, user_id, user, tr, counts);
@@ -495,12 +529,36 @@ impl Mirror {
         drop(scratch);
         drop(arts);
         tr.end(root);
+        let elapsed = start.elapsed();
         let c = stats.snapshot();
         add(&counts.fdom_tests, c.fdom_tests);
         add(&counts.nodes_visited, c.nodes_visited);
         add(&counts.window_queries, c.window_queries);
         add(&counts.reads, 1);
-        (algorithm, result.probs().to_vec())
+
+        let before = union.service.serving_stats();
+        let execution = if parallel {
+            PARALLEL_2
+        } else {
+            Execution::Sequential
+        };
+        let program = pin.query(&user.constraints).execution(execution).run();
+        let after = union.service.serving_stats();
+        add(&counts.program_hits, after.cache_hits - before.cache_hits);
+        add(
+            &counts.program_builds,
+            after.shared_builds - before.shared_builds,
+        );
+        if program.algorithm() != algorithm
+            || bits(program.result().probs()) != bits(result.probs())
+        {
+            add(&counts.program_mismatches, 1);
+        }
+        Read {
+            algorithm,
+            probs: result.probs().to_vec(),
+            elapsed,
+        }
     }
 
     /// Standing counters summed over the shard services:
@@ -525,6 +583,13 @@ impl Mirror {
             .sum();
         total as f64 / self.shards.len() as f64
     }
+}
+
+/// One traced read: the replay's answer and how long the traced part took.
+pub(crate) struct Read {
+    pub algorithm: QueryAlgorithm,
+    pub probs: Vec<f64>,
+    pub elapsed: Duration,
 }
 
 /// Runs a kernel inside a two-worker pool, as `Execution::Parallel {
@@ -610,6 +675,28 @@ fn rtree_for(
 
 // ---- traced workloads -----------------------------------------------------------
 
+/// How long a traced window runs.
+#[derive(Clone, Copy, Debug)]
+pub enum Stop {
+    /// This many seconds after set-up, with the workload's own threads and
+    /// execution mode.
+    Seconds(f64),
+    /// This many ops (churn: write-then-read rounds), all on the calling
+    /// thread with sequential kernels, so that the work counts repeat
+    /// exactly.
+    Steps(usize),
+}
+
+impl Stop {
+    /// Whether op `i` of a window that started at `start` still runs.
+    fn running(self, start: Instant, i: usize) -> bool {
+        match self {
+            Stop::Seconds(seconds) => start.elapsed().as_secs_f64() < seconds,
+            Stop::Steps(steps) => i < steps,
+        }
+    }
+}
+
 /// The per-layer report of one traced run.
 pub struct Traced {
     pub metrics: Vec<Metric>,
@@ -617,9 +704,10 @@ pub struct Traced {
 }
 
 /// What a traced window produced, before it is turned into metrics.
-struct Window {
+pub struct Window {
     tracers: Vec<Tracer>,
-    counts: Counts,
+    /// Work counts of the window's ops (set-up and gate excluded).
+    pub counts: Counts,
     /// Latencies of the workload's defining op, as the untraced run
     /// measures them.
     op: Samples,
@@ -633,22 +721,23 @@ fn mirror_gate(tally: &Tally, mirror: &Mirror, inputs: &Inputs) {
     let flat = mirror.union_flat();
     let counts = Counts::default();
     for (u, user) in inputs.palette.iter().enumerate() {
-        let (algorithm, probs) = mirror.read(u, user, false, &mut Tracer::default(), &counts);
-        let cold = cold_bits(&flat, &user.constraints, algorithm);
-        tally.check(cold == bits(&probs), || {
+        let read = mirror.read(u, user, false, &mut Tracer::default(), &counts);
+        let cold = cold_bits(&flat, &user.constraints, read.algorithm);
+        tally.check(cold == bits(&read.probs), || {
             format!(
                 "traced replay, user {u} {}: differs from a cold engine",
-                algorithm.name()
+                read.algorithm.name()
             )
         });
     }
 }
 
-fn warm_window(root: &Path, inputs: &Inputs, seconds: f64, tally: &Tally) -> io::Result<Window> {
+fn warm_window(root: &Path, inputs: &Inputs, stop: Stop, tally: &Tally) -> io::Result<Window> {
     let dir = WorkDir::new(root, "warm_read-traced")?;
-    let mirror = Mirror::create(dir.path(), &inputs.dataset, inputs.scale.num_shards)?;
-    // warm_read reads run under `PARALLEL_2`.
-    let parallel = true;
+    let mirror = Mirror::create(dir.path(), &inputs.dataset)?;
+    // warm_read reads run under `PARALLEL_2`; step-counted windows stay
+    // sequential.
+    let parallel = matches!(stop, Stop::Seconds(_));
     for (u, user) in inputs.palette.iter().enumerate() {
         mirror.read(
             u,
@@ -662,18 +751,17 @@ fn warm_window(root: &Path, inputs: &Inputs, seconds: f64, tally: &Tally) -> io:
     let mut tr = Tracer::default();
     let mut op = Samples::default();
     let mut seen = Seen::default();
-    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
     let n = inputs.palette.len();
+    let start = Instant::now();
     let mut i = 0;
-    while Instant::now() < deadline {
-        let t = Instant::now();
-        let (algorithm, probs) =
-            mirror.read(i % n, &inputs.palette[i % n], parallel, &mut tr, &counts);
-        op.push(t.elapsed());
-        seen.record(tally, i % n, algorithm, &probs);
+    while stop.running(start, i) {
+        let read = mirror.read(i % n, &inputs.palette[i % n], parallel, &mut tr, &counts);
+        op.push(read.elapsed);
+        seen.record(tally, i % n, read.algorithm, &read.probs);
         i += 1;
     }
     seen.gate(tally, &mirror.union_flat(), &inputs.palette);
+    counts.check_program(tally);
     Ok(Window {
         tracers: vec![tr],
         counts,
@@ -684,9 +772,9 @@ fn warm_window(root: &Path, inputs: &Inputs, seconds: f64, tally: &Tally) -> io:
     })
 }
 
-fn churn_window(root: &Path, inputs: &Inputs, seconds: f64, tally: &Tally) -> io::Result<Window> {
+fn churn_window(root: &Path, inputs: &Inputs, stop: Stop, tally: &Tally) -> io::Result<Window> {
     let dir = WorkDir::new(root, "churn-traced")?;
-    let mirror = Mirror::create(dir.path(), &inputs.dataset, inputs.scale.num_shards)?;
+    let mirror = Mirror::create(dir.path(), &inputs.dataset)?;
     let _subs: Vec<Vec<SubscriptionGuard>> = churn_specs(&inputs.palette)
         .iter()
         .map(|spec| mirror.subscribe(spec))
@@ -697,53 +785,71 @@ fn churn_window(root: &Path, inputs: &Inputs, seconds: f64, tally: &Tally) -> io
     let counts = Counts::default();
     let standing_before = mirror.standing_totals();
     let every = inputs.scale.checkpoint_every as u64;
-    let applied: Vec<AtomicU64> = (0..inputs.scale.num_shards)
-        .map(|_| AtomicU64::new(0))
-        .collect();
-    let writer_done = AtomicBool::new(false);
+    let applied: Vec<AtomicU64> = (0..num_shards()).map(|_| AtomicU64::new(0)).collect();
     let n = inputs.palette.len();
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs_f64(seconds);
-    let (writes, write_tr, read_tr) = std::thread::scope(|scope| {
-        let writer = scope.spawn(|| {
-            let mut tr = Tracer::default();
-            let acc = open_loop(inputs.batches.len(), start, deadline, |k| {
-                let (shard, ops) = &inputs.batches[k];
-                if let Err(e) = mirror.write(*shard, ops, &mut tr, &counts) {
-                    tally.fail(format!("traced write: {e}"));
-                }
-                let done = applied[*shard].fetch_add(1, Ordering::Relaxed) + 1;
-                if done.is_multiple_of(every) {
-                    if let Err(e) = mirror.checkpoint(*shard, &mut tr) {
-                        tally.fail(format!("traced checkpoint: {e}"));
+    // Batch `k`, then its shard's checkpoint when one is due: true if so.
+    let write = |k: usize, tr: &mut Tracer| {
+        let (shard, ops) = &inputs.batches[k];
+        if let Err(e) = mirror.write(*shard, ops, tr, &counts) {
+            tally.fail(format!("traced write: {e}"));
+        }
+        let done = applied[*shard].fetch_add(1, Ordering::Relaxed) + 1;
+        if !done.is_multiple_of(every) {
+            return false;
+        }
+        if let Err(e) = mirror.checkpoint(*shard, tr) {
+            tally.fail(format!("traced checkpoint: {e}"));
+        }
+        true
+    };
+    let read = |i: usize, tr: &mut Tracer| {
+        mirror.read(i % n, &inputs.palette[i % n], false, tr, &counts);
+    };
+    let (op, tracers) = match stop {
+        Stop::Seconds(seconds) => {
+            let writer_done = AtomicBool::new(false);
+            let start = Instant::now();
+            let deadline = start + Duration::from_secs_f64(seconds);
+            std::thread::scope(|scope| {
+                let writer = scope.spawn(|| {
+                    let mut tr = Tracer::default();
+                    let acc =
+                        open_loop(inputs.batches.len(), start, deadline, |k| write(k, &mut tr));
+                    writer_done.store(true, Ordering::Relaxed);
+                    (acc.ack, tr)
+                });
+                let reader = scope.spawn(|| {
+                    let mut tr = Tracer::default();
+                    let mut i = 0;
+                    while !writer_done.load(Ordering::Relaxed) && Instant::now() < deadline {
+                        read(i, &mut tr);
+                        i += 1;
                     }
-                    return true;
-                }
-                false
-            });
-            writer_done.store(true, Ordering::Relaxed);
-            (acc, tr)
-        });
-        let reader = scope.spawn(|| {
+                    tr
+                });
+                let (ack, write_tr) = writer.join().expect("traced writer thread");
+                let read_tr = reader.join().expect("traced reader thread");
+                (ack, vec![write_tr, read_tr])
+            })
+        }
+        Stop::Steps(steps) => {
             let mut tr = Tracer::default();
-            let mut i = 0;
-            while !writer_done.load(Ordering::Relaxed) && Instant::now() < deadline {
-                mirror.read(i % n, &inputs.palette[i % n], false, &mut tr, &counts);
-                i += 1;
+            for k in 0..steps {
+                write(k, &mut tr);
+                read(k, &mut tr);
             }
-            tr
-        });
-        let (acc, write_tr) = writer.join().expect("traced writer thread");
-        (acc, write_tr, reader.join().expect("traced reader thread"))
-    });
+            (Samples::default(), vec![tr])
+        }
+    };
     let after = mirror.standing_totals();
     mirror_gate(tally, &mirror, inputs);
+    counts.check_program(tally);
     let records = get(&counts.wal_records).max(1);
     Ok(Window {
         wal_bytes_per_batch: get(&counts.wal_bytes) as f64 / records as f64,
-        tracers: vec![write_tr, read_tr],
+        tracers,
         counts,
-        op: writes.ack,
+        op,
         standing: (
             after.0 - standing_before.0,
             after.1 - standing_before.1,
@@ -753,7 +859,7 @@ fn churn_window(root: &Path, inputs: &Inputs, seconds: f64, tally: &Tally) -> io
     })
 }
 
-fn restart_window(root: &Path, inputs: &Inputs, seconds: f64, tally: &Tally) -> io::Result<Window> {
+fn restart_window(root: &Path, inputs: &Inputs, stop: Stop, tally: &Tally) -> io::Result<Window> {
     let dir = WorkDir::new(root, "restart-traced")?;
     restart_prepare(dir.path(), inputs, tally)?;
     let counts = Counts::default();
@@ -761,24 +867,24 @@ fn restart_window(root: &Path, inputs: &Inputs, seconds: f64, tally: &Tally) -> 
     let mut op = Samples::default();
     let mut seen = Seen::default();
     let n = inputs.palette.len();
-    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+    let start = Instant::now();
     let mut i = 0;
-    while Instant::now() < deadline {
+    while stop.running(start, i) {
         let t = Instant::now();
         let mirror = Mirror::open(dir.path(), &mut tr, &counts)?;
         op.push(t.elapsed());
         probe_crc32(&mirror, &mut tr)?;
-        let (algorithm, probs) =
-            mirror.read(i % n, &inputs.palette[i % n], false, &mut tr, &counts);
-        seen.record(tally, i % n, algorithm, &probs);
+        let read = mirror.read(i % n, &inputs.palette[i % n], false, &mut tr, &counts);
+        seen.record(tally, i % n, read.algorithm, &read.probs);
         i += 1;
     }
     let mirror = Mirror::open(dir.path(), &mut Tracer::default(), &Counts::default())?;
     seen.gate(tally, &mirror.union_flat(), &inputs.palette);
-    let wal: u64 = (0..inputs.scale.num_shards)
+    counts.check_program(tally);
+    let wal: u64 = (0..num_shards())
         .map(|s| file_len(&shard_dir(dir.path(), s).join("wal.log")))
         .sum();
-    let replayed_per_open = (inputs.scale.wal_tail * inputs.scale.num_shards) as f64;
+    let replayed_per_open = (inputs.scale.wal_tail * num_shards()) as f64;
     Ok(Window {
         tracers: vec![tr],
         snapshot_bytes: mirror.snapshot_bytes(),
@@ -873,8 +979,8 @@ fn layer_metrics(w: &Window, untraced: &Measured) -> (Vec<Metric>, Json) {
         Metric::new(
             "service.cache_hit_frac",
             ratio(
-                get(&c.cache_hits),
-                get(&c.cache_hits) + get(&c.cache_builds),
+                get(&c.program_hits),
+                get(&c.program_hits) + get(&c.program_builds),
             ),
             "frac",
         ),
@@ -961,6 +1067,21 @@ fn layer_metrics(w: &Window, untraced: &Measured) -> (Vec<Metric>, Json) {
     (metrics, detail)
 }
 
+/// One traced window of `workload`, its set-up excluded.
+pub fn window(
+    workload: Workload,
+    root: &Path,
+    inputs: &Inputs,
+    stop: Stop,
+    tally: &Tally,
+) -> io::Result<Window> {
+    match workload {
+        Workload::WarmRead => warm_window(root, inputs, stop, tally),
+        Workload::Churn => churn_window(root, inputs, stop, tally),
+        Workload::Restart => restart_window(root, inputs, stop, tally),
+    }
+}
+
 /// The traced half of a `--trace 1` run.
 pub fn traced(
     workload: Workload,
@@ -970,64 +1091,7 @@ pub fn traced(
     untraced: &Measured,
     tally: &Tally,
 ) -> io::Result<Traced> {
-    let window = match workload {
-        Workload::WarmRead => warm_window(root, inputs, seconds, tally)?,
-        Workload::Churn => churn_window(root, inputs, seconds, tally)?,
-        Workload::Restart => restart_window(root, inputs, seconds, tally)?,
-    };
+    let window = window(workload, root, inputs, Stop::Seconds(seconds), tally)?;
     let (metrics, detail) = layer_metrics(&window, untraced);
     Ok(Traced { metrics, detail })
-}
-
-/// A single-threaded, step-counted replay (sequential kernels), for the
-/// determinism tests: `steps` reads (warm_read), `steps` write-then-read
-/// rounds (churn) or `steps` open-then-read rounds (restart).
-pub fn replay_counts(
-    workload: Workload,
-    root: &Path,
-    inputs: &Inputs,
-    steps: usize,
-) -> io::Result<Counts> {
-    let counts = Counts::default();
-    let mut tr = Tracer::default();
-    let n = inputs.palette.len();
-    let tally = Tally::default();
-    match workload {
-        Workload::WarmRead => {
-            let dir = WorkDir::new(root, "warm_read-replay")?;
-            let mirror = Mirror::create(dir.path(), &inputs.dataset, inputs.scale.num_shards)?;
-            for i in 0..steps {
-                mirror.read(i % n, &inputs.palette[i % n], false, &mut tr, &counts);
-            }
-        }
-        Workload::Churn => {
-            let dir = WorkDir::new(root, "churn-replay")?;
-            let mirror = Mirror::create(dir.path(), &inputs.dataset, inputs.scale.num_shards)?;
-            let _subs: Vec<_> = churn_specs(&inputs.palette)
-                .iter()
-                .map(|spec| mirror.subscribe(spec))
-                .collect();
-            let mut applied = vec![0usize; inputs.scale.num_shards];
-            for (i, (shard, ops)) in inputs.batches.iter().take(steps).enumerate() {
-                mirror.write(*shard, ops, &mut tr, &counts)?;
-                applied[*shard] += 1;
-                if applied[*shard].is_multiple_of(inputs.scale.checkpoint_every) {
-                    mirror.checkpoint(*shard, &mut tr)?;
-                }
-                mirror.read(i % n, &inputs.palette[i % n], false, &mut tr, &counts);
-            }
-        }
-        Workload::Restart => {
-            let dir = WorkDir::new(root, "restart-replay")?;
-            restart_prepare(dir.path(), inputs, &tally)?;
-            for i in 0..steps {
-                let mirror = Mirror::open(dir.path(), &mut tr, &counts)?;
-                mirror.read(i % n, &inputs.palette[i % n], false, &mut tr, &counts);
-            }
-        }
-    }
-    if tally.failed() > 0 {
-        return Err(io::Error::other(tally.notes().join("; ")));
-    }
-    Ok(counts)
 }
