@@ -16,7 +16,7 @@
 //! * **open** — `ShardedService::open` of a 4-shard cluster at per-shard
 //!   WAL depths of 0, 16 and 64 batches: restart latency as the replay
 //!   tail grows (snapshot read + WAL replay per shard, serving twin
-//!   rebuilt from the durable bytes);
+//!   cloned from the recovered store);
 //! * **crash_recover** — the quarantine path end to end on one shard of
 //!   four: a `shard.apply` panic is contained (teardown + queue), then
 //!   `recover_now` reopens the durable store, drains the replay queue

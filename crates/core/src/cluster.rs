@@ -381,7 +381,7 @@ impl ShardedService {
         {
             let shard_dir = Self::shard_dir(dir, shard);
             let durable = DurableStore::create(&shard_dir, VersionedStore::from_dataset(&part))?;
-            let serving = Self::serving_from_durable(&durable)?;
+            let serving = Self::serving_from_durable(&durable);
             shards.push(Mutex::new(ShardSlot {
                 dir: shard_dir,
                 durable: Some(durable),
@@ -423,7 +423,7 @@ impl ShardedService {
                     }
                 }
             }
-            let serving = Self::serving_from_durable(&durable)?;
+            let serving = Self::serving_from_durable(&durable);
             shards.push(Mutex::new(ShardSlot {
                 dir: shard_dir,
                 durable: Some(durable),
@@ -447,15 +447,15 @@ impl ShardedService {
         ))
     }
 
-    /// Builds the serving half as an independent bitwise copy of the
-    /// durable store (state encode/decode round-trips exactly, including
-    /// handle allocation, so the two halves keep evolving identically
-    /// under the same ops).
-    fn serving_from_durable(durable: &DurableStore) -> io::Result<ShardServing> {
-        let store = VersionedStore::decode_state(&durable.store().encode_state())
-            .map_err(io::Error::other)?;
-        let (service, writer) = ArspService::from_store(store);
-        Ok(ShardServing { service, writer })
+    /// Builds the serving half from a clone of the durable store: an
+    /// independent bitwise copy, handle allocation included, so the two
+    /// halves keep evolving identically under the same ops. The durable
+    /// half never tracks changes, so the clone carries no change log; the
+    /// serving engine starts its own.
+    fn serving_from_durable(durable: &DurableStore) -> ShardServing {
+        debug_assert!(!durable.store().change_tracking_enabled());
+        let (service, writer) = ArspService::from_store(durable.store().clone());
+        ShardServing { service, writer }
     }
 
     /// Number of shards.
@@ -713,7 +713,7 @@ impl ShardedService {
             }
             slot.replay.pop_front();
         }
-        slot.serving = Some(Self::serving_from_durable(&durable)?);
+        slot.serving = Some(Self::serving_from_durable(&durable));
         slot.durable = Some(durable);
         Ok(())
     }
@@ -1441,6 +1441,7 @@ mod tests {
 
     #[test]
     fn reopening_a_cluster_restores_every_shard() {
+        let _gate = failpoint::exclusive();
         let dir = scratch_dir("reopen");
         let dataset = paper_running_example();
         let before = {
@@ -1471,8 +1472,78 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every shard's serving store is a bitwise copy of its durable store,
+    /// and starts its change log fresh instead of inheriting one.
+    fn assert_serving_copies_durable(cluster: &ShardedService) {
+        for (shard, slot) in cluster.shared.shards.iter().enumerate() {
+            let slot = lock(slot);
+            let durable = slot.durable.as_ref().expect("shard is up").store();
+            let serving = slot.serving.as_ref().expect("shard is up").writer.store();
+            assert_eq!(
+                serving.encode_state(),
+                durable.encode_state(),
+                "shard {shard}: serving store is not a bitwise copy"
+            );
+            assert!(!durable.change_tracking_enabled(), "shard {shard}");
+            assert!(
+                serving.version() == 0 || serving.changes_since(serving.version() - 1).is_none(),
+                "shard {shard}: serving store inherited a change log"
+            );
+        }
+    }
+
+    #[test]
+    fn recovered_serving_stores_are_bitwise_copies_of_the_durable_ones() {
+        let _gate = failpoint::exclusive();
+        failpoint::reset();
+        let dir = scratch_dir("clone");
+        let batch = |p: f64| {
+            vec![MutationOp::InsertObject {
+                label: None,
+                instances: vec![(vec![6.5, 6.5], p)],
+            }]
+        };
+        {
+            let cluster = ShardedService::create(
+                &dir,
+                &paper_running_example(),
+                ClusterConfig {
+                    num_shards: 2,
+                    ..ClusterConfig::default()
+                },
+            )
+            .expect("create cluster");
+            cluster.apply_batch(0, batch(0.5)).expect("apply");
+            cluster.apply_batch(1, batch(0.25)).expect("apply");
+        }
+
+        // Reopen: both shards replay a WAL record before the copy.
+        let (cluster, reports) = ShardedService::open(&dir, 3).expect("open cluster");
+        assert!(reports.iter().all(|r| r.records_replayed == 1));
+        assert_serving_copies_durable(&cluster);
+
+        // Crash shard 1 and queue two batches; recovery drains both.
+        failpoint::arm("shard.apply", FailAction::Panic);
+        assert_eq!(
+            cluster.apply_batch(1, batch(0.125)).expect("contained"),
+            ApplyOutcome::Crashed
+        );
+        assert_eq!(
+            cluster.apply_batch(1, batch(0.0625)).expect("queued"),
+            ApplyOutcome::Queued
+        );
+        assert_eq!(lock(&cluster.shared.shards[1]).replay.len(), 2);
+        assert!(cluster.recover_now(1).expect("recovery succeeds"));
+        assert!(lock(&cluster.shared.shards[1]).replay.is_empty());
+        assert_serving_copies_durable(&cluster);
+
+        failpoint::reset();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn the_union_service_is_cached_per_version_vector() {
+        let _gate = failpoint::exclusive();
         let dir = scratch_dir("cache");
         let cluster = ShardedService::create(
             &dir,

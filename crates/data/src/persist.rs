@@ -184,7 +184,9 @@ impl MutationOp {
                     other => return Err(bad_data(format!("bad label tag {other}"))),
                 };
                 let n = cursor.u32()? as usize;
-                let mut instances = Vec::with_capacity(n);
+                // Each instance encodes to at least a coords length and a
+                // probability, so a lying count cannot over-allocate.
+                let mut instances = Vec::with_capacity(n.min(cursor.remaining() / 12));
                 for _ in 0..n {
                     let coords = decode_coords(cursor)?;
                     instances.push((coords, f64::from_bits(cursor.u64()?)));
@@ -266,17 +268,63 @@ impl WalCursor<'_> {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) — the WAL's and snapshot's
-/// integrity check. Bitwise implementation; the payloads are small relative
-/// to the file I/O around them.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables (Kounavis & Berry, 2005), built at compile time.
+/// `CRC32_TABLES[0][b]` is the classic byte-at-a-time table; each further
+/// table `k` pushes table `k - 1`'s entry through one more zero byte, so
+/// `CRC32_TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes. That lets one step fold eight input bytes independently.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) — the WAL's and snapshot's
+/// integrity check. Table-driven slicing-by-8: eight bytes per step through
+/// eight compile-time tables, then byte-at-a-time over the tail. The values
+/// are the standard CRC-32 ones, so files written by any conforming
+/// implementation verify.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes")) ^ u64::from(crc);
+        let b = word.to_le_bytes();
+        crc = t[7][b[0] as usize]
+            ^ t[6][b[1] as usize]
+            ^ t[5][b[2] as usize]
+            ^ t[4][b[3] as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -484,7 +532,8 @@ fn replay_record(
     let pre_version = cursor.u64()?;
     let pre_epoch = cursor.u64()?;
     let n_ops = cursor.u32()? as usize;
-    let mut ops = Vec::with_capacity(n_ops);
+    // The smallest op (a `Merge`) encodes to one byte.
+    let mut ops = Vec::with_capacity(n_ops.min(cursor.remaining()));
     for _ in 0..n_ops {
         ops.push(MutationOp::decode_from(&mut cursor)?);
     }
@@ -630,8 +679,124 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bit-at-a-time CRC-32 definition: the oracle the table-driven
+    /// [`crc32`] must match on every input.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_at_every_length_and_offset() {
+        // Seeded splitmix64 bytes; every start offset in 0..8 puts the
+        // eight-byte steps on a different alignment, and every length in
+        // 0..=1031 exercises each tail remainder many times over.
+        let mut state = 0x5EED_u64;
+        let bytes: Vec<u8> = (0..1031 + 8)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=1031 {
+                let input = &bytes[offset..offset + len];
+                assert_eq!(
+                    crc32(input),
+                    crc32_bitwise(input),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+    }
+
+    /// One WAL record framed by hand: length, reference checksum, payload.
+    fn framed_record(payload: &[u8]) -> Vec<u8> {
+        let mut record = Vec::new();
+        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        record.extend_from_slice(&crc32_bitwise(payload).to_le_bytes());
+        record.extend_from_slice(payload);
+        record
+    }
+
+    /// A WAL record payload logged at `(version, epoch)` announcing `n_ops`
+    /// ops, followed by `ops` (already-encoded op bytes).
+    fn record_payload(version: u64, epoch: u64, n_ops: u32, ops: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&version.to_le_bytes());
+        payload.extend_from_slice(&epoch.to_le_bytes());
+        payload.extend_from_slice(&n_ops.to_le_bytes());
+        payload.extend_from_slice(ops);
+        payload
+    }
+
+    #[test]
+    fn directories_framed_with_the_reference_checksum_still_open() {
+        // Snapshot and WAL are written byte by byte here, not through
+        // `DurableStore`, with checksums from the bitwise definition: what a
+        // directory written by an earlier build of this format holds.
+        let dir = scratch_dir("compat");
+        fs::create_dir_all(&dir).expect("dir");
+        let state = seed_store().encode_state();
+        let mut snapshot = SNAPSHOT_MAGIC.to_vec();
+        snapshot.extend_from_slice(&crc32_bitwise(&state).to_le_bytes());
+        snapshot.extend_from_slice(&(state.len() as u64).to_le_bytes());
+        snapshot.extend_from_slice(&state);
+        fs::write(DurableStore::snapshot_path(&dir), snapshot).expect("snapshot");
+
+        // InsertInstance { object: 0, coords: [1.5, 1.5], prob: 0.1 }.
+        let mut op = vec![1];
+        op.extend_from_slice(&0u64.to_le_bytes());
+        op.extend_from_slice(&2u32.to_le_bytes());
+        op.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+        op.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+        op.extend_from_slice(&0.1f64.to_bits().to_le_bytes());
+        let wal = framed_record(&record_payload(0, 0, 1, &op));
+        fs::write(DurableStore::wal_path(&dir), wal).expect("wal");
+
+        let mut expected = seed_store();
+        expected.insert_instance(0, &[1.5, 1.5], 0.1);
+        let (recovered, report) = DurableStore::open(&dir).expect("open");
+        assert_eq!(recovered.store().encode_state(), expected.encode_state());
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(report.torn_bytes, 0);
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn lying_counts_in_a_checksum_valid_record_are_invalid_data() {
+        let _gate = failpoint::exclusive();
+        // InsertObject, no label, claiming u32::MAX instances; and a record
+        // claiming u32::MAX ops. Both pass the CRC, so only the decoder's
+        // bounds stand between them and a huge allocation.
+        let mut insert = vec![0, 0];
+        insert.extend_from_slice(&u32::MAX.to_le_bytes());
+        let payloads = [
+            record_payload(0, 0, 1, &insert),
+            record_payload(0, 0, u32::MAX, &[5]),
+        ];
+        for payload in payloads {
+            let dir = scratch_dir("lying");
+            drop(DurableStore::create(&dir, seed_store()).expect("create"));
+            fs::write(DurableStore::wal_path(&dir), framed_record(&payload)).expect("wal");
+            let err = DurableStore::open(&dir).expect_err("malformed record");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            fs::remove_dir_all(&dir).expect("cleanup");
+        }
+    }
+
     #[test]
     fn recovery_replays_the_wal_over_the_snapshot() {
+        let _gate = failpoint::exclusive();
         let dir = scratch_dir("replay");
         let mut durable = DurableStore::create(&dir, seed_store()).expect("create");
         for batch in batches() {
@@ -655,6 +820,7 @@ mod tests {
 
     #[test]
     fn checkpoint_truncates_the_wal_and_survives_reopen() {
+        let _gate = failpoint::exclusive();
         let dir = scratch_dir("checkpoint");
         let mut durable = DurableStore::create(&dir, seed_store()).expect("create");
         let all = batches();
@@ -676,6 +842,7 @@ mod tests {
 
     #[test]
     fn torn_tails_are_truncated_to_the_last_intact_record() {
+        let _gate = failpoint::exclusive();
         let dir = scratch_dir("torn");
         let mut durable = DurableStore::create(&dir, seed_store()).expect("create");
         let all = batches();

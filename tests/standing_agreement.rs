@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use arsp::core::cluster::{ApplyOutcome, ClusterConfig, ShardedService};
@@ -480,22 +480,33 @@ fn service_subscribers_never_miss_or_double_see_a_publish() {
             batches
         }));
     }
+    // Each reader finishes one query before the writer starts, so even a
+    // writer that outruns the scheduler leaves every reader with a read.
+    const READERS: usize = 2;
+    let readers_started = Arc::new(Barrier::new(READERS + 1));
     let mut reader_threads = Vec::new();
-    for _ in 0..2 {
+    for _ in 0..READERS {
         let service = writer.service();
         let stop = Arc::clone(&stop);
+        let readers_started = Arc::clone(&readers_started);
         let constraints = constraints.clone();
         reader_threads.push(thread::spawn(move || {
-            let mut observed = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            let read = || {
                 let pin = service.pin();
                 let outcome = pin.query(&constraints).run();
                 assert_eq!(outcome.version(), pin.version());
+            };
+            read();
+            readers_started.wait();
+            let mut observed = 1u64;
+            while !stop.load(Ordering::Relaxed) {
+                read();
                 observed += 1;
             }
             observed
         }));
     }
+    readers_started.wait();
 
     // The writer: one small batch per round, published immediately. Every
     // publish changes the version (each round mutates), so each round must
