@@ -1,30 +1,16 @@
-//! Micro-benchmark: the flat columnar layout versus the `Point`-based paths.
+//! Micro-benchmark: warm engine queries on the flat columnar layout.
 //!
-//! Both sides exclude the per-constraint vertex enumeration (prebuilt
-//! `LinearFDominance`) and, for B&B, the instance R-tree build (prebuilt
-//! tree) — the index-*reuse* win was measured by the `engine_reuse` bench in
-//! a previous session. What remains is exactly the layout effect this bench
-//! isolates:
-//!
-//! * **point_path** — the free-function paths: per-instance `Vec<f64>`
-//!   score points, per-pair recomputed `O(d·d')` F-dominance tests (LOOP),
-//!   lazy per-instance score-space mapping (B&B), fresh working memory per
-//!   query;
-//! * **flat_engine** — warm [`ArspEngine`] queries: cached `FlatStore` +
-//!   `ScoreMatrix` (one `coords · ω` pass per constraint set), arena
-//!   indexes, `O(d')` score-dominance tests, pooled scratch memory.
-//!
-//! Results are bitwise identical (enforced by `tests/engine_agreement.rs`);
-//! numbers are recorded in EXPERIMENTS.md and BENCH_flat_layout.json.
+//! **flat_engine** rows time warm [`ArspEngine`] queries: a cached
+//! `FlatStore` and `ScoreMatrix` (one `coords · ω` pass per constraint set),
+//! arena indexes, `O(d')` score-dominance tests and pooled scratch memory.
+//! The vertex enumeration and, for B&B, the instance R-tree are cached too,
+//! so each row times the kernel alone. Numbers are recorded in
+//! EXPERIMENTS.md and BENCH_flat_layout.json.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
 
-use arsp_core::algorithms::bnb::{arsp_bnb_engine, build_instance_rtree};
 use arsp_core::engine::{ArspEngine, QueryAlgorithm};
-use arsp_core::{arsp_kdtt_plus_with_fdom, arsp_loop_with_fdom};
 use arsp_data::SyntheticConfig;
-use arsp_geometry::fdom::LinearFDominance;
 use arsp_geometry::ConstraintSet;
 
 fn dataset() -> arsp_data::UncertainDataset {
@@ -45,119 +31,38 @@ fn sweep() -> Vec<ConstraintSet> {
     (1..=3).map(|c| ConstraintSet::weak_ranking(4, c)).collect()
 }
 
+const ALGORITHMS: [(&str, QueryAlgorithm); 3] = [
+    ("loop", QueryAlgorithm::Loop),
+    ("kdtt_plus", QueryAlgorithm::KdttPlus),
+    ("bnb", QueryAlgorithm::BranchAndBound),
+];
+
 fn bench_flat_layout(c: &mut Criterion) {
     let mut group = c.benchmark_group("flat_layout");
     group.sample_size(10);
 
-    let data = dataset();
     let constraint_sweep = sweep();
-    let fdoms: Vec<LinearFDominance> = constraint_sweep
-        .iter()
-        .map(LinearFDominance::from_constraints)
-        .collect();
 
     // Warm engine: every cache (flat store, score matrices, orders, R-tree)
-    // and the scratch pool are populated before measurement, so the engine
-    // side times the flat hot paths alone.
-    let engine = ArspEngine::new(data.clone());
-    for (cs, algo) in constraint_sweep.iter().flat_map(|cs| {
-        [
-            QueryAlgorithm::Loop,
-            QueryAlgorithm::KdttPlus,
-            QueryAlgorithm::BranchAndBound,
-        ]
-        .map(move |a| (cs, a))
-    }) {
-        let _ = engine.query(cs).algorithm(algo).run();
+    // and the scratch pool are populated before measurement, so each row
+    // times the flat hot path alone.
+    let engine = ArspEngine::new(dataset());
+    for cs in &constraint_sweep {
+        for (_, algo) in ALGORITHMS {
+            let _ = engine.query(cs).algorithm(algo).run();
+        }
     }
 
-    // LOOP: O(n²) pair scan — the score-matrix dominance test is the whole
-    // inner loop.
-    group.bench_function("loop/point_path", |b| {
-        b.iter(|| {
-            fdoms
-                .iter()
-                .map(|f| arsp_loop_with_fdom(black_box(&data), f).result_size())
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("loop/flat_engine", |b| {
-        b.iter(|| {
-            constraint_sweep
-                .iter()
-                .map(|cs| {
-                    engine
-                        .query(cs)
-                        .algorithm(QueryAlgorithm::Loop)
-                        .run()
-                        .result_size()
-                })
-                .sum::<usize>()
-        })
-    });
-
-    // KDTT+: fused traversal — per-point Vec allocations versus the arena.
-    group.bench_function("kdtt_plus/point_path", |b| {
-        b.iter(|| {
-            fdoms
-                .iter()
-                .map(|f| arsp_kdtt_plus_with_fdom(black_box(&data), f).result_size())
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("kdtt_plus/flat_engine", |b| {
-        b.iter(|| {
-            constraint_sweep
-                .iter()
-                .map(|cs| {
-                    engine
-                        .query(cs)
-                        .algorithm(QueryAlgorithm::KdttPlus)
-                        .run()
-                        .result_size()
-                })
-                .sum::<usize>()
-        })
-    });
-
-    // B&B: both sides share the prebuilt R-tree; the contrast is the lazy
-    // per-instance mapping + fresh working memory versus cached score rows +
-    // pooled scratch.
-    let rtree = build_instance_rtree(&data);
-    group.bench_function("bnb/point_path", |b| {
-        b.iter(|| {
-            fdoms
-                .iter()
-                .map(|f| {
-                    arsp_bnb_engine(
-                        black_box(&data),
-                        f,
-                        Some(&rtree),
-                        None,
-                        false,
-                        None,
-                        None,
-                        None,
-                    )
-                    .result_size()
-                })
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("bnb/flat_engine", |b| {
-        b.iter(|| {
-            constraint_sweep
-                .iter()
-                .map(|cs| {
-                    engine
-                        .query(cs)
-                        .algorithm(QueryAlgorithm::BranchAndBound)
-                        .run()
-                        .result_size()
-                })
-                .sum::<usize>()
-        })
-    });
+    for (name, algo) in ALGORITHMS {
+        group.bench_function(format!("{name}/flat_engine"), |b| {
+            b.iter(|| {
+                constraint_sweep
+                    .iter()
+                    .map(|cs| engine.query(cs).algorithm(algo).run().result_size())
+                    .sum::<usize>()
+            })
+        });
+    }
 
     group.finish();
 }

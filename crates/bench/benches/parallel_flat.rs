@@ -1,41 +1,26 @@
-//! Micro-benchmark: the flat parallel twins versus the `Point`-based
-//! parallel paths, across thread counts.
+//! Micro-benchmark: the flat parallel paths versus the warm engine's
+//! sequential path, across thread counts.
 //!
-//! Before this bench's companion change, `Execution::Parallel` was the one
-//! configuration still running the `Point` layout: the engine rebuilt a
-//! `ScorePoint` slice from the cached projection for every parallel
-//! KDTT-family query, and DUAL had no flat path at all. This bench measures
-//! what replacing those with flat twins buys, at threads ∈ {1, 2, 4}:
+//! At threads ∈ {1, 2, 4}:
 //!
-//! * **point_par** — the PR 3-era parallel paths: `Point`-based parallel
-//!   twins fed a prebuilt `LinearFDominance` (and, for B&B / DUAL, the
-//!   prebuilt dataset index), i.e. per-query score-space `Vec` rebuilds and
-//!   fresh per-task working memory;
 //! * **flat_par** — warm [`ArspEngine`] queries under
 //!   `Execution::Parallel`: cached `FlatStore` + `ScoreMatrix`, flat
-//!   parallel twins, pooled per-query and per-worker arenas;
+//!   parallel kernels, pooled per-query and per-worker arenas;
 //! * **flat_seq** — the warm engine's sequential flat path, the baseline the
 //!   per-algorithm parallel speedups in `BENCH_parallel_flat.json` are
 //!   reported against.
 //!
 //! The thread count is driven through `set_num_threads` (exactly what the
-//! `ARSP_NUM_THREADS` CI hook seeds), so both sides share the worker budget.
-//! Results are bitwise identical across all variants — enforced by
-//! `tests/engine_agreement.rs`; numbers are recorded in EXPERIMENTS.md and
-//! `BENCH_parallel_flat.json`.
+//! `ARSP_NUM_THREADS` CI hook seeds). Results are bitwise identical across
+//! all variants — enforced by `tests/engine_agreement.rs`; numbers are
+//! recorded in EXPERIMENTS.md and `BENCH_parallel_flat.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
 
-use arsp_core::algorithms::bnb::{arsp_bnb_engine, build_instance_rtree};
-use arsp_core::algorithms::dual::{arsp_dual_engine, build_dual_index};
-use arsp_core::algorithms::kdtt::arsp_kdtt_engine;
-use arsp_core::arsp_loop_parallel_with_fdom;
 use arsp_core::engine::{ArspEngine, Execution, QueryAlgorithm};
 use arsp_core::parallel::set_num_threads;
 use arsp_data::SyntheticConfig;
 use arsp_geometry::constraints::WeightRatio;
-use arsp_geometry::fdom::LinearFDominance;
 use arsp_geometry::ConstraintSet;
 
 fn dataset() -> arsp_data::UncertainDataset {
@@ -63,13 +48,7 @@ fn bench_parallel_flat(c: &mut Criterion) {
 
     let data = dataset();
     let constraint_sweep = sweep();
-    let fdoms: Vec<LinearFDominance> = constraint_sweep
-        .iter()
-        .map(LinearFDominance::from_constraints)
-        .collect();
     let ratio = WeightRatio::uniform(4, 0.5, 2.0);
-    let rtree = build_instance_rtree(&data);
-    let dual_index = build_dual_index(&data);
 
     // Warm engine: every cache and arena pool is populated before
     // measurement, so the engine side times the flat hot paths alone.
@@ -118,109 +97,27 @@ fn bench_parallel_flat(c: &mut Criterion) {
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
 
-        // LOOP
-        group.bench_function(format!("loop/point_par/t{threads}"), |b| {
-            b.iter(|| {
-                fdoms
-                    .iter()
-                    .map(|f| arsp_loop_parallel_with_fdom(black_box(&data), f).result_size())
-                    .sum::<usize>()
-            })
-        });
-        group.bench_function(format!("loop/flat_par/t{threads}"), |b| {
-            b.iter(|| {
-                constraint_sweep
-                    .iter()
-                    .map(|cs| {
-                        engine
-                            .query(cs)
-                            .algorithm(QueryAlgorithm::Loop)
-                            .execution(Execution::Parallel { threads: 0 })
-                            .run()
-                            .result_size()
-                    })
-                    .sum::<usize>()
-            })
-        });
-
-        // KDTT+
-        group.bench_function(format!("kdtt_plus/point_par/t{threads}"), |b| {
-            b.iter(|| {
-                fdoms
-                    .iter()
-                    .map(|f| {
-                        arsp_kdtt_engine(
-                            black_box(&data),
-                            f,
-                            arsp_core::algorithms::kdtt::KdVariant::FusedKd,
-                            true,
-                            None,
-                        )
-                        .result_size()
-                    })
-                    .sum::<usize>()
-            })
-        });
-        group.bench_function(format!("kdtt_plus/flat_par/t{threads}"), |b| {
-            b.iter(|| {
-                constraint_sweep
-                    .iter()
-                    .map(|cs| {
-                        engine
-                            .query(cs)
-                            .algorithm(QueryAlgorithm::KdttPlus)
-                            .execution(Execution::Parallel { threads: 0 })
-                            .run()
-                            .result_size()
-                    })
-                    .sum::<usize>()
-            })
-        });
-
-        // B&B (both sides share the prebuilt instance R-tree).
-        group.bench_function(format!("bnb/point_par/t{threads}"), |b| {
-            b.iter(|| {
-                fdoms
-                    .iter()
-                    .map(|f| {
-                        arsp_bnb_engine(
-                            black_box(&data),
-                            f,
-                            Some(&rtree),
-                            None,
-                            true,
-                            None,
-                            None,
-                            None,
-                        )
-                        .result_size()
-                    })
-                    .sum::<usize>()
-            })
-        });
-        group.bench_function(format!("bnb/flat_par/t{threads}"), |b| {
-            b.iter(|| {
-                constraint_sweep
-                    .iter()
-                    .map(|cs| {
-                        engine
-                            .query(cs)
-                            .algorithm(QueryAlgorithm::BranchAndBound)
-                            .execution(Execution::Parallel { threads: 0 })
-                            .run()
-                            .result_size()
-                    })
-                    .sum::<usize>()
-            })
-        });
-
-        // DUAL (both sides share the prebuilt per-object forests; the point
-        // path had no parallel twin, so it is the PR 3 engine path as-is).
-        group.bench_function(format!("dual/point_par/t{threads}"), |b| {
-            b.iter(|| {
-                arsp_dual_engine(black_box(&data), &ratio, Some(&dual_index), None).result_size()
-            })
-        });
+        for (name, algo) in [
+            ("loop", QueryAlgorithm::Loop),
+            ("kdtt_plus", QueryAlgorithm::KdttPlus),
+            ("bnb", QueryAlgorithm::BranchAndBound),
+        ] {
+            group.bench_function(format!("{name}/flat_par/t{threads}"), |b| {
+                b.iter(|| {
+                    constraint_sweep
+                        .iter()
+                        .map(|cs| {
+                            engine
+                                .query(cs)
+                                .algorithm(algo)
+                                .execution(Execution::Parallel { threads: 0 })
+                                .run()
+                                .result_size()
+                        })
+                        .sum::<usize>()
+                })
+            });
+        }
         group.bench_function(format!("dual/flat_par/t{threads}"), |b| {
             b.iter(|| {
                 engine

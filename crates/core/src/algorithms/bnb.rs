@@ -37,21 +37,28 @@ const ONE_EPS: f64 = 1e-9;
 
 /// Computes ARSP with the branch-and-bound algorithm.
 pub fn arsp_bnb(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    assert_eq!(dataset.dim(), constraints.dim(), "dimension mismatch");
     let fdom = LinearFDominance::from_constraints(constraints);
     arsp_bnb_with_fdom(dataset, &fdom)
 }
 
-/// B&B with a pre-built F-dominance test; `use_pruning_set = false` disables
-/// the Theorem-4 pruning set (used by the ablation benchmark).
+/// B&B with a pre-built F-dominance test (lets benchmarks exclude vertex
+/// enumeration, which is a shared one-off cost).
+///
+/// # Panics
+/// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_bnb_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
+    assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
     arsp_bnb_impl(dataset, fdom, None, None, true, None, None, None)
 }
 
 /// B&B without the pruning set `P` — every instance pays its window queries.
 /// Exposed for the ablation study of the design choice called out in
 /// DESIGN.md; not part of the paper's evaluated configurations.
+///
+/// # Panics
+/// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_bnb_without_pruning(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
+    assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
     arsp_bnb_impl(dataset, fdom, None, None, false, None, None, None)
 }
 
@@ -756,5 +763,21 @@ mod tests {
             stats_lazy.snapshot().nodes_visited,
             stats_flat.snapshot().nodes_visited
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn with_fdom_rejects_a_region_of_another_dimension() {
+        let d = SyntheticConfig::small(5, 2, 2, 1).generate();
+        let fdom = LinearFDominance::from_constraints(&ConstraintSet::weak_ranking(3, 1));
+        let _ = arsp_bnb_with_fdom(&d, &fdom);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn without_pruning_rejects_a_region_of_another_dimension() {
+        let d = SyntheticConfig::small(5, 2, 2, 1).generate();
+        let fdom = LinearFDominance::from_constraints(&ConstraintSet::weak_ranking(3, 1));
+        let _ = arsp_bnb_without_pruning(&d, &fdom);
     }
 }

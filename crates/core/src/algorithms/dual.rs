@@ -11,10 +11,11 @@
 //!   reporting / point-location machinery (Theorem 6), which the paper itself
 //!   describes as "theoretical in nature"; the queries answered are identical
 //!   (per-object dominating mass under weight-ratio constraints), only the
-//!   data structure differs. See DESIGN.md. [`arsp_dual_flat_engine`] is its
-//!   flat columnar twin — the engine's hot path under every execution mode,
-//!   streaming the cached [`FlatStore`] and, under parallel execution,
-//!   chunking instances over worker threads (bitwise identical either way).
+//!   data structure differs. See DESIGN.md. Its kernel,
+//!   [`arsp_dual_flat_engine`], is what every path runs, the engine under
+//!   every execution mode included: it streams a [`FlatStore`] and, under
+//!   parallel execution, chunks instances over worker threads (bitwise
+//!   identical either way).
 //! * [`DualMs2d`] — the specialised d = 2 algorithm the paper actually
 //!   evaluates (Fig. 7): per-instance preprocessing sorts all other instances
 //!   by their angle around the instance, after which a weight-ratio query is
@@ -35,7 +36,9 @@ use arsp_index::AggregateRTree;
 /// Computes ARSP under weight ratio constraints with per-object aggregated
 /// R-trees (the general-dimension DUAL algorithm).
 pub fn arsp_dual(dataset: &UncertainDataset, ratio: &WeightRatio) -> ArspResult {
-    arsp_dual_engine(dataset, ratio, None, None)
+    let flat = FlatStore::from_dataset(dataset);
+    let agg = build_dual_index(dataset);
+    arsp_dual_flat_engine(&flat, ratio, &agg, false, None, None)
 }
 
 /// Builds DUAL's per-object aggregated R-trees over the *original-space*
@@ -53,63 +56,9 @@ pub fn build_dual_index(dataset: &UncertainDataset) -> Vec<AggregateRTree> {
     agg
 }
 
-/// The full-control DUAL entry point used by [`crate::engine::ArspEngine`]:
-/// optional prebuilt per-object index (see [`build_dual_index`]) and optional
-/// work-counter sink. Results are identical with or without the options.
-pub fn arsp_dual_engine(
-    dataset: &UncertainDataset,
-    ratio: &WeightRatio,
-    prebuilt: Option<&[AggregateRTree]>,
-    stats: Option<&CounterStats>,
-) -> ArspResult {
-    assert_eq!(dataset.dim(), ratio.dim(), "dimension mismatch");
-    let fdom = WeightRatioFDominance::new(ratio.clone());
-    let mut result = ArspResult::zeros(dataset.num_instances());
-
-    let owned;
-    let agg: &[AggregateRTree] = match prebuilt {
-        Some(trees) => {
-            debug_assert_eq!(
-                trees.len(),
-                dataset.num_objects(),
-                "prebuilt DUAL index covers a different dataset"
-            );
-            trees
-        }
-        None => {
-            owned = build_dual_index(dataset);
-            &owned
-        }
-    };
-
-    let mut window_queries = 0u64;
-    for inst in dataset.instances() {
-        let region = FDominatorsOf::new(&fdom, &inst.coords);
-        let mut prob = inst.prob;
-        for (j, tree) in agg.iter().enumerate() {
-            if j == inst.object {
-                continue;
-            }
-            window_queries += 1;
-            let sigma = tree.sum_weights_in(&region);
-            prob *= 1.0 - sigma;
-            if prob <= 0.0 {
-                prob = 0.0;
-                break;
-            }
-        }
-        result.set(inst.id, prob);
-    }
-    if let Some(s) = stats {
-        s.add_window_queries(window_queries);
-    }
-    result
-}
-
 /// One instance's DUAL probability: probes every other object's aggregated
 /// R-tree for the mass F-dominating the instance, folding the factors in
-/// object order and stopping at zero — the same arithmetic, in the same
-/// order, as the instance loop of [`arsp_dual_engine`].
+/// object order and stopping at zero.
 fn dual_instance_prob(
     flat: &FlatStore,
     fdom: &WeightRatioFDominance,
@@ -134,15 +83,14 @@ fn dual_instance_prob(
     prob
 }
 
-/// The flat columnar DUAL entry point used by
+/// The DUAL entry point behind every query path, used by
 /// [`crate::engine::ArspEngine`]: instance coordinates, probabilities and
 /// object ids stream out of the cached [`FlatStore`] while the per-object
-/// aggregated R-trees (`agg`, see [`build_dual_index`]) are probed exactly
-/// as in [`arsp_dual_engine`] — the flat store is a bit-for-bit copy of the
-/// dataset, so results are **bitwise identical**. With `parallel` set the
+/// aggregated R-trees (`agg`, see [`build_dual_index`]) answer each
+/// instance's per-object dominating mass. With `parallel` set the
 /// instances are evaluated in contiguous chunks on worker threads: each
 /// instance's probability is an independent product folded in object order,
-/// so the parallel twin is bitwise identical too (the index is read-only
+/// so the parallel form is bitwise identical too (the index is read-only
 /// here — DUAL's trees are dataset-resident, not query-mutated like B&B's).
 pub fn arsp_dual_flat_engine(
     flat: &FlatStore,
@@ -499,6 +447,11 @@ mod tests {
         let _ = DualMs2d::preprocess(&d);
     }
 
+    /// The "point engine" is the free function [`arsp_dual`], which takes
+    /// the `Point`-layout [`UncertainDataset`] and builds the flat store and
+    /// forests per call; the flat engine is the kernel called directly with
+    /// a shared index and a stats sink. They must agree bitwise, and agree
+    /// with KDTT+ (a different algorithm) within float tolerance.
     #[test]
     fn flat_engine_is_bitwise_identical_to_point_engine() {
         let d = SyntheticConfig {
@@ -515,20 +468,25 @@ mod tests {
         let agg = build_dual_index(&d);
         for (l, h) in [(0.5, 2.0), (1.0, 1.0), (0.25, 3.5)] {
             let ratio = WeightRatio::uniform(3, l, h);
-            let stats_point = CounterStats::new();
-            let reference = arsp_dual_engine(&d, &ratio, Some(&agg), Some(&stats_point));
-            let stats_flat = CounterStats::new();
-            let got = arsp_dual_flat_engine(&flat, &ratio, &agg, false, Some(&stats_flat), None);
+            let reference = arsp_dual(&d, &ratio);
+            let stats = CounterStats::new();
+            let got = arsp_dual_flat_engine(&flat, &ratio, &agg, false, Some(&stats), None);
             assert_eq!(
                 reference.probs(),
                 got.probs(),
                 "flat DUAL diverged on ratio [{l}, {h}]"
             );
-            assert_eq!(
-                stats_point.snapshot().window_queries,
-                stats_flat.snapshot().window_queries,
-                "flat DUAL must issue the same window queries"
+            let kdtt = arsp_kdtt_plus(&d, &ratio.to_constraint_set());
+            assert!(
+                kdtt.approx_eq(&got, 1e-9),
+                "DUAL vs KDTT+ on ratio [{l}, {h}]: {}",
+                kdtt.max_abs_diff(&got)
             );
+            // At most one window query per (instance, other object) pair;
+            // the fold stops early once a probability reaches zero.
+            let queries = stats.snapshot().window_queries;
+            assert!(queries > 0);
+            assert!(queries <= (d.num_instances() * (d.num_objects() - 1)) as u64);
         }
     }
 

@@ -1,4 +1,4 @@
-//! The kd-ASP / kd-ASP\* machinery (Algorithm 1 of the paper).
+//! The kd-ASP\* machinery (Algorithm 1 of the paper).
 //!
 //! Given a set of points in (score) space, each belonging to an uncertain
 //! object and carrying an existence probability, these routines compute the
@@ -8,22 +8,41 @@
 //! Pr_sky(t) = p(t) · Π_{j ≠ i} (1 − Σ_{s ∈ T_j, s ⪯ t} p(s))
 //! ```
 //!
-//! Three traversal strategies are provided, matching the algorithm variants
-//! the paper evaluates:
+//! There are two entry points, both over a columnar [`FlatScorePoints`] view
+//! (one dim-strided coordinate array plus parallel object/probability
+//! columns, indexed by instance id):
 //!
-//! * [`kd_asp_fused`] — **KDTT+**: the kd partitioning is created *during*
-//!   the traversal, so subtrees whose instances all have zero probability are
-//!   never even constructed,
-//! * [`kd_asp_prebuilt`] — **KDTT**: the kd-tree is fully built first and then
-//!   traversed pre-order (the original formulation of Afshani et al. that the
-//!   paper optimises),
-//! * [`quad_asp_fused`] — **QDTT+**: the fused traversal with quadtree-style
-//!   splitting of every dimension at once.
+//! * [`kd_asp_flat_engine`] runs on the calling thread;
+//! * [`kd_asp_flat_engine_parallel`] dispatches sibling subtrees of the first
+//!   few recursion levels to worker threads, with a result bitwise identical
+//!   to the sequential traversal.
 //!
-//! The shared state is exactly the quadruple of Algorithm 1: the candidate
-//! set `C`, the per-object dominating mass `σ`, the running product
+//! Each takes a [`KdVariant`], matching the algorithm variants the paper
+//! evaluates:
+//!
+//! * **KDTT+** ([`KdVariant::FusedKd`]): the kd partitioning is created
+//!   *during* the traversal, so subtrees whose instances all have zero
+//!   probability are never even constructed;
+//! * **KDTT** ([`KdVariant::Prebuilt`]): the kd-tree is fully built first and
+//!   then traversed pre-order (the original formulation of Afshani et al.
+//!   that the paper optimises). It stays sequential under both entry points,
+//!   because it exists to measure the construction cost the fused variants
+//!   remove;
+//! * **QDTT+** ([`KdVariant::FusedQuad`]): the fused traversal with
+//!   quadtree-style splitting of every dimension at once.
+//!
+//! ## Traversal state
+//!
+//! The state is exactly the quadruple of Algorithm 1: the candidate set `C`,
+//! the per-object dominating mass `σ`, the running product
 //! `β = Π_{σ[j] ≠ 1} (1 − σ[j])` and the saturation counter
-//! `χ = |{j | σ[j] = 1}|`.
+//! `χ = |{j | σ[j] = 1}|`. At every node the invariants are:
+//!
+//! * `σ[j]` is the mass of object `j`'s instances that lie outside the node
+//!   and dominate its minimum corner;
+//! * `β` and `χ` are the product and the count above, over that `σ`;
+//! * a leaf's probability is therefore `β · p(t) / (1 − σ[obj(t)])` when
+//!   `χ = 0`, and `χ ≥ 1` at an inner node prunes its whole subtree.
 //!
 //! One refinement over the paper's pseudocode: a candidate is only folded
 //! into `σ` once it lies *outside* the current node's point set. Points
@@ -34,13 +53,25 @@
 //! with it, `σ[j] = 1` at a node genuinely implies that object `j` lies
 //! entirely outside the node and dominates everything in it, so the pruning
 //! is exact.
+//!
+//! ## Exact undo
+//!
+//! On node exit the state is restored **exactly**, not recomputed: the σ
+//! entries a node changed are written back from an undo stack, newest first
+//! (so repeated additions to one object unwind correctly), and β/χ are
+//! restored from the snapshot taken on node entry. Arithmetic "inverses"
+//! like `β / (1 − σ)` would drift under floating point. Bitwise restoration
+//! is what lets sibling subtrees observe identical states, which in turn is
+//! what makes the parallel traversal exact: a worker seeded with a copy of
+//! the parent's post-pass state sees bitwise the state the sequential
+//! recursion would hand the same child.
 
-use crate::scorespace::{FlatScorePoints, ScorePoint};
+use crate::scorespace::FlatScorePoints;
 use crate::stats::CounterStats;
 use arsp_geometry::mbr::{extend_bounds, reset_bounds};
 use arsp_geometry::point::dominates;
 use arsp_index::kdtree::KdNodeContent;
-use arsp_index::{FlatEntries, KdTree, PointEntry};
+use arsp_index::{FlatEntries, KdTree};
 
 /// The three traversal strategies of Algorithm 1, as a value — the engine
 /// selects among them at query time.
@@ -54,39 +85,6 @@ pub enum KdVariant {
     FusedQuad,
 }
 
-/// The full-control kd-ASP\* entry point used by the engine: picks the
-/// traversal variant, the execution mode, and optionally reports work
-/// counters. Results are bitwise identical across execution modes and
-/// unaffected by the stats sink.
-pub fn kd_asp_engine(
-    points: &[ScorePoint],
-    num_objects: usize,
-    num_instances: usize,
-    variant: KdVariant,
-    parallel: bool,
-    stats: Option<&CounterStats>,
-) -> Vec<f64> {
-    match (variant, parallel) {
-        // The prebuilt-tree traversal stays sequential by design (it exists
-        // to measure the construction overhead the fused variants remove).
-        (KdVariant::Prebuilt, _) => {
-            kd_asp_prebuilt_stats(points, num_objects, num_instances, stats)
-        }
-        (KdVariant::FusedKd, false) => {
-            run_fused(points, num_objects, num_instances, SplitKind::Kd, stats)
-        }
-        (KdVariant::FusedQuad, false) => {
-            run_fused(points, num_objects, num_instances, SplitKind::Quad, stats)
-        }
-        (KdVariant::FusedKd, true) => {
-            run_fused_parallel(points, num_objects, num_instances, SplitKind::Kd, stats)
-        }
-        (KdVariant::FusedQuad, true) => {
-            run_fused_parallel(points, num_objects, num_instances, SplitKind::Quad, stats)
-        }
-    }
-}
-
 /// Tolerance for deciding that an object's dominating mass has reached one.
 /// Probabilities are sums of `1/n_i` terms, so anything closer to one than
 /// this is a genuine saturation, not rounding noise.
@@ -97,687 +95,16 @@ fn is_one(x: f64) -> bool {
     x >= 1.0 - ONE_EPS
 }
 
-/// The mutable traversal state (σ, β, χ) of Algorithm 1, plus the
-/// "point is inside the current node" marks used by the candidate pass.
-///
-/// `Clone` is what makes the parallel traversal exact: sibling subtrees run
-/// on bitwise copies of the state they would have observed sequentially (see
-/// [`undo`] for why the restoration is exact).
-#[derive(Clone)]
-struct SkyState {
-    sigma: Vec<f64>,
-    beta: f64,
-    chi: usize,
-    in_node: Vec<bool>,
-}
-
-impl SkyState {
-    fn new(num_objects: usize, num_points: usize) -> Self {
-        Self {
-            sigma: vec![0.0; num_objects],
-            beta: 1.0,
-            chi: 0,
-            in_node: vec![false; num_points],
-        }
-    }
-
-    /// Registers that probability mass `p` of object `obj` dominates the
-    /// current node's minimum corner (lines 12–16 of Algorithm 1).
-    fn add(&mut self, obj: usize, p: f64) {
-        let old = self.sigma[obj];
-        let new = old + p;
-        self.sigma[obj] = new;
-        if is_one(new) && !is_one(old) {
-            self.chi += 1;
-            self.beta /= 1.0 - old;
-        } else if !is_one(new) {
-            self.beta *= (1.0 - new) / (1.0 - old);
-        }
-        // `old` already saturated: σ can only grow by zero-mass rounding and
-        // neither β nor χ change.
-    }
-
-    /// Skyline probability of a single point forming a leaf: `σ` holds the
-    /// dominating mass of every object from *outside* the leaf, so object
-    /// `object`'s factor is simply divided back out of `β`.
-    fn leaf_probability(&self, object: usize, prob: f64) -> f64 {
-        if self.chi == 0 {
-            self.beta * prob / (1.0 - self.sigma[object])
-        } else if self.chi == 1 && is_one(self.sigma[object]) {
-            // Defensive: can only be reached through floating-point
-            // saturation of the point's own object; its factor is excluded
-            // from equation (3) anyway.
-            self.beta * prob
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Computes the coordinate-wise min and max corners of a set of points.
-fn corners(points: &[ScorePoint], order: &[u32]) -> (Vec<f64>, Vec<f64>) {
-    let mut min = points[order[0] as usize].coords.clone();
-    let mut max = min.clone();
-    for &idx in &order[1..] {
-        for (k, &c) in points[idx as usize].coords.iter().enumerate() {
-            if c < min[k] {
-                min[k] = c;
-            }
-            if c > max[k] {
-                max[k] = c;
-            }
-        }
-    }
-    (min, max)
-}
-
-/// Result of the candidate pass at one node: an exact snapshot of the state
-/// it mutated (for undo) and the surviving candidate list for the children.
-struct NodePass {
-    /// `(object, σ[object] before this node's addition)` in addition order.
-    saved_sigma: Vec<(usize, f64)>,
-    /// `β` before the pass.
-    beta_before: f64,
-    /// `χ` before the pass.
-    chi_before: usize,
-    next_candidates: Vec<u32>,
-}
-
-/// Processes the parent candidate list against the node `[pmin, pmax]`
-/// (lines 9–18 of Algorithm 1). Points inside the node (`state.in_node`)
-/// are never folded into `σ`; they stay candidates for the children.
-fn candidate_pass(
-    points: &[ScorePoint],
-    candidates: &[u32],
-    pmin: &[f64],
-    pmax: &[f64],
-    state: &mut SkyState,
-    tests: &mut u64,
-) -> NodePass {
-    let mut saved_sigma = Vec::new();
-    let mut next_candidates = Vec::new();
-    let beta_before = state.beta;
-    let chi_before = state.chi;
-    for &c in candidates {
-        let sp = &points[c as usize];
-        let outside_and_below = !state.in_node[c as usize] && {
-            *tests += 1;
-            dominates(&sp.coords, pmin)
-        };
-        if outside_and_below {
-            saved_sigma.push((sp.object, state.sigma[sp.object]));
-            state.add(sp.object, sp.prob);
-        } else {
-            *tests += 1;
-            if dominates(&sp.coords, pmax) {
-                next_candidates.push(c);
-            }
-        }
-    }
-    NodePass {
-        saved_sigma,
-        beta_before,
-        chi_before,
-        next_candidates,
-    }
-}
-
-/// Restores the state a [`candidate_pass`] mutated, **exactly**: saved σ
-/// entries are written back (newest first, so repeated additions to one
-/// object unwind correctly) and β/χ are restored from the snapshot rather
-/// than recomputed. Arithmetic "inverses" like `β / (1 − σ)` would drift
-/// under floating point; bitwise restoration is what lets sibling subtrees —
-/// sequential or parallel — observe identical states.
-fn undo(state: &mut SkyState, pass: &NodePass) {
-    for &(obj, old) in pass.saved_sigma.iter().rev() {
-        state.sigma[obj] = old;
-    }
-    state.beta = pass.beta_before;
-    state.chi = pass.chi_before;
-}
-
-/// Emits the probability of every point of a node whose points all share the
-/// same coordinates (a degenerate node that cannot be split further). Points
-/// of the node mutually dominate each other, so on top of the outside mass in
-/// `σ` each point is also dominated by the node-internal mass of every other
-/// object present in the node.
-fn emit_coincident_node(points: &[ScorePoint], order: &[u32], state: &SkyState, out: &mut [f64]) {
-    // Per-object probability mass inside the node (the node holds at most a
-    // handful of coinciding points, so a small vector is fine).
-    let mut node_mass: Vec<(usize, f64)> = Vec::new();
-    for &idx in order {
-        let sp = &points[idx as usize];
-        match node_mass.iter_mut().find(|(obj, _)| *obj == sp.object) {
-            Some((_, mass)) => *mass += sp.prob,
-            None => node_mass.push((sp.object, sp.prob)),
-        }
-    }
-    for &idx in order {
-        let sp = &points[idx as usize];
-        let mut prob = state.leaf_probability(sp.object, sp.prob);
-        if prob > 0.0 {
-            for &(obj, mass) in &node_mass {
-                if obj == sp.object {
-                    continue;
-                }
-                let outside = state.sigma[obj];
-                let denom = 1.0 - outside;
-                if denom <= 0.0 {
-                    prob = 0.0;
-                    break;
-                }
-                // Replace the factor (1 − outside) already present in `prob`
-                // by the full factor (1 − outside − inside mass).
-                prob *= ((1.0 - outside - mass) / denom).max(0.0);
-            }
-        }
-        out[sp.id] = prob.max(0.0);
-    }
-}
-
-/// **KDTT+**: fused construction + traversal (the paper's optimised variant).
-///
-/// `num_instances` is the size of the output vector (probabilities are placed
-/// at each point's original instance id).
-pub fn kd_asp_fused(points: &[ScorePoint], num_objects: usize, num_instances: usize) -> Vec<f64> {
-    run_fused(points, num_objects, num_instances, SplitKind::Kd, None)
-}
-
-/// **QDTT+**: fused traversal with quadtree splitting.
-pub fn quad_asp_fused(points: &[ScorePoint], num_objects: usize, num_instances: usize) -> Vec<f64> {
-    run_fused(points, num_objects, num_instances, SplitKind::Quad, None)
-}
-
-/// **KDTT+**, parallel: identical to [`kd_asp_fused`] bit for bit, but sibling
-/// subtrees of the first few recursion levels run on worker threads (see
-/// [`crate::parallel`]).
-pub fn kd_asp_fused_parallel(
-    points: &[ScorePoint],
-    num_objects: usize,
-    num_instances: usize,
-) -> Vec<f64> {
-    run_fused_parallel(points, num_objects, num_instances, SplitKind::Kd, None)
-}
-
-/// **QDTT+**, parallel: identical to [`quad_asp_fused`] bit for bit, with
-/// quadrant subtrees running on worker threads.
-pub fn quad_asp_fused_parallel(
-    points: &[ScorePoint],
-    num_objects: usize,
-    num_instances: usize,
-) -> Vec<f64> {
-    run_fused_parallel(points, num_objects, num_instances, SplitKind::Quad, None)
-}
-
-fn run_fused(
-    points: &[ScorePoint],
-    num_objects: usize,
-    num_instances: usize,
-    split: SplitKind,
-    stats: Option<&CounterStats>,
-) -> Vec<f64> {
-    let mut out = vec![0.0; num_instances];
-    if points.is_empty() {
-        return out;
-    }
-    let mut order: Vec<u32> = (0..points.len() as u32).collect();
-    let candidates: Vec<u32> = order.clone();
-    let mut state = SkyState::new(num_objects, points.len());
-    fused_rec(
-        points,
-        &mut order,
-        &candidates,
-        0,
-        &mut state,
-        &mut out,
-        split,
-        stats,
-    );
-    out
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_fused_parallel(
-    points: &[ScorePoint],
-    num_objects: usize,
-    num_instances: usize,
-    split: SplitKind,
-    stats: Option<&CounterStats>,
-) -> Vec<f64> {
-    run_fused(points, num_objects, num_instances, split, stats)
-}
-
-#[cfg(feature = "parallel")]
-fn run_fused_parallel(
-    points: &[ScorePoint],
-    num_objects: usize,
-    num_instances: usize,
-    split: SplitKind,
-    stats: Option<&CounterStats>,
-) -> Vec<f64> {
-    let levels = crate::parallel::fan_out_levels();
-    if levels == 0 || points.len() < MIN_PARALLEL_NODE {
-        return run_fused(points, num_objects, num_instances, split, stats);
-    }
-    crate::parallel::with_pool(|| {
-        let mut out = vec![0.0; num_instances];
-        let mut order: Vec<u32> = (0..points.len() as u32).collect();
-        let candidates: Vec<u32> = order.clone();
-        let mut state = SkyState::new(num_objects, points.len());
-        fused_rec_par(
-            points,
-            &mut order,
-            &candidates,
-            0,
-            &mut state,
-            &mut out,
-            split,
-            levels,
-            stats,
-        );
-        out
-    })
-}
-
 /// Nodes smaller than this are traversed sequentially even when parallel
 /// levels remain: a performance threshold only — results are bitwise
 /// identical either way.
 #[cfg(feature = "parallel")]
 const MIN_PARALLEL_NODE: usize = 512;
 
-/// One subtree of the parallel traversal: runs on an owned clone of the
-/// exactly-restored parent state and returns `(instance id, probability)`
-/// pairs instead of writing into the shared output (sibling subtrees cover
-/// disjoint instances, so the parent can merge without reordering anything).
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn run_subtree(
-    points: &[ScorePoint],
-    order: &mut [u32],
-    candidates: &[u32],
-    depth: usize,
-    mut state: SkyState,
-    out_len: usize,
-    split: SplitKind,
-    levels: usize,
-    stats: Option<&CounterStats>,
-) -> Vec<(usize, f64)> {
-    let mut buf = vec![0.0; out_len];
-    fused_rec_par(
-        points, order, candidates, depth, &mut state, &mut buf, split, levels, stats,
-    );
-    order
-        .iter()
-        .map(|&idx| {
-            let id = points[idx as usize].id;
-            (id, buf[id])
-        })
-        .collect()
-}
-
-/// The parallel twin of [`fused_rec`]: node processing is identical, but
-/// while parallel `levels` remain, child subtrees are dispatched through
-/// [`rayon::join`] (kd splits) or a parallel iterator (quad splits) on cloned
-/// states. Because [`undo`] restores states exactly, a clone of the
-/// post-candidate-pass state is bitwise the state the sequential recursion
-/// would hand the same child, so outputs cannot differ.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn fused_rec_par(
-    points: &[ScorePoint],
-    order: &mut [u32],
-    candidates: &[u32],
-    depth: usize,
-    state: &mut SkyState,
-    out: &mut [f64],
-    split: SplitKind,
-    levels: usize,
-    stats: Option<&CounterStats>,
-) {
-    if levels == 0 || order.len() < MIN_PARALLEL_NODE {
-        fused_rec(points, order, candidates, depth, state, out, split, stats);
-        return;
-    }
-
-    let (pmin, pmax) = corners(points, order);
-    for &idx in order.iter() {
-        state.in_node[idx as usize] = true;
-    }
-    let mut tests = 0u64;
-    let pass = candidate_pass(points, candidates, &pmin, &pmax, state, &mut tests);
-    for &idx in order.iter() {
-        state.in_node[idx as usize] = false;
-    }
-    if let Some(s) = stats {
-        s.add_nodes_visited(1);
-        s.add_fdom_tests(tests);
-    }
-
-    if order.len() == 1 {
-        let sp = &points[order[0] as usize];
-        out[sp.id] = state.leaf_probability(sp.object, sp.prob);
-    } else if pmin == pmax {
-        emit_coincident_node(points, order, state, out);
-    } else if state.chi == 0 {
-        match split {
-            SplitKind::Kd => {
-                parallel_kd_split(
-                    points, order, &pass, depth, state, out, split, levels, stats,
-                );
-            }
-            SplitKind::Quad => {
-                let dim = points[order[0] as usize].coords.len();
-                let center: Vec<f64> = (0..dim).map(|k| 0.5 * (pmin[k] + pmax[k])).collect();
-                let mut groups: std::collections::BTreeMap<u64, Vec<u32>> =
-                    std::collections::BTreeMap::new();
-                for &idx in order.iter() {
-                    let mut mask: u64 = 0;
-                    for (k, &c) in points[idx as usize].coords.iter().enumerate() {
-                        if k < 64 && c > center[k] {
-                            mask |= 1 << k;
-                        }
-                    }
-                    groups.entry(mask).or_default().push(idx);
-                }
-                if groups.len() == 1 {
-                    // Mask collision (dimensions ≥ 64): kd fallback, exactly
-                    // as in the sequential traversal.
-                    parallel_kd_split(
-                        points, order, &pass, depth, state, out, split, levels, stats,
-                    );
-                } else {
-                    use rayon::prelude::*;
-                    let out_len = out.len();
-                    let snapshot: &SkyState = state;
-                    let nc = &pass.next_candidates;
-                    let group_vals: Vec<Vec<(usize, f64)>> = groups
-                        .into_values()
-                        .collect::<Vec<_>>()
-                        .into_par_iter()
-                        .map(|mut group| {
-                            run_subtree(
-                                points,
-                                &mut group,
-                                nc,
-                                depth + 1,
-                                snapshot.clone(),
-                                out_len,
-                                split,
-                                levels - 1,
-                                stats,
-                            )
-                        })
-                        .collect();
-                    for (id, p) in group_vals.into_iter().flatten() {
-                        out[id] = p;
-                    }
-                }
-            }
-        }
-    }
-
-    undo(state, &pass);
-}
-
-/// Median-splits the node on the depth's axis (the same
-/// `select_nth_unstable_by` the sequential traversal uses) and runs both
-/// halves through [`rayon::join`] on cloned states, merging the returned
-/// `(id, probability)` pairs. Shared by the Kd arm and the Quad
-/// mask-collision fallback of [`fused_rec_par`].
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn parallel_kd_split(
-    points: &[ScorePoint],
-    order: &mut [u32],
-    pass: &NodePass,
-    depth: usize,
-    state: &SkyState,
-    out: &mut [f64],
-    split: SplitKind,
-    levels: usize,
-    stats: Option<&CounterStats>,
-) {
-    let dim = points[order[0] as usize].coords.len();
-    let axis = depth % dim;
-    let mid = order.len() / 2;
-    order.select_nth_unstable_by(mid, |&a, &b| {
-        points[a as usize].coords[axis]
-            .partial_cmp(&points[b as usize].coords[axis])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let out_len = out.len();
-    let (left, right) = order.split_at_mut(mid);
-    let (lstate, rstate) = (state.clone(), state.clone());
-    let nc = &pass.next_candidates;
-    let (lvals, rvals) = rayon::join(
-        || {
-            run_subtree(
-                points,
-                left,
-                nc,
-                depth + 1,
-                lstate,
-                out_len,
-                split,
-                levels - 1,
-                stats,
-            )
-        },
-        || {
-            run_subtree(
-                points,
-                right,
-                nc,
-                depth + 1,
-                rstate,
-                out_len,
-                split,
-                levels - 1,
-                stats,
-            )
-        },
-    );
-    for (id, p) in lvals.into_iter().chain(rvals) {
-        out[id] = p;
-    }
-}
-
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SplitKind {
     Kd,
     Quad,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fused_rec(
-    points: &[ScorePoint],
-    order: &mut [u32],
-    candidates: &[u32],
-    depth: usize,
-    state: &mut SkyState,
-    out: &mut [f64],
-    split: SplitKind,
-    stats: Option<&CounterStats>,
-) {
-    let (pmin, pmax) = corners(points, order);
-
-    // Mark the node's own points so the candidate pass leaves them alone.
-    for &idx in order.iter() {
-        state.in_node[idx as usize] = true;
-    }
-    let mut tests = 0u64;
-    let pass = candidate_pass(points, candidates, &pmin, &pmax, state, &mut tests);
-    for &idx in order.iter() {
-        state.in_node[idx as usize] = false;
-    }
-    if let Some(s) = stats {
-        s.add_nodes_visited(1);
-        s.add_fdom_tests(tests);
-    }
-
-    if order.len() == 1 {
-        let sp = &points[order[0] as usize];
-        out[sp.id] = state.leaf_probability(sp.object, sp.prob);
-    } else if pmin == pmax {
-        // All points of the node coincide; it cannot be split further.
-        emit_coincident_node(points, order, state, out);
-    } else if state.chi == 0 {
-        match split {
-            SplitKind::Kd => {
-                let dim = points[order[0] as usize].coords.len();
-                let axis = depth % dim;
-                let mid = order.len() / 2;
-                order.select_nth_unstable_by(mid, |&a, &b| {
-                    points[a as usize].coords[axis]
-                        .partial_cmp(&points[b as usize].coords[axis])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let (left, right) = order.split_at_mut(mid);
-                fused_rec(
-                    points,
-                    left,
-                    &pass.next_candidates,
-                    depth + 1,
-                    state,
-                    out,
-                    split,
-                    stats,
-                );
-                fused_rec(
-                    points,
-                    right,
-                    &pass.next_candidates,
-                    depth + 1,
-                    state,
-                    out,
-                    split,
-                    stats,
-                );
-            }
-            SplitKind::Quad => {
-                let dim = points[order[0] as usize].coords.len();
-                let center: Vec<f64> = (0..dim).map(|k| 0.5 * (pmin[k] + pmax[k])).collect();
-                // Group points by quadrant bitmask relative to the centre.
-                // Only non-empty quadrants materialise, so high-dimensional
-                // score spaces do not explode the fan-out beyond |P|.
-                let mut groups: std::collections::BTreeMap<u64, Vec<u32>> =
-                    std::collections::BTreeMap::new();
-                for &idx in order.iter() {
-                    let mut mask: u64 = 0;
-                    for (k, &c) in points[idx as usize].coords.iter().enumerate() {
-                        if k < 64 && c > center[k] {
-                            mask |= 1 << k;
-                        }
-                    }
-                    groups.entry(mask).or_default().push(idx);
-                }
-                if groups.len() == 1 {
-                    // Dimensions beyond 64 were ignored in the mask and all
-                    // points landed in one group: fall back to a kd split to
-                    // guarantee progress.
-                    let axis = depth % dim;
-                    let mid = order.len() / 2;
-                    order.select_nth_unstable_by(mid, |&a, &b| {
-                        points[a as usize].coords[axis]
-                            .partial_cmp(&points[b as usize].coords[axis])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    let (left, right) = order.split_at_mut(mid);
-                    fused_rec(
-                        points,
-                        left,
-                        &pass.next_candidates,
-                        depth + 1,
-                        state,
-                        out,
-                        split,
-                        stats,
-                    );
-                    fused_rec(
-                        points,
-                        right,
-                        &pass.next_candidates,
-                        depth + 1,
-                        state,
-                        out,
-                        split,
-                        stats,
-                    );
-                } else {
-                    // Visit quadrants in ascending mask order: lower quadrants
-                    // first, mirroring the kd variant's left-to-right order.
-                    for (_, mut group) in groups {
-                        fused_rec(
-                            points,
-                            &mut group,
-                            &pass.next_candidates,
-                            depth + 1,
-                            state,
-                            out,
-                            split,
-                            stats,
-                        );
-                    }
-                }
-            }
-        }
-    }
-    // χ ≥ 1 with |P| > 1: every point of the node is dominated by the entire
-    // mass of some object lying outside the node — the subtree has zero
-    // skyline probability everywhere and is pruned (never constructed).
-
-    undo(state, &pass);
-}
-
-/// **KDTT**: build the complete kd-tree first, then traverse it pre-order.
-///
-/// Functionally identical to [`kd_asp_fused`]; the difference is that the
-/// space partitioning is fully materialised up front (so pruned subtrees have
-/// still paid their construction cost), which is exactly the overhead the
-/// paper's KDTT+ optimisation removes.
-pub fn kd_asp_prebuilt(
-    points: &[ScorePoint],
-    num_objects: usize,
-    num_instances: usize,
-) -> Vec<f64> {
-    kd_asp_prebuilt_stats(points, num_objects, num_instances, None)
-}
-
-/// [`kd_asp_prebuilt`] with an optional work-counter sink.
-pub fn kd_asp_prebuilt_stats(
-    points: &[ScorePoint],
-    num_objects: usize,
-    num_instances: usize,
-    stats: Option<&CounterStats>,
-) -> Vec<f64> {
-    let mut out = vec![0.0; num_instances];
-    if points.is_empty() {
-        return out;
-    }
-    // Build the full kd-tree over the (score-space) points. Entry ids are the
-    // positions in `points` so that leaf entries map back to score points.
-    let entries: Vec<PointEntry> = points
-        .iter()
-        .enumerate()
-        .map(|(pos, sp)| PointEntry::new(pos, sp.object, sp.prob, sp.coords.clone()))
-        .collect();
-    let tree = KdTree::build(entries);
-    let root = tree.root().expect("non-empty tree");
-
-    let all: Vec<u32> = (0..points.len() as u32).collect();
-    let mut state = SkyState::new(num_objects, points.len());
-    let mut scratch = Vec::new();
-    prebuilt_rec(
-        points,
-        &tree,
-        root,
-        &all,
-        &mut state,
-        &mut out,
-        &mut scratch,
-        stats,
-    );
-    out
 }
 
 /// Collects the positions (entry ids) of every point under a kd-tree node.
@@ -797,107 +124,24 @@ fn collect_positions(tree: &KdTree, node: usize, out: &mut Vec<u32>) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn prebuilt_rec(
-    points: &[ScorePoint],
-    tree: &KdTree,
-    node: usize,
-    candidates: &[u32],
-    state: &mut SkyState,
-    out: &mut [f64],
-    scratch: &mut Vec<u32>,
-    stats: Option<&CounterStats>,
-) {
-    let n = tree.node(node);
-    let pmin = n.mbr().min().coords().to_vec();
-    let pmax = n.mbr().max().coords().to_vec();
-
-    scratch.clear();
-    collect_positions(tree, node, scratch);
-    let members = std::mem::take(scratch);
-    for &idx in &members {
-        state.in_node[idx as usize] = true;
-    }
-    let mut tests = 0u64;
-    let pass = candidate_pass(points, candidates, &pmin, &pmax, state, &mut tests);
-    for &idx in &members {
-        state.in_node[idx as usize] = false;
-    }
-    if let Some(s) = stats {
-        s.add_nodes_visited(1);
-        s.add_fdom_tests(tests);
-    }
-
-    match *n.content() {
-        KdNodeContent::Leaf { .. } => {
-            if members.len() == 1 {
-                let sp = &points[members[0] as usize];
-                out[sp.id] = state.leaf_probability(sp.object, sp.prob);
-            } else {
-                emit_coincident_node(points, &members, state, out);
-            }
-        }
-        KdNodeContent::Internal { left, right, .. } => {
-            if pmin == pmax {
-                emit_coincident_node(points, &members, state, out);
-            } else if state.chi == 0 {
-                let mut reusable = members;
-                reusable.clear();
-                *scratch = reusable;
-                prebuilt_rec(
-                    points,
-                    tree,
-                    left,
-                    &pass.next_candidates,
-                    state,
-                    out,
-                    scratch,
-                    stats,
-                );
-                prebuilt_rec(
-                    points,
-                    tree,
-                    right,
-                    &pass.next_candidates,
-                    state,
-                    out,
-                    scratch,
-                    stats,
-                );
-            }
-            // χ ≥ 1: prune the traversal (the tree itself was already built).
-        }
-    }
-
-    undo(state, &pass);
-}
-
 // ---------------------------------------------------------------------------
 // Flat columnar traversal
 // ---------------------------------------------------------------------------
 //
-// The functions below are the columnar twins of the recursion above: they run
-// over a [`FlatScorePoints`] view (one dim-strided coordinate array plus
-// parallel object/probability columns) and keep *all* per-node working memory
-// in a reusable [`KdScratch`] arena — candidate lists and σ-undo records live
-// on shared stacks truncated on node exit, node corners live in a
-// depth-indexed bounds arena, and quadrant grouping uses a counting scatter
-// instead of a `BTreeMap`. After the first query warms the arena up, the
-// traversal performs no heap allocation.
+// All per-node working memory lives in a reusable [`KdScratch`] arena:
+// candidate lists and σ-undo records live on shared stacks truncated on node
+// exit, node corners live in a depth-indexed bounds arena, and quadrant
+// grouping sorts one `(mask, position)` pair list instead of building a map.
+// After the first query warms the arena up, the traversal performs no heap
+// allocation.
 //
-// Every decision (dominance tests, split comparator, quadrant masks and visit
-// order, coincident-node arithmetic, σ/β/χ updates and their exact undo) is
-// executed in the same order with the same values as the `ScorePoint`-based
-// recursion, so the output is bitwise identical — enforced by the tests at
-// the bottom of this file and by the `engine_agreement` suite.
-//
-// The parallel twin ([`kd_asp_flat_engine_parallel`]) dispatches sibling
-// subtrees of the first few recursion levels to worker threads: each subtree
-// checks a [`KdWorkerScratch`] arena out of a shared [`KdWorkerPool`], seeds
-// σ and the candidate list from the parent's exact snapshot (bitwise the
-// state the sequential recursion would hand it), recurses with the ordinary
-// flat machinery, and returns `(id, probability)` pairs for the parent to
-// merge. Exact snapshot + exact undo is what makes the fan-out invisible in
+// The parallel traversal ([`kd_asp_flat_engine_parallel`]) dispatches
+// sibling subtrees of the first few recursion levels to worker threads: each
+// subtree checks a [`KdWorkerScratch`] arena out of a shared [`KdWorkerPool`],
+// seeds σ and the candidate list from the parent's exact snapshot (bitwise
+// the state the sequential recursion would hand it), recurses with the
+// ordinary sequential machinery, and the parent merges the subtree's output
+// slots. Exact snapshot + exact undo is what makes the fan-out invisible in
 // the output.
 
 /// Reusable working memory of the flat kd-ASP\* traversal. Create once (or
@@ -963,7 +207,10 @@ struct FlatBc {
     chi: usize,
 }
 
-/// [`SkyState::add`] over the scratch-resident σ.
+/// Registers that probability mass `p` of object `obj` dominates the
+/// current node's minimum corner (lines 12–16 of Algorithm 1), updating β and
+/// χ. Once `σ[obj]` is saturated it can only grow by zero-mass rounding, and
+/// neither β nor χ change.
 #[inline]
 fn flat_sky_add(sigma: &mut [f64], bc: &mut FlatBc, obj: usize, p: f64) {
     let old = sigma[obj];
@@ -977,7 +224,11 @@ fn flat_sky_add(sigma: &mut [f64], bc: &mut FlatBc, obj: usize, p: f64) {
     }
 }
 
-/// [`SkyState::leaf_probability`] over the scratch-resident σ.
+/// Skyline probability of a single point forming a leaf: `σ` holds the
+/// dominating mass of every object from *outside* the leaf, so the point's
+/// own object's factor is simply divided back out of `β`. The `χ = 1` arm is
+/// defensive: it is only reached through floating-point saturation of the
+/// point's own object, whose factor equation (3) excludes anyway.
 #[inline]
 fn flat_leaf_probability(sigma: &[f64], bc: &FlatBc, object: usize, prob: f64) -> f64 {
     if bc.chi == 0 {
@@ -989,8 +240,12 @@ fn flat_leaf_probability(sigma: &[f64], bc: &FlatBc, object: usize, prob: f64) -
     }
 }
 
-/// [`emit_coincident_node`] over the flat layout (same accumulation order,
-/// same arithmetic).
+/// Emits the probability of every point of a node whose points all share the
+/// same coordinates (a degenerate node that cannot be split further). Points
+/// of the node mutually dominate each other, so on top of the outside mass in
+/// `σ` each point is also dominated by the node-internal mass of every other
+/// object present in the node: its factor `(1 − outside)` is replaced by
+/// `(1 − outside − inside)`.
 fn emit_coincident_flat(
     pts: &FlatScorePoints<'_>,
     order: &[u32],
@@ -1068,7 +323,7 @@ fn flat_candidate_pass(
 }
 
 /// Writes the node's corners into the depth slot of the bounds arena
-/// (the flat [`corners`] — same min/max comparisons, so the same values).
+/// (coordinate-wise min then max corner).
 fn flat_corners(pts: &FlatScorePoints<'_>, s: &mut KdScratch, order: &[u32], bstart: usize) {
     let dim = pts.dim;
     if s.bounds.len() < bstart + 2 * dim {
@@ -1097,9 +352,8 @@ fn flat_kd_partition(pts: &FlatScorePoints<'_>, order: &mut [u32], depth: usize)
 }
 
 /// Snapshot of the traversal state a node's candidate pass mutated, plus the
-/// node's candidate range on the shared stack — the flat counterpart of
-/// [`NodePass`], recorded by [`flat_node_enter`] and restored exactly by
-/// [`flat_node_exit`].
+/// node's candidate range on the shared stack, recorded by
+/// [`flat_node_enter`] and restored exactly by [`flat_node_exit`].
 struct FlatPass {
     /// σ-undo stack height before the pass.
     saved_start: usize,
@@ -1115,8 +369,7 @@ struct FlatPass {
 
 /// The shared node prologue of the flat traversals: computes the corners
 /// into the depth slot `bstart`, marks the node's points, runs the candidate
-/// pass over the parent range `[c0, c1)` and reports to the stats sink —
-/// exactly the operation order of the `ScorePoint` recursion.
+/// pass over the parent range `[c0, c1)` and reports to the stats sink.
 #[allow(clippy::too_many_arguments)]
 fn flat_node_enter(
     pts: &FlatScorePoints<'_>,
@@ -1167,15 +420,16 @@ fn flat_node_exit(s: &mut KdScratch, bc: &mut FlatBc, pass: &FlatPass) {
 }
 
 /// Quadrant-groups `order` around the centre of the bounds slot `bstart`:
-/// ascending mask order with the original order preserved inside each group
-/// — exactly the BTreeMap grouping of the `ScorePoint` path, via one
-/// O(n log n) sort of (mask, position) pairs (sorting by the position as the
-/// tie-breaker makes the unstable sort behave stably). On success returns
-/// the base offset `qb0` of the group end offsets pushed onto the `qbounds`
-/// stack arena (the caller recurses group by group, then truncates back to
-/// `qb0`); returns `None` on a mask collision (dimensions ≥ 64 put every
-/// point in one group), where the caller falls back to a kd split exactly as
-/// the `ScorePoint` traversal does.
+/// ascending mask order (lower quadrants first, mirroring the kd split's
+/// left-to-right order) with the original order preserved inside each group,
+/// via one O(n log n) sort of (mask, position) pairs (sorting by the position
+/// as the tie-breaker makes the unstable sort behave stably). Only non-empty
+/// quadrants materialise, so high-dimensional score spaces do not explode
+/// the fan-out beyond |P|. On success returns the base offset `qb0` of the
+/// group end offsets pushed onto the `qbounds` stack arena (the caller
+/// recurses group by group, then truncates back to `qb0`); returns `None` on
+/// a mask collision (dimensions ≥ 64 put every point in one group), where the
+/// caller falls back to a kd split to guarantee progress.
 fn flat_quad_group(
     pts: &FlatScorePoints<'_>,
     s: &mut KdScratch,
@@ -1223,8 +477,9 @@ fn flat_quad_group(
     Some(qb0)
 }
 
-/// The flat twin of [`fused_rec`]. `c0..c1` is this node's candidate range in
-/// the shared stack.
+/// **KDTT+** / **QDTT+**'s fused traversal: the node's partitioning is built
+/// on the way down, so pruned subtrees are never constructed. `c0..c1` is
+/// this node's candidate range in the shared stack.
 #[allow(clippy::too_many_arguments)]
 fn fused_rec_flat(
     pts: &FlatScorePoints<'_>,
@@ -1313,8 +568,9 @@ fn fused_rec_flat(
             }
         }
     }
-    // χ ≥ 1 with |P| > 1: the subtree is pruned, exactly as in the
-    // `ScorePoint` traversal.
+    // χ ≥ 1 with |P| > 1: every point of the node is dominated by the entire
+    // mass of some object lying outside the node — the subtree has zero
+    // skyline probability everywhere and is pruned (never constructed).
 
     flat_node_exit(s, bc, &pass);
 }
@@ -1413,7 +669,7 @@ fn merge_flat_subtree(
     pool.put(worker);
 }
 
-/// The parallel twin of [`fused_rec_flat`]: node processing is identical,
+/// The parallel form of [`fused_rec_flat`]: node processing is identical,
 /// but while parallel `levels` remain, child subtrees are dispatched through
 /// [`rayon::join`] (kd splits) or a parallel iterator (quad groups) onto
 /// pooled worker arenas seeded with exact state snapshots. Because
@@ -1553,8 +809,10 @@ fn fused_rec_flat_par(
     flat_node_exit(s, bc, &pass);
 }
 
-/// The flat twin of [`prebuilt_rec`]: same prebuilt kd-tree, same traversal,
-/// shared-stack working memory.
+/// **KDTT**'s traversal: pre-order over a fully prebuilt kd-tree (so pruned
+/// subtrees have still paid their construction cost, which is exactly the
+/// overhead KDTT+ removes), with the same node pass and exact undo as the
+/// fused traversal.
 #[allow(clippy::too_many_arguments)]
 fn prebuilt_rec_flat(
     pts: &FlatScorePoints<'_>,
@@ -1571,12 +829,9 @@ fn prebuilt_rec_flat(
     crate::fault::poll(budget);
     let dim = pts.dim;
     let n = tree.node(node);
-    // The node corners come from the prebuilt tree; stage them in the shared
-    // bounds arena slot 0 is unusable (depth unknown), so copy into a scratch
-    // range addressed by the recursion depth implied by the candidate stack —
-    // simplest exact equivalent: reuse the bounds arena indexed by the
-    // current candidate-stack height, which is strictly increasing along a
-    // root-to-node path.
+    // The node corners come from the prebuilt tree. They are pushed onto the
+    // bounds arena as a stack (this recursion does not track depth) and
+    // popped again right after the candidate pass.
     let bstart = s.bounds.len();
     s.bounds.extend_from_slice(n.mbr().min().coords());
     s.bounds.extend_from_slice(n.mbr().max().coords());
@@ -1641,12 +896,12 @@ fn prebuilt_rec_flat(
     s.cand.truncate(cstart);
 }
 
-/// The flat columnar kd-ASP\* entry point: [`kd_asp_engine`] over a
+/// The kd-ASP\* entry point: runs the traversal `variant` over a
 /// [`FlatScorePoints`] view with all working memory drawn from a reusable
-/// [`KdScratch`]. Runs on the calling thread — see
-/// [`kd_asp_flat_engine_parallel`] for the worker-pool twin. Results are
-/// bitwise identical to [`kd_asp_engine`] on the equivalent `ScorePoint`
-/// slice.
+/// [`KdScratch`], optionally reporting work counters to `stats`. Point `id`'s
+/// probability lands in slot `id` of the returned vector of length
+/// `num_instances`. Runs on the calling thread — see
+/// [`kd_asp_flat_engine_parallel`] for the worker-pool form.
 pub fn kd_asp_flat_engine(
     pts: FlatScorePoints<'_>,
     num_objects: usize,
@@ -1701,14 +956,13 @@ pub fn kd_asp_flat_engine(
     out
 }
 
-/// The parallel twin of [`kd_asp_flat_engine`]: the same flat columnar fused
-/// traversal, with sibling subtrees of the first few recursion levels
-/// dispatched to worker threads on pooled [`KdWorkerScratch`] arenas.
-/// Exact-snapshot state restore makes the result **bitwise identical** to
-/// the sequential flat engine (and hence to every `ScorePoint` path). The
-/// prebuilt (KDTT) traversal stays sequential by design, exactly as in
-/// [`kd_asp_engine`] — it exists to measure the construction overhead the
-/// fused variants remove. Pass `None` for `pool` to use a throwaway pool
+/// The parallel form of [`kd_asp_flat_engine`]: the same fused traversal,
+/// with sibling subtrees of the first few recursion levels dispatched to
+/// worker threads on pooled [`KdWorkerScratch`] arenas. Exact-snapshot state
+/// restore makes the result **bitwise identical** to the sequential engine
+/// (see the module docs). The prebuilt (KDTT) traversal stays sequential by
+/// design — it exists to measure the construction overhead the fused
+/// variants remove. Pass `None` for `pool` to use a throwaway pool
 /// (arenas still reused across this call's subtrees); the engine passes its
 /// session-owned pool. Without the `parallel` feature this is
 /// [`kd_asp_flat_engine`].
@@ -1793,34 +1047,87 @@ pub fn kd_asp_flat_engine_parallel(
 mod tests {
     use super::*;
 
-    fn point(id: usize, object: usize, prob: f64, coords: Vec<f64>) -> ScorePoint {
-        ScorePoint {
-            id,
-            object,
-            prob,
-            coords,
+    /// A point set in flat columns; point `i` is instance `i`.
+    #[derive(Default)]
+    struct Points {
+        dim: usize,
+        coords: Vec<f64>,
+        objects: Vec<u32>,
+        probs: Vec<f64>,
+    }
+
+    impl Points {
+        fn new(points: &[(usize, f64, &[f64])]) -> Self {
+            let mut p = Self::default();
+            for &(object, prob, coords) in points {
+                p.push(object, prob, coords);
+            }
+            p
+        }
+
+        fn push(&mut self, object: usize, prob: f64, coords: &[f64]) {
+            self.dim = coords.len();
+            self.coords.extend_from_slice(coords);
+            self.objects.push(object as u32);
+            self.probs.push(prob);
+        }
+
+        fn view(&self) -> FlatScorePoints<'_> {
+            FlatScorePoints {
+                dim: self.dim,
+                coords: &self.coords,
+                objects: &self.objects,
+                probs: &self.probs,
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.probs.len()
+        }
+
+        fn num_objects(&self) -> usize {
+            self.objects.iter().max().map_or(0, |&o| o as usize + 1)
+        }
+
+        fn seq(&self, variant: KdVariant, scratch: &mut KdScratch) -> Vec<f64> {
+            let (m, n) = (self.num_objects(), self.len());
+            kd_asp_flat_engine(self.view(), m, n, variant, None, scratch, None)
+        }
+
+        fn par(&self, variant: KdVariant, scratch: &mut KdScratch) -> Vec<f64> {
+            let (m, n) = (self.num_objects(), self.len());
+            kd_asp_flat_engine_parallel(self.view(), m, n, variant, None, scratch, None, None)
         }
     }
 
+    const VARIANTS: [KdVariant; 3] = [
+        KdVariant::FusedKd,
+        KdVariant::FusedQuad,
+        KdVariant::Prebuilt,
+    ];
+
     /// Brute-force skyline probabilities straight from equation (3).
-    fn brute(points: &[ScorePoint], num_objects: usize, num_instances: usize) -> Vec<f64> {
-        let mut out = vec![0.0; num_instances];
-        for t in points {
-            let mut sigma = vec![0.0; num_objects];
-            for s in points {
-                if s.object != t.object && dominates(&s.coords, &t.coords) {
-                    sigma[s.object] += s.prob;
+    fn brute(p: &Points) -> Vec<f64> {
+        let view = p.view();
+        (0..p.len())
+            .map(|t| {
+                let mut sigma = vec![0.0; p.num_objects()];
+                for s in 0..p.len() {
+                    if p.objects[s] != p.objects[t]
+                        && dominates(view.coords_of(s), view.coords_of(t))
+                    {
+                        sigma[p.objects[s] as usize] += p.probs[s];
+                    }
                 }
-            }
-            let mut p = t.prob;
-            for (j, &sj) in sigma.iter().enumerate() {
-                if j != t.object {
-                    p *= 1.0 - sj;
+                let mut prob = p.probs[t];
+                for (j, &sj) in sigma.iter().enumerate() {
+                    if j != p.objects[t] as usize {
+                        prob *= 1.0 - sj;
+                    }
                 }
-            }
-            out[t.id] = p.max(0.0);
-        }
-        out
+                prob.max(0.0)
+            })
+            .collect()
     }
 
     fn assert_close(a: &[f64], b: &[f64]) {
@@ -1830,25 +1137,19 @@ mod tests {
         }
     }
 
-    fn all_variants(
-        points: &[ScorePoint],
-        num_objects: usize,
-        num_instances: usize,
-    ) -> [Vec<f64>; 3] {
-        [
-            kd_asp_fused(points, num_objects, num_instances),
-            quad_asp_fused(points, num_objects, num_instances),
-            kd_asp_prebuilt(points, num_objects, num_instances),
-        ]
+    /// Every variant, sequential and parallel.
+    fn all_variants(p: &Points) -> Vec<Vec<f64>> {
+        let mut scratch = KdScratch::new();
+        VARIANTS
+            .iter()
+            .flat_map(|&v| [p.seq(v, &mut scratch), p.par(v, &mut scratch)])
+            .collect()
     }
 
     #[test]
     fn single_object_keeps_its_probability() {
-        let pts = vec![
-            point(0, 0, 0.4, vec![0.1, 0.9]),
-            point(1, 0, 0.6, vec![0.9, 0.1]),
-        ];
-        for got in all_variants(&pts, 1, 2) {
+        let pts = Points::new(&[(0, 0.4, &[0.1, 0.9]), (0, 0.6, &[0.9, 0.1])]);
+        for got in all_variants(&pts) {
             // Instances of the same object never affect each other.
             assert_close(&got, &[0.4, 0.6]);
         }
@@ -1856,11 +1157,8 @@ mod tests {
 
     #[test]
     fn dominated_instance_loses_mass() {
-        let pts = vec![
-            point(0, 0, 1.0, vec![0.1, 0.1]),
-            point(1, 1, 1.0, vec![0.5, 0.5]),
-        ];
-        for got in all_variants(&pts, 2, 2) {
+        let pts = Points::new(&[(0, 1.0, &[0.1, 0.1]), (1, 1.0, &[0.5, 0.5])]);
+        for got in all_variants(&pts) {
             assert_close(&got, &[1.0, 0.0]);
         }
     }
@@ -1868,14 +1166,14 @@ mod tests {
     #[test]
     fn partial_domination() {
         // Object 0 dominates instance 2 with only half of its mass.
-        let pts = vec![
-            point(0, 0, 0.5, vec![0.1, 0.1]),
-            point(1, 0, 0.5, vec![0.9, 0.9]),
-            point(2, 1, 1.0, vec![0.5, 0.5]),
-        ];
-        let want = brute(&pts, 2, 3);
+        let pts = Points::new(&[
+            (0, 0.5, &[0.1, 0.1]),
+            (0, 0.5, &[0.9, 0.9]),
+            (1, 1.0, &[0.5, 0.5]),
+        ]);
+        let want = brute(&pts);
         assert!((want[2] - 0.5).abs() < 1e-12);
-        for got in all_variants(&pts, 2, 3) {
+        for got in all_variants(&pts) {
             assert_close(&got, &want);
         }
     }
@@ -1885,15 +1183,15 @@ mod tests {
         // Both instances of object 0 dominate everything; object 0's own
         // later instance keeps its probability, object 1's instance drops to
         // zero.
-        let pts = vec![
-            point(0, 0, 0.5, vec![0.1, 0.1]),
-            point(1, 0, 0.5, vec![0.2, 0.2]),
-            point(2, 1, 1.0, vec![0.3, 0.3]),
-        ];
-        let want = brute(&pts, 2, 3);
+        let pts = Points::new(&[
+            (0, 0.5, &[0.1, 0.1]),
+            (0, 0.5, &[0.2, 0.2]),
+            (1, 1.0, &[0.3, 0.3]),
+        ]);
+        let want = brute(&pts);
         assert!((want[1] - 0.5).abs() < 1e-12);
         assert!((want[2] - 0.0).abs() < 1e-12);
-        for got in all_variants(&pts, 2, 3) {
+        for got in all_variants(&pts) {
             assert_close(&got, &want);
         }
     }
@@ -1901,26 +1199,27 @@ mod tests {
     #[test]
     fn chain_of_certain_points() {
         // A totally ordered chain of certain objects: only the first survives.
-        let pts: Vec<ScorePoint> = (0..6)
-            .map(|i| point(i, i, 1.0, vec![i as f64, i as f64]))
-            .collect();
-        let want = brute(&pts, 6, 6);
+        let mut pts = Points::default();
+        for i in 0..6 {
+            pts.push(i, 1.0, &[i as f64, i as f64]);
+        }
+        let want = brute(&pts);
         assert_close(&want, &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        for got in all_variants(&pts, 6, 6) {
+        for got in all_variants(&pts) {
             assert_close(&got, &want);
         }
     }
 
     #[test]
     fn coincident_points_dominate_each_other() {
-        let pts = vec![
-            point(0, 0, 1.0, vec![0.5, 0.5]),
-            point(1, 1, 1.0, vec![0.5, 0.5]),
-            point(2, 2, 1.0, vec![0.5, 0.5]),
-        ];
-        let want = brute(&pts, 3, 3);
+        let pts = Points::new(&[
+            (0, 1.0, &[0.5, 0.5]),
+            (1, 1.0, &[0.5, 0.5]),
+            (2, 1.0, &[0.5, 0.5]),
+        ]);
+        let want = brute(&pts);
         assert_close(&want, &[0.0, 0.0, 0.0]);
-        for got in all_variants(&pts, 3, 3) {
+        for got in all_variants(&pts) {
             assert_close(&got, &want);
         }
     }
@@ -1930,15 +1229,15 @@ mod tests {
         // Two objects with half their mass at the same location, half
         // elsewhere: the coincident node must combine inside and outside mass
         // exactly.
-        let pts = vec![
-            point(0, 0, 0.5, vec![0.5, 0.5]),
-            point(1, 0, 0.5, vec![2.0, 2.0]),
-            point(2, 1, 0.5, vec![0.5, 0.5]),
-            point(3, 1, 0.5, vec![3.0, 3.0]),
-            point(4, 2, 1.0, vec![0.5, 0.5]),
-        ];
-        let want = brute(&pts, 3, 5);
-        for got in all_variants(&pts, 3, 5) {
+        let pts = Points::new(&[
+            (0, 0.5, &[0.5, 0.5]),
+            (0, 0.5, &[2.0, 2.0]),
+            (1, 0.5, &[0.5, 0.5]),
+            (1, 0.5, &[3.0, 3.0]),
+            (2, 1.0, &[0.5, 0.5]),
+        ]);
+        let want = brute(&pts);
+        for got in all_variants(&pts) {
             assert_close(&got, &want);
         }
     }
@@ -1948,39 +1247,65 @@ mod tests {
         // Regression test for the subtle issue the module documentation
         // describes: a certain instance at the global minimum corner must
         // keep probability one and must not prune its siblings' computation.
-        let pts = vec![
-            point(0, 0, 1.0, vec![0.0, 0.0]),
-            point(1, 1, 1.0, vec![1.0, 2.0]),
-            point(2, 2, 1.0, vec![2.0, 1.0]),
-        ];
-        let want = brute(&pts, 3, 3);
+        let pts = Points::new(&[
+            (0, 1.0, &[0.0, 0.0]),
+            (1, 1.0, &[1.0, 2.0]),
+            (2, 1.0, &[2.0, 1.0]),
+        ]);
+        let want = brute(&pts);
         assert_close(&want, &[1.0, 0.0, 0.0]);
-        for got in all_variants(&pts, 3, 3) {
+        for got in all_variants(&pts) {
             assert_close(&got, &want);
         }
+    }
+
+    type TestRng = rand_chacha::ChaCha8Rng;
+
+    /// `num_objects` objects with `1..max_k` equally likely instances each,
+    /// every coordinate drawn by `coord`.
+    fn random_points(
+        seed: u64,
+        dim: usize,
+        num_objects: usize,
+        max_k: usize,
+        coord: fn(&mut TestRng) -> f64,
+    ) -> Points {
+        use rand::prelude::*;
+        let mut rng = TestRng::seed_from_u64(seed);
+        let mut pts = Points::default();
+        for obj in 0..num_objects {
+            let k = rng.gen_range(1..max_k);
+            let p = 1.0 / k as f64;
+            for _ in 0..k {
+                let coords: Vec<f64> = (0..dim).map(|_| coord(&mut rng)).collect();
+                pts.push(obj, p, &coords);
+            }
+        }
+        pts
+    }
+
+    fn uniform(rng: &mut TestRng) -> f64 {
+        use rand::Rng;
+        rng.gen_range(0.0..1.0)
+    }
+
+    /// Grid-valued coordinates force many ties on split axes and many
+    /// coincident points.
+    fn grid(rng: &mut TestRng) -> f64 {
+        use rand::Rng;
+        rng.gen_range(0..3) as f64 * 0.5
     }
 
     #[test]
     fn random_points_match_brute_force_all_variants() {
         use rand::prelude::*;
-        use rand_chacha::ChaCha8Rng;
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let mut rng = TestRng::seed_from_u64(77);
         for dim in [1usize, 2, 3, 4] {
             for _ in 0..5 {
                 let num_objects = rng.gen_range(2..8);
-                let mut pts = Vec::new();
-                let mut id = 0;
-                for obj in 0..num_objects {
-                    let k = rng.gen_range(1..5);
-                    let p = 1.0 / k as f64;
-                    for _ in 0..k {
-                        let coords = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
-                        pts.push(point(id, obj, p, coords));
-                        id += 1;
-                    }
-                }
-                let want = brute(&pts, num_objects, id);
-                for got in all_variants(&pts, num_objects, id) {
+                let pts = random_points(rng.gen_range(0..1_000_000), dim, num_objects, 5, uniform);
+                let want = brute(&pts);
+                for got in all_variants(&pts) {
                     assert_close(&got, &want);
                 }
             }
@@ -1989,26 +1314,11 @@ mod tests {
 
     #[test]
     fn clustered_low_cardinality_coordinates() {
-        // Grid-valued coordinates force many ties on split axes and many
-        // coincident points — the degenerate paths must stay exact.
-        use rand::prelude::*;
-        use rand_chacha::ChaCha8Rng;
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for _ in 0..5 {
-            let num_objects = 6;
-            let mut pts = Vec::new();
-            let mut id = 0;
-            for obj in 0..num_objects {
-                let k = rng.gen_range(1..4);
-                let p = 1.0 / k as f64;
-                for _ in 0..k {
-                    let coords = (0..2).map(|_| rng.gen_range(0..3) as f64 * 0.5).collect();
-                    pts.push(point(id, obj, p, coords));
-                    id += 1;
-                }
-            }
-            let want = brute(&pts, num_objects, id);
-            for got in all_variants(&pts, num_objects, id) {
+        // The degenerate paths (ties, coincident nodes) must stay exact.
+        for seed in 5..10 {
+            let pts = random_points(seed, 2, 6, 4, grid);
+            let want = brute(&pts);
+            for got in all_variants(&pts) {
                 assert_close(&got, &want);
             }
         }
@@ -2016,166 +1326,77 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(kd_asp_fused(&[], 0, 0).is_empty());
-        assert!(quad_asp_fused(&[], 0, 0).is_empty());
-        assert!(kd_asp_prebuilt(&[], 0, 0).is_empty());
-        assert!(kd_asp_fused_parallel(&[], 0, 0).is_empty());
-        assert!(quad_asp_fused_parallel(&[], 0, 0).is_empty());
-    }
-
-    /// Builds a random point set large enough to cross the parallel
-    /// traversal's node-size threshold several times over.
-    fn large_random_points(seed: u64, dim: usize) -> (Vec<ScorePoint>, usize, usize) {
-        use rand::prelude::*;
-        use rand_chacha::ChaCha8Rng;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let num_objects = 400;
-        let mut pts = Vec::new();
-        let mut id = 0;
-        for obj in 0..num_objects {
-            let k = rng.gen_range(1..6);
-            let p = 1.0 / k as f64;
-            for _ in 0..k {
-                let coords = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
-                pts.push(point(id, obj, p, coords));
-                id += 1;
-            }
+        for got in all_variants(&Points::default()) {
+            assert!(got.is_empty());
         }
-        (pts, num_objects, id)
     }
 
-    /// Runs the flat columnar engine on the flat image of a `ScorePoint`
-    /// slice (ids are positions, as the score-space mapping guarantees).
-    fn run_flat(
-        points: &[ScorePoint],
-        num_objects: usize,
-        num_instances: usize,
-        variant: KdVariant,
-        scratch: &mut KdScratch,
-    ) -> Vec<f64> {
-        let (dim, coords, objects, probs) = flat_columns(points);
-        let pts = FlatScorePoints {
-            dim,
-            coords: &coords,
-            objects: &objects,
-            probs: &probs,
-        };
-        kd_asp_flat_engine(
-            pts,
-            num_objects,
-            num_instances,
-            variant,
-            None,
-            scratch,
-            None,
-        )
-    }
-
-    /// Stages a `ScorePoint` slice's columns for a [`FlatScorePoints`] view
-    /// (ids must equal positions, as the score-space mapping guarantees).
-    fn flat_columns(points: &[ScorePoint]) -> (usize, Vec<f64>, Vec<u32>, Vec<f64>) {
-        let dim = points.first().map_or(0, |p| p.coords.len());
-        let mut coords = Vec::with_capacity(points.len() * dim);
-        let mut objects = Vec::with_capacity(points.len());
-        let mut probs = Vec::with_capacity(points.len());
-        for (pos, sp) in points.iter().enumerate() {
-            assert_eq!(sp.id, pos, "flat layout requires id == position");
-            coords.extend_from_slice(&sp.coords);
-            objects.push(sp.object as u32);
-            probs.push(sp.prob);
-        }
-        (dim, coords, objects, probs)
+    /// A point set large enough to cross the parallel traversal's node-size
+    /// threshold (512) several times over.
+    fn large_random_points(seed: u64, dim: usize) -> Points {
+        let pts = random_points(seed, dim, 400, 6, uniform);
+        assert!(pts.len() > 512, "must cross the parallel threshold");
+        pts
     }
 
     #[test]
-    fn flat_traversals_are_bitwise_identical_to_score_point_paths() {
-        // One scratch reused across every run: exercises the arena reset and
-        // the high-water-mark reuse on top of the bitwise agreement.
+    fn large_inputs_match_brute_force_in_every_variant() {
+        // One scratch reused across every run exercises the arena reset and
+        // the high-water-mark reuse on top of the agreement. Forcing a
+        // fan-out makes the parallel recursion run even on one core; the
+        // lock keeps knob-value assertions in other tests from observing the
+        // transient setting.
+        let _guard = crate::parallel::knob_lock();
+        crate::parallel::set_num_threads(4);
         let mut scratch = KdScratch::new();
         for (seed, dim) in [(7u64, 2usize), (8, 3), (9, 4)] {
-            let (pts, num_objects, n) = large_random_points(seed, dim);
-            for (variant, reference) in [
-                (KdVariant::FusedKd, kd_asp_fused(&pts, num_objects, n)),
-                (KdVariant::FusedQuad, quad_asp_fused(&pts, num_objects, n)),
-                (KdVariant::Prebuilt, kd_asp_prebuilt(&pts, num_objects, n)),
-            ] {
-                let flat = run_flat(&pts, num_objects, n, variant, &mut scratch);
-                assert_eq!(
-                    reference, flat,
-                    "flat {variant:?} diverged (seed {seed}, dim {dim})"
-                );
+            let pts = large_random_points(seed, dim);
+            let want = brute(&pts);
+            for variant in VARIANTS {
+                let seq = pts.seq(variant, &mut scratch);
+                assert_close(&seq, &want);
+                let par = pts.par(variant, &mut scratch);
+                assert_eq!(seq, par, "{variant:?} diverged (seed {seed}, dim {dim})");
             }
         }
+        crate::parallel::set_num_threads(0);
     }
 
     #[test]
     fn flat_traversal_handles_degenerate_inputs() {
         let mut scratch = KdScratch::new();
-        // Empty input.
-        let pts = FlatScorePoints {
-            dim: 0,
-            coords: &[],
-            objects: &[],
-            probs: &[],
-        };
-        assert!(
-            kd_asp_flat_engine(pts, 0, 0, KdVariant::FusedKd, None, &mut scratch, None).is_empty()
-        );
         // Coincident points across objects (the un-splittable node path).
-        let pts = vec![
-            point(0, 0, 1.0, vec![0.5, 0.5]),
-            point(1, 1, 1.0, vec![0.5, 0.5]),
-            point(2, 2, 1.0, vec![0.5, 0.5]),
-        ];
-        for variant in [
-            KdVariant::FusedKd,
-            KdVariant::FusedQuad,
-            KdVariant::Prebuilt,
-        ] {
-            let got = run_flat(&pts, 3, 3, variant, &mut scratch);
-            assert_eq!(got, vec![0.0, 0.0, 0.0]);
+        let pts = Points::new(&[
+            (0, 1.0, &[0.5, 0.5]),
+            (1, 1.0, &[0.5, 0.5]),
+            (2, 1.0, &[0.5, 0.5]),
+        ]);
+        for variant in VARIANTS {
+            assert_eq!(pts.seq(variant, &mut scratch), vec![0.0, 0.0, 0.0]);
         }
         // Clustered grid coordinates: ties on every split axis.
-        use rand::prelude::*;
-        use rand_chacha::ChaCha8Rng;
-        let mut rng = ChaCha8Rng::seed_from_u64(55);
-        let mut pts = Vec::new();
-        let mut id = 0;
-        for obj in 0..8 {
-            let k = rng.gen_range(1..4);
-            let p = 1.0 / k as f64;
-            for _ in 0..k {
-                let coords = (0..3).map(|_| rng.gen_range(0..3) as f64 * 0.5).collect();
-                pts.push(point(id, obj, p, coords));
-                id += 1;
-            }
-        }
-        for (variant, reference) in [
-            (KdVariant::FusedKd, kd_asp_fused(&pts, 8, id)),
-            (KdVariant::FusedQuad, quad_asp_fused(&pts, 8, id)),
-            (KdVariant::Prebuilt, kd_asp_prebuilt(&pts, 8, id)),
-        ] {
-            let flat = run_flat(&pts, 8, id, variant, &mut scratch);
-            assert_eq!(reference, flat, "flat {variant:?} diverged on grid data");
+        let pts = random_points(55, 3, 8, 4, grid);
+        let want = brute(&pts);
+        for variant in VARIANTS {
+            assert_close(&pts.seq(variant, &mut scratch), &want);
         }
     }
 
     #[test]
     fn parallel_traversal_is_bitwise_identical() {
-        // Force a fan-out even on single-core machines so the parallel
-        // recursion genuinely runs; the lock keeps knob-value assertions in
-        // other tests from observing the transient setting.
+        // Two threads (one fan-out level, where the large-input test uses
+        // four) and no worker pool: every call draws its arenas from a
+        // throwaway pool.
         let _guard = crate::parallel::knob_lock();
-        crate::parallel::set_num_threads(4);
+        crate::parallel::set_num_threads(2);
+        let mut scratch = KdScratch::new();
         for (seed, dim) in [(101u64, 2usize), (102, 3), (103, 4)] {
-            let (pts, num_objects, n) = large_random_points(seed, dim);
-            assert!(n > 512, "test set must exceed the parallel threshold");
-            let seq_kd = kd_asp_fused(&pts, num_objects, n);
-            let par_kd = kd_asp_fused_parallel(&pts, num_objects, n);
-            assert_eq!(seq_kd, par_kd, "kd traversal diverged (seed {seed})");
-            let seq_quad = quad_asp_fused(&pts, num_objects, n);
-            let par_quad = quad_asp_fused_parallel(&pts, num_objects, n);
-            assert_eq!(seq_quad, par_quad, "quad traversal diverged (seed {seed})");
+            let pts = large_random_points(seed, dim);
+            for variant in [KdVariant::FusedKd, KdVariant::FusedQuad] {
+                let seq = pts.seq(variant, &mut scratch);
+                let par = pts.par(variant, &mut scratch);
+                assert_eq!(seq, par, "{variant:?} traversal diverged (seed {seed})");
+            }
         }
         crate::parallel::set_num_threads(0);
     }
@@ -2192,26 +1413,15 @@ mod tests {
         for threads in [2usize, 4] {
             crate::parallel::set_num_threads(threads);
             for (seed, dim) in [(101u64, 2usize), (102, 3), (103, 4)] {
-                let (pts, num_objects, n) = large_random_points(seed, dim);
+                let pts = large_random_points(seed, dim);
+                let (view, m, n) = (pts.view(), pts.num_objects(), pts.len());
                 assert!(n > MIN_PARALLEL_NODE, "must cross the parallel threshold");
-                let (d, coords, objects, probs) = flat_columns(&pts);
-                let view = FlatScorePoints {
-                    dim: d,
-                    coords: &coords,
-                    objects: &objects,
-                    probs: &probs,
-                };
-                for variant in [
-                    KdVariant::FusedKd,
-                    KdVariant::FusedQuad,
-                    KdVariant::Prebuilt,
-                ] {
-                    let seq =
-                        kd_asp_flat_engine(view, num_objects, n, variant, None, &mut scratch, None);
+                for variant in VARIANTS {
+                    let seq = kd_asp_flat_engine(view, m, n, variant, None, &mut scratch, None);
                     for _ in 0..2 {
                         let par = kd_asp_flat_engine_parallel(
                             view,
-                            num_objects,
+                            m,
                             n,
                             variant,
                             None,
@@ -2240,30 +1450,16 @@ mod tests {
     fn parallel_flat_traversal_reports_identical_stats() {
         let _guard = crate::parallel::knob_lock();
         crate::parallel::set_num_threads(4);
-        let (pts, num_objects, n) = large_random_points(104, 3);
-        let (d, coords, objects, probs) = flat_columns(&pts);
-        let view = FlatScorePoints {
-            dim: d,
-            coords: &coords,
-            objects: &objects,
-            probs: &probs,
-        };
+        let pts = large_random_points(104, 3);
+        let (view, m, n) = (pts.view(), pts.num_objects(), pts.len());
         let mut scratch = KdScratch::new();
         for variant in [KdVariant::FusedKd, KdVariant::FusedQuad] {
             let seq_stats = CounterStats::new();
-            let seq = kd_asp_flat_engine(
-                view,
-                num_objects,
-                n,
-                variant,
-                Some(&seq_stats),
-                &mut scratch,
-                None,
-            );
+            let seq = kd_asp_flat_engine(view, m, n, variant, Some(&seq_stats), &mut scratch, None);
             let par_stats = CounterStats::new();
             let par = kd_asp_flat_engine_parallel(
                 view,
-                num_objects,
+                m,
                 n,
                 variant,
                 Some(&par_stats),

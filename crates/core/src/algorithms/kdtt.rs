@@ -37,24 +37,33 @@ pub fn arsp_qdtt_plus(dataset: &UncertainDataset, constraints: &ConstraintSet) -
 
 /// KDTT+ with a pre-built F-dominance test (lets benchmarks exclude vertex
 /// enumeration, which is a shared one-off cost).
+///
+/// # Panics
+/// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_kdtt_plus_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    arsp_kdtt_engine(dataset, fdom, KdVariant::FusedKd, false, None)
+    run_with_fdom(dataset, fdom, KdVariant::FusedKd, false)
 }
 
 /// QDTT+ with a pre-built F-dominance test.
+///
+/// # Panics
+/// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_qdtt_plus_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    arsp_kdtt_engine(dataset, fdom, KdVariant::FusedQuad, false, None)
+    run_with_fdom(dataset, fdom, KdVariant::FusedQuad, false)
 }
 
 /// KDTT with a pre-built F-dominance test.
+///
+/// # Panics
+/// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_kdtt_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    arsp_kdtt_engine(dataset, fdom, KdVariant::Prebuilt, false, None)
+    run_with_fdom(dataset, fdom, KdVariant::Prebuilt, false)
 }
 
-/// KDTT+, parallel: the score-space mapping and the fused traversal both fan
-/// out to worker threads, with results bitwise identical to
-/// [`arsp_kdtt_plus`] (see [`crate::parallel`] for why). Without the
-/// `parallel` feature this is [`arsp_kdtt_plus`].
+/// KDTT+, parallel: the fused traversal fans sibling subtrees out to worker
+/// threads, with results bitwise identical to [`arsp_kdtt_plus`] (see
+/// [`crate::parallel`] for why). Without the `parallel` feature this is
+/// [`arsp_kdtt_plus`].
 pub fn arsp_kdtt_plus_parallel(
     dataset: &UncertainDataset,
     constraints: &ConstraintSet,
@@ -70,54 +79,42 @@ pub fn arsp_qdtt_plus_parallel(
     run(dataset, constraints, KdVariant::FusedQuad, true)
 }
 
-/// KDTT, parallel: the score-space mapping runs on worker threads; the
-/// prebuilt-tree traversal itself stays sequential (it exists to measure the
-/// cost the paper's fused variants remove, so parallelising it would defeat
-/// its purpose as a baseline). Bitwise identical to [`arsp_kdtt`].
-pub fn arsp_kdtt_parallel(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    run(dataset, constraints, KdVariant::Prebuilt, true)
-}
-
 fn run(
     dataset: &UncertainDataset,
     constraints: &ConstraintSet,
     variant: KdVariant,
     parallel: bool,
 ) -> ArspResult {
-    assert_eq!(dataset.dim(), constraints.dim(), "dimension mismatch");
     let fdom = LinearFDominance::from_constraints(constraints);
-    arsp_kdtt_engine(dataset, &fdom, variant, parallel, None)
+    run_with_fdom(dataset, &fdom, variant, parallel)
 }
 
-/// The full-control KDTT-family entry point used by
-/// [`crate::engine::ArspEngine`]: prebuilt F-dominance test (the engine
-/// caches the vertex enumeration per constraint set), traversal variant,
-/// execution mode, optional work-counter sink. Results are bitwise identical
-/// across every option combination (see [`crate::parallel`]).
-pub fn arsp_kdtt_engine(
+/// The free functions' one-shot path: flatten the dataset, project it once
+/// into a [`ScoreMatrix`] and run [`arsp_kdtt_flat_engine`] with fresh
+/// working memory.
+fn run_with_fdom(
     dataset: &UncertainDataset,
     fdom: &LinearFDominance,
     variant: KdVariant,
     parallel: bool,
-    stats: Option<&CounterStats>,
 ) -> ArspResult {
-    let points = if parallel {
-        crate::scorespace::map_to_score_space_parallel(dataset, fdom)
-    } else {
-        crate::scorespace::map_to_score_space(dataset, fdom)
-    };
-    let probs = kd_asp::kd_asp_engine(
-        &points,
-        dataset.num_objects(),
-        dataset.num_instances(),
+    assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
+    let flat = FlatStore::from_dataset(dataset);
+    let scores = ScoreMatrix::compute(&flat, fdom);
+    let mut scratch = kd_asp::KdScratch::new();
+    arsp_kdtt_flat_engine(
+        &flat,
+        &scores,
         variant,
         parallel,
-        stats,
-    );
-    ArspResult::from_probs(probs)
+        None,
+        &mut scratch,
+        None,
+        None,
+    )
 }
 
-/// The flat columnar KDTT-family entry point used by
+/// The KDTT-family entry point behind every query path, used by
 /// [`crate::engine::ArspEngine`] under **every** execution mode: the
 /// score-space mapping is already materialised as a cached [`ScoreMatrix`]
 /// (one vectorizable pass, shared across queries and algorithms) and the
@@ -125,7 +122,7 @@ pub fn arsp_kdtt_engine(
 /// [`kd_asp::KdScratch`]. With `parallel` set, sibling subtrees run on
 /// worker threads drawing arenas from `pool` (see
 /// [`kd_asp::kd_asp_flat_engine_parallel`]); results are bitwise identical
-/// to [`arsp_kdtt_engine`] in every combination.
+/// across every option combination.
 #[allow(clippy::too_many_arguments)]
 pub fn arsp_kdtt_flat_engine(
     flat: &FlatStore,
@@ -271,5 +268,13 @@ mod tests {
         let size = result.result_size();
         assert!(size >= 1 && size < d.num_instances());
         assert_eq!(size, result.probs().iter().filter(|&&p| p > 1e-12).count());
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn with_fdom_rejects_a_region_of_another_dimension() {
+        let d = SyntheticConfig::small(5, 2, 2, 1).generate();
+        let fdom = LinearFDominance::from_constraints(&ConstraintSet::weak_ranking(3, 1));
+        let _ = arsp_kdtt_plus_with_fdom(&d, &fdom);
     }
 }

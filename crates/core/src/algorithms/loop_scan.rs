@@ -7,28 +7,32 @@
 //! object with the vertex-based F-dominance test of Theorem 2.
 //! Complexity `O(c² + d·d'·n²)`.
 //!
-//! All entry points funnel into [`arsp_loop_engine`], which optionally takes
-//! a prebuilt [`InstanceOrder`] (the engine caches it across queries that
-//! share a preference-region vertex) and a [`CounterStats`] sink.
+//! All entry points funnel into [`arsp_loop_flat_engine`], which scans a
+//! [`FlatStore`] in the order of an [`InstanceOrder`] (the engine caches it
+//! across queries that share a preference-region vertex) and decides each
+//! F-dominance test as a comparison of two [`ScoreMatrix`] rows. The free
+//! functions build all three per call.
 
 use crate::result::ArspResult;
 use crate::scorespace::ScoreMatrix;
 use crate::stats::CounterStats;
 use arsp_data::{FlatStore, UncertainDataset};
-use arsp_geometry::fdom::{FDominance, LinearFDominance};
+use arsp_geometry::fdom::LinearFDominance;
 use arsp_geometry::{ConstraintSet, PointRef};
 
 /// Computes ARSP with the LOOP baseline.
 pub fn arsp_loop(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    assert_eq!(dataset.dim(), constraints.dim(), "dimension mismatch");
     let fdom = LinearFDominance::from_constraints(constraints);
-    arsp_loop_engine(dataset, &fdom, None, false, None)
+    run_with_fdom(dataset, &fdom, false)
 }
 
 /// LOOP with a pre-built F-dominance test (used by benchmarks to exclude the
 /// one-off vertex enumeration from the measured time).
+///
+/// # Panics
+/// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_loop_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    arsp_loop_engine(dataset, fdom, None, false, None)
+    run_with_fdom(dataset, fdom, false)
 }
 
 /// LOOP with the per-instance scans fanned out over worker threads. Each
@@ -38,117 +42,30 @@ pub fn arsp_loop_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) 
 /// [`crate::parallel::set_num_threads`]; without the `parallel` feature this
 /// is [`arsp_loop`].
 pub fn arsp_loop_parallel(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    assert_eq!(dataset.dim(), constraints.dim(), "dimension mismatch");
     let fdom = LinearFDominance::from_constraints(constraints);
-    arsp_loop_engine(dataset, &fdom, None, true, None)
+    run_with_fdom(dataset, &fdom, true)
 }
 
-/// [`arsp_loop_parallel`] with a pre-built F-dominance test.
-pub fn arsp_loop_parallel_with_fdom(
+/// The free functions' one-shot path: flatten the dataset, project it once
+/// into a [`ScoreMatrix`], sort it and run [`arsp_loop_flat_engine`] with
+/// fresh working memory.
+fn run_with_fdom(
     dataset: &UncertainDataset,
     fdom: &LinearFDominance,
-) -> ArspResult {
-    arsp_loop_engine(dataset, fdom, None, true, None)
-}
-
-/// The full-control LOOP entry point used by [`crate::engine::ArspEngine`]:
-/// optional prebuilt sort order (must have been built for the same dataset
-/// and the same first preference-region vertex), parallel toggle, optional
-/// work-counter sink. Results are bitwise identical across every combination
-/// of the options.
-pub fn arsp_loop_engine(
-    dataset: &UncertainDataset,
-    fdom: &LinearFDominance,
-    prebuilt: Option<&InstanceOrder>,
     parallel: bool,
-    stats: Option<&CounterStats>,
 ) -> ArspResult {
-    let n = dataset.num_instances();
-    let mut result = ArspResult::zeros(n);
-    if n == 0 {
-        return result;
-    }
-    let owned;
-    let ord = match prebuilt {
-        Some(o) => {
-            debug_assert_eq!(
-                o.order.len(),
-                n,
-                "prebuilt order covers a different dataset"
-            );
-            o
-        }
-        None => {
-            owned = instance_order(dataset, fdom);
-            &owned
-        }
-    };
-
-    #[cfg(feature = "parallel")]
-    if parallel {
-        let chunks = crate::parallel::chunk_bounds(n);
-        if chunks.len() > 1 {
-            use rayon::prelude::*;
-
-            // One contiguous chunk of sort positions per worker; each worker
-            // owns its σ scratch, mirroring the sequential reuse pattern.
-            let chunk_results: Vec<(Vec<(usize, f64)>, u64)> = crate::parallel::with_pool(|| {
-                chunks
-                    .into_par_iter()
-                    .map(|range| {
-                        let mut scratch = LoopScratch::new(dataset.num_objects());
-                        let mut tests = 0u64;
-                        let probs = range
-                            .map(|pos| {
-                                let prob = instance_probability(
-                                    dataset,
-                                    fdom,
-                                    ord,
-                                    pos,
-                                    &mut scratch,
-                                    &mut tests,
-                                );
-                                (ord.order[pos], prob)
-                            })
-                            .collect();
-                        (probs, tests)
-                    })
-                    .collect()
-            });
-
-            for (chunk, tests) in chunk_results {
-                if let Some(s) = stats {
-                    s.add_fdom_tests(tests);
-                }
-                for (t_id, prob) in chunk {
-                    result.set(t_id, prob);
-                }
-            }
-            return result;
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = parallel;
-
-    // Per-object accumulated dominating mass, reset between instances via the
-    // `touched` list to keep each iteration O(#dominators) rather than O(m).
-    let mut scratch = LoopScratch::new(dataset.num_objects());
-    let mut tests = 0u64;
-    for (pos, &t_id) in ord.order.iter().enumerate() {
-        let prob = instance_probability(dataset, fdom, ord, pos, &mut scratch, &mut tests);
-        result.set(t_id, prob);
-    }
-    if let Some(s) = stats {
-        s.add_fdom_tests(tests);
-    }
-    result
+    assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
+    let flat = FlatStore::from_dataset(dataset);
+    let scores = ScoreMatrix::compute(&flat, fdom);
+    let order = instance_order_from_scores(&scores);
+    arsp_loop_flat_engine(&flat, &scores, &order, parallel, None, None, None, None)
 }
 
 /// The cold sort comparison of every LOOP order: ascending key, ties broken
-/// by ascending id. This single definition is shared by [`instance_order`],
+/// by ascending id. This single definition is shared by
 /// [`instance_order_from_scores`] **and** the dynamic engine's delta merges
-/// (`crate::dynamic`), whose bitwise-equal-to-cold guarantee rests on all of
-/// them ordering ties identically.
+/// (`crate::dynamic`), whose bitwise-equal-to-cold guarantee rests on both
+/// ordering ties identically.
 #[inline]
 pub(crate) fn cmp_key_id<I: Ord + Copy>(a: (f64, I), b: (f64, I)) -> std::cmp::Ordering {
     a.0.partial_cmp(&b.0)
@@ -166,24 +83,6 @@ pub struct InstanceOrder {
     pub order: Vec<usize>,
     /// Score of each instance (indexed by instance id, not sort position).
     pub keys: Vec<f64>,
-}
-
-/// Sorts instance ids by their score under the first vertex; anything that
-/// F-dominates an instance must have a score ≤ the instance's score under
-/// every vertex, in particular this one. Equal keys are ordered by instance
-/// id, making the order a pure function of `(keys, ids)` — which is what
-/// lets the dynamic engine *merge* a sorted delta into a cached order and
-/// land on exactly the order a cold sort would produce.
-pub fn instance_order(dataset: &UncertainDataset, fdom: &LinearFDominance) -> InstanceOrder {
-    let omega = &fdom.vertices()[0];
-    let mut order: Vec<usize> = (0..dataset.num_instances()).collect();
-    let keys: Vec<f64> = dataset
-        .instances()
-        .iter()
-        .map(|inst| arsp_geometry::point::score(&inst.coords, omega))
-        .collect();
-    order.sort_unstable_by(|&a, &b| cmp_key_id((keys[a], a), (keys[b], b)));
-    InstanceOrder { order, keys }
 }
 
 /// Reusable per-worker accumulation buffers: per-object accumulated
@@ -215,71 +114,14 @@ impl LoopScratch {
     }
 }
 
-/// The body of the LOOP scan for the instance at sort position `pos`: scans
-/// every instance whose sort key does not exceed this one's (with strict
-/// inequality later instances cannot F-dominate it, and instances with an
-/// equal key are included to stay exact under score ties) and folds the
-/// per-object dominating mass into the probability, always in sort order.
-fn instance_probability(
-    dataset: &UncertainDataset,
-    fdom: &LinearFDominance,
-    ord: &InstanceOrder,
-    pos: usize,
-    scratch: &mut LoopScratch,
-    tests: &mut u64,
-) -> f64 {
-    let (order, keys) = (&ord.order, &ord.keys);
-    let t_id = order[pos];
-    let t = dataset.instance(t_id);
-    let sigma = &mut scratch.sigma;
-    let touched = &mut scratch.touched;
-    touched.clear();
-
-    for &s_id in &order[..pos] {
-        let s = dataset.instance(s_id);
-        if s.object != t.object {
-            *tests += 1;
-            if fdom.f_dominates(&s.coords, &t.coords) {
-                if sigma[s.object] == 0.0 {
-                    touched.push(s.object);
-                }
-                sigma[s.object] += s.prob;
-            }
-        }
-    }
-    for &s_id in &order[pos + 1..] {
-        if keys[s_id] > keys[t_id] {
-            break;
-        }
-        let s = dataset.instance(s_id);
-        if s.object != t.object {
-            *tests += 1;
-            if fdom.f_dominates(&s.coords, &t.coords) {
-                if sigma[s.object] == 0.0 {
-                    touched.push(s.object);
-                }
-                sigma[s.object] += s.prob;
-            }
-        }
-    }
-
-    let mut prob = t.prob;
-    for &obj in touched.iter() {
-        prob *= 1.0 - sigma[obj];
-        sigma[obj] = 0.0;
-    }
-    prob.max(0.0)
-}
-
-// ---------------------------------------------------------------------------
-// Flat columnar scan
-// ---------------------------------------------------------------------------
-
 /// Builds the LOOP sort order from a precomputed [`ScoreMatrix`]: the keys
-/// are the matrix's first column (the score under the first preference-region
-/// vertex), which is bitwise identical to what [`instance_order`] computes —
-/// but read out of the cached projection pass instead of recomputing `n` dot
-/// products.
+/// are the matrix's first column, the score under the first
+/// preference-region vertex. Anything that F-dominates an instance must have
+/// a score ≤ the instance's score under every vertex, in particular this one.
+/// Equal keys are ordered by instance id, making the order a pure function
+/// of `(keys, ids)` — which is what lets the dynamic engine *merge* a sorted
+/// delta into a cached order and land on exactly the order a cold sort would
+/// produce.
 pub fn instance_order_from_scores(scores: &ScoreMatrix) -> InstanceOrder {
     let n = scores.num_rows();
     let d = scores.score_dim();
@@ -289,16 +131,15 @@ pub fn instance_order_from_scores(scores: &ScoreMatrix) -> InstanceOrder {
     InstanceOrder { order, keys }
 }
 
-/// The flat columnar LOOP scan: identical pair enumeration and arithmetic to
-/// [`arsp_loop_engine`], but every F-dominance test is a `d'`-component
-/// dominance comparison of two precomputed [`ScoreMatrix`] rows (Theorem 2)
-/// instead of `d'` recomputed dot products, and the instance columns stream
-/// out of the [`FlatStore`]. With a warm [`LoopScratch`] the sequential scan
+/// The LOOP scan: for every instance in sort order, accumulates the
+/// dominating mass of every other object. Each F-dominance test is a
+/// `d'`-component dominance comparison of two precomputed [`ScoreMatrix`]
+/// rows (Theorem 2) instead of `d'` recomputed dot products, and the instance
+/// columns stream out of the [`FlatStore`]. With a warm [`LoopScratch`] the sequential scan
 /// performs no heap allocation beyond the result vector; under `parallel`
 /// each worker chunk draws its σ arena from `pool` (a fresh arena per chunk
 /// when absent), so warmed-up parallel sweeps allocate nothing per task
-/// either. Results are bitwise identical to [`arsp_loop_engine`] (the
-/// projected scores are bitwise equal, so every dominance decision agrees).
+/// either. Results are bitwise identical across every option combination.
 #[allow(clippy::too_many_arguments)]
 pub fn arsp_loop_flat_engine(
     flat: &FlatStore,
@@ -392,8 +233,12 @@ pub fn arsp_loop_flat_engine(
     result
 }
 
-/// [`instance_probability`] over the flat layout: same scan ranges, same
-/// accumulation order, with the Theorem-2 test evaluated as row dominance.
+/// The body of the LOOP scan for the instance at sort position `pos`: scans
+/// every instance whose sort key does not exceed this one's (with strict
+/// inequality later instances cannot F-dominate it, and instances with an
+/// equal key are included to stay exact under score ties) and folds the
+/// per-object dominating mass into the probability, always in sort order.
+/// The Theorem-2 test is evaluated as row dominance.
 /// `pub(crate)` for the standing-query subsystem (`crate::standing`), whose
 /// dirty-set maintenance recomputes exactly the affected instances through
 /// this kernel so the maintained result stays bitwise equal to a full scan.
@@ -566,15 +411,38 @@ mod tests {
         let fdom = LinearFDominance::from_constraints(&constraints);
         let baseline = arsp_loop(&d, &constraints);
 
-        let order = instance_order(&d, &fdom);
+        let flat = FlatStore::from_dataset(&d);
+        let scores = ScoreMatrix::compute(&flat, &fdom);
+        let order = instance_order_from_scores(&scores);
         let stats = CounterStats::new();
-        let got = arsp_loop_engine(&d, &fdom, Some(&order), false, Some(&stats));
+        let got = arsp_loop_flat_engine(
+            &flat,
+            &scores,
+            &order,
+            false,
+            Some(&stats),
+            None,
+            None,
+            None,
+        );
         assert_eq!(baseline.probs(), got.probs());
         assert!(stats.snapshot().fdom_tests > 0);
 
         // The parallel path reports through the same sink.
+        let _guard = crate::parallel::knob_lock();
+        crate::parallel::set_num_threads(4);
         let par_stats = CounterStats::new();
-        let par = arsp_loop_engine(&d, &fdom, Some(&order), true, Some(&par_stats));
+        let par = arsp_loop_flat_engine(
+            &flat,
+            &scores,
+            &order,
+            true,
+            Some(&par_stats),
+            None,
+            None,
+            None,
+        );
+        crate::parallel::set_num_threads(0);
         assert_eq!(baseline.probs(), par.probs());
         assert_eq!(
             par_stats.snapshot().fdom_tests,
@@ -583,6 +451,10 @@ mod tests {
         );
     }
 
+    /// The "point scan" is the free function, which takes the `Point`-layout
+    /// [`UncertainDataset`] and builds the flat store, score matrix and
+    /// order per call; the flat scan is the kernel called directly with
+    /// reused scratch and worker pools. They must agree bitwise.
     #[test]
     fn flat_scan_is_bitwise_identical_to_point_scan() {
         let d = SyntheticConfig {
@@ -599,51 +471,30 @@ mod tests {
         let fdom = LinearFDominance::from_constraints(&constraints);
         let reference = arsp_loop(&d, &constraints);
 
-        let flat = arsp_data::FlatStore::from_dataset(&d);
+        let flat = FlatStore::from_dataset(&d);
         let scores = ScoreMatrix::compute(&flat, &fdom);
         let order = instance_order_from_scores(&scores);
-        // The derived order is bitwise identical to the Point-based one.
-        let point_order = instance_order(&d, &fdom);
-        assert_eq!(order.order, point_order.order);
-        assert_eq!(
-            order.keys.iter().map(|k| k.to_bits()).collect::<Vec<_>>(),
-            point_order
-                .keys
-                .iter()
-                .map(|k| k.to_bits())
-                .collect::<Vec<_>>()
-        );
-
-        // One scratch reused across runs, plus the no-scratch path, plus the
-        // stats sink: all bitwise identical, same test counts.
-        let stats_point = CounterStats::new();
-        let _ = arsp_loop_engine(&d, &fdom, Some(&point_order), false, Some(&stats_point));
+        // One scratch reused across runs, plus the no-scratch path.
         let mut scratch = LoopScratch::default();
         for _ in 0..2 {
-            let stats_flat = CounterStats::new();
             let got = arsp_loop_flat_engine(
                 &flat,
                 &scores,
                 &order,
                 false,
-                Some(&stats_flat),
+                None,
                 Some(&mut scratch),
                 None,
                 None,
             );
             assert_eq!(reference.probs(), got.probs());
-            assert_eq!(
-                stats_point.snapshot().fdom_tests,
-                stats_flat.snapshot().fdom_tests,
-                "flat scan must perform the same number of dominance tests"
-            );
         }
         let no_scratch =
             arsp_loop_flat_engine(&flat, &scores, &order, false, None, None, None, None);
         assert_eq!(reference.probs(), no_scratch.probs());
 
-        // The parallel flat scan agrees too — with and without a worker
-        // pool, which must be reused across repeated sweeps.
+        // The parallel scan agrees too — with and without a worker pool,
+        // which must be reused across repeated sweeps.
         let _guard = crate::parallel::knob_lock();
         crate::parallel::set_num_threads(4);
         let par = arsp_loop_flat_engine(&flat, &scores, &order, true, None, None, None, None);
@@ -660,6 +511,14 @@ mod tests {
             pool.hits() > 0,
             "the second pooled sweep must reuse the first sweep's arenas"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn with_fdom_rejects_a_region_of_another_dimension() {
+        let d = SyntheticConfig::small(5, 2, 2, 1).generate();
+        let fdom = LinearFDominance::from_constraints(&ConstraintSet::weak_ranking(3, 1));
+        let _ = arsp_loop_with_fdom(&d, &fdom);
     }
 
     /// Helper so synthetic tests can vary the seed tersely.

@@ -7,16 +7,31 @@
 //! the score-space formulation it is simply kd-ASP\* run on the original
 //! coordinates, which is exactly what this module does.
 
-use crate::algorithms::kd_asp;
+use crate::algorithms::kd_asp::{kd_asp_flat_engine, KdScratch, KdVariant};
 use crate::result::ArspResult;
-use crate::scorespace::identity_points;
-use arsp_data::UncertainDataset;
+use crate::scorespace::FlatScorePoints;
+use arsp_data::{FlatStore, UncertainDataset};
 
 /// Computes the skyline probability of every instance (and, via
 /// [`ArspResult::object_probs`], of every object).
 pub fn skyline_probabilities(dataset: &UncertainDataset) -> ArspResult {
-    let points = identity_points(dataset);
-    let probs = kd_asp::kd_asp_fused(&points, dataset.num_objects(), dataset.num_instances());
+    let flat = FlatStore::from_dataset(dataset);
+    // The identity mapping: points keep their original coordinates.
+    let pts = FlatScorePoints {
+        dim: flat.dim(),
+        coords: flat.coords(),
+        objects: flat.objects(),
+        probs: flat.probs(),
+    };
+    let probs = kd_asp_flat_engine(
+        pts,
+        flat.num_objects(),
+        flat.num_instances(),
+        KdVariant::FusedKd,
+        None,
+        &mut KdScratch::new(),
+        None,
+    );
     ArspResult::from_probs(probs)
 }
 

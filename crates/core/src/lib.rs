@@ -33,8 +33,9 @@
 //! ```
 //!
 //! The per-algorithm free functions ([`arsp_kdtt_plus`] and friends) remain
-//! available and agree bitwise with the engine — they run the same code with
-//! no caching.
+//! available and agree bitwise with the engine: each one builds the flat
+//! store and score projection the engine would cache, then calls the same
+//! kernel. There is one kernel per algorithm.
 //!
 //! ## What is provided
 //!
@@ -47,8 +48,8 @@
 //!   the paper's names),
 //! * ARSP algorithms for weight ratio constraints: [`arsp_dual`] and the
 //!   d = 2 specialisation [`DualMs2d`],
-//! * a rayon-based parallel execution layer ([`parallel`]) with
-//!   bitwise-deterministic parallel twins of the algorithms
+//! * a rayon-based parallel execution layer ([`parallel`]): every kernel
+//!   has a bitwise-deterministic parallel form
 //!   ([`ArspAlgorithm::run_parallel`], [`arsp_kdtt_plus_parallel`], …),
 //! * the all-skyline-probabilities special case [`skyline_probabilities`],
 //! * the dynamic-dataset engine ([`dynamic`]) and the concurrent MVCC
@@ -89,13 +90,10 @@ pub use algorithms::bnb::{arsp_bnb, arsp_bnb_with_fdom, arsp_bnb_without_pruning
 pub use algorithms::dual::{arsp_dual, DualMs2d};
 pub use algorithms::enumerate::{arsp_enum, arsp_enum_with_limit};
 pub use algorithms::kdtt::{
-    arsp_kdtt, arsp_kdtt_parallel, arsp_kdtt_plus, arsp_kdtt_plus_parallel,
-    arsp_kdtt_plus_with_fdom, arsp_kdtt_with_fdom, arsp_qdtt_plus, arsp_qdtt_plus_parallel,
-    arsp_qdtt_plus_with_fdom,
+    arsp_kdtt, arsp_kdtt_plus, arsp_kdtt_plus_parallel, arsp_kdtt_plus_with_fdom,
+    arsp_kdtt_with_fdom, arsp_qdtt_plus, arsp_qdtt_plus_parallel, arsp_qdtt_plus_with_fdom,
 };
-pub use algorithms::loop_scan::{
-    arsp_loop, arsp_loop_parallel, arsp_loop_parallel_with_fdom, arsp_loop_with_fdom,
-};
+pub use algorithms::loop_scan::{arsp_loop, arsp_loop_parallel, arsp_loop_with_fdom};
 pub use algorithms::ArspAlgorithm;
 pub use asp::skyline_probabilities;
 pub use cluster::{

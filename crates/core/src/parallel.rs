@@ -7,11 +7,11 @@
 //! * **LOOP** parallelises over instances — each instance's probability is an
 //!   independent product accumulated in a deterministic order,
 //! * **KDTT+ / QDTT+** parallelise the fused kd-ASP\* traversal: sibling
-//!   subtrees run on cloned copies of the exactly-restored traversal state
-//!   (σ, β, χ), so every leaf sees the same float operations as in the
-//!   sequential recursion,
-//! * **KDTT** parallelises the score-space mapping (the prebuilt-tree
-//!   traversal itself stays sequential),
+//!   subtrees run on worker arenas seeded with copies of the
+//!   exactly-restored traversal state (σ, β, χ), so every leaf sees the same
+//!   float operations as in the sequential recursion,
+//! * **KDTT** runs sequentially: its prebuilt-tree traversal is the
+//!   construction-cost baseline the fused variants are measured against,
 //! * **B&B** runs sequentially: its best-first traversal and aggregated
 //!   R-tree updates are order-dependent, and fanning out each popped
 //!   instance's window queries measured 0.16–0.30× of sequential,
@@ -21,11 +21,11 @@
 //!   are order-sensitive under floating point, so chunked summation would
 //!   change results. It is an exponential toy baseline either way.
 //!
-//! The engine's [`crate::engine::Execution::Parallel`] queries run the same
-//! strategies as **flat twins** over the cached columnar structures, with
+//! Each algorithm has one kernel, over the flat columnar structures. The
+//! engine's [`crate::engine::Execution::Parallel`] queries run it with
 //! per-worker arenas drawn from pooled [`crate::scratch::ScratchPool`]
-//! stacks — same bitwise guarantee, no per-task arena allocation at steady
-//! state.
+//! stacks (no per-task arena allocation at steady state); the free
+//! functions run it with a throwaway pool per call.
 //!
 //! The determinism guarantee is checked end-to-end by the
 //! `parallel_agreement` and `engine_agreement` integration tests.
@@ -42,10 +42,10 @@
 //! `ARSP_NUM_THREADS=2` behaves exactly as if `set_num_threads(2)` had been
 //! called at startup, and `set_num_threads(0)` restores that environment
 //! default rather than "all cores". CI uses this to exercise every parallel
-//! twin deterministically on every push.
+//! path deterministically on every push.
 //!
-//! Without the `parallel` cargo feature every parallel entry point simply
-//! delegates to its sequential twin and [`num_threads`] reports `1`.
+//! Without the `parallel` cargo feature every parallel entry point runs the
+//! sequential code path and [`num_threads`] reports `1`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

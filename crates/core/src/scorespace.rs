@@ -7,68 +7,8 @@
 //! the all-skyline-probabilities (ASP) problem, which the KDTT/QDTT/B&B
 //! algorithms then solve.
 
-use arsp_data::{FlatStore, UncertainDataset};
+use arsp_data::FlatStore;
 use arsp_geometry::fdom::LinearFDominance;
-
-/// An instance after (optional) mapping into score space: everything the
-/// kd-ASP\* machinery needs to know about it.
-#[derive(Clone, Debug)]
-pub struct ScorePoint {
-    /// Global instance id in the original dataset.
-    pub id: usize,
-    /// Owning uncertain object.
-    pub object: usize,
-    /// Existence probability `p(t)`.
-    pub prob: f64,
-    /// Coordinates — `SV(t)` for ARSP, the original coordinates for ASP.
-    pub coords: Vec<f64>,
-}
-
-/// Maps every instance of the dataset into score space (the construction of
-/// the dataset `D'` in §III-B). The probabilities and object structure are
-/// preserved; only the coordinates change.
-pub fn map_to_score_space(dataset: &UncertainDataset, fdom: &LinearFDominance) -> Vec<ScorePoint> {
-    dataset
-        .instances()
-        .iter()
-        .map(|inst| ScorePoint {
-            id: inst.id,
-            object: inst.object,
-            prob: inst.prob,
-            coords: fdom.map_to_score_space(&inst.coords),
-        })
-        .collect()
-}
-
-/// [`map_to_score_space`] with the mapping of each instance dispatched to
-/// worker threads. The mapping is a pure per-instance function and the
-/// parallel iterator preserves order, so the output is identical to the
-/// sequential version. Falls back to it without the `parallel` feature.
-pub fn map_to_score_space_parallel(
-    dataset: &UncertainDataset,
-    fdom: &LinearFDominance,
-) -> Vec<ScorePoint> {
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        crate::parallel::with_pool(|| {
-            dataset
-                .instances()
-                .par_iter()
-                .map(|inst| ScorePoint {
-                    id: inst.id,
-                    object: inst.object,
-                    prob: inst.prob,
-                    coords: fdom.map_to_score_space(&inst.coords),
-                })
-                .collect()
-        })
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        map_to_score_space(dataset, fdom)
-    }
-}
 
 /// The per-constraint projected scores of the whole dataset as one flat,
 /// row-major matrix: row `id` is `SV(t_id)` (length `d' = |V|`), computed in
@@ -134,11 +74,12 @@ impl ScoreMatrix {
     }
 }
 
-/// The columnar view the flat kd-ASP\* traversal runs over: score-space
-/// coordinates as one dim-strided array plus the parallel object/probability
-/// columns. Point `id`'s coordinates are `coords[id*dim .. (id+1)*dim]` — the
-/// flat twin of a `&[ScorePoint]` slice whose `ScorePoint::id` equals its
-/// position (which is how [`map_to_score_space`] lays points out).
+/// The columnar view the kd-ASP\* traversal runs over: coordinates as one
+/// dim-strided array plus the parallel object/probability columns, all
+/// indexed by instance id. Point `id`'s coordinates are
+/// `coords[id*dim .. (id+1)*dim]` — `SV(t_id)` for ARSP
+/// ([`FlatScorePoints::new`]), the original coordinates for ASP
+/// ([`crate::asp`]).
 #[derive(Clone, Copy, Debug)]
 pub struct FlatScorePoints<'a> {
     /// Coordinate stride (`d'` for score space, `d` for identity points).
@@ -183,22 +124,6 @@ impl<'a> FlatScorePoints<'a> {
     }
 }
 
-/// The identity mapping: instances keep their original coordinates. Running
-/// kd-ASP\* on these points computes plain skyline probabilities (the ASP
-/// problem — the special case where `F` contains all monotone functions).
-pub fn identity_points(dataset: &UncertainDataset) -> Vec<ScorePoint> {
-    dataset
-        .instances()
-        .iter()
-        .map(|inst| ScorePoint {
-            id: inst.id,
-            object: inst.object,
-            prob: inst.prob,
-            coords: inst.coords.clone(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,13 +138,15 @@ mod tests {
         let fdom = LinearFDominance::from_constraints(
             &WeightRatio::uniform(2, 0.5, 2.0).to_constraint_set(),
         );
-        let mapped = map_to_score_space(&d, &fdom);
-        assert_eq!(mapped.len(), d.num_instances());
-        for (sp, inst) in mapped.iter().zip(d.instances()) {
-            assert_eq!(sp.id, inst.id);
-            assert_eq!(sp.object, inst.object);
-            assert_eq!(sp.prob, inst.prob);
-            assert_eq!(sp.coords.len(), fdom.num_vertices());
+        let flat = FlatStore::from_dataset(&d);
+        let matrix = ScoreMatrix::compute(&flat, &fdom);
+        let view = FlatScorePoints::new(&flat, &matrix);
+        assert_eq!(view.len(), d.num_instances());
+        assert_eq!(view.dim, fdom.num_vertices());
+        for inst in d.instances() {
+            assert_eq!(view.objects[inst.id] as usize, inst.object);
+            assert_eq!(view.probs[inst.id], inst.prob);
+            assert_eq!(view.coords_of(inst.id).len(), fdom.num_vertices());
         }
     }
 
@@ -229,11 +156,11 @@ mod tests {
         let fdom = LinearFDominance::from_constraints(
             &WeightRatio::uniform(2, 0.5, 2.0).to_constraint_set(),
         );
-        let mapped = map_to_score_space(&d, &fdom);
+        let matrix = ScoreMatrix::compute(&FlatStore::from_dataset(&d), &fdom);
         for a in d.instances() {
             for b in d.instances() {
                 let direct = fdom.f_dominates(&a.coords, &b.coords);
-                let in_score_space = dominates(&mapped[a.id].coords, &mapped[b.id].coords);
+                let in_score_space = dominates(matrix.row(a.id), matrix.row(b.id));
                 assert_eq!(direct, in_score_space, "{a:?} vs {b:?}");
             }
         }
@@ -261,14 +188,5 @@ mod tests {
         assert_eq!(view.len(), d.num_instances());
         assert!(!view.is_empty());
         assert_eq!(view.coords_of(3), matrix.row(3));
-    }
-
-    #[test]
-    fn identity_points_keep_coordinates() {
-        let d = paper_running_example();
-        let pts = identity_points(&d);
-        for (sp, inst) in pts.iter().zip(d.instances()) {
-            assert_eq!(sp.coords, inst.coords);
-        }
     }
 }

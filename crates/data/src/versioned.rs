@@ -687,19 +687,25 @@ impl VersionedStore {
         FlatStore::from_parts(self.dim, coords, probs, objects, object_start)
     }
 
-    /// Structural self-check for tests: returns the first violation found.
+    /// Structural self-check: returns the first violation found. Also the
+    /// gate [`decode_state`](Self::decode_state) applies to every decoded
+    /// snapshot, so it must reject any state a later mutation would trip on.
     pub fn validate(&self) -> Result<(), String> {
         let total = self.probs.len();
         if self.coords.len() != total * self.dim || self.objects.len() != total {
             return Err("column lengths disagree".into());
         }
         let mut live_seen = 0;
+        let mut listed = vec![false; total];
         for (object, rows) in self.object_rows.iter().enumerate() {
             if self.object_retired[object] && !rows.is_empty() {
                 return Err(format!("retired object {object} still owns rows"));
             }
             for &r in rows {
                 let row = r as usize;
+                if std::mem::replace(&mut listed[row], true) {
+                    return Err(format!("row {row} is listed twice"));
+                }
                 if !self.alive[row] {
                     return Err(format!("object {object} lists tombstoned row {row}"));
                 }
@@ -716,8 +722,19 @@ impl VersionedStore {
                 return Err(format!("object {object} has total probability {prob}"));
             }
         }
-        if live_seen != self.num_live_instances() {
+        if live_seen != self.num_live_instances()
+            || self.alive.iter().filter(|&&a| !a).count() != self.dead_rows
+        {
             return Err("live-row accounting disagrees with the tombstone bitmap".into());
+        }
+        for (handle, &r) in self.handle_to_row.iter().enumerate() {
+            if r == NO_ROW {
+                continue;
+            }
+            let row = r as usize;
+            if row >= total || !self.alive[row] || self.row_to_handle[row] as usize != handle {
+                return Err(format!("handle {handle} does not name its live row {row}"));
+            }
         }
         Ok(())
     }
@@ -871,7 +888,7 @@ impl VersionedStore {
         if objects.len() != total
             || alive.len() != total
             || row_to_handle.len() != total
-            || coords.len() != total * dim
+            || total.checked_mul(dim) != Some(coords.len())
         {
             return Err("column lengths disagree".into());
         }
@@ -1701,6 +1718,31 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(VersionedStore::decode_state(&trailing).is_err());
+    }
+
+    #[test]
+    fn inconsistent_row_bookkeeping_is_rejected() {
+        // Each corruption keeps every index in range, so only the
+        // cross-column checks can catch it; a store that passed with it
+        // would panic later, on the first remove or merge that trusts it.
+        let mut store = slack_store();
+        store.remove_instance(store.handle_of_row(1));
+        let corruptions: [fn(&mut VersionedStore); 4] = [
+            // A live row listed twice, another live row not at all.
+            |s| s.object_rows[1][1] = s.object_rows[1][0],
+            // A tombstoned row revived but listed nowhere.
+            |s| s.alive[1] = true,
+            // A removed handle naming another handle's live row.
+            |s| s.handle_to_row[1] = 2,
+            // A removed handle naming its tombstoned row.
+            |s| s.handle_to_row[1] = 1,
+        ];
+        for corrupt in corruptions {
+            let mut bad = store.clone();
+            corrupt(&mut bad);
+            assert!(bad.validate().is_err());
+            assert!(VersionedStore::decode_state(&bad.encode_state()).is_err());
+        }
     }
 
     #[test]

@@ -71,6 +71,12 @@ impl LinearFDominance {
         Self { dim, vertices }
     }
 
+    /// Dataset dimensionality the test was built for (the length of every
+    /// vertex).
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
     /// The vertex set `V` of the preference region.
     pub fn vertices(&self) -> &[Vec<f64>] {
         &self.vertices

@@ -17,11 +17,14 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use arsp::core::engine::{ArspEngine, QueryAlgorithm};
 use arsp::prelude::*;
 use arsp_data::failpoint::{self, FailAction};
+use arsp_data::persist::crc32;
 use arsp_data::{paper_running_example, DurableStore, MutationOp, VersionedStore};
+use proptest::prelude::*;
 
 /// Every persistence fail-point site this suite kills the write path at.
 /// Must stay in sync with the non-`shard.*` half of
@@ -276,4 +279,115 @@ fn repeated_kills_at_the_same_site_still_converge() {
     }
     assert_eq!(durable.store().encode_state(), *states.last().expect("x"));
     fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The on-disk image of a store with a checkpoint and a WAL tail: the bytes
+/// of `snapshot.bin` and `wal.log` after the workload minus its final
+/// checkpoint, so the two batches after the middle checkpoint stay in the
+/// WAL.
+fn checkpoint_and_wal_tail() -> &'static (Vec<u8>, Vec<u8>) {
+    static IMAGE: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    IMAGE.get_or_init(|| {
+        let _gate = failpoint::exclusive();
+        failpoint::reset();
+        let dir = scratch_dir("mutation-image");
+        let mut durable = DurableStore::create(&dir, seed_store()).expect("create");
+        let mut steps = workload();
+        assert!(matches!(steps.pop(), Some(Step::Checkpoint)));
+        for step in steps {
+            match step {
+                Step::Apply(ops) => durable.apply_batch(&ops).expect("apply"),
+                Step::Checkpoint => durable.checkpoint().expect("checkpoint"),
+            }
+        }
+        drop(durable);
+        let image = (
+            fs::read(dir.join("snapshot.bin")).expect("snapshot"),
+            fs::read(dir.join("wal.log")).expect("wal"),
+        );
+        fs::remove_dir_all(&dir).expect("cleanup");
+        image
+    })
+}
+
+/// `(start, end)` of every record payload in a WAL image (each record is a
+/// `u32` length, a `u32` CRC-32 and the payload).
+fn wal_payloads(wal: &[u8]) -> Vec<(usize, usize)> {
+    let mut records = Vec::new();
+    let mut at = 0;
+    while at + 8 <= wal.len() {
+        let len = u32::from_le_bytes(wal[at..at + 4].try_into().expect("4")) as usize;
+        records.push((at + 8, at + 8 + len));
+        at += 8 + len;
+    }
+    records
+}
+
+proptest! {
+    // Recovery must answer bad bytes with a typed error, never a panic —
+    // including bytes whose checksum is correct, because the CRC proves only
+    // that the bytes are the ones written. Each case overwrites random bytes
+    // of the snapshot payload or of one WAL record payload, re-stamps that
+    // payload's CRC-32, and reopens: `open` returns `Ok` or `Err`, and an
+    // `Ok` store passes its structural self-check. Each edit writes either
+    // an arbitrary byte or a small one (0–16): small values land in
+    // lengths, counts, row ids and handles as plausible-but-wrong numbers,
+    // which reach much deeper into recovery than random ones.
+    #![proptest_config(ProptestConfig::with_cases(6000))]
+
+    #[test]
+    fn checksummed_corruption_never_panics_recovery(
+        target in 0usize..3,
+        edits in proptest::collection::vec((0usize..usize::MAX, 0u8..=255, 0u8..2), 1..6),
+    ) {
+        let edits: Vec<(usize, u8)> = edits
+            .into_iter()
+            .map(|(pos, byte, small)| (pos, if small == 1 { byte % 17 } else { byte }))
+            .collect();
+        let (mut snapshot, mut wal) = checkpoint_and_wal_tail().clone();
+        let records = wal_payloads(&wal);
+        prop_assert_eq!(records.len(), 2);
+        if target == 0 {
+            // Snapshot frame: 8-byte magic, CRC-32, u64 length, payload.
+            let payload = &mut snapshot[20..];
+            for &(pos, byte) in &edits {
+                let n = payload.len();
+                payload[pos % n] = byte;
+            }
+            let crc = crc32(&snapshot[20..]);
+            snapshot[8..12].copy_from_slice(&crc.to_le_bytes());
+        } else {
+            let (start, end) = records[target - 1];
+            for &(pos, byte) in &edits {
+                wal[start + pos % (end - start)] = byte;
+            }
+            let crc = crc32(&wal[start..end]);
+            wal[start - 4..start].copy_from_slice(&crc.to_le_bytes());
+        }
+
+        let dir = scratch_dir("mutation");
+        fs::create_dir_all(&dir).expect("dir");
+        fs::write(dir.join("snapshot.bin"), &snapshot).expect("write snapshot");
+        fs::write(dir.join("wal.log"), &wal).expect("write wal");
+        let opened = catch_unwind(AssertUnwindSafe(|| {
+            DurableStore::open(&dir).map(|(durable, _)| durable.store().validate())
+        }));
+        fs::remove_dir_all(&dir).expect("cleanup");
+        match opened {
+            Err(_) => prop_assert!(
+                false,
+                "recovery panicked (target {}, edits {:?})",
+                target,
+                edits
+            ),
+            Ok(Ok(check)) => prop_assert!(
+                check.is_ok(),
+                "recovered store fails validate(): {:?} (target {}, edits {:?})",
+                check,
+                target,
+                edits
+            ),
+            Ok(Err(_)) => {}
+        }
+    }
 }

@@ -3,17 +3,18 @@
 //! forced or auto-selected, one at a time or batched — and repeated queries
 //! are served entirely from the session's caches.
 //!
-//! Since the flat columnar layout landed, this suite is also the end-to-end
-//! agreement gate between the two data layouts: the engine executes the
-//! flat-store paths (cached [`arsp::core::ScoreMatrix`], arena indexes,
-//! reusable scratch) while the free functions execute the `Point`-based
-//! paths, and every comparison below is exact (`==` on the probability
-//! vectors, not a tolerance). That contract now covers
-//! [`Execution::Parallel`] too: the flat parallel twins of every algorithm
-//! (including DUAL) must be bitwise identical to the sequential flat path at
-//! every thread count, with cold and warm arena pools. The property tests at
-//! the bottom drive the same contract over randomly generated datasets and
-//! constraint sets.
+//! Both sides run the same kernel: the engine feeds it cached state (the
+//! [`arsp::core::ScoreMatrix`], arena indexes, reusable scratch), while each
+//! free function builds that state from scratch for one call. Every
+//! comparison below is therefore exact (`==` on the probability vectors, not
+//! a tolerance): it checks that caching, scratch reuse and arena pools never
+//! change a result. The contract covers [`Execution::Parallel`] too: the
+//! parallel form of every algorithm (including DUAL) must be bitwise
+//! identical to the sequential path at every thread count, with cold and
+//! warm arena pools. The property tests at the bottom drive the same
+//! contract over randomly generated datasets and constraint sets; the
+//! independent oracles (ENUM and cross-algorithm agreement) live in
+//! `flat_engine_agreement` and `cross_algorithm_agreement`.
 
 use arsp::core::engine::CacheStats;
 use arsp::prelude::*;
@@ -308,9 +309,10 @@ fn parallel_flat_twins_match_sequential_above_the_fanout_threshold() {
 }
 
 proptest! {
-    // Random-dataset agreement: the engine's flat columnar paths must agree
-    // **bitwise** with the Point-based free functions on arbitrary datasets
-    // and constraint sets — under sequential *and* parallel execution
+    // Random-dataset agreement: a warm engine, with cached score matrices,
+    // orders, indexes and pooled arenas, must agree **bitwise** with the
+    // one-shot cold kernel a free function runs, on arbitrary datasets and
+    // constraint sets — under sequential *and* parallel execution
     // (threads ∈ {2, 4}). A modest case count keeps the suite fast; every
     // case covers LOOP, KDTT, KDTT+, QDTT+ and B&B, cold + warm per
     // execution mode, so warm runs also exercise scratch-arena and
@@ -318,7 +320,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn flat_paths_agree_bitwise_with_point_paths_on_random_datasets(
+    fn warm_engine_matches_cold_kernel_bitwise_on_random_datasets(
         seed in 0u64..1_000_000,
         num_objects in 5usize..40,
         max_instances in 1usize..6,
@@ -361,7 +363,7 @@ proptest! {
                     prop_assert_eq!(
                         free.probs(),
                         outcome.result().probs(),
-                        "{} flat path diverged ({} cache, {:?}, seed {})",
+                        "{} engine diverged from the cold kernel ({} cache, {:?}, seed {})",
                         algorithm.name(),
                         attempt,
                         execution,
@@ -375,11 +377,11 @@ proptest! {
 }
 
 proptest! {
-    // The weight-ratio pipeline: the flat DUAL path must agree with the
-    // Point-based free function **bitwise** (same traversal, columnar
-    // layout), stay bitwise identical under parallel execution, and keep
-    // agreeing with the flat general-constraint paths within float tolerance
-    // on random ratio boxes.
+    // The weight-ratio pipeline: the engine's DUAL path must agree with the
+    // free function **bitwise** (same kernel, cached forests), stay bitwise
+    // identical under parallel execution, and keep agreeing with the
+    // general-constraint paths within float tolerance on random ratio
+    // boxes.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]

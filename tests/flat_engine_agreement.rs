@@ -1,14 +1,23 @@
-//! Direct agreement tests for every `*_flat_engine*` entry point.
+//! Direct oracle tests for every `*_flat_engine*` entry point.
 //!
-//! The flat engines are the columnar hot paths behind `ArspEngine`; each one
-//! promises results **bitwise identical** to its point-path reference. The
+//! The flat engines are the one kernel per algorithm: the engine, service,
+//! dynamic and cluster paths call them, and so do the free functions. The
 //! engine-level agreement suites exercise them indirectly — this suite calls
-//! each public flat entry point *directly* on hand-built inputs, so a
-//! signature or semantics drift is caught even if the engine dispatch moves
-//! off a function. `cargo xtask lint` enforces the coupling: every public
-//! `*_flat_engine*` function must be named in a test under `tests/`.
+//! each public flat entry point *directly* on hand-built inputs, on the
+//! paper's running example and a small synthetic set, and checks it two
+//! ways:
+//!
+//! * against ENUM, the possible-world oracle, within 1e-9;
+//! * bitwise against its "point path": the public free function, which
+//!   takes the `Point`-layout `UncertainDataset` and must be a thin wrapper
+//!   that flattens it and calls the same kernel.
+//!
+//! A signature or semantics drift is caught even if the engine dispatch
+//! moves off a function.
+//! `cargo xtask lint` enforces the coupling: every public `*flat_engine*`
+//! function must be named in a test under `tests/`.
 
-use arsp_core::algorithms::dual::{arsp_dual, arsp_dual_flat_engine, build_dual_index};
+use arsp_core::algorithms::dual::{arsp_dual_flat_engine, build_dual_index};
 use arsp_core::algorithms::kd_asp::{
     kd_asp_flat_engine, kd_asp_flat_engine_parallel, KdScratch, KdVariant, KdWorkerPool,
 };
@@ -18,15 +27,16 @@ use arsp_core::algorithms::kdtt::{
 use arsp_core::algorithms::loop_scan::{
     arsp_loop_flat_engine, arsp_loop_with_fdom, instance_order_from_scores,
 };
-use arsp_core::{FlatScorePoints, ScoreMatrix};
+use arsp_core::{arsp_dual, arsp_enum, ArspResult, FlatScorePoints, ScoreMatrix};
 use arsp_data::{paper_running_example, FlatStore, SyntheticConfig, UncertainDataset};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 use arsp_geometry::fdom::LinearFDominance;
 
+/// Small enough for ENUM: at most 4^8 possible worlds.
 fn synthetic() -> UncertainDataset {
     SyntheticConfig {
-        num_objects: 40,
-        max_instances: 4,
+        num_objects: 8,
+        max_instances: 3,
         dim: 3,
         region_length: 0.3,
         phi: 0.15,
@@ -40,30 +50,47 @@ fn datasets() -> Vec<UncertainDataset> {
     vec![paper_running_example(), synthetic()]
 }
 
-fn fdom_for(dataset: &UncertainDataset) -> LinearFDominance {
-    LinearFDominance::from_constraints(&ConstraintSet::weak_ranking(dataset.dim(), 1))
+fn constraints_for(dataset: &UncertainDataset) -> ConstraintSet {
+    ConstraintSet::weak_ranking(dataset.dim(), 1)
 }
 
-type PointPath = fn(&UncertainDataset, &LinearFDominance) -> arsp_core::ArspResult;
+type PointPath = fn(&UncertainDataset, &LinearFDominance) -> ArspResult;
+
+fn assert_matches_enum(truth: &ArspResult, got: &ArspResult, what: &str) {
+    assert!(
+        truth.approx_eq(got, 1e-9),
+        "{what} diverged from ENUM by {}",
+        truth.max_abs_diff(got)
+    );
+}
 
 #[test]
 fn loop_flat_engine_matches_point_path_bitwise() {
     for dataset in datasets() {
-        let fdom = fdom_for(&dataset);
-        let reference = arsp_loop_with_fdom(&dataset, &fdom);
+        let constraints = constraints_for(&dataset);
+        let truth = arsp_enum(&dataset, &constraints);
+        let fdom = LinearFDominance::from_constraints(&constraints);
+        let point_path = arsp_loop_with_fdom(&dataset, &fdom);
 
         let flat = FlatStore::from_dataset(&dataset);
         let scores = ScoreMatrix::compute(&flat, &fdom);
         let order = instance_order_from_scores(&scores);
-        let got = arsp_loop_flat_engine(&flat, &scores, &order, false, None, None, None, None);
-        assert_eq!(got.probs(), reference.probs(), "arsp_loop_flat_engine");
+        for parallel in [false, true] {
+            let got =
+                arsp_loop_flat_engine(&flat, &scores, &order, parallel, None, None, None, None);
+            assert_matches_enum(&truth, &got, "arsp_loop_flat_engine");
+            assert_eq!(got.probs(), point_path.probs(), "arsp_loop_flat_engine");
+        }
     }
 }
 
 #[test]
 fn kdtt_flat_engine_matches_point_path_in_every_variant() {
     for dataset in datasets() {
-        let fdom = fdom_for(&dataset);
+        let constraints = constraints_for(&dataset);
+        let truth = arsp_enum(&dataset, &constraints);
+        let fdom = LinearFDominance::from_constraints(&constraints);
+
         let flat = FlatStore::from_dataset(&dataset);
         let scores = ScoreMatrix::compute(&flat, &fdom);
         let mut scratch = KdScratch::new();
@@ -75,23 +102,23 @@ fn kdtt_flat_engine_matches_point_path_in_every_variant() {
             (KdVariant::FusedKd, arsp_kdtt_plus_with_fdom),
             (KdVariant::FusedQuad, arsp_qdtt_plus_with_fdom),
         ];
-        for (variant, reference) in cases {
-            let want = reference(&dataset, &fdom);
-            let got = arsp_kdtt_flat_engine(
-                &flat,
-                &scores,
-                variant,
-                false,
-                None,
-                &mut scratch,
-                None,
-                None,
-            );
-            assert_eq!(
-                got.probs(),
-                want.probs(),
-                "arsp_kdtt_flat_engine/{variant:?}"
-            );
+        for (variant, point_path) in cases {
+            let want = point_path(&dataset, &fdom);
+            for parallel in [false, true] {
+                let got = arsp_kdtt_flat_engine(
+                    &flat,
+                    &scores,
+                    variant,
+                    parallel,
+                    None,
+                    &mut scratch,
+                    None,
+                    None,
+                );
+                let what = format!("arsp_kdtt_flat_engine/{variant:?}");
+                assert_matches_enum(&truth, &got, &what);
+                assert_eq!(got.probs(), want.probs(), "{what}");
+            }
         }
     }
 }
@@ -99,9 +126,11 @@ fn kdtt_flat_engine_matches_point_path_in_every_variant() {
 #[test]
 fn kd_asp_flat_engine_parallel_twin_is_bitwise_identical() {
     for dataset in datasets() {
-        let fdom = fdom_for(&dataset);
+        let constraints = constraints_for(&dataset);
+        let truth = arsp_enum(&dataset, &constraints);
+
         let flat = FlatStore::from_dataset(&dataset);
-        let scores = ScoreMatrix::compute(&flat, &fdom);
+        let scores = ScoreMatrix::compute(&flat, &LinearFDominance::from_constraints(&constraints));
         let pool = KdWorkerPool::default();
         for variant in [
             KdVariant::Prebuilt,
@@ -133,6 +162,11 @@ fn kd_asp_flat_engine_parallel_twin_is_bitwise_identical() {
                 parallel, sequential,
                 "kd_asp_flat_engine_parallel/{variant:?}"
             );
+            assert_matches_enum(
+                &truth,
+                &ArspResult::from_probs(sequential),
+                &format!("kd_asp_flat_engine/{variant:?}"),
+            );
         }
     }
 }
@@ -141,17 +175,16 @@ fn kd_asp_flat_engine_parallel_twin_is_bitwise_identical() {
 fn dual_flat_engine_matches_point_path_bitwise() {
     for dataset in datasets() {
         let ratio = WeightRatio::uniform(dataset.dim(), 0.5, 2.0);
-        let reference = arsp_dual(&dataset, &ratio);
+        let truth = arsp_enum(&dataset, &ratio.to_constraint_set());
+        let point_path = arsp_dual(&dataset, &ratio);
 
         let flat = FlatStore::from_dataset(&dataset);
         let agg = build_dual_index(&dataset);
         for parallel in [false, true] {
             let got = arsp_dual_flat_engine(&flat, &ratio, &agg, parallel, None, None);
-            assert_eq!(
-                got.probs(),
-                reference.probs(),
-                "arsp_dual_flat_engine parallel={parallel}"
-            );
+            let what = format!("arsp_dual_flat_engine parallel={parallel}");
+            assert_matches_enum(&truth, &got, &what);
+            assert_eq!(got.probs(), point_path.probs(), "{what}");
         }
     }
 }

@@ -17,9 +17,14 @@
 //! 4. **safety-comments** — every `unsafe` token is preceded by a
 //!    `// SAFETY:` comment (the workspace denies `unsafe_code`, so this
 //!    guards any future, deliberately-allowed exception).
-//! 5. **flat-engine-agreement** — every public `*flat_engine*` function in
-//!    `arsp-core` is named in an integration test under `tests/`, keeping
-//!    the bitwise-agreement suites coupled to the public flat API.
+//! 5. **api-coverage** — table-driven ([`API_COVERAGE`]): every `pub fn` in
+//!    a scope whose name passes the row's filter must appear in an
+//!    integration test under `tests/`, as a bare mention or as a call
+//!    (`name(`). The rows couple the oracle suite
+//!    (`tests/flat_engine_agreement.rs`) to every public `*flat_engine*`
+//!    kernel in `arsp-core`, and the subscription protocol suite
+//!    (`tests/standing_agreement.rs`) to every public function of the
+//!    standing-query subsystem.
 //! 6. **failpoint-coverage** — every fail-point site registered in
 //!    `arsp_data::failpoint::SITES` must appear (as a quoted literal) in a
 //!    kill matrix: the persistence sites in `tests/crash_recovery.rs`, the
@@ -32,11 +37,6 @@
 //!    in at least one test under `tests/`, so a new typed error or state
 //!    transition cannot land untested (and a vanished enum/array shape is
 //!    reported rather than silently skipped).
-//! 8. **standing-coverage** — every public function of the standing-query
-//!    subsystem (`crates/core/src/standing.rs`) must be *called* (named with
-//!    an opening paren) in a test under `tests/`, keeping the subscription
-//!    protocol suite (`tests/standing_agreement.rs`) coupled to the public
-//!    standing API.
 //!
 //! The scanner strips comments and string/char literals first, so banned
 //! tokens in docs or messages never trigger, and the fixture snippets in
@@ -116,9 +116,36 @@ const CRASH_SUITES: &[&str] = &["tests/crash_recovery.rs", "tests/shard_agreemen
 const QUERY_ERROR_FILE: &str = "crates/core/src/fault.rs";
 const CLUSTER_FILE: &str = "crates/core/src/cluster.rs";
 
-/// Rule 8 input: the standing-query subsystem whose public API must be
-/// exercised by the integration tests.
-const STANDING_FILE: &str = "crates/core/src/standing.rs";
+/// One row of rule 5: every `pub fn` under `scope` whose name contains
+/// `name_filter` must appear in a test under `tests/`.
+struct ApiCoverage {
+    /// Repo-relative source file or directory scanned for `pub fn`s.
+    scope: &'static str,
+    /// Only names containing this substring are checked (`""` = all).
+    name_filter: &'static str,
+    /// Require a call (`name(`) rather than any mention. Short names (`id`,
+    /// `poll`, `drain`) would otherwise be satisfied by prose or by
+    /// unrelated identifiers that merely contain them.
+    require_call: bool,
+    /// The suite a violation points the author at.
+    suite: &'static str,
+}
+
+/// Rule 5 table.
+const API_COVERAGE: &[ApiCoverage] = &[
+    ApiCoverage {
+        scope: "crates/core/src",
+        name_filter: "flat_engine",
+        require_call: false,
+        suite: "tests/flat_engine_agreement.rs",
+    },
+    ApiCoverage {
+        scope: "crates/core/src/standing.rs",
+        name_filter: "",
+        require_call: true,
+        suite: "tests/standing_agreement.rs",
+    },
+];
 
 /// Source roots scanned for rule 4 (and walked when loading files).
 const SAFETY_ROOTS: &[&str] = &[
@@ -210,17 +237,7 @@ fn lint_tree(root: &Path) -> Result<Vec<Violation>, String> {
         }
     }
 
-    // Rule 5: public flat-engine API ↔ integration tests.
-    let mut core_stripped = Vec::new();
-    for path in rust_files(&root.join("crates/core/src")) {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source = fs::read_to_string(&path).map_err(|e| format!("reading {rel}: {e}"))?;
-        core_stripped.push((rel, strip_code(&source)));
-    }
+    // Rule 5: public API ↔ integration tests, one table row at a time.
     let mut tests_text = String::new();
     for path in rust_files(&root.join("tests")) {
         tests_text.push_str(
@@ -228,8 +245,21 @@ fn lint_tree(root: &Path) -> Result<Vec<Violation>, String> {
         );
         tests_text.push('\n');
     }
-    for (rel, stripped) in &core_stripped {
-        violations.extend(check_flat_engine_agreement(rel, stripped, &tests_text));
+    for row in API_COVERAGE {
+        for path in rust_files(&root.join(row.scope)) {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let source = fs::read_to_string(&path).map_err(|e| format!("reading {rel}: {e}"))?;
+            violations.extend(check_api_coverage(
+                row,
+                &rel,
+                &strip_code(&source),
+                &tests_text,
+            ));
+        }
     }
 
     // Rule 6: fail-point registry ↔ crash-suite kill matrices (raw
@@ -260,10 +290,6 @@ fn lint_tree(root: &Path) -> Result<Vec<Violation>, String> {
         &tests_text,
     ));
 
-    // Rule 8: public standing-query API ↔ integration tests.
-    let standing_stripped = strip_code(&read(root, STANDING_FILE)?);
-    violations.extend(check_standing_coverage(&standing_stripped, &tests_text));
-
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(violations)
 }
@@ -272,8 +298,12 @@ fn read(root: &Path, rel: &str) -> Result<String, String> {
     fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel}: {e}"))
 }
 
-/// All `.rs` files under `dir`, recursively (empty when `dir` is absent).
+/// All `.rs` files under `dir`, recursively (empty when `dir` is absent);
+/// a `.rs` file path yields itself.
 fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    if dir.is_file() {
+        return vec![dir.to_path_buf()];
+    }
     let mut files = Vec::new();
     let Ok(entries) = fs::read_dir(dir) else {
         return files;
@@ -588,21 +618,34 @@ fn check_safety_comments(file: &str, source: &str) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: flat-engine-agreement
+// Rule 5: api-coverage
 // ---------------------------------------------------------------------------
 
-fn check_flat_engine_agreement(file: &str, stripped: &str, tests_text: &str) -> Vec<Violation> {
+fn check_api_coverage(
+    row: &ApiCoverage,
+    file: &str,
+    stripped: &str,
+    tests_text: &str,
+) -> Vec<Violation> {
     let mut violations = Vec::new();
     for (offset, name) in public_fns(stripped) {
-        if name.contains("flat_engine") && !tests_text.contains(&name) {
+        if !name.contains(row.name_filter) {
+            continue;
+        }
+        let (needle, verb) = if row.require_call {
+            (format!("{name}("), "called")
+        } else {
+            (name.clone(), "named")
+        };
+        if !tests_text.contains(&needle) {
             violations.push(Violation {
                 file: file.to_string(),
                 line: line_of(stripped, offset),
-                rule: "flat-engine-agreement",
+                rule: "api-coverage",
                 message: format!(
-                    "public flat engine `{name}` is not named in any integration \
-                     test under tests/; add it to the bitwise-agreement suite \
-                     (tests/flat_engine_agreement.rs)"
+                    "public `{name}` is not {verb} in any integration test under \
+                     tests/; exercise it in {}",
+                    row.suite
                 ),
             });
         }
@@ -628,33 +671,6 @@ fn public_fns(stripped: &str) -> Vec<(usize, String)> {
         from = name_end;
     }
     fns
-}
-
-// ---------------------------------------------------------------------------
-// Rule 8: standing-coverage
-// ---------------------------------------------------------------------------
-
-/// Every `pub fn` of the standing subsystem must appear as a call —
-/// `name(` — somewhere under `tests/`. The paren requirement keeps short
-/// names (`id`, `poll`, `drain`) from being satisfied by prose or unrelated
-/// identifiers that merely contain them.
-fn check_standing_coverage(stripped: &str, tests_text: &str) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    for (offset, name) in public_fns(stripped) {
-        if !tests_text.contains(&format!("{name}(")) {
-            violations.push(Violation {
-                file: STANDING_FILE.to_string(),
-                line: line_of(stripped, offset),
-                rule: "standing-coverage",
-                message: format!(
-                    "public standing API `{name}` is not called in any integration \
-                     test under tests/; exercise it in the subscription protocol \
-                     suite (tests/standing_agreement.rs)"
-                ),
-            });
-        }
-    }
-    violations
 }
 
 // ---------------------------------------------------------------------------
@@ -1015,43 +1031,59 @@ mod tests {
         assert!(check_safety_comments("f.rs", src).is_empty());
     }
 
-    #[test]
-    fn flat_engine_agreement_requires_a_test_mention() {
-        let core = strip_code("pub fn demo_flat_engine(x: u64) -> u64 { x }\n");
-        let violations = check_flat_engine_agreement("f.rs", &core, "fn other_test() {}");
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].message.contains("demo_flat_engine"));
-
-        let mentioned = "fn agreement() { let _ = demo_flat_engine(1); }";
-        assert!(check_flat_engine_agreement("f.rs", &core, mentioned).is_empty());
-
-        // Private helpers and non-flat functions are out of scope.
-        let private = strip_code("fn helper_flat_engine() {}\npub fn not_flat() {}\n");
-        assert!(check_flat_engine_agreement("f.rs", &private, "").is_empty());
+    /// The rule-5 table row whose scope is `scope`.
+    fn api_row(scope: &str) -> &'static ApiCoverage {
+        API_COVERAGE
+            .iter()
+            .find(|row| row.scope == scope)
+            .expect("API_COVERAGE has a row for this scope")
     }
 
     #[test]
-    fn standing_coverage_requires_a_test_call() {
+    fn api_coverage_flat_engine_row_requires_a_test_mention() {
+        let row = api_row("crates/core/src");
+        let core = strip_code("pub fn demo_flat_engine(x: u64) -> u64 { x }\n");
+        let violations = check_api_coverage(row, "f.rs", &core, "fn other_test() {}");
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].rule, "api-coverage");
+        assert!(violations[0].message.contains("demo_flat_engine"));
+        assert!(violations[0]
+            .message
+            .contains("tests/flat_engine_agreement.rs"));
+
+        // A mention satisfies the row; it need not be a call.
+        let mentioned = "use arsp_core::demo_flat_engine;";
+        assert!(check_api_coverage(row, "f.rs", &core, mentioned).is_empty());
+
+        // Private helpers and names outside the filter are out of scope.
+        let private = strip_code("fn helper_flat_engine() {}\npub fn not_flat() {}\n");
+        assert!(check_api_coverage(row, "f.rs", &private, "").is_empty());
+    }
+
+    #[test]
+    fn api_coverage_standing_row_requires_a_test_call() {
+        let row = api_row("crates/core/src/standing.rs");
         let standing = strip_code(
             "impl SubscriptionGuard {\n    pub fn poll(&self) -> Option<ChangeBatch> { None }\n}\n",
         );
-        let violations = check_standing_coverage(&standing, "fn other_test() {}");
+        let violations = check_api_coverage(row, "s.rs", &standing, "fn other_test() {}");
         assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].rule, "standing-coverage");
+        assert_eq!(violations[0].rule, "api-coverage");
         assert!(violations[0].message.contains("`poll`"));
+        assert!(violations[0]
+            .message
+            .contains("tests/standing_agreement.rs"));
 
-        // A call — `poll(` — satisfies the rule; a bare mention does not.
-        assert!(check_standing_coverage(&standing, "let b = sub.poll();").is_empty());
-        let violations = check_standing_coverage(&standing, "// we should poll the feed");
+        // A call — `poll(` — satisfies the row; a bare mention does not.
+        assert!(check_api_coverage(row, "s.rs", &standing, "let b = sub.poll();").is_empty());
+        let violations = check_api_coverage(row, "s.rs", &standing, "// we should poll the feed");
         assert_eq!(violations.len(), 1);
-    }
 
-    #[test]
-    fn standing_coverage_skips_private_and_crate_fns() {
-        let standing = strip_code(
+        // Private and crate-visible functions are out of scope.
+        let scoped = strip_code(
             "fn diff_maintained() {}\npub(crate) fn refresh(&self) {}\npub fn drain(&self) {}\n",
         );
-        let violations = check_standing_coverage(&standing, "guard.drain();");
+        let violations = check_api_coverage(row, "s.rs", &scoped, "guard.drain();");
         assert!(violations.is_empty(), "{violations:?}");
     }
 
