@@ -2,23 +2,72 @@
 //!
 //! Evaluates equation (3) directly: sort the instances by their score under
 //! one vertex of the preference region (which guarantees that an instance can
-//! only be F-dominated by instances at or before its own position), then for
-//! every instance accumulate the dominating probability mass of every other
-//! object with the vertex-based F-dominance test of Theorem 2.
-//! Complexity `O(c² + d·d'·n²)`.
+//! only be F-dominated by instances at or before its own position, or tied
+//! with it), then for every instance accumulate the dominating probability
+//! mass of every other object with the vertex-based F-dominance test of
+//! Theorem 2. Complexity `O(c² + d·d'·n²)`.
 //!
-//! All entry points funnel into [`arsp_loop_flat_engine`], which scans a
-//! [`FlatStore`] in the order of an [`InstanceOrder`] (the engine caches it
-//! across queries that share a preference-region vertex) and decides each
-//! F-dominance test as a comparison of two [`ScoreMatrix`] rows. The free
-//! functions build all three per call.
+//! ## Layout
+//!
+//! Every entry point funnels into one pair kernel, `LoopScan::target_prob`,
+//! over one layout, `LoopScan`: the scan inputs gathered once, in scan
+//! (sort) order, into dimension-major columns. Position `p` carries the
+//! score column values `cols[k·n + p]` (`k < d'`), the owning object
+//! `objects[p]`, the probability `probs[p]`, the result id `ids[p]` and
+//! `tie_end[p]`, the end of the equal-key run the scan for `p` must cover.
+//! Column 0 is the sort key bit for bit, so the kernel never reads the
+//! [`InstanceOrder`]'s keys. [`arsp_loop_flat_engine`] gathers the layout
+//! from a [`FlatStore`], its [`ScoreMatrix`] and an [`InstanceOrder`] (the
+//! engine caches the last two across queries); the dynamic engine's
+//! delta-merge path (`crate::dynamic`) builds the same layout from its
+//! cached bulk merged with the projected delta, and the standing-query
+//! maintenance pass (`crate::standing`) gathers it once per refresh and
+//! recomputes only its dirty positions. The buffers live in a
+//! [`LoopScratch`], so a warmed-up scan allocates nothing.
+//!
+//! ## Kernel
+//!
+//! For the target at position `pos` the candidates are the positions
+//! `[0, tie_end[pos])`, processed in blocks of `BLOCK` (256) lanes:
+//!
+//! 1. one pass per score column ANDs `((c <= t_k) as u64).wrapping_neg()`
+//!    into a 64-bit lane mask — same-width lanes, no branches, so the
+//!    passes vectorise. Column 0 is the sort key: when it is
+//!    non-decreasing (always, for finite keys) its test holds on every
+//!    candidate lane, and its pass is skipped;
+//! 2. the lanes of the target's own object are cleared, from the layout's
+//!    per-object position lists (this removes `pos` itself);
+//! 3. the set lanes are compacted into an index list with a branch-free
+//!    write;
+//! 4. σ and the product fold run over that list in ascending position;
+//!    each object's first touch is recorded branch-free against a
+//!    per-object stamp.
+//!
+//! ## Why the result is bitwise the textbook scan
+//!
+//! The textbook scan visits `0..pos`, then `pos + 1..` up to the first
+//! strictly greater key, skips same-object instances, and tests row
+//! dominance with an early exit. Dominance is a pure conjunction of the same
+//! `<=` comparisons, so evaluating all of them without an early exit
+//! selects exactly the same dominators. A skipped column-0 pass changes
+//! nothing: with non-decreasing keys every candidate's key is `<=` the
+//! target's (earlier positions by the order, later ones by the tie-run
+//! bound). The index list keeps the dominators in ascending position — the
+//! old visiting order. σ accumulation and the product fold are the same
+//! float operations in the same order, so every probability is the same
+//! bits. (The textbook scan detects a first touch as `σ == 0`, which can
+//! list an object again only after zero-mass dominators; that second
+//! factor is `1 − 0 = 1`, an exact no-op, so the stamp's single listing
+//! folds to the same bits.) The F-dominance test count (`fdom_tests`) is the number of
+//! different-object lanes in `[0, tie_end[pos])`, which is the number of
+//! pairs the textbook scan tested.
 
 use crate::result::ArspResult;
 use crate::scorespace::ScoreMatrix;
 use crate::stats::CounterStats;
 use arsp_data::{FlatStore, UncertainDataset};
 use arsp_geometry::fdom::LinearFDominance;
-use arsp_geometry::{ConstraintSet, PointRef};
+use arsp_geometry::ConstraintSet;
 
 /// Computes ARSP with the LOOP baseline.
 pub fn arsp_loop(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
@@ -85,35 +134,6 @@ pub struct InstanceOrder {
     pub keys: Vec<f64>,
 }
 
-/// Reusable per-worker accumulation buffers: per-object accumulated
-/// dominating mass plus the list of objects touched for the current
-/// instance (reset between instances, so each iteration is
-/// O(#dominators) rather than O(m)). Reusable across queries via
-/// [`crate::scratch::QueryScratch`]; the dynamic engine's delta-merge scan
-/// (`crate::dynamic`) shares the same buffers.
-#[derive(Debug, Default)]
-pub struct LoopScratch {
-    pub(crate) sigma: Vec<f64>,
-    pub(crate) touched: Vec<usize>,
-}
-
-impl LoopScratch {
-    fn new(num_objects: usize) -> Self {
-        Self {
-            sigma: vec![0.0; num_objects],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Sizes (or re-sizes) the buffers for a dataset with `num_objects`
-    /// objects, keeping existing allocations.
-    pub(crate) fn prepare(&mut self, num_objects: usize) {
-        self.sigma.clear();
-        self.sigma.resize(num_objects, 0.0);
-        self.touched.clear();
-    }
-}
-
 /// Builds the LOOP sort order from a precomputed [`ScoreMatrix`]: the keys
 /// are the matrix's first column, the score under the first
 /// preference-region vertex. Anything that F-dominates an instance must have
@@ -131,13 +151,357 @@ pub fn instance_order_from_scores(scores: &ScoreMatrix) -> InstanceOrder {
     InstanceOrder { order, keys }
 }
 
-/// The LOOP scan: for every instance in sort order, accumulates the
-/// dominating mass of every other object. Each F-dominance test is a
-/// `d'`-component dominance comparison of two precomputed [`ScoreMatrix`]
-/// rows (Theorem 2) instead of `d'` recomputed dot products, and the instance
-/// columns stream out of the [`FlatStore`]. With a warm [`LoopScratch`] the sequential scan
-/// performs no heap allocation beyond the result vector; under `parallel`
-/// each worker chunk draws its σ arena from `pool` (a fresh arena per chunk
+/// Lanes per kernel block: the lane masks and index list of one block stay
+/// in L1 while the `d'` column passes sweep it.
+const BLOCK: usize = 256;
+
+/// LOOP's scan layout: every input of the pair scan, gathered in scan order
+/// into dimension-major columns (see the [module docs](self)). Built with
+/// `begin`, one `push` per position and `finish`; rebuilding keeps the
+/// allocations.
+#[derive(Debug, Default)]
+pub(crate) struct LoopScan {
+    n: usize,
+    /// `cols[k * n + p]`: score under vertex `k` of the instance at `p`.
+    cols: Vec<f64>,
+    objects: Vec<u32>,
+    probs: Vec<f64>,
+    /// The id each position's probability is reported under.
+    ids: Vec<u32>,
+    /// One past the last position whose key does not exceed `p`'s.
+    tie_end: Vec<u32>,
+    /// Staging row for `push_with`.
+    stage: Vec<f64>,
+    /// Column 0 is non-decreasing, so its test holds on every lane a
+    /// target scans and the kernel skips that pass.
+    sorted: bool,
+    /// Positions of object `o`, ascending:
+    /// `obj_pos[obj_start[o]..obj_start[o + 1]]`.
+    obj_start: Vec<u32>,
+    obj_pos: Vec<u32>,
+}
+
+impl LoopScan {
+    /// Starts a layout of `n` positions over `d` score columns.
+    pub(crate) fn begin(&mut self, n: usize, d: usize) {
+        assert!(u32::try_from(n).is_ok(), "LOOP scan exceeds u32 positions");
+        self.n = n;
+        self.cols.clear();
+        self.cols.resize(n * d, 0.0);
+        self.objects.clear();
+        self.probs.clear();
+        self.ids.clear();
+        self.tie_end.clear();
+        self.stage.clear();
+        self.stage.resize(d, 0.0);
+    }
+
+    /// Appends the next position: its score row, object, probability and id.
+    pub(crate) fn push(&mut self, row: &[f64], object: u32, prob: f64, id: u32) {
+        let p = self.objects.len();
+        debug_assert!(p < self.n, "more positions than begun");
+        debug_assert_eq!(row.len() * self.n, self.cols.len());
+        for (k, &v) in row.iter().enumerate() {
+            self.cols[k * self.n + p] = v;
+        }
+        self.objects.push(object);
+        self.probs.push(prob);
+        self.ids.push(id);
+    }
+
+    /// [`LoopScan::push`] with the score row written by `fill` into a
+    /// staging buffer (a row projected on the fly).
+    pub(crate) fn push_with(
+        &mut self,
+        fill: impl FnOnce(&mut [f64]),
+        object: u32,
+        prob: f64,
+        id: u32,
+    ) {
+        let mut stage = std::mem::take(&mut self.stage);
+        fill(&mut stage);
+        self.push(&stage, object, prob, id);
+        self.stage = stage;
+    }
+
+    /// Closes the layout: derives each position's tie-run end from column
+    /// 0 with the textbook scan's stopping rule (the first later position
+    /// whose key is strictly greater), and indexes the positions by object.
+    pub(crate) fn finish(&mut self) {
+        let n = self.n;
+        assert_eq!(self.objects.len(), n, "fewer positions than begun");
+        let keys = &self.cols[..n];
+        self.sorted = keys.windows(2).all(|w| w[0] <= w[1]);
+
+        // Counting sort by object: inclusive prefix sums of the counts, then
+        // a backward fill leaves `obj_start[o]` at object `o`'s first slot.
+        let slots = self.objects.iter().max().map_or(0, |&o| o as usize + 1);
+        self.obj_start.clear();
+        self.obj_start.resize(slots + 1, 0);
+        for &o in &self.objects {
+            self.obj_start[o as usize] += 1;
+        }
+        let mut total = 0;
+        for slot in &mut self.obj_start {
+            total += *slot;
+            *slot = total;
+        }
+        self.obj_pos.resize(n, 0);
+        for (p, &o) in self.objects.iter().enumerate().rev() {
+            let slot = &mut self.obj_start[o as usize];
+            *slot -= 1;
+            self.obj_pos[*slot as usize] = p as u32;
+        }
+
+        self.tie_end.resize(n, 0);
+        for p in (0..n).rev() {
+            let next = p + 1;
+            self.tie_end[p] = if next == n || keys[next] > keys[p] {
+                next as u32
+            } else if keys[next] == keys[p] {
+                self.tie_end[next]
+            } else {
+                // Only reachable for incomparable (NaN) or unsorted keys.
+                (next..n).find(|&q| keys[q] > keys[p]).unwrap_or(n) as u32
+            };
+        }
+    }
+
+    /// Gathers the layout of a static snapshot: position `p` is instance
+    /// `ord.order[p]`, reported under its own id.
+    pub(crate) fn gather(&mut self, flat: &FlatStore, scores: &ScoreMatrix, ord: &InstanceOrder) {
+        self.begin(ord.order.len(), scores.score_dim());
+        for &id in &ord.order {
+            self.push(scores.row(id), flat.objects()[id], flat.prob(id), id as u32);
+        }
+        self.finish();
+    }
+
+    /// Number of positions.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// The id position `p` reports under.
+    #[inline]
+    pub(crate) fn id(&self, p: usize) -> usize {
+        self.ids[p] as usize
+    }
+
+    /// The LOOP pair kernel: the probability of the instance at position
+    /// `pos` (see the [module docs](self) for the four steps and why the
+    /// result is bitwise the textbook scan). Adds the pairs tested to
+    /// `tests`. `work` must be prepared for this layout's objects.
+    pub(crate) fn target_prob(&self, pos: usize, work: &mut LoopWork, tests: &mut u64) -> f64 {
+        let n = self.n;
+        let end = self.tie_end[pos] as usize;
+        let LoopWork {
+            sigma,
+            touched,
+            lanes,
+            hits,
+            stamp,
+            epoch,
+        } = work;
+        // A fresh stamp per target marks its touched objects; on wrap-around
+        // the stamps restart so no stale stamp can match.
+        *epoch = epoch.wrapping_add(1);
+        if *epoch == 0 {
+            stamp.fill(0);
+            *epoch = 1;
+        }
+        let epoch = *epoch;
+        let mut num_touched = 0;
+
+        // The target's own object: its positions below `end` are the lanes
+        // step 2 clears, and every other lane is one tested pair.
+        let object = self.objects[pos] as usize;
+        let same =
+            &self.obj_pos[self.obj_start[object] as usize..self.obj_start[object + 1] as usize];
+        *tests += (end - same.partition_point(|&q| (q as usize) < end)) as u64;
+        let mut next_same = 0;
+
+        let mut start = 0;
+        while start < end {
+            let stop = (start + BLOCK).min(end);
+            let lanes = &mut lanes[..stop - start];
+            // Step 1: one branch-free pass per score column; the first pass
+            // initialises the lanes.
+            let mut cols = self.cols.chunks_exact(n).skip(usize::from(self.sorted));
+            match cols.next() {
+                Some(col) => {
+                    let t = col[pos];
+                    for (lane, &c) in lanes.iter_mut().zip(&col[start..stop]) {
+                        *lane = u64::from(c <= t).wrapping_neg();
+                    }
+                }
+                None => lanes.fill(u64::MAX),
+            }
+            for col in cols {
+                let t = col[pos];
+                for (lane, &c) in lanes.iter_mut().zip(&col[start..stop]) {
+                    *lane &= u64::from(c <= t).wrapping_neg();
+                }
+            }
+            // Step 2: clear the target object's lanes in this block.
+            while let Some(&q) = same.get(next_same) {
+                let q = q as usize;
+                if q >= stop {
+                    break;
+                }
+                lanes[q - start] = 0;
+                next_same += 1;
+            }
+            // Step 3: compact the set lanes, writing every lane's index
+            // and advancing only past the set ones.
+            let mut count = 0;
+            for (i, &lane) in lanes.iter().enumerate() {
+                hits[count] = (start + i) as u32;
+                count += (lane & 1) as usize;
+            }
+            // Step 4 (σ half): accumulate in ascending position, recording
+            // each object's first touch with a branch-free write.
+            for &p in &hits[..count] {
+                let obj = self.objects[p as usize] as usize;
+                touched[num_touched] = obj;
+                num_touched += usize::from(stamp[obj] != epoch);
+                stamp[obj] = epoch;
+                sigma[obj] += self.probs[p as usize];
+            }
+            start = stop;
+        }
+
+        let mut prob = self.probs[pos];
+        for &obj in &touched[..num_touched] {
+            prob *= 1.0 - sigma[obj];
+            sigma[obj] = 0.0;
+        }
+        prob.max(0.0)
+    }
+}
+
+/// One worker's kernel buffers: per-object accumulated dominating mass, the
+/// objects touched for the current target in first-touch order (with the
+/// per-object stamp of the last target that touched them, so each fold is
+/// O(#dominators) rather than O(m)), and one block's lane masks and index
+/// list.
+#[derive(Debug, Default)]
+pub(crate) struct LoopWork {
+    sigma: Vec<f64>,
+    touched: Vec<usize>,
+    lanes: Vec<u64>,
+    hits: Vec<u32>,
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl LoopWork {
+    /// Sizes (or re-sizes) the buffers for a dataset with `num_objects`
+    /// objects, keeping existing allocations.
+    pub(crate) fn prepare(&mut self, num_objects: usize) {
+        self.sigma.clear();
+        self.sigma.resize(num_objects, 0.0);
+        self.touched.clear();
+        self.touched.resize(num_objects + 1, 0);
+        self.stamp.clear();
+        self.stamp.resize(num_objects, 0);
+        self.epoch = 0;
+        self.lanes.resize(BLOCK, 0);
+        self.hits.resize(BLOCK, 0);
+    }
+}
+
+/// Reusable LOOP working memory: a scan layout plus one worker's kernel
+/// buffers. Reusable across queries via [`crate::scratch::QueryScratch`];
+/// the parallel arms draw worker scratches from a
+/// [`crate::scratch::ScratchPool`] and use only their `LoopWork`.
+#[derive(Debug, Default)]
+pub struct LoopScratch {
+    pub(crate) scan: LoopScan,
+    pub(crate) work: LoopWork,
+}
+
+/// Runs the kernel for every position of `scan`, reporting each probability
+/// under the position's id: sequentially with `work`, or — under `parallel`
+/// — over worker chunks of equal triangular work (the scan for position `p`
+/// covers about `p` lanes), each drawing its buffers from `pool` (a fresh
+/// scratch per chunk when absent). Probabilities and the test count are the
+/// same in every mode.
+pub(crate) fn run_scan(
+    scan: &LoopScan,
+    num_objects: usize,
+    work: &mut LoopWork,
+    parallel: bool,
+    stats: Option<&CounterStats>,
+    pool: Option<&crate::scratch::ScratchPool<LoopScratch>>,
+    budget: Option<&crate::fault::QueryBudget>,
+) -> ArspResult {
+    let n = scan.len();
+    let mut result = ArspResult::zeros(n);
+    if n == 0 {
+        return result;
+    }
+
+    #[cfg(feature = "parallel")]
+    if parallel {
+        let chunks = crate::parallel::triangular_chunk_bounds(n);
+        if chunks.len() > 1 {
+            use rayon::prelude::*;
+
+            let chunk_results: Vec<(Vec<f64>, u64)> = crate::parallel::with_pool(|| {
+                chunks
+                    .clone()
+                    .into_par_iter()
+                    .map(|range| {
+                        let mut scratch = pool.map_or_else(LoopScratch::default, |p| p.take());
+                        scratch.work.prepare(num_objects);
+                        let mut tests = 0u64;
+                        let probs = range
+                            .map(|pos| {
+                                crate::fault::poll(budget);
+                                scan.target_prob(pos, &mut scratch.work, &mut tests)
+                            })
+                            .collect();
+                        if let Some(p) = pool {
+                            p.put(scratch);
+                        }
+                        (probs, tests)
+                    })
+                    .collect()
+            });
+
+            for (range, (probs, tests)) in chunks.into_iter().zip(chunk_results) {
+                if let Some(s) = stats {
+                    s.add_fdom_tests(tests);
+                }
+                for (pos, prob) in range.zip(probs) {
+                    result.set(scan.id(pos), prob);
+                }
+            }
+            return result;
+        }
+    }
+    #[cfg(not(feature = "parallel"))]
+    let _ = (parallel, pool);
+
+    work.prepare(num_objects);
+    let mut tests = 0u64;
+    for pos in 0..n {
+        crate::fault::poll(budget);
+        let prob = scan.target_prob(pos, work, &mut tests);
+        result.set(scan.id(pos), prob);
+    }
+    if let Some(s) = stats {
+        s.add_fdom_tests(tests);
+    }
+    result
+}
+
+/// The LOOP scan over a static snapshot: gathers the `LoopScan` layout
+/// from `flat`, `scores` and `ord` (into `scratch` when given, so a warm
+/// scratch makes the scan allocation-free beyond the result vector) and
+/// runs the pair kernel for every instance. Under `parallel` each worker
+/// chunk draws its kernel buffers from `pool` (a fresh scratch per chunk
 /// when absent), so warmed-up parallel sweeps allocate nothing per task
 /// either. Results are bitwise identical across every option combination.
 #[allow(clippy::too_many_arguments)]
@@ -151,147 +515,28 @@ pub fn arsp_loop_flat_engine(
     pool: Option<&crate::scratch::ScratchPool<LoopScratch>>,
     budget: Option<&crate::fault::QueryBudget>,
 ) -> ArspResult {
-    let n = flat.num_instances();
-    let mut result = ArspResult::zeros(n);
-    if n == 0 {
-        return result;
-    }
-    debug_assert_eq!(ord.order.len(), n, "order covers a different dataset");
-    debug_assert_eq!(scores.num_rows(), n, "scores cover a different dataset");
-
-    #[cfg(feature = "parallel")]
-    if parallel {
-        let chunks = crate::parallel::chunk_bounds(n);
-        if chunks.len() > 1 {
-            use rayon::prelude::*;
-
-            let chunk_results: Vec<(Vec<(usize, f64)>, u64)> = crate::parallel::with_pool(|| {
-                chunks
-                    .into_par_iter()
-                    .map(|range| {
-                        let mut scratch = pool.map_or_else(LoopScratch::default, |p| p.take());
-                        scratch.prepare(flat.num_objects());
-                        let mut tests = 0u64;
-                        let probs = range
-                            .map(|pos| {
-                                crate::fault::poll(budget);
-                                let prob = instance_probability_flat(
-                                    flat,
-                                    scores,
-                                    ord,
-                                    pos,
-                                    &mut scratch,
-                                    &mut tests,
-                                );
-                                (ord.order[pos], prob)
-                            })
-                            .collect();
-                        if let Some(p) = pool {
-                            p.put(scratch);
-                        }
-                        (probs, tests)
-                    })
-                    .collect()
-            });
-
-            for (chunk, tests) in chunk_results {
-                if let Some(s) = stats {
-                    s.add_fdom_tests(tests);
-                }
-                for (t_id, prob) in chunk {
-                    result.set(t_id, prob);
-                }
-            }
-            return result;
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = parallel;
-    #[cfg(not(feature = "parallel"))]
-    let _ = pool;
-
-    let mut owned;
-    let scratch = match scratch {
-        Some(s) => {
-            s.prepare(flat.num_objects());
-            s
-        }
-        None => {
-            owned = LoopScratch::new(flat.num_objects());
-            &mut owned
-        }
-    };
-    let mut tests = 0u64;
-    for (pos, &t_id) in ord.order.iter().enumerate() {
-        crate::fault::poll(budget);
-        let prob = instance_probability_flat(flat, scores, ord, pos, scratch, &mut tests);
-        result.set(t_id, prob);
-    }
-    if let Some(s) = stats {
-        s.add_fdom_tests(tests);
-    }
-    result
-}
-
-/// The body of the LOOP scan for the instance at sort position `pos`: scans
-/// every instance whose sort key does not exceed this one's (with strict
-/// inequality later instances cannot F-dominate it, and instances with an
-/// equal key are included to stay exact under score ties) and folds the
-/// per-object dominating mass into the probability, always in sort order.
-/// The Theorem-2 test is evaluated as row dominance.
-/// `pub(crate)` for the standing-query subsystem (`crate::standing`), whose
-/// dirty-set maintenance recomputes exactly the affected instances through
-/// this kernel so the maintained result stays bitwise equal to a full scan.
-pub(crate) fn instance_probability_flat(
-    flat: &FlatStore,
-    scores: &ScoreMatrix,
-    ord: &InstanceOrder,
-    pos: usize,
-    scratch: &mut LoopScratch,
-    tests: &mut u64,
-) -> f64 {
-    let (order, keys) = (&ord.order, &ord.keys);
-    let t_id = order[pos];
-    let t_object = flat.object_of(t_id);
-    let sv_t = PointRef(scores.row(t_id));
-    let sigma = &mut scratch.sigma;
-    let touched = &mut scratch.touched;
-    touched.clear();
-
-    for &s_id in &order[..pos] {
-        let s_object = flat.object_of(s_id);
-        if s_object != t_object {
-            *tests += 1;
-            if PointRef(scores.row(s_id)).dominates(sv_t) {
-                if sigma[s_object] == 0.0 {
-                    touched.push(s_object);
-                }
-                sigma[s_object] += flat.prob(s_id);
-            }
-        }
-    }
-    for &s_id in &order[pos + 1..] {
-        if keys[s_id] > keys[t_id] {
-            break;
-        }
-        let s_object = flat.object_of(s_id);
-        if s_object != t_object {
-            *tests += 1;
-            if PointRef(scores.row(s_id)).dominates(sv_t) {
-                if sigma[s_object] == 0.0 {
-                    touched.push(s_object);
-                }
-                sigma[s_object] += flat.prob(s_id);
-            }
-        }
-    }
-
-    let mut prob = flat.prob(t_id);
-    for &obj in touched.iter() {
-        prob *= 1.0 - sigma[obj];
-        sigma[obj] = 0.0;
-    }
-    prob.max(0.0)
+    debug_assert_eq!(
+        ord.order.len(),
+        flat.num_instances(),
+        "order covers a different dataset"
+    );
+    debug_assert_eq!(
+        scores.num_rows(),
+        flat.num_instances(),
+        "scores cover a different dataset"
+    );
+    let mut owned = LoopScratch::default();
+    let LoopScratch { scan, work } = scratch.unwrap_or(&mut owned);
+    scan.gather(flat, scores, ord);
+    run_scan(
+        scan,
+        flat.num_objects(),
+        work,
+        parallel,
+        stats,
+        pool,
+        budget,
+    )
 }
 
 #[cfg(test)]

@@ -31,11 +31,12 @@
 //! and score matrix of the **indexed bulk** (the engine's last synchronised
 //! version) are reused as-is, the **unindexed delta range** of the store is
 //! projected and sorted per query (`O(δ·d·d' + δ log δ)` work), and the two
-//! are merged into one scan whose σ accounting is — pair for pair, float for
-//! float — the scan a cold LOOP would run. The logarithmic-method
-//! [`DeltaPolicy`] bounds how large that delta may grow before the store
-//! compacts ([`DynamicArspEngine::merge_now`]) and the bulk caches are folded
-//! forward.
+//! are merged straight into LOOP's scan layout (`LoopScan`): the same
+//! layout and pair kernel a cold LOOP scans, in the cold `(key, snapshot
+//! id)` order, so its σ accounting is — pair for pair, float for float —
+//! the cold scan's. The logarithmic-method [`DeltaPolicy`] bounds how large
+//! that delta may grow before the store compacts
+//! ([`DynamicArspEngine::merge_now`]) and the bulk caches are folded forward.
 //!
 //! ```
 //! use arsp_core::dynamic::DynamicArspEngine;
@@ -69,21 +70,21 @@ use crate::algorithms::enumerate::arsp_enum;
 use crate::algorithms::kd_asp::{KdVariant, KdWorkerPool};
 use crate::algorithms::kdtt::arsp_kdtt_flat_engine;
 use crate::algorithms::loop_scan::{
-    arsp_loop_flat_engine, cmp_key_id, instance_order_from_scores, InstanceOrder, LoopScratch,
+    arsp_loop_flat_engine, cmp_key_id, instance_order_from_scores, run_scan, InstanceOrder,
+    LoopScan, LoopScratch,
 };
 use crate::engine::{
     auto_select, constraint_key, omega_key, vertices_key, CacheStats, Execution, QueryAlgorithm,
 };
 use crate::result::ArspResult;
 use crate::scorespace::ScoreMatrix;
-use crate::scratch::{QueryScratch, ScratchPool};
+use crate::scratch::{QueryScratch, ScratchLease, ScratchPool};
 use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
 use crate::stats::{CounterStats, QueryCounters};
 use arsp_data::{FlatStore, InstanceHandle, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 use arsp_geometry::fdom::LinearFDominance;
 use arsp_geometry::fdom::WeightRatioFDominance;
-use arsp_geometry::PointRef;
 use arsp_index::region::FDominatorsOf;
 use arsp_index::{DeltaForest, DeltaPolicy, SharedRTree};
 
@@ -157,72 +158,6 @@ struct SnapState {
     /// Per-vertex LOOP orders, keyed by the first-vertex fingerprint;
     /// delta-patched (merged) forward on version changes.
     orders: HashMap<Vec<u64>, SnapOrder>,
-}
-
-/// The merged (bulk ∪ delta) scan input of one LOOP query, in cold sort
-/// order: position `p` carries snapshot id `snaps[p]`, score row
-/// `sv[p*d..(p+1)*d]`, sort key `keys[p]` (= `sv[p*d]`), owning *store*
-/// object `objects[p]` and probability `probs[p]`.
-struct MergedScan {
-    d: usize,
-    sv: Vec<f64>,
-    keys: Vec<f64>,
-    objects: Vec<u32>,
-    probs: Vec<f64>,
-    snaps: Vec<u32>,
-}
-
-impl MergedScan {
-    fn len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// The probability of the instance at merged position `pos` — the exact
-    /// pair enumeration, σ accumulation order and product fold of
-    /// `instance_probability_flat` in the LOOP module.
-    fn target_prob(&self, pos: usize, scratch: &mut LoopScratch, tests: &mut u64) -> f64 {
-        let d = self.d;
-        let t_object = self.objects[pos];
-        let sv_t = PointRef(&self.sv[pos * d..(pos + 1) * d]);
-        let sigma = &mut scratch.sigma;
-        let touched = &mut scratch.touched;
-        touched.clear();
-
-        for p in 0..pos {
-            let s_object = self.objects[p];
-            if s_object != t_object {
-                *tests += 1;
-                if PointRef(&self.sv[p * d..(p + 1) * d]).dominates(sv_t) {
-                    if sigma[s_object as usize] == 0.0 {
-                        touched.push(s_object as usize);
-                    }
-                    sigma[s_object as usize] += self.probs[p];
-                }
-            }
-        }
-        for p in pos + 1..self.len() {
-            if self.keys[p] > self.keys[pos] {
-                break;
-            }
-            let s_object = self.objects[p];
-            if s_object != t_object {
-                *tests += 1;
-                if PointRef(&self.sv[p * d..(p + 1) * d]).dominates(sv_t) {
-                    if sigma[s_object as usize] == 0.0 {
-                        touched.push(s_object as usize);
-                    }
-                    sigma[s_object as usize] += self.probs[p];
-                }
-            }
-        }
-
-        let mut prob = self.probs[pos];
-        for &obj in touched.iter() {
-            prob *= 1.0 - sigma[obj];
-            sigma[obj] = 0.0;
-        }
-        prob.max(0.0)
-    }
 }
 
 /// Version-aware caches plus the engine's counters.
@@ -555,6 +490,12 @@ impl DynamicArspEngine {
             order,
             fdom,
         }
+    }
+
+    /// A leased LOOP scratch from the engine's pool, for the standing
+    /// maintenance pass's layout gather and dirty recompute.
+    pub(crate) fn loop_scratch(&self) -> ScratchLease<'_, LoopScratch> {
+        self.caches.delta_pool.lease()
     }
 
     /// Per snapshot id at the current version: the instance's stable handle
@@ -919,8 +860,9 @@ impl DynamicArspEngine {
     // ---- per-algorithm execution -----------------------------------------
 
     /// The delta-merge LOOP path: bulk order + score matrix at the snapshot
-    /// version, delta rows projected and merged per query. See the
-    /// [module docs](self) for why the merged scan is bitwise the cold scan.
+    /// version, delta rows projected and merged per query into the LOOP
+    /// scan layout. See the [module docs](self) for why the merged scan is
+    /// bitwise the cold scan.
     fn run_loop_delta(
         &self,
         constraints: &ConstraintSet,
@@ -929,97 +871,47 @@ impl DynamicArspEngine {
     ) -> ArspResult {
         let fdom = self.fdom_for(constraints);
         let rowmap = self.rowmap();
-        let merged = {
+        let mut scratch = self.caches.delta_pool.lease();
+        let LoopScratch { scan, work } = &mut *scratch;
+        {
             let mut snap = lock(&self.caches.snap);
             let scores = self.ensure_scores(&mut snap, &fdom);
             let order = self.ensure_order(&mut snap, &fdom, &scores);
             if snap.version == self.store.version() {
                 // No delta pending: the cached artifacts *are* the current
-                // snapshot, so skip the merged-scan materialisation and run
-                // the static flat engine over them — bitwise the same scan,
-                // zero per-query copying.
+                // snapshot, so run the static flat engine over them —
+                // bitwise the same scan.
                 let flat = Arc::clone(&snap.flat);
                 drop(snap);
-                let mut scratch = self.caches.scratch_pool.lease();
                 return arsp_loop_flat_engine(
                     &flat,
                     &scores,
                     &order,
                     parallel,
                     stats,
-                    Some(scratch.loop_mut()),
+                    Some(&mut scratch),
                     Some(&self.caches.delta_pool),
                     None,
                 );
             }
-            self.build_merged(&snap, &rowmap, &fdom, &scores, &order)
-        };
-        let n = merged.len();
-        let mut result = ArspResult::zeros(n);
-        if n == 0 {
-            return result;
+            self.build_merged(&snap, &rowmap, &fdom, &scores, &order, scan);
         }
-
-        #[cfg(feature = "parallel")]
-        if parallel {
-            let chunks = crate::parallel::chunk_bounds(n);
-            if chunks.len() > 1 {
-                use rayon::prelude::*;
-
-                let pool = &self.caches.delta_pool;
-                let num_objects = self.store.num_objects();
-                let merged_ref = &merged;
-                let chunk_results: Vec<(Vec<(u32, f64)>, u64)> = crate::parallel::with_pool(|| {
-                    chunks
-                        .into_par_iter()
-                        .map(|range| {
-                            let mut scratch = pool.take();
-                            scratch.prepare(num_objects);
-                            let mut tests = 0u64;
-                            let probs = range
-                                .map(|pos| {
-                                    let prob =
-                                        merged_ref.target_prob(pos, &mut scratch, &mut tests);
-                                    (merged_ref.snaps[pos], prob)
-                                })
-                                .collect();
-                            pool.put(scratch);
-                            (probs, tests)
-                        })
-                        .collect()
-                });
-                for (chunk, tests) in chunk_results {
-                    if let Some(s) = stats {
-                        s.add_fdom_tests(tests);
-                    }
-                    for (snap_id, prob) in chunk {
-                        result.set(snap_id as usize, prob);
-                    }
-                }
-                return result;
-            }
-        }
-        #[cfg(not(feature = "parallel"))]
-        let _ = parallel;
-
-        let mut scratch = self.caches.delta_pool.take();
-        scratch.prepare(self.store.num_objects());
-        let mut tests = 0u64;
-        for pos in 0..n {
-            let prob = merged.target_prob(pos, &mut scratch, &mut tests);
-            result.set(merged.snaps[pos] as usize, prob);
-        }
-        self.caches.delta_pool.put(scratch);
-        if let Some(s) = stats {
-            s.add_fdom_tests(tests);
-        }
-        result
+        run_scan(
+            scan,
+            self.store.num_objects(),
+            work,
+            parallel,
+            stats,
+            Some(&self.caches.delta_pool),
+            None,
+        )
     }
 
-    /// Materialises the merged scan input: bulk rows stream out of the
-    /// cached artifacts (skipping rows that died since), delta rows are
-    /// projected here, and the two sorted runs are merged under the cold
-    /// `(key, snapshot id)` comparison.
+    /// Builds the merged LOOP scan layout into `scan`: bulk rows stream out
+    /// of the cached artifacts (skipping rows that died since), delta rows
+    /// are projected here, and the two sorted runs are merged under the
+    /// cold `(key, snapshot id)` comparison. Positions carry *store*
+    /// objects and report under snapshot ids.
     fn build_merged(
         &self,
         snap: &SnapState,
@@ -1027,10 +919,9 @@ impl DynamicArspEngine {
         fdom: &LinearFDominance,
         scores: &ScoreMatrix,
         order: &InstanceOrder,
-    ) -> MergedScan {
+        scan: &mut LoopScan,
+    ) {
         let store = &self.store;
-        let n = rowmap.row_of_snap.len();
-        let d = scores.score_dim();
 
         // Delta rows, discovered and ordered by the same helper the order
         // patch uses (its keys are the rows' score-matrix column 0, bitwise).
@@ -1039,26 +930,20 @@ impl DynamicArspEngine {
             .delta_scanned
             .fetch_add(fresh.len() as u64, Ordering::Relaxed);
 
-        let mut merged = MergedScan {
-            d,
-            sv: Vec::with_capacity(n * d),
-            keys: Vec::with_capacity(n),
-            objects: Vec::with_capacity(n),
-            probs: Vec::with_capacity(n),
-            snaps: Vec::with_capacity(n),
-        };
+        scan.begin(rowmap.row_of_snap.len(), scores.score_dim());
         // Appends one delta row, projecting its score vector in place; the
         // helper's key is that vector's first component bit for bit.
-        let push_fresh = |merged: &mut MergedScan, (key, ns): (f64, u32)| {
+        let push_fresh = |scan: &mut LoopScan, (key, ns): (f64, u32)| {
             let row = rowmap.row_of_snap[ns as usize] as usize;
-            let start = merged.sv.len();
-            merged.sv.resize(start + d, 0.0);
-            fdom.map_to_score_space_into(store.coords_of(row), &mut merged.sv[start..start + d]);
-            debug_assert_eq!(merged.sv[start].to_bits(), key.to_bits());
-            merged.keys.push(key);
-            merged.objects.push(store.object_of(row) as u32);
-            merged.probs.push(store.prob(row));
-            merged.snaps.push(ns);
+            scan.push_with(
+                |sv| {
+                    fdom.map_to_score_space_into(store.coords_of(row), sv);
+                    debug_assert_eq!(sv[0].to_bits(), key.to_bits());
+                },
+                store.object_of(row) as u32,
+                store.prob(row),
+                ns,
+            );
         };
         let mut fi = 0;
         for &os in &order.order {
@@ -1070,20 +955,20 @@ impl DynamicArspEngine {
             let ns = rowmap.snap_of_row[row];
             let key = order.keys[os];
             while fi < fresh.len() && sorts_before(fresh[fi], (key, ns)) {
-                push_fresh(&mut merged, fresh[fi]);
+                push_fresh(scan, fresh[fi]);
                 fi += 1;
             }
-            merged.sv.extend_from_slice(scores.row(os));
-            merged.keys.push(key);
-            merged.objects.push(store.object_of(row) as u32);
-            merged.probs.push(store.prob(row));
-            merged.snaps.push(ns);
+            scan.push(
+                scores.row(os),
+                store.object_of(row) as u32,
+                store.prob(row),
+                ns,
+            );
         }
         for &item in &fresh[fi..] {
-            push_fresh(&mut merged, item);
+            push_fresh(scan, item);
         }
-        debug_assert_eq!(merged.len(), n);
-        merged
+        scan.finish();
     }
 
     /// KDTT-family execution over the advanced snapshot: patched flat store

@@ -183,6 +183,29 @@ pub(crate) fn chunk_bounds(len: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
+/// Splits `0..len` into at most `num_threads()` contiguous chunks of about
+/// equal *triangular* work, preserving order: for scans where position `p`
+/// costs about `p` (LOOP), chunk `i` ends near `len·√(i / parts)`, so every
+/// chunk covers about the same `p²/2` area.
+#[cfg(feature = "parallel")]
+pub(crate) fn triangular_chunk_bounds(len: usize) -> Vec<std::ops::Range<usize>> {
+    let parts = num_threads().clamp(1, len.max(1));
+    let mut out = Vec::with_capacity(parts);
+    let mut start = 0;
+    for i in 1..=parts {
+        let end = if i == parts {
+            len
+        } else {
+            ((len as f64 * (i as f64 / parts as f64).sqrt()).round() as usize).clamp(start, len)
+        };
+        if end > start {
+            out.push(start..end);
+            start = end;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +243,36 @@ mod tests {
             }
             assert_eq!(expected_start, len);
         }
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn triangular_chunks_partition_the_range_at_equal_work() {
+        let _guard = knob_lock();
+        for threads in [1usize, 2, 3, 4] {
+            set_num_threads(threads);
+            for len in [0usize, 1, 2, 5, 17, 1000, 1852] {
+                let chunks = triangular_chunk_bounds(len);
+                let mut expected_start = 0;
+                for c in &chunks {
+                    assert_eq!(c.start, expected_start);
+                    assert!(!c.is_empty());
+                    expected_start = c.end;
+                }
+                assert_eq!(expected_start, len);
+                if len >= 1000 {
+                    // Work of position p is ~p: every chunk gets its 1/parts
+                    // share of the n²/2 total within 1%.
+                    assert_eq!(chunks.len(), threads);
+                    let total = (len * len) as f64 / 2.0;
+                    for c in &chunks {
+                        let work = (c.end * c.end - c.start * c.start) as f64 / 2.0;
+                        assert!((work / total - 1.0 / threads as f64).abs() < 0.01);
+                    }
+                }
+            }
+        }
+        set_num_threads(0);
     }
 
     #[cfg(feature = "parallel")]

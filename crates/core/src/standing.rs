@@ -28,12 +28,14 @@
 //!    a removed row's pre-image projected through the same vertex enumeration
 //!    — dominates it in score space (the exact window in which a row
 //!    contributes to an instance's σ accounting).
-//! 4. Dirty instances are recomputed with the *same per-instance kernel the
-//!    full LOOP scan runs* over the cached artifacts; clean instances carry
-//!    their previous probability over bit-for-bit. This is exact, not
-//!    approximate: a clean instance's dominator subsequence (and its scan
-//!    order, hence its σ sums and product fold) is untouched by the delta,
-//!    so recomputation would reproduce the same bits.
+//! 4. The cached artifacts are gathered once into the LOOP scan layout
+//!    (`LoopScan` in [`crate::algorithms::loop_scan`]), and only the
+//!    dirty positions run the *same pair kernel the full LOOP scan runs*;
+//!    clean instances carry their previous probability over bit-for-bit.
+//!    This is exact, not approximate: a clean instance's dominator
+//!    subsequence (and its scan order, hence its σ sums and product fold)
+//!    is untouched by the delta, so recomputation would reproduce the same
+//!    bits.
 //! 5. When the dirty set exceeds the subscription's cost-model threshold
 //!    ([`StandingSpec::max_dirty_fraction`]) — or the change log no longer
 //!    covers the gap — the subscription falls back to one full re-evaluation
@@ -60,7 +62,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::algorithms::loop_scan::{instance_probability_flat, LoopScratch};
+use crate::algorithms::loop_scan::LoopScratch;
 use crate::dynamic::DynamicArspEngine;
 use crate::engine::{Execution, QueryAlgorithm};
 use crate::stats::StandingCounters;
@@ -419,14 +421,18 @@ impl StandingQueryRegistry {
         }
 
         // Inverse of the merge-patched order: snapshot id → scan position,
-        // what the per-instance kernel indexes by.
+        // what the pair kernel indexes by.
         let mut pos_of = vec![0usize; n];
         for (p, &id) in art.order.order.iter().enumerate() {
             pos_of[id] = p;
         }
 
-        let mut scratch = LoopScratch::default();
-        scratch.prepare(art.flat.num_objects());
+        // One gather of the scan layout per refresh; only the dirty
+        // positions run the kernel.
+        let mut scratch = engine.loop_scratch();
+        let LoopScratch { scan, work } = &mut *scratch;
+        scan.gather(&art.flat, &art.scores, &art.order);
+        work.prepare(art.flat.num_objects());
         let mut tests = 0u64;
         let mut scanned = 0u64;
         let mut fresh = BTreeMap::new();
@@ -436,14 +442,7 @@ impl StandingQueryRegistry {
                 Some(p) => p,
                 None => {
                     scanned += 1;
-                    instance_probability_flat(
-                        &art.flat,
-                        &art.scores,
-                        &art.order,
-                        pos_of[s],
-                        &mut scratch,
-                        &mut tests,
-                    )
+                    scan.target_prob(pos_of[s], work, &mut tests)
                 }
             };
             fresh.insert(h, prob);

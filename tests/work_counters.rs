@@ -4,6 +4,8 @@
 //! exactly the same `QueryCounters`. Dominance tests, visited nodes and
 //! window queries are deterministic, so an exact comparison catches a
 //! parallel path that does more (or different) work without timing noise.
+//! LOOP's count is also pinned against a recorded baseline, so a kernel
+//! rewrite that tests different pairs fails here in either mode.
 
 use arsp::data::im_constraints;
 use arsp::geometry::fdom::LinearFDominance;
@@ -84,4 +86,29 @@ fn parallel_twins_report_the_sequential_work_counters() {
             .collect_stats(true)
             .run()
     });
+}
+
+/// LOOP's F-dominance test count on the dense dataset under
+/// `weak_ranking(4, 2)`, recorded with the row-at-a-time scan that the
+/// column-pass kernel replaced. The kernel must test exactly the same pairs:
+/// every different-object instance up to the end of the target's tie run.
+const LOOP_DENSE_WR42_FDOM_TESTS: u64 = 30_895_417;
+
+#[test]
+fn loop_work_count_matches_the_recorded_baseline() {
+    let engine = dense_engine();
+    let wr = ConstraintSet::weak_ranking(4, 2);
+    for execution in [Execution::Sequential, Execution::Parallel { threads: 2 }] {
+        let outcome = engine
+            .query(&wr)
+            .algorithm(QueryAlgorithm::Loop)
+            .execution(execution)
+            .collect_stats(true)
+            .run();
+        let counters = outcome.counters().expect("stats requested");
+        assert_eq!(
+            counters.fdom_tests, LOOP_DENSE_WR42_FDOM_TESTS,
+            "{execution:?}: LOOP tested a different set of pairs"
+        );
+    }
 }

@@ -92,7 +92,7 @@ const KERNEL_SCOPE: &[(&str, &[&str])] = &[
     ),
     (
         "crates/core/src/algorithms/loop_scan.rs",
-        &["instance_probability_flat"],
+        &["gather", "target_prob"],
     ),
     (
         "crates/core/src/algorithms/dual.rs",
