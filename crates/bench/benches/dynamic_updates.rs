@@ -9,9 +9,10 @@
 //!   grows;
 //! * **query latency under churn** — the cost of `(mutate a δ-row batch,
 //!   query, fold)` cycles at delta fractions ≈ {1 %, 5 %, 20 %} of the live
-//!   rows, for LOOP (the delta-merge fused scan), KDTT+ (patched score
-//!   matrix + flat store) and DUAL (incrementally folded per-object
-//!   forest), each measured on the warm dynamic engine (`dyn`, with the
+//!   rows, for LOOP (patched score matrix + order), KDTT+ (patched score
+//!   matrix + flat store) and DUAL (per-object index rebuilt from the
+//!   patched flat snapshot), each running the same flat kernel on both
+//!   sides: measured on the warm dynamic engine (`dyn`, with the
 //!   logarithmic-method fold charged to every cycle — a conservative upper
 //!   bound) and as a cold rebuild per cycle (`cold` —
 //!   `ArspEngine::new(snapshot)` plus the query, which is what reflecting a
@@ -206,7 +207,8 @@ fn bench_dynamic_updates(c: &mut Criterion) {
             });
         }
 
-        // DUAL: the incrementally folded forest vs a cold per-object build.
+        // DUAL: the index rebuilt over the patched flat snapshot vs a cold
+        // engine build.
         {
             let mut engine = DynamicArspEngine::from_dataset(&base);
             engine.set_delta_policy(DeltaPolicy::manual());

@@ -37,21 +37,22 @@ use arsp_index::AggregateRTree;
 /// R-trees (the general-dimension DUAL algorithm).
 pub fn arsp_dual(dataset: &UncertainDataset, ratio: &WeightRatio) -> ArspResult {
     let flat = FlatStore::from_dataset(dataset);
-    let agg = build_dual_index(dataset);
+    let agg = build_dual_index(&flat);
     arsp_dual_flat_engine(&flat, ratio, &agg, false, None, None)
 }
 
 /// Builds DUAL's per-object aggregated R-trees over the *original-space*
-/// instances. The index depends only on the dataset — every weight-ratio
-/// query probes the same trees with a different dominance region — which is
-/// why [`crate::engine::ArspEngine`] builds it once and shares it across
-/// ratio queries.
-pub fn build_dual_index(dataset: &UncertainDataset) -> Vec<AggregateRTree> {
-    let mut agg: Vec<AggregateRTree> = (0..dataset.num_objects())
-        .map(|_| AggregateRTree::new(dataset.dim()))
+/// instances, inserting them in instance order. The index depends only on
+/// the snapshot — every weight-ratio query probes the same trees with a
+/// different dominance region — which is why [`crate::engine::ArspEngine`],
+/// the serving layer and the dynamic engine build it once per snapshot and
+/// share it across ratio queries.
+pub fn build_dual_index(flat: &FlatStore) -> Vec<AggregateRTree> {
+    let mut agg: Vec<AggregateRTree> = (0..flat.num_objects())
+        .map(|_| AggregateRTree::new(flat.dim()))
         .collect();
-    for inst in dataset.instances() {
-        agg[inst.object].insert(&inst.coords, inst.prob);
+    for id in 0..flat.num_instances() {
+        agg[flat.object_of(id)].insert(flat.coords_of(id), flat.prob(id));
     }
     agg
 }
@@ -465,7 +466,7 @@ mod tests {
         }
         .generate();
         let flat = FlatStore::from_dataset(&d);
-        let agg = build_dual_index(&d);
+        let agg = build_dual_index(&flat);
         for (l, h) in [(0.5, 2.0), (1.0, 1.0), (0.25, 3.5)] {
             let ratio = WeightRatio::uniform(3, l, h);
             let reference = arsp_dual(&d, &ratio);
@@ -503,7 +504,7 @@ mod tests {
         }
         .generate();
         let flat = FlatStore::from_dataset(&d);
-        let agg = build_dual_index(&d);
+        let agg = build_dual_index(&flat);
         let ratio = WeightRatio::uniform(3, 0.5, 2.0);
         let seq_stats = CounterStats::new();
         let seq = arsp_dual_flat_engine(&flat, &ratio, &agg, false, Some(&seq_stats), None);
@@ -527,7 +528,7 @@ mod tests {
     fn flat_engine_handles_empty_datasets() {
         let d = UncertainDataset::new(2);
         let flat = FlatStore::from_dataset(&d);
-        let agg = build_dual_index(&d);
+        let agg = build_dual_index(&flat);
         let ratio = WeightRatio::uniform(2, 0.5, 2.0);
         let result = arsp_dual_flat_engine(&flat, &ratio, &agg, false, None, None);
         assert!(result.is_empty());

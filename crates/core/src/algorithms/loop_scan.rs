@@ -18,12 +18,11 @@
 //! Column 0 is the sort key bit for bit, so the kernel never reads the
 //! [`InstanceOrder`]'s keys. [`arsp_loop_flat_engine`] gathers the layout
 //! from a [`FlatStore`], its [`ScoreMatrix`] and an [`InstanceOrder`] (the
-//! engine caches the last two across queries); the dynamic engine's
-//! delta-merge path (`crate::dynamic`) builds the same layout from its
-//! cached bulk merged with the projected delta, and the standing-query
-//! maintenance pass (`crate::standing`) gathers it once per refresh and
-//! recomputes only its dirty positions. The buffers live in a
-//! [`LoopScratch`], so a warmed-up scan allocates nothing.
+//! static engine, the serving layer and the dynamic engine cache the last
+//! two per snapshot); the standing-query maintenance pass
+//! (`crate::standing`) gathers it once per refresh and recomputes only its
+//! dirty positions. The buffers live in a [`LoopScratch`], so a warmed-up
+//! scan allocates nothing.
 //!
 //! ## Kernel
 //!
@@ -112,7 +111,7 @@ fn run_with_fdom(
 
 /// The cold sort comparison of every LOOP order: ascending key, ties broken
 /// by ascending id. This single definition is shared by
-/// [`instance_order_from_scores`] **and** the dynamic engine's delta merges
+/// [`instance_order_from_scores`] **and** the dynamic engine's order patch
 /// (`crate::dynamic`), whose bitwise-equal-to-cold guarantee rests on both
 /// ordering ties identically.
 #[inline]
@@ -156,9 +155,8 @@ pub fn instance_order_from_scores(scores: &ScoreMatrix) -> InstanceOrder {
 const BLOCK: usize = 256;
 
 /// LOOP's scan layout: every input of the pair scan, gathered in scan order
-/// into dimension-major columns (see the [module docs](self)). Built with
-/// `begin`, one `push` per position and `finish`; rebuilding keeps the
-/// allocations.
+/// into dimension-major columns (see the [module docs](self)). Built by
+/// `gather`; rebuilding keeps the allocations.
 #[derive(Debug, Default)]
 pub(crate) struct LoopScan {
     n: usize,
@@ -170,8 +168,6 @@ pub(crate) struct LoopScan {
     ids: Vec<u32>,
     /// One past the last position whose key does not exceed `p`'s.
     tie_end: Vec<u32>,
-    /// Staging row for `push_with`.
-    stage: Vec<f64>,
     /// Column 0 is non-decreasing, so its test holds on every lane a
     /// target scans and the kernel skips that pass.
     sorted: bool,
@@ -182,54 +178,33 @@ pub(crate) struct LoopScan {
 }
 
 impl LoopScan {
-    /// Starts a layout of `n` positions over `d` score columns.
-    pub(crate) fn begin(&mut self, n: usize, d: usize) {
+    /// Gathers the layout of a snapshot: position `p` is instance
+    /// `ord.order[p]`, reported under its own id.
+    pub(crate) fn gather(&mut self, flat: &FlatStore, scores: &ScoreMatrix, ord: &InstanceOrder) {
+        let n = ord.order.len();
         assert!(u32::try_from(n).is_ok(), "LOOP scan exceeds u32 positions");
         self.n = n;
         self.cols.clear();
-        self.cols.resize(n * d, 0.0);
+        self.cols.resize(n * scores.score_dim(), 0.0);
         self.objects.clear();
         self.probs.clear();
         self.ids.clear();
-        self.tie_end.clear();
-        self.stage.clear();
-        self.stage.resize(d, 0.0);
-    }
-
-    /// Appends the next position: its score row, object, probability and id.
-    pub(crate) fn push(&mut self, row: &[f64], object: u32, prob: f64, id: u32) {
-        let p = self.objects.len();
-        debug_assert!(p < self.n, "more positions than begun");
-        debug_assert_eq!(row.len() * self.n, self.cols.len());
-        for (k, &v) in row.iter().enumerate() {
-            self.cols[k * self.n + p] = v;
+        for (p, &id) in ord.order.iter().enumerate() {
+            for (k, &v) in scores.row(id).iter().enumerate() {
+                self.cols[k * n + p] = v;
+            }
+            self.objects.push(flat.objects()[id]);
+            self.probs.push(flat.prob(id));
+            self.ids.push(id as u32);
         }
-        self.objects.push(object);
-        self.probs.push(prob);
-        self.ids.push(id);
-    }
-
-    /// [`LoopScan::push`] with the score row written by `fill` into a
-    /// staging buffer (a row projected on the fly).
-    pub(crate) fn push_with(
-        &mut self,
-        fill: impl FnOnce(&mut [f64]),
-        object: u32,
-        prob: f64,
-        id: u32,
-    ) {
-        let mut stage = std::mem::take(&mut self.stage);
-        fill(&mut stage);
-        self.push(&stage, object, prob, id);
-        self.stage = stage;
+        self.index_positions();
     }
 
     /// Closes the layout: derives each position's tie-run end from column
     /// 0 with the textbook scan's stopping rule (the first later position
     /// whose key is strictly greater), and indexes the positions by object.
-    pub(crate) fn finish(&mut self) {
+    fn index_positions(&mut self) {
         let n = self.n;
-        assert_eq!(self.objects.len(), n, "fewer positions than begun");
         let keys = &self.cols[..n];
         self.sorted = keys.windows(2).all(|w| w[0] <= w[1]);
 
@@ -265,16 +240,6 @@ impl LoopScan {
                 (next..n).find(|&q| keys[q] > keys[p]).unwrap_or(n) as u32
             };
         }
-    }
-
-    /// Gathers the layout of a static snapshot: position `p` is instance
-    /// `ord.order[p]`, reported under its own id.
-    pub(crate) fn gather(&mut self, flat: &FlatStore, scores: &ScoreMatrix, ord: &InstanceOrder) {
-        self.begin(ord.order.len(), scores.score_dim());
-        for &id in &ord.order {
-            self.push(scores.row(id), flat.objects()[id], flat.prob(id), id as u32);
-        }
-        self.finish();
     }
 
     /// Number of positions.
@@ -421,21 +386,41 @@ pub struct LoopScratch {
     pub(crate) work: LoopWork,
 }
 
-/// Runs the kernel for every position of `scan`, reporting each probability
-/// under the position's id: sequentially with `work`, or — under `parallel`
-/// — over worker chunks of equal triangular work (the scan for position `p`
-/// covers about `p` lanes), each drawing its buffers from `pool` (a fresh
-/// scratch per chunk when absent). Probabilities and the test count are the
-/// same in every mode.
-pub(crate) fn run_scan(
-    scan: &LoopScan,
-    num_objects: usize,
-    work: &mut LoopWork,
+/// The LOOP scan over a snapshot: gathers the `LoopScan` layout from
+/// `flat`, `scores` and `ord` (into `scratch` when given, so a warm scratch
+/// makes the scan allocation-free beyond the result vector) and runs the
+/// pair kernel for every instance: sequentially, or — under `parallel` —
+/// over worker chunks of equal triangular work (the scan for position `p`
+/// covers about `p` lanes). Each worker chunk draws its kernel buffers from
+/// `pool` (a fresh scratch per chunk when absent), so warmed-up parallel
+/// sweeps allocate nothing per task either. Probabilities and the test
+/// count are bitwise identical across every option combination.
+#[allow(clippy::too_many_arguments)]
+pub fn arsp_loop_flat_engine(
+    flat: &FlatStore,
+    scores: &ScoreMatrix,
+    ord: &InstanceOrder,
     parallel: bool,
     stats: Option<&CounterStats>,
+    scratch: Option<&mut LoopScratch>,
     pool: Option<&crate::scratch::ScratchPool<LoopScratch>>,
     budget: Option<&crate::fault::QueryBudget>,
 ) -> ArspResult {
+    debug_assert_eq!(
+        ord.order.len(),
+        flat.num_instances(),
+        "order covers a different dataset"
+    );
+    debug_assert_eq!(
+        scores.num_rows(),
+        flat.num_instances(),
+        "scores cover a different dataset"
+    );
+    let mut owned = LoopScratch::default();
+    let LoopScratch { scan, work } = scratch.unwrap_or(&mut owned);
+    scan.gather(flat, scores, ord);
+    let scan = &*scan;
+    let num_objects = flat.num_objects();
     let n = scan.len();
     let mut result = ArspResult::zeros(n);
     if n == 0 {
@@ -495,48 +480,6 @@ pub(crate) fn run_scan(
         s.add_fdom_tests(tests);
     }
     result
-}
-
-/// The LOOP scan over a static snapshot: gathers the `LoopScan` layout
-/// from `flat`, `scores` and `ord` (into `scratch` when given, so a warm
-/// scratch makes the scan allocation-free beyond the result vector) and
-/// runs the pair kernel for every instance. Under `parallel` each worker
-/// chunk draws its kernel buffers from `pool` (a fresh scratch per chunk
-/// when absent), so warmed-up parallel sweeps allocate nothing per task
-/// either. Results are bitwise identical across every option combination.
-#[allow(clippy::too_many_arguments)]
-pub fn arsp_loop_flat_engine(
-    flat: &FlatStore,
-    scores: &ScoreMatrix,
-    ord: &InstanceOrder,
-    parallel: bool,
-    stats: Option<&CounterStats>,
-    scratch: Option<&mut LoopScratch>,
-    pool: Option<&crate::scratch::ScratchPool<LoopScratch>>,
-    budget: Option<&crate::fault::QueryBudget>,
-) -> ArspResult {
-    debug_assert_eq!(
-        ord.order.len(),
-        flat.num_instances(),
-        "order covers a different dataset"
-    );
-    debug_assert_eq!(
-        scores.num_rows(),
-        flat.num_instances(),
-        "scores cover a different dataset"
-    );
-    let mut owned = LoopScratch::default();
-    let LoopScratch { scan, work } = scratch.unwrap_or(&mut owned);
-    scan.gather(flat, scores, ord);
-    run_scan(
-        scan,
-        flat.num_objects(),
-        work,
-        parallel,
-        stats,
-        pool,
-        budget,
-    )
 }
 
 #[cfg(test)]

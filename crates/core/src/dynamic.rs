@@ -22,21 +22,19 @@
 //! | [`FlatStore`] snapshot | re-gathered from the store columns (bit copies) |
 //! | [`ScoreMatrix`] per constraint | **delta-patched**: surviving rows copied bit-for-bit, only delta rows re-projected |
 //! | LOOP [`InstanceOrder`] per vertex | **delta-patched**: sorted delta *merged* into the cached order — lands on exactly the cold `(key, id)` sort |
-//! | DUAL per-object forest | **delta-folded**: append-only objects replay inserts into their arena tree (bitwise the cold build); mutated objects rebuild selectively |
-//! | B&B instance R-tree, snapshot dataset | **invalidated** (STR bulk loads cannot be patched bitwise) and lazily rebuilt |
+//! | B&B instance R-tree, DUAL per-object index, snapshot dataset | **invalidated** and lazily rebuilt from the flat snapshot (STR bulk loads cannot be patched bitwise; DUAL's insertion-built trees could be folded forward, but such a fold measured 0.89–1.01× of a cold rebuild) |
 //!
-//! ## The delta-merge query path
+//! ## One query path
 //!
-//! LOOP queries never materialise the new snapshot at all: the cached order
-//! and score matrix of the **indexed bulk** (the engine's last synchronised
-//! version) are reused as-is, the **unindexed delta range** of the store is
-//! projected and sorted per query (`O(δ·d·d' + δ log δ)` work), and the two
-//! are merged straight into LOOP's scan layout (`LoopScan`): the same
-//! layout and pair kernel a cold LOOP scans, in the cold `(key, snapshot
-//! id)` order, so its σ accounting is — pair for pair, float for float —
-//! the cold scan's. The logarithmic-method [`DeltaPolicy`] bounds how large
-//! that delta may grow before the store compacts
-//! ([`DynamicArspEngine::merge_now`]) and the bulk caches are folded forward.
+//! Every algorithm arm takes the same three steps: advance the snapshot
+//! state to the store's current version, fetch (or build) the per-version
+//! artifacts it needs from that state, and run the one flat kernel a cold
+//! [`crate::engine::ArspEngine`] runs over the same artifacts. Each artifact
+//! is bitwise the cold build at this version, so each result is the cold
+//! result. The logarithmic-method [`DeltaPolicy`] only decides when the
+//! store compacts ([`DynamicArspEngine::merge_now`]): it bounds the
+//! tombstoned rows and the appended tail a store carries, not any query's
+//! work.
 //!
 //! ```
 //! use arsp_core::dynamic::DynamicArspEngine;
@@ -66,12 +64,12 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{lock, Arc, Mutex};
 
 use crate::algorithms::bnb::{arsp_bnb_engine, build_instance_rtree};
+use crate::algorithms::dual::{arsp_dual_flat_engine, build_dual_index};
 use crate::algorithms::enumerate::arsp_enum;
 use crate::algorithms::kd_asp::{KdVariant, KdWorkerPool};
 use crate::algorithms::kdtt::arsp_kdtt_flat_engine;
 use crate::algorithms::loop_scan::{
-    arsp_loop_flat_engine, cmp_key_id, instance_order_from_scores, run_scan, InstanceOrder,
-    LoopScan, LoopScratch,
+    arsp_loop_flat_engine, cmp_key_id, instance_order_from_scores, InstanceOrder, LoopScratch,
 };
 use crate::engine::{
     auto_select, constraint_key, omega_key, vertices_key, CacheStats, Execution, QueryAlgorithm,
@@ -84,9 +82,7 @@ use crate::stats::{CounterStats, QueryCounters};
 use arsp_data::{FlatStore, InstanceHandle, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 use arsp_geometry::fdom::LinearFDominance;
-use arsp_geometry::fdom::WeightRatioFDominance;
-use arsp_index::region::FDominatorsOf;
-use arsp_index::{DeltaForest, DeltaPolicy, SharedRTree};
+use arsp_index::{DeltaPolicy, SharedAggregateForest, SharedRTree};
 
 /// Sentinel for "row has no snapshot id" / "snapshot id has no row".
 const NONE32: u32 = u32::MAX;
@@ -135,8 +131,8 @@ struct SnapOrder {
 
 /// The engine's synchronised snapshot state: every artifact in here is in
 /// *snapshot-id space* at `version`. The row maps are kept in current-epoch
-/// row ids (translated in place when the store merges), so the delta-merge
-/// path can relate them to live rows at any later version.
+/// row ids (translated in place when the store merges), so the next
+/// advance can relate them to live rows at any later version.
 struct SnapState {
     version: u64,
     /// store row → snapshot id at `version` (`NONE32`: not part of the
@@ -152,6 +148,9 @@ struct SnapState {
     /// Lazily built instance R-tree (STR bulk load — unpatchable);
     /// invalidated on every version change.
     rtree: Option<SharedRTree>,
+    /// Lazily built DUAL per-object index; invalidated on every version
+    /// change.
+    dual: Option<SharedAggregateForest>,
     /// Per-constraint score matrices, keyed by the vertex-set fingerprint;
     /// delta-patched forward on version changes.
     scores: HashMap<Vec<u64>, SnapScores>,
@@ -169,15 +168,12 @@ struct DynCaches {
     rowmap: Mutex<Option<Arc<RowMap>>>,
     /// The synchronised snapshot state (see [`SnapState`]).
     snap: Mutex<SnapState>,
-    /// DUAL's incrementally maintained per-object forest.
-    forest: Mutex<DeltaForest>,
     scratch_pool: ScratchPool<QueryScratch>,
-    delta_pool: ScratchPool<LoopScratch>,
+    loop_pool: ScratchPool<LoopScratch>,
     kd_pool: KdWorkerPool,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
-    delta_scanned: AtomicU64,
     merges: AtomicU64,
 }
 
@@ -196,8 +192,8 @@ impl DynCaches {
 }
 
 /// `true` when `a` sorts strictly before `b` under the cold `(key, id)`
-/// comparison ([`cmp_key_id`] — the one definition the cold sorts and every
-/// delta merge in this module share).
+/// comparison ([`cmp_key_id`] — the one definition the cold sorts and the
+/// order patch in this module share).
 #[inline]
 fn sorts_before(a: (f64, u32), b: (f64, u32)) -> bool {
     cmp_key_id(a, b) == std::cmp::Ordering::Less
@@ -210,11 +206,10 @@ fn sort_keyed(items: &mut [(f64, u32)]) {
 
 /// A query-session engine over a **mutable** uncertain dataset. Mutations
 /// take `&mut self` (they are serialised by ownership); queries take `&self`
-/// and are safe to issue concurrently — though the cached structures sit
-/// behind coarse per-structure mutexes, so concurrent queries of the *same
-/// family* partially serialise (DUAL holds the forest lock for the query,
-/// LOOP holds the snapshot lock while materialising its merged scan; the
-/// kd/B&B paths release their locks before traversing). See the
+/// and are safe to issue concurrently — though the snapshot state sits
+/// behind one mutex, so concurrent queries partially serialise: each holds
+/// the snapshot lock while it advances the state and builds any missing
+/// artifact, and releases it before running its kernel. See the
 /// [module docs](self).
 pub struct DynamicArspEngine {
     store: VersionedStore,
@@ -224,8 +219,8 @@ pub struct DynamicArspEngine {
 }
 
 /// The delta-patched LOOP artifacts at the engine's current version — what
-/// the standing-query maintenance pass runs the per-instance kernel over.
-/// Every artifact is bitwise the cold build at this version.
+/// the LOOP arm and the standing-query maintenance pass run the pair kernel
+/// over. Every artifact is bitwise the cold build at this version.
 pub(crate) struct LoopArtifacts {
     pub(crate) flat: Arc<FlatStore>,
     pub(crate) scores: Arc<ScoreMatrix>,
@@ -258,10 +253,10 @@ impl DynamicArspEngine {
             flat: Arc::new(store.snapshot_flat()),
             dataset: None,
             rtree: None,
+            dual: None,
             scores: HashMap::new(),
             orders: HashMap::new(),
         };
-        let dim = store.dim();
         Self {
             store,
             policy: DeltaPolicy::default(),
@@ -269,14 +264,12 @@ impl DynamicArspEngine {
                 fdom: Mutex::new(HashMap::new()),
                 rowmap: Mutex::new(Some(Arc::new(rowmap))),
                 snap: Mutex::new(snap),
-                forest: Mutex::new(DeltaForest::new(dim)),
                 scratch_pool: ScratchPool::new(),
-                delta_pool: ScratchPool::new(),
+                loop_pool: ScratchPool::new(),
                 kd_pool: KdWorkerPool::default(),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 invalidated: AtomicU64::new(0),
-                delta_scanned: AtomicU64::new(0),
                 merges: AtomicU64::new(0),
             },
             standing: StandingQueryRegistry::new(),
@@ -333,9 +326,7 @@ impl DynamicArspEngine {
 
     /// Deletes one instance (tombstone).
     pub fn remove_instance(&mut self, handle: InstanceHandle) {
-        let object = self.object_of_handle(handle);
-        let position = self.store.remove_instance(handle);
-        self.note_forest_removal(object, position);
+        self.store.remove_instance(handle);
         self.after_mutation();
     }
 
@@ -343,32 +334,20 @@ impl DynamicArspEngine {
     /// handle stays valid; the instance moves to its object's logical tail
     /// (see [`VersionedStore::update_instance`]).
     pub fn update_instance(&mut self, handle: InstanceHandle, coords: &[f64], prob: f64) {
-        let object = self.object_of_handle(handle);
-        let position = self.store.update_instance(handle, coords, prob);
-        self.note_forest_removal(object, position);
+        self.store.update_instance(handle, coords, prob);
         self.after_mutation();
     }
 
     /// Retires a whole object.
     pub fn retire_object(&mut self, object: usize) {
         self.store.retire_object(object);
-        let caches = &mut self.caches;
-        let forest = caches.forest.get_mut().unwrap_or_else(|p| p.into_inner());
-        if object < forest.len() && (forest.folded(object) > 0 || forest.is_dirty(object)) {
-            // Drop the retired object's mass immediately so reader paths
-            // never see it.
-            forest.begin_rebuild(object);
-            caches.invalidated.fetch_add(1, Ordering::Relaxed);
-        }
         self.after_mutation();
     }
 
     /// Compacts the store now (folds the delta tail and tombstones into a
     /// fresh canonical base) regardless of the policy, translating every
-    /// cached row reference in place — and folds the cached artifacts
-    /// forward to the current version, so after a merge the per-query delta
-    /// is empty and queries run on the bulk caches alone. A no-op when
-    /// nothing is pending.
+    /// cached row reference in place — and patches the cached artifacts
+    /// forward to the current version. A no-op when nothing is pending.
     pub fn merge_now(&mut self) {
         if self.store.pending_rows() == 0 {
             return;
@@ -396,13 +375,10 @@ impl DynamicArspEngine {
                 }
             }
             snap.snap_of_row = snap_of_row;
-            // The forest is row-independent (trees store coordinates, fold
-            // progress counts canonical prefixes): nothing to translate.
         }
 
-        // The logarithmic-method fold: bring the bulk caches to the current
-        // version while we are compacting anyway (delta-patch, not rebuild),
-        // so post-merge queries see an empty delta.
+        // Bring the caches to the current version while we are compacting
+        // anyway (delta-patch, not rebuild).
         let mut snap = lock(&self.caches.snap);
         self.advance_snap(&mut snap);
     }
@@ -413,26 +389,6 @@ impl DynamicArspEngine {
             .should_merge(self.store.num_live_instances(), self.store.pending_rows())
         {
             self.merge_now();
-        }
-    }
-
-    fn object_of_handle(&self, handle: InstanceHandle) -> usize {
-        let row = self
-            .store
-            .row_of(handle)
-            .expect("handle names a removed instance");
-        self.store.object_of(row)
-    }
-
-    /// A removal (or overwrite) at logical position `position` of `object`:
-    /// if the position lay inside the forest's folded prefix the slot's tree
-    /// no longer matches a cold build and must be rebuilt.
-    fn note_forest_removal(&mut self, object: usize, position: usize) {
-        let caches = &mut self.caches;
-        let forest = caches.forest.get_mut().unwrap_or_else(|p| p.into_inner());
-        if object < forest.len() && position < forest.folded(object) && !forest.is_dirty(object) {
-            forest.mark_dirty(object);
-            caches.invalidated.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -476,9 +432,9 @@ impl DynamicArspEngine {
     }
 
     /// The delta-patched LOOP artifacts at the current version — the same
-    /// fold [`Self::export_snapshot`] and the LOOP fast path perform, handed
-    /// to the standing maintenance pass.
-    pub(crate) fn standing_loop_artifacts(&self, constraints: &ConstraintSet) -> LoopArtifacts {
+    /// fold [`Self::export_snapshot`] performs — for the LOOP arm and the
+    /// standing maintenance pass.
+    pub(crate) fn loop_artifacts(&self, constraints: &ConstraintSet) -> LoopArtifacts {
         let fdom = self.fdom_for(constraints);
         let mut snap = lock(&self.caches.snap);
         self.advance_snap(&mut snap);
@@ -495,7 +451,7 @@ impl DynamicArspEngine {
     /// A leased LOOP scratch from the engine's pool, for the standing
     /// maintenance pass's layout gather and dirty recompute.
     pub(crate) fn loop_scratch(&self) -> ScratchLease<'_, LoopScratch> {
-        self.caches.delta_pool.lease()
+        self.caches.loop_pool.lease()
     }
 
     /// Per snapshot id at the current version: the instance's stable handle
@@ -538,8 +494,8 @@ impl DynamicArspEngine {
         }
     }
 
-    /// Aggregate cache counters, including the dynamic-only invalidation /
-    /// delta / merge counters. A mutation-free repeat query adds only hits;
+    /// Aggregate cache counters, including the dynamic-only invalidation and
+    /// merge counters. A mutation-free repeat query adds only hits;
     /// see the steady-state tests.
     pub fn cache_stats(&self) -> CacheStats {
         let caches = &self.caches;
@@ -547,13 +503,12 @@ impl DynamicArspEngine {
             hits: caches.hits.load(Ordering::Relaxed),
             misses: caches.misses.load(Ordering::Relaxed),
             scratch_hits: caches.scratch_pool.hits()
-                + caches.delta_pool.hits()
+                + caches.loop_pool.hits()
                 + caches.kd_pool.hits(),
             scratch_misses: caches.scratch_pool.misses()
-                + caches.delta_pool.misses()
+                + caches.loop_pool.misses()
                 + caches.kd_pool.misses(),
             caches_invalidated: caches.invalidated.load(Ordering::Relaxed),
-            delta_rows_scanned: caches.delta_scanned.load(Ordering::Relaxed),
             merges_performed: caches.merges.load(Ordering::Relaxed),
             // Coalescing and epoch pinning live one layer up, in the serving
             // layer (`crate::service`); a single-caller dynamic engine has
@@ -643,8 +598,8 @@ impl DynamicArspEngine {
     /// Brings the snapshot state to the store's current version: the flat
     /// store is re-gathered, every cached score matrix and order is
     /// delta-patched (each counts a hit — the artifact is reused, not
-    /// rebuilt), and the unpatchable structures (R-tree, dataset) are
-    /// invalidated. No-op (a hit) when already current.
+    /// rebuilt), and the unpatchable structures (R-tree, DUAL index,
+    /// dataset) are invalidated. No-op (a hit) when already current.
     fn advance_snap(&self, snap: &mut SnapState) {
         let store = &self.store;
         if snap.version == store.version() {
@@ -713,9 +668,12 @@ impl DynamicArspEngine {
             self.caches.hit();
         }
 
-        // The bulk-loaded R-tree and the row-oriented dataset cannot be
-        // patched bitwise — invalidate, rebuild lazily.
+        // The bulk-loaded R-tree, the DUAL index and the row-oriented
+        // dataset are not patched — invalidate, rebuild lazily.
         if snap.rtree.take().is_some() {
+            self.caches.invalidate();
+        }
+        if snap.dual.take().is_some() {
             self.caches.invalidate();
         }
         if snap.dataset.take().is_some() {
@@ -730,9 +688,9 @@ impl DynamicArspEngine {
     /// The live rows the snapshot state does not know about (the unindexed
     /// delta), keyed by their score under `omega` and sorted under the cold
     /// `(key, snapshot id)` comparison. `omega` must be the preference
-    /// region's first vertex, so each key equals the row's score-matrix
-    /// column 0 bit for bit. Shared by the order patch and the delta-merge
-    /// scan — the two places whose merges must agree exactly.
+    /// region's first vertex: each key then equals the row's score-matrix
+    /// column 0 bit for bit, and merging these rows into the surviving
+    /// order lands on the cold sort.
     fn fresh_keyed_rows(
         &self,
         snap_of_row: &[u32],
@@ -831,144 +789,40 @@ impl DynamicArspEngine {
         rtree
     }
 
-    /// Folds pending appends into the DUAL forest (exact replay) and
-    /// rebuilds dirty slots — the per-object half of the logarithmic method.
-    fn sync_forest(&self, forest: &mut DeltaForest) {
-        let store = &self.store;
-        forest.ensure_slots(store.num_objects());
-        let mut merges = 0u64;
-        for object in 0..store.num_objects() {
-            let rows = store.object_rows(object);
-            if forest.is_dirty(object) || forest.folded(object) > rows.len() {
-                forest.begin_rebuild(object);
-                for &r in rows {
-                    forest.fold(object, store.coords_of(r as usize), store.prob(r as usize));
-                }
-                merges += 1;
-            } else if forest.folded(object) < rows.len() {
-                for &r in &rows[forest.folded(object)..] {
-                    forest.fold(object, store.coords_of(r as usize), store.prob(r as usize));
-                }
-                merges += 1;
-            }
+    /// The DUAL per-object index at the (advanced) snapshot state's version.
+    fn ensure_dual_index(&self, snap: &mut SnapState) -> SharedAggregateForest {
+        if let Some(index) = snap.dual.as_ref() {
+            self.caches.hit();
+            return Arc::clone(index);
         }
-        if merges > 0 {
-            self.caches.merges.fetch_add(merges, Ordering::Relaxed);
-        }
+        self.caches.miss();
+        let index: SharedAggregateForest = Arc::new(build_dual_index(&snap.flat));
+        snap.dual = Some(Arc::clone(&index));
+        index
     }
 
     // ---- per-algorithm execution -----------------------------------------
 
-    /// The delta-merge LOOP path: bulk order + score matrix at the snapshot
-    /// version, delta rows projected and merged per query into the LOOP
-    /// scan layout. See the [module docs](self) for why the merged scan is
-    /// bitwise the cold scan.
-    fn run_loop_delta(
+    /// LOOP over the advanced snapshot: patched flat store, score matrix and
+    /// order, same flat engine as the static path.
+    fn run_loop(
         &self,
         constraints: &ConstraintSet,
         parallel: bool,
         stats: Option<&CounterStats>,
     ) -> ArspResult {
-        let fdom = self.fdom_for(constraints);
-        let rowmap = self.rowmap();
-        let mut scratch = self.caches.delta_pool.lease();
-        let LoopScratch { scan, work } = &mut *scratch;
-        {
-            let mut snap = lock(&self.caches.snap);
-            let scores = self.ensure_scores(&mut snap, &fdom);
-            let order = self.ensure_order(&mut snap, &fdom, &scores);
-            if snap.version == self.store.version() {
-                // No delta pending: the cached artifacts *are* the current
-                // snapshot, so run the static flat engine over them —
-                // bitwise the same scan.
-                let flat = Arc::clone(&snap.flat);
-                drop(snap);
-                return arsp_loop_flat_engine(
-                    &flat,
-                    &scores,
-                    &order,
-                    parallel,
-                    stats,
-                    Some(&mut scratch),
-                    Some(&self.caches.delta_pool),
-                    None,
-                );
-            }
-            self.build_merged(&snap, &rowmap, &fdom, &scores, &order, scan);
-        }
-        run_scan(
-            scan,
-            self.store.num_objects(),
-            work,
+        let art = self.loop_artifacts(constraints);
+        let mut scratch = self.caches.loop_pool.lease();
+        arsp_loop_flat_engine(
+            &art.flat,
+            &art.scores,
+            &art.order,
             parallel,
             stats,
-            Some(&self.caches.delta_pool),
+            Some(&mut scratch),
+            Some(&self.caches.loop_pool),
             None,
         )
-    }
-
-    /// Builds the merged LOOP scan layout into `scan`: bulk rows stream out
-    /// of the cached artifacts (skipping rows that died since), delta rows
-    /// are projected here, and the two sorted runs are merged under the
-    /// cold `(key, snapshot id)` comparison. Positions carry *store*
-    /// objects and report under snapshot ids.
-    fn build_merged(
-        &self,
-        snap: &SnapState,
-        rowmap: &RowMap,
-        fdom: &LinearFDominance,
-        scores: &ScoreMatrix,
-        order: &InstanceOrder,
-        scan: &mut LoopScan,
-    ) {
-        let store = &self.store;
-
-        // Delta rows, discovered and ordered by the same helper the order
-        // patch uses (its keys are the rows' score-matrix column 0, bitwise).
-        let fresh = self.fresh_keyed_rows(&snap.snap_of_row, rowmap, &fdom.vertices()[0]);
-        self.caches
-            .delta_scanned
-            .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-
-        scan.begin(rowmap.row_of_snap.len(), scores.score_dim());
-        // Appends one delta row, projecting its score vector in place; the
-        // helper's key is that vector's first component bit for bit.
-        let push_fresh = |scan: &mut LoopScan, (key, ns): (f64, u32)| {
-            let row = rowmap.row_of_snap[ns as usize] as usize;
-            scan.push_with(
-                |sv| {
-                    fdom.map_to_score_space_into(store.coords_of(row), sv);
-                    debug_assert_eq!(sv[0].to_bits(), key.to_bits());
-                },
-                store.object_of(row) as u32,
-                store.prob(row),
-                ns,
-            );
-        };
-        let mut fi = 0;
-        for &os in &order.order {
-            let row = snap.row_of_snap[os];
-            if row == NONE32 || !store.is_live(row as usize) {
-                continue;
-            }
-            let row = row as usize;
-            let ns = rowmap.snap_of_row[row];
-            let key = order.keys[os];
-            while fi < fresh.len() && sorts_before(fresh[fi], (key, ns)) {
-                push_fresh(scan, fresh[fi]);
-                fi += 1;
-            }
-            scan.push(
-                scores.row(os),
-                store.object_of(row) as u32,
-                store.prob(row),
-                ns,
-            );
-        }
-        for &item in &fresh[fi..] {
-            push_fresh(scan, item);
-        }
-        scan.finish();
     }
 
     /// KDTT-family execution over the advanced snapshot: patched flat store
@@ -1040,121 +894,21 @@ impl DynamicArspEngine {
         arsp_enum(&dataset, constraints)
     }
 
-    /// DUAL over the incrementally maintained forest: no snapshot
-    /// materialisation at all — the canonical row walk *is* the snapshot
-    /// order, and the per-object trees are bitwise the cold build's.
+    /// DUAL over the advanced snapshot: the per-object index is rebuilt
+    /// lazily per version, like the R-tree.
     fn run_dual(
         &self,
         ratio: &WeightRatio,
         parallel: bool,
         stats: Option<&CounterStats>,
     ) -> ArspResult {
-        let rowmap = self.rowmap();
-        let mut forest = lock(&self.caches.forest);
-        self.sync_forest(&mut forest);
-        let forest = &*forest;
-        let fdom = WeightRatioFDominance::new(ratio.clone());
-        let n = rowmap.row_of_snap.len();
-        let mut result = ArspResult::zeros(n);
-        if n == 0 {
-            return result;
-        }
-        // The non-empty forest slots in ascending object order — exactly the
-        // objects a cold run iterates. Computed once per query so the
-        // per-instance fold scales with the *live* object count, not with
-        // every object slot ever created (a long stream with object churn
-        // accumulates retired slots).
-        let live_objects: Vec<u32> = (0..forest.len())
-            .filter(|&object| !forest.tree(object).is_empty())
-            .map(|object| object as u32)
-            .collect();
-
-        #[cfg(feature = "parallel")]
-        if parallel {
-            let chunks = crate::parallel::chunk_bounds(n);
-            if chunks.len() > 1 {
-                use rayon::prelude::*;
-
-                let fdom = &fdom;
-                let rowmap = &rowmap;
-                let live_objects = &live_objects;
-                let chunk_results: Vec<(usize, Vec<f64>, u64)> = crate::parallel::with_pool(|| {
-                    chunks
-                        .into_par_iter()
-                        .map(|range| {
-                            let start = range.start;
-                            let mut queries = 0u64;
-                            let probs = range
-                                .map(|s| {
-                                    let row = rowmap.row_of_snap[s] as usize;
-                                    self.dual_row_prob(
-                                        forest,
-                                        live_objects,
-                                        fdom,
-                                        row,
-                                        &mut queries,
-                                    )
-                                })
-                                .collect();
-                            (start, probs, queries)
-                        })
-                        .collect()
-                });
-                for (start, probs, queries) in chunk_results {
-                    if let Some(s) = stats {
-                        s.add_window_queries(queries);
-                    }
-                    for (offset, prob) in probs.into_iter().enumerate() {
-                        result.set(start + offset, prob);
-                    }
-                }
-                return result;
-            }
-        }
-        #[cfg(not(feature = "parallel"))]
-        let _ = parallel;
-
-        let mut queries = 0u64;
-        for s in 0..n {
-            let row = rowmap.row_of_snap[s] as usize;
-            let prob = self.dual_row_prob(forest, &live_objects, &fdom, row, &mut queries);
-            result.set(s, prob);
-        }
-        if let Some(st) = stats {
-            st.add_window_queries(queries);
-        }
-        result
-    }
-
-    /// One row's DUAL probability: the factor fold of `dual_instance_prob`
-    /// in ascending object order. Empty trees are objects absent from the
-    /// snapshot — skipping them skips exactly the objects a cold run never
-    /// had.
-    fn dual_row_prob(
-        &self,
-        forest: &DeltaForest,
-        live_objects: &[u32],
-        fdom: &WeightRatioFDominance,
-        row: usize,
-        queries: &mut u64,
-    ) -> f64 {
-        let store = &self.store;
-        let region = FDominatorsOf::new(fdom, store.coords_of(row));
-        let own = store.object_of(row);
-        let mut prob = store.prob(row);
-        for &object in live_objects {
-            let object = object as usize;
-            if object == own {
-                continue;
-            }
-            *queries += 1;
-            let sigma = forest.tree(object).sum_weights_in(&region);
-            prob *= 1.0 - sigma;
-            if prob <= 0.0 {
-                return 0.0;
-            }
-        }
-        prob
+        let (flat, index) = {
+            let mut snap = lock(&self.caches.snap);
+            self.advance_snap(&mut snap);
+            let index = self.ensure_dual_index(&mut snap);
+            (Arc::clone(&snap.flat), index)
+        };
+        arsp_dual_flat_engine(&flat, ratio, &index, parallel, stats, None)
     }
 }
 
@@ -1302,7 +1056,7 @@ impl<'e, 'q> DynamicQuery<'e, 'q> {
             QueryAlgorithm::Enum => {
                 engine.run_enum(linear.expect("linear constraints materialised above"))
             }
-            QueryAlgorithm::Loop => engine.run_loop_delta(
+            QueryAlgorithm::Loop => engine.run_loop(
                 linear.expect("linear constraints materialised above"),
                 parallel,
                 stats,
@@ -1509,8 +1263,7 @@ mod tests {
         assert_matches_cold_rebuild(&engine, &constraints);
         assert_dual_matches_cold_rebuild(&engine, &ratio);
 
-        // Remove an early bulk instance (exercises tombstone skipping and
-        // forest dirtying).
+        // Remove an early bulk instance (exercises tombstone skipping).
         let victim = engine.store().handle_of_row(0);
         engine.remove_instance(victim);
         assert_matches_cold_rebuild(&engine, &constraints);
@@ -1572,7 +1325,6 @@ mod tests {
         // consistent too.
         engine.remove_instance(engine.store().handle_of_row(0));
         assert_matches_cold_rebuild(&engine, &constraints);
-        assert!(engine.cache_stats().delta_rows_scanned > 0);
     }
 
     #[test]
@@ -1663,28 +1415,27 @@ mod tests {
             ..SyntheticConfig::default()
         }
         .generate();
-        let engine = DynamicArspEngine::from_dataset(&dataset);
+        let mut engine = DynamicArspEngine::from_dataset(&dataset);
         let constraints = ConstraintSet::weak_ranking(3, 2);
-        for algorithm in [
-            QueryAlgorithm::Loop,
-            QueryAlgorithm::KdttPlus,
-            QueryAlgorithm::BranchAndBound,
-        ] {
-            let _ = engine.query(&constraints).algorithm(algorithm).run();
-        }
+        let ratio = WeightRatio::uniform(3, 0.5, 2.0);
+        let run_all = |engine: &DynamicArspEngine| {
+            for algorithm in [
+                QueryAlgorithm::Loop,
+                QueryAlgorithm::KdttPlus,
+                QueryAlgorithm::BranchAndBound,
+            ] {
+                let _ = engine.query(&constraints).algorithm(algorithm).run();
+            }
+            let dual = engine.ratio_query(&ratio).run();
+            assert_eq!(dual.algorithm(), QueryAlgorithm::Dual);
+        };
+        run_all(&engine);
         let warm = engine.cache_stats();
         assert!(warm.misses > 0);
         assert_eq!(warm.caches_invalidated, 0, "no mutation, no invalidation");
-        assert_eq!(warm.delta_rows_scanned, 0, "no delta to scan yet");
         assert_eq!(warm.merges_performed, 0);
 
-        for algorithm in [
-            QueryAlgorithm::Loop,
-            QueryAlgorithm::KdttPlus,
-            QueryAlgorithm::BranchAndBound,
-        ] {
-            let _ = engine.query(&constraints).algorithm(algorithm).run();
-        }
+        run_all(&engine);
         let steady = engine.cache_stats();
         assert_eq!(
             warm.misses, steady.misses,
@@ -1692,6 +1443,27 @@ mod tests {
         );
         assert_eq!(warm.scratch_misses, steady.scratch_misses);
         assert!(steady.hits > warm.hits);
+
+        // One mutation drops the three unpatchable per-version artifacts
+        // (R-tree, DUAL index, snapshot dataset) exactly once each.
+        let h = engine.store().handle_of_row(0);
+        engine.remove_instance(h);
+        run_all(&engine);
+        assert_eq!(engine.cache_stats().caches_invalidated, 3);
+
+        // With only DUAL warm, one mutation costs exactly one invalidation:
+        // its index.
+        let mut engine = DynamicArspEngine::from_dataset(&dataset);
+        let _ = engine.ratio_query(&ratio).run();
+        let h = engine.store().handle_of_row(0);
+        engine.remove_instance(h);
+        let _ = engine.ratio_query(&ratio).run();
+        let after = engine.cache_stats();
+        assert_eq!(after.caches_invalidated, 1);
+        let _ = engine.ratio_query(&ratio).run();
+        let repeat = engine.cache_stats();
+        assert_eq!(repeat.misses, after.misses, "repeat DUAL rebuilt something");
+        assert_eq!(repeat.caches_invalidated, 1);
     }
 
     #[test]
@@ -1715,27 +1487,23 @@ mod tests {
             .algorithm(QueryAlgorithm::Loop)
             .run();
         let warm = engine.cache_stats();
-        let mut expected_delta = warm.delta_rows_scanned;
         for i in 0..4u64 {
-            let object =
-                engine.insert_object(None, vec![(vec![0.2, 0.3, 0.1 + 0.1 * i as f64], 0.5)]);
-            let _ = object;
+            let _ = engine.insert_object(None, vec![(vec![0.2, 0.3, 0.1 + 0.1 * i as f64], 0.5)]);
             let _ = engine
                 .query(&constraints)
                 .algorithm(QueryAlgorithm::Loop)
                 .run();
-            // Each round fuses one more pending delta row than the last —
-            // the LOOP path never advances the snapshot.
-            expected_delta += i + 1;
         }
         let churned = engine.cache_stats();
-        assert_eq!(churned.delta_rows_scanned, expected_delta);
+        // Each round rebuilds only the per-version row map: the score
+        // matrix and the order are patched forward (hits), not rebuilt.
+        assert_eq!(churned.misses, warm.misses + 4);
         assert_eq!(
             churned.merges_performed, warm.merges_performed,
             "manual policy: the store must not have compacted"
         );
-        // The LOOP delta path never touches the R-tree or dataset, so no
-        // invalidations either.
+        // LOOP never builds the R-tree or dataset, so no invalidations
+        // either.
         assert_eq!(churned.caches_invalidated, warm.caches_invalidated);
 
         // A B&B query now advances the snapshot; nothing is cached to
@@ -1767,53 +1535,5 @@ mod tests {
 
         // Results stay exact through all of it.
         assert_matches_cold_rebuild(&engine, &constraints);
-    }
-
-    #[test]
-    fn dual_forest_folds_appends_and_rebuilds_dirty_objects() {
-        let dataset = SyntheticConfig {
-            num_objects: 16,
-            max_instances: 3,
-            dim: 3,
-            phi: 0.6,
-            seed: 33,
-            ..SyntheticConfig::default()
-        }
-        .generate();
-        let mut engine = DynamicArspEngine::from_dataset(&dataset);
-        engine.set_delta_policy(DeltaPolicy::manual());
-        let ratio = WeightRatio::uniform(3, 0.5, 2.0);
-
-        // First DUAL query builds the forest (one fold pass per object).
-        let _ = engine.ratio_query(&ratio).run();
-        let built = engine.cache_stats();
-        assert!(built.merges_performed >= 1);
-
-        // Repeat query: fully synced, no further folds.
-        let _ = engine.ratio_query(&ratio).run();
-        assert_eq!(
-            engine.cache_stats().merges_performed,
-            built.merges_performed
-        );
-
-        // An append folds forward (no invalidation); a removal inside the
-        // folded prefix dirties exactly one slot.
-        let target = (0..engine.store().num_objects())
-            .find(|&o| engine.store().live_total_prob(o) < 0.7)
-            .expect("phi = 0.6 leaves partial objects");
-        let _ = engine.insert_instance(target, &[0.4, 0.2, 0.6], 0.1);
-        let _ = engine.ratio_query(&ratio).run();
-        let after_append = engine.cache_stats();
-        assert_eq!(after_append.caches_invalidated, built.caches_invalidated);
-
-        let first = engine.store().object_rows(target)[0] as usize;
-        let h = engine.store().handle_of_row(first);
-        engine.remove_instance(h);
-        let after_remove = engine.cache_stats();
-        assert_eq!(
-            after_remove.caches_invalidated,
-            built.caches_invalidated + 1
-        );
-        assert_dual_matches_cold_rebuild(&engine, &ratio);
     }
 }

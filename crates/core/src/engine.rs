@@ -244,15 +244,11 @@ pub struct CacheStats {
     /// assert.
     pub scratch_misses: u64,
     /// Cached structures dropped because a dataset mutation made them
-    /// unpatchable (the bulk-loaded instance R-tree, the materialised
-    /// snapshot dataset, dirty per-object DUAL trees). Always 0 for the
-    /// static [`ArspEngine`].
+    /// unpatchable (the bulk-loaded instance R-tree, the DUAL per-object
+    /// index, the materialised snapshot dataset). Always 0 for the static
+    /// [`ArspEngine`].
     pub caches_invalidated: u64,
-    /// Delta-tail rows fused into query scans by the dynamic LOOP
-    /// delta-merge path. Always 0 for the static [`ArspEngine`].
-    pub delta_rows_scanned: u64,
-    /// Logarithmic-method merges performed: versioned-store compactions plus
-    /// per-object forest rebuilds/catch-up folds into the arena trees.
+    /// Logarithmic-method merges performed: versioned-store compactions.
     /// Always 0 for the static [`ArspEngine`].
     pub merges_performed: u64,
     /// Queries in flight *right now*. Always 0 for the single-caller static
@@ -505,7 +501,6 @@ impl ArspEngine {
             // single-caller engine neither coalesces nor pins snapshots —
             // those belong to the serving layer.
             caches_invalidated: 0,
-            delta_rows_scanned: 0,
             merges_performed: 0,
             inflight: 0,
             coalesced_builds: 0,
@@ -570,9 +565,9 @@ impl ArspEngine {
     }
 
     /// The shared DUAL per-object index (built on first DUAL query).
-    fn dual_index(&self) -> SharedAggregateForest {
+    fn dual_index(&self, flat: &FlatStore) -> SharedAggregateForest {
         self.caches
-            .once(&self.caches.dual_index, || build_dual_index(&self.dataset))
+            .once(&self.caches.dual_index, || build_dual_index(flat))
     }
 }
 
@@ -802,7 +797,7 @@ impl<'e, 'q> ArspQuery<'e, 'q> {
                     };
                     let build_start = Instant::now();
                     let flat = engine.flat();
-                    let index = engine.dual_index();
+                    let index = engine.dual_index(&flat);
                     *build_time += build_start.elapsed();
                     run_start = Instant::now();
                     arsp_dual_flat_engine(&flat, ratio, &index, parallel, stats, budget)

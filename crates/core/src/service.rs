@@ -119,7 +119,7 @@ use arsp_geometry::fdom::LinearFDominance;
 use arsp_index::{SharedAggregateForest, SharedRTree};
 
 /// The cache key of the per-snapshot singleton artifacts (dataset, R-tree,
-/// DUAL forest): one entry per snapshot, no constraint dependence.
+/// DUAL index): one entry per snapshot, no constraint dependence.
 const SINGLETON_KEY: &[u64] = &[];
 
 /// One published version: the immutable artifact set every query on a pin of
@@ -407,7 +407,6 @@ impl ArspService {
                 + shared.loop_pool.misses()
                 + shared.kd_pool.misses(),
             caches_invalidated: 0,
-            delta_rows_scanned: 0,
             merges_performed: 0,
             inflight: shared.gauge.current(),
             coalesced_builds: shared.coalesce.coalesced(),
@@ -706,16 +705,13 @@ impl SnapshotPin {
         )
     }
 
-    fn dual_index(
-        &self,
-        dataset: &UncertainDataset,
-        deadline: Option<Instant>,
-    ) -> SharedAggregateForest {
+    fn dual_index(&self, deadline: Option<Instant>) -> SharedAggregateForest {
+        let flat = &self.snapshot.flat;
         join_or_unwind(
             self.snapshot
                 .dual
                 .get_or_build_deadline(SINGLETON_KEY, deadline, || {
-                    Arc::new(build_dual_index(dataset))
+                    Arc::new(build_dual_index(flat))
                 }),
         )
     }
@@ -960,8 +956,7 @@ impl<'p, 'q> ServiceQuery<'p, 'q> {
                          build the query with SnapshotPin::ratio_query"
                     ),
                 };
-                let dataset = pin.dataset(deadline);
-                let index = pin.dual_index(&dataset, deadline);
+                let index = pin.dual_index(deadline);
                 arsp_dual_flat_engine(&snapshot.flat, ratio, &index, parallel, stats, budget)
             }
             QueryAlgorithm::Enum => {

@@ -12,8 +12,8 @@
 //! ## The maintenance path
 //!
 //! For a subscription pinned to [`QueryAlgorithm::Loop`] under linear
-//! constraints, maintenance replays the delta against the engine's cached
-//! delta-merge artifacts rather than rescanning the bulk:
+//! constraints, maintenance replays the delta against the engine's
+//! delta-patched artifacts rather than rescanning the bulk:
 //!
 //! 1. The [`arsp_data::VersionedStore`]'s change log yields the batch's
 //!    [`ChangeSummary`](arsp_data::ChangeSummary): touched handles plus the
@@ -72,9 +72,8 @@ use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 use arsp_geometry::point;
 
 /// Default [`StandingSpec::max_dirty_fraction`]: beyond this share of dirty
-/// survivors the per-instance recompute loses to one engine-cached full
-/// query (which the delta-merge scan already serves in `O(n·δ)`), so the
-/// subscription falls back.
+/// survivors the per-instance recompute loses to one full LOOP query over
+/// the engine's patched artifacts, so the subscription falls back.
 const DEFAULT_MAX_DIRTY_FRACTION: f64 = 0.35;
 
 /// What a subscription watches: general linear constraints or a weight
@@ -371,7 +370,7 @@ impl StandingQueryRegistry {
         // Delta-patched artifacts at the current version — bitwise the cold
         // builds (the engine's standing delta-patch guarantee), so the
         // per-instance kernel below computes exactly what a full scan would.
-        let art = engine.standing_loop_artifacts(constraints);
+        let art = engine.loop_artifacts(constraints);
         let (handles, objects) = engine.snapshot_handles();
         let n = handles.len();
         let d = art.scores.score_dim();

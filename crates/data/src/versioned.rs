@@ -263,17 +263,14 @@ impl VersionedStore {
         handle
     }
 
-    /// Deletes one instance (tombstone). Returns the logical position the
-    /// instance held inside its object — callers maintaining per-object
-    /// prefix indexes (see `arsp_index::DeltaForest`) use it to decide
-    /// whether their folded prefix was invalidated. Bumps the version.
+    /// Deletes one instance (tombstone). Bumps the version.
     ///
     /// # Panics
     /// Panics if the handle is already dead.
-    pub fn remove_instance(&mut self, handle: InstanceHandle) -> usize {
+    pub fn remove_instance(&mut self, handle: InstanceHandle) {
         let row = self.handle_to_row[handle.index()];
         assert!(row != NO_ROW, "handle names a removed instance");
-        let position = self.kill(handle);
+        self.kill(handle);
         self.version += 1;
         // Tombstoned rows keep their columns, so the pre-image can be
         // captured after the kill from the old row id.
@@ -281,20 +278,18 @@ impl VersionedStore {
             let removed = self.removed_row(row as usize);
             self.log_change(vec![handle], vec![removed]);
         }
-        position
     }
 
     /// Overwrites one instance (revised coordinates and/or probability): the
     /// old row is tombstoned and a replacement row is appended to the delta
     /// tail — the handle stays valid and now names the replacement. The
     /// instance moves to its object's logical tail (see the
-    /// [module docs](self)). Returns the logical position the *old* row held.
-    /// Bumps the version once.
+    /// [module docs](self)). Bumps the version once.
     ///
     /// # Panics
     /// Panics if the handle is dead, on dimension or probability violations,
     /// or if the object's total probability would exceed one.
-    pub fn update_instance(&mut self, handle: InstanceHandle, coords: &[f64], prob: f64) -> usize {
+    pub fn update_instance(&mut self, handle: InstanceHandle, coords: &[f64], prob: f64) {
         let row = self.handle_to_row[handle.index()];
         assert!(row != NO_ROW, "handle names a removed instance");
         let object = self.objects[row as usize] as usize;
@@ -303,7 +298,7 @@ impl VersionedStore {
             total <= MAX_OBJECT_PROB,
             "object {object} total probability would reach {total}"
         );
-        let position = self.kill(handle);
+        self.kill(handle);
         // The handle keeps naming the logical instance: the replacement row
         // is appended under the *existing* handle slot, not a fresh one.
         let new_row = self.push_row_raw(object, coords, prob, handle.0);
@@ -313,7 +308,6 @@ impl VersionedStore {
             let removed = self.removed_row(row as usize);
             self.log_change(vec![handle], vec![removed]);
         }
-        position
     }
 
     /// Retires a whole object: every live instance is tombstoned and the
@@ -978,9 +972,8 @@ impl VersionedStore {
         row
     }
 
-    /// Tombstones the row a handle names; returns the logical position the
-    /// row held inside its object.
-    fn kill(&mut self, handle: InstanceHandle) -> usize {
+    /// Tombstones the row a handle names.
+    fn kill(&mut self, handle: InstanceHandle) {
         let row = self.handle_to_row[handle.index()];
         assert!(row != NO_ROW, "handle names a removed instance");
         let object = self.objects[row as usize] as usize;
@@ -992,7 +985,6 @@ impl VersionedStore {
         self.alive[row as usize] = false;
         self.handle_to_row[handle.index()] = NO_ROW;
         self.dead_rows += 1;
-        position
     }
 }
 
@@ -1390,8 +1382,7 @@ mod tests {
     fn overwrite_keeps_the_handle_and_moves_to_the_tail() {
         let mut store = VersionedStore::from_dataset(&paper_running_example());
         let h = store.handle_of_row(2); // first instance of T2
-        let old_position = store.update_instance(h, &[2.5, 3.5], 0.25);
-        assert_eq!(old_position, 0);
+        store.update_instance(h, &[2.5, 3.5], 0.25);
         let row = store.row_of(h).expect("handle survives overwrites");
         assert_eq!(store.coords_of(row), &[2.5, 3.5]);
         assert_eq!(store.prob(row), 0.25);
@@ -1585,7 +1576,7 @@ mod tests {
         let a = store.insert_object(None, vec![(vec![0.1, 0.2], 0.9)]);
         let h = store.handle_of_row(store.object_rows(a)[0] as usize);
         // 0.9 → 0.95 is fine because the old mass is released first.
-        let _ = store.update_instance(h, &[0.1, 0.2], 0.95);
+        store.update_instance(h, &[0.1, 0.2], 0.95);
         assert!((store.live_total_prob(a) - 0.95).abs() < 1e-12);
     }
 

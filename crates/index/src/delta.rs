@@ -1,36 +1,19 @@
-//! Delta-aware index handles for dynamic datasets.
+//! The logarithmic-method trigger for dynamic datasets.
 //!
-//! The static indexes of this crate are bulk-loaded arenas: fast to query,
-//! frozen at construction. A dynamic dataset (see `arsp_data::VersionedStore`)
-//! splits the rows into an **indexed bulk** and an **unindexed delta range**
-//! and needs two pieces of machinery on top:
-//!
-//! * [`DeltaPolicy`] — the logarithmic-method trigger: how large the pending
-//!   delta (appends + tombstones) may grow, absolutely and relative to the
-//!   live row count, before it is folded back into the arena indexes.
-//! * [`DeltaForest`] — the per-object [`AggregateRTree`] forest of the DUAL
-//!   algorithm, maintained incrementally. An [`AggregateRTree`] is built by
-//!   *sequential insertion*, so appending an object's new instances to its
-//!   existing tree reproduces — node for node, bit for bit — the tree a cold
-//!   build over the grown instance list would produce. That makes append-only
-//!   objects free to keep in sync (`fold`), while objects that lost or
-//!   revised instances are marked dirty and rebuilt from scratch on next use
-//!   (`begin_rebuild`) — the selective-invalidation half of the design.
-//!
-//! The forest tracks, per object slot, how many instances of the object's
-//! canonical (logical-order) list have been folded; the owner replays
-//! `list[folded..]` to catch a slot up. Neither type knows about versions or
-//! uncertain-data semantics — the dynamic engine in `arsp-core` drives them.
+//! A dynamic dataset (see `arsp_data::VersionedStore`) tombstones removed
+//! rows and appends new ones to a delta tail. [`DeltaPolicy`] decides how
+//! large that pending delta (appends + tombstones) may grow, absolutely and
+//! relative to the live row count, before the store is compacted. It knows
+//! nothing about versions or uncertain-data semantics — the dynamic engine
+//! in `arsp-core` drives it.
 
-use crate::aggregate_rtree::AggregateRTree;
-
-/// When to fold the delta into the arena indexes (the logarithmic-method
-/// threshold). A merge triggers once the pending row count reaches the
-/// absolute floor **and** the fraction of the live rows.
+/// When to compact the store (the logarithmic-method threshold). A merge
+/// triggers once the pending row count reaches the absolute floor **and**
+/// the fraction of the live rows.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeltaPolicy {
-    /// Minimum pending rows before a merge is considered at all (small
-    /// deltas are cheaper to scan than to fold).
+    /// Minimum pending rows before a merge is considered at all (a small
+    /// delta is not worth a compaction pass).
     pub min_pending: usize,
     /// Pending rows as a fraction of the live rows at which a merge fires.
     pub max_fraction: f64,
@@ -38,8 +21,8 @@ pub struct DeltaPolicy {
 
 impl Default for DeltaPolicy {
     /// Merge once the delta reaches 128 pending rows *and* 8 % of the live
-    /// rows — the delta-scan overhead stays single-digit percent while
-    /// merges stay `O(log)`-amortised per row.
+    /// rows — tombstoned garbage stays single-digit percent of the store
+    /// while merges stay `O(log)`-amortised per row.
     fn default() -> Self {
         Self {
             min_pending: 128,
@@ -57,8 +40,8 @@ impl DeltaPolicy {
         }
     }
 
-    /// A policy that merges after every mutation (useful in tests: the delta
-    /// paths then never see more than one pending row).
+    /// A policy that merges after every mutation (useful in tests: the store
+    /// then never carries more than one pending row).
     pub fn eager() -> Self {
         Self {
             min_pending: 0,
@@ -72,115 +55,9 @@ impl DeltaPolicy {
     }
 }
 
-/// One object slot of a [`DeltaForest`].
-#[derive(Clone, Debug)]
-struct DeltaSlot {
-    tree: AggregateRTree,
-    /// How many entries of the object's canonical list have been inserted
-    /// into `tree` (a prefix — the owner replays the tail to catch up).
-    folded: usize,
-    /// Set when the folded prefix no longer matches the canonical list
-    /// (a deletion or overwrite inside it); the slot must be rebuilt.
-    dirty: bool,
-}
-
-/// A per-object forest of aggregated R-trees maintained against a mutating
-/// dataset: append-only objects are folded forward exactly, mutated objects
-/// are selectively rebuilt. See the [module docs](self).
-#[derive(Debug)]
-pub struct DeltaForest {
-    dim: usize,
-    slots: Vec<DeltaSlot>,
-}
-
-impl DeltaForest {
-    /// An empty forest over `dim`-dimensional points.
-    pub fn new(dim: usize) -> Self {
-        assert!(dim >= 1);
-        Self {
-            dim,
-            slots: Vec::new(),
-        }
-    }
-
-    /// Point dimensionality.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of object slots.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when the forest has no slots yet.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Grows the forest to at least `n` slots (new slots start empty).
-    pub fn ensure_slots(&mut self, n: usize) {
-        while self.slots.len() < n {
-            self.slots.push(DeltaSlot {
-                tree: AggregateRTree::new(self.dim),
-                folded: 0,
-                dirty: false,
-            });
-        }
-    }
-
-    /// The tree of one slot (query side).
-    #[inline]
-    pub fn tree(&self, slot: usize) -> &AggregateRTree {
-        &self.slots[slot].tree
-    }
-
-    /// How many canonical entries of the slot have been folded.
-    #[inline]
-    pub fn folded(&self, slot: usize) -> usize {
-        self.slots[slot].folded
-    }
-
-    /// `true` when the slot's folded prefix was invalidated and the slot
-    /// must be rebuilt before its tree is queried again.
-    #[inline]
-    pub fn is_dirty(&self, slot: usize) -> bool {
-        self.slots[slot].dirty
-    }
-
-    /// Marks a slot's folded prefix as invalidated (an entry inside it was
-    /// removed or revised).
-    pub fn mark_dirty(&mut self, slot: usize) {
-        self.slots[slot].dirty = true;
-    }
-
-    /// Folds the next canonical entry of a slot into its tree — exactly the
-    /// insertion a cold build would perform at this position.
-    pub fn fold(&mut self, slot: usize, coords: &[f64], weight: f64) {
-        let s = &mut self.slots[slot];
-        debug_assert!(!s.dirty, "fold on a dirty slot; rebuild it first");
-        s.tree.insert(coords, weight);
-        s.folded += 1;
-    }
-
-    /// Empties a slot so it can be re-folded from the start of its canonical
-    /// list (the rebuild half of selective invalidation; also used when an
-    /// object retires). The node arena's allocation is kept.
-    pub fn begin_rebuild(&mut self, slot: usize) {
-        let s = &mut self.slots[slot];
-        s.tree.reset(self.dim);
-        s.folded = 0;
-        s.dirty = false;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::random_entries;
 
     #[test]
     fn policy_thresholds() {
@@ -191,64 +68,5 @@ mod tests {
         assert!(p.should_merge(0, 128), "empty stores merge at the floor");
         assert!(!DeltaPolicy::manual().should_merge(10, 1_000_000));
         assert!(DeltaPolicy::eager().should_merge(1_000_000, 1));
-    }
-
-    /// The forest's core guarantee: folding appends forward produces a tree
-    /// bitwise interchangeable with a cold sequential build — every window
-    /// sum agrees exactly.
-    #[test]
-    fn folded_appends_match_a_cold_sequential_build() {
-        let entries = random_entries(300, 3, 1, 7);
-        let mut forest = DeltaForest::new(3);
-        forest.ensure_slots(1);
-
-        // Fold in three batches, as the dynamic engine would between queries.
-        let mut cold = AggregateRTree::new(3);
-        for chunk in entries.chunks(100) {
-            for e in chunk {
-                forest.fold(0, &e.coords, e.weight);
-            }
-            for e in chunk {
-                cold.insert(&e.coords, e.weight);
-            }
-            for corner in [[0.5, 0.5, 0.5], [0.9, 0.2, 0.7], [1.0, 1.0, 1.0]] {
-                let a = forest.tree(0).window_sum(&corner);
-                let b = cold.window_sum(&corner);
-                assert_eq!(a.to_bits(), b.to_bits(), "corner {corner:?}");
-            }
-        }
-        assert_eq!(forest.folded(0), entries.len());
-    }
-
-    #[test]
-    fn dirty_slots_rebuild_from_scratch() {
-        let entries = random_entries(80, 2, 1, 3);
-        let mut forest = DeltaForest::new(2);
-        forest.ensure_slots(2);
-        for e in &entries {
-            forest.fold(0, &e.coords, e.weight);
-        }
-        assert!(!forest.is_dirty(0));
-        forest.mark_dirty(0);
-        assert!(forest.is_dirty(0));
-
-        // Rebuild with the first entry dropped: the result matches a cold
-        // build over the surviving list.
-        forest.begin_rebuild(0);
-        assert_eq!(forest.folded(0), 0);
-        let mut cold = AggregateRTree::new(2);
-        for e in &entries[1..] {
-            forest.fold(0, &e.coords, e.weight);
-            cold.insert(&e.coords, e.weight);
-        }
-        let corner = [0.8, 0.8];
-        assert_eq!(
-            forest.tree(0).window_sum(&corner).to_bits(),
-            cold.window_sum(&corner).to_bits()
-        );
-        // Slot 1 was never touched.
-        assert!(forest.tree(1).is_empty());
-        assert_eq!(forest.len(), 2);
-        assert!(!forest.is_empty());
     }
 }

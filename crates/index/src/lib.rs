@@ -17,10 +17,9 @@
 //!   instances sorted by angle around a reference instance with per-object
 //!   prefix sums, answering (possibly wrapping) angular range queries.
 //!
-//! For dynamic datasets the [`delta`] module adds the glue between mutating
-//! stores and these frozen arenas: the logarithmic-method [`DeltaPolicy`]
-//! (when to fold an unindexed delta range back into the arenas) and the
-//! incrementally maintained per-object [`DeltaForest`].
+//! For dynamic datasets the [`delta`] module adds the logarithmic-method
+//! [`DeltaPolicy`]: when a mutating store compacts its tombstones and
+//! appended tail. The indexes themselves are rebuilt per snapshot.
 //!
 //! The indexes know nothing about uncertain objects or rskyline semantics;
 //! they operate on point entries (id, object id, weight, coordinates) and
@@ -41,7 +40,7 @@ pub mod rtree;
 
 pub use aggregate_rtree::AggregateRTree;
 pub use angular::AngularSweepIndex;
-pub use delta::{DeltaForest, DeltaPolicy};
+pub use delta::DeltaPolicy;
 pub use kdtree::KdTree;
 pub use region::{DominanceRegion, FDominatorsOf, WindowTo};
 pub use rtree::{NodeContent, NodeId, RTree};

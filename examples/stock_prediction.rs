@@ -112,7 +112,7 @@ fn main() {
 
     // ---- register the alerts ONCE ----------------------------------------
     // The band alert watches the factor-of-two preference band (served by
-    // the DUAL forest); the scan alert pins LOOP on the equivalent linear
+    // DUAL, re-evaluated per refresh); the scan alert pins LOOP on the equivalent linear
     // constraints, the one configuration maintained incrementally through
     // the dirty-set narrowing pass. In 2-d a wide band means wide dominance
     // windows, so the alert raises its fallback threshold above the default:
@@ -254,11 +254,10 @@ fn main() {
     let stats = engine.cache_stats();
     println!(
         "\nSession counters: {} notifications delivered, {} dirty instances \
-         scanned, {} full-requery fallbacks, {} delta rows fused, {} merges",
+         scanned, {} full-requery fallbacks, {} store compactions",
         stats.notifications_delivered,
         stats.dirty_instances_scanned,
         stats.standing_full_fallbacks,
-        stats.delta_rows_scanned,
         stats.merges_performed
     );
 

@@ -179,7 +179,7 @@ fn dual_flat_engine_matches_point_path_bitwise() {
         let point_path = arsp_dual(&dataset, &ratio);
 
         let flat = FlatStore::from_dataset(&dataset);
-        let agg = build_dual_index(&dataset);
+        let agg = build_dual_index(&flat);
         for parallel in [false, true] {
             let got = arsp_dual_flat_engine(&flat, &ratio, &agg, parallel, None, None);
             let what = format!("arsp_dual_flat_engine parallel={parallel}");

@@ -37,6 +37,12 @@
 //!    in at least one test under `tests/`, so a new typed error or state
 //!    transition cannot land untested (and a vanished enum/array shape is
 //!    reported rather than silently skipped).
+//! 8. **kernel-ownership** — table-driven ([`KERNEL_OWNERS`]): inside
+//!    `crates/core/src`, each algorithm kernel's inner call may appear only
+//!    in the files that own the kernel (`sum_weights_in(` in DUAL's
+//!    module, `target_prob(` in LOOP's module and the standing-query
+//!    pass that reuses it), so a second copy of a kernel's fold cannot
+//!    grow in another module unseen.
 //!
 //! The scanner strips comments and string/char literals first, so banned
 //! tokens in docs or messages never trigger, and the fixture snippets in
@@ -115,6 +121,21 @@ const CRASH_SUITES: &[&str] = &["tests/crash_recovery.rs", "tests/shard_agreemen
 /// Rule 7 inputs: the typed query errors and the quarantine state machine.
 const QUERY_ERROR_FILE: &str = "crates/core/src/fault.rs";
 const CLUSTER_FILE: &str = "crates/core/src/cluster.rs";
+
+/// Rule 8 scope: the crate whose algorithms must keep one kernel each.
+const KERNEL_OWNER_SCOPE: &str = "crates/core/src";
+
+/// Rule 8 table: a kernel's inner call → the files allowed to make it.
+const KERNEL_OWNERS: &[(&str, &[&str])] = &[
+    ("sum_weights_in(", &["crates/core/src/algorithms/dual.rs"]),
+    (
+        "target_prob(",
+        &[
+            "crates/core/src/algorithms/loop_scan.rs",
+            "crates/core/src/standing.rs",
+        ],
+    ),
+];
 
 /// One row of rule 5: every `pub fn` under `scope` whose name contains
 /// `name_filter` must appear in a test under `tests/`.
@@ -289,6 +310,17 @@ fn lint_tree(root: &Path) -> Result<Vec<Violation>, String> {
         &cluster_source,
         &tests_text,
     ));
+
+    // Rule 8: kernel calls stay in the files that own the kernel.
+    for path in rust_files(&root.join(KERNEL_OWNER_SCOPE)) {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let source = fs::read_to_string(&path).map_err(|e| format!("reading {rel}: {e}"))?;
+        violations.extend(check_kernel_ownership(&rel, &strip_code(&source)));
+    }
 
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(violations)
@@ -902,6 +934,39 @@ fn enum_variants(stripped: &str, name: &str) -> Vec<(usize, String)> {
     variants
 }
 
+// ---------------------------------------------------------------------------
+// Rule 8: kernel-ownership
+// ---------------------------------------------------------------------------
+
+fn check_kernel_ownership(file: &str, stripped: &str) -> Vec<Violation> {
+    let bytes = stripped.as_bytes();
+    let mut violations = Vec::new();
+    for (call, owners) in KERNEL_OWNERS {
+        if owners.contains(&file) {
+            continue;
+        }
+        let mut from = 0;
+        while let Some(pos) = stripped[from..].find(call) {
+            let offset = from + pos;
+            from = offset + call.len();
+            // `my_target_prob(` is another function, not the kernel.
+            if offset > 0 && is_ident_byte(bytes[offset - 1]) {
+                continue;
+            }
+            violations.push(Violation {
+                file: file.to_string(),
+                line: line_of(stripped, offset),
+                rule: "kernel-ownership",
+                message: format!(
+                    "`{call}` outside its kernel's files {owners:?}: call the \
+                     algorithm's flat engine instead of copying its fold"
+                ),
+            });
+        }
+    }
+    violations
+}
+
 /// `(offset, contents)` of every plain `"..."` literal in `text` (no escape
 /// handling — fail-point site names are bare dotted identifiers).
 fn string_literals(text: &str) -> Vec<(usize, String)> {
@@ -1191,6 +1256,45 @@ mod tests {
         let violations = check_supervisor_coverage(FAULT_FIXTURE, "const EDGES: u8 = 0;", tests);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].message.contains("no `TRANSITION_EDGES`"));
+    }
+
+    #[test]
+    fn kernel_ownership_fires_outside_the_owning_files() {
+        let copy = strip_code(
+            "fn dual_row_prob() {\n    let s = tree.sum_weights_in(&region);\n}\n\
+             fn scan() { let p = layout.target_prob(pos, work, &mut t); }\n",
+        );
+        let violations = check_kernel_ownership("crates/core/src/dynamic.rs", &copy);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert_eq!(violations[0].rule, "kernel-ownership");
+        assert_eq!(violations[0].line, 2);
+        assert!(violations[0].message.contains("sum_weights_in("));
+        assert_eq!(violations[1].line, 4);
+        assert!(violations[1].message.contains("target_prob("));
+    }
+
+    #[test]
+    fn kernel_ownership_passes_owners_comments_and_longer_names() {
+        let dual = strip_code("let s = tree.sum_weights_in(&region);\n");
+        assert!(check_kernel_ownership("crates/core/src/algorithms/dual.rs", &dual).is_empty());
+        let lp = strip_code("let p = scan.target_prob(pos, work, &mut t);\n");
+        for owner in [
+            "crates/core/src/algorithms/loop_scan.rs",
+            "crates/core/src/standing.rs",
+        ] {
+            assert!(check_kernel_ownership(owner, &lp).is_empty());
+        }
+        // DUAL's calls are not LOOP's owners' to make, and vice versa.
+        assert_eq!(
+            check_kernel_ownership("crates/core/src/standing.rs", &dual).len(),
+            1
+        );
+        let other = strip_code(
+            "// the kernel: tree.sum_weights_in(&region)\n\
+             let m = \"target_prob(\";\n\
+             fn my_target_prob(x: u64) -> u64 { x }\n",
+        );
+        assert!(check_kernel_ownership("crates/core/src/dynamic.rs", &other).is_empty());
     }
 
     #[test]
