@@ -19,9 +19,7 @@
 //! [`InstanceOrder`]'s keys. [`arsp_loop_flat_engine`] gathers the layout
 //! from a [`FlatStore`], its [`ScoreMatrix`] and an [`InstanceOrder`] (the
 //! static engine, the serving layer and the dynamic engine cache the last
-//! two per snapshot); the standing-query maintenance pass
-//! (`crate::standing`) gathers it once per refresh and recomputes only its
-//! dirty positions. The buffers live in a [`LoopScratch`], so a warmed-up
+//! two per snapshot). The buffers live in a [`LoopScratch`], so a warmed-up
 //! scan allocates nothing.
 //!
 //! ## Kernel
@@ -158,7 +156,7 @@ const BLOCK: usize = 256;
 /// into dimension-major columns (see the [module docs](self)). Built by
 /// `gather`; rebuilding keeps the allocations.
 #[derive(Debug, Default)]
-pub(crate) struct LoopScan {
+struct LoopScan {
     n: usize,
     /// `cols[k * n + p]`: score under vertex `k` of the instance at `p`.
     cols: Vec<f64>,
@@ -180,7 +178,7 @@ pub(crate) struct LoopScan {
 impl LoopScan {
     /// Gathers the layout of a snapshot: position `p` is instance
     /// `ord.order[p]`, reported under its own id.
-    pub(crate) fn gather(&mut self, flat: &FlatStore, scores: &ScoreMatrix, ord: &InstanceOrder) {
+    fn gather(&mut self, flat: &FlatStore, scores: &ScoreMatrix, ord: &InstanceOrder) {
         let n = ord.order.len();
         assert!(u32::try_from(n).is_ok(), "LOOP scan exceeds u32 positions");
         self.n = n;
@@ -243,13 +241,13 @@ impl LoopScan {
     }
 
     /// Number of positions.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.n
     }
 
     /// The id position `p` reports under.
     #[inline]
-    pub(crate) fn id(&self, p: usize) -> usize {
+    fn id(&self, p: usize) -> usize {
         self.ids[p] as usize
     }
 
@@ -257,7 +255,7 @@ impl LoopScan {
     /// `pos` (see the [module docs](self) for the four steps and why the
     /// result is bitwise the textbook scan). Adds the pairs tested to
     /// `tests`. `work` must be prepared for this layout's objects.
-    pub(crate) fn target_prob(&self, pos: usize, work: &mut LoopWork, tests: &mut u64) -> f64 {
+    fn target_prob(&self, pos: usize, work: &mut LoopWork, tests: &mut u64) -> f64 {
         let n = self.n;
         let end = self.tie_end[pos] as usize;
         let LoopWork {
@@ -351,7 +349,7 @@ impl LoopScan {
 /// O(#dominators) rather than O(m)), and one block's lane masks and index
 /// list.
 #[derive(Debug, Default)]
-pub(crate) struct LoopWork {
+struct LoopWork {
     sigma: Vec<f64>,
     touched: Vec<usize>,
     lanes: Vec<u64>,
@@ -363,7 +361,7 @@ pub(crate) struct LoopWork {
 impl LoopWork {
     /// Sizes (or re-sizes) the buffers for a dataset with `num_objects`
     /// objects, keeping existing allocations.
-    pub(crate) fn prepare(&mut self, num_objects: usize) {
+    fn prepare(&mut self, num_objects: usize) {
         self.sigma.clear();
         self.sigma.resize(num_objects, 0.0);
         self.touched.clear();
@@ -382,8 +380,8 @@ impl LoopWork {
 /// [`crate::scratch::ScratchPool`] and use only their `LoopWork`.
 #[derive(Debug, Default)]
 pub struct LoopScratch {
-    pub(crate) scan: LoopScan,
-    pub(crate) work: LoopWork,
+    scan: LoopScan,
+    work: LoopWork,
 }
 
 /// The LOOP scan over a snapshot: gathers the `LoopScan` layout from

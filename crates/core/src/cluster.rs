@@ -62,7 +62,8 @@ use std::time::Duration;
 
 use crate::engine::{Execution, QueryAlgorithm};
 use crate::fault::QueryError;
-use crate::service::{dataset_from_flat, ArspService, ServiceWriter, SnapshotPin};
+use crate::pipeline::dataset_from_flat;
+use crate::service::{ArspService, ServiceWriter, SnapshotPin};
 use crate::standing::{ChangeBatch, StandingSpec, SubscriptionGuard};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{lock, Arc, Mutex};
@@ -449,11 +450,8 @@ impl ShardedService {
 
     /// Builds the serving half from a clone of the durable store: an
     /// independent bitwise copy, handle allocation included, so the two
-    /// halves keep evolving identically under the same ops. The durable
-    /// half never tracks changes, so the clone carries no change log; the
-    /// serving engine starts its own.
+    /// halves keep evolving identically under the same ops.
     fn serving_from_durable(durable: &DurableStore) -> ShardServing {
-        debug_assert!(!durable.store().change_tracking_enabled());
         let (service, writer) = ArspService::from_store(durable.store().clone());
         ShardServing { service, writer }
     }
@@ -1472,8 +1470,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every shard's serving store is a bitwise copy of its durable store,
-    /// and starts its change log fresh instead of inheriting one.
+    /// Every shard's serving store is a bitwise copy of its durable store.
     fn assert_serving_copies_durable(cluster: &ShardedService) {
         for (shard, slot) in cluster.shared.shards.iter().enumerate() {
             let slot = lock(slot);
@@ -1483,11 +1480,6 @@ mod tests {
                 serving.encode_state(),
                 durable.encode_state(),
                 "shard {shard}: serving store is not a bitwise copy"
-            );
-            assert!(!durable.change_tracking_enabled(), "shard {shard}");
-            assert!(
-                serving.version() == 0 || serving.changes_since(serving.version() - 1).is_none(),
-                "shard {shard}: serving store inherited a change log"
             );
         }
     }

@@ -26,15 +26,17 @@
 //!
 //! ## One query path
 //!
-//! Every algorithm arm takes the same three steps: advance the snapshot
-//! state to the store's current version, fetch (or build) the per-version
-//! artifacts it needs from that state, and run the one flat kernel a cold
+//! Queries run the pipeline every front shares ([`crate::pipeline`]), with
+//! the engine as the artifact source: each fetch advances the snapshot state
+//! to the store's current version and returns (or builds) the per-version
+//! artifact from it, and the pipeline runs the one flat kernel a cold
 //! [`crate::engine::ArspEngine`] runs over the same artifacts. Each artifact
 //! is bitwise the cold build at this version, so each result is the cold
-//! result. The logarithmic-method [`DeltaPolicy`] only decides when the
-//! store compacts ([`DynamicArspEngine::merge_now`]): it bounds the
-//! tombstoned rows and the appended tail a store carries, not any query's
-//! work.
+//! result. Standing-query refreshes
+//! ([`DynamicArspEngine::refresh_standing`]) are ordinary queries on this
+//! path. The logarithmic-method [`DeltaPolicy`] only decides when the store
+//! compacts ([`DynamicArspEngine::merge_now`]): it bounds the tombstoned
+//! rows and the appended tail a store carries, not any query's work.
 //!
 //! ```
 //! use arsp_core::dynamic::DynamicArspEngine;
@@ -61,24 +63,18 @@
 use std::collections::HashMap;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{lock, Arc, Mutex};
+use crate::sync::{lock, Arc, Mutex, MutexGuard};
 
-use crate::algorithms::bnb::{arsp_bnb_engine, build_instance_rtree};
-use crate::algorithms::dual::{arsp_dual_flat_engine, build_dual_index};
-use crate::algorithms::enumerate::arsp_enum;
-use crate::algorithms::kd_asp::{KdVariant, KdWorkerPool};
-use crate::algorithms::kdtt::arsp_kdtt_flat_engine;
-use crate::algorithms::loop_scan::{
-    arsp_loop_flat_engine, cmp_key_id, instance_order_from_scores, InstanceOrder, LoopScratch,
+use crate::algorithms::bnb::build_instance_rtree;
+use crate::algorithms::dual::build_dual_index;
+use crate::algorithms::loop_scan::{cmp_key_id, instance_order_from_scores, InstanceOrder};
+use crate::engine::{CacheStats, Execution, QueryAlgorithm};
+use crate::pipeline::{
+    constraint_key, execute, omega_key, vertices_key, ArtifactSource, QueryConstraints,
+    QueryOutcome, QueryPools, QuerySpec,
 };
-use crate::engine::{
-    auto_select, constraint_key, omega_key, vertices_key, CacheStats, Execution, QueryAlgorithm,
-};
-use crate::result::ArspResult;
 use crate::scorespace::ScoreMatrix;
-use crate::scratch::{QueryScratch, ScratchLease, ScratchPool};
 use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
-use crate::stats::{CounterStats, QueryCounters};
 use arsp_data::{FlatStore, InstanceHandle, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 use arsp_geometry::fdom::LinearFDominance;
@@ -168,9 +164,7 @@ struct DynCaches {
     rowmap: Mutex<Option<Arc<RowMap>>>,
     /// The synchronised snapshot state (see [`SnapState`]).
     snap: Mutex<SnapState>,
-    scratch_pool: ScratchPool<QueryScratch>,
-    loop_pool: ScratchPool<LoopScratch>,
-    kd_pool: KdWorkerPool,
+    pools: QueryPools,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
@@ -218,16 +212,6 @@ pub struct DynamicArspEngine {
     standing: StandingQueryRegistry,
 }
 
-/// The delta-patched LOOP artifacts at the engine's current version — what
-/// the LOOP arm and the standing-query maintenance pass run the pair kernel
-/// over. Every artifact is bitwise the cold build at this version.
-pub(crate) struct LoopArtifacts {
-    pub(crate) flat: Arc<FlatStore>,
-    pub(crate) scores: Arc<ScoreMatrix>,
-    pub(crate) order: Arc<InstanceOrder>,
-    pub(crate) fdom: Arc<LinearFDominance>,
-}
-
 impl DynamicArspEngine {
     /// An empty dynamic engine of the given dimensionality.
     pub fn new(dim: usize) -> Self {
@@ -239,12 +223,8 @@ impl DynamicArspEngine {
         Self::from_store(VersionedStore::from_dataset(dataset))
     }
 
-    /// Wraps an existing versioned store. Change tracking is switched on so
-    /// standing-query subscriptions can maintain incrementally (see
-    /// [`crate::standing`]); it costs nothing until rows actually mutate.
+    /// Wraps an existing versioned store.
     pub fn from_store(store: VersionedStore) -> Self {
-        let mut store = store;
-        store.enable_change_tracking();
         let rowmap = build_rowmap(&store);
         let snap = SnapState {
             version: store.version(),
@@ -264,9 +244,7 @@ impl DynamicArspEngine {
                 fdom: Mutex::new(HashMap::new()),
                 rowmap: Mutex::new(Some(Arc::new(rowmap))),
                 snap: Mutex::new(snap),
-                scratch_pool: ScratchPool::new(),
-                loop_pool: ScratchPool::new(),
-                kd_pool: KdWorkerPool::default(),
+                pools: QueryPools::default(),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 invalidated: AtomicU64::new(0),
@@ -397,12 +375,12 @@ impl DynamicArspEngine {
     /// Starts a query under general linear constraints (fluent, like
     /// [`crate::engine::ArspEngine::query`]).
     pub fn query<'e, 'q>(&'e self, constraints: &'q ConstraintSet) -> DynamicQuery<'e, 'q> {
-        DynamicQuery::new(self, DynConstraints::Linear(constraints))
+        DynamicQuery::new(self, QueryConstraints::Linear(constraints))
     }
 
     /// Starts a query under weight-ratio constraints (§IV); unlocks DUAL.
     pub fn ratio_query<'e, 'q>(&'e self, ratio: &'q WeightRatio) -> DynamicQuery<'e, 'q> {
-        DynamicQuery::new(self, DynConstraints::Ratio(ratio))
+        DynamicQuery::new(self, QueryConstraints::Ratio(ratio))
     }
 
     // ---- standing queries -------------------------------------------------
@@ -431,41 +409,15 @@ impl DynamicArspEngine {
         self.standing.refresh(self);
     }
 
-    /// The delta-patched LOOP artifacts at the current version — the same
-    /// fold [`Self::export_snapshot`] performs — for the LOOP arm and the
-    /// standing maintenance pass.
-    pub(crate) fn loop_artifacts(&self, constraints: &ConstraintSet) -> LoopArtifacts {
-        let fdom = self.fdom_for(constraints);
-        let mut snap = lock(&self.caches.snap);
-        self.advance_snap(&mut snap);
-        let scores = self.ensure_scores(&mut snap, &fdom);
-        let order = self.ensure_order(&mut snap, &fdom, &scores);
-        LoopArtifacts {
-            flat: Arc::clone(&snap.flat),
-            scores,
-            order,
-            fdom,
-        }
-    }
-
-    /// A leased LOOP scratch from the engine's pool, for the standing
-    /// maintenance pass's layout gather and dirty recompute.
-    pub(crate) fn loop_scratch(&self) -> ScratchLease<'_, LoopScratch> {
-        self.caches.loop_pool.lease()
-    }
-
-    /// Per snapshot id at the current version: the instance's stable handle
-    /// and owning store object — the re-keying the standing layer needs to
-    /// diff results across versions.
-    pub(crate) fn snapshot_handles(&self) -> (Vec<InstanceHandle>, Vec<u32>) {
+    /// The stable handle of each snapshot id at the current version — the
+    /// re-keying the standing layer needs to diff results across versions.
+    pub(crate) fn snapshot_handles(&self) -> Vec<InstanceHandle> {
         let rowmap = self.rowmap();
-        let mut handles = Vec::with_capacity(rowmap.row_of_snap.len());
-        let mut objects = Vec::with_capacity(rowmap.row_of_snap.len());
-        for &row in &rowmap.row_of_snap {
-            handles.push(self.store.handle_of_row(row as usize));
-            objects.push(self.store.object_of(row as usize) as u32);
-        }
-        (handles, objects)
+        rowmap
+            .row_of_snap
+            .iter()
+            .map(|&row| self.store.handle_of_row(row as usize))
+            .collect()
     }
 
     /// The current snapshot id of a live instance (`None` once removed).
@@ -482,14 +434,13 @@ impl DynamicArspEngine {
     /// when the handle is gone or the engine has moved on (mutated or
     /// compacted) since the outcome's version — resolve promptly.
     pub fn prob_of(&self, outcome: &DynamicOutcome, handle: InstanceHandle) -> Option<f64> {
-        if outcome.rowmap.version != self.store.version()
-            || outcome.rowmap.epoch != self.store.epoch()
-        {
+        let rowmap = &outcome.view.rowmap;
+        if rowmap.version != self.store.version() || rowmap.epoch != self.store.epoch() {
             return None;
         }
         let row = self.store.row_of(handle)?;
-        match outcome.rowmap.snap_of_row.get(row).copied() {
-            Some(s) if s != NONE32 => Some(outcome.result.instance_prob(s as usize)),
+        match rowmap.snap_of_row.get(row).copied() {
+            Some(s) if s != NONE32 => Some(outcome.instance_prob(s as usize)),
             _ => None,
         }
     }
@@ -499,27 +450,16 @@ impl DynamicArspEngine {
     /// see the steady-state tests.
     pub fn cache_stats(&self) -> CacheStats {
         let caches = &self.caches;
+        // Coalescing and epoch pinning live one layer up, in the serving
+        // layer (`crate::service`); a single-caller dynamic engine has
+        // neither.
         CacheStats {
             hits: caches.hits.load(Ordering::Relaxed),
             misses: caches.misses.load(Ordering::Relaxed),
-            scratch_hits: caches.scratch_pool.hits()
-                + caches.loop_pool.hits()
-                + caches.kd_pool.hits(),
-            scratch_misses: caches.scratch_pool.misses()
-                + caches.loop_pool.misses()
-                + caches.kd_pool.misses(),
             caches_invalidated: caches.invalidated.load(Ordering::Relaxed),
             merges_performed: caches.merges.load(Ordering::Relaxed),
-            // Coalescing and epoch pinning live one layer up, in the serving
-            // layer (`crate::service`); a single-caller dynamic engine has
-            // neither.
-            inflight: 0,
-            coalesced_builds: 0,
-            snapshots_retired: 0,
-            active_pins: 0,
             notifications_delivered: self.standing.counters().notifications_delivered(),
-            dirty_instances_scanned: self.standing.counters().dirty_instances_scanned(),
-            standing_full_fallbacks: self.standing.counters().standing_full_fallbacks(),
+            ..caches.pools.cache_stats()
         }
     }
 
@@ -539,8 +479,7 @@ impl DynamicArspEngine {
     /// delta-patch guarantee), so readers running the flat engines over the
     /// export agree bitwise with a cold rebuild.
     pub fn export_snapshot(&self) -> SnapshotExport {
-        let mut snap = lock(&self.caches.snap);
-        self.advance_snap(&mut snap);
+        let snap = self.snap();
         let fdoms = lock(&self.caches.fdom)
             .iter()
             .map(|(key, fdom)| (key.clone(), Arc::clone(fdom)))
@@ -566,18 +505,13 @@ impl DynamicArspEngine {
 
     // ---- cached structures ------------------------------------------------
 
-    /// Cached vertex enumeration — never invalidated (constraint-only).
-    fn fdom_for(&self, constraints: &ConstraintSet) -> Arc<LinearFDominance> {
-        let key = constraint_key(constraints);
-        let mut guard = lock(&self.caches.fdom);
-        if let Some(fdom) = guard.get(&key) {
-            self.caches.hit();
-            return Arc::clone(fdom);
-        }
-        self.caches.miss();
-        let fdom = Arc::new(LinearFDominance::from_constraints(constraints));
-        guard.insert(key, Arc::clone(&fdom));
-        fdom
+    /// The snapshot state, advanced to the store's current version. Queries
+    /// hold it only while they fetch or build an artifact, never while a
+    /// kernel runs.
+    fn snap(&self) -> MutexGuard<'_, SnapState> {
+        let mut snap = lock(&self.caches.snap);
+        self.advance_snap(&mut snap);
+        snap
     }
 
     /// The row map at the current (version, epoch), rebuilt on demand.
@@ -599,11 +533,10 @@ impl DynamicArspEngine {
     /// store is re-gathered, every cached score matrix and order is
     /// delta-patched (each counts a hit — the artifact is reused, not
     /// rebuilt), and the unpatchable structures (R-tree, DUAL index,
-    /// dataset) are invalidated. No-op (a hit) when already current.
+    /// dataset) are invalidated. No-op when already current.
     fn advance_snap(&self, snap: &mut SnapState) {
         let store = &self.store;
         if snap.version == store.version() {
-            self.caches.hit();
             return;
         }
         let rowmap = self.rowmap();
@@ -715,13 +648,32 @@ impl DynamicArspEngine {
         sort_keyed(&mut fresh);
         fresh
     }
+}
 
-    /// The score matrix for `fdom` at the snapshot state's version.
-    fn ensure_scores(
-        &self,
-        snap: &mut SnapState,
-        fdom: &Arc<LinearFDominance>,
-    ) -> Arc<ScoreMatrix> {
+/// The dynamic engine's artifacts: the snapshot state, advanced to the
+/// store's current version on every fetch. Each patched or rebuilt artifact
+/// is bitwise the cold build at that version.
+impl ArtifactSource for DynamicArspEngine {
+    fn flat(&self) -> Arc<FlatStore> {
+        Arc::clone(&self.snap().flat)
+    }
+
+    /// Never invalidated: the enumeration depends only on the constraints.
+    fn fdom(&self, constraints: &ConstraintSet) -> Arc<LinearFDominance> {
+        let key = constraint_key(constraints);
+        let mut guard = lock(&self.caches.fdom);
+        if let Some(fdom) = guard.get(&key) {
+            self.caches.hit();
+            return Arc::clone(fdom);
+        }
+        self.caches.miss();
+        let fdom = Arc::new(LinearFDominance::from_constraints(constraints));
+        guard.insert(key, Arc::clone(&fdom));
+        fdom
+    }
+
+    fn scores(&self, fdom: &Arc<LinearFDominance>) -> Arc<ScoreMatrix> {
+        let mut snap = self.snap();
         let key = vertices_key(fdom);
         if let Some(entry) = snap.scores.get(&key) {
             self.caches.hit();
@@ -739,14 +691,8 @@ impl DynamicArspEngine {
         matrix
     }
 
-    /// The LOOP order for `fdom`'s first vertex at the snapshot state's
-    /// version.
-    fn ensure_order(
-        &self,
-        snap: &mut SnapState,
-        fdom: &LinearFDominance,
-        scores: &ScoreMatrix,
-    ) -> Arc<InstanceOrder> {
+    fn order(&self, fdom: &LinearFDominance, scores: &ScoreMatrix) -> Arc<InstanceOrder> {
+        let mut snap = self.snap();
         let omega = &fdom.vertices()[0];
         let key = omega_key(omega);
         if let Some(entry) = snap.orders.get(&key) {
@@ -765,8 +711,8 @@ impl DynamicArspEngine {
         order
     }
 
-    /// The snapshot dataset at the (advanced) snapshot state's version.
-    fn ensure_dataset(&self, snap: &mut SnapState) -> Arc<UncertainDataset> {
+    fn dataset(&self) -> Arc<UncertainDataset> {
+        let mut snap = self.snap();
         if let Some(dataset) = snap.dataset.as_ref() {
             self.caches.hit();
             return Arc::clone(dataset);
@@ -777,8 +723,8 @@ impl DynamicArspEngine {
         dataset
     }
 
-    /// The instance R-tree at the (advanced) snapshot state's version.
-    fn ensure_rtree(&self, snap: &mut SnapState, dataset: &UncertainDataset) -> SharedRTree {
+    fn rtree(&self, dataset: &UncertainDataset) -> SharedRTree {
+        let mut snap = self.snap();
         if let Some(rtree) = snap.rtree.as_ref() {
             self.caches.hit();
             return Arc::clone(rtree);
@@ -789,8 +735,8 @@ impl DynamicArspEngine {
         rtree
     }
 
-    /// The DUAL per-object index at the (advanced) snapshot state's version.
-    fn ensure_dual_index(&self, snap: &mut SnapState) -> SharedAggregateForest {
+    fn dual_index(&self) -> SharedAggregateForest {
+        let mut snap = self.snap();
         if let Some(index) = snap.dual.as_ref() {
             self.caches.hit();
             return Arc::clone(index);
@@ -801,114 +747,8 @@ impl DynamicArspEngine {
         index
     }
 
-    // ---- per-algorithm execution -----------------------------------------
-
-    /// LOOP over the advanced snapshot: patched flat store, score matrix and
-    /// order, same flat engine as the static path.
-    fn run_loop(
-        &self,
-        constraints: &ConstraintSet,
-        parallel: bool,
-        stats: Option<&CounterStats>,
-    ) -> ArspResult {
-        let art = self.loop_artifacts(constraints);
-        let mut scratch = self.caches.loop_pool.lease();
-        arsp_loop_flat_engine(
-            &art.flat,
-            &art.scores,
-            &art.order,
-            parallel,
-            stats,
-            Some(&mut scratch),
-            Some(&self.caches.loop_pool),
-            None,
-        )
-    }
-
-    /// KDTT-family execution over the advanced snapshot: patched flat store
-    /// and score matrix, same flat engines as the static path.
-    fn run_kd(
-        &self,
-        constraints: &ConstraintSet,
-        variant: KdVariant,
-        parallel: bool,
-        stats: Option<&CounterStats>,
-    ) -> ArspResult {
-        let fdom = self.fdom_for(constraints);
-        let (flat, scores) = {
-            let mut snap = lock(&self.caches.snap);
-            self.advance_snap(&mut snap);
-            let scores = self.ensure_scores(&mut snap, &fdom);
-            (Arc::clone(&snap.flat), scores)
-        };
-        let mut scratch = self.caches.scratch_pool.lease();
-        arsp_kdtt_flat_engine(
-            &flat,
-            &scores,
-            variant,
-            parallel,
-            stats,
-            scratch.kd_mut(),
-            Some(&self.caches.kd_pool),
-            None,
-        )
-    }
-
-    /// B&B execution over the advanced snapshot: the instance R-tree is the
-    /// one lazily rebuilt structure (STR bulk loads cannot be patched).
-    fn run_bnb(
-        &self,
-        constraints: &ConstraintSet,
-        parallel: bool,
-        stats: Option<&CounterStats>,
-    ) -> ArspResult {
-        let fdom = self.fdom_for(constraints);
-        let (dataset, rtree, scores) = {
-            let mut snap = lock(&self.caches.snap);
-            self.advance_snap(&mut snap);
-            let scores = self.ensure_scores(&mut snap, &fdom);
-            let dataset = self.ensure_dataset(&mut snap);
-            let rtree = self.ensure_rtree(&mut snap, &dataset);
-            (dataset, rtree, scores)
-        };
-        let mut scratch = self.caches.scratch_pool.lease();
-        arsp_bnb_engine(
-            &dataset,
-            &fdom,
-            Some(&rtree),
-            Some(&scores),
-            parallel,
-            stats,
-            Some(scratch.bnb_mut()),
-            None,
-        )
-    }
-
-    /// ENUM over the advanced snapshot dataset (toy sizes only).
-    fn run_enum(&self, constraints: &ConstraintSet) -> ArspResult {
-        let dataset = {
-            let mut snap = lock(&self.caches.snap);
-            self.advance_snap(&mut snap);
-            self.ensure_dataset(&mut snap)
-        };
-        arsp_enum(&dataset, constraints)
-    }
-
-    /// DUAL over the advanced snapshot: the per-object index is rebuilt
-    /// lazily per version, like the R-tree.
-    fn run_dual(
-        &self,
-        ratio: &WeightRatio,
-        parallel: bool,
-        stats: Option<&CounterStats>,
-    ) -> ArspResult {
-        let (flat, index) = {
-            let mut snap = lock(&self.caches.snap);
-            self.advance_snap(&mut snap);
-            let index = self.ensure_dual_index(&mut snap);
-            (Arc::clone(&snap.flat), index)
-        };
-        arsp_dual_flat_engine(&flat, ratio, &index, parallel, stats, None)
+    fn pools(&self) -> &QueryPools {
+        &self.caches.pools
     }
 }
 
@@ -936,30 +776,18 @@ pub struct SnapshotExport {
     pub rtree: Option<SharedRTree>,
 }
 
-/// The constraints a dynamic query was built from.
-enum DynConstraints<'q> {
-    Linear(&'q ConstraintSet),
-    Ratio(&'q WeightRatio),
-}
-
 /// A fluent dynamic query — mirror of [`crate::engine::ArspQuery`]. Finish
 /// with [`DynamicQuery::run`].
 pub struct DynamicQuery<'e, 'q> {
     engine: &'e DynamicArspEngine,
-    constraints: DynConstraints<'q>,
-    algorithm: QueryAlgorithm,
-    execution: Execution,
-    collect_stats: bool,
+    spec: QuerySpec<'q>,
 }
 
 impl<'e, 'q> DynamicQuery<'e, 'q> {
-    fn new(engine: &'e DynamicArspEngine, constraints: DynConstraints<'q>) -> Self {
+    fn new(engine: &'e DynamicArspEngine, constraints: QueryConstraints<'q>) -> Self {
         Self {
             engine,
-            constraints,
-            algorithm: QueryAlgorithm::Auto,
-            execution: Execution::Sequential,
-            collect_stats: false,
+            spec: QuerySpec::new(constraints),
         }
     }
 
@@ -969,192 +797,50 @@ impl<'e, 'q> DynamicQuery<'e, 'q> {
     /// `run()` panics if [`QueryAlgorithm::Dual`] is forced on a non-ratio
     /// query.
     pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
-        self.algorithm = algorithm.into();
+        self.spec.algorithm = algorithm.into();
         self
     }
 
     /// Chooses the execution mode (default: [`Execution::Sequential`]);
     /// parallel execution is bitwise identical.
     pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
+        self.spec.execution = execution;
         self
     }
 
     /// Collects work counters into [`DynamicOutcome::counters`].
     pub fn collect_stats(mut self, on: bool) -> Self {
-        self.collect_stats = on;
+        self.spec.collect_stats = on;
         self
     }
 
     /// Executes the query at the store's current version.
     pub fn run(self) -> DynamicOutcome {
         let engine = self.engine;
-        let store = &engine.store;
-        let dim = match &self.constraints {
-            DynConstraints::Linear(cs) => cs.dim(),
-            DynConstraints::Ratio(r) => r.dim(),
-        };
-        assert_eq!(store.dim(), dim, "dimension mismatch");
-
-        let sink = if self.collect_stats {
-            Some(CounterStats::new())
-        } else {
-            None
-        };
-        let stats = sink.as_ref();
-        let parallel = matches!(self.execution, Execution::Parallel { .. });
-
-        let (algorithm, selection_reason) = match self.algorithm {
-            QueryAlgorithm::Auto => match &self.constraints {
-                DynConstraints::Ratio(_) => {
-                    let (a, why) = auto_select(
-                        store.num_live_objects(),
-                        store.num_live_instances(),
-                        0,
-                        true,
-                    );
-                    (a, Some(why))
-                }
-                DynConstraints::Linear(cs) => {
-                    let fdom = engine.fdom_for(cs);
-                    let (a, why) = auto_select(
-                        store.num_live_objects(),
-                        store.num_live_instances(),
-                        fdom.num_vertices(),
-                        false,
-                    );
-                    (a, Some(why))
-                }
-            },
-            forced => (forced, None),
-        };
-
-        // Materialise the linear constraint set when a general algorithm
-        // runs a ratio query.
-        let derived;
-        let linear: Option<&ConstraintSet> = match (&self.constraints, algorithm) {
-            (_, QueryAlgorithm::Dual) => None,
-            (DynConstraints::Linear(cs), _) => Some(cs),
-            (DynConstraints::Ratio(r), _) => {
-                derived = r.to_constraint_set();
-                Some(&derived)
-            }
-        };
-
-        let execute = || match algorithm {
-            QueryAlgorithm::Auto => unreachable!("Auto was resolved above"),
-            QueryAlgorithm::Dual => {
-                let ratio = match &self.constraints {
-                    DynConstraints::Ratio(r) => *r,
-                    DynConstraints::Linear(_) => panic!(
-                        "the DUAL algorithm needs weight-ratio constraints; \
-                         build the query with DynamicArspEngine::ratio_query"
-                    ),
-                };
-                engine.run_dual(ratio, parallel, stats)
-            }
-            QueryAlgorithm::Enum => {
-                engine.run_enum(linear.expect("linear constraints materialised above"))
-            }
-            QueryAlgorithm::Loop => engine.run_loop(
-                linear.expect("linear constraints materialised above"),
-                parallel,
-                stats,
-            ),
-            QueryAlgorithm::Kdtt | QueryAlgorithm::KdttPlus | QueryAlgorithm::QdttPlus => {
-                let variant = match algorithm {
-                    QueryAlgorithm::Kdtt => KdVariant::Prebuilt,
-                    QueryAlgorithm::QdttPlus => KdVariant::FusedQuad,
-                    _ => KdVariant::FusedKd,
-                };
-                engine.run_kd(
-                    linear.expect("linear constraints materialised above"),
-                    variant,
-                    parallel,
-                    stats,
-                )
-            }
-            QueryAlgorithm::BranchAndBound => engine.run_bnb(
-                linear.expect("linear constraints materialised above"),
-                parallel,
-                stats,
-            ),
-        };
-
-        let result = match self.execution {
-            #[cfg(feature = "parallel")]
-            Execution::Parallel { threads } if threads > 0 => {
-                crate::parallel::with_pool_sized(threads, execute)
-            }
-            _ => execute(),
-        };
-
-        DynamicOutcome {
-            result,
-            algorithm,
-            selection_reason,
+        execute(engine, &self.spec, None).with_view(DynamicView {
             rowmap: engine.rowmap(),
-            counters: sink.map(|s| s.snapshot()),
-        }
+        })
     }
 }
 
-/// The result of one dynamic query: snapshot-space probabilities (instance
-/// id `i` = the `i`-th live instance in canonical order — exactly the ids a
-/// cold engine on [`DynamicArspEngine::snapshot_dataset`] would use) plus
-/// the version it answered at.
-pub struct DynamicOutcome {
-    result: ArspResult,
-    algorithm: QueryAlgorithm,
-    selection_reason: Option<&'static str>,
+/// The result of one dynamic query (see [`QueryOutcome`]): snapshot-space
+/// probabilities — instance id `i` is the `i`-th live instance in canonical
+/// order, exactly the ids a cold engine on
+/// [`DynamicArspEngine::snapshot_dataset`] would use — plus, in a
+/// [`DynamicView`], the version it answered at.
+pub type DynamicOutcome = QueryOutcome<DynamicView>;
+
+/// The dynamic engine's part of a [`DynamicOutcome`]: the row map of the
+/// version it answered at, which [`DynamicArspEngine::prob_of`] resolves
+/// handles through.
+pub struct DynamicView {
     rowmap: Arc<RowMap>,
-    counters: Option<QueryCounters>,
 }
 
-impl DynamicOutcome {
-    /// The computed probabilities, in snapshot-instance-id space.
-    pub fn result(&self) -> &ArspResult {
-        &self.result
-    }
-
-    /// Consumes the outcome, keeping only the probabilities.
-    pub fn into_result(self) -> ArspResult {
-        self.result
-    }
-
-    /// The algorithm that ran (never [`QueryAlgorithm::Auto`]).
-    pub fn algorithm(&self) -> QueryAlgorithm {
-        self.algorithm
-    }
-
-    /// `true` when the engine picked the algorithm.
-    pub fn auto_selected(&self) -> bool {
-        self.selection_reason.is_some()
-    }
-
-    /// Why the engine picked [`DynamicOutcome::algorithm`], when it did.
-    pub fn selection_reason(&self) -> Option<&'static str> {
-        self.selection_reason
-    }
-
+impl QueryOutcome<DynamicView> {
     /// The store version this outcome answered at.
     pub fn version(&self) -> u64 {
-        self.rowmap.version
-    }
-
-    /// Rskyline probability of one snapshot instance.
-    pub fn instance_prob(&self, snapshot_id: usize) -> f64 {
-        self.result.instance_prob(snapshot_id)
-    }
-
-    /// Number of instances with non-zero rskyline probability.
-    pub fn result_size(&self) -> usize {
-        self.result.result_size()
-    }
-
-    /// Work counters, when requested via `collect_stats`.
-    pub fn counters(&self) -> Option<QueryCounters> {
-        self.counters
+        self.view.rowmap.version
     }
 }
 

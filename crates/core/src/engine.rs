@@ -8,11 +8,13 @@
 //! the individual query:
 //!
 //! * the **vertex enumeration** of each distinct constraint set (the
-//!   [`LinearFDominance`] test — the `O(c²·LP)` one-off cost every algorithm
-//!   pays), keyed by the constraint set's exact coefficients,
+//!   [`LinearFDominance`](arsp_geometry::fdom::LinearFDominance) test —
+//!   the `O(c²·LP)` one-off cost every algorithm pays), keyed by the
+//!   constraint set's exact coefficients,
 //! * the **flat columnar instance store** ([`FlatStore`] — the contiguous
-//!   layout every sequential hot path streams; dataset-only, built once),
-//! * the **projected score matrix** ([`ScoreMatrix`] — the `coords · ω`
+//!   layout every kernel streams; dataset-only, built with the engine),
+//! * the **projected score matrix**
+//!   ([`ScoreMatrix`](crate::scorespace::ScoreMatrix) — the `coords · ω`
 //!   pass shared by LOOP, the KDTT family and B&B), keyed by the
 //!   preference region's exact vertex set,
 //! * the **LOOP instance order** (sorted by score under the preference
@@ -20,8 +22,9 @@
 //! * the **instance R-tree** B&B traverses (dataset-only, built once),
 //! * the **per-object aggregated R-trees** of DUAL (dataset-only, built
 //!   once),
-//! * a pool of **per-query scratch arenas** ([`QueryScratch`] — candidate
-//!   stacks, σ buffers, heap storage), checked out per query, plus
+//! * a pool of **per-query scratch arenas**
+//!   ([`QueryScratch`](crate::scratch::QueryScratch) — candidate stacks,
+//!   σ buffers, heap storage), checked out per query, plus
 //!   **per-worker arena pools** for the parallel twins (kd subtree arenas,
 //!   LOOP chunk arenas — see [`crate::scratch::ScratchPool`]), so a
 //!   warmed-up session allocates nothing per query or per worker task
@@ -32,9 +35,9 @@
 //! structures; the `Point`-based layouts survive only in the free functions.
 //!
 //! Queries are built fluently and return an [`ArspOutcome`] that wraps the
-//! [`ArspResult`] with the algorithm that ran (and why, if auto-selected),
-//! wall-clock timings split into index/build and execution time, and optional
-//! work counters:
+//! [`ArspResult`](crate::ArspResult) with the algorithm that ran (and why,
+//! if auto-selected), wall-clock timings split into index/build and
+//! execution time, and optional work counters:
 //!
 //! ```
 //! use arsp_core::engine::ArspEngine;
@@ -59,34 +62,24 @@
 //! across queries when the `parallel` feature is on, with all caches shared —
 //! the per-query cost of a sweep drops to the traversal itself.
 //!
-//! Every execution path funnels into the same algorithm entry points as the
-//! free functions ([`crate::arsp_kdtt_plus`] and friends), so engine results
-//! are **bitwise identical** to theirs — checked end-to-end by the
+//! The engine is one of three fronts over the same query pipeline
+//! ([`crate::pipeline`]): its caches are one serving-style snapshot of the
+//! frozen dataset, and the pipeline runs the same kernels as the free
+//! functions ([`crate::arsp_kdtt_plus`] and friends), so engine results are
+//! **bitwise identical** to theirs — checked end-to-end by the
 //! `engine_agreement` integration test.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::algorithms::bnb::{arsp_bnb_engine, build_instance_rtree};
-use crate::algorithms::dual::{arsp_dual_flat_engine, build_dual_index};
-use crate::algorithms::enumerate::arsp_enum;
-use crate::algorithms::kd_asp::{KdVariant, KdWorkerPool};
-use crate::algorithms::kdtt::arsp_kdtt_flat_engine;
-use crate::algorithms::loop_scan::{
-    arsp_loop_flat_engine, instance_order_from_scores, InstanceOrder, LoopScratch,
-};
 use crate::algorithms::ArspAlgorithm;
-use crate::fault::{self, QueryBudget, QueryError};
-use crate::result::ArspResult;
-use crate::scorespace::ScoreMatrix;
-use crate::scratch::{QueryScratch, ScratchLease, ScratchPool};
-use crate::stats::{CounterStats, QueryCounters};
+use crate::dynamic::SnapshotExport;
+use crate::fault::{QueryBudget, QueryError};
+use crate::pipeline::{
+    contain, execute, QueryConstraints, QueryOutcome, QuerySpec, ServingSnapshot, SharedArtifacts,
+};
 use arsp_data::{FlatStore, UncertainDataset};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
-use arsp_geometry::fdom::LinearFDominance;
-use arsp_index::{SharedAggregateForest, SharedRTree};
 
 /// The algorithms a query can request. `Auto` lets the engine pick per the
 /// paper's §V guidance; the rest force one algorithm (DUAL requires a
@@ -236,7 +229,8 @@ pub struct CacheStats {
     /// Lookups that had to build the structure.
     pub misses: u64,
     /// Scratch-pool checkouts served by a warmed arena (per-query
-    /// [`QueryScratch`] plus the per-worker arenas of the parallel twins).
+    /// [`QueryScratch`](crate::scratch::QueryScratch) plus the per-worker
+    /// arenas of the parallel twins).
     pub scratch_hits: u64,
     /// Scratch-pool checkouts that had to create an arena — the total number
     /// of arenas the session ever built. Constant across a steady-state
@@ -256,9 +250,9 @@ pub struct CacheStats {
     /// (`crate::service::ArspService`).
     pub inflight: u64,
     /// Cache lookups that joined another thread's in-progress build instead
-    /// of duplicating it (the serving layer's batch coalescing). Always 0
-    /// for the static and dynamic engines, whose keyed caches race
-    /// duplicate builds and discard the losers.
+    /// of duplicating it (batch coalescing: the serving layer, and the
+    /// static engine's concurrent [`ArspEngine::run_batch`] queries). Always
+    /// 0 for the dynamic engine, whose snapshot state builds under its lock.
     pub coalesced_builds: u64,
     /// Superseded snapshots whose cached artifacts were reclaimed after
     /// their last epoch pin dropped. Always 0 outside the serving layer.
@@ -270,159 +264,43 @@ pub struct CacheStats {
     /// (`crate::standing`). Always 0 for the static [`ArspEngine`], which
     /// has no subscriptions.
     pub notifications_delivered: u64,
-    /// Surviving instances the standing dirty-set maintenance pass
-    /// recomputed. Always 0 for the static [`ArspEngine`].
-    pub dirty_instances_scanned: u64,
-    /// Standing subscriptions that fell back to a full re-evaluation (dirty
-    /// set over the cost threshold, or a change-log gap). Always 0 for the
-    /// static [`ArspEngine`].
-    pub standing_full_fallbacks: u64,
-}
-
-/// The shared structures, all built lazily on first use.
-#[derive(Default)]
-struct EngineCaches {
-    /// Vertex enumerations keyed by the constraint set's exact coefficients.
-    fdom: Mutex<HashMap<Vec<u64>, Arc<LinearFDominance>>>,
-    /// LOOP sort orders keyed by the first preference-region vertex.
-    orders: Mutex<HashMap<Vec<u64>, Arc<InstanceOrder>>>,
-    /// Per-constraint projected score matrices, keyed by the full vertex set.
-    scores: Mutex<HashMap<Vec<u64>, Arc<ScoreMatrix>>>,
-    /// The columnar instance store every flat path streams (dataset-only).
-    flat: OnceLock<Arc<FlatStore>>,
-    /// The instance R-tree B&B traverses (dataset-only).
-    rtree: OnceLock<SharedRTree>,
-    /// DUAL's per-object aggregated R-trees (dataset-only).
-    dual_index: OnceLock<SharedAggregateForest>,
-    /// Pool of reusable per-query scratch arenas: one checkout per query, so
-    /// `run_batch`'s concurrent queries grow it to the sweep's fan-out and
-    /// then reuse those arenas for the rest of the session.
-    scratch_pool: ScratchPool<QueryScratch>,
-    /// Per-worker subtree arenas of the parallel KDTT-family flat twins.
-    kd_pool: KdWorkerPool,
-    /// Per-worker chunk arenas of the parallel flat LOOP scan.
-    loop_pool: ScratchPool<LoopScratch>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl EngineCaches {
-    fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Shared lookup shape for the keyed caches: hit under the lock, build
-    /// **outside** it (so a cold batch constructs distinct keys concurrently
-    /// instead of serialising on the mutex), re-lock to publish. Losing a
-    /// build race counts as a hit — misses always equal structures actually
-    /// cached.
-    fn keyed<T>(
-        &self,
-        map: &Mutex<HashMap<Vec<u64>, Arc<T>>>,
-        key: Vec<u64>,
-        build: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        {
-            let guard = map.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(value) = guard.get(&key) {
-                self.hit();
-                return Arc::clone(value);
-            }
-        }
-        let value = Arc::new(build());
-        let mut guard = map.lock().unwrap_or_else(|p| p.into_inner());
-        match guard.entry(key) {
-            std::collections::hash_map::Entry::Occupied(existing) => {
-                // Another query built it while we did; keep the published one.
-                self.hit();
-                Arc::clone(existing.get())
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                self.miss();
-                slot.insert(Arc::clone(&value));
-                value
-            }
-        }
-    }
-
-    /// Shared lookup shape for the build-once caches: only the thread whose
-    /// closure actually ran counts the miss — concurrent first queries count
-    /// hits, keeping `misses == builds`.
-    fn once<T>(&self, cell: &OnceLock<Arc<T>>, build: impl FnOnce() -> T) -> Arc<T> {
-        if let Some(value) = cell.get() {
-            self.hit();
-            return Arc::clone(value);
-        }
-        let mut built = false;
-        let value = cell.get_or_init(|| {
-            built = true;
-            Arc::new(build())
-        });
-        if built {
-            self.miss();
-        } else {
-            self.hit();
-        }
-        Arc::clone(value)
-    }
-}
-
-/// Bit-exact fingerprint of a constraint set, used as the fdom cache key
-/// (shared with the dynamic engine).
-pub(crate) fn constraint_key(constraints: &ConstraintSet) -> Vec<u64> {
-    let mut key = Vec::with_capacity(2 + constraints.len() * (constraints.dim() + 1));
-    key.push(constraints.dim() as u64);
-    key.push(constraints.len() as u64);
-    for c in constraints.constraints() {
-        key.extend(c.coeffs.iter().map(|a| a.to_bits()));
-        key.push(c.rhs.to_bits());
-    }
-    key
-}
-
-/// Bit-exact fingerprint of a preference-region vertex, used as the LOOP
-/// order cache key (shared with the dynamic engine).
-pub(crate) fn omega_key(omega: &[f64]) -> Vec<u64> {
-    omega.iter().map(|w| w.to_bits()).collect()
-}
-
-/// Bit-exact fingerprint of a whole vertex set, used as the score-matrix
-/// cache key (the matrix depends on every vertex, not just the first;
-/// shared with the dynamic engine).
-pub(crate) fn vertices_key(fdom: &LinearFDominance) -> Vec<u64> {
-    let mut key = Vec::with_capacity(1 + fdom.num_vertices() * fdom.vertices()[0].len());
-    key.push(fdom.num_vertices() as u64);
-    for v in fdom.vertices() {
-        key.extend(v.iter().map(|w| w.to_bits()));
-    }
-    key
 }
 
 /// A query-session engine over one uncertain dataset. Cheap to query
 /// repeatedly: all constraint-independent structures and all per-constraint
 /// one-off costs are cached inside (interior mutability — `&self` queries
-/// compose with sharing the engine across threads).
+/// compose with sharing the engine across threads). The caches are one
+/// serving-style snapshot of the frozen dataset (see [`crate::pipeline`]), so
+/// concurrent queries needing the same missing artifact build it once.
 pub struct ArspEngine {
     dataset: Arc<UncertainDataset>,
-    caches: EngineCaches,
+    snapshot: ServingSnapshot,
+    shared: SharedArtifacts,
 }
 
 impl ArspEngine {
-    /// Creates an engine owning the dataset. No index is built until a query
-    /// needs it.
+    /// Creates an engine owning the dataset. Only the columnar store is
+    /// built up front; every index waits for a query that needs it.
     pub fn new(dataset: UncertainDataset) -> Self {
         Self::from_arc(Arc::new(dataset))
     }
 
     /// Creates an engine over an already-shared dataset.
     pub fn from_arc(dataset: Arc<UncertainDataset>) -> Self {
+        let shared = SharedArtifacts::new();
+        let snapshot = shared.snapshot(SnapshotExport {
+            version: 0,
+            flat: Arc::new(FlatStore::from_dataset(&dataset)),
+            fdoms: Vec::new(),
+            scores: Vec::new(),
+            orders: Vec::new(),
+            dataset: Some(Arc::clone(&dataset)),
+            rtree: None,
+        });
         Self {
             dataset,
-            caches: EngineCaches::default(),
+            snapshot,
+            shared,
         }
     }
 
@@ -484,109 +362,21 @@ impl ArspEngine {
     /// construction the session has amortised so far — plus the scratch-pool
     /// counters (how much working-memory allocation it has amortised). A
     /// repeated query adds only hits, which is what the cache-reuse and
-    /// pool-reuse tests assert.
+    /// pool-reuse tests assert. The dynamic-engine, serving and standing
+    /// counters stay 0: a frozen dataset never invalidates or merges, and a
+    /// single engine pins no snapshots and holds no subscriptions.
     pub fn cache_stats(&self) -> CacheStats {
-        let caches = &self.caches;
-        CacheStats {
-            hits: caches.hits.load(Ordering::Relaxed),
-            misses: caches.misses.load(Ordering::Relaxed),
-            scratch_hits: caches.scratch_pool.hits()
-                + caches.kd_pool.hits()
-                + caches.loop_pool.hits(),
-            scratch_misses: caches.scratch_pool.misses()
-                + caches.kd_pool.misses()
-                + caches.loop_pool.misses(),
-            // A frozen dataset never invalidates, scans no delta, merges
-            // nothing — these counters belong to the dynamic engine — and a
-            // single-caller engine neither coalesces nor pins snapshots —
-            // those belong to the serving layer.
-            caches_invalidated: 0,
-            merges_performed: 0,
-            inflight: 0,
-            coalesced_builds: 0,
-            snapshots_retired: 0,
-            active_pins: 0,
-            // A frozen engine holds no subscriptions either — the standing
-            // counters belong to `crate::standing`.
-            notifications_delivered: 0,
-            dirty_instances_scanned: 0,
-            standing_full_fallbacks: 0,
-        }
+        self.shared.cache_stats()
     }
-
-    /// Cached vertex enumeration for a constraint set.
-    fn fdom_for(&self, constraints: &ConstraintSet) -> Arc<LinearFDominance> {
-        self.caches
-            .keyed(&self.caches.fdom, constraint_key(constraints), || {
-                LinearFDominance::from_constraints(constraints)
-            })
-    }
-
-    /// The cached columnar instance store (dataset-only; built on the first
-    /// query that runs a flat path).
-    fn flat(&self) -> Arc<FlatStore> {
-        self.caches
-            .once(&self.caches.flat, || FlatStore::from_dataset(&self.dataset))
-    }
-
-    /// Cached projected-score matrix for a constraint set's vertex set — the
-    /// one `coords · ω` pass shared by LOOP, the KDTT family and B&B.
-    fn scores_for(&self, fdom: &LinearFDominance) -> Arc<ScoreMatrix> {
-        let flat = self.flat();
-        self.caches
-            .keyed(&self.caches.scores, vertices_key(fdom), || {
-                ScoreMatrix::compute(&flat, fdom)
-            })
-    }
-
-    /// Cached LOOP sort order for a preference region's first vertex,
-    /// derived from the cached score matrix (bitwise the same keys as
-    /// recomputing the dot products).
-    fn order_for(&self, fdom: &LinearFDominance, scores: &ScoreMatrix) -> Arc<InstanceOrder> {
-        self.caches
-            .keyed(&self.caches.orders, omega_key(&fdom.vertices()[0]), || {
-                instance_order_from_scores(scores)
-            })
-    }
-
-    /// The shared instance R-tree (built on first B&B query).
-    fn rtree(&self) -> SharedRTree {
-        self.caches
-            .once(&self.caches.rtree, || build_instance_rtree(&self.dataset))
-    }
-
-    /// Checks a reusable scratch arena out of the pool as an RAII lease (a
-    /// fresh arena when the pool is empty — e.g. the first query, or
-    /// concurrent queries exceeding the number of arenas warmed so far). The
-    /// lease returns the arena on drop even when the query unwinds, so a
-    /// cancelled or panicked query never shrinks the pool.
-    fn scratch_lease(&self) -> ScratchLease<'_, QueryScratch> {
-        self.caches.scratch_pool.lease()
-    }
-
-    /// The shared DUAL per-object index (built on first DUAL query).
-    fn dual_index(&self, flat: &FlatStore) -> SharedAggregateForest {
-        self.caches
-            .once(&self.caches.dual_index, || build_dual_index(flat))
-    }
-}
-
-/// The constraints a query was built from.
-enum QueryConstraints<'q> {
-    Linear(&'q ConstraintSet),
-    Ratio(&'q WeightRatio),
 }
 
 /// A fluent query under construction — see the [module docs](self) for the
 /// full chain. Finish with [`ArspQuery::run`].
 pub struct ArspQuery<'e, 'q> {
     engine: &'e ArspEngine,
-    constraints: QueryConstraints<'q>,
-    algorithm: QueryAlgorithm,
-    execution: Execution,
+    spec: QuerySpec<'q>,
     top_k: Option<usize>,
     min_prob: Option<f64>,
-    collect_stats: bool,
     deadline: Option<Duration>,
     budget: Option<&'q QueryBudget>,
 }
@@ -595,12 +385,9 @@ impl<'e, 'q> ArspQuery<'e, 'q> {
     fn new(engine: &'e ArspEngine, constraints: QueryConstraints<'q>) -> Self {
         Self {
             engine,
-            constraints,
-            algorithm: QueryAlgorithm::Auto,
-            execution: Execution::Sequential,
+            spec: QuerySpec::new(constraints),
             top_k: None,
             min_prob: None,
-            collect_stats: false,
             deadline: None,
             budget: None,
         }
@@ -613,14 +400,14 @@ impl<'e, 'q> ArspQuery<'e, 'q> {
     /// `run()` panics if [`QueryAlgorithm::Dual`] is forced on a non-ratio
     /// query.
     pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
-        self.algorithm = algorithm.into();
+        self.spec.algorithm = algorithm.into();
         self
     }
 
     /// Chooses the execution mode (default: [`Execution::Sequential`]).
     /// Parallel execution is bitwise identical, only faster.
     pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
+        self.spec.execution = execution;
         self
     }
 
@@ -632,8 +419,8 @@ impl<'e, 'q> ArspQuery<'e, 'q> {
     }
 
     /// Sets the reporting threshold for [`ArspOutcome::iter_probs`] — triples
-    /// below the threshold are skipped. The underlying [`ArspResult`] always
-    /// keeps every probability.
+    /// below the threshold are skipped. The underlying
+    /// [`ArspResult`](crate::ArspResult) always keeps every probability.
     pub fn min_prob(mut self, threshold: f64) -> Self {
         self.min_prob = Some(threshold);
         self
@@ -643,16 +430,18 @@ impl<'e, 'q> ArspQuery<'e, 'q> {
     /// queries) into [`ArspOutcome::counters`]. Off by default — counting is
     /// cheap but not free.
     pub fn collect_stats(mut self, on: bool) -> Self {
-        self.collect_stats = on;
+        self.spec.collect_stats = on;
         self
     }
 
     /// Sets a wall-clock deadline for the query. The flat kernels poll it
     /// cooperatively (per node / per instance / per heap pop); when it
     /// expires, [`try_run`](Self::try_run) returns
-    /// [`QueryError::DeadlineExceeded`] and every cache, pool and scratch
-    /// arena is left reusable and uncorrupted — the next identical query is
-    /// bitwise equal to a cold rebuild.
+    /// [`QueryError::DeadlineExceeded`] — or [`QueryError::BuildTimeout`]
+    /// when it expires while joining another query's in-flight cache build —
+    /// and every cache, pool and scratch arena is left reusable and
+    /// uncorrupted: the next identical query is bitwise equal to a cold
+    /// rebuild.
     pub fn deadline(mut self, limit: Duration) -> Self {
         self.deadline = Some(limit);
         self
@@ -682,23 +471,16 @@ impl<'e, 'q> ArspQuery<'e, 'q> {
     }
 
     /// Executes the query with fault containment: deadline expiry and
-    /// cancellation surface as [`QueryError::DeadlineExceeded`], and any
-    /// panic inside the query is caught at this boundary and surfaced as
-    /// [`QueryError::Panicked`]. In every error case the engine remains
-    /// fully usable: RAII leases return scratch arenas, cache builds either
-    /// completed or were never published, and re-running the identical
-    /// query yields results bitwise equal to a cold engine.
+    /// cancellation surface as [`QueryError::DeadlineExceeded`], a timed-out
+    /// join on another query's cache build as [`QueryError::BuildTimeout`],
+    /// and any panic inside the query is caught at this boundary and
+    /// surfaced as [`QueryError::Panicked`]. In every error case the engine
+    /// remains fully usable: RAII leases return scratch arenas, cache builds
+    /// either completed or were never published, and re-running the
+    /// identical query yields results bitwise equal to a cold engine.
     pub fn try_run(mut self) -> Result<ArspOutcome, QueryError> {
-        let owned = self.deadline.take().map(QueryBudget::with_deadline);
-        let external = self.budget.take();
-        let budget = external.or(owned.as_ref());
-        // AssertUnwindSafe: the engine's shared state is only touched through
-        // unwind-safe structures — coalescing/once caches publish complete
-        // values or nothing, and scratch travels in an RAII lease — so
-        // observing it after a caught unwind cannot see a broken invariant.
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner(budget)));
-        outcome.map_err(|payload| fault::classify_unwind(payload, budget))
+        let (deadline, budget) = (self.deadline.take(), self.budget.take());
+        contain(deadline, budget, |budget| self.run_inner(budget))
     }
 
     /// The query body shared by [`run`](Self::run) and
@@ -706,247 +488,42 @@ impl<'e, 'q> ArspQuery<'e, 'q> {
     fn run_inner(self, budget: Option<&QueryBudget>) -> ArspOutcome {
         let total_start = Instant::now();
         let engine = self.engine;
-        let dataset = &*engine.dataset;
-        let dim = match &self.constraints {
-            QueryConstraints::Linear(cs) => cs.dim(),
-            QueryConstraints::Ratio(r) => r.dim(),
-        };
-        assert_eq!(dataset.dim(), dim, "dimension mismatch");
-
-        let sink = if self.collect_stats {
-            Some(CounterStats::new())
-        } else {
-            None
-        };
-        let stats = sink.as_ref();
-        let parallel = matches!(self.execution, Execution::Parallel { .. });
-
-        // Resolve Auto. Ratio queries resolve without touching any cache;
-        // linear queries need the vertex count, so the (cached) vertex
-        // enumeration is the first build step.
-        let mut build_time = Duration::ZERO;
-        let mut prefetched_fdom: Option<Arc<LinearFDominance>> = None;
-        let (algorithm, selection_reason) = match self.algorithm {
-            QueryAlgorithm::Auto => match &self.constraints {
-                QueryConstraints::Ratio(_) => {
-                    let (a, why) =
-                        auto_select(dataset.num_objects(), dataset.num_instances(), 0, true);
-                    (a, Some(why))
-                }
-                QueryConstraints::Linear(cs) => {
-                    let build_start = Instant::now();
-                    let fdom = engine.fdom_for(cs);
-                    build_time += build_start.elapsed();
-                    let (a, why) = auto_select(
-                        dataset.num_objects(),
-                        dataset.num_instances(),
-                        fdom.num_vertices(),
-                        false,
-                    );
-                    // Hand the Arc to the execute arm so the same query does
-                    // not pay a second cache round-trip (or count a bogus
-                    // extra hit).
-                    prefetched_fdom = Some(fdom);
-                    (a, Some(why))
-                }
-            },
-            forced => (forced, None),
-        };
-        let fdom_for_query = move |build_time: &mut Duration, cs: &ConstraintSet| {
-            prefetched_fdom.unwrap_or_else(|| {
-                let build_start = Instant::now();
-                let fdom = engine.fdom_for(cs);
-                *build_time += build_start.elapsed();
-                fdom
-            })
-        };
-
-        // Materialise the linear constraint set when a general algorithm runs
-        // a ratio query.
-        let derived;
-        let linear: Option<&ConstraintSet> = match (&self.constraints, algorithm) {
-            (_, QueryAlgorithm::Dual) => None,
-            (QueryConstraints::Linear(cs), _) => Some(cs),
-            (QueryConstraints::Ratio(r), _) => {
-                derived = r.to_constraint_set();
-                Some(&derived)
-            }
-        };
-
-        // Reusable per-query working memory, leased from the engine's pool
-        // and returned when the lease drops — including through an unwind
-        // (warm pools make the sequential hot paths allocation-free).
-        let mut scratch = engine.scratch_lease();
-
-        // The algorithm body, run either directly or — for a per-query
-        // thread bound — inside a dedicated scoped pool. A scoped pool never
-        // touches the process-wide `set_num_threads` knob, so concurrent
-        // queries cannot race each other's settings and a panicking query
-        // leaks nothing.
-        let execute = |build_time: &mut Duration, scratch: &mut QueryScratch| {
-            let run_start;
-            let result = match algorithm {
-                QueryAlgorithm::Auto => unreachable!("Auto was resolved above"),
-                QueryAlgorithm::Dual => {
-                    let ratio = match &self.constraints {
-                        QueryConstraints::Ratio(r) => *r,
-                        QueryConstraints::Linear(_) => panic!(
-                            "the DUAL algorithm needs weight-ratio constraints; \
-                         build the query with ArspEngine::ratio_query"
-                        ),
-                    };
-                    let build_start = Instant::now();
-                    let flat = engine.flat();
-                    let index = engine.dual_index(&flat);
-                    *build_time += build_start.elapsed();
-                    run_start = Instant::now();
-                    arsp_dual_flat_engine(&flat, ratio, &index, parallel, stats, budget)
-                }
-                QueryAlgorithm::Enum => {
-                    let cs = linear.expect("linear constraints materialised above");
-                    run_start = Instant::now();
-                    arsp_enum(dataset, cs)
-                }
-                QueryAlgorithm::Loop => {
-                    let cs = linear.expect("linear constraints materialised above");
-                    let fdom = fdom_for_query(build_time, cs);
-                    let build_start = Instant::now();
-                    let flat = engine.flat();
-                    let scores = engine.scores_for(&fdom);
-                    let order = engine.order_for(&fdom, &scores);
-                    *build_time += build_start.elapsed();
-                    run_start = Instant::now();
-                    arsp_loop_flat_engine(
-                        &flat,
-                        &scores,
-                        &order,
-                        parallel,
-                        stats,
-                        Some(scratch.loop_mut()),
-                        Some(&engine.caches.loop_pool),
-                        budget,
-                    )
-                }
-                QueryAlgorithm::Kdtt | QueryAlgorithm::KdttPlus | QueryAlgorithm::QdttPlus => {
-                    let cs = linear.expect("linear constraints materialised above");
-                    let variant = match algorithm {
-                        QueryAlgorithm::Kdtt => KdVariant::Prebuilt,
-                        QueryAlgorithm::QdttPlus => KdVariant::FusedQuad,
-                        _ => KdVariant::FusedKd,
-                    };
-                    let fdom = fdom_for_query(build_time, cs);
-                    let build_start = Instant::now();
-                    let flat = engine.flat();
-                    let scores = engine.scores_for(&fdom);
-                    *build_time += build_start.elapsed();
-                    run_start = Instant::now();
-                    arsp_kdtt_flat_engine(
-                        &flat,
-                        &scores,
-                        variant,
-                        parallel,
-                        stats,
-                        scratch.kd_mut(),
-                        Some(&engine.caches.kd_pool),
-                        budget,
-                    )
-                }
-                QueryAlgorithm::BranchAndBound => {
-                    let cs = linear.expect("linear constraints materialised above");
-                    let fdom = fdom_for_query(build_time, cs);
-                    let build_start = Instant::now();
-                    let rtree = engine.rtree();
-                    let scores = engine.scores_for(&fdom);
-                    *build_time += build_start.elapsed();
-                    run_start = Instant::now();
-                    arsp_bnb_engine(
-                        dataset,
-                        &fdom,
-                        Some(&rtree),
-                        Some(&scores),
-                        parallel,
-                        stats,
-                        Some(scratch.bnb_mut()),
-                        budget,
-                    )
-                }
-            };
-            (result, run_start.elapsed())
-        };
-
-        let (result, run_time) = match self.execution {
-            #[cfg(feature = "parallel")]
-            Execution::Parallel { threads } if threads > 0 => {
-                crate::parallel::with_pool_sized(threads, || execute(&mut build_time, &mut scratch))
-            }
-            _ => execute(&mut build_time, &mut scratch),
-        };
-        drop(scratch);
-
-        let top_objects = self.top_k.map(|k| result.top_k_objects(dataset, k));
-        ArspOutcome {
+        let source = engine.shared.source(&engine.snapshot, budget);
+        let outcome = execute(&source, &self.spec, budget);
+        let top_objects = self
+            .top_k
+            .map(|k| outcome.result().top_k_objects(&engine.dataset, k));
+        outcome.with_view(EngineView {
             dataset: engine.dataset_arc(),
-            result,
-            algorithm,
-            selection_reason,
-            execution: self.execution,
-            build_time,
-            run_time,
+            execution: self.spec.execution,
             total_time: total_start.elapsed(),
-            counters: sink.map(|s| s.snapshot()),
             top_objects,
             min_prob: self.min_prob,
-        }
+        })
     }
 }
 
 /// The result of one engine query: the probabilities plus everything worth
-/// knowing about how they were computed.
-pub struct ArspOutcome {
+/// knowing about how they were computed (see [`QueryOutcome`]), with the
+/// engine's extras — timings, the top-`k` and `min_prob` views — in an
+/// [`EngineView`].
+pub type ArspOutcome = QueryOutcome<EngineView>;
+
+/// The static engine's part of an [`ArspOutcome`]: the dataset (for
+/// object-level views), the requested execution mode, the end-to-end time
+/// and the optional top-`k`/`min_prob` views.
+pub struct EngineView {
     dataset: Arc<UncertainDataset>,
-    result: ArspResult,
-    algorithm: QueryAlgorithm,
-    selection_reason: Option<&'static str>,
     execution: Execution,
-    build_time: Duration,
-    run_time: Duration,
     total_time: Duration,
-    counters: Option<QueryCounters>,
     top_objects: Option<Vec<(usize, f64)>>,
     min_prob: Option<f64>,
 }
 
-impl ArspOutcome {
-    /// The computed probabilities.
-    pub fn result(&self) -> &ArspResult {
-        &self.result
-    }
-
-    /// Consumes the outcome, keeping only the probabilities.
-    pub fn into_result(self) -> ArspResult {
-        self.result
-    }
-
-    /// The algorithm that ran (never [`QueryAlgorithm::Auto`]).
-    pub fn algorithm(&self) -> QueryAlgorithm {
-        self.algorithm
-    }
-
-    /// `true` when the engine picked the algorithm (the query asked for
-    /// `Auto`).
-    pub fn auto_selected(&self) -> bool {
-        self.selection_reason.is_some()
-    }
-
-    /// Why the engine picked [`ArspOutcome::algorithm`]; `None` when the
-    /// query forced it.
-    pub fn selection_reason(&self) -> Option<&'static str> {
-        self.selection_reason
-    }
-
+impl QueryOutcome<EngineView> {
     /// The execution mode the query requested.
     pub fn execution(&self) -> Execution {
-        self.execution
+        self.view.execution
     }
 
     /// Time spent building or fetching shared structures (vertex
@@ -963,42 +540,27 @@ impl ArspOutcome {
 
     /// End-to-end wall-clock time of `run()`.
     pub fn total_time(&self) -> Duration {
-        self.total_time
-    }
-
-    /// Work counters, when the query asked for them via `collect_stats`.
-    pub fn counters(&self) -> Option<QueryCounters> {
-        self.counters
+        self.view.total_time
     }
 
     /// The precomputed top-`k` objects, when the query asked via `top_k`.
     pub fn top_objects(&self) -> Option<&[(usize, f64)]> {
-        self.top_objects.as_deref()
-    }
-
-    /// Rskyline probability of one instance.
-    pub fn instance_prob(&self, instance: usize) -> f64 {
-        self.result.instance_prob(instance)
+        self.view.top_objects.as_deref()
     }
 
     /// Rskyline probability of one uncertain object.
     pub fn object_prob(&self, object: usize) -> f64 {
-        self.result.object_prob(&self.dataset, object)
+        self.result().object_prob(&self.view.dataset, object)
     }
 
     /// Iterates `(object, instance, probability)` triples, skipping entries
     /// below the query's `min_prob` threshold (all entries when none was
     /// set).
     pub fn iter_probs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        let threshold = self.min_prob.unwrap_or(f64::NEG_INFINITY);
-        self.result
-            .iter_probs(&self.dataset)
+        let threshold = self.view.min_prob.unwrap_or(f64::NEG_INFINITY);
+        self.result()
+            .iter_probs(&self.view.dataset)
             .filter(move |&(_, _, p)| p >= threshold)
-    }
-
-    /// Number of instances with non-zero rskyline probability.
-    pub fn result_size(&self) -> usize {
-        self.result.result_size()
     }
 }
 

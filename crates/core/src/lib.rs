@@ -55,6 +55,9 @@
 //! * the dynamic-dataset engine ([`dynamic`]) and the concurrent MVCC
 //!   serving layer on top of it ([`service`]): epoch-pinned snapshot
 //!   isolation for any number of reader threads beside one writer,
+//! * one query pipeline ([`pipeline`]) behind the static, dynamic and
+//!   serving fronts: Auto selection, artifact fetches and the kernel call
+//!   are written once,
 //! * the supervised sharded serving layer ([`cluster`]): per-shard fault
 //!   isolation and durability, a quarantine/recovery state machine, an
 //!   exact (bitwise) cross-shard merge and opt-in degraded partial-result
@@ -78,6 +81,7 @@ pub mod engine;
 pub mod fault;
 pub mod hardness;
 pub mod parallel;
+pub mod pipeline;
 pub mod result;
 pub mod scorespace;
 pub mod scratch;

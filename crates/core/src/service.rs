@@ -7,8 +7,8 @@
 //! * **Readers** hold an [`ArspService`] handle (cheaply cloneable) and call
 //!   [`ArspService::pin`] to pin the current version. A [`SnapshotPin`] is an
 //!   immutable view: the columnar [`FlatStore`], the per-constraint
-//!   [`ScoreMatrix`]s, vertex enumerations and index arenas of that version,
-//!   all behind `Arc`s. Queries on a pin never take the writer's locks and
+//!   [`ScoreMatrix`](crate::ScoreMatrix)s, vertex enumerations and index
+//!   arenas of that version, all behind `Arc`s. Queries on a pin never take the writer's locks and
 //!   never observe a later version (snapshot isolation) — they are bitwise
 //!   equal to a cold single-threaded engine rebuilt on the pinned version's
 //!   dataset, the same exactness contract every other layer of this repo
@@ -19,6 +19,11 @@
 //!   the engine's delta-patched caches ([`DynamicArspEngine::export_snapshot`]
 //!   — artifacts that survived the mutations are *shared* with the new
 //!   snapshot, not rebuilt).
+//!
+//! A pinned query runs the same pipeline as the static and dynamic engines
+//! ([`crate::pipeline`]): the pin's snapshot is its artifact source, and
+//! [`ServiceQuery`] keeps only what is the service's own — admission
+//! control, the query counter and the pinned version on the outcome.
 //!
 //! ## Epoch-based reclamation
 //!
@@ -87,103 +92,22 @@
 //! ```
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::algorithms::bnb::{arsp_bnb_engine, build_instance_rtree};
-use crate::algorithms::dual::{arsp_dual_flat_engine, build_dual_index};
-use crate::algorithms::enumerate::arsp_enum;
-use crate::algorithms::kd_asp::{KdVariant, KdWorkerPool};
-use crate::algorithms::kdtt::arsp_kdtt_flat_engine;
-use crate::algorithms::loop_scan::{
-    arsp_loop_flat_engine, instance_order_from_scores, InstanceOrder, LoopScratch,
+use crate::dynamic::DynamicArspEngine;
+use crate::engine::{CacheStats, Execution, QueryAlgorithm};
+use crate::fault::{QueryBudget, QueryError};
+use crate::pipeline::{
+    contain, execute, QueryConstraints, QueryOutcome, QuerySpec, ServingSnapshot, SharedArtifacts,
 };
-use crate::coalesce::{CoalesceCounters, CoalescingCache, JoinTimeout};
-use crate::dynamic::{DynamicArspEngine, SnapshotExport};
-use crate::engine::{
-    auto_select, constraint_key, omega_key, vertices_key, CacheStats, Execution, QueryAlgorithm,
-};
-use crate::fault::{self, BuildTimeoutUnwind, QueryBudget, QueryError};
-use crate::result::ArspResult;
-use crate::scorespace::ScoreMatrix;
-use crate::scratch::{QueryScratch, ScratchPool};
 use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
-use crate::stats::{CounterStats, PeakGauge, PeakGaugeGuard, QueryCounters};
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::stats::{PeakGauge, PeakGaugeGuard};
+use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{lock, Arc, Mutex};
 use arsp_data::{
     EpochPinRegistry, FlatStore, InstanceHandle, PinGuard, UncertainDataset, VersionedStore,
 };
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
-use arsp_geometry::fdom::LinearFDominance;
-use arsp_index::{SharedAggregateForest, SharedRTree};
-
-/// The cache key of the per-snapshot singleton artifacts (dataset, R-tree,
-/// DUAL index): one entry per snapshot, no constraint dependence.
-const SINGLETON_KEY: &[u64] = &[];
-
-/// One published version: the immutable artifact set every query on a pin of
-/// this version runs against. Construction-time artifacts come out of the
-/// writer's delta-patched caches (shared, not rebuilt); anything else is
-/// built lazily — and coalesced — by the first readers to need it.
-struct ServingSnapshot {
-    version: u64,
-    flat: Arc<FlatStore>,
-    scores: CoalescingCache<Arc<ScoreMatrix>>,
-    orders: CoalescingCache<Arc<InstanceOrder>>,
-    dataset: CoalescingCache<Arc<UncertainDataset>>,
-    rtree: CoalescingCache<SharedRTree>,
-    dual: CoalescingCache<SharedAggregateForest>,
-}
-
-impl ServingSnapshot {
-    fn from_export(
-        export: SnapshotExport,
-        counters: &Arc<CoalesceCounters>,
-        rendezvous: &Arc<AtomicUsize>,
-    ) -> Self {
-        let snapshot = Self {
-            version: export.version,
-            flat: export.flat,
-            scores: CoalescingCache::new(counters, rendezvous),
-            orders: CoalescingCache::new(counters, rendezvous),
-            dataset: CoalescingCache::new(counters, rendezvous),
-            rtree: CoalescingCache::new(counters, rendezvous),
-            dual: CoalescingCache::new(counters, rendezvous),
-        };
-        for (fdom, matrix) in export.scores {
-            snapshot.scores.seed(vertices_key(&fdom), matrix);
-        }
-        for (omega, order) in export.orders {
-            snapshot.orders.seed(omega_key(&omega), order);
-        }
-        if let Some(dataset) = export.dataset {
-            snapshot.dataset.seed(SINGLETON_KEY.to_vec(), dataset);
-        }
-        if let Some(rtree) = export.rtree {
-            snapshot.rtree.seed(SINGLETON_KEY.to_vec(), rtree);
-        }
-        snapshot
-    }
-}
-
-/// Rebuilds the row-oriented dataset from the columnar snapshot. The flat
-/// store is a bit-for-bit copy of the snapshot dataset (canonical order), so
-/// the rebuild round-trips every coordinate and probability exactly — labels
-/// are dropped, which no algorithm reads. (Also the cross-shard merge's
-/// bridge from a stitched union [`FlatStore`] back to a servable dataset —
-/// see [`crate::cluster`].)
-pub(crate) fn dataset_from_flat(flat: &FlatStore) -> UncertainDataset {
-    let mut dataset = UncertainDataset::new(flat.dim());
-    for object in 0..flat.num_objects() {
-        let instances = flat
-            .object_instances(object)
-            .map(|id| (flat.coords_of(id).to_vec(), flat.prob(id)))
-            .collect();
-        dataset.push_object(instances);
-    }
-    dataset
-}
 
 /// Monotone service counters.
 #[derive(Debug, Default)]
@@ -192,19 +116,6 @@ struct ServiceCounters {
     published: AtomicU64,
     retired: AtomicU64,
     shed: AtomicU64,
-}
-
-/// Unwraps a deadline-aware coalescing join: a timed-out join detaches by
-/// unwinding with [`BuildTimeoutUnwind`], which [`ServiceQuery::try_run`]
-/// classifies as [`QueryError::BuildTimeout`]. Joins without a deadline
-/// never time out.
-fn join_or_unwind<V>(joined: Result<V, JoinTimeout>) -> V {
-    match joined {
-        Ok(value) => value,
-        Err(timeout) => std::panic::resume_unwind(Box::new(BuildTimeoutUnwind {
-            waited: timeout.waited,
-        })),
-    }
 }
 
 /// The swap point: the current snapshot plus the superseded-but-still-pinned
@@ -224,15 +135,9 @@ struct ServiceShared {
     pins: Arc<EpochPinRegistry>,
     /// Admission cap on concurrently executing queries; `0` = unlimited.
     admission_limit: AtomicU64,
-    /// Version-independent vertex enumerations — shared across *all*
-    /// snapshots (constraints never go stale), coalesced like every serving
-    /// cache.
-    fdoms: CoalescingCache<Arc<LinearFDominance>>,
-    scratch_pool: ScratchPool<QueryScratch>,
-    loop_pool: ScratchPool<LoopScratch>,
-    kd_pool: KdWorkerPool,
-    coalesce: Arc<CoalesceCounters>,
-    rendezvous: Arc<AtomicUsize>,
+    /// The vertex enumerations (shared across *all* snapshots — constraints
+    /// never go stale), scratch pools and coalescing counters.
+    artifacts: SharedArtifacts,
     gauge: PeakGauge,
     counters: ServiceCounters,
     /// The writer engine's standing-query registry, shared so readers can
@@ -264,14 +169,8 @@ impl ArspService {
     /// Wraps an existing dynamic engine — its warmed caches seed the first
     /// published snapshot.
     pub fn from_engine(engine: DynamicArspEngine) -> (Self, ServiceWriter) {
-        let coalesce = Arc::new(CoalesceCounters::default());
-        let rendezvous = Arc::new(AtomicUsize::new(0));
-        let export = engine.export_snapshot();
-        let fdoms = CoalescingCache::new(&coalesce, &rendezvous);
-        for (key, fdom) in &export.fdoms {
-            fdoms.seed(key.clone(), Arc::clone(fdom));
-        }
-        let current = Arc::new(ServingSnapshot::from_export(export, &coalesce, &rendezvous));
+        let artifacts = SharedArtifacts::new();
+        let current = Arc::new(artifacts.snapshot(engine.export_snapshot()));
         let shared = Arc::new(ServiceShared {
             state: Mutex::new(ServiceState {
                 current,
@@ -279,12 +178,7 @@ impl ArspService {
             }),
             pins: Arc::new(EpochPinRegistry::new()),
             admission_limit: AtomicU64::new(0),
-            fdoms,
-            scratch_pool: ScratchPool::new(),
-            loop_pool: ScratchPool::new(),
-            kd_pool: KdWorkerPool::default(),
-            coalesce,
-            rendezvous,
+            artifacts,
             gauge: PeakGauge::new(),
             counters: ServiceCounters::default(),
             standing: engine.standing().clone(),
@@ -336,8 +230,9 @@ impl ArspService {
     /// threads does not pay arena construction on the query path. Purely an
     /// allocation-timing knob — results never depend on scratch state.
     pub fn warm_scratch(&self, readers: usize) {
-        self.shared.scratch_pool.warm(readers);
-        self.shared.loop_pool.warm(readers);
+        let pools = &self.shared.artifacts.pools;
+        pools.scratch.warm(readers);
+        pools.loops.warm(readers);
     }
 
     /// **Deterministic-test knob** — makes every cache builder wait for `n`
@@ -347,7 +242,7 @@ impl ArspService {
     /// trades latency for determinism.
     #[doc(hidden)]
     pub fn set_coalescing_rendezvous(&self, n: usize) {
-        self.shared.rendezvous.store(n, Ordering::Relaxed);
+        self.shared.artifacts.rendezvous.store(n, Ordering::Relaxed);
     }
 
     /// Caps the number of concurrently *executing* queries at `limit`:
@@ -370,21 +265,22 @@ impl ArspService {
     /// live gauges.
     pub fn serving_stats(&self) -> ServingStats {
         let shared = &self.shared;
+        let cache = shared.artifacts.cache_stats();
         ServingStats {
             inflight: shared.gauge.current(),
             peak_inflight: shared.gauge.peak(),
             queries_served: shared.counters.queries.load(Ordering::Relaxed),
             queries_shed: shared.counters.shed.load(Ordering::Relaxed),
-            shared_builds: shared.coalesce.builds(),
-            coalesced_builds: shared.coalesce.coalesced(),
-            cache_hits: shared.coalesce.hits(),
+            shared_builds: cache.misses,
+            coalesced_builds: cache.coalesced_builds,
+            cache_hits: cache.hits,
             snapshots_published: shared.counters.published.load(Ordering::Relaxed),
             snapshots_retired: shared.counters.retired.load(Ordering::Relaxed),
             active_pins: shared.pins.active_pins(),
             pinned_snapshots: shared.pins.pinned_versions().len() as u64,
             notifications_delivered: shared.standing.counters().notifications_delivered(),
-            dirty_instances_scanned: shared.standing.counters().dirty_instances_scanned(),
-            standing_full_fallbacks: shared.standing.counters().standing_full_fallbacks(),
+            dirty_instances_scanned: 0,
+            standing_full_fallbacks: 0,
         }
     }
 
@@ -398,23 +294,11 @@ impl ArspService {
     pub fn cache_stats(&self) -> CacheStats {
         let shared = &self.shared;
         CacheStats {
-            hits: shared.coalesce.hits(),
-            misses: shared.coalesce.builds(),
-            scratch_hits: shared.scratch_pool.hits()
-                + shared.loop_pool.hits()
-                + shared.kd_pool.hits(),
-            scratch_misses: shared.scratch_pool.misses()
-                + shared.loop_pool.misses()
-                + shared.kd_pool.misses(),
-            caches_invalidated: 0,
-            merges_performed: 0,
             inflight: shared.gauge.current(),
-            coalesced_builds: shared.coalesce.coalesced(),
             snapshots_retired: shared.counters.retired.load(Ordering::Relaxed),
             active_pins: shared.pins.active_pins(),
             notifications_delivered: shared.standing.counters().notifications_delivered(),
-            dirty_instances_scanned: shared.standing.counters().dirty_instances_scanned(),
-            standing_full_fallbacks: shared.standing.counters().standing_full_fallbacks(),
+            ..shared.artifacts.cache_stats()
         }
     }
 }
@@ -452,10 +336,13 @@ pub struct ServingStats {
     /// refreshes (one per subscription per published version change, plus
     /// each subscription's initial full batch).
     pub notifications_delivered: u64,
-    /// Surviving instances the standing dirty-set maintenance pass
-    /// recomputed (clean instances carry over without recomputation).
+    /// Always 0: every standing refresh is one ordinary query, so no pass
+    /// recomputes a dirty subset any more. Kept only because the serving
+    /// benchmark reads it; the next change to the benchmark drops it.
     pub dirty_instances_scanned: u64,
-    /// Standing refreshes that fell back to a full re-evaluation.
+    /// Always 0, for the same reason as
+    /// [`dirty_instances_scanned`](Self::dirty_instances_scanned): no
+    /// refresh has a cheaper path to fall back from.
     pub standing_full_fallbacks: u64,
 }
 
@@ -484,16 +371,8 @@ impl ServiceWriter {
                 return state.current.version;
             }
         }
-        let export = self.engine.export_snapshot();
-        let version = export.version;
-        for (key, fdom) in &export.fdoms {
-            shared.fdoms.seed(key.clone(), Arc::clone(fdom));
-        }
-        let snapshot = Arc::new(ServingSnapshot::from_export(
-            export,
-            &shared.coalesce,
-            &shared.rendezvous,
-        ));
+        let snapshot = Arc::new(shared.artifacts.snapshot(self.engine.export_snapshot()));
+        let version = snapshot.version;
         let mut state = lock(&shared.state);
         let old = std::mem::replace(&mut state.current, snapshot);
         shared.counters.published.fetch_add(1, Ordering::Relaxed);
@@ -636,84 +515,12 @@ impl SnapshotPin {
     /// Starts a query under general linear constraints against the pinned
     /// version (fluent, like [`crate::engine::ArspEngine::query`]).
     pub fn query<'p, 'q>(&'p self, constraints: &'q ConstraintSet) -> ServiceQuery<'p, 'q> {
-        ServiceQuery::new(self, ServiceConstraints::Linear(constraints))
+        ServiceQuery::new(self, QueryConstraints::Linear(constraints))
     }
 
     /// Starts a query under weight-ratio constraints (§IV); unlocks DUAL.
     pub fn ratio_query<'p, 'q>(&'p self, ratio: &'q WeightRatio) -> ServiceQuery<'p, 'q> {
-        ServiceQuery::new(self, ServiceConstraints::Ratio(ratio))
-    }
-
-    // ---- pinned cached structures (coalesced, deadline-aware joins) -------
-
-    fn fdom_for(
-        &self,
-        constraints: &ConstraintSet,
-        deadline: Option<Instant>,
-    ) -> Arc<LinearFDominance> {
-        join_or_unwind(self.shared.fdoms.get_or_build_deadline(
-            &constraint_key(constraints),
-            deadline,
-            || Arc::new(LinearFDominance::from_constraints(constraints)),
-        ))
-    }
-
-    fn scores_for(
-        &self,
-        fdom: &Arc<LinearFDominance>,
-        deadline: Option<Instant>,
-    ) -> Arc<ScoreMatrix> {
-        let flat = &self.snapshot.flat;
-        join_or_unwind(self.snapshot.scores.get_or_build_deadline(
-            &vertices_key(fdom),
-            deadline,
-            || Arc::new(ScoreMatrix::compute(flat, fdom)),
-        ))
-    }
-
-    fn order_for(
-        &self,
-        fdom: &LinearFDominance,
-        scores: &ScoreMatrix,
-        deadline: Option<Instant>,
-    ) -> Arc<InstanceOrder> {
-        join_or_unwind(self.snapshot.orders.get_or_build_deadline(
-            &omega_key(&fdom.vertices()[0]),
-            deadline,
-            || Arc::new(instance_order_from_scores(scores)),
-        ))
-    }
-
-    fn dataset(&self, deadline: Option<Instant>) -> Arc<UncertainDataset> {
-        let flat = &self.snapshot.flat;
-        join_or_unwind(
-            self.snapshot
-                .dataset
-                .get_or_build_deadline(SINGLETON_KEY, deadline, || {
-                    Arc::new(dataset_from_flat(flat))
-                }),
-        )
-    }
-
-    fn rtree(&self, dataset: &UncertainDataset, deadline: Option<Instant>) -> SharedRTree {
-        join_or_unwind(
-            self.snapshot
-                .rtree
-                .get_or_build_deadline(SINGLETON_KEY, deadline, || {
-                    Arc::new(build_instance_rtree(dataset))
-                }),
-        )
-    }
-
-    fn dual_index(&self, deadline: Option<Instant>) -> SharedAggregateForest {
-        let flat = &self.snapshot.flat;
-        join_or_unwind(
-            self.snapshot
-                .dual
-                .get_or_build_deadline(SINGLETON_KEY, deadline, || {
-                    Arc::new(build_dual_index(flat))
-                }),
-        )
+        ServiceQuery::new(self, QueryConstraints::Ratio(ratio))
     }
 }
 
@@ -746,32 +553,20 @@ impl Drop for SnapshotPin {
     }
 }
 
-/// The constraints a service query was built from.
-enum ServiceConstraints<'q> {
-    Linear(&'q ConstraintSet),
-    Ratio(&'q WeightRatio),
-}
-
 /// A fluent query against a pinned snapshot — mirror of
 /// [`crate::engine::ArspQuery`]. Finish with [`ServiceQuery::run`].
 pub struct ServiceQuery<'p, 'q> {
     pin: &'p SnapshotPin,
-    constraints: ServiceConstraints<'q>,
-    algorithm: QueryAlgorithm,
-    execution: Execution,
-    collect_stats: bool,
+    spec: QuerySpec<'q>,
     deadline: Option<Duration>,
     budget: Option<&'q QueryBudget>,
 }
 
 impl<'p, 'q> ServiceQuery<'p, 'q> {
-    fn new(pin: &'p SnapshotPin, constraints: ServiceConstraints<'q>) -> Self {
+    fn new(pin: &'p SnapshotPin, constraints: QueryConstraints<'q>) -> Self {
         Self {
             pin,
-            constraints,
-            algorithm: QueryAlgorithm::Auto,
-            execution: Execution::Sequential,
-            collect_stats: false,
+            spec: QuerySpec::new(constraints),
             deadline: None,
             budget: None,
         }
@@ -783,20 +578,20 @@ impl<'p, 'q> ServiceQuery<'p, 'q> {
     /// `run()` panics if [`QueryAlgorithm::Dual`] is forced on a non-ratio
     /// query.
     pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
-        self.algorithm = algorithm.into();
+        self.spec.algorithm = algorithm.into();
         self
     }
 
     /// Chooses the execution mode (default: [`Execution::Sequential`]);
     /// parallel execution is bitwise identical.
     pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
+        self.spec.execution = execution;
         self
     }
 
     /// Collects work counters into [`ServiceOutcome::counters`].
     pub fn collect_stats(mut self, on: bool) -> Self {
-        self.collect_stats = on;
+        self.spec.collect_stats = on;
         self
     }
 
@@ -869,18 +664,9 @@ impl<'p, 'q> ServiceQuery<'p, 'q> {
     /// re-running the identical query yields results bitwise equal to a
     /// cold engine.
     pub fn try_run(mut self) -> Result<ServiceOutcome, QueryError> {
-        let pin = self.pin;
-        let _inflight = Self::admit(&pin.shared)?;
-        let owned = self.deadline.take().map(QueryBudget::with_deadline);
-        let external = self.budget.take();
-        let budget = external.or(owned.as_ref());
-        // AssertUnwindSafe: shared service state is only touched through
-        // unwind-safe structures — coalescing caches publish complete
-        // artifacts or nothing (with unclaim-on-unwind), scratch travels in
-        // RAII leases, pins in RAII guards — so observing it after a caught
-        // unwind cannot see a broken invariant.
-        catch_unwind(AssertUnwindSafe(|| self.run_inner(budget)))
-            .map_err(|payload| fault::classify_unwind(payload, budget))
+        let _inflight = Self::admit(&self.pin.shared)?;
+        let (deadline, budget) = (self.deadline.take(), self.budget.take());
+        contain(deadline, budget, |budget| self.run_inner(budget))
     }
 
     /// The query body shared by [`run`](Self::run) and
@@ -888,216 +674,30 @@ impl<'p, 'q> ServiceQuery<'p, 'q> {
     fn run_inner(self, budget: Option<&QueryBudget>) -> ServiceOutcome {
         let pin = self.pin;
         let shared = &pin.shared;
-        let snapshot = &pin.snapshot;
-        let deadline = budget.and_then(|b| b.deadline_instant());
-        let dim = match &self.constraints {
-            ServiceConstraints::Linear(cs) => cs.dim(),
-            ServiceConstraints::Ratio(r) => r.dim(),
-        };
-        assert_eq!(snapshot.flat.dim(), dim, "dimension mismatch");
-
         shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-        // Surface an already-expired deadline (or external cancel) before
-        // touching any cache.
-        fault::poll(budget);
-
-        let sink = if self.collect_stats {
-            Some(CounterStats::new())
-        } else {
-            None
-        };
-        let stats = sink.as_ref();
-        let parallel = matches!(self.execution, Execution::Parallel { .. });
-
-        let (algorithm, selection_reason) = match self.algorithm {
-            QueryAlgorithm::Auto => match &self.constraints {
-                ServiceConstraints::Ratio(_) => {
-                    let (a, why) = auto_select(
-                        snapshot.flat.num_objects(),
-                        snapshot.flat.num_instances(),
-                        0,
-                        true,
-                    );
-                    (a, Some(why))
-                }
-                ServiceConstraints::Linear(cs) => {
-                    let fdom = pin.fdom_for(cs, deadline);
-                    let (a, why) = auto_select(
-                        snapshot.flat.num_objects(),
-                        snapshot.flat.num_instances(),
-                        fdom.num_vertices(),
-                        false,
-                    );
-                    (a, Some(why))
-                }
-            },
-            forced => (forced, None),
-        };
-
-        // Materialise the linear constraint set when a general algorithm
-        // runs a ratio query.
-        let derived;
-        let linear: Option<&ConstraintSet> = match (&self.constraints, algorithm) {
-            (_, QueryAlgorithm::Dual) => None,
-            (ServiceConstraints::Linear(cs), _) => Some(cs),
-            (ServiceConstraints::Ratio(r), _) => {
-                derived = r.to_constraint_set();
-                Some(&derived)
-            }
-        };
-
-        let execute = || match algorithm {
-            QueryAlgorithm::Auto => unreachable!("Auto was resolved above"),
-            QueryAlgorithm::Dual => {
-                let ratio = match &self.constraints {
-                    ServiceConstraints::Ratio(r) => *r,
-                    ServiceConstraints::Linear(_) => panic!(
-                        "the DUAL algorithm needs weight-ratio constraints; \
-                         build the query with SnapshotPin::ratio_query"
-                    ),
-                };
-                let index = pin.dual_index(deadline);
-                arsp_dual_flat_engine(&snapshot.flat, ratio, &index, parallel, stats, budget)
-            }
-            QueryAlgorithm::Enum => {
-                let dataset = pin.dataset(deadline);
-                arsp_enum(
-                    &dataset,
-                    linear.expect("linear constraints materialised above"),
-                )
-            }
-            QueryAlgorithm::Loop => {
-                let constraints = linear.expect("linear constraints materialised above");
-                let fdom = pin.fdom_for(constraints, deadline);
-                let scores = pin.scores_for(&fdom, deadline);
-                let order = pin.order_for(&fdom, &scores, deadline);
-                let mut scratch = shared.scratch_pool.lease();
-                arsp_loop_flat_engine(
-                    &snapshot.flat,
-                    &scores,
-                    &order,
-                    parallel,
-                    stats,
-                    Some(scratch.loop_mut()),
-                    Some(&shared.loop_pool),
-                    budget,
-                )
-            }
-            QueryAlgorithm::Kdtt | QueryAlgorithm::KdttPlus | QueryAlgorithm::QdttPlus => {
-                let variant = match algorithm {
-                    QueryAlgorithm::Kdtt => KdVariant::Prebuilt,
-                    QueryAlgorithm::QdttPlus => KdVariant::FusedQuad,
-                    _ => KdVariant::FusedKd,
-                };
-                let constraints = linear.expect("linear constraints materialised above");
-                let fdom = pin.fdom_for(constraints, deadline);
-                let scores = pin.scores_for(&fdom, deadline);
-                let mut scratch = shared.scratch_pool.lease();
-                arsp_kdtt_flat_engine(
-                    &snapshot.flat,
-                    &scores,
-                    variant,
-                    parallel,
-                    stats,
-                    scratch.kd_mut(),
-                    Some(&shared.kd_pool),
-                    budget,
-                )
-            }
-            QueryAlgorithm::BranchAndBound => {
-                let constraints = linear.expect("linear constraints materialised above");
-                let fdom = pin.fdom_for(constraints, deadline);
-                let scores = pin.scores_for(&fdom, deadline);
-                let dataset = pin.dataset(deadline);
-                let rtree = pin.rtree(&dataset, deadline);
-                let mut scratch = shared.scratch_pool.lease();
-                arsp_bnb_engine(
-                    &dataset,
-                    &fdom,
-                    Some(&rtree),
-                    Some(&scores),
-                    parallel,
-                    stats,
-                    Some(scratch.bnb_mut()),
-                    budget,
-                )
-            }
-        };
-
-        let result = match self.execution {
-            #[cfg(feature = "parallel")]
-            Execution::Parallel { threads } if threads > 0 => {
-                crate::parallel::with_pool_sized(threads, execute)
-            }
-            _ => execute(),
-        };
-
-        ServiceOutcome {
-            result,
-            algorithm,
-            selection_reason,
-            version: snapshot.version,
-            counters: sink.map(|s| s.snapshot()),
-        }
+        let source = shared.artifacts.source(&pin.snapshot, budget);
+        execute(&source, &self.spec, budget).with_view(ServiceView {
+            version: pin.snapshot.version,
+        })
     }
 }
 
-/// The result of one pinned query: snapshot-space probabilities (instance id
-/// `i` = the `i`-th live instance of the pinned version in canonical order —
-/// exactly the ids a cold engine on that version's dataset would use) plus
-/// the version it answered at.
-pub struct ServiceOutcome {
-    result: ArspResult,
-    algorithm: QueryAlgorithm,
-    selection_reason: Option<&'static str>,
+/// The result of one pinned query (see [`QueryOutcome`]): snapshot-space
+/// probabilities — instance id `i` is the `i`-th live instance of the pinned
+/// version in canonical order, exactly the ids a cold engine on that
+/// version's dataset would use — plus, in a [`ServiceView`], the version it
+/// answered at.
+pub type ServiceOutcome = QueryOutcome<ServiceView>;
+
+/// The serving layer's part of a [`ServiceOutcome`]: the pinned version.
+pub struct ServiceView {
     version: u64,
-    counters: Option<QueryCounters>,
 }
 
-impl ServiceOutcome {
-    /// The computed probabilities, in the pinned version's instance-id space.
-    pub fn result(&self) -> &ArspResult {
-        &self.result
-    }
-
-    /// Consumes the outcome, keeping only the probabilities.
-    pub fn into_result(self) -> ArspResult {
-        self.result
-    }
-
-    /// The algorithm that ran (never [`QueryAlgorithm::Auto`]).
-    pub fn algorithm(&self) -> QueryAlgorithm {
-        self.algorithm
-    }
-
-    /// `true` when the service picked the algorithm.
-    pub fn auto_selected(&self) -> bool {
-        self.selection_reason.is_some()
-    }
-
-    /// Why the service picked [`ServiceOutcome::algorithm`], when it did.
-    pub fn selection_reason(&self) -> Option<&'static str> {
-        self.selection_reason
-    }
-
+impl QueryOutcome<ServiceView> {
     /// The pinned version this outcome answered at.
     pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Rskyline probability of one snapshot instance.
-    pub fn instance_prob(&self, snapshot_id: usize) -> f64 {
-        self.result.instance_prob(snapshot_id)
-    }
-
-    /// Number of instances with non-zero rskyline probability.
-    pub fn result_size(&self) -> usize {
-        self.result.result_size()
-    }
-
-    /// Work counters, when requested via `collect_stats`.
-    pub fn counters(&self) -> Option<QueryCounters> {
-        self.counters
+        self.view.version
     }
 }
 

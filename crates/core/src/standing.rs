@@ -1,5 +1,4 @@
-//! Standing queries: a subscription registry with incremental result
-//! maintenance.
+//! Standing queries: a subscription registry that delivers change-sets.
 //!
 //! A standing query is registered once ([`StandingQueryRegistry::subscribe`])
 //! and then *maintained*: after each mutation batch the registry computes the
@@ -9,44 +8,20 @@
 //! query per tick now consumes change-sets instead (see
 //! `examples/stock_prediction.rs`).
 //!
-//! ## The maintenance path
+//! ## The evaluation path
 //!
-//! For a subscription pinned to [`QueryAlgorithm::Loop`] under linear
-//! constraints, maintenance replays the delta against the engine's
-//! delta-patched artifacts rather than rescanning the bulk:
-//!
-//! 1. The [`arsp_data::VersionedStore`]'s change log yields the batch's
-//!    [`ChangeSummary`](arsp_data::ChangeSummary): touched handles plus the
-//!    pre-images of removed/overwritten rows.
-//! 2. The engine's snapshot caches are delta-patched forward (the same fold a
-//!    query triggers), producing the current delta-patched
-//!    [`ScoreMatrix`](crate::scorespace::ScoreMatrix) and merge-patched
-//!    LOOP order — bitwise the cold builds.
-//! 3. A **dirty-set narrowing pass** marks the surviving instances the delta
-//!    can affect: an instance is dirty iff it was itself touched, or some
-//!    delta row of another object — a touched row's current score vector, or
-//!    a removed row's pre-image projected through the same vertex enumeration
-//!    — dominates it in score space (the exact window in which a row
-//!    contributes to an instance's σ accounting).
-//! 4. The cached artifacts are gathered once into the LOOP scan layout
-//!    (`LoopScan` in [`crate::algorithms::loop_scan`]), and only the
-//!    dirty positions run the *same pair kernel the full LOOP scan runs*;
-//!    clean instances carry their previous probability over bit-for-bit.
-//!    This is exact, not approximate: a clean instance's dominator
-//!    subsequence (and its scan order, hence its σ sums and product fold)
-//!    is untouched by the delta, so recomputation would reproduce the same
-//!    bits.
-//! 5. When the dirty set exceeds the subscription's cost-model threshold
-//!    ([`StandingSpec::max_dirty_fraction`]) — or the change log no longer
-//!    covers the gap — the subscription falls back to one full re-evaluation
-//!    ([`StandingCounters::standing_full_fallbacks`] counts these).
-//!
-//! Subscriptions on the tree algorithms, B&B, `Auto`, or weight-ratio
-//! constraints re-evaluate through the engine's (cached, delta-aware) query
-//! path each refresh; their change-sets are diffed the same way. Either way
-//! the contract is the standing one: **after every refresh, the maintained
-//! result is bitwise equal to a cold [`crate::engine::ArspEngine`] full query
-//! on the equivalent snapshot** (enforced by `tests/standing_agreement.rs`).
+//! A refresh evaluates every subscription that is behind the engine's
+//! version as one ordinary query through the engine's builder — the same
+//! pipeline ([`crate::pipeline`]) every other query runs, over the engine's
+//! delta-patched artifacts, with the subscription's algorithm and execution
+//! mode — re-keys the snapshot-space result by stable instance handle, and
+//! diffs it bitwise against the maintained result. There is no incremental
+//! variant: the paper answers each query from scratch, and a dirty-set
+//! narrowing pass for LOOP subscriptions was measured not to pay for itself
+//! in the serving benchmark, so it was removed. The contract is the standing
+//! one: **after every refresh, the maintained result is bitwise equal to a
+//! cold [`crate::engine::ArspEngine`] full query on the equivalent
+//! snapshot** (enforced by `tests/standing_agreement.rs`).
 //!
 //! ## Serving integration
 //!
@@ -60,24 +35,17 @@
 //! [`SubscriptionGuard`] unsubscribes (RAII — safe at any time, including
 //! mid-publish from another thread).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use crate::algorithms::loop_scan::LoopScratch;
 use crate::dynamic::DynamicArspEngine;
 use crate::engine::{Execution, QueryAlgorithm};
 use crate::stats::StandingCounters;
 use crate::sync::{lock, Arc, Mutex};
 use arsp_data::InstanceHandle;
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
-use arsp_geometry::point;
-
-/// Default [`StandingSpec::max_dirty_fraction`]: beyond this share of dirty
-/// survivors the per-instance recompute loses to one full LOOP query over
-/// the engine's patched artifacts, so the subscription falls back.
-const DEFAULT_MAX_DIRTY_FRACTION: f64 = 0.35;
 
 /// What a subscription watches: general linear constraints or a weight
-/// ratio (§IV — unlocks DUAL on the full-evaluation path).
+/// ratio (§IV — unlocks DUAL).
 #[derive(Clone, Debug)]
 enum SpecKind {
     Linear(ConstraintSet),
@@ -94,8 +62,7 @@ enum SpecKind {
 /// let cs = ConstraintSet::weak_ranking(2, 1);
 /// let spec = StandingSpec::constraints(&cs)
 ///     .algorithm(QueryAlgorithm::Loop)
-///     .execution(Execution::Sequential)
-///     .max_dirty_fraction(0.5);
+///     .execution(Execution::Sequential);
 /// # let _ = spec;
 /// ```
 #[derive(Clone, Debug)]
@@ -103,7 +70,6 @@ pub struct StandingSpec {
     kind: SpecKind,
     algorithm: QueryAlgorithm,
     execution: Execution,
-    max_dirty_fraction: f64,
 }
 
 impl StandingSpec {
@@ -113,7 +79,6 @@ impl StandingSpec {
             kind: SpecKind::Linear(constraints.clone()),
             algorithm: QueryAlgorithm::Auto,
             execution: Execution::Sequential,
-            max_dirty_fraction: DEFAULT_MAX_DIRTY_FRACTION,
         }
     }
 
@@ -123,33 +88,20 @@ impl StandingSpec {
             kind: SpecKind::Ratio(ratio.clone()),
             algorithm: QueryAlgorithm::Auto,
             execution: Execution::Sequential,
-            max_dirty_fraction: DEFAULT_MAX_DIRTY_FRACTION,
         }
     }
 
-    /// Pins the algorithm (default [`QueryAlgorithm::Auto`]). Only
-    /// [`QueryAlgorithm::Loop`] under linear constraints maintains
-    /// incrementally; everything else re-evaluates through the engine's
-    /// cached query path per refresh.
+    /// Pins the algorithm (default [`QueryAlgorithm::Auto`]) every refresh
+    /// evaluates the subscription with.
     pub fn algorithm(mut self, algorithm: QueryAlgorithm) -> Self {
         self.algorithm = algorithm;
         self
     }
 
-    /// Chooses the execution mode of the evaluation paths (default
+    /// Chooses the execution mode of each refresh's query (default
     /// [`Execution::Sequential`]); parallel execution is bitwise identical.
     pub fn execution(mut self, execution: Execution) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// The cost-model threshold: when more than this fraction of surviving
-    /// instances is dirty, maintenance falls back to one full re-evaluation.
-    /// Clamped to `[0, 1]`; `0` forces the fallback on every non-empty
-    /// delta, `1` never falls back on cost grounds (a change-log gap still
-    /// does).
-    pub fn max_dirty_fraction(mut self, fraction: f64) -> Self {
-        self.max_dirty_fraction = fraction.clamp(0.0, 1.0);
         self
     }
 }
@@ -266,7 +218,7 @@ impl StandingQueryRegistry {
         lock(&self.inner.subs).subs.len()
     }
 
-    /// The registry's monotone maintenance counters.
+    /// The registry's monotone notification counter.
     pub(crate) fn counters(&self) -> &StandingCounters {
         &self.inner.counters
     }
@@ -284,7 +236,7 @@ impl StandingQueryRegistry {
             if state.last_version == Some(version) {
                 continue;
             }
-            let fresh = self.evaluate(engine, state, version);
+            let fresh = evaluate(engine, &state.spec);
             let changes = diff_maintained(&state.maintained, &fresh);
             state.maintained = fresh;
             state.last_version = Some(version);
@@ -297,158 +249,26 @@ impl StandingQueryRegistry {
             self.inner.counters.add_notification();
         }
     }
+}
 
-    /// The subscription's result at `version` — incrementally when the spec
-    /// allows it, through the engine's cached query path otherwise.
-    fn evaluate(
-        &self,
-        engine: &DynamicArspEngine,
-        state: &SubscriptionState,
-        version: u64,
-    ) -> BTreeMap<InstanceHandle, f64> {
-        if let (SpecKind::Linear(cs), QueryAlgorithm::Loop, Some(since)) =
-            (&state.spec.kind, state.spec.algorithm, state.last_version)
-        {
-            match self.maintain_loop(
-                engine,
-                cs,
-                since,
-                state.spec.max_dirty_fraction,
-                &state.maintained,
-            ) {
-                Some(fresh) => return fresh,
-                None => {
-                    // Change-log gap or dirty set over the threshold: one
-                    // full re-evaluation re-anchors the subscription.
-                    self.inner.counters.add_full_fallback();
-                }
-            }
-        }
-        let _ = version;
-        self.full_evaluate(engine, &state.spec)
-    }
-
-    /// One full evaluation through the engine's (cached, delta-aware) query
-    /// builder, re-keyed from snapshot-instance-id space to handles.
-    fn full_evaluate(
-        &self,
-        engine: &DynamicArspEngine,
-        spec: &StandingSpec,
-    ) -> BTreeMap<InstanceHandle, f64> {
-        let outcome = match &spec.kind {
-            SpecKind::Linear(cs) => engine
-                .query(cs)
-                .algorithm(spec.algorithm)
-                .execution(spec.execution)
-                .run(),
-            SpecKind::Ratio(r) => engine
-                .ratio_query(r)
-                .algorithm(spec.algorithm)
-                .execution(spec.execution)
-                .run(),
-        };
-        let (handles, _) = engine.snapshot_handles();
-        handles
-            .iter()
-            .enumerate()
-            .map(|(s, &h)| (h, outcome.instance_prob(s)))
-            .collect()
-    }
-
-    /// The incremental LOOP maintenance pass. `None` means "fall back":
-    /// either the store's change log no longer covers `since`, or the dirty
-    /// set exceeded the cost-model threshold.
-    fn maintain_loop(
-        &self,
-        engine: &DynamicArspEngine,
-        constraints: &ConstraintSet,
-        since: u64,
-        max_dirty_fraction: f64,
-        old: &BTreeMap<InstanceHandle, f64>,
-    ) -> Option<BTreeMap<InstanceHandle, f64>> {
-        let summary = engine.store().changes_since(since)?;
-        // Delta-patched artifacts at the current version — bitwise the cold
-        // builds (the engine's standing delta-patch guarantee), so the
-        // per-instance kernel below computes exactly what a full scan would.
-        let art = engine.loop_artifacts(constraints);
-        let (handles, objects) = engine.snapshot_handles();
-        let n = handles.len();
-        let d = art.scores.score_dim();
-
-        let snap_of: HashMap<InstanceHandle, usize> =
-            handles.iter().enumerate().map(|(s, &h)| (h, s)).collect();
-
-        // The delta rows' score vectors: current vectors of touched rows
-        // that are still live, plus removed/overwritten pre-images projected
-        // through the same vertex enumeration the cached matrix used.
-        let mut dirty = vec![false; n];
-        let mut delta: Vec<(usize, Vec<f64>)> =
-            Vec::with_capacity(summary.touched.len() + summary.removed.len());
-        for &h in &summary.touched {
-            if let Some(&s) = snap_of.get(&h) {
-                dirty[s] = true;
-                delta.push((objects[s] as usize, art.scores.row(s).to_vec()));
-            }
-        }
-        for rr in &summary.removed {
-            let mut sv = vec![0.0; d];
-            art.fdom.map_to_score_space_into(&rr.coords, &mut sv);
-            delta.push((rr.object, sv));
-        }
-
-        // Dominance-window narrowing: a surviving untouched instance can
-        // only change if some delta row of another object dominates it in
-        // score space (the exact condition under which the row contributes
-        // to — or used to contribute to — the instance's σ accounting).
-        for s in 0..n {
-            if dirty[s] {
-                continue;
-            }
-            let sv_s = art.scores.row(s);
-            let obj_s = objects[s] as usize;
-            if delta
-                .iter()
-                .any(|(obj_d, sv_d)| *obj_d != obj_s && point::dominates(sv_d, sv_s))
-            {
-                dirty[s] = true;
-            }
-        }
-
-        let dirty_count = dirty.iter().filter(|&&b| b).count() as u64;
-        if dirty_count as f64 > max_dirty_fraction * n as f64 {
-            return None;
-        }
-
-        // Inverse of the merge-patched order: snapshot id → scan position,
-        // what the pair kernel indexes by.
-        let mut pos_of = vec![0usize; n];
-        for (p, &id) in art.order.order.iter().enumerate() {
-            pos_of[id] = p;
-        }
-
-        // One gather of the scan layout per refresh; only the dirty
-        // positions run the kernel.
-        let mut scratch = engine.loop_scratch();
-        let LoopScratch { scan, work } = &mut *scratch;
-        scan.gather(&art.flat, &art.scores, &art.order);
-        work.prepare(art.flat.num_objects());
-        let mut tests = 0u64;
-        let mut scanned = 0u64;
-        let mut fresh = BTreeMap::new();
-        for (s, &h) in handles.iter().enumerate() {
-            let carried = if dirty[s] { None } else { old.get(&h).copied() };
-            let prob = match carried {
-                Some(p) => p,
-                None => {
-                    scanned += 1;
-                    scan.target_prob(pos_of[s], work, &mut tests)
-                }
-            };
-            fresh.insert(h, prob);
-        }
-        self.inner.counters.add_dirty_scanned(scanned);
-        Some(fresh)
-    }
+/// A subscription's result at the engine's current version: one query
+/// through the engine's builder, re-keyed from snapshot-instance-id space to
+/// handles.
+fn evaluate(engine: &DynamicArspEngine, spec: &StandingSpec) -> BTreeMap<InstanceHandle, f64> {
+    let query = match &spec.kind {
+        SpecKind::Linear(cs) => engine.query(cs),
+        SpecKind::Ratio(r) => engine.ratio_query(r),
+    };
+    let outcome = query
+        .algorithm(spec.algorithm)
+        .execution(spec.execution)
+        .run();
+    engine
+        .snapshot_handles()
+        .into_iter()
+        .enumerate()
+        .map(|(s, h)| (h, outcome.instance_prob(s)))
+        .collect()
 }
 
 /// The changed pairs between two maintained results, in ascending handle
@@ -659,23 +479,5 @@ mod tests {
             ]
         );
         assert!(diff_maintained(&new, &new).is_empty());
-    }
-
-    #[test]
-    fn max_dirty_fraction_zero_always_falls_back() {
-        let mut engine = DynamicArspEngine::from_dataset(&paper_running_example());
-        let cs = WeightRatio::uniform(2, 0.5, 2.0).to_constraint_set();
-        let sub = engine.subscribe(
-            StandingSpec::constraints(&cs)
-                .algorithm(QueryAlgorithm::Loop)
-                .max_dirty_fraction(0.0),
-        );
-        sub.drain();
-        let handle = engine.store().handle_of_row(2);
-        engine.update_instance(handle, &[3.0, 4.0], 0.05);
-        engine.refresh_standing();
-        assert_eq!(engine.standing().counters().standing_full_fallbacks(), 1);
-        assert_eq!(engine.standing().counters().dirty_instances_scanned(), 0);
-        assert_eq!(sub.drain().len(), 1);
     }
 }

@@ -131,23 +131,18 @@ impl Drop for PeakGaugeGuard<'_> {
     }
 }
 
-/// Monotone counters of the standing-query subsystem
+/// The monotone counter of the standing-query subsystem
 /// (`crate::standing`): how many change-set notifications have been
-/// enqueued, how many surviving instances the dirty-set maintenance pass
-/// recomputed, and how often a subscription fell back to a full
-/// re-evaluation (dirty set over the cost-model threshold, or a change-log
-/// gap). Shared between a [`crate::standing::StandingQueryRegistry`] and
-/// the engines/services reporting them; purely observational, like every
+/// enqueued. Shared between a [`crate::standing::StandingQueryRegistry`] and
+/// the engines/services reporting it; purely observational, like every
 /// counter in this module.
 #[derive(Debug, Default)]
 pub struct StandingCounters {
     notifications_delivered: AtomicU64,
-    dirty_instances_scanned: AtomicU64,
-    standing_full_fallbacks: AtomicU64,
 }
 
 impl StandingCounters {
-    /// Counters at zero.
+    /// A counter at zero.
     pub fn new() -> Self {
         Self::default()
     }
@@ -158,33 +153,9 @@ impl StandingCounters {
         self.notifications_delivered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` dirty instances recomputed by the maintenance pass.
-    #[inline]
-    pub fn add_dirty_scanned(&self, n: u64) {
-        if n > 0 {
-            self.dirty_instances_scanned.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one full re-evaluation fallback.
-    #[inline]
-    pub fn add_full_fallback(&self) {
-        self.standing_full_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Change-set notifications enqueued so far.
     pub fn notifications_delivered(&self) -> u64 {
         self.notifications_delivered.load(Ordering::Relaxed)
-    }
-
-    /// Dirty instances recomputed by the maintenance pass so far.
-    pub fn dirty_instances_scanned(&self) -> u64 {
-        self.dirty_instances_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Full re-evaluation fallbacks so far.
-    pub fn standing_full_fallbacks(&self) -> u64 {
-        self.standing_full_fallbacks.load(Ordering::Relaxed)
     }
 }
 

@@ -53,6 +53,6 @@ pub use persist::{DurableStore, MutationOp, RecoveryReport};
 pub use possible_world::{enumerate_possible_worlds, PossibleWorld};
 pub use synthetic::{Distribution, SyntheticConfig};
 pub use versioned::{
-    partition_dataset, shard_of_object, shard_ranges, ChangeSummary, EpochPinRegistry,
-    InstanceHandle, PinGuard, RemovedRow, SnapshotCache, VersionedStore,
+    partition_dataset, shard_of_object, shard_ranges, EpochPinRegistry, InstanceHandle, PinGuard,
+    SnapshotCache, VersionedStore,
 };

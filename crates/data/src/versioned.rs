@@ -39,7 +39,7 @@
 //! [`InstanceHandle`] survives merges *and* overwrites (an overwrite
 //! re-points the handle at the replacement row).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{lock, Arc, Mutex, MutexGuard};
@@ -50,60 +50,11 @@ use crate::flat::FlatStore;
 /// Sentinel row id meaning "no row" (dead handle, unmapped slot).
 const NO_ROW: u32 = u32::MAX;
 
-/// Bounded capacity of the in-memory change log (entries, one per
-/// mutation). When a consumer lags further behind than this,
-/// [`VersionedStore::changes_since`] reports the gap by returning `None`
-/// and the consumer falls back to a full rebuild of whatever it maintains.
-const CHANGE_LOG_CAPACITY: usize = 4096;
-
 /// Largest probability one instance may carry: one, plus rounding slack.
 pub(crate) const MAX_INSTANCE_PROB: f64 = 1.0 + 1e-12;
 
 /// Largest total probability the live instances of one object may carry.
 pub(crate) const MAX_OBJECT_PROB: f64 = 1.0 + 1e-9;
-
-/// The pre-image of one tombstoned (removed or overwritten) row, preserved
-/// by the change log so consumers can test what the dead row used to
-/// dominate without keeping the whole old snapshot around.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RemovedRow {
-    /// Store object id the row belonged to (object ids never shift).
-    pub object: usize,
-    /// Coordinates of the dead row, bit-for-bit.
-    pub coords: Vec<f64>,
-    /// Existence probability of the dead row.
-    pub prob: f64,
-}
-
-/// Everything that changed between two store versions, merged from the
-/// change log by [`VersionedStore::changes_since`]: the handles whose rows
-/// were inserted, overwritten or removed, plus the pre-images of every row
-/// that died. Versions bump by exactly one per mutation, so the summary
-/// covers `(from_version, to_version]` with no gaps when it is returned at
-/// all.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ChangeSummary {
-    /// The version the consumer last observed (exclusive).
-    pub from_version: u64,
-    /// The store version the summary runs up to (inclusive).
-    pub to_version: u64,
-    /// Handles touched by any mutation in the window, deduplicated in
-    /// first-touch order. A touched handle may be live (insert/overwrite)
-    /// or dead (remove, retire) at `to_version`.
-    pub touched: Vec<InstanceHandle>,
-    /// Pre-images of every row tombstoned in the window (removals,
-    /// overwrites, retirements), in mutation order.
-    pub removed: Vec<RemovedRow>,
-}
-
-/// One change-log entry: the footprint of a single mutation, recorded after
-/// its version bump.
-#[derive(Clone, Debug)]
-struct ChangeLogEntry {
-    version: u64,
-    touched: Vec<InstanceHandle>,
-    removed: Vec<RemovedRow>,
-}
 
 /// A stable name for one logical instance of a [`VersionedStore`]. Survives
 /// merges and overwrites; dies when the instance is removed (or its object
@@ -159,11 +110,6 @@ pub struct VersionedStore {
     row_to_handle: Vec<u32>,
     version: u64,
     epoch: u64,
-    /// `true` once a consumer asked for per-mutation change summaries.
-    track_changes: bool,
-    /// Bounded per-mutation log (only filled while `track_changes`), oldest
-    /// entry first. Runtime-only: not part of [`Self::encode_state`].
-    change_log: VecDeque<ChangeLogEntry>,
 }
 
 impl VersionedStore {
@@ -185,8 +131,6 @@ impl VersionedStore {
             row_to_handle: Vec::new(),
             version: 0,
             epoch: 0,
-            track_changes: false,
-            change_log: VecDeque::new(),
         }
     }
 
@@ -230,12 +174,10 @@ impl VersionedStore {
             "total probability of an object must not exceed 1 (got {total})"
         );
         let object = self.push_object_slot(label);
-        let mut touched = Vec::with_capacity(instances.len());
         for (coords, prob) in instances {
-            touched.push(self.push_row(object, &coords, prob));
+            self.push_row(object, &coords, prob);
         }
         self.version += 1;
-        self.log_change(touched, Vec::new());
         object
     }
 
@@ -259,7 +201,6 @@ impl VersionedStore {
         );
         let handle = self.push_row(object, coords, prob);
         self.version += 1;
-        self.log_change(vec![handle], Vec::new());
         handle
     }
 
@@ -272,12 +213,6 @@ impl VersionedStore {
         assert!(row != NO_ROW, "handle names a removed instance");
         self.kill(handle);
         self.version += 1;
-        // Tombstoned rows keep their columns, so the pre-image can be
-        // captured after the kill from the old row id.
-        if self.track_changes {
-            let removed = self.removed_row(row as usize);
-            self.log_change(vec![handle], vec![removed]);
-        }
     }
 
     /// Overwrites one instance (revised coordinates and/or probability): the
@@ -304,10 +239,6 @@ impl VersionedStore {
         let new_row = self.push_row_raw(object, coords, prob, handle.0);
         self.handle_to_row[handle.index()] = new_row;
         self.version += 1;
-        if self.track_changes {
-            let removed = self.removed_row(row as usize);
-            self.log_change(vec![handle], vec![removed]);
-        }
     }
 
     /// Retires a whole object: every live instance is tombstoned and the
@@ -322,20 +253,13 @@ impl VersionedStore {
             "object {object} is already retired"
         );
         let rows = std::mem::take(&mut self.object_rows[object]);
-        let mut touched = Vec::new();
-        let mut removed = Vec::new();
         for &row in &rows {
-            if self.track_changes {
-                touched.push(InstanceHandle(self.row_to_handle[row as usize]));
-                removed.push(self.removed_row(row as usize));
-            }
             self.alive[row as usize] = false;
             self.handle_to_row[self.row_to_handle[row as usize] as usize] = NO_ROW;
             self.dead_rows += 1;
         }
         self.object_retired[object] = true;
         self.version += 1;
-        self.log_change(touched, removed);
     }
 
     /// Folds the delta tail and the tombstones into a fresh canonical base
@@ -379,91 +303,6 @@ impl VersionedStore {
         self.dead_rows = 0;
         self.epoch += 1;
         remap
-    }
-
-    // ---- change summaries -------------------------------------------------
-
-    /// Starts recording a bounded per-mutation change log so
-    /// [`Self::changes_since`] can answer. Mutations applied before this
-    /// call are not recorded: the first summary a consumer can get covers
-    /// versions after the current one. Idempotent.
-    pub fn enable_change_tracking(&mut self) {
-        self.track_changes = true;
-    }
-
-    /// `true` once [`Self::enable_change_tracking`] has been called.
-    #[inline]
-    pub fn change_tracking_enabled(&self) -> bool {
-        self.track_changes
-    }
-
-    /// Everything that changed in `(since, version]`, merged from the
-    /// change log. Returns `None` when the window is not fully covered —
-    /// tracking disabled (or enabled after `since`), the bounded log
-    /// already evicted part of the window, or `since` lies in the future —
-    /// in which case the consumer must fall back to a full rebuild.
-    /// `since == version` yields an empty summary.
-    pub fn changes_since(&self, since: u64) -> Option<ChangeSummary> {
-        if !self.track_changes || since > self.version {
-            return None;
-        }
-        let mut summary = ChangeSummary {
-            from_version: since,
-            to_version: self.version,
-            ..ChangeSummary::default()
-        };
-        if since == self.version {
-            return Some(summary);
-        }
-        // Every mutation bumps the version by exactly one and appends one
-        // entry, so full coverage of `(since, version]` means exactly
-        // `version - since` entries in the window.
-        let needed = (self.version - since) as usize;
-        let in_window = self
-            .change_log
-            .iter()
-            .filter(|entry| entry.version > since)
-            .count();
-        if in_window != needed {
-            return None;
-        }
-        let mut seen = std::collections::HashSet::new();
-        for entry in self.change_log.iter().filter(|e| e.version > since) {
-            for &handle in &entry.touched {
-                if seen.insert(handle) {
-                    summary.touched.push(handle);
-                }
-            }
-            summary.removed.extend(entry.removed.iter().cloned());
-        }
-        Some(summary)
-    }
-
-    /// Appends one change-log entry for the mutation that just bumped the
-    /// version, evicting the oldest entry at capacity. No-op while tracking
-    /// is disabled.
-    fn log_change(&mut self, touched: Vec<InstanceHandle>, removed: Vec<RemovedRow>) {
-        if !self.track_changes {
-            return;
-        }
-        if self.change_log.len() == CHANGE_LOG_CAPACITY {
-            self.change_log.pop_front();
-        }
-        self.change_log.push_back(ChangeLogEntry {
-            version: self.version,
-            touched,
-            removed,
-        });
-    }
-
-    /// The pre-image of a (possibly just-tombstoned) row — tombstones keep
-    /// their columns, so this is valid right after a kill.
-    fn removed_row(&self, row: usize) -> RemovedRow {
-        RemovedRow {
-            object: self.objects[row] as usize,
-            coords: self.coords_of(row).to_vec(),
-            prob: self.probs[row],
-        }
     }
 
     // ---- version / shape accessors ---------------------------------------
@@ -922,12 +761,6 @@ impl VersionedStore {
             row_to_handle,
             version,
             epoch,
-            // Change tracking is runtime-only state: a decoded store starts
-            // with it disabled and an empty log, so the first
-            // `changes_since` after a restart reports the gap (`None`) and
-            // consumers rebuild rather than trust a hole in the history.
-            track_changes: false,
-            change_log: VecDeque::new(),
         };
         store.validate()?;
         Ok(store)
@@ -1390,91 +1223,6 @@ mod tests {
         // Logical tail: T2's canonical order is now (t2,2), (t2,3), revised.
         assert_eq!(store.object_rows(1).last().copied(), Some(row as u32));
         assert_snapshot_consistent(&store);
-    }
-
-    #[test]
-    fn change_tracking_is_off_by_default_and_idempotent() {
-        let mut store = slack_store();
-        assert!(!store.change_tracking_enabled());
-        assert_eq!(store.changes_since(0), None, "disabled: no summaries");
-        store.insert_instance(0, &[1.5, 1.5], 0.0001);
-        store.enable_change_tracking();
-        store.enable_change_tracking();
-        assert!(store.change_tracking_enabled());
-        // Mutations before enabling are not recorded: the gap reports None.
-        assert_eq!(store.changes_since(0), None);
-        let empty = store.changes_since(1).expect("current version");
-        assert_eq!((empty.from_version, empty.to_version), (1, 1));
-        assert!(empty.touched.is_empty() && empty.removed.is_empty());
-    }
-
-    #[test]
-    fn changes_since_reports_every_mutation_kind() {
-        let mut store = slack_store();
-        store.enable_change_tracking();
-
-        let h = store.insert_instance(0, &[1.5, 1.5], 0.0001); // v1
-        let victim = store.handle_of_row(3); // second instance of object 1
-        let old_coords = store.coords_of(3).to_vec();
-        let old_prob = store.prob(3);
-        store.remove_instance(victim); // v2
-        let revised = store.handle_of_row(4);
-        let revised_coords = store.coords_of(4).to_vec();
-        let revised_prob = store.prob(4);
-        store.update_instance(revised, &[6.0, 6.0], 0.2); // v3
-        store.retire_object(2); // v4
-        let retired = store.changes_since(3).expect("covered");
-        assert_eq!(retired.touched.len(), 1, "object 2 had one instance");
-        assert_eq!(retired.removed.len(), 1);
-        assert_eq!(retired.removed[0].object, 2);
-
-        let summary = store.changes_since(0).expect("log covers everything");
-        assert_eq!((summary.from_version, summary.to_version), (0, 4));
-        assert!(summary.touched.contains(&h));
-        assert!(summary.touched.contains(&victim));
-        assert!(summary.touched.contains(&revised));
-        // Pre-images: the removed row, the overwritten row's old state, and
-        // the retired object's instance — coords and probs verbatim.
-        assert_eq!(summary.removed.len(), 3);
-        assert!(summary
-            .removed
-            .iter()
-            .any(|r| r.object == 1 && r.coords == old_coords && r.prob == old_prob));
-        assert!(summary
-            .removed
-            .iter()
-            .any(|r| r.object == 1 && r.coords == revised_coords && r.prob == revised_prob));
-
-        // insert_object touches every new instance.
-        let object = store.insert_object(None, vec![(vec![4.0, 4.0], 0.5)]); // v5
-        let since4 = store.changes_since(4).expect("covered");
-        assert_eq!(since4.touched.len(), 1);
-        assert_eq!(
-            store.object_of(store.row_of(since4.touched[0]).expect("live")),
-            object
-        );
-        assert!(since4.removed.is_empty());
-
-        // Dedup: updating the same handle twice reports it once.
-        store.update_instance(h, &[1.6, 1.6], 0.0001); // v6
-        store.update_instance(h, &[1.7, 1.7], 0.0001); // v7
-        let since5 = store.changes_since(5).expect("covered");
-        assert_eq!(since5.touched, vec![h]);
-        assert_eq!(since5.removed.len(), 2, "one pre-image per overwrite");
-
-        // Future versions are an error, not a summary.
-        assert_eq!(store.changes_since(99), None);
-    }
-
-    #[test]
-    fn merge_preserves_the_change_log() {
-        let mut store = slack_store();
-        store.enable_change_tracking();
-        let h = store.insert_instance(0, &[1.5, 1.5], 0.0001); // v1
-        store.merge(); // epoch bump, no version bump
-        let summary = store.changes_since(0).expect("log survives the merge");
-        assert_eq!(summary.touched, vec![h]);
-        assert_eq!(store.changes_since(1).expect("current").touched, vec![]);
     }
 
     #[test]

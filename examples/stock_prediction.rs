@@ -13,10 +13,10 @@
 //! two **standing queries** once ([`StandingSpec`] on the
 //! [`DynamicArspEngine`]) and then only consumes change-sets: after each
 //! mutation batch, [`DynamicArspEngine::refresh_standing`] pushes the
-//! `(handle, old_prob, new_prob)` pairs that actually moved — computed by
-//! replaying the delta against the engine's cached accounting, not by
-//! rescanning the bulk — tagged with a gapless `result_version` so a missed
-//! batch is provable. Replaying the feed client-side reconstructs the full
+//! `(handle, old_prob, new_prob)` pairs that actually moved — each alert is
+//! re-evaluated as one ordinary query over the engine's delta-patched caches
+//! and diffed against its previous result — tagged with a gapless
+//! `result_version` so a missed batch is provable. Replaying the feed client-side reconstructs the full
 //! result, and the final answer is checked — exactly, bit for bit — against
 //! a cold engine rebuilt from scratch: the standing subsystem's core
 //! guarantee.
@@ -112,17 +112,12 @@ fn main() {
 
     // ---- register the alerts ONCE ----------------------------------------
     // The band alert watches the factor-of-two preference band (served by
-    // DUAL, re-evaluated per refresh); the scan alert pins LOOP on the equivalent linear
-    // constraints, the one configuration maintained incrementally through
-    // the dirty-set narrowing pass. In 2-d a wide band means wide dominance
-    // windows, so the alert raises its fallback threshold above the default:
-    // recompute up to half the population before preferring a full re-query.
+    // DUAL); the scan alert pins LOOP on the equivalent linear constraints.
+    // Every refresh re-evaluates each alert as one ordinary query over the
+    // engine's patched caches and delivers only the changed pairs.
     let band_alert = engine.subscribe(StandingSpec::ratio(&ratio));
-    let scan_alert = engine.subscribe(
-        StandingSpec::constraints(&constraints)
-            .algorithm(QueryAlgorithm::Loop)
-            .max_dirty_fraction(0.5),
-    );
+    let scan_alert =
+        engine.subscribe(StandingSpec::constraints(&constraints).algorithm(QueryAlgorithm::Loop));
 
     // The establishing batch carries the full initial result (old_prob is
     // None for every pair: everything is newly live to a fresh subscriber).
@@ -142,10 +137,8 @@ fn main() {
     let mut next_ticker = stocks.len();
     for batch in 0..6 {
         // A light tick: a couple of scenarios get revised confidences /
-        // price paths — the regime the dirty-set narrowing pass is built
-        // for. Every third batch the universe itself moves (one IPO, one
-        // delisting), which dirties most dominance windows and makes the
-        // cost model fall back to a full re-query for that tick.
+        // price paths. Every third batch the universe itself moves (one
+        // IPO, one delisting).
         let revisions = 2;
         for _ in 0..revisions {
             let stock = &stocks[rng.gen_range(0..stocks.len())];
@@ -253,12 +246,8 @@ fn main() {
 
     let stats = engine.cache_stats();
     println!(
-        "\nSession counters: {} notifications delivered, {} dirty instances \
-         scanned, {} full-requery fallbacks, {} store compactions",
-        stats.notifications_delivered,
-        stats.dirty_instances_scanned,
-        stats.standing_full_fallbacks,
-        stats.merges_performed
+        "\nSession counters: {} notifications delivered, {} store compactions",
+        stats.notifications_delivered, stats.merges_performed
     );
 
     // ---- the standing subsystem's core guarantee, demonstrated -----------

@@ -357,9 +357,8 @@ proptest! {
 // 2. Counter steady states.
 // ---------------------------------------------------------------------------
 
-/// The static engine has no standing machinery: its stats report permanent
-/// zeros for `notifications_delivered`, `dirty_instances_scanned` and
-/// `standing_full_fallbacks`.
+/// The static engine has no standing machinery: its stats report a
+/// permanent zero for `notifications_delivered`.
 #[test]
 fn static_engine_reports_zero_standing_counters() {
     let engine = ArspEngine::new(paper_running_example());
@@ -367,8 +366,6 @@ fn static_engine_reports_zero_standing_counters() {
     engine.query(&constraints).run();
     let stats = engine.cache_stats();
     assert_eq!(stats.notifications_delivered, 0);
-    assert_eq!(stats.dirty_instances_scanned, 0);
-    assert_eq!(stats.standing_full_fallbacks, 0);
 }
 
 /// A fresh service with no subscriptions stays at zero standing counters no
@@ -387,36 +384,21 @@ fn unsubscribed_service_reports_zero_standing_counters() {
     assert_eq!(stats.standing_full_fallbacks, 0);
 }
 
-/// The maintenance path accounts its work exactly: one notification per
-/// refresh that changed the version, dirty scans only on the incremental
-/// LOOP path, fallbacks only when forced.
+/// Refreshes account their notifications exactly: one per refresh that
+/// changed the version, none for a refresh at the same version.
 #[test]
-fn dynamic_engine_accounts_dirty_scans_and_notifications() {
+fn dynamic_engine_accounts_notifications() {
     let mut engine = DynamicArspEngine::from_dataset(&paper_running_example());
     let constraints = WeightRatio::uniform(2, 0.5, 2.0).to_constraint_set();
-    let sub = engine.subscribe(
-        StandingSpec::constraints(&constraints)
-            .algorithm(QueryAlgorithm::Loop)
-            .max_dirty_fraction(1.0),
-    );
-    // The initial full batch is one notification; nothing was maintained
-    // incrementally yet.
-    let stats = engine.cache_stats();
-    assert_eq!(stats.notifications_delivered, 1);
-    assert_eq!(stats.dirty_instances_scanned, 0);
-    assert_eq!(stats.standing_full_fallbacks, 0);
+    let sub =
+        engine.subscribe(StandingSpec::constraints(&constraints).algorithm(QueryAlgorithm::Loop));
+    // The initial full batch is one notification.
+    assert_eq!(engine.cache_stats().notifications_delivered, 1);
 
     let handle = engine.store().handle_of_row(2);
     engine.update_instance(handle, &[3.5, 4.5], 0.05);
     engine.refresh_standing();
-
-    // `max_dirty_fraction(1.0)` never falls back on cost grounds and the
-    // change log covers the single-version gap, so the refresh ran the
-    // incremental pass: at least the touched instance was rescanned.
-    let stats = engine.cache_stats();
-    assert_eq!(stats.notifications_delivered, 2);
-    assert!(stats.dirty_instances_scanned >= 1);
-    assert_eq!(stats.standing_full_fallbacks, 0);
+    assert_eq!(engine.cache_stats().notifications_delivered, 2);
     assert_eq!(sub.drain().len(), 2);
 
     // A refresh with no version change notifies nobody.

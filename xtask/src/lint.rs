@@ -39,10 +39,15 @@
 //!    reported rather than silently skipped).
 //! 8. **kernel-ownership** — table-driven ([`KERNEL_OWNERS`]): inside
 //!    `crates/core/src`, each algorithm kernel's inner call may appear only
-//!    in the files that own the kernel (`sum_weights_in(` in DUAL's
-//!    module, `target_prob(` in LOOP's module and the standing-query
-//!    pass that reuses it), so a second copy of a kernel's fold cannot
-//!    grow in another module unseen.
+//!    in the file that owns the kernel (`sum_weights_in(` in DUAL's
+//!    module, `target_prob(` in LOOP's module), so a second copy of a
+//!    kernel's fold cannot grow in another module unseen. Likewise the
+//!    dispatch: `auto_select(` and every flat kernel entry
+//!    (`arsp_loop_flat_engine(`, `arsp_kdtt_flat_engine(`,
+//!    `arsp_bnb_engine(`, `arsp_dual_flat_engine(`) may appear only under
+//!    `algorithms/` and in the one query pipeline (plus `auto_select`'s
+//!    definition in the engine module), so a query front cannot grow its
+//!    own copy of the pipeline.
 //!
 //! The scanner strips comments and string/char literals first, so banned
 //! tokens in docs or messages never trigger, and the fixture snippets in
@@ -58,6 +63,7 @@ use std::process::ExitCode;
 /// Serving/reclamation modules that must use the sync façades (rules 1–2).
 const SYNC_SCOPE: &[&str] = &[
     "crates/core/src/service.rs",
+    "crates/core/src/pipeline.rs",
     "crates/core/src/cluster.rs",
     "crates/core/src/coalesce.rs",
     "crates/core/src/stats.rs",
@@ -125,16 +131,27 @@ const CLUSTER_FILE: &str = "crates/core/src/cluster.rs";
 /// Rule 8 scope: the crate whose algorithms must keep one kernel each.
 const KERNEL_OWNER_SCOPE: &str = "crates/core/src";
 
-/// Rule 8 table: a kernel's inner call → the files allowed to make it.
+/// Rule 8: the algorithms directory and the query pipeline, the only places
+/// that may dispatch to a flat kernel.
+const DISPATCH_OWNERS: &[&str] = &["crates/core/src/algorithms/", "crates/core/src/pipeline.rs"];
+
+/// Rule 8 table: a kernel's inner call or a dispatch entry point → the
+/// files allowed to make it (an owner ending in `/` covers a directory).
 const KERNEL_OWNERS: &[(&str, &[&str])] = &[
     ("sum_weights_in(", &["crates/core/src/algorithms/dual.rs"]),
+    ("target_prob(", &["crates/core/src/algorithms/loop_scan.rs"]),
     (
-        "target_prob(",
+        "auto_select(",
         &[
-            "crates/core/src/algorithms/loop_scan.rs",
-            "crates/core/src/standing.rs",
+            "crates/core/src/algorithms/",
+            "crates/core/src/pipeline.rs",
+            "crates/core/src/engine.rs",
         ],
     ),
+    ("arsp_loop_flat_engine(", DISPATCH_OWNERS),
+    ("arsp_kdtt_flat_engine(", DISPATCH_OWNERS),
+    ("arsp_bnb_engine(", DISPATCH_OWNERS),
+    ("arsp_dual_flat_engine(", DISPATCH_OWNERS),
 ];
 
 /// One row of rule 5: every `pub fn` under `scope` whose name contains
@@ -942,7 +959,9 @@ fn check_kernel_ownership(file: &str, stripped: &str) -> Vec<Violation> {
     let bytes = stripped.as_bytes();
     let mut violations = Vec::new();
     for (call, owners) in KERNEL_OWNERS {
-        if owners.contains(&file) {
+        let owns =
+            |owner: &&str| *owner == file || (owner.ends_with('/') && file.starts_with(*owner));
+        if owners.iter().any(owns) {
             continue;
         }
         let mut from = 0;
@@ -958,8 +977,9 @@ fn check_kernel_ownership(file: &str, stripped: &str) -> Vec<Violation> {
                 line: line_of(stripped, offset),
                 rule: "kernel-ownership",
                 message: format!(
-                    "`{call}` outside its kernel's files {owners:?}: call the \
-                     algorithm's flat engine instead of copying its fold"
+                    "`{call}` outside its owners {owners:?}: run queries through \
+                     the pipeline and kernels through their flat engine instead \
+                     of copying the dispatch or the fold"
                 ),
             });
         }
@@ -1278,15 +1298,14 @@ mod tests {
         let dual = strip_code("let s = tree.sum_weights_in(&region);\n");
         assert!(check_kernel_ownership("crates/core/src/algorithms/dual.rs", &dual).is_empty());
         let lp = strip_code("let p = scan.target_prob(pos, work, &mut t);\n");
-        for owner in [
-            "crates/core/src/algorithms/loop_scan.rs",
-            "crates/core/src/standing.rs",
-        ] {
-            assert!(check_kernel_ownership(owner, &lp).is_empty());
-        }
+        assert!(check_kernel_ownership("crates/core/src/algorithms/loop_scan.rs", &lp).is_empty());
         // DUAL's calls are not LOOP's owners' to make, and vice versa.
         assert_eq!(
-            check_kernel_ownership("crates/core/src/standing.rs", &dual).len(),
+            check_kernel_ownership("crates/core/src/algorithms/loop_scan.rs", &dual).len(),
+            1
+        );
+        assert_eq!(
+            check_kernel_ownership("crates/core/src/standing.rs", &lp).len(),
             1
         );
         let other = strip_code(
@@ -1295,6 +1314,63 @@ mod tests {
              fn my_target_prob(x: u64) -> u64 { x }\n",
         );
         assert!(check_kernel_ownership("crates/core/src/dynamic.rs", &other).is_empty());
+    }
+
+    /// A dispatch row fires in a query front and passes in the pipeline,
+    /// anywhere under `algorithms/`, and in `extra_owner` when given.
+    fn assert_dispatch_row(call: &str, extra_owner: Option<&str>) {
+        let copy = strip_code(&format!("fn run() {{\n    let r = {call}a, b);\n}}\n"));
+        for front in [
+            "crates/core/src/dynamic.rs",
+            "crates/core/src/service.rs",
+            "crates/core/src/engine.rs",
+        ] {
+            if Some(front) == extra_owner {
+                continue;
+            }
+            let violations = check_kernel_ownership(front, &copy);
+            assert_eq!(violations.len(), 1, "{front}: {violations:?}");
+            assert_eq!(violations[0].line, 2);
+            assert!(violations[0].message.contains(call));
+        }
+        for owner in [
+            "crates/core/src/pipeline.rs",
+            "crates/core/src/algorithms/kdtt.rs",
+            "crates/core/src/algorithms/mod.rs",
+        ]
+        .into_iter()
+        .chain(extra_owner)
+        {
+            assert!(check_kernel_ownership(owner, &copy).is_empty(), "{owner}");
+        }
+        // A longer name that ends in the call is another function.
+        let longer = strip_code(&format!("let r = my_{call}a);\n"));
+        assert!(check_kernel_ownership("crates/core/src/dynamic.rs", &longer).is_empty());
+    }
+
+    #[test]
+    fn kernel_ownership_keeps_auto_select_in_the_pipeline() {
+        assert_dispatch_row("auto_select(", Some("crates/core/src/engine.rs"));
+    }
+
+    #[test]
+    fn kernel_ownership_keeps_the_loop_entry_in_the_pipeline() {
+        assert_dispatch_row("arsp_loop_flat_engine(", None);
+    }
+
+    #[test]
+    fn kernel_ownership_keeps_the_kdtt_entry_in_the_pipeline() {
+        assert_dispatch_row("arsp_kdtt_flat_engine(", None);
+    }
+
+    #[test]
+    fn kernel_ownership_keeps_the_bnb_entry_in_the_pipeline() {
+        assert_dispatch_row("arsp_bnb_engine(", None);
+    }
+
+    #[test]
+    fn kernel_ownership_keeps_the_dual_entry_in_the_pipeline() {
+        assert_dispatch_row("arsp_dual_flat_engine(", None);
     }
 
     #[test]
