@@ -10,8 +10,10 @@
 //!   to the cache key, run the kernel on the cached union);
 //! * **query/after_write** — a write to one shard followed by a query: the
 //!   version vector moved, so the union must be restitched (per-shard flat
-//!   concatenation + object-id rebase + engine rebuild) before the kernel
-//!   runs. The WAL fsync of the write is inside the sample — this is the
+//!   concatenation + object-id rebase into a fresh union snapshot, whose
+//!   score matrix the query rebuilds; the vertex enumeration survives)
+//!   before the kernel runs. The WAL fsync of the write is inside the
+//!   sample — this is the
 //!   end-to-end "first read after a write" latency;
 //! * **open** — `ShardedService::open` of a 4-shard cluster at per-shard
 //!   WAL depths of 0, 16 and 64 batches: restart latency as the replay

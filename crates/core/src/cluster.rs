@@ -22,9 +22,12 @@
 //! and runs the query once on the union. Sharded results are therefore
 //! bitwise equal (`f64::to_bits`) to an unsharded engine on the union
 //! dataset, for every algorithm and execution mode — the standing
-//! agreement-suite contract (`tests/shard_agreement.rs`). The union service
-//! is cached per shard-version vector; a query only pays the stitch when
-//! some shard has published since the last one.
+//! agreement-suite contract (`tests/shard_agreement.rs`). The union is one
+//! more serving snapshot ([`crate::pipeline`]), cached per shard-version
+//! vector: a query only pays the stitch when some shard has published since
+//! the last one, and every union shares one cluster-wide set of vertex
+//! enumerations and scratch pools, so a restitch rebuilds only the
+//! version-bound artifacts.
 //!
 //! ## Fault isolation and the quarantine state machine
 //!
@@ -62,7 +65,9 @@ use std::time::Duration;
 
 use crate::engine::{Execution, QueryAlgorithm};
 use crate::fault::QueryError;
-use crate::pipeline::dataset_from_flat;
+use crate::pipeline::{
+    contain, execute, QueryConstraints, QuerySpec, ServingSnapshot, SharedArtifacts,
+};
 use crate::service::{ArspService, ServiceWriter, SnapshotPin};
 use crate::standing::{ChangeBatch, StandingSpec, SubscriptionGuard};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -314,14 +319,14 @@ impl ShardSlot {
     }
 }
 
-/// The cached cross-shard union: one servable engine over the concatenated
-/// shard snapshots, keyed by the per-shard published versions it stitched.
+/// The cached cross-shard union: one serving snapshot over the
+/// concatenated shard snapshots, keyed by the per-shard published versions
+/// it stitched.
 struct UnionEntry {
     /// Per-shard published version at stitch time; `None` = shard was down.
     key: Vec<Option<u64>>,
-    /// The stitched union snapshot (what the service serves, bitwise).
-    flat: Arc<FlatStore>,
-    service: ArspService,
+    /// The stitched union, queried through the cluster's shared artifacts.
+    snapshot: ServingSnapshot,
     answered: Vec<usize>,
     missing: Vec<usize>,
     /// Start of each answered shard's instance block in the union columns.
@@ -345,6 +350,9 @@ struct ClusterShared {
     dim: usize,
     shards: Vec<Mutex<ShardSlot>>,
     union: Mutex<Option<Arc<UnionEntry>>>,
+    /// The vertex enumerations, scratch pools and cache counters of every
+    /// union snapshot, across restitches.
+    artifacts: SharedArtifacts,
     counters: ClusterCounters,
 }
 
@@ -396,6 +404,7 @@ impl ShardedService {
                 dim: dataset.dim(),
                 shards,
                 union: Mutex::new(None),
+                artifacts: SharedArtifacts::new(),
                 counters: ClusterCounters::default(),
             }),
         })
@@ -441,6 +450,7 @@ impl ShardedService {
                     dim,
                     shards,
                     union: Mutex::new(None),
+                    artifacts: SharedArtifacts::new(),
                     counters: ClusterCounters::default(),
                 }),
             },
@@ -739,9 +749,7 @@ impl ShardedService {
     pub fn query<'c, 'q>(&'c self, constraints: &'q ConstraintSet) -> ClusterQuery<'c, 'q> {
         ClusterQuery {
             cluster: self,
-            constraints,
-            algorithm: QueryAlgorithm::Auto,
-            execution: Execution::Sequential,
+            spec: QuerySpec::new(QueryConstraints::Linear(constraints)),
             allow_partial: false,
             deadline: None,
         }
@@ -793,7 +801,7 @@ impl ShardedService {
     pub fn union_flat(&self) -> Result<Arc<FlatStore>, QueryError> {
         let entry = self.union_entry()?;
         if entry.missing.is_empty() {
-            Ok(Arc::clone(&entry.flat))
+            Ok(Arc::clone(&entry.snapshot.flat))
         } else {
             Err(QueryError::ShardUnavailable {
                 shards_missing: entry.missing.clone(),
@@ -801,8 +809,8 @@ impl ShardedService {
         }
     }
 
-    /// Pins every available shard and returns (or rebuilds) the cached
-    /// union service for the resulting shard-version vector. Errors only
+    /// Pins every available shard and returns (or restitches) the cached
+    /// union for the resulting shard-version vector. Errors only
     /// when *no* shard is available.
     fn union_entry(&self) -> Result<Arc<UnionEntry>, QueryError> {
         // Pin shard by shard (never holding two slot locks) so writers and
@@ -835,21 +843,29 @@ impl ShardedService {
                 return Ok(Arc::clone(entry));
             }
         }
-        let entry = Arc::new(self.stitch_union(&pins, key));
-        self.shared
+        // The stitch ordinal doubles as the union snapshot's version.
+        let stitch = self
+            .shared
             .counters
             .union_rebuilds
             .fetch_add(1, Ordering::Relaxed);
+        let entry = Arc::new(self.stitch_union(&pins, key, stitch));
         *cache = Some(Arc::clone(&entry));
         Ok(entry)
     }
 
     /// The exact cross-shard merge: concatenates the pinned shard snapshots
     /// into one union [`FlatStore`] (coords/probs verbatim, object ids and
-    /// object starts rebased by the running offsets) and builds a service
-    /// over it. Shard snapshots are canonical, so the stitched columns are
-    /// bitwise what `snapshot_flat` of the union store would produce.
-    fn stitch_union(&self, pins: &[Option<SnapshotPin>], key: Vec<Option<u64>>) -> UnionEntry {
+    /// object starts rebased by the running offsets) and wraps it in an
+    /// empty serving snapshot. Shard snapshots are canonical, so the
+    /// stitched columns are bitwise what `snapshot_flat` of the union store
+    /// would produce.
+    fn stitch_union(
+        &self,
+        pins: &[Option<SnapshotPin>],
+        key: Vec<Option<u64>>,
+        stitch: u64,
+    ) -> UnionEntry {
         let dim = self.shared.dim;
         let mut coords = Vec::new();
         let mut probs: Vec<f64> = Vec::new();
@@ -875,18 +891,10 @@ impl ShardedService {
                 object_start.push(instance_base + flat.object_instances(object).end as u32);
             }
         }
-        let flat = Arc::new(FlatStore::from_parts(
-            dim,
-            coords,
-            probs,
-            objects,
-            object_start,
-        ));
-        let (service, _writer) = ArspService::from_dataset(&dataset_from_flat(&flat));
+        let flat = FlatStore::from_parts(dim, coords, probs, objects, object_start);
         UnionEntry {
             key,
-            flat,
-            service,
+            snapshot: self.shared.artifacts.snapshot(stitch, Arc::new(flat)),
             answered,
             missing,
             offsets,
@@ -960,7 +968,7 @@ pub struct ClusterStats {
     pub recoveries: u64,
     /// Recovery attempts that failed (shard back to quarantine).
     pub failed_recoveries: u64,
-    /// Union services stitched (one per changed shard-version vector).
+    /// Unions stitched (one per changed shard-version vector).
     pub union_rebuilds: u64,
     /// Cluster queries served.
     pub queries: u64,
@@ -1037,9 +1045,7 @@ impl ClusterSubscription {
 /// the available shards instead.
 pub struct ClusterQuery<'c, 'q> {
     cluster: &'c ShardedService,
-    constraints: &'q ConstraintSet,
-    algorithm: QueryAlgorithm,
-    execution: Execution,
+    spec: QuerySpec<'q>,
     allow_partial: bool,
     deadline: Option<Duration>,
 }
@@ -1047,14 +1053,14 @@ pub struct ClusterQuery<'c, 'q> {
 impl ClusterQuery<'_, '_> {
     /// Forces an algorithm (default: [`QueryAlgorithm::Auto`]).
     pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
-        self.algorithm = algorithm.into();
+        self.spec.algorithm = algorithm.into();
         self
     }
 
     /// Chooses the execution mode (default: [`Execution::Sequential`]);
     /// parallel execution is bitwise identical.
     pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
+        self.spec.execution = execution;
         self
     }
 
@@ -1073,7 +1079,8 @@ impl ClusterQuery<'_, '_> {
         self
     }
 
-    /// Runs the query on the stitched union of the available shards.
+    /// Runs the query on the stitched union of the available shards, with
+    /// the fault containment of [`crate::service::ServiceQuery::try_run`].
     /// Bitwise equal to an unsharded engine on the union dataset of the
     /// shards that answered, for every algorithm and execution mode.
     pub fn run(self) -> Result<PartialResult, QueryError> {
@@ -1083,15 +1090,14 @@ impl ClusterQuery<'_, '_> {
                 shards_missing: entry.missing.clone(),
             });
         }
-        let pin = entry.service.pin();
-        let mut query = pin
-            .query(self.constraints)
-            .algorithm(self.algorithm)
-            .execution(self.execution);
-        if let Some(limit) = self.deadline {
-            query = query.deadline(limit);
-        }
-        let outcome = query.try_run()?;
+        let artifacts = &self.cluster.shared.artifacts;
+        let outcome = contain(self.deadline, None, |budget| {
+            execute(
+                &artifacts.source(&entry.snapshot, budget),
+                &self.spec,
+                budget,
+            )
+        })?;
         let counters = &self.cluster.shared.counters;
         counters.queries.fetch_add(1, Ordering::Relaxed);
         if !entry.missing.is_empty() {
@@ -1209,6 +1215,7 @@ impl Drop for ShardSupervisor {
 mod tests {
     use super::*;
     use crate::engine::{ArspEngine, EXACT_ALGORITHMS};
+    use crate::pipeline::dataset_from_flat;
     use arsp_data::failpoint::FailAction;
     use arsp_data::paper_running_example;
 

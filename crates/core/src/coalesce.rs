@@ -133,13 +133,19 @@ impl<V: Clone> CoalescingCache<V> {
         }
     }
 
-    /// Publishes an already-built artifact (publish-time seeding from the
-    /// writer's caches); counts neither a hit nor a build. Keeps an existing
-    /// entry — seeded artifacts and built artifacts are interchangeable
-    /// bitwise, so first-published wins.
+    /// Publishes an already-built artifact (an artifact carried forward from
+    /// an earlier version); counts neither a hit nor a build. Keeps an
+    /// existing entry — seeded artifacts and built artifacts are
+    /// interchangeable bitwise, so first-published wins.
     pub fn seed(&self, key: Vec<u64>, value: V) {
         lock(&self.inner).ready.entry(key).or_insert(value);
         self.cv.notify_all();
+    }
+
+    /// Every published artifact, in no particular order. In-flight builds
+    /// are skipped, never waited on; counts neither hits nor builds.
+    pub fn ready(&self) -> Vec<V> {
+        lock(&self.inner).ready.values().cloned().collect()
     }
 
     /// The coalescing lookup. `build` runs outside the lock, at most once
@@ -374,5 +380,8 @@ mod tests {
         assert_eq!(cache.get_or_build(&[3], || 99), 30);
         assert_eq!(counters.hits(), 1);
         assert_eq!(counters.builds(), 0);
+        // Listing the published artifacts counts nothing.
+        assert_eq!(cache.ready(), vec![30]);
+        assert_eq!(counters.hits(), 1);
     }
 }

@@ -12,24 +12,32 @@
 //!
 //! ## How each cached structure survives a mutation
 //!
-//! Every cached structure records the version it was built at and is
-//! *selectively* carried forward rather than globally dropped:
+//! The engine's artifacts live in one [`ServingSnapshot`](crate::pipeline)
+//! per version, the same store every front serves from. The first query
+//! after a mutation advances the engine to the store's version by building
+//! the next snapshot from the current one:
 //!
 //! | structure | strategy |
 //! |---|---|
-//! | vertex enumerations (`LinearFDominance`) | **version-independent** — they depend only on the constraints, never invalidated |
+//! | vertex enumerations (`LinearFDominance`) | **version-independent** — shared by every snapshot, never invalidated |
 //! | row ↔ snapshot-id map | recomputed per version (one integer pass) |
 //! | [`FlatStore`] snapshot | re-gathered from the store columns (bit copies) |
 //! | [`ScoreMatrix`] per constraint | **delta-patched**: surviving rows copied bit-for-bit, only delta rows re-projected |
 //! | LOOP [`InstanceOrder`] per vertex | **delta-patched**: sorted delta *merged* into the cached order — lands on exactly the cold `(key, id)` sort |
 //! | B&B instance R-tree, DUAL per-object index, snapshot dataset | **invalidated** and lazily rebuilt from the flat snapshot (STR bulk loads cannot be patched bitwise; DUAL's insertion-built trees could be folded forward, but such a fold measured 0.89–1.01× of a cold rebuild) |
 //!
+//! Every score matrix and order the current snapshot has published is
+//! patched, whichever query built it — a serving-layer reader's as much as
+//! the engine's own. The advance copies published artifacts only: it never
+//! waits on a build still in flight, which simply stays with the old
+//! version.
+//!
 //! ## One query path
 //!
-//! Queries run the pipeline every front shares ([`crate::pipeline`]), with
-//! the engine as the artifact source: each fetch advances the snapshot state
-//! to the store's current version and returns (or builds) the per-version
-//! artifact from it, and the pipeline runs the one flat kernel a cold
+//! Queries run the pipeline every front shares ([`crate::pipeline`]) over
+//! the current snapshot: each artifact is fetched from it — published,
+//! patched forward, or built now, coalesced with every concurrent query
+//! needing the same one — and the pipeline runs the one flat kernel a cold
 //! [`crate::engine::ArspEngine`] runs over the same artifacts. Each artifact
 //! is bitwise the cold build at this version, so each result is the cold
 //! result. Standing-query refreshes
@@ -58,29 +66,25 @@
 //! ```
 //!
 //! [`DeltaPolicy`]: arsp_index::DeltaPolicy
+//! [`FlatStore`]: arsp_data::FlatStore
 //! [`InstanceOrder`]: crate::algorithms::loop_scan::InstanceOrder
 
-use std::collections::HashMap;
-
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{lock, Arc, Mutex, MutexGuard};
+use crate::sync::{lock, Arc, Mutex};
 
-use crate::algorithms::bnb::build_instance_rtree;
-use crate::algorithms::dual::build_dual_index;
-use crate::algorithms::loop_scan::{cmp_key_id, instance_order_from_scores, InstanceOrder};
+use crate::algorithms::loop_scan::{cmp_key_id, InstanceOrder};
 use crate::engine::{CacheStats, Execution, QueryAlgorithm};
 use crate::pipeline::{
-    constraint_key, execute, omega_key, vertices_key, ArtifactSource, QueryConstraints,
-    QueryOutcome, QueryPools, QuerySpec,
+    execute, QueryConstraints, QueryOutcome, QuerySpec, ServingSnapshot, SharedArtifacts,
 };
 use crate::scorespace::ScoreMatrix;
 use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
-use arsp_data::{FlatStore, InstanceHandle, UncertainDataset, VersionedStore};
+use arsp_data::{InstanceHandle, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 use arsp_geometry::fdom::LinearFDominance;
-use arsp_index::{DeltaPolicy, SharedAggregateForest, SharedRTree};
+use arsp_index::DeltaPolicy;
 
-/// Sentinel for "row has no snapshot id" / "snapshot id has no row".
+/// Sentinel for "row has no snapshot id".
 const NONE32: u32 = u32::MAX;
 
 /// The row ↔ snapshot-id correspondence at one (version, epoch): snapshot id
@@ -90,7 +94,8 @@ const NONE32: u32 = u32::MAX;
 struct RowMap {
     version: u64,
     epoch: u64,
-    /// store row → snapshot id (`NONE32` for tombstoned rows).
+    /// store row → snapshot id (`NONE32` for tombstoned rows; rows appended
+    /// later are beyond the vector).
     snap_of_row: Vec<u32>,
     /// snapshot id → store row.
     row_of_snap: Vec<u32>,
@@ -111,78 +116,12 @@ fn build_rowmap(store: &VersionedStore) -> RowMap {
     }
 }
 
-/// A cached score matrix in snapshot space, together with the vertex
-/// enumeration that projects new rows during patches.
-struct SnapScores {
-    fdom: Arc<LinearFDominance>,
-    matrix: Arc<ScoreMatrix>,
-}
-
-/// A cached LOOP order in snapshot space, together with the vertex whose
-/// scores key it (used to compute keys for delta rows during patches).
-struct SnapOrder {
-    omega: Vec<f64>,
-    order: Arc<InstanceOrder>,
-}
-
-/// The engine's synchronised snapshot state: every artifact in here is in
-/// *snapshot-id space* at `version`. The row maps are kept in current-epoch
-/// row ids (translated in place when the store merges), so the next
-/// advance can relate them to live rows at any later version.
-struct SnapState {
-    version: u64,
-    /// store row → snapshot id at `version` (`NONE32`: not part of the
-    /// snapshot; rows appended later are beyond the vector).
-    snap_of_row: Vec<u32>,
-    /// snapshot id at `version` → store row (`NONE32` once a merge dropped
-    /// the — by then tombstoned — row).
-    row_of_snap: Vec<u32>,
-    flat: Arc<FlatStore>,
-    /// Lazily materialised snapshot dataset (B&B and ENUM need the
-    /// row-oriented form); invalidated on every version change.
-    dataset: Option<Arc<UncertainDataset>>,
-    /// Lazily built instance R-tree (STR bulk load — unpatchable);
-    /// invalidated on every version change.
-    rtree: Option<SharedRTree>,
-    /// Lazily built DUAL per-object index; invalidated on every version
-    /// change.
-    dual: Option<SharedAggregateForest>,
-    /// Per-constraint score matrices, keyed by the vertex-set fingerprint;
-    /// delta-patched forward on version changes.
-    scores: HashMap<Vec<u64>, SnapScores>,
-    /// Per-vertex LOOP orders, keyed by the first-vertex fingerprint;
-    /// delta-patched (merged) forward on version changes.
-    orders: HashMap<Vec<u64>, SnapOrder>,
-}
-
-/// Version-aware caches plus the engine's counters.
-struct DynCaches {
-    /// Constraint-set → vertex enumeration. Depends only on the constraints,
-    /// so it survives every mutation untouched.
-    fdom: Mutex<HashMap<Vec<u64>, Arc<LinearFDominance>>>,
-    /// The current-version row map (cheap; rebuilt per version).
-    rowmap: Mutex<Option<Arc<RowMap>>>,
-    /// The synchronised snapshot state (see [`SnapState`]).
-    snap: Mutex<SnapState>,
-    pools: QueryPools,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidated: AtomicU64,
-    merges: AtomicU64,
-}
-
-impl DynCaches {
-    fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn invalidate(&self) {
-        self.invalidated.fetch_add(1, Ordering::Relaxed);
-    }
+/// The engine's current snapshot and the row map of its version, in the
+/// store's current-epoch row ids — what the next advance relates the live
+/// rows through.
+struct Current {
+    snapshot: Arc<ServingSnapshot>,
+    rowmap: Arc<RowMap>,
 }
 
 /// `true` when `a` sorts strictly before `b` under the cold `(key, id)`
@@ -193,22 +132,22 @@ fn sorts_before(a: (f64, u32), b: (f64, u32)) -> bool {
     cmp_key_id(a, b) == std::cmp::Ordering::Less
 }
 
-/// Sorts `(key, id)` items under the cold `(key, id)` comparison.
-fn sort_keyed(items: &mut [(f64, u32)]) {
-    items.sort_unstable_by(|&a, &b| cmp_key_id(a, b));
-}
-
 /// A query-session engine over a **mutable** uncertain dataset. Mutations
 /// take `&mut self` (they are serialised by ownership); queries take `&self`
-/// and are safe to issue concurrently — though the snapshot state sits
-/// behind one mutex, so concurrent queries partially serialise: each holds
-/// the snapshot lock while it advances the state and builds any missing
-/// artifact, and releases it before running its kernel. See the
-/// [module docs](self).
+/// and are safe to issue concurrently. A query holds the engine's lock only
+/// to advance the current snapshot to the store's version (a patch pass,
+/// once per version) and to take a handle to it; artifact builds and the
+/// kernel run outside it, and concurrent queries needing the same missing
+/// artifact share one build. See the [module docs](self).
 pub struct DynamicArspEngine {
     store: VersionedStore,
     policy: DeltaPolicy,
-    caches: DynCaches,
+    /// The vertex enumerations, scratch pools and cache counters every
+    /// snapshot shares — with a serving layer's readers too.
+    artifacts: Arc<SharedArtifacts>,
+    current: Mutex<Current>,
+    invalidated: AtomicU64,
+    merges: AtomicU64,
     standing: StandingQueryRegistry,
 }
 
@@ -225,35 +164,22 @@ impl DynamicArspEngine {
 
     /// Wraps an existing versioned store.
     pub fn from_store(store: VersionedStore) -> Self {
-        let rowmap = build_rowmap(&store);
-        let snap = SnapState {
-            version: store.version(),
-            snap_of_row: rowmap.snap_of_row.clone(),
-            row_of_snap: rowmap.row_of_snap.clone(),
-            flat: Arc::new(store.snapshot_flat()),
-            dataset: None,
-            rtree: None,
-            dual: None,
-            scores: HashMap::new(),
-            orders: HashMap::new(),
+        let artifacts = Arc::new(SharedArtifacts::new());
+        let snapshot = artifacts.snapshot(store.version(), Arc::new(store.snapshot_flat()));
+        let current = Current {
+            snapshot: Arc::new(snapshot),
+            rowmap: Arc::new(build_rowmap(&store)),
         };
         Self {
             store,
             policy: DeltaPolicy::default(),
-            caches: DynCaches {
-                fdom: Mutex::new(HashMap::new()),
-                rowmap: Mutex::new(Some(Arc::new(rowmap))),
-                snap: Mutex::new(snap),
-                pools: QueryPools::default(),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                invalidated: AtomicU64::new(0),
-                merges: AtomicU64::new(0),
-            },
+            artifacts,
+            current: Mutex::new(current),
+            invalidated: AtomicU64::new(0),
+            merges: AtomicU64::new(0),
             standing: StandingQueryRegistry::new(),
         }
     }
-
     /// Replaces the logarithmic-method merge policy (default:
     /// [`DeltaPolicy::default`]). [`DeltaPolicy::manual`] disables automatic
     /// compaction; [`DeltaPolicy::eager`] compacts after every mutation.
@@ -323,42 +249,23 @@ impl DynamicArspEngine {
     }
 
     /// Compacts the store now (folds the delta tail and tombstones into a
-    /// fresh canonical base) regardless of the policy, translating every
-    /// cached row reference in place — and patches the cached artifacts
-    /// forward to the current version. A no-op when nothing is pending.
+    /// fresh canonical base) regardless of the policy. The cached artifacts
+    /// are patched forward to the current version first; the compaction
+    /// then moves rows but no snapshot id, so only the row map is rebuilt.
+    /// A no-op when nothing is pending.
     pub fn merge_now(&mut self) {
         if self.store.pending_rows() == 0 {
             return;
         }
-        let remap = self.store.merge();
-        {
-            let caches = &mut self.caches;
-            caches.merges.fetch_add(1, Ordering::Relaxed);
-            // Row ids changed: the per-version row map is stale (epoch key),
-            // and the snapshot state's maps are translated through the
-            // remap. The snapshot artifacts themselves live in snapshot-id
-            // space and are untouched — the compaction itself is physical,
-            // not logical.
-            *caches.rowmap.get_mut().unwrap_or_else(|p| p.into_inner()) = None;
-            let snap = caches.snap.get_mut().unwrap_or_else(|p| p.into_inner());
-            for row in snap.row_of_snap.iter_mut() {
-                if *row != NONE32 {
-                    *row = remap[*row as usize];
-                }
-            }
-            let mut snap_of_row = vec![NONE32; self.store.num_rows()];
-            for (s, &row) in snap.row_of_snap.iter().enumerate() {
-                if row != NONE32 {
-                    snap_of_row[row as usize] = s as u32;
-                }
-            }
-            snap.snap_of_row = snap_of_row;
-        }
-
-        // Bring the caches to the current version while we are compacting
-        // anyway (delta-patch, not rebuild).
-        let mut snap = lock(&self.caches.snap);
-        self.advance_snap(&mut snap);
+        // Advance while the row ids still relate the current snapshot to
+        // the live rows.
+        self.current();
+        self.store.merge();
+        self.merges.fetch_add(1, Ordering::Relaxed);
+        // The canonical order survives the compaction, so the snapshot and
+        // its artifacts stay valid; only their rows moved.
+        let current = self.current.get_mut().unwrap_or_else(|p| p.into_inner());
+        current.rowmap = Arc::new(build_rowmap(&self.store));
     }
 
     fn after_mutation(&mut self) {
@@ -412,7 +319,7 @@ impl DynamicArspEngine {
     /// The stable handle of each snapshot id at the current version — the
     /// re-keying the standing layer needs to diff results across versions.
     pub(crate) fn snapshot_handles(&self) -> Vec<InstanceHandle> {
-        let rowmap = self.rowmap();
+        let (_, rowmap) = self.current();
         rowmap
             .row_of_snap
             .iter()
@@ -423,7 +330,7 @@ impl DynamicArspEngine {
     /// The current snapshot id of a live instance (`None` once removed).
     pub fn snapshot_id(&self, handle: InstanceHandle) -> Option<usize> {
         let row = self.store.row_of(handle)?;
-        let rowmap = self.rowmap();
+        let (_, rowmap) = self.current();
         match rowmap.snap_of_row.get(row).copied() {
             Some(s) if s != NONE32 => Some(s as usize),
             _ => None,
@@ -445,335 +352,148 @@ impl DynamicArspEngine {
         }
     }
 
-    /// Aggregate cache counters, including the dynamic-only invalidation and
-    /// merge counters. A mutation-free repeat query adds only hits;
-    /// see the steady-state tests.
+    /// Aggregate cache counters: the coalescing-cache lookups of every
+    /// snapshot (shared with a serving layer's readers when the engine backs
+    /// one), the scratch pools, and the dynamic-only invalidation and merge
+    /// counters. A mutation-free repeat query adds only hits; see the
+    /// steady-state tests.
     pub fn cache_stats(&self) -> CacheStats {
-        let caches = &self.caches;
-        // Coalescing and epoch pinning live one layer up, in the serving
-        // layer (`crate::service`); a single-caller dynamic engine has
-        // neither.
         CacheStats {
-            hits: caches.hits.load(Ordering::Relaxed),
-            misses: caches.misses.load(Ordering::Relaxed),
-            caches_invalidated: caches.invalidated.load(Ordering::Relaxed),
-            merges_performed: caches.merges.load(Ordering::Relaxed),
+            caches_invalidated: self.invalidated.load(Ordering::Relaxed),
+            merges_performed: self.merges.load(Ordering::Relaxed),
             notifications_delivered: self.standing.counters().notifications_delivered(),
-            ..caches.pools.cache_stats()
+            ..self.artifacts.cache_stats()
         }
     }
 
-    /// Exports the engine's synchronised snapshot state at the store's
-    /// current version as a bundle of shared handles — what the serving
-    /// layer's publish step (`crate::service::ServiceWriter::publish`) turns
-    /// into an immutable [`ServingSnapshot`](crate::service) for lock-free
-    /// readers.
-    ///
-    /// The export is *cheap snapshot cloning*: every artifact comes out as an
-    /// `Arc` clone of the engine's cached structure (the caches are first
-    /// delta-patched forward to the current version, the same fold a query
-    /// would trigger), so artifacts that survived the latest mutations —
-    /// including the version-independent vertex enumerations — are shared
-    /// with the new snapshot rather than rebuilt. Each exported score matrix
-    /// and order is bitwise the cold build at this version (the standing
-    /// delta-patch guarantee), so readers running the flat engines over the
-    /// export agree bitwise with a cold rebuild.
-    pub fn export_snapshot(&self) -> SnapshotExport {
-        let snap = self.snap();
-        let fdoms = lock(&self.caches.fdom)
-            .iter()
-            .map(|(key, fdom)| (key.clone(), Arc::clone(fdom)))
-            .collect();
-        SnapshotExport {
-            version: snap.version,
-            flat: Arc::clone(&snap.flat),
-            fdoms,
-            scores: snap
-                .scores
-                .values()
-                .map(|entry| (Arc::clone(&entry.fdom), Arc::clone(&entry.matrix)))
-                .collect(),
-            orders: snap
-                .orders
-                .values()
-                .map(|entry| (entry.omega.clone(), Arc::clone(&entry.order)))
-                .collect(),
-            dataset: snap.dataset.clone(),
-            rtree: snap.rtree.clone(),
+    // ---- the current snapshot ---------------------------------------------
+
+    /// The caches every snapshot of this engine shares; a serving layer's
+    /// readers query through them too.
+    pub(crate) fn artifacts(&self) -> &Arc<SharedArtifacts> {
+        &self.artifacts
+    }
+
+    /// The snapshot at the store's current version (what the serving layer
+    /// publishes).
+    pub(crate) fn snapshot(&self) -> Arc<ServingSnapshot> {
+        self.current().0
+    }
+
+    /// The current snapshot and its row map, first advanced to the store's
+    /// version. The engine's lock is held for the advance only; builds and
+    /// kernels run on the returned handles.
+    fn current(&self) -> (Arc<ServingSnapshot>, Arc<RowMap>) {
+        let mut current = lock(&self.current);
+        if current.rowmap.version != self.store.version() {
+            *current = self.advance(&current);
         }
+        (Arc::clone(&current.snapshot), Arc::clone(&current.rowmap))
     }
 
-    // ---- cached structures ------------------------------------------------
-
-    /// The snapshot state, advanced to the store's current version. Queries
-    /// hold it only while they fetch or build an artifact, never while a
-    /// kernel runs.
-    fn snap(&self) -> MutexGuard<'_, SnapState> {
-        let mut snap = lock(&self.caches.snap);
-        self.advance_snap(&mut snap);
-        snap
-    }
-
-    /// The row map at the current (version, epoch), rebuilt on demand.
-    fn rowmap(&self) -> Arc<RowMap> {
-        let mut guard = lock(&self.caches.rowmap);
-        if let Some(rowmap) = guard.as_ref() {
-            if rowmap.version == self.store.version() && rowmap.epoch == self.store.epoch() {
-                self.caches.hit();
-                return Arc::clone(rowmap);
-            }
-        }
-        self.caches.miss();
-        let rowmap = Arc::new(build_rowmap(&self.store));
-        *guard = Some(Arc::clone(&rowmap));
-        rowmap
-    }
-
-    /// Brings the snapshot state to the store's current version: the flat
-    /// store is re-gathered, every cached score matrix and order is
-    /// delta-patched (each counts a hit — the artifact is reused, not
-    /// rebuilt), and the unpatchable structures (R-tree, DUAL index,
-    /// dataset) are invalidated. No-op when already current.
-    fn advance_snap(&self, snap: &mut SnapState) {
+    /// The snapshot at the store's version, built from `current`: the flat
+    /// store is re-gathered, every published score matrix and LOOP order is
+    /// delta-patched and seeded in, and the version-bound structures
+    /// (R-tree, DUAL index, dataset) stay behind — counted as invalidated,
+    /// rebuilt lazily. Builds still in flight on `current` are not waited
+    /// for.
+    fn advance(&self, current: &Current) -> Current {
         let store = &self.store;
-        if snap.version == store.version() {
-            return;
+        let old = &current.rowmap;
+        debug_assert_eq!(old.epoch, store.epoch(), "merges advance first");
+        let rowmap = build_rowmap(store);
+        let next = self
+            .artifacts
+            .snapshot(store.version(), Arc::new(store.snapshot_flat()));
+        for (fdom, matrix) in current.snapshot.ready_scores() {
+            let patched = self.patch_scores(old, &rowmap, &fdom, &matrix);
+            next.seed_scores(fdom, Arc::new(patched));
         }
-        let rowmap = self.rowmap();
-        let n = rowmap.row_of_snap.len();
-
-        // Flat snapshot: a gather of bit copies, same result as a cold
-        // FlatStore::from_dataset.
-        snap.flat = Arc::new(store.snapshot_flat());
-
-        // Score matrices: copy surviving rows, project only delta rows.
-        for entry in snap.scores.values_mut() {
-            let d = entry.fdom.num_vertices();
-            let old = Arc::clone(&entry.matrix);
-            let mut values = vec![0.0; n * d];
-            for (s, chunk) in values.chunks_exact_mut(d).enumerate() {
-                let row = rowmap.row_of_snap[s] as usize;
-                match snap.snap_of_row.get(row).copied() {
-                    Some(os) if os != NONE32 => chunk.copy_from_slice(old.row(os as usize)),
-                    _ => entry
-                        .fdom
-                        .map_to_score_space_into(store.coords_of(row), chunk),
-                }
-            }
-            entry.matrix = Arc::new(ScoreMatrix::from_values(d, values));
-            self.caches.hit();
+        for (fdom, order) in current.snapshot.ready_orders() {
+            let patched = self.patch_order(old, &rowmap, &fdom.vertices()[0], &order);
+            next.seed_order(fdom, Arc::new(patched));
         }
-
-        // LOOP orders: survivors keep their cached (bitwise) keys and their
-        // relative order — old snapshot ids map monotonically onto new ones —
-        // so merging the sorted delta in reproduces exactly the cold
-        // (key, id) sort.
-        for entry in snap.orders.values_mut() {
-            let old = &entry.order;
-            let mut survivors: Vec<(f64, u32)> = Vec::with_capacity(n);
-            for &os in &old.order {
-                let row = snap.row_of_snap[os];
-                if row == NONE32 || !store.is_live(row as usize) {
-                    continue;
-                }
-                let ns = rowmap.snap_of_row[row as usize];
-                survivors.push((old.keys[os], ns));
-            }
-            let fresh = self.fresh_keyed_rows(&snap.snap_of_row, &rowmap, &entry.omega);
-            let mut order = Vec::with_capacity(n);
-            let mut keys = vec![0.0; n];
-            let mut fi = 0;
-            for &(key, ns) in &survivors {
-                while fi < fresh.len() && sorts_before(fresh[fi], (key, ns)) {
-                    keys[fresh[fi].1 as usize] = fresh[fi].0;
-                    order.push(fresh[fi].1 as usize);
-                    fi += 1;
-                }
-                keys[ns as usize] = key;
-                order.push(ns as usize);
-            }
-            for &(key, ns) in &fresh[fi..] {
-                keys[ns as usize] = key;
-                order.push(ns as usize);
-            }
-            debug_assert_eq!(order.len(), n);
-            entry.order = Arc::new(InstanceOrder { order, keys });
-            self.caches.hit();
+        let dropped = current.snapshot.ready_indexes() as u64;
+        self.invalidated.fetch_add(dropped, Ordering::Relaxed);
+        Current {
+            snapshot: Arc::new(next),
+            rowmap: Arc::new(rowmap),
         }
-
-        // The bulk-loaded R-tree, the DUAL index and the row-oriented
-        // dataset are not patched — invalidate, rebuild lazily.
-        if snap.rtree.take().is_some() {
-            self.caches.invalidate();
-        }
-        if snap.dual.take().is_some() {
-            self.caches.invalidate();
-        }
-        if snap.dataset.take().is_some() {
-            self.caches.invalidate();
-        }
-
-        snap.snap_of_row = rowmap.snap_of_row.clone();
-        snap.row_of_snap = rowmap.row_of_snap.clone();
-        snap.version = store.version();
     }
 
-    /// The live rows the snapshot state does not know about (the unindexed
-    /// delta), keyed by their score under `omega` and sorted under the cold
-    /// `(key, snapshot id)` comparison. `omega` must be the preference
-    /// region's first vertex: each key then equals the row's score-matrix
-    /// column 0 bit for bit, and merging these rows into the surviving
-    /// order lands on the cold sort.
-    fn fresh_keyed_rows(
+    /// `matrix` (in `old`'s snapshot ids) at `new`'s version: surviving rows
+    /// copied bit for bit, rows new since `old` projected under `fdom`.
+    fn patch_scores(
         &self,
-        snap_of_row: &[u32],
-        rowmap: &RowMap,
-        omega: &[f64],
-    ) -> Vec<(f64, u32)> {
-        let store = &self.store;
-        let mut fresh: Vec<(f64, u32)> = Vec::new();
-        // Membership scan, deliberately not a tail walk: within an epoch the
-        // delta is the live tail beyond `snap_of_row.len()`, but during a
-        // merge's cache fold the translated map covers the *post-merge* row
-        // space, where surviving delta rows sit interleaved below that
-        // horizon. The O(n) scan is exact in both states and is dwarfed by
-        // the O(n·d') work every caller performs around it.
-        for (s, &r) in rowmap.row_of_snap.iter().enumerate() {
-            let row = r as usize;
-            if snap_of_row.get(row).copied().unwrap_or(NONE32) == NONE32 {
-                let key = arsp_geometry::point::score(store.coords_of(row), omega);
-                fresh.push((key, s as u32));
+        old: &RowMap,
+        new: &RowMap,
+        fdom: &LinearFDominance,
+        matrix: &ScoreMatrix,
+    ) -> ScoreMatrix {
+        let d = fdom.num_vertices();
+        let mut values = vec![0.0; new.row_of_snap.len() * d];
+        for (chunk, &row) in values.chunks_exact_mut(d).zip(&new.row_of_snap) {
+            match old.snap_of_row.get(row as usize).copied() {
+                Some(os) if os != NONE32 => chunk.copy_from_slice(matrix.row(os as usize)),
+                _ => fdom.map_to_score_space_into(self.store.coords_of(row as usize), chunk),
             }
         }
-        sort_keyed(&mut fresh);
-        fresh
-    }
-}
-
-/// The dynamic engine's artifacts: the snapshot state, advanced to the
-/// store's current version on every fetch. Each patched or rebuilt artifact
-/// is bitwise the cold build at that version.
-impl ArtifactSource for DynamicArspEngine {
-    fn flat(&self) -> Arc<FlatStore> {
-        Arc::clone(&self.snap().flat)
+        ScoreMatrix::from_values(d, values)
     }
 
-    /// Never invalidated: the enumeration depends only on the constraints.
-    fn fdom(&self, constraints: &ConstraintSet) -> Arc<LinearFDominance> {
-        let key = constraint_key(constraints);
-        let mut guard = lock(&self.caches.fdom);
-        if let Some(fdom) = guard.get(&key) {
-            self.caches.hit();
-            return Arc::clone(fdom);
+    /// `order` (in `old`'s snapshot ids, keyed by scores under `omega`, the
+    /// preference region's first vertex) at `new`'s version. Survivors keep
+    /// their cached (bitwise) keys and their relative order — old snapshot
+    /// ids map monotonically onto new ones — so merging the sorted rows new
+    /// since `old` in reproduces exactly the cold `(key, id)` sort: each new
+    /// key equals the row's score-matrix column 0 bit for bit.
+    fn patch_order(
+        &self,
+        old: &RowMap,
+        new: &RowMap,
+        omega: &[f64],
+        order: &InstanceOrder,
+    ) -> InstanceOrder {
+        let store = &self.store;
+        let n = new.row_of_snap.len();
+        let survivors = order.order.iter().filter_map(|&os| {
+            let row = old.row_of_snap[os] as usize;
+            store
+                .is_live(row)
+                .then(|| (order.keys[os], new.snap_of_row[row]))
+        });
+        // Within an epoch the rows new since `old` are exactly the live
+        // tail beyond its map (an update appends its row too).
+        let mut fresh: Vec<(f64, u32)> = (old.snap_of_row.len()..store.num_rows())
+            .filter(|&row| store.is_live(row))
+            .map(|row| {
+                let key = arsp_geometry::point::score(store.coords_of(row), omega);
+                (key, new.snap_of_row[row])
+            })
+            .collect();
+        fresh.sort_unstable_by(|&a, &b| cmp_key_id(a, b));
+        let mut merged = Vec::with_capacity(n);
+        let mut keys = vec![0.0; n];
+        let mut fi = 0;
+        for (key, ns) in survivors {
+            while fi < fresh.len() && sorts_before(fresh[fi], (key, ns)) {
+                keys[fresh[fi].1 as usize] = fresh[fi].0;
+                merged.push(fresh[fi].1 as usize);
+                fi += 1;
+            }
+            keys[ns as usize] = key;
+            merged.push(ns as usize);
         }
-        self.caches.miss();
-        let fdom = Arc::new(LinearFDominance::from_constraints(constraints));
-        guard.insert(key, Arc::clone(&fdom));
-        fdom
-    }
-
-    fn scores(&self, fdom: &Arc<LinearFDominance>) -> Arc<ScoreMatrix> {
-        let mut snap = self.snap();
-        let key = vertices_key(fdom);
-        if let Some(entry) = snap.scores.get(&key) {
-            self.caches.hit();
-            return Arc::clone(&entry.matrix);
+        for &(key, ns) in &fresh[fi..] {
+            keys[ns as usize] = key;
+            merged.push(ns as usize);
         }
-        self.caches.miss();
-        let matrix = Arc::new(ScoreMatrix::compute(&snap.flat, fdom));
-        snap.scores.insert(
-            key,
-            SnapScores {
-                fdom: Arc::clone(fdom),
-                matrix: Arc::clone(&matrix),
-            },
-        );
-        matrix
-    }
-
-    fn order(&self, fdom: &LinearFDominance, scores: &ScoreMatrix) -> Arc<InstanceOrder> {
-        let mut snap = self.snap();
-        let omega = &fdom.vertices()[0];
-        let key = omega_key(omega);
-        if let Some(entry) = snap.orders.get(&key) {
-            self.caches.hit();
-            return Arc::clone(&entry.order);
+        debug_assert_eq!(merged.len(), n);
+        InstanceOrder {
+            order: merged,
+            keys,
         }
-        self.caches.miss();
-        let order = Arc::new(instance_order_from_scores(scores));
-        snap.orders.insert(
-            key,
-            SnapOrder {
-                omega: omega.clone(),
-                order: Arc::clone(&order),
-            },
-        );
-        order
     }
-
-    fn dataset(&self) -> Arc<UncertainDataset> {
-        let mut snap = self.snap();
-        if let Some(dataset) = snap.dataset.as_ref() {
-            self.caches.hit();
-            return Arc::clone(dataset);
-        }
-        self.caches.miss();
-        let dataset = Arc::new(self.store.snapshot_dataset());
-        snap.dataset = Some(Arc::clone(&dataset));
-        dataset
-    }
-
-    fn rtree(&self, dataset: &UncertainDataset) -> SharedRTree {
-        let mut snap = self.snap();
-        if let Some(rtree) = snap.rtree.as_ref() {
-            self.caches.hit();
-            return Arc::clone(rtree);
-        }
-        self.caches.miss();
-        let rtree: SharedRTree = Arc::new(build_instance_rtree(dataset));
-        snap.rtree = Some(Arc::clone(&rtree));
-        rtree
-    }
-
-    fn dual_index(&self) -> SharedAggregateForest {
-        let mut snap = self.snap();
-        if let Some(index) = snap.dual.as_ref() {
-            self.caches.hit();
-            return Arc::clone(index);
-        }
-        self.caches.miss();
-        let index: SharedAggregateForest = Arc::new(build_dual_index(&snap.flat));
-        snap.dual = Some(Arc::clone(&index));
-        index
-    }
-
-    fn pools(&self) -> &QueryPools {
-        &self.caches.pools
-    }
-}
-
-/// One version's cached artifacts, exported as shared handles (see
-/// [`DynamicArspEngine::export_snapshot`]). Everything in here is immutable
-/// and in snapshot-id space at `version`; `dataset` and `rtree` are present
-/// only when the engine had them cached (they are lazily built, so an engine
-/// that never ran B&B/ENUM has none to share).
-pub struct SnapshotExport {
-    /// The store version the artifacts describe.
-    pub version: u64,
-    /// The columnar snapshot — bitwise `FlatStore::from_dataset` of the
-    /// snapshot dataset.
-    pub flat: Arc<FlatStore>,
-    /// Version-independent vertex enumerations, keyed by the constraint-set
-    /// fingerprint the engine caches them under.
-    pub fdoms: Vec<(Vec<u64>, Arc<LinearFDominance>)>,
-    /// Per-constraint score matrices (with the enumeration that keys each).
-    pub scores: Vec<(Arc<LinearFDominance>, Arc<ScoreMatrix>)>,
-    /// Per-vertex LOOP orders (with the vertex that keys each).
-    pub orders: Vec<(Vec<f64>, Arc<InstanceOrder>)>,
-    /// The row-oriented snapshot dataset, when cached.
-    pub dataset: Option<Arc<UncertainDataset>>,
-    /// The B&B instance R-tree, when cached.
-    pub rtree: Option<SharedRTree>,
 }
 
 /// A fluent dynamic query — mirror of [`crate::engine::ArspQuery`]. Finish
@@ -817,9 +537,9 @@ impl<'e, 'q> DynamicQuery<'e, 'q> {
     /// Executes the query at the store's current version.
     pub fn run(self) -> DynamicOutcome {
         let engine = self.engine;
-        execute(engine, &self.spec, None).with_view(DynamicView {
-            rowmap: engine.rowmap(),
-        })
+        let (snapshot, rowmap) = engine.current();
+        let source = engine.artifacts.source(&snapshot, None);
+        execute(&source, &self.spec, None).with_view(DynamicView { rowmap })
     }
 }
 
@@ -1181,9 +901,11 @@ mod tests {
                 .run();
         }
         let churned = engine.cache_stats();
-        // Each round rebuilds only the per-version row map: the score
-        // matrix and the order are patched forward (hits), not rebuilt.
-        assert_eq!(churned.misses, warm.misses + 4);
+        // Each round builds nothing: the score matrix and the order are
+        // patched forward, and the query hits them (the per-version row map
+        // is not a cache lookup).
+        assert_eq!(churned.misses, warm.misses);
+        assert!(churned.hits > warm.hits);
         assert_eq!(
             churned.merges_performed, warm.merges_performed,
             "manual policy: the store must not have compacted"

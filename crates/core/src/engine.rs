@@ -73,7 +73,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::algorithms::ArspAlgorithm;
-use crate::dynamic::SnapshotExport;
 use crate::fault::{QueryBudget, QueryError};
 use crate::pipeline::{
     contain, execute, QueryConstraints, QueryOutcome, QuerySpec, ServingSnapshot, SharedArtifacts,
@@ -222,9 +221,9 @@ pub fn auto_select(
 /// and [`crate::dynamic::DynamicArspEngine::cache_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from a cached structure (for the dynamic engine this
-    /// includes structures *patched* forward to the current version — a
-    /// patch reuses the cached artifact, it does not rebuild it).
+    /// Lookups answered from a cached structure. A structure the dynamic
+    /// engine patched forward to a new version counts when a query looks it
+    /// up, not when it is patched.
     pub hits: u64,
     /// Lookups that had to build the structure.
     pub misses: u64,
@@ -250,9 +249,9 @@ pub struct CacheStats {
     /// (`crate::service::ArspService`).
     pub inflight: u64,
     /// Cache lookups that joined another thread's in-progress build instead
-    /// of duplicating it (batch coalescing: the serving layer, and the
-    /// static engine's concurrent [`ArspEngine::run_batch`] queries). Always
-    /// 0 for the dynamic engine, whose snapshot state builds under its lock.
+    /// of duplicating it (batch coalescing: concurrent queries on any front
+    /// — the serving layer, the dynamic engine, the static engine's
+    /// [`ArspEngine::run_batch`]).
     pub coalesced_builds: u64,
     /// Superseded snapshots whose cached artifacts were reclaimed after
     /// their last epoch pin dropped. Always 0 outside the serving layer.
@@ -288,15 +287,8 @@ impl ArspEngine {
     /// Creates an engine over an already-shared dataset.
     pub fn from_arc(dataset: Arc<UncertainDataset>) -> Self {
         let shared = SharedArtifacts::new();
-        let snapshot = shared.snapshot(SnapshotExport {
-            version: 0,
-            flat: Arc::new(FlatStore::from_dataset(&dataset)),
-            fdoms: Vec::new(),
-            scores: Vec::new(),
-            orders: Vec::new(),
-            dataset: Some(Arc::clone(&dataset)),
-            rtree: None,
-        });
+        let snapshot = shared.snapshot(0, Arc::new(FlatStore::from_dataset(&dataset)));
+        snapshot.seed_dataset(Arc::clone(&dataset));
         Self {
             dataset,
             snapshot,

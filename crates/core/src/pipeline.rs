@@ -1,30 +1,30 @@
-//! The one query pipeline behind every front.
+//! The one query pipeline behind every front, over the one artifact store.
 //!
 //! The static [`crate::engine::ArspEngine`], the mutable
-//! [`crate::dynamic::DynamicArspEngine`] and the serving layer's
-//! [`crate::service::SnapshotPin`] answer a query the same way: resolve
+//! [`crate::dynamic::DynamicArspEngine`], the serving layer's
+//! [`crate::service::SnapshotPin`] and the cluster's
+//! [`crate::cluster::ClusterQuery`] answer a query the same way: resolve
 //! `Auto` ([`crate::engine::auto_select`]), derive the linear constraints of
 //! a ratio query when a general algorithm runs it, fetch the artifacts the
 //! chosen algorithm needs, and run that algorithm's one flat kernel — inside
 //! a scoped worker pool when the query asks for a thread bound. That body is
-//! written once, here. The fronts differ only in where the artifacts come
-//! from:
+//! written once, here, and it fetches every artifact from one place: a
+//! `ServingSnapshot` — one version's artifacts behind build-coalescing
+//! caches — plus the `SharedArtifacts` every snapshot of one store shares
+//! (the vertex enumerations, the scratch pools and the cache counters). The
+//! static engine holds one snapshot over its frozen dataset; the dynamic
+//! engine advances its current snapshot to each new version, delta-patching
+//! the score matrices and LOOP orders forward, and the serving layer
+//! publishes exactly that snapshot; the cluster serves each stitched union
+//! as one more snapshot.
 //!
-//! * a **pinned snapshot** — one version's artifacts behind build-coalescing
-//!   caches, plus the vertex enumerations and scratch pools every snapshot
-//!   of a service shares. The serving layer publishes one per version; the
-//!   static engine holds one over its frozen dataset;
-//! * the **dynamic engine's snapshot state**, advanced to the store's
-//!   current version with its score matrices and LOOP orders delta-patched
-//!   forward. Standing-query refreshes run through it as ordinary queries.
-//!
-//! Both sources hand out artifacts bitwise equal to a cold build at their
-//! version, so every front returns the cold result. Each front's builder
-//! keeps only its own extras (the engine's `top_k`/`min_prob` views, the
-//! dynamic engine's row map, the service's version, admission and query
-//! counter), and every outcome is a [`QueryOutcome`]: the result, the
-//! algorithm that ran and why, the work counters and the build/run times,
-//! plus the front's view.
+//! Every artifact a snapshot hands out is bitwise equal to a cold build at
+//! its version — built, seeded or patched forward — so every front returns
+//! the cold result. Each front's builder keeps only its own extras (the
+//! engine's `top_k`/`min_prob` views, the dynamic engine's row map, the
+//! service's version, admission and query counter), and every outcome is a
+//! [`QueryOutcome`]: the result, the algorithm that ran and why, the work
+//! counters and the build/run times, plus the front's view.
 //!
 //! Per algorithm the artifact lookups run in one fixed sequence: `Auto` on
 //! linear constraints looks the vertex enumeration up once to count the
@@ -45,7 +45,6 @@ use crate::algorithms::loop_scan::{
     arsp_loop_flat_engine, instance_order_from_scores, InstanceOrder, LoopScratch,
 };
 use crate::coalesce::{CoalesceCounters, CoalescingCache};
-use crate::dynamic::SnapshotExport;
 use crate::engine::{auto_select, CacheStats, Execution, QueryAlgorithm};
 use crate::fault::{self, BuildTimeoutUnwind, QueryBudget, QueryError};
 use crate::result::ArspResult;
@@ -61,7 +60,7 @@ use arsp_index::{SharedAggregateForest, SharedRTree};
 
 /// Bit-exact fingerprint of a constraint set: the vertex-enumeration cache
 /// key.
-pub(crate) fn constraint_key(constraints: &ConstraintSet) -> Vec<u64> {
+fn constraint_key(constraints: &ConstraintSet) -> Vec<u64> {
     let mut key = Vec::with_capacity(2 + constraints.len() * (constraints.dim() + 1));
     key.push(constraints.dim() as u64);
     key.push(constraints.len() as u64);
@@ -74,13 +73,13 @@ pub(crate) fn constraint_key(constraints: &ConstraintSet) -> Vec<u64> {
 
 /// Bit-exact fingerprint of a preference-region vertex: the LOOP order cache
 /// key.
-pub(crate) fn omega_key(omega: &[f64]) -> Vec<u64> {
+fn omega_key(omega: &[f64]) -> Vec<u64> {
     omega.iter().map(|w| w.to_bits()).collect()
 }
 
 /// Bit-exact fingerprint of a whole vertex set: the score-matrix cache key
 /// (the matrix depends on every vertex, not just the first).
-pub(crate) fn vertices_key(fdom: &LinearFDominance) -> Vec<u64> {
+fn vertices_key(fdom: &LinearFDominance) -> Vec<u64> {
     let mut key = Vec::with_capacity(1 + fdom.num_vertices() * fdom.vertices()[0].len());
     key.push(fdom.num_vertices() as u64);
     for v in fdom.vertices() {
@@ -89,12 +88,10 @@ pub(crate) fn vertices_key(fdom: &LinearFDominance) -> Vec<u64> {
     key
 }
 
-/// Rebuilds the row-oriented dataset from a columnar snapshot. The flat
-/// store is a bit-for-bit copy of the snapshot dataset (canonical order), so
-/// the rebuild round-trips every coordinate and probability exactly — labels
-/// are dropped, which no algorithm reads. (Also the cross-shard merge's
-/// bridge from a stitched union [`FlatStore`] back to a servable dataset —
-/// see [`crate::cluster`].)
+/// Rebuilds the row-oriented dataset (B&B and ENUM read it) from a columnar
+/// snapshot. The flat store is a bit-for-bit copy of the snapshot dataset
+/// (canonical order), so the rebuild round-trips every coordinate and
+/// probability exactly — labels are dropped, which no algorithm reads.
 pub(crate) fn dataset_from_flat(flat: &FlatStore) -> UncertainDataset {
     let mut dataset = UncertainDataset::new(flat.dim());
     for object in 0..flat.num_objects() {
@@ -158,30 +155,6 @@ impl QueryPools {
     }
 }
 
-/// Where [`execute`] fetches a query's artifacts. Every method returns the
-/// artifact bitwise equal to a cold build at the source's version — cached,
-/// patched forward or freshly built — so the kernels cannot tell sources
-/// apart. `Sync` because a thread-bounded query runs on a worker pool's
-/// thread.
-pub(crate) trait ArtifactSource: Sync {
-    /// The columnar snapshot the kernels stream.
-    fn flat(&self) -> Arc<FlatStore>;
-    /// The vertex enumeration of a constraint set.
-    fn fdom(&self, constraints: &ConstraintSet) -> Arc<LinearFDominance>;
-    /// The score matrix under every vertex of `fdom`.
-    fn scores(&self, fdom: &Arc<LinearFDominance>) -> Arc<ScoreMatrix>;
-    /// LOOP's instance order under `fdom`'s first vertex.
-    fn order(&self, fdom: &LinearFDominance, scores: &ScoreMatrix) -> Arc<InstanceOrder>;
-    /// The row-oriented dataset (B&B and ENUM).
-    fn dataset(&self) -> Arc<UncertainDataset>;
-    /// B&B's instance R-tree over `dataset`.
-    fn rtree(&self, dataset: &UncertainDataset) -> SharedRTree;
-    /// DUAL's per-object aggregated R-trees.
-    fn dual_index(&self) -> SharedAggregateForest;
-    /// The scratch arenas queries lease.
-    fn pools(&self) -> &QueryPools;
-}
-
 /// The query body every front runs: resolves `Auto`, fetches the chosen
 /// algorithm's artifacts from `source` (in the sequence the
 /// [module docs](self) list) and runs its flat kernel — inside a scoped pool
@@ -193,7 +166,7 @@ pub(crate) trait ArtifactSource: Sync {
 /// by the fault-containment unwinds the fronts' `try_run` classifies — when
 /// `budget` expires or a deadline-bounded cache join times out.
 pub(crate) fn execute(
-    source: &dyn ArtifactSource,
+    source: &SnapshotSource<'_>,
     spec: &QuerySpec<'_>,
     budget: Option<&QueryBudget>,
 ) -> QueryOutcome<()> {
@@ -358,23 +331,69 @@ pub(crate) fn contain<T>(
 /// DUAL index): one entry per snapshot, no constraint dependence.
 const SINGLETON_KEY: &[u64] = &[];
 
-/// One version's artifacts behind build-coalescing caches: a published
-/// serving snapshot, or the static engine's frozen dataset. Whatever the
-/// writer had cached is seeded in (shared, not rebuilt); everything else is
-/// built lazily — and coalesced — by the first queries to need it.
+/// An artifact derived under a preference region, cached together with the
+/// vertex enumeration it was built from: the enumeration is what projects
+/// new rows when the dynamic engine patches the artifact forward.
+pub(crate) type Derived<T> = (Arc<LinearFDominance>, Arc<T>);
+
+/// One version's artifacts behind build-coalescing caches — the one artifact
+/// store. The static engine holds one over its frozen dataset, the dynamic
+/// engine advances one per version (and the serving layer publishes exactly
+/// that one), the cluster serves each stitched union as one. An artifact is
+/// built lazily — and coalesced — by the first query that needs it, unless
+/// it was seeded: patched forward from the previous version, or the static
+/// engine's own dataset.
 pub(crate) struct ServingSnapshot {
     pub(crate) version: u64,
     pub(crate) flat: Arc<FlatStore>,
-    scores: CoalescingCache<Arc<ScoreMatrix>>,
-    orders: CoalescingCache<Arc<InstanceOrder>>,
+    scores: CoalescingCache<Derived<ScoreMatrix>>,
+    orders: CoalescingCache<Derived<InstanceOrder>>,
     dataset: CoalescingCache<Arc<UncertainDataset>>,
     rtree: CoalescingCache<SharedRTree>,
     dual: CoalescingCache<SharedAggregateForest>,
 }
 
-/// What every snapshot of one service (or the static engine's one snapshot)
-/// shares: the version-independent vertex enumerations, the scratch pools,
-/// and the counters and rendezvous knob of every coalescing cache.
+impl ServingSnapshot {
+    /// The published score matrices, each with its vertex enumeration.
+    /// In-flight builds are skipped, never waited on.
+    pub(crate) fn ready_scores(&self) -> Vec<Derived<ScoreMatrix>> {
+        self.scores.ready()
+    }
+
+    /// The published LOOP orders, each with an enumeration whose first
+    /// vertex keys it. In-flight builds are skipped, never waited on.
+    pub(crate) fn ready_orders(&self) -> Vec<Derived<InstanceOrder>> {
+        self.orders.ready()
+    }
+
+    /// How many of the version-bound structures (dataset, R-tree, DUAL
+    /// index) are published: what moving to another version drops.
+    pub(crate) fn ready_indexes(&self) -> usize {
+        self.dataset.ready().len() + self.rtree.ready().len() + self.dual.ready().len()
+    }
+
+    /// Publishes a score matrix bitwise equal to the cold build under `fdom`.
+    pub(crate) fn seed_scores(&self, fdom: Arc<LinearFDominance>, matrix: Arc<ScoreMatrix>) {
+        self.scores.seed(vertices_key(&fdom), (fdom, matrix));
+    }
+
+    /// Publishes a LOOP order bitwise equal to the cold build under `fdom`'s
+    /// first vertex.
+    pub(crate) fn seed_order(&self, fdom: Arc<LinearFDominance>, order: Arc<InstanceOrder>) {
+        self.orders
+            .seed(omega_key(&fdom.vertices()[0]), (fdom, order));
+    }
+
+    /// Publishes the row-oriented dataset of this snapshot.
+    pub(crate) fn seed_dataset(&self, dataset: Arc<UncertainDataset>) {
+        self.dataset.seed(SINGLETON_KEY.to_vec(), dataset);
+    }
+}
+
+/// What every snapshot of one store shares: the version-independent vertex
+/// enumerations, the scratch pools, and the counters and rendezvous knob of
+/// every coalescing cache. A service's writer and readers share one; the
+/// cluster keeps one for all its unions.
 pub(crate) struct SharedArtifacts {
     fdoms: CoalescingCache<Arc<LinearFDominance>>,
     pub(crate) pools: QueryPools,
@@ -400,39 +419,22 @@ impl SharedArtifacts {
         CoalescingCache::new(&self.coalesce, &self.rendezvous)
     }
 
-    /// A snapshot of `export`'s version, seeded with every artifact the
-    /// export carries (the vertex enumerations go to the shared cache).
-    /// Seeding counts neither hits nor builds.
-    pub(crate) fn snapshot(&self, export: SnapshotExport) -> ServingSnapshot {
-        for (key, fdom) in export.fdoms {
-            self.fdoms.seed(key, fdom);
-        }
-        let snapshot = ServingSnapshot {
-            version: export.version,
-            flat: export.flat,
+    /// An empty snapshot of `version` over `flat`: every artifact waits for
+    /// a query that needs it, or for a seed.
+    pub(crate) fn snapshot(&self, version: u64, flat: Arc<FlatStore>) -> ServingSnapshot {
+        ServingSnapshot {
+            version,
+            flat,
             scores: self.cache(),
             orders: self.cache(),
             dataset: self.cache(),
             rtree: self.cache(),
             dual: self.cache(),
-        };
-        for (fdom, matrix) in export.scores {
-            snapshot.scores.seed(vertices_key(&fdom), matrix);
         }
-        for (omega, order) in export.orders {
-            snapshot.orders.seed(omega_key(&omega), order);
-        }
-        if let Some(dataset) = export.dataset {
-            snapshot.dataset.seed(SINGLETON_KEY.to_vec(), dataset);
-        }
-        if let Some(rtree) = export.rtree {
-            snapshot.rtree.seed(SINGLETON_KEY.to_vec(), rtree);
-        }
-        snapshot
     }
 
-    /// `snapshot` and these shared caches as an [`ArtifactSource`] whose
-    /// cache joins honour `budget`'s deadline.
+    /// `snapshot` and these shared caches as the [`SnapshotSource`] a query
+    /// runs on, whose cache joins honour `budget`'s deadline.
     pub(crate) fn source<'a>(
         &'a self,
         snapshot: &'a ServingSnapshot,
@@ -458,10 +460,13 @@ impl SharedArtifacts {
     }
 }
 
-/// A pinned snapshot plus its shared caches, as an [`ArtifactSource`]. A
-/// join on another query's in-flight build waits at most until the query's
-/// deadline, then detaches by unwinding with `BuildTimeoutUnwind`, which the
-/// fronts' `try_run` classifies as [`QueryError::BuildTimeout`].
+/// A pinned snapshot plus its shared caches: where [`execute`] fetches a
+/// query's artifacts. Each fetch returns the artifact bitwise equal to a
+/// cold build at the snapshot's version — published, or built now and
+/// coalesced with every concurrent request for it. A join on another
+/// query's in-flight build waits at most until the query's deadline, then
+/// detaches by unwinding with `BuildTimeoutUnwind`, which the fronts'
+/// `try_run` classifies as [`QueryError::BuildTimeout`].
 pub(crate) struct SnapshotSource<'a> {
     snapshot: &'a ServingSnapshot,
     shared: &'a SharedArtifacts,
@@ -482,51 +487,62 @@ impl SnapshotSource<'_> {
             })),
         }
     }
-}
 
-impl ArtifactSource for SnapshotSource<'_> {
+    /// The columnar snapshot the kernels stream.
     fn flat(&self) -> Arc<FlatStore> {
         Arc::clone(&self.snapshot.flat)
     }
 
+    /// The vertex enumeration of a constraint set (shared by every snapshot).
     fn fdom(&self, constraints: &ConstraintSet) -> Arc<LinearFDominance> {
         self.join(&self.shared.fdoms, &constraint_key(constraints), || {
             Arc::new(LinearFDominance::from_constraints(constraints))
         })
     }
 
+    /// The score matrix under every vertex of `fdom`.
     fn scores(&self, fdom: &Arc<LinearFDominance>) -> Arc<ScoreMatrix> {
-        self.join(&self.snapshot.scores, &vertices_key(fdom), || {
-            Arc::new(ScoreMatrix::compute(&self.snapshot.flat, fdom))
-        })
+        let (_, matrix) = self.join(&self.snapshot.scores, &vertices_key(fdom), || {
+            let matrix = ScoreMatrix::compute(&self.snapshot.flat, fdom);
+            (Arc::clone(fdom), Arc::new(matrix))
+        });
+        matrix
     }
 
-    fn order(&self, fdom: &LinearFDominance, scores: &ScoreMatrix) -> Arc<InstanceOrder> {
-        self.join(
-            &self.snapshot.orders,
-            &omega_key(&fdom.vertices()[0]),
-            || Arc::new(instance_order_from_scores(scores)),
-        )
+    /// LOOP's instance order under `fdom`'s first vertex.
+    fn order(&self, fdom: &Arc<LinearFDominance>, scores: &ScoreMatrix) -> Arc<InstanceOrder> {
+        let key = omega_key(&fdom.vertices()[0]);
+        let (_, order) = self.join(&self.snapshot.orders, &key, || {
+            (
+                Arc::clone(fdom),
+                Arc::new(instance_order_from_scores(scores)),
+            )
+        });
+        order
     }
 
+    /// The row-oriented dataset (B&B and ENUM).
     fn dataset(&self) -> Arc<UncertainDataset> {
         self.join(&self.snapshot.dataset, SINGLETON_KEY, || {
             Arc::new(dataset_from_flat(&self.snapshot.flat))
         })
     }
 
+    /// B&B's instance R-tree over `dataset`.
     fn rtree(&self, dataset: &UncertainDataset) -> SharedRTree {
         self.join(&self.snapshot.rtree, SINGLETON_KEY, || {
             Arc::new(build_instance_rtree(dataset))
         })
     }
 
+    /// DUAL's per-object aggregated R-trees.
     fn dual_index(&self) -> SharedAggregateForest {
         self.join(&self.snapshot.dual, SINGLETON_KEY, || {
             Arc::new(build_dual_index(&self.snapshot.flat))
         })
     }
 
+    /// The scratch arenas queries lease.
     fn pools(&self) -> &QueryPools {
         &self.shared.pools
     }

@@ -15,15 +15,18 @@
 //!   honours (enforced by `tests/service_stress.rs` under real concurrency).
 //! * **The writer** owns a [`ServiceWriter`]: mutations go through the
 //!   underlying dynamic engine (`&mut self`, invisible to readers), and
-//!   [`ServiceWriter::publish`] atomically swaps in a new snapshot built from
-//!   the engine's delta-patched caches ([`DynamicArspEngine::export_snapshot`]
-//!   — artifacts that survived the mutations are *shared* with the new
-//!   snapshot, not rebuilt).
+//!   [`ServiceWriter::publish`] atomically swaps in the engine's snapshot of
+//!   the new version. Readers and writer share one artifact store: every
+//!   score matrix and LOOP order published at the old version — whether a
+//!   reader's query or the writer's standing refresh built it — is
+//!   delta-patched into the new snapshot, not rebuilt, and the writer's
+//!   standing refreshes and the readers' queries share each build at a
+//!   version.
 //!
 //! A pinned query runs the same pipeline as the static and dynamic engines
-//! ([`crate::pipeline`]): the pin's snapshot is its artifact source, and
-//! [`ServiceQuery`] keeps only what is the service's own — admission
-//! control, the query counter and the pinned version on the outcome.
+//! ([`crate::pipeline`]) over the pinned snapshot, and [`ServiceQuery`]
+//! keeps only what is the service's own — admission control, the query
+//! counter and the pinned version on the outcome.
 //!
 //! ## Epoch-based reclamation
 //!
@@ -38,14 +41,13 @@
 //!
 //! ## Batch coalescing
 //!
-//! The static and dynamic engines let concurrent cache misses race and
-//! discard the losing builds. Under serving-level concurrency that wastes
-//! real work: ten readers arriving with the same new constraint set would
-//! project ten identical score matrices. The serving caches therefore
-//! *coalesce*: the first requester claims the build, later requesters with
-//! the same key block on a condvar and share the published artifact
-//! ([`ServingStats::coalesced_builds`] counts the joins). Distinct keys never
-//! wait on each other. The `#[doc(hidden)]`
+//! Under serving-level concurrency, racing cache misses would waste real
+//! work: ten readers arriving with the same new constraint set would project
+//! ten identical score matrices. The snapshot caches therefore *coalesce*:
+//! the first requester claims the build, later requesters with the same key
+//! — readers or the writer's standing refresh — block on a condvar and
+//! share the published artifact ([`ServingStats::coalesced_builds`] counts
+//! the joins). Distinct keys never wait on each other. The `#[doc(hidden)]`
 //! [`ArspService::set_coalescing_rendezvous`] knob makes a builder wait for a
 //! fixed number of joiners before publishing — deterministic-test machinery,
 //! not a production setting.
@@ -135,9 +137,10 @@ struct ServiceShared {
     pins: Arc<EpochPinRegistry>,
     /// Admission cap on concurrently executing queries; `0` = unlimited.
     admission_limit: AtomicU64,
-    /// The vertex enumerations (shared across *all* snapshots — constraints
-    /// never go stale), scratch pools and coalescing counters.
-    artifacts: SharedArtifacts,
+    /// The writer engine's vertex enumerations (shared across *all*
+    /// snapshots — constraints never go stale), scratch pools and
+    /// coalescing counters.
+    artifacts: Arc<SharedArtifacts>,
     gauge: PeakGauge,
     counters: ServiceCounters,
     /// The writer engine's standing-query registry, shared so readers can
@@ -166,11 +169,11 @@ impl ArspService {
         Self::from_engine(DynamicArspEngine::from_store(store))
     }
 
-    /// Wraps an existing dynamic engine — its warmed caches seed the first
-    /// published snapshot.
+    /// Wraps an existing dynamic engine: its current snapshot, with every
+    /// artifact its queries built, is published as the first version.
     pub fn from_engine(engine: DynamicArspEngine) -> (Self, ServiceWriter) {
-        let artifacts = SharedArtifacts::new();
-        let current = Arc::new(artifacts.snapshot(engine.export_snapshot()));
+        let artifacts = Arc::clone(engine.artifacts());
+        let current = engine.snapshot();
         let shared = Arc::new(ServiceShared {
             state: Mutex::new(ServiceState {
                 current,
@@ -286,11 +289,12 @@ impl ArspService {
 
     /// The serving layer's cache counters in the engine-wide [`CacheStats`]
     /// shape: `hits`/`misses` are coalescing-cache lookups (a join counts
-    /// under [`CacheStats::coalesced_builds`], not as a miss), the scratch
-    /// counters aggregate the shared pools, and the serving-only fields
-    /// (`inflight`, `coalesced_builds`, `snapshots_retired`, `active_pins`)
-    /// are live. The writer's engine keeps its own
-    /// [`DynamicArspEngine::cache_stats`].
+    /// under [`CacheStats::coalesced_builds`], not as a miss) of the readers
+    /// and the writer alike, the scratch counters aggregate the shared
+    /// pools, and the serving-only fields (`inflight`, `snapshots_retired`,
+    /// `active_pins`) are live. The writer's
+    /// [`DynamicArspEngine::cache_stats`] reports the same lookups, plus its
+    /// invalidations and merges.
     pub fn cache_stats(&self) -> CacheStats {
         let shared = &self.shared;
         CacheStats {
@@ -315,13 +319,16 @@ pub struct ServingStats {
     /// Queries shed by admission control ([`ArspService::set_admission_limit`])
     /// without executing.
     pub queries_shed: u64,
-    /// Artifact builds actually performed across all serving caches —
+    /// Artifact builds actually performed across all snapshot caches —
     /// exactly one per distinct missing key, however many readers asked.
+    /// Includes the builds of the writer's standing refreshes, which share
+    /// the readers' caches.
     pub shared_builds: u64,
     /// Lookups that joined another thread's in-progress build instead of
     /// duplicating it.
     pub coalesced_builds: u64,
-    /// Lookups answered from an already-published artifact.
+    /// Lookups answered from an already-published artifact (the writer's
+    /// standing refreshes included).
     pub cache_hits: u64,
     /// Snapshots published (the constructor's initial snapshot counts).
     pub snapshots_published: u64,
@@ -354,8 +361,9 @@ pub struct ServiceWriter {
 }
 
 impl ServiceWriter {
-    /// Publishes the engine's current version: builds a serving snapshot
-    /// from the engine's delta-patched caches and atomically swaps it in.
+    /// Publishes the engine's current version: advances the engine's
+    /// snapshot to it (the patch pass every first query at a new version
+    /// runs) and atomically swaps that snapshot in.
     /// The superseded snapshot retires immediately when unpinned, or moves
     /// to the graveyard until its last pin drops. A no-op (returning the
     /// already-published version) when nothing changed since the last
@@ -371,7 +379,7 @@ impl ServiceWriter {
                 return state.current.version;
             }
         }
-        let snapshot = Arc::new(shared.artifacts.snapshot(self.engine.export_snapshot()));
+        let snapshot = self.engine.snapshot();
         let version = snapshot.version;
         let mut state = lock(&shared.state);
         let old = std::mem::replace(&mut state.current, snapshot);
@@ -437,7 +445,8 @@ impl ServiceWriter {
     }
 
     /// Compacts the store now (see [`DynamicArspEngine::merge_now`]).
-    /// Published snapshots are unaffected — they hold their own artifacts.
+    /// Published snapshots are unaffected — compaction moves rows, not
+    /// snapshot ids.
     pub fn merge_now(&mut self) {
         self.engine.merge_now()
     }

@@ -29,7 +29,9 @@
 //! registry; [`crate::service::ServiceWriter::publish`] refreshes every
 //! subscription on the writer thread right after the snapshot swap, so
 //! subscribers observe change-sets in publish order with no missed or
-//! duplicated result versions. [`crate::cluster::ShardedService::subscribe`]
+//! duplicated result versions. The refresh queries run on the snapshot just
+//! published, so they share every artifact build with the readers' queries
+//! at that version. [`crate::cluster::ShardedService::subscribe`]
 //! fans one spec out per shard and stitches the per-shard change-sets
 //! shard-major, exactly like the cross-shard result merge. Dropping a
 //! [`SubscriptionGuard`] unsubscribes (RAII — safe at any time, including

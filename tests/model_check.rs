@@ -8,7 +8,7 @@
 //! budget where the state space demands it — so the assertions hold over
 //! *all* explored schedules, not the ones the OS happened to produce.
 //!
-//! Four protocols are proven, plus the counter satellites:
+//! Seven protocols are proven, plus the counter satellites:
 //!
 //! 1. **pin/publish/retire** — a superseded snapshot is never retired while
 //!    pinned and never leaked once unpinned (2 readers × 1 writer on the
@@ -29,7 +29,12 @@
 //!    concurrently with the writer's publish+refresh cycles observes every
 //!    published version exactly once, in order, with gapless result
 //!    versions (the seeded split-lock drain that loses a notification is
-//!    caught).
+//!    caught);
+//! 7. **advance-vs-build** — the writer advancing and publishing the next
+//!    version while a reader builds an artifact on the current one never
+//!    waits on (or joins) the reader's in-flight build, and the next
+//!    version still answers bitwise as a cold engine (the seeded advance
+//!    that joins in-flight builds deadlocks and is caught).
 //!
 //! Run `cargo xtask model-check` to execute with `--nocapture`: each test
 //! prints the interleaving count it explored (EXPERIMENTS.md records them).
@@ -41,7 +46,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use arsp_core::cluster::{ShardHealth, SupervisorCore, TRANSITION_EDGES};
 use arsp_core::coalesce::{CoalesceCounters, CoalescingCache};
-use arsp_core::engine::QueryAlgorithm;
+use arsp_core::engine::{ArspEngine, QueryAlgorithm};
 use arsp_core::fault::{QueryBudget, QueryError};
 use arsp_core::service::{ArspService, ServiceWriter};
 use arsp_core::standing::StandingSpec;
@@ -810,6 +815,131 @@ fn mutation_split_lock_drain_loses_a_notification_and_is_caught() {
     );
     println!(
         "mutation_split_lock_drain_loses_a_notification_and_is_caught: failing schedule #{}",
+        failure.schedule
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Protocol (g): advance-vs-build (one artifact store)
+// ---------------------------------------------------------------------------
+
+fn bits(probs: &[f64]) -> Vec<u64> {
+    probs.iter().map(|p| p.to_bits()).collect()
+}
+
+/// A reader builds the vertex enumeration and the score matrix of a KDTT+
+/// query on version 0 while the writer mutates and publishes version 1,
+/// on the real [`ArspService`]. The publish advances the writer's snapshot,
+/// copying whatever the reader had already published. In every
+/// interleaving nobody joins anybody's build — in particular the advance
+/// never joins the reader's — and the same query on version 1, answered
+/// from a carried-forward matrix or a fresh build, is bitwise the cold
+/// engine's.
+#[test]
+fn advance_never_joins_a_reader_build_and_the_next_version_is_cold() {
+    let dataset = paper_running_example();
+    let report = Builder::new().preemption_bound(2).check(move || {
+        let constraints = ConstraintSet::weak_ranking(2, 1);
+        let (service, mut writer) = ArspService::from_dataset(&dataset);
+        let s1 = service.clone();
+        let cs = constraints.clone();
+        let reader = thread::spawn(move || {
+            let pin = s1.pin();
+            let outcome = pin.query(&cs).algorithm(QueryAlgorithm::KdttPlus).run();
+            (pin.version(), bits(outcome.result().probs()))
+        });
+        mutate_once(&mut writer, 1.0);
+        assert_eq!(writer.publish(), 1);
+        let (pinned, _) = reader.join().expect("reader panicked");
+        assert!(pinned <= 1, "pin observed impossible version {pinned}");
+        assert_eq!(
+            service.serving_stats().coalesced_builds,
+            0,
+            "a lookup joined an in-flight build"
+        );
+
+        let got = service
+            .pin()
+            .query(&constraints)
+            .algorithm(QueryAlgorithm::KdttPlus)
+            .run();
+        let cold = ArspEngine::new(writer.snapshot_dataset())
+            .query(&constraints)
+            .algorithm(QueryAlgorithm::KdttPlus)
+            .run();
+        assert_eq!(got.version(), 1);
+        assert_eq!(
+            bits(got.result().probs()),
+            bits(cold.result().probs()),
+            "version 1 diverged from the cold engine"
+        );
+    });
+    println!(
+        "advance_never_joins_a_reader_build_and_the_next_version_is_cold: {} interleavings explored",
+        report.schedules
+    );
+    assert!(report.schedules >= 50);
+}
+
+/// The distilled hand-off on the real [`CoalescingCache`]: the reader's
+/// build cannot finish until the writer has published, exactly like a
+/// build that outlives the advance. The advance copies the published
+/// artifacts (`ready`) into the next version's cache, so it always
+/// finishes and publishes. The broken variant fetches through the
+/// coalescing lookup instead, which joins the in-flight build and
+/// deadlocks against it.
+fn advance_vs_build_protocol(broken_join: bool) {
+    let (_, cache) = fresh_cache();
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let (c1, g1) = (Arc::clone(&cache), Arc::clone(&gate));
+    let reader = thread::spawn(move || {
+        c1.get_or_build(&[7], || {
+            let mut published = lock(&g1.0);
+            while !*published {
+                published =
+                    g1.1.wait(published)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+            }
+            41
+        })
+    });
+
+    // The writer: advance into the next version's cache, then publish.
+    let (_, next) = fresh_cache();
+    if broken_join {
+        next.seed(vec![7], cache.get_or_build(&[7], || 41));
+    } else {
+        for value in cache.ready() {
+            next.seed(vec![7], value);
+        }
+    }
+    *lock(&gate.0) = true;
+    gate.1.notify_all();
+
+    assert_eq!(reader.join().expect("reader panicked"), 41);
+    assert!(next.ready().iter().all(|&v| v == 41));
+}
+
+#[test]
+fn advance_vs_build_protocol_holds_in_every_interleaving() {
+    let report = interleave::model(|| advance_vs_build_protocol(false));
+    println!(
+        "advance_vs_build_protocol_holds_in_every_interleaving: {} interleavings explored",
+        report.schedules
+    );
+    assert!(report.schedules >= 10);
+}
+
+/// Mutation test: an advance that joins in-flight builds MUST be caught —
+/// it waits on a build that waits on its publish.
+#[test]
+fn mutation_advance_that_joins_a_build_is_caught() {
+    let failure = Builder::new()
+        .check_result(|| advance_vs_build_protocol(true))
+        .expect_err("the checker missed an advance waiting on a reader's build");
+    assert_eq!(failure.kind, FailureKind::Deadlock);
+    println!(
+        "mutation_advance_that_joins_a_build_is_caught: failing schedule #{}",
         failure.schedule
     );
 }

@@ -12,9 +12,11 @@
 //! recording side needs no synchronisation beyond a mutex push.
 //!
 //! The file also carries the deterministic batch-coalescing tests: with the
-//! rendezvous knob set, two readers asking for the same missing score matrix
+//! rendezvous knob set, two readers asking for the same missing DUAL index
 //! provably share one build, and distinct constraint sets provably never
-//! coalesce.
+//! coalesce. Last come the carry-forward tests: a score matrix and a LOOP
+//! order a reader built at one version are patched into the next published
+//! version, so the same query there builds nothing.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,6 +27,7 @@ use arsp::core::engine::{ArspEngine, Execution, QueryAlgorithm};
 use arsp::core::service::{ArspService, ServiceWriter};
 use arsp::prelude::*;
 use arsp_data::InstanceHandle;
+use arsp_index::DeltaPolicy;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -394,9 +397,9 @@ fn concurrent_readers_always_see_their_pinned_version_exactly() {
     assert!(stats.queries_served as usize >= records.len());
 }
 
-/// Two readers racing on the *same* missing score matrix share one build.
-/// The rendezvous knob makes the schedule deterministic: the builder holds
-/// its publish until the second reader has registered as a joiner, so the
+/// Two readers racing on the *same* missing artifact share one build. The
+/// rendezvous knob makes the schedule deterministic: the builder holds its
+/// publish until the second reader has registered as a joiner, so the
 /// assertion is exact, not a lucky race.
 #[test]
 fn identical_constraint_queries_coalesce_into_one_build() {
@@ -411,19 +414,19 @@ fn identical_constraint_queries_coalesce_into_one_build() {
     }
     .generate();
     let (service, mut writer) = ArspService::from_dataset(&dataset);
-    let constraints = ConstraintSet::weak_ranking(DIM, DIM - 1);
+    let ratio = ratio();
 
-    // Warm the version-independent vertex enumeration on version 0, so the
-    // concurrent phase has exactly one coalescible artifact left to build
-    // (the score matrix of the *new* version).
+    // Build the DUAL index on version 0. A DUAL query needs nothing else,
+    // and the index is never carried forward to a new version, so the
+    // concurrent phase on the next version has exactly one coalescible
+    // artifact left to build: that version's index.
     let _ = service
         .pin()
-        .query(&constraints)
-        .algorithm(QueryAlgorithm::KdttPlus)
+        .ratio_query(&ratio)
+        .algorithm(QueryAlgorithm::Dual)
         .run();
 
-    // Publish a fresh version; its score-matrix cache starts empty (the
-    // writer never queried, so no delta-patched matrix rode along).
+    // Publish a fresh version.
     let handle = writer.store().handle_of_row(0);
     let coords: Vec<f64> = writer.store().coords_of(0).to_vec();
     let prob = writer.store().prob(0);
@@ -438,8 +441,8 @@ fn identical_constraint_queries_coalesce_into_one_build() {
         let run = || {
             barrier.wait();
             bits_of(
-                pin.query(&constraints)
-                    .algorithm(QueryAlgorithm::KdttPlus)
+                pin.ratio_query(&ratio)
+                    .algorithm(QueryAlgorithm::Dual)
                     .run()
                     .result()
                     .probs(),
@@ -456,7 +459,7 @@ fn identical_constraint_queries_coalesce_into_one_build() {
     assert_eq!(
         after.shared_builds - before.shared_builds,
         1,
-        "two identical queries perform exactly one score-matrix build"
+        "two identical queries perform exactly one DUAL-index build"
     );
     assert_eq!(
         after.coalesced_builds - before.coalesced_builds,
@@ -471,8 +474,8 @@ fn identical_constraint_queries_coalesce_into_one_build() {
     // And the artifact is shared: the result is the cold rebuild's, bitwise.
     let cold = ArspEngine::new(writer.snapshot_dataset());
     let reference = cold
-        .query(&constraints)
-        .algorithm(QueryAlgorithm::KdttPlus)
+        .ratio_query(&ratio)
+        .algorithm(QueryAlgorithm::Dual)
         .run();
     assert_eq!(bits_a, bits_of(reference.result().probs()));
 }
@@ -519,4 +522,90 @@ fn distinct_constraint_queries_never_coalesce() {
     );
     // Two fdom builds + two score-matrix builds, one per constraint set.
     assert_eq!(stats.shared_builds, 4);
+}
+
+/// Builds what one pinned KDTT+ query and one pinned LOOP query need at the
+/// published version and returns both results' bits.
+fn kdtt_and_loop_bits(service: &ArspService, constraints: &ConstraintSet) -> Vec<Vec<u64>> {
+    let pin = service.pin();
+    [QueryAlgorithm::KdttPlus, QueryAlgorithm::Loop]
+        .into_iter()
+        .map(|algorithm| {
+            let outcome = pin.query(constraints).algorithm(algorithm).run();
+            bits_of(outcome.result().probs())
+        })
+        .collect()
+}
+
+/// The KDTT+ and LOOP results a cold engine computes on `dataset`.
+fn cold_kdtt_and_loop_bits(
+    dataset: UncertainDataset,
+    constraints: &ConstraintSet,
+) -> Vec<Vec<u64>> {
+    let cold = ArspEngine::new(dataset);
+    [QueryAlgorithm::KdttPlus, QueryAlgorithm::Loop]
+        .into_iter()
+        .map(|algorithm| {
+            let outcome = cold.query(constraints).algorithm(algorithm).run();
+            bits_of(outcome.result().probs())
+        })
+        .collect()
+}
+
+/// A score matrix and a LOOP order that a *reader* built at version v are
+/// patched into the snapshot the writer publishes next — across a plain
+/// mutation and across a compaction — so the same pinned queries at the
+/// new version build nothing, and still answer exactly as a cold rebuild.
+#[test]
+fn reader_built_artifacts_carry_forward_across_publish() {
+    let dataset = SyntheticConfig {
+        num_objects: 12,
+        max_instances: 3,
+        dim: DIM,
+        region_length: 0.4,
+        phi: 0.5,
+        seed: 77,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let (service, mut writer) = ArspService::from_dataset(&dataset);
+    writer.engine_mut().set_delta_policy(DeltaPolicy::manual());
+    let constraints = ConstraintSet::weak_ranking(DIM, DIM - 1);
+
+    // A reader builds the vertex enumeration, the score matrix and the
+    // order at version 0; the writer never queries.
+    let _ = kdtt_and_loop_bits(&service, &constraints);
+    assert!(service.serving_stats().shared_builds >= 3);
+
+    let revise = |writer: &mut ServiceWriter, coords: &[f64]| {
+        let row = writer.store().canonical_rows().next().expect("non-empty");
+        let handle = writer.store().handle_of_row(row);
+        let prob = writer.store().prob(row);
+        writer.update_instance(handle, coords, prob);
+    };
+
+    // A plain mutation, then a mutation followed by a compaction.
+    for compact in [false, true] {
+        revise(&mut writer, &[0.15, 0.6, 0.3]);
+        let _ = writer.insert_object(None, vec![(vec![0.4, 0.2, 0.7], 0.5)]);
+        if compact {
+            writer.merge_now();
+            assert_eq!(writer.store().pending_rows(), 0, "the store compacted");
+        }
+        let version = writer.publish();
+
+        let before = service.serving_stats();
+        let got = kdtt_and_loop_bits(&service, &constraints);
+        let after = service.serving_stats();
+        assert_eq!(
+            after.shared_builds, before.shared_builds,
+            "version {version} rebuilt an artifact the reader built at the previous version"
+        );
+        assert!(after.cache_hits > before.cache_hits);
+        assert_eq!(
+            got,
+            cold_kdtt_and_loop_bits(writer.snapshot_dataset(), &constraints),
+            "the carried-forward artifacts diverged from a cold rebuild at version {version}"
+        );
+    }
 }

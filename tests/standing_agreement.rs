@@ -123,6 +123,10 @@ fn expected_map(store: &VersionedStore, probs: &[f64]) -> BTreeMap<InstanceHandl
     handles.into_iter().zip(probs.iter().copied()).collect()
 }
 
+fn bits(probs: &[f64]) -> Vec<u64> {
+    probs.iter().map(|p| p.to_bits()).collect()
+}
+
 fn assert_bitwise_eq(
     got: &BTreeMap<InstanceHandle, f64>,
     want: &BTreeMap<InstanceHandle, f64>,
@@ -567,6 +571,87 @@ fn subscribers_observe_only_published_state_and_drop_unsubscribes() {
     assert!(!batch.changes.is_empty());
     // Only the surviving subscription was notified of the publish.
     assert_eq!(service.serving_stats().notifications_delivered, 3);
+}
+
+/// The writer's DUAL subscription and a reader's DUAL query on the same
+/// published version share one DUAL-index build: the refresh at publish
+/// builds it in the published snapshot and the reader's query hits it. The
+/// other way round too: a subscription whose first refresh comes after a
+/// reader's query builds nothing. Both answer exactly as a cold engine.
+#[test]
+fn writer_dual_refresh_and_reader_dual_query_share_one_index_build() {
+    let store = VersionedStore::from_dataset(&paper_running_example());
+    let (service, mut writer) = ArspService::from_store(store);
+    let ratio = WeightRatio::uniform(2, 0.5, 2.0);
+    let sub = service.subscribe(StandingSpec::ratio(&ratio).algorithm(QueryAlgorithm::Dual));
+    writer.sync_subscriptions();
+
+    writer.insert_object(None, vec![(vec![4.0, 4.0], 0.5)]);
+    let before = service.serving_stats();
+    writer.publish();
+    let refreshed = service.serving_stats();
+    let reader = service
+        .pin()
+        .ratio_query(&ratio)
+        .algorithm(QueryAlgorithm::Dual)
+        .run();
+    let after = service.serving_stats();
+    assert_eq!(
+        refreshed.shared_builds - before.shared_builds,
+        1,
+        "the writer's refresh builds the new version's DUAL index"
+    );
+    assert_eq!(
+        after.shared_builds, refreshed.shared_builds,
+        "the reader's DUAL query must reuse the refresh's index"
+    );
+    let cold = ArspEngine::new(writer.snapshot_dataset());
+    let reference = cold
+        .ratio_query(&ratio)
+        .algorithm(QueryAlgorithm::Dual)
+        .run();
+    assert_eq!(
+        bits(reader.result().probs()),
+        bits(reference.result().probs())
+    );
+    let mut replay = Replay::default();
+    for batch in sub.drain() {
+        replay.apply(&batch, "dual feed");
+    }
+    assert_eq!(replay.batches_seen, 2);
+    assert_bitwise_eq(
+        &replay.maintained,
+        &expected_map(writer.store(), reference.result().probs()),
+        "dual feed at the published version",
+    );
+
+    // Reader first: a new subscription's initial refresh reuses the index
+    // the reader's query built at the next version.
+    writer.insert_object(None, vec![(vec![4.5, 3.5], 0.25)]);
+    writer.publish();
+    let late = service.subscribe(StandingSpec::ratio(&ratio).algorithm(QueryAlgorithm::Dual));
+    let reader = service
+        .pin()
+        .ratio_query(&ratio)
+        .algorithm(QueryAlgorithm::Dual)
+        .run();
+    let before = writer.engine().cache_stats();
+    writer.sync_subscriptions();
+    assert_eq!(late.drain().len(), 1);
+    assert_eq!(
+        writer.engine().cache_stats().misses,
+        before.misses,
+        "the late subscription's refresh must reuse the reader's index"
+    );
+    let cold = ArspEngine::new(writer.snapshot_dataset());
+    let reference = cold
+        .ratio_query(&ratio)
+        .algorithm(QueryAlgorithm::Dual)
+        .run();
+    assert_eq!(
+        bits(reader.result().probs()),
+        bits(reference.result().probs())
+    );
 }
 
 // ---------------------------------------------------------------------------

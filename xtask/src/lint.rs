@@ -47,7 +47,10 @@
 //!    `arsp_bnb_engine(`, `arsp_dual_flat_engine(`) may appear only under
 //!    `algorithms/` and in the one query pipeline (plus `auto_select`'s
 //!    definition in the engine module), so a query front cannot grow its
-//!    own copy of the pipeline.
+//!    own copy of the pipeline. So may the per-snapshot artifact builders
+//!    (`build_instance_rtree(`, `build_dual_index(`,
+//!    `instance_order_from_scores(`), so no front can grow a second
+//!    artifact store beside the serving snapshot's.
 //!
 //! The scanner strips comments and string/char literals first, so banned
 //! tokens in docs or messages never trigger, and the fixture snippets in
@@ -132,7 +135,7 @@ const CLUSTER_FILE: &str = "crates/core/src/cluster.rs";
 const KERNEL_OWNER_SCOPE: &str = "crates/core/src";
 
 /// Rule 8: the algorithms directory and the query pipeline, the only places
-/// that may dispatch to a flat kernel.
+/// that may dispatch to a flat kernel or build a kernel's artifact.
 const DISPATCH_OWNERS: &[&str] = &["crates/core/src/algorithms/", "crates/core/src/pipeline.rs"];
 
 /// Rule 8 table: a kernel's inner call or a dispatch entry point → the
@@ -152,6 +155,9 @@ const KERNEL_OWNERS: &[(&str, &[&str])] = &[
     ("arsp_kdtt_flat_engine(", DISPATCH_OWNERS),
     ("arsp_bnb_engine(", DISPATCH_OWNERS),
     ("arsp_dual_flat_engine(", DISPATCH_OWNERS),
+    ("build_instance_rtree(", DISPATCH_OWNERS),
+    ("build_dual_index(", DISPATCH_OWNERS),
+    ("instance_order_from_scores(", DISPATCH_OWNERS),
 ];
 
 /// One row of rule 5: every `pub fn` under `scope` whose name contains
@@ -1324,6 +1330,7 @@ mod tests {
             "crates/core/src/dynamic.rs",
             "crates/core/src/service.rs",
             "crates/core/src/engine.rs",
+            "crates/core/src/cluster.rs",
         ] {
             if Some(front) == extra_owner {
                 continue;
@@ -1371,6 +1378,21 @@ mod tests {
     #[test]
     fn kernel_ownership_keeps_the_dual_entry_in_the_pipeline() {
         assert_dispatch_row("arsp_dual_flat_engine(", None);
+    }
+
+    #[test]
+    fn kernel_ownership_keeps_the_rtree_build_in_the_pipeline() {
+        assert_dispatch_row("build_instance_rtree(", None);
+    }
+
+    #[test]
+    fn kernel_ownership_keeps_the_dual_index_build_in_the_pipeline() {
+        assert_dispatch_row("build_dual_index(", None);
+    }
+
+    #[test]
+    fn kernel_ownership_keeps_the_order_build_in_the_pipeline() {
+        assert_dispatch_row("instance_order_from_scores(", None);
     }
 
     #[test]
