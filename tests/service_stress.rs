@@ -14,7 +14,7 @@
 //! The file also carries the deterministic batch-coalescing tests: with the
 //! rendezvous knob set, two readers asking for the same missing DUAL index
 //! provably share one build, and distinct constraint sets provably never
-//! coalesce. Last come the carry-forward tests: a score matrix and a LOOP
+//! coalesce. Last comes the carry-forward test: a score matrix and a LOOP
 //! order a reader built at one version are patched into the next published
 //! version, so the same query there builds nothing.
 
