@@ -8,7 +8,7 @@
 //! budget where the state space demands it — so the assertions hold over
 //! *all* explored schedules, not the ones the OS happened to produce.
 //!
-//! Seven protocols are proven, plus the counter satellites:
+//! Seven protocols are proven, plus two counter checks:
 //!
 //! 1. **pin/publish/retire** — a superseded snapshot is never retired while
 //!    pinned and never leaked once unpinned (2 readers × 1 writer on the
