@@ -254,9 +254,11 @@ pub struct CacheStats {
     /// [`ArspEngine::run_batch`]).
     pub coalesced_builds: u64,
     /// Superseded snapshots whose cached artifacts were reclaimed after
-    /// their last epoch pin dropped. Always 0 outside the serving layer.
+    /// their last pin dropped (or that had no pins at publish time). Always
+    /// 0 outside the serving layer.
     pub snapshots_retired: u64,
-    /// Epoch pins currently outstanding across all snapshot versions.
+    /// Snapshot pins (and pin clones) currently outstanding across all
+    /// versions.
     /// Always 0 outside the serving layer.
     pub active_pins: u64,
     /// Standing-query change-set notifications enqueued

@@ -15,8 +15,8 @@
 //!   execution in `catch_unwind` and translate the sentinel into a typed
 //!   [`QueryError::DeadlineExceeded`], and any *other* panic into
 //!   [`QueryError::Panicked`] — containment, not propagation. RAII guards
-//!   (scratch leases, epoch [`PinGuard`](arsp_data::PinGuard)s, coalescing
-//!   claims) release on the way out, so a cancelled or panicked query leaves
+//!   (scratch leases, coalescing claims) release on the way out, and a
+//!   snapshot pin is a plain `Arc`, so a cancelled or panicked query leaves
 //!   every cache and pool reusable.
 //! * [`RetryPolicy`] gives callers a deterministic, jittered exponential
 //!   backoff for the retryable errors ([`QueryError::is_retryable`]):

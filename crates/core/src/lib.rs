@@ -53,7 +53,7 @@
 //!   ([`ArspAlgorithm::run_parallel`], [`arsp_kdtt_plus_parallel`], …),
 //! * the all-skyline-probabilities special case [`skyline_probabilities`],
 //! * the dynamic-dataset engine ([`dynamic`]) and the concurrent MVCC
-//!   serving layer on top of it ([`service`]): epoch-pinned snapshot
+//!   serving layer on top of it ([`service`]): `Arc`-pinned snapshot
 //!   isolation for any number of reader threads beside one writer,
 //! * one query pipeline ([`pipeline`]) behind the static, dynamic and
 //!   serving fronts: Auto selection, artifact fetches and the kernel call

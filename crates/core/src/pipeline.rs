@@ -314,8 +314,8 @@ pub(crate) fn execute(
 /// of it into a typed [`QueryError`]. AssertUnwindSafe holds because shared
 /// query state is only touched through unwind-safe structures — coalescing
 /// caches publish complete artifacts or nothing (and un-claim on unwind),
-/// scratch travels in RAII leases, epoch pins in RAII guards — so observing
-/// it after a caught unwind cannot see a broken invariant.
+/// scratch travels in RAII leases, snapshot pins are plain `Arc`s — so
+/// observing it after a caught unwind cannot see a broken invariant.
 pub(crate) fn contain<T>(
     deadline: Option<Duration>,
     budget: Option<&QueryBudget>,

@@ -28,15 +28,18 @@
 //! keeps only what is the service's own — admission control, the query
 //! counter and the pinned version on the outcome.
 //!
-//! ## Epoch-based reclamation
+//! ## Reference-counted reclamation
 //!
-//! Every pin registers with an [`EpochPinRegistry`]. When a publish
-//! supersedes a snapshot that still has pins, the snapshot moves to a
-//! graveyard instead of being dropped; the **last** pin's release retires it
-//! (drops its cached arenas). Registration and release happen under the same
-//! lock as the publish swap, so a pin can never race a retirement: only the
-//! current snapshot can gain new pins, and a snapshot with pins is never
-//! dropped. A leaked pin (one that is never dropped) keeps its snapshot alive
+//! A pin is a plain `Arc` clone, and the `Arc` is what keeps a snapshot
+//! alive. The service state and the pins are the only holders of one
+//! version's `Arc`, so its strong count is the pin count, plus one while
+//! the version is current. Pinning clones the current `Arc` under the same
+//! lock as the publish swap, so only the current version can gain new pins
+//! (cloning a pin needs a live pin, so a version whose count reached zero
+//! never comes back). When a publish supersedes a version that still has
+//! pins, it keeps only a `Weak` to it for the statistics; the **last** pin's
+//! drop reclaims the snapshot's cached arenas, and dropping a pin takes no
+//! lock. A leaked pin (one that is never dropped) keeps its snapshot alive
 //! forever — conservative by construction, no unsafe code anywhere.
 //!
 //! ## Batch coalescing
@@ -57,7 +60,7 @@
 //! Queries on a pin carry the same deadline/budget plumbing as the static
 //! engine ([`ServiceQuery::deadline`], [`ServiceQuery::try_run`]): expiry
 //! surfaces as a typed [`crate::fault::QueryError`], and — because scratch
-//! travels in RAII leases, epoch pins in RAII [`arsp_data::PinGuard`]s, and
+//! travels in RAII leases, a pin is an `Arc` that unwinding drops, and
 //! coalescing caches publish complete artifacts or nothing — the service
 //! stays fully usable afterwards; the next identical query is bitwise equal
 //! to a cold rebuild. [`ArspService::set_admission_limit`] bounds
@@ -90,10 +93,9 @@
 //! assert_eq!(service.pin().version(), 1);
 //! let v0 = pin.query(&constraints).run();
 //! assert_eq!(v0.version(), 0);
-//! drop(pin); // releases the epoch pin; version 0's caches may now retire
+//! drop(pin); // the last pin on version 0: its caches are reclaimed here
 //! ```
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use crate::dynamic::DynamicArspEngine;
@@ -105,10 +107,8 @@ use crate::pipeline::{
 use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
 use crate::stats::{PeakGauge, PeakGaugeGuard};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{lock, Arc, Mutex};
-use arsp_data::{
-    EpochPinRegistry, FlatStore, InstanceHandle, PinGuard, UncertainDataset, VersionedStore,
-};
+use crate::sync::{lock, Arc, Mutex, Weak};
+use arsp_data::{FlatStore, InstanceHandle, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 
 /// Monotone service counters.
@@ -120,21 +120,44 @@ struct ServiceCounters {
     shed: AtomicU64,
 }
 
-/// The swap point: the current snapshot plus the superseded-but-still-pinned
-/// ones. Pin registration/release and the publish swap all run under this
-/// one mutex, which is what makes "a pinned snapshot is never retired" a
-/// lock-ordering fact rather than a best-effort race.
+/// One published version as the service hands it out: a wrapper around the
+/// engine's snapshot `Arc` that only [`ServiceState::current`] and the
+/// [`SnapshotPin`]s hold, so its strong count is the pin count, plus one
+/// while it is current.
+struct Published(Arc<ServingSnapshot>);
+
+/// The swap point. Pinning and the publish swap run under this one mutex,
+/// so only the current version can gain new pins.
 struct ServiceState {
-    current: Arc<ServingSnapshot>,
-    /// Superseded snapshots that still have pins, by version. An entry drops
-    /// (retires) when its last pin releases.
-    graveyard: HashMap<u64, Arc<ServingSnapshot>>,
+    current: Arc<Published>,
+    /// Superseded versions that had pins when they were swapped out. An
+    /// entry is dead once its last pin dropped; [`ServiceState::prune`]
+    /// counts it as retired.
+    superseded: Vec<Weak<Published>>,
+}
+
+impl ServiceState {
+    /// Removes the superseded entries whose last pin has dropped, counting
+    /// each as retired, and returns `(active_pins, pinned_snapshots)`.
+    fn prune(&mut self, retired: &AtomicU64) -> (u64, u64) {
+        let current = Arc::strong_count(&self.current) as u64 - 1;
+        let (mut active, mut pinned) = (current, u64::from(current > 0));
+        self.superseded.retain(|weak| {
+            let pins = weak.strong_count() as u64;
+            if pins == 0 {
+                retired.fetch_add(1, Ordering::Relaxed);
+            }
+            active += pins;
+            pinned += u64::from(pins > 0);
+            pins > 0
+        });
+        (active, pinned)
+    }
 }
 
 /// Everything readers and writer share.
 struct ServiceShared {
     state: Mutex<ServiceState>,
-    pins: Arc<EpochPinRegistry>,
     /// Admission cap on concurrently executing queries; `0` = unlimited.
     admission_limit: AtomicU64,
     /// The writer engine's vertex enumerations (shared across *all*
@@ -173,13 +196,11 @@ impl ArspService {
     /// artifact its queries built, is published as the first version.
     pub fn from_engine(engine: DynamicArspEngine) -> (Self, ServiceWriter) {
         let artifacts = Arc::clone(engine.artifacts());
-        let current = engine.snapshot();
         let shared = Arc::new(ServiceShared {
             state: Mutex::new(ServiceState {
-                current,
-                graveyard: HashMap::new(),
+                current: Arc::new(Published(engine.snapshot())),
+                superseded: Vec::new(),
             }),
-            pins: Arc::new(EpochPinRegistry::new()),
             admission_limit: AtomicU64::new(0),
             artifacts,
             gauge: PeakGauge::new(),
@@ -195,25 +216,20 @@ impl ArspService {
 
     /// Pins the currently published version: the returned [`SnapshotPin`]
     /// keeps answering at that version — its caches cannot be retired —
-    /// until it is dropped. Registration is atomic with the publish swap, so
-    /// a pin always lands on a snapshot that is current at registration
-    /// time.
+    /// until it and all its clones are dropped. The clone of the current
+    /// version's `Arc` is taken under the publish swap's lock, so a pin
+    /// always lands on a snapshot that is current at that moment.
     pub fn pin(&self) -> SnapshotPin {
-        let shared = &self.shared;
-        let state = lock(&shared.state);
-        let snapshot = Arc::clone(&state.current);
-        let guard = shared.pins.register_guarded(snapshot.version);
-        drop(state);
+        let published = Arc::clone(&lock(&self.shared.state).current);
         SnapshotPin {
-            snapshot,
-            shared: Arc::clone(shared),
-            guard,
+            published,
+            shared: Arc::clone(&self.shared),
         }
     }
 
     /// The currently published version.
     pub fn current_version(&self) -> u64 {
-        lock(&self.shared.state).current.version
+        lock(&self.shared.state).current.0.version
     }
 
     /// Registers a standing query against this service. The subscription is
@@ -268,6 +284,7 @@ impl ArspService {
     /// live gauges.
     pub fn serving_stats(&self) -> ServingStats {
         let shared = &self.shared;
+        let (active_pins, pinned_snapshots) = lock(&shared.state).prune(&shared.counters.retired);
         let cache = shared.artifacts.cache_stats();
         ServingStats {
             inflight: shared.gauge.current(),
@@ -279,8 +296,8 @@ impl ArspService {
             cache_hits: cache.hits,
             snapshots_published: shared.counters.published.load(Ordering::Relaxed),
             snapshots_retired: shared.counters.retired.load(Ordering::Relaxed),
-            active_pins: shared.pins.active_pins(),
-            pinned_snapshots: shared.pins.pinned_versions().len() as u64,
+            active_pins,
+            pinned_snapshots,
             notifications_delivered: shared.standing.counters().notifications_delivered(),
             dirty_instances_scanned: 0,
             standing_full_fallbacks: 0,
@@ -297,10 +314,11 @@ impl ArspService {
     /// invalidations and merges.
     pub fn cache_stats(&self) -> CacheStats {
         let shared = &self.shared;
+        let (active_pins, _) = lock(&shared.state).prune(&shared.counters.retired);
         CacheStats {
             inflight: shared.gauge.current(),
             snapshots_retired: shared.counters.retired.load(Ordering::Relaxed),
-            active_pins: shared.pins.active_pins(),
+            active_pins,
             notifications_delivered: shared.standing.counters().notifications_delivered(),
             ..shared.artifacts.cache_stats()
         }
@@ -335,7 +353,7 @@ pub struct ServingStats {
     /// Superseded snapshots reclaimed after their last pin dropped (or that
     /// had no pins at publish time).
     pub snapshots_retired: u64,
-    /// Epoch pins currently outstanding.
+    /// Pins (and pin clones) currently outstanding.
     pub active_pins: u64,
     /// Distinct versions currently pinned.
     pub pinned_snapshots: u64,
@@ -364,28 +382,31 @@ impl ServiceWriter {
     /// Publishes the engine's current version: advances the engine's
     /// snapshot to it (the patch pass every first query at a new version
     /// runs) and atomically swaps that snapshot in.
-    /// The superseded snapshot retires immediately when unpinned, or moves
-    /// to the graveyard until its last pin drops. A no-op (returning the
+    /// The superseded snapshot retires immediately when unpinned; otherwise
+    /// its pins keep it alive and the last one's drop reclaims it, while the
+    /// service keeps only a `Weak` to count it. A no-op (returning the
     /// already-published version) when nothing changed since the last
     /// publish. Returns the published version.
     pub fn publish(&mut self) -> u64 {
         let shared = &self.shared;
         {
             let state = lock(&shared.state);
-            if state.current.version == self.engine.version() {
+            let published = state.current.0.version;
+            if published == self.engine.version() {
                 // Nothing new to publish — but pending subscriptions still
                 // get their initial batch at the already-published version.
                 self.engine.refresh_standing();
-                return state.current.version;
+                return published;
             }
         }
         let snapshot = self.engine.snapshot();
         let version = snapshot.version;
         let mut state = lock(&shared.state);
-        let old = std::mem::replace(&mut state.current, snapshot);
+        let old = std::mem::replace(&mut state.current, Arc::new(Published(snapshot)));
         shared.counters.published.fetch_add(1, Ordering::Relaxed);
-        if shared.pins.pin_count(old.version) > 0 {
-            state.graveyard.insert(old.version, old);
+        state.prune(&shared.counters.retired);
+        if Arc::strong_count(&old) > 1 {
+            state.superseded.push(Arc::downgrade(&old));
         } else {
             // Unpinned at the swap: retire (drop the caches) right away. New
             // pins can no longer land on it — pinning is under this lock.
@@ -408,7 +429,7 @@ impl ServiceWriter {
     /// engine is exactly at the published version; otherwise the next
     /// [`publish`](Self::publish) delivers.
     pub fn sync_subscriptions(&mut self) {
-        let published = lock(&self.shared.state).current.version;
+        let published = lock(&self.shared.state).current.0.version;
         if published == self.engine.version() {
             self.engine.refresh_standing();
         }
@@ -489,36 +510,39 @@ impl ServiceWriter {
 }
 
 /// A pinned, immutable view of one published version. Queries run lock-free
-/// against the snapshot's `Arc`'d artifacts; the pin's existence keeps those
-/// artifacts alive (epoch-based reclamation). Clone to add pins; drop to
-/// release — the last release of a superseded version retires it.
+/// against the snapshot's `Arc`'d artifacts; the pin is an `Arc` clone of
+/// the published version, so its existence keeps those artifacts alive.
+/// Clone to add pins; drop to release (no lock is taken) — the last drop on
+/// a superseded version reclaims it, mid-unwind included.
+#[derive(Clone)]
 pub struct SnapshotPin {
-    snapshot: Arc<ServingSnapshot>,
+    published: Arc<Published>,
     shared: Arc<ServiceShared>,
-    /// RAII epoch pin: releases exactly once even if a query on this pin
-    /// panics and the pin is dropped mid-unwind.
-    guard: PinGuard,
 }
 
 impl SnapshotPin {
+    fn snapshot(&self) -> &Arc<ServingSnapshot> {
+        &self.published.0
+    }
+
     /// The pinned version.
     pub fn version(&self) -> u64 {
-        self.snapshot.version
+        self.snapshot().version
     }
 
     /// Number of live instances in the pinned snapshot.
     pub fn num_instances(&self) -> usize {
-        self.snapshot.flat.num_instances()
+        self.snapshot().flat.num_instances()
     }
 
     /// Number of objects in the pinned snapshot.
     pub fn num_objects(&self) -> usize {
-        self.snapshot.flat.num_objects()
+        self.snapshot().flat.num_objects()
     }
 
     /// The pinned columnar snapshot.
     pub fn flat(&self) -> &FlatStore {
-        &self.snapshot.flat
+        &self.snapshot().flat
     }
 
     /// Starts a query under general linear constraints against the pinned
@@ -530,35 +554,6 @@ impl SnapshotPin {
     /// Starts a query under weight-ratio constraints (§IV); unlocks DUAL.
     pub fn ratio_query<'p, 'q>(&'p self, ratio: &'q WeightRatio) -> ServiceQuery<'p, 'q> {
         ServiceQuery::new(self, QueryConstraints::Ratio(ratio))
-    }
-}
-
-impl Clone for SnapshotPin {
-    /// Another pin on the same version (registered with the reclamation
-    /// accounting, like a fresh [`ArspService::pin`] would be).
-    fn clone(&self) -> Self {
-        let _state = lock(&self.shared.state);
-        let guard = self.shared.pins.register_guarded(self.snapshot.version);
-        Self {
-            snapshot: Arc::clone(&self.snapshot),
-            shared: Arc::clone(&self.shared),
-            guard,
-        }
-    }
-}
-
-impl Drop for SnapshotPin {
-    fn drop(&mut self) {
-        let shared = &self.shared;
-        let mut state = lock(&shared.state);
-        // Release explicitly under the state lock so the registry count and
-        // the graveyard decision are atomic with any concurrent publish; the
-        // guard's own Drop then no-ops (release is idempotent).
-        let remaining = self.guard.release();
-        if remaining == 0 && state.graveyard.remove(&self.snapshot.version).is_some() {
-            // Last pin on a superseded version: its caches drop here.
-            shared.counters.retired.fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -668,7 +663,7 @@ impl<'p, 'q> ServiceQuery<'p, 'q> {
     /// reader's cache build as [`QueryError::BuildTimeout`], and any other
     /// panic inside the query as [`QueryError::Panicked`]. In every error
     /// case the pin and the service remain fully usable: scratch returns
-    /// through RAII leases, epoch pins release through RAII guards,
+    /// through RAII leases, the pin is an `Arc` the caller still holds,
     /// coalescing caches publish complete artifacts or nothing, and
     /// re-running the identical query yields results bitwise equal to a
     /// cold engine.
@@ -684,9 +679,9 @@ impl<'p, 'q> ServiceQuery<'p, 'q> {
         let pin = self.pin;
         let shared = &pin.shared;
         shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let source = shared.artifacts.source(&pin.snapshot, budget);
+        let source = shared.artifacts.source(pin.snapshot(), budget);
         execute(&source, &self.spec, budget).with_view(ServiceView {
-            version: pin.snapshot.version,
+            version: pin.snapshot().version,
         })
     }
 }
@@ -805,6 +800,37 @@ mod tests {
         assert_eq!(stats.snapshots_retired, 1);
         assert_eq!(stats.active_pins, 0);
         assert_eq!(stats.pinned_snapshots, 0);
+    }
+
+    #[test]
+    fn a_superseded_snapshot_lives_exactly_as_long_as_its_pins() {
+        let (service, mut writer) = ArspService::from_dataset(&paper_running_example());
+        let pin = service.pin();
+        let snapshot = Arc::downgrade(pin.snapshot());
+        let clone = pin.clone();
+        let elsewhere = pin.clone();
+        mutate_once(&mut writer);
+        writer.publish();
+
+        // (alive, active_pins, snapshots_retired) at each step.
+        let observe = || {
+            let stats = service.serving_stats();
+            (
+                snapshot.strong_count() > 0,
+                stats.active_pins,
+                stats.snapshots_retired,
+            )
+        };
+        assert_eq!(observe(), (true, 3, 0));
+        drop(pin);
+        assert_eq!(observe(), (true, 2, 0));
+        std::thread::spawn(move || drop(elsewhere))
+            .join()
+            .expect("the dropping thread panicked");
+        assert_eq!(observe(), (true, 1, 0));
+        drop(clone);
+        assert_eq!(observe(), (false, 0, 1));
+        assert_eq!(service.serving_stats().pinned_snapshots, 0);
     }
 
     #[test]

@@ -16,12 +16,12 @@
 #[cfg(not(arsp_model_check))]
 pub use std::sync::atomic;
 #[cfg(not(arsp_model_check))]
-pub use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 
 #[cfg(arsp_model_check)]
 pub use interleave::sync::atomic;
 #[cfg(arsp_model_check)]
-pub use interleave::sync::{Arc, Condvar, Mutex, MutexGuard};
+pub use interleave::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 
 /// Locks a mutex, riding through poisoning: a panicking holder poisons the
 /// `std` mutex, but every structure in this crate guarded by one stays

@@ -9,9 +9,7 @@
 //! * [`versioned`] — the mutable [`VersionedStore`]: delta rows appended to
 //!   the columnar tail, deletions as a tombstone bitmap, a monotonically
 //!   increasing version, stable instance handles and logarithmic-method
-//!   compaction — the substrate of the dynamic engine. Also home of the
-//!   [`EpochPinRegistry`] and [`SnapshotCache`] the concurrent serving layer
-//!   builds its epoch-based snapshot reclamation on.
+//!   compaction — the substrate of the dynamic engine.
 //! * [`possible_world`] — possible-world enumeration (equation 1), used by
 //!   the ENUM baseline and as the ground-truth oracle in tests.
 //! * [`synthetic`] — the synthetic generator of §V-A: IND / ANTI / CORR
@@ -40,7 +38,6 @@ pub mod flat;
 pub mod persist;
 pub mod possible_world;
 pub mod real;
-pub mod sync;
 pub mod synthetic;
 pub mod versioned;
 
@@ -53,6 +50,5 @@ pub use persist::{DurableStore, MutationOp, RecoveryReport};
 pub use possible_world::{enumerate_possible_worlds, PossibleWorld};
 pub use synthetic::{Distribution, SyntheticConfig};
 pub use versioned::{
-    partition_dataset, shard_of_object, shard_ranges, EpochPinRegistry, InstanceHandle, PinGuard,
-    SnapshotCache, VersionedStore,
+    partition_dataset, shard_of_object, shard_ranges, InstanceHandle, VersionedStore,
 };

@@ -39,11 +39,6 @@
 //! [`InstanceHandle`] survives merges *and* overwrites (an overwrite
 //! re-points the handle at the replacement row).
 
-use std::collections::HashMap;
-
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{lock, Arc, Mutex, MutexGuard};
-
 use crate::dataset::UncertainDataset;
 use crate::flat::FlatStore;
 
@@ -865,207 +860,6 @@ impl StateCursor<'_> {
     }
 }
 
-/// A thread-safe registry of *epoch pins*: readers that are holding on to the
-/// logical content of one store version. The registry is pure accounting — it
-/// never blocks a writer — but it is the ground truth an MVCC serving layer
-/// (see `arsp_core::service`) consults before reclaiming the cached artifacts
-/// of a superseded version: a snapshot may be dropped only once
-/// [`EpochPinRegistry::pin_count`] for its version reaches zero.
-///
-/// Registration and release are symmetric; a pin that is registered and never
-/// released (a leaked reader) keeps its version pinned forever, which is
-/// exactly the conservative behaviour reclamation wants.
-#[derive(Debug, Default)]
-pub struct EpochPinRegistry {
-    /// version → number of outstanding pins (entries are removed at zero, so
-    /// the map size is the number of distinct pinned versions).
-    pins: Mutex<HashMap<u64, u64>>,
-    /// Total pins ever registered (monotone).
-    registered: AtomicU64,
-    /// Total pins released (monotone; `registered - released` = active pins).
-    released: AtomicU64,
-}
-
-impl EpochPinRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn map(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
-        lock(&self.pins)
-    }
-
-    /// Registers one pin on `version`; returns the version's new pin count.
-    pub fn register(&self, version: u64) -> u64 {
-        self.registered.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map();
-        let count = map.entry(version).or_insert(0);
-        *count += 1;
-        *count
-    }
-
-    /// Releases one pin on `version`; returns the version's remaining pin
-    /// count (zero means the version is now unpinned and may be reclaimed).
-    ///
-    /// # Panics
-    /// Panics if the version has no outstanding pin — a release without a
-    /// matching register is an accounting bug worth failing fast on.
-    pub fn release(&self, version: u64) -> u64 {
-        let mut map = self.map();
-        let count = map
-            .get_mut(&version)
-            .unwrap_or_else(|| panic!("version {version} has no outstanding pin"));
-        *count -= 1;
-        let remaining = *count;
-        if remaining == 0 {
-            map.remove(&version);
-        }
-        self.released.fetch_add(1, Ordering::Relaxed);
-        remaining
-    }
-
-    /// Number of outstanding pins on one version.
-    pub fn pin_count(&self, version: u64) -> u64 {
-        self.map().get(&version).copied().unwrap_or(0)
-    }
-
-    /// Total outstanding pins across all versions.
-    pub fn active_pins(&self) -> u64 {
-        self.registered.load(Ordering::Relaxed) - self.released.load(Ordering::Relaxed)
-    }
-
-    /// Total pins ever registered.
-    pub fn total_registered(&self) -> u64 {
-        self.registered.load(Ordering::Relaxed)
-    }
-
-    /// The distinct pinned versions, ascending.
-    pub fn pinned_versions(&self) -> Vec<u64> {
-        let mut versions: Vec<u64> = self.map().keys().copied().collect();
-        versions.sort_unstable();
-        versions
-    }
-
-    /// The oldest pinned version (`None` when nothing is pinned) — the
-    /// horizon below which every snapshot is reclaimable.
-    pub fn min_pinned(&self) -> Option<u64> {
-        self.map().keys().copied().min()
-    }
-
-    /// Registers one pin on `version` and returns an RAII [`PinGuard`] that
-    /// releases it on drop — **including during an unwind**, so a reader that
-    /// panics mid-query can never pin a version forever. Callers that need
-    /// the release ordered against other state (e.g. under a lock) call
-    /// [`PinGuard::release`] explicitly; the drop is then a no-op.
-    pub fn register_guarded(self: &Arc<Self>, version: u64) -> PinGuard {
-        self.register(version);
-        PinGuard {
-            registry: Arc::clone(self),
-            version,
-            released: false,
-        }
-    }
-}
-
-/// An RAII epoch pin (see [`EpochPinRegistry::register_guarded`]): exactly
-/// one release per registration, on explicit [`release`](PinGuard::release)
-/// or on drop, whichever comes first — panics included.
-#[derive(Debug)]
-pub struct PinGuard {
-    registry: Arc<EpochPinRegistry>,
-    version: u64,
-    released: bool,
-}
-
-impl PinGuard {
-    /// The version this guard pins.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Releases the pin now and returns the version's remaining pin count.
-    /// Idempotent: a second call (or the eventual drop) does nothing and
-    /// reports the current count.
-    pub fn release(&mut self) -> u64 {
-        if self.released {
-            return self.registry.pin_count(self.version);
-        }
-        self.released = true;
-        self.registry.release(self.version)
-    }
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        if !self.released {
-            self.released = true;
-            self.registry.release(self.version);
-        }
-    }
-}
-
-/// A memoised snapshot materialiser: repeated snapshot requests at an
-/// unchanged `(version, epoch)` hand out the *same* `Arc` instead of
-/// re-gathering the columns — the cheap snapshot cloning the serving layer's
-/// publish path and any cold-rebuild verifier lean on. The cache never
-/// returns stale content: any mutation or merge changes the key and forces a
-/// fresh gather.
-#[derive(Debug, Default)]
-pub struct SnapshotCache {
-    flat: Mutex<Option<(u64, u64, Arc<FlatStore>)>>,
-    dataset: Mutex<Option<(u64, u64, Arc<UncertainDataset>)>>,
-}
-
-impl SnapshotCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The store's current [`VersionedStore::snapshot_flat`], shared: bitwise
-    /// the cold gather, one gather per `(version, epoch)`.
-    pub fn flat(&self, store: &VersionedStore) -> Arc<FlatStore> {
-        let key = (store.version(), store.epoch());
-        let mut guard = lock(&self.flat);
-        if let Some((v, e, flat)) = guard.as_ref() {
-            if (*v, *e) == key {
-                return Arc::clone(flat);
-            }
-        }
-        let flat = Arc::new(store.snapshot_flat());
-        *guard = Some((key.0, key.1, Arc::clone(&flat)));
-        flat
-    }
-
-    /// The store's current [`VersionedStore::snapshot_dataset`], shared: one
-    /// materialisation per `(version, epoch)`.
-    pub fn dataset(&self, store: &VersionedStore) -> Arc<UncertainDataset> {
-        let key = (store.version(), store.epoch());
-        let mut guard = lock(&self.dataset);
-        if let Some((v, e, dataset)) = guard.as_ref() {
-            if (*v, *e) == key {
-                return Arc::clone(dataset);
-            }
-        }
-        let dataset = Arc::new(store.snapshot_dataset());
-        *guard = Some((key.0, key.1, Arc::clone(&dataset)));
-        dataset
-    }
-}
-
-impl Clone for SnapshotCache {
-    /// Cloning shares the cached `Arc`s (cheap), not the mutexes: the clone
-    /// starts with the same memoised snapshots and diverges independently.
-    fn clone(&self) -> Self {
-        Self {
-            flat: Mutex::new(lock(&self.flat).clone()),
-            dataset: Mutex::new(lock(&self.dataset).clone()),
-        }
-    }
-}
-
 /// Splits `0..num_objects` into `num_shards` contiguous object-id ranges,
 /// as balanced as possible (the first `num_objects % num_shards` ranges get
 /// one extra object). Ranges tile the id space in order: concatenating the
@@ -1329,99 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn pin_registry_counts_exactly() {
-        let pins = EpochPinRegistry::new();
-        assert_eq!(pins.active_pins(), 0);
-        assert_eq!(pins.min_pinned(), None);
-
-        assert_eq!(pins.register(3), 1);
-        assert_eq!(pins.register(3), 2);
-        assert_eq!(pins.register(7), 1);
-        assert_eq!(pins.pin_count(3), 2);
-        assert_eq!(pins.pin_count(7), 1);
-        assert_eq!(pins.pin_count(99), 0);
-        assert_eq!(pins.active_pins(), 3);
-        assert_eq!(pins.total_registered(), 3);
-        assert_eq!(pins.pinned_versions(), vec![3, 7]);
-        assert_eq!(pins.min_pinned(), Some(3));
-
-        assert_eq!(pins.release(3), 1);
-        assert_eq!(pins.release(3), 0);
-        assert_eq!(pins.pin_count(3), 0);
-        assert_eq!(pins.pinned_versions(), vec![7]);
-        assert_eq!(pins.min_pinned(), Some(7));
-        assert_eq!(pins.release(7), 0);
-        assert_eq!(pins.active_pins(), 0);
-        assert_eq!(pins.total_registered(), 3);
-    }
-
-    #[test]
-    #[should_panic]
-    fn releasing_an_unpinned_version_panics() {
-        let pins = EpochPinRegistry::new();
-        pins.register(1);
-        pins.release(1);
-        pins.release(1);
-    }
-
-    #[test]
-    fn pin_registry_is_shareable_across_threads() {
-        let pins = Arc::new(EpochPinRegistry::new());
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let pins = Arc::clone(&pins);
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        pins.register(t % 2);
-                        pins.release(t % 2);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("pin thread panicked");
-        }
-        assert_eq!(pins.active_pins(), 0);
-        assert_eq!(pins.total_registered(), 400);
-        assert_eq!(pins.pinned_versions(), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn pin_guard_releases_once_on_drop_or_explicitly() {
-        let pins = Arc::new(EpochPinRegistry::new());
-        {
-            let _guard = pins.register_guarded(5);
-            assert_eq!(pins.pin_count(5), 1);
-        }
-        assert_eq!(pins.pin_count(5), 0, "drop released the pin");
-
-        let mut guard = pins.register_guarded(6);
-        assert_eq!(guard.version(), 6);
-        assert_eq!(guard.release(), 0);
-        assert_eq!(guard.release(), 0, "release is idempotent");
-        drop(guard);
-        assert_eq!(pins.active_pins(), 0, "drop after release is a no-op");
-    }
-
-    #[test]
-    fn pin_guard_releases_through_a_panic() {
-        let pins = Arc::new(EpochPinRegistry::new());
-        let passenger = pins.register_guarded(9);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = pins.register_guarded(9);
-            panic!("reader died mid-query");
-        }));
-        assert!(caught.is_err());
-        assert_eq!(
-            pins.pin_count(9),
-            1,
-            "the unwound guard released its pin; the live one remains"
-        );
-        drop(passenger);
-        assert_eq!(pins.active_pins(), 0);
-    }
-
-    #[test]
     fn state_roundtrips_bitwise_through_encode_decode() {
         let mut store = slack_store();
         let h = store.insert_instance(0, &[1.5, 1.5], 0.0001);
@@ -1482,39 +1183,6 @@ mod tests {
             assert!(bad.validate().is_err());
             assert!(VersionedStore::decode_state(&bad.encode_state()).is_err());
         }
-    }
-
-    #[test]
-    fn snapshot_cache_shares_until_the_store_moves() {
-        let mut store = slack_store();
-        let cache = SnapshotCache::new();
-
-        let f1 = cache.flat(&store);
-        let f2 = cache.flat(&store);
-        assert!(Arc::ptr_eq(&f1, &f2), "unchanged version re-gathered");
-        assert_eq!(flat_bits(&f1), flat_bits(&store.snapshot_flat()));
-        let d1 = cache.dataset(&store);
-        assert!(Arc::ptr_eq(&d1, &cache.dataset(&store)));
-
-        // Clones share the memoised snapshot, then diverge independently.
-        let clone = cache.clone();
-        assert!(Arc::ptr_eq(&f1, &clone.flat(&store)));
-
-        // A mutation changes the version: fresh gather, fresh Arc.
-        let h = store.insert_instance(0, &[1.5, 1.5], 0.0001);
-        let f3 = cache.flat(&store);
-        assert!(!Arc::ptr_eq(&f1, &f3));
-        assert_eq!(flat_bits(&f3), flat_bits(&store.snapshot_flat()));
-        assert!(!Arc::ptr_eq(&d1, &cache.dataset(&store)));
-
-        // A merge keeps the version but bumps the epoch: also a fresh gather
-        // (row ids moved), still bitwise the cold snapshot.
-        store.remove_instance(h);
-        let f4 = cache.flat(&store);
-        store.merge();
-        let f5 = cache.flat(&store);
-        assert!(!Arc::ptr_eq(&f4, &f5));
-        assert_eq!(flat_bits(&f5), flat_bits(&store.snapshot_flat()));
     }
 
     #[test]

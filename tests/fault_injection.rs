@@ -348,8 +348,8 @@ fn a_panicking_reader_releases_its_pin_and_the_snapshot_still_retires() {
     writer.publish();
     assert_eq!(service.serving_stats().snapshots_retired, 0);
 
-    // A reader dies mid-work while holding the pin: the RAII guard releases
-    // it during the unwind, and the superseded snapshot retires.
+    // A reader dies mid-work while holding the pin: the unwind drops the
+    // pin's `Arc`, and the superseded snapshot retires.
     let caught = catch_unwind(AssertUnwindSafe(move || {
         let _held = pin;
         panic!("reader thread died");

@@ -1,22 +1,23 @@
 //! Model-checked protocol tests for the MVCC serving layer.
 //!
 //! Compiled only under `--cfg arsp_model_check` (run via `cargo xtask
-//! model-check`), where the `arsp_core::sync` / `arsp_data::sync` façades
-//! resolve to the vendored `interleave` model checker. Every test body runs
-//! under a deterministic cooperative scheduler that explores a different
-//! thread interleaving per run — exhaustively, or bounded by a preemption
-//! budget where the state space demands it — so the assertions hold over
+//! model-check`), where the `arsp_core::sync` façade resolves to the
+//! vendored `interleave` model checker. Every test body runs under a
+//! deterministic cooperative scheduler that explores a different thread
+//! interleaving per run — exhaustively, or bounded by a preemption budget
+//! where the state space demands it — so the assertions hold over
 //! *all* explored schedules, not the ones the OS happened to produce.
 //!
 //! Seven protocols are proven, plus two counter checks:
 //!
-//! 1. **pin/publish/retire** — a superseded snapshot is never retired while
-//!    pinned and never leaked once unpinned (2 readers × 1 writer on the
-//!    real [`ArspService`], plus a distilled graveyard protocol whose
-//!    deliberately-broken variant the checker must catch);
+//! 1. **pin/publish/retire** — every superseded snapshot is retired exactly
+//!    once and no pin outlives its reader (2 readers × 1 writer on the real
+//!    [`ArspService`]; that an `Arc` pin keeps its snapshot alive, with a
+//!    seeded weak-pin variant the checker must catch, is protocol 5's
+//!    restart-vs-pin);
 //! 2. **CoalescingCache claim/join/wait** — identical keys get exactly one
 //!    build, waiters always wake, a builder panic releases waiters;
-//! 3. **publish-vs-pin races** at the registry lock boundary;
+//! 3. **publish-vs-pin races** at the state lock the publish swaps under;
 //! 4. **fault-path cleanup** — a query cancelled mid-race with a publish,
 //!    and a reader that panics while holding a pin, both release the pin in
 //!    every interleaving (the superseded snapshot still retires);
@@ -41,7 +42,6 @@
 
 #![cfg(arsp_model_check)]
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use arsp_core::cluster::{ShardHealth, SupervisorCore, TRANSITION_EDGES};
@@ -53,7 +53,7 @@ use arsp_core::standing::StandingSpec;
 use arsp_core::stats::PeakGauge;
 use arsp_core::sync::atomic::AtomicUsize;
 use arsp_core::sync::{lock, Arc, Condvar, Mutex};
-use arsp_data::{paper_running_example, EpochPinRegistry};
+use arsp_data::paper_running_example;
 use arsp_geometry::constraints::ConstraintSet;
 use interleave::{thread, Builder, FailureKind};
 
@@ -76,8 +76,7 @@ fn mutate_once(writer: &mut ServiceWriter, step: f64) {
 
 /// 2 readers (pin, read, clone, drop) × 1 writer (mutate + publish, twice)
 /// on the real [`ArspService`]: in every interleaving, every superseded
-/// snapshot is retired exactly once, no pin outlives the run, and nothing
-/// is left in the graveyard.
+/// snapshot is retired exactly once and no pin outlives the run.
 #[test]
 fn pin_publish_retire_two_readers_one_writer() {
     let dataset = paper_running_example();
@@ -118,7 +117,7 @@ fn pin_publish_retire_two_readers_one_writer() {
         assert_eq!(stats.pinned_snapshots, 0);
         // Exactly the two superseded snapshots retired: none double-retired
         // (> 2 would mean retiring the current or a pinned one counted
-        // twice), none leaked in the graveyard (< 2).
+        // twice), none left pinned (< 2).
         assert_eq!(stats.snapshots_retired, 2);
     });
     println!(
@@ -129,103 +128,6 @@ fn pin_publish_retire_two_readers_one_writer() {
         report.schedules >= 1_000,
         "expected >= 1000 distinct schedules, explored {}",
         report.schedules
-    );
-}
-
-/// The distilled pin/publish/retire protocol — the exact lock discipline of
-/// `service.rs` (register/release and the publish swap under one mutex,
-/// graveyard for pinned supersedees) on a payload the test can watch
-/// through a `Weak`. Proves both halves of the reclamation contract:
-/// *never retired while pinned* (the reader's upgrade must succeed) and
-/// *never leaked once unpinned* (the weak must be dead at the end).
-fn graveyard_protocol(broken_retire_while_pinned: bool) {
-    struct Proto {
-        version: u64,
-        current: Arc<u64>,
-        graveyard: HashMap<u64, Arc<u64>>,
-    }
-    let registry = Arc::new(EpochPinRegistry::new());
-    let state = Arc::new(Mutex::new(Proto {
-        version: 0,
-        current: Arc::new(0),
-        graveyard: HashMap::new(),
-    }));
-    let weak0 = Arc::downgrade(&lock(&state).current);
-
-    let (reg_r, st_r) = (Arc::clone(&registry), Arc::clone(&state));
-    let reader = thread::spawn(move || {
-        // Pin whatever is current — atomically with the version read, under
-        // the same lock the publisher swaps under.
-        let (version, weak) = {
-            let st = lock(&st_r);
-            reg_r.register(st.version);
-            (st.version, Arc::downgrade(&st.current))
-        };
-        // Re-acquiring the lock is a real scheduling point, so the publish
-        // can land between the pin and this check — which is exactly the
-        // window the graveyard must cover. THE invariant: as long as the
-        // pin is held, the snapshot is alive.
-        let mut st = lock(&st_r);
-        assert!(
-            weak.upgrade().is_some(),
-            "snapshot v{version} retired while pinned"
-        );
-        if reg_r.release(version) == 0 {
-            st.graveyard.remove(&version);
-        }
-    });
-
-    // The publisher (main thread): swap in version 1, graveyarding the old
-    // snapshot iff it is pinned — or, in the broken variant, dropping it
-    // unconditionally (the seeded regression the checker must catch).
-    {
-        let mut st = lock(&state);
-        st.version = 1;
-        let old = std::mem::replace(&mut st.current, Arc::new(1));
-        if !broken_retire_while_pinned && registry.pin_count(0) > 0 {
-            st.graveyard.insert(0, old);
-        }
-        // else: `old` drops here — correct only if unpinned.
-    }
-
-    reader.join().expect("reader panicked");
-    let st = lock(&state);
-    assert!(st.graveyard.is_empty(), "graveyard leaked a snapshot");
-    assert_eq!(registry.active_pins(), 0);
-    drop(st);
-    // Unpinned and superseded: the v0 payload must be gone (no leak).
-    assert!(
-        weak0.upgrade().is_none(),
-        "superseded snapshot leaked after unpin"
-    );
-}
-
-#[test]
-fn graveyard_protocol_holds_in_every_interleaving() {
-    let report = interleave::model(|| graveyard_protocol(false));
-    println!(
-        "graveyard_protocol_holds_in_every_interleaving: {} interleavings explored",
-        report.schedules
-    );
-    assert!(report.schedules >= 10);
-}
-
-/// Mutation test: retiring while pinned (the graveyard check removed) MUST
-/// be caught by the checker — this is what proves the model checker would
-/// fail the build on a real regression in the reclamation protocol.
-#[test]
-fn mutation_retire_while_pinned_is_caught() {
-    let failure = Builder::new()
-        .check_result(|| graveyard_protocol(true))
-        .expect_err("the checker missed a retire-while-pinned regression");
-    assert_eq!(failure.kind, FailureKind::Panic);
-    assert!(
-        failure.message.contains("retired while pinned"),
-        "unexpected failure: {failure}"
-    );
-    println!(
-        "mutation_retire_while_pinned_is_caught: failing schedule #{}",
-        failure.schedule
     );
 }
 
@@ -351,13 +253,14 @@ fn mutation_lost_wakeup_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol (c): publish-vs-pin races at the registry lock boundary
+// Protocol (c): publish-vs-pin races at the state lock
 // ---------------------------------------------------------------------------
 
 /// One reader pinning/unpinning around one publish: whatever the
-/// interleaving, the pin lands on a coherent version (0 or 1), and after
-/// both finish the superseded snapshot is retired exactly once — through
-/// the graveyard when the pin straddled the publish, immediately when not.
+/// interleaving, the pin lands on a coherent version (0 or 1), the live
+/// gauges read while it is held count it, and after both finish the
+/// superseded snapshot is retired exactly once — at the pin's drop when
+/// the pin straddled the publish, at the swap when not.
 #[test]
 fn publish_vs_pin_race_retires_exactly_once() {
     let dataset = paper_running_example();
@@ -367,6 +270,12 @@ fn publish_vs_pin_race_retires_exactly_once() {
         let reader = thread::spawn(move || {
             let pin = s1.pin();
             let v = pin.version();
+            // Racing the publish: the held pin is counted, and version 0 is
+            // retired only if the pin landed on version 1.
+            let stats = s1.serving_stats();
+            assert_eq!(stats.active_pins, 1, "a held pin is missing");
+            assert_eq!(stats.pinned_snapshots, 1);
+            assert_eq!(stats.snapshots_retired, v, "retired a pinned version");
             drop(pin);
             v
         });
@@ -389,37 +298,6 @@ fn publish_vs_pin_race_retires_exactly_once() {
     assert!(report.schedules >= 100);
 }
 
-/// Concurrent register/release from two threads on the bare
-/// [`EpochPinRegistry`]: counts stay exact in every interleaving (no lost
-/// or double-counted pin at the lock boundary).
-#[test]
-fn registry_counts_stay_exact_under_races() {
-    let report = Builder::new().preemption_bound(2).check(|| {
-        let registry = Arc::new(EpochPinRegistry::new());
-        let threads: Vec<_> = (0..2)
-            .map(|_| {
-                let reg = Arc::clone(&registry);
-                thread::spawn(move || {
-                    reg.register(0);
-                    assert!(reg.pin_count(0) >= 1, "own pin not visible");
-                    reg.release(0);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("pin thread panicked");
-        }
-        assert_eq!(registry.pin_count(0), 0);
-        assert_eq!(registry.active_pins(), 0);
-        assert_eq!(registry.total_registered(), 2);
-    });
-    println!(
-        "registry_counts_stay_exact_under_races: {} interleavings explored",
-        report.schedules
-    );
-    assert!(report.schedules >= 10);
-}
-
 // ---------------------------------------------------------------------------
 // Protocol (d): fault-path cleanup — cancellation and panics release pins
 // ---------------------------------------------------------------------------
@@ -428,7 +306,7 @@ fn registry_counts_stay_exact_under_races() {
 /// interleaving the cancellation surfaces as a typed
 /// [`QueryError::DeadlineExceeded`], the reader's pin is released, the
 /// admission gauge settles, and the superseded snapshot retires exactly
-/// once — whether the pin straddled the publish (graveyard path) or not.
+/// once — whether the pin straddled the publish or not.
 #[test]
 fn cancel_vs_publish_race_releases_the_pin() {
     let dataset = paper_running_example();
@@ -471,10 +349,9 @@ fn cancel_vs_publish_race_releases_the_pin() {
     assert!(report.schedules >= 50);
 }
 
-/// A reader that panics while holding a pin, racing a publish: the
-/// [`SnapshotPin`]'s RAII guard releases during unwinding in every
-/// interleaving, so no pin leaks and the superseded snapshot still retires
-/// exactly once.
+/// A reader that panics while holding a pin, racing a publish: unwinding
+/// drops the [`SnapshotPin`]'s `Arc` in every interleaving, so no pin leaks
+/// and the superseded snapshot still retires exactly once.
 #[test]
 fn pin_guard_releases_on_reader_panic() {
     let dataset = paper_running_example();

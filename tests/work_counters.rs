@@ -203,7 +203,7 @@ fn dynamic_and_service_fronts_do_the_pinned_work() {
     let im = wide_im_user();
     let ratio = WeightRatio::uniform(4, 0.5, 2.0);
     for (algorithm, pinned) in DENSE_PINNED_COUNTERS {
-        let (dyn_counters, pin_counters) = match algorithm {
+        let (dyn_counters, svc_counters) = match algorithm {
             QueryAlgorithm::Dual => (
                 dynamic
                     .ratio_query(&ratio)
@@ -239,6 +239,6 @@ fn dynamic_and_service_fronts_do_the_pinned_work() {
             }
         };
         assert_eq!(dyn_counters, Some(pinned), "dynamic {}", algorithm.name());
-        assert_eq!(pin_counters, Some(pinned), "service {}", algorithm.name());
+        assert_eq!(svc_counters, Some(pinned), "service {}", algorithm.name());
     }
 }

@@ -4,8 +4,8 @@
 //! concurrency-correctness conventions that rustc cannot:
 //!
 //! 1. **sync-facade** — the serving/reclamation modules must reach their
-//!    sync primitives through `arsp_core::sync` / `arsp_data::sync` (so the
-//!    `interleave` model checker can swap them in), never
+//!    sync primitives through `arsp_core::sync` (so the `interleave` model
+//!    checker can swap them in), never
 //!    `std::sync::{Mutex, Condvar, RwLock}` or `std::sync::atomic` directly.
 //! 2. **lock-unwrap** — no `.unwrap()` in those modules: lock results go
 //!    through the poisoning-aware `sync::lock` helper, everything else
@@ -63,7 +63,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Serving/reclamation modules that must use the sync façades (rules 1–2).
+/// Serving/reclamation modules that must use the sync façade (rules 1–2).
 const SYNC_SCOPE: &[&str] = &[
     "crates/core/src/service.rs",
     "crates/core/src/pipeline.rs",
@@ -73,11 +73,10 @@ const SYNC_SCOPE: &[&str] = &[
     "crates/core/src/scratch.rs",
     "crates/core/src/dynamic.rs",
     "crates/core/src/standing.rs",
-    "crates/data/src/versioned.rs",
 ];
 
 /// Direct-std tokens banned inside [`SYNC_SCOPE`] (rule 1). `Arc` and
-/// `Barrier` are deliberately absent: the façades re-export `Arc`
+/// `Barrier` are deliberately absent: the façade re-exports `Arc`
 /// unchanged, and `Barrier` only appears in tests as a start-line gate.
 const SYNC_BANNED: &[&str] = &[
     "std::sync::Mutex",

@@ -35,7 +35,7 @@ fn usage() {
 }
 
 /// Runs `tests/model_check.rs` with the `arsp_model_check` cfg enabled so
-/// the sync façades resolve to the vendored `interleave` model checker.
+/// the sync façade resolves to the vendored `interleave` model checker.
 /// Uses a dedicated target dir: the custom --cfg changes every crate's
 /// fingerprint and would otherwise thrash the normal build cache.
 fn model_check(extra: Vec<String>) -> ExitCode {
