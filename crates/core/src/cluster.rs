@@ -52,8 +52,8 @@
 //!
 //! While a shard is down, queries fail closed by default with
 //! [`QueryError::ShardUnavailable`]. Callers that prefer an answer over
-//! completeness opt in via [`ClusterQuery::allow_partial`] and receive a
-//! [`PartialResult`] naming exactly which shards answered: the union is
+//! completeness opt in via [`allow_partial`](Query::allow_partial) and
+//! receive an outcome naming exactly which shards answered: the union is
 //! stitched from the available shards only, so the probabilities are
 //! bitwise equal to an unsharded engine on that sub-population.
 
@@ -63,10 +63,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::engine::{Execution, QueryAlgorithm};
-use crate::fault::QueryError;
+use crate::engine::QueryAlgorithm;
+use crate::fault::{QueryBudget, QueryError};
 use crate::pipeline::{
-    contain, execute, QueryConstraints, QuerySpec, ServingSnapshot, SharedArtifacts,
+    execute, Query, QueryConstraints, QueryFront, QueryOutcome, ServingSnapshot, SharedArtifacts,
 };
 use crate::service::{ArspService, ServiceWriter, SnapshotPin};
 use crate::standing::{ChangeBatch, StandingSpec, SubscriptionGuard};
@@ -76,7 +76,7 @@ use arsp_data::{
     failpoint, partition_dataset, DurableStore, FlatStore, InstanceHandle, MutationOp,
     RecoveryReport, UncertainDataset, VersionedStore,
 };
-use arsp_geometry::constraints::ConstraintSet;
+use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 
 /// Every edge of the quarantine state machine, as `"from->to"` strings (the
 /// names [`SupervisorCore`]'s transition methods return). `cargo xtask
@@ -327,10 +327,8 @@ struct UnionEntry {
     key: Vec<Option<u64>>,
     /// The stitched union, queried through the cluster's shared artifacts.
     snapshot: ServingSnapshot,
-    answered: Vec<usize>,
-    missing: Vec<usize>,
-    /// Start of each answered shard's instance block in the union columns.
-    offsets: Vec<usize>,
+    /// Which shards the union holds: every outcome over it carries a copy.
+    view: ClusterView,
 }
 
 #[derive(Debug, Default)]
@@ -745,14 +743,15 @@ impl ShardedService {
     }
 
     /// Starts a cluster query under general linear constraints (fluent,
-    /// like [`SnapshotPin::query`]); finish with [`ClusterQuery::run`].
+    /// like [`SnapshotPin::query`]), answered over the stitched union.
     pub fn query<'c, 'q>(&'c self, constraints: &'q ConstraintSet) -> ClusterQuery<'c, 'q> {
-        ClusterQuery {
-            cluster: self,
-            spec: QuerySpec::new(QueryConstraints::Linear(constraints)),
-            allow_partial: false,
-            deadline: None,
-        }
+        Query::new(self, QueryConstraints::Linear(constraints))
+    }
+
+    /// Starts a cluster query under weight-ratio constraints (§IV); unlocks
+    /// DUAL.
+    pub fn ratio_query<'c, 'q>(&'c self, ratio: &'q WeightRatio) -> ClusterQuery<'c, 'q> {
+        Query::new(self, QueryConstraints::Ratio(ratio))
     }
 
     /// Fans a standing query out to every shard: each shard's serving chain
@@ -800,11 +799,11 @@ impl ShardedService {
     /// [`QueryError::ShardUnavailable`] when any shard is down.
     pub fn union_flat(&self) -> Result<Arc<FlatStore>, QueryError> {
         let entry = self.union_entry()?;
-        if entry.missing.is_empty() {
+        if entry.view.shards_missing.is_empty() {
             Ok(Arc::clone(&entry.snapshot.flat))
         } else {
             Err(QueryError::ShardUnavailable {
-                shards_missing: entry.missing.clone(),
+                shards_missing: entry.view.shards_missing.clone(),
             })
         }
     }
@@ -895,9 +894,11 @@ impl ShardedService {
         UnionEntry {
             key,
             snapshot: self.shared.artifacts.snapshot(stitch, Arc::new(flat)),
-            answered,
-            missing,
-            offsets,
+            view: ClusterView {
+                shards_answered: answered,
+                shards_missing: missing,
+                offsets,
+            },
         }
     }
 
@@ -1039,84 +1040,93 @@ impl ClusterSubscription {
     }
 }
 
-/// A fluent cluster query. Default is fail-closed: any unavailable shard
-/// surfaces as [`QueryError::ShardUnavailable`]. Opt into
-/// [`allow_partial`](Self::allow_partial) to get a [`PartialResult`] over
-/// the available shards instead.
-pub struct ClusterQuery<'c, 'q> {
-    cluster: &'c ShardedService,
-    spec: QuerySpec<'q>,
-    allow_partial: bool,
-    deadline: Option<Duration>,
-}
+/// A query on the cluster: the one [`Query`] builder, answered over the
+/// stitched union of the shards — bitwise equal to an unsharded engine on
+/// the union dataset of the shards that answered, for every algorithm
+/// (DUAL through [`ShardedService::ratio_query`]) and execution mode.
+/// Fail-closed by default: any unavailable shard surfaces as
+/// [`QueryError::ShardUnavailable`]. Opt into
+/// [`allow_partial`](Query::allow_partial) to answer over the available
+/// shards instead.
+pub type ClusterQuery<'c, 'q> = Query<'c, 'q, ShardedService>;
 
 impl ClusterQuery<'_, '_> {
-    /// Forces an algorithm (default: [`QueryAlgorithm::Auto`]).
-    pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
-        self.spec.algorithm = algorithm.into();
-        self
-    }
-
-    /// Chooses the execution mode (default: [`Execution::Sequential`]);
-    /// parallel execution is bitwise identical.
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.spec.execution = execution;
-        self
-    }
-
     /// Opts into degraded service: with `true`, a query against a
-    /// partially-available cluster answers over the shards that are up
-    /// (see [`PartialResult::shards_missing`]) instead of failing closed.
-    /// At least one shard must be available either way.
+    /// partially-available cluster answers over the shards that are up (see
+    /// [`shards_missing`](QueryOutcome::shards_missing)) instead of failing
+    /// closed. At least one shard must be available either way.
     pub fn allow_partial(mut self, allow: bool) -> Self {
         self.allow_partial = allow;
         self
     }
+}
 
-    /// Sets a wall-clock deadline, exactly like [`crate::service::ServiceQuery::deadline`].
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
+impl QueryFront for ShardedService {
+    type View = ClusterView;
+    type Run = Result<PartialResult, QueryError>;
 
-    /// Runs the query on the stitched union of the available shards, with
-    /// the fault containment of [`crate::service::ServiceQuery::try_run`].
-    /// Bitwise equal to an unsharded engine on the union dataset of the
-    /// shards that answered, for every algorithm and execution mode.
-    pub fn run(self) -> Result<PartialResult, QueryError> {
-        let entry = self.cluster.union_entry()?;
-        if !self.allow_partial && !entry.missing.is_empty() {
+    fn answer(
+        query: &ClusterQuery<'_, '_>,
+        budget: Option<&QueryBudget>,
+    ) -> Result<ClusterOutcome, QueryError> {
+        let cluster = query.front;
+        let entry = cluster.union_entry()?;
+        let missing = &entry.view.shards_missing;
+        if !query.allow_partial && !missing.is_empty() {
             return Err(QueryError::ShardUnavailable {
-                shards_missing: entry.missing.clone(),
+                shards_missing: missing.clone(),
             });
         }
-        let artifacts = &self.cluster.shared.artifacts;
-        let outcome = contain(self.deadline, None, |budget| {
-            execute(
-                &artifacts.source(&entry.snapshot, budget),
-                &self.spec,
-                budget,
-            )
-        })?;
-        let counters = &self.cluster.shared.counters;
+        let source = cluster.shared.artifacts.source(&entry.snapshot, budget);
+        let outcome = execute(&source, &query.spec, budget, entry.view.clone());
+        let counters = &cluster.shared.counters;
         counters.queries.fetch_add(1, Ordering::Relaxed);
-        if !entry.missing.is_empty() {
+        if !missing.is_empty() {
             counters.partial_queries.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(PartialResult {
-            probs: outcome.result().probs().to_vec(),
-            shards_answered: entry.answered.clone(),
-            shards_missing: entry.missing.clone(),
-            offsets: entry.offsets.clone(),
-            algorithm: outcome.algorithm(),
-        })
+        Ok(outcome)
+    }
+
+    fn finish(outcome: Result<ClusterOutcome, QueryError>) -> Self::Run {
+        outcome.map(PartialResult::from)
     }
 }
 
-/// A cluster query's answer, possibly over a sub-population: per-instance
-/// rskyline probabilities in stitched (shard-order) instance-id space,
-/// plus exactly which shards contributed. Complete answers have an empty
-/// [`shards_missing`](Self::shards_missing).
+/// The result of one cluster query (see [`QueryOutcome`]): probabilities in
+/// stitched (shard-order) instance-id space, plus, in a [`ClusterView`],
+/// exactly which shards contributed.
+pub type ClusterOutcome = QueryOutcome<ClusterView>;
+
+/// The cluster's part of a [`ClusterOutcome`]: the shards that answered and
+/// the shards that were down.
+#[derive(Clone)]
+pub struct ClusterView {
+    shards_answered: Vec<usize>,
+    shards_missing: Vec<usize>,
+    offsets: Vec<usize>,
+}
+
+impl QueryOutcome<ClusterView> {
+    /// Shards that contributed, ascending.
+    pub fn shards_answered(&self) -> &[usize] {
+        &self.view.shards_answered
+    }
+
+    /// Shards that were down, ascending. Empty = complete answer.
+    pub fn shards_missing(&self) -> &[usize] {
+        &self.view.shards_missing
+    }
+
+    /// Start of each answered shard's block of instance ids, aligned with
+    /// [`shards_answered`](Self::shards_answered).
+    pub fn shard_offsets(&self) -> &[usize] {
+        &self.view.offsets
+    }
+}
+
+/// What [`Query::run`] returns on the cluster: a [`ClusterOutcome`] with its
+/// probabilities copied out and its counters and Auto reason dropped.
+/// Complete answers have an empty [`shards_missing`](Self::shards_missing).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartialResult {
     /// Probabilities, indexed by union instance id (answered shards
@@ -1151,6 +1161,18 @@ impl PartialResult {
         let start = self.offsets[k];
         let end = self.offsets.get(k + 1).copied().unwrap_or(self.probs.len());
         &self.probs[start..end]
+    }
+}
+
+impl From<ClusterOutcome> for PartialResult {
+    fn from(outcome: ClusterOutcome) -> Self {
+        PartialResult {
+            probs: outcome.result().probs().to_vec(),
+            algorithm: outcome.algorithm(),
+            shards_answered: outcome.view.shards_answered,
+            shards_missing: outcome.view.shards_missing,
+            offsets: outcome.view.offsets,
+        }
     }
 }
 

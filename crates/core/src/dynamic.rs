@@ -34,13 +34,14 @@
 //!
 //! ## One query path
 //!
-//! Queries run the pipeline every front shares ([`crate::pipeline`]) over
-//! the current snapshot: each artifact is fetched from it — published,
-//! patched forward, or built now, coalesced with every concurrent query
-//! needing the same one — and the pipeline runs the one flat kernel a cold
-//! [`crate::engine::ArspEngine`] runs over the same artifacts. Each artifact
-//! is bitwise the cold build at this version, so each result is the cold
-//! result. Standing-query refreshes
+//! Queries are the one [`Query`] builder every front hands out, with the
+//! same setters and fault containment, and they run the pipeline every
+//! front shares ([`crate::pipeline`]) over the current snapshot: each
+//! artifact is fetched from it — published, patched forward, or built now,
+//! coalesced with every concurrent query needing the same one — and the
+//! pipeline runs the one flat kernel a cold [`crate::engine::ArspEngine`]
+//! runs over the same artifacts. Each artifact is bitwise the cold build at
+//! this version, so each result is the cold result. Standing-query refreshes
 //! ([`DynamicArspEngine::refresh_standing`]) are ordinary queries on this
 //! path. The logarithmic-method [`DeltaPolicy`] only decides when the store
 //! compacts ([`DynamicArspEngine::merge_now`]): it bounds the tombstoned
@@ -73,9 +74,11 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{lock, Arc, Mutex};
 
 use crate::algorithms::loop_scan::{cmp_key_id, InstanceOrder};
-use crate::engine::{CacheStats, Execution, QueryAlgorithm};
+use crate::engine::CacheStats;
+use crate::fault::{QueryBudget, QueryError};
 use crate::pipeline::{
-    execute, QueryConstraints, QueryOutcome, QuerySpec, ServingSnapshot, SharedArtifacts,
+    execute, expect_outcome, Query, QueryConstraints, QueryFront, QueryOutcome, ServingSnapshot,
+    SharedArtifacts,
 };
 use crate::scorespace::ScoreMatrix;
 use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
@@ -282,12 +285,12 @@ impl DynamicArspEngine {
     /// Starts a query under general linear constraints (fluent, like
     /// [`crate::engine::ArspEngine::query`]).
     pub fn query<'e, 'q>(&'e self, constraints: &'q ConstraintSet) -> DynamicQuery<'e, 'q> {
-        DynamicQuery::new(self, QueryConstraints::Linear(constraints))
+        Query::new(self, QueryConstraints::Linear(constraints))
     }
 
     /// Starts a query under weight-ratio constraints (§IV); unlocks DUAL.
     pub fn ratio_query<'e, 'q>(&'e self, ratio: &'q WeightRatio) -> DynamicQuery<'e, 'q> {
-        DynamicQuery::new(self, QueryConstraints::Ratio(ratio))
+        Query::new(self, QueryConstraints::Ratio(ratio))
     }
 
     // ---- standing queries -------------------------------------------------
@@ -496,50 +499,27 @@ impl DynamicArspEngine {
     }
 }
 
-/// A fluent dynamic query — mirror of [`crate::engine::ArspQuery`]. Finish
-/// with [`DynamicQuery::run`].
-pub struct DynamicQuery<'e, 'q> {
-    engine: &'e DynamicArspEngine,
-    spec: QuerySpec<'q>,
-}
+/// A query on the dynamic engine: the one [`Query`] builder, answered at the
+/// store's current version.
+pub type DynamicQuery<'e, 'q> = Query<'e, 'q, DynamicArspEngine>;
 
-impl<'e, 'q> DynamicQuery<'e, 'q> {
-    fn new(engine: &'e DynamicArspEngine, constraints: QueryConstraints<'q>) -> Self {
-        Self {
-            engine,
-            spec: QuerySpec::new(constraints),
-        }
-    }
+impl QueryFront for DynamicArspEngine {
+    type View = DynamicView;
+    type Run = DynamicOutcome;
 
-    /// Forces an algorithm (default: [`QueryAlgorithm::Auto`]).
-    ///
-    /// # Panics
-    /// `run()` panics if [`QueryAlgorithm::Dual`] is forced on a non-ratio
-    /// query.
-    pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
-        self.spec.algorithm = algorithm.into();
-        self
-    }
-
-    /// Chooses the execution mode (default: [`Execution::Sequential`]);
-    /// parallel execution is bitwise identical.
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.spec.execution = execution;
-        self
-    }
-
-    /// Collects work counters into [`DynamicOutcome::counters`].
-    pub fn collect_stats(mut self, on: bool) -> Self {
-        self.spec.collect_stats = on;
-        self
-    }
-
-    /// Executes the query at the store's current version.
-    pub fn run(self) -> DynamicOutcome {
-        let engine = self.engine;
+    fn answer(
+        query: &DynamicQuery<'_, '_>,
+        budget: Option<&QueryBudget>,
+    ) -> Result<DynamicOutcome, QueryError> {
+        let engine = query.front;
         let (snapshot, rowmap) = engine.current();
-        let source = engine.artifacts.source(&snapshot, None);
-        execute(&source, &self.spec, None).with_view(DynamicView { rowmap })
+        let source = engine.artifacts.source(&snapshot, budget);
+        let view = DynamicView { rowmap };
+        Ok(execute(&source, &query.spec, budget, view))
+    }
+
+    fn finish(outcome: Result<DynamicOutcome, QueryError>) -> DynamicOutcome {
+        expect_outcome(outcome)
     }
 }
 
@@ -567,7 +547,7 @@ impl QueryOutcome<DynamicView> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ArspEngine;
+    use crate::engine::{ArspEngine, Execution, QueryAlgorithm};
     use arsp_data::{paper_running_example, SyntheticConfig};
 
     /// Every general algorithm (and both execution modes) the agreement

@@ -62,20 +62,20 @@
 //! across queries when the `parallel` feature is on, with all caches shared —
 //! the per-query cost of a sweep drops to the traversal itself.
 //!
-//! The engine is one of three fronts over the same query pipeline
-//! ([`crate::pipeline`]): its caches are one serving-style snapshot of the
-//! frozen dataset, and the pipeline runs the same kernels as the free
-//! functions ([`crate::arsp_kdtt_plus`] and friends), so engine results are
-//! **bitwise identical** to theirs — checked end-to-end by the
+//! The engine is one of four fronts over the same query pipeline
+//! ([`crate::pipeline`]) and its one [`Query`] builder: its caches are one
+//! serving-style snapshot of the frozen dataset, and the pipeline runs the
+//! same kernels as the free functions ([`crate::arsp_kdtt_plus`] and
+//! friends), so engine results are **bitwise identical** to theirs — checked end-to-end by the
 //! `engine_agreement` integration test.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::algorithms::ArspAlgorithm;
 use crate::fault::{QueryBudget, QueryError};
 use crate::pipeline::{
-    contain, execute, QueryConstraints, QueryOutcome, QuerySpec, ServingSnapshot, SharedArtifacts,
+    execute, expect_outcome, Query, QueryConstraints, QueryFront, QueryOutcome, ServingSnapshot,
+    SharedArtifacts,
 };
 use arsp_data::{FlatStore, UncertainDataset};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
@@ -303,25 +303,20 @@ impl ArspEngine {
         &self.dataset
     }
 
-    /// A shared handle to the dataset (what [`ArspOutcome`]s carry).
-    pub fn dataset_arc(&self) -> Arc<UncertainDataset> {
-        Arc::clone(&self.dataset)
-    }
-
     /// Starts a query under general linear constraints.
     ///
     /// # Panics
     /// `run()` panics if the constraint dimensionality differs from the
     /// dataset's, or if the preference region is empty.
     pub fn query<'e, 'q>(&'e self, constraints: &'q ConstraintSet) -> ArspQuery<'e, 'q> {
-        ArspQuery::new(self, QueryConstraints::Linear(constraints))
+        Query::new(self, QueryConstraints::Linear(constraints))
     }
 
     /// Starts a query under weight-ratio constraints (§IV). Unlocks the DUAL
     /// algorithm — which `Auto` then selects — while remaining runnable with
     /// every general algorithm via the derived linear constraints.
     pub fn ratio_query<'e, 'q>(&'e self, ratio: &'q WeightRatio) -> ArspQuery<'e, 'q> {
-        ArspQuery::new(self, QueryConstraints::Ratio(ratio))
+        Query::new(self, QueryConstraints::Ratio(ratio))
     }
 
     /// Evaluates a constraint sweep with every cache shared across the batch,
@@ -364,197 +359,29 @@ impl ArspEngine {
     }
 }
 
-/// A fluent query under construction — see the [module docs](self) for the
-/// full chain. Finish with [`ArspQuery::run`].
-pub struct ArspQuery<'e, 'q> {
-    engine: &'e ArspEngine,
-    spec: QuerySpec<'q>,
-    top_k: Option<usize>,
-    min_prob: Option<f64>,
-    deadline: Option<Duration>,
-    budget: Option<&'q QueryBudget>,
-}
+/// A query on the static engine: the one [`Query`] builder, pinned to the
+/// engine's snapshot.
+pub type ArspQuery<'e, 'q> = Query<'e, 'q, ArspEngine>;
 
-impl<'e, 'q> ArspQuery<'e, 'q> {
-    fn new(engine: &'e ArspEngine, constraints: QueryConstraints<'q>) -> Self {
-        Self {
-            engine,
-            spec: QuerySpec::new(constraints),
-            top_k: None,
-            min_prob: None,
-            deadline: None,
-            budget: None,
-        }
-    }
+/// The result of one engine query (see [`QueryOutcome`]); the static engine
+/// adds no view of its own.
+pub type ArspOutcome = QueryOutcome<()>;
 
-    /// Forces an algorithm (default: [`QueryAlgorithm::Auto`]). Accepts
-    /// [`ArspAlgorithm`] values too.
-    ///
-    /// # Panics
-    /// `run()` panics if [`QueryAlgorithm::Dual`] is forced on a non-ratio
-    /// query.
-    pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
-        self.spec.algorithm = algorithm.into();
-        self
-    }
+impl QueryFront for ArspEngine {
+    type View = ();
+    type Run = ArspOutcome;
 
-    /// Chooses the execution mode (default: [`Execution::Sequential`]).
-    /// Parallel execution is bitwise identical, only faster.
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.spec.execution = execution;
-        self
-    }
-
-    /// Precomputes the top-`k` objects by rskyline probability into the
-    /// outcome ([`ArspOutcome::top_objects`]).
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.top_k = Some(k);
-        self
-    }
-
-    /// Sets the reporting threshold for [`ArspOutcome::iter_probs`] — triples
-    /// below the threshold are skipped. The underlying
-    /// [`ArspResult`](crate::ArspResult) always keeps every probability.
-    pub fn min_prob(mut self, threshold: f64) -> Self {
-        self.min_prob = Some(threshold);
-        self
-    }
-
-    /// Collects work counters (F-dominance tests, tree nodes visited, window
-    /// queries) into [`ArspOutcome::counters`]. Off by default — counting is
-    /// cheap but not free.
-    pub fn collect_stats(mut self, on: bool) -> Self {
-        self.spec.collect_stats = on;
-        self
-    }
-
-    /// Sets a wall-clock deadline for the query. The flat kernels poll it
-    /// cooperatively (per node / per instance / per heap pop); when it
-    /// expires, [`try_run`](Self::try_run) returns
-    /// [`QueryError::DeadlineExceeded`] — or [`QueryError::BuildTimeout`]
-    /// when it expires while joining another query's in-flight cache build —
-    /// and every cache, pool and scratch arena is left reusable and
-    /// uncorrupted: the next identical query is bitwise equal to a cold
-    /// rebuild.
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
-
-    /// Attaches a caller-owned [`QueryBudget`], for external cancellation
-    /// (e.g. a client disconnect calling [`QueryBudget::cancel`] from
-    /// another thread) and/or a shared deadline across several queries.
-    /// Takes precedence over [`deadline`](Self::deadline).
-    pub fn budget(mut self, budget: &'q QueryBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Executes the query and returns the outcome.
-    ///
-    /// # Panics
-    /// Panics if the query carries a deadline or budget that expires — use
-    /// [`try_run`](Self::try_run) for a typed error instead.
-    pub fn run(self) -> ArspOutcome {
-        if self.deadline.is_some() || self.budget.is_some() {
-            return self.try_run().unwrap_or_else(|err| {
-                panic!("query failed: {err}; use try_run() for a typed error")
-            });
-        }
-        self.run_inner(None)
-    }
-
-    /// Executes the query with fault containment: deadline expiry and
-    /// cancellation surface as [`QueryError::DeadlineExceeded`], a timed-out
-    /// join on another query's cache build as [`QueryError::BuildTimeout`],
-    /// and any panic inside the query is caught at this boundary and
-    /// surfaced as [`QueryError::Panicked`]. In every error case the engine
-    /// remains fully usable: RAII leases return scratch arenas, cache builds
-    /// either completed or were never published, and re-running the
-    /// identical query yields results bitwise equal to a cold engine.
-    pub fn try_run(mut self) -> Result<ArspOutcome, QueryError> {
-        let (deadline, budget) = (self.deadline.take(), self.budget.take());
-        contain(deadline, budget, |budget| self.run_inner(budget))
-    }
-
-    /// The query body shared by [`run`](Self::run) and
-    /// [`try_run`](Self::try_run).
-    fn run_inner(self, budget: Option<&QueryBudget>) -> ArspOutcome {
-        let total_start = Instant::now();
-        let engine = self.engine;
+    fn answer(
+        query: &ArspQuery<'_, '_>,
+        budget: Option<&QueryBudget>,
+    ) -> Result<ArspOutcome, QueryError> {
+        let engine = query.front;
         let source = engine.shared.source(&engine.snapshot, budget);
-        let outcome = execute(&source, &self.spec, budget);
-        let top_objects = self
-            .top_k
-            .map(|k| outcome.result().top_k_objects(&engine.dataset, k));
-        outcome.with_view(EngineView {
-            dataset: engine.dataset_arc(),
-            execution: self.spec.execution,
-            total_time: total_start.elapsed(),
-            top_objects,
-            min_prob: self.min_prob,
-        })
-    }
-}
-
-/// The result of one engine query: the probabilities plus everything worth
-/// knowing about how they were computed (see [`QueryOutcome`]), with the
-/// engine's extras — timings, the top-`k` and `min_prob` views — in an
-/// [`EngineView`].
-pub type ArspOutcome = QueryOutcome<EngineView>;
-
-/// The static engine's part of an [`ArspOutcome`]: the dataset (for
-/// object-level views), the requested execution mode, the end-to-end time
-/// and the optional top-`k`/`min_prob` views.
-pub struct EngineView {
-    dataset: Arc<UncertainDataset>,
-    execution: Execution,
-    total_time: Duration,
-    top_objects: Option<Vec<(usize, f64)>>,
-    min_prob: Option<f64>,
-}
-
-impl QueryOutcome<EngineView> {
-    /// The execution mode the query requested.
-    pub fn execution(&self) -> Execution {
-        self.view.execution
+        Ok(execute(&source, &query.spec, budget, ()))
     }
 
-    /// Time spent building or fetching shared structures (vertex
-    /// enumeration, R-trees, sort orders). Near zero on cache hits — the
-    /// quantity a session amortises away.
-    pub fn build_time(&self) -> Duration {
-        self.build_time
-    }
-
-    /// Time spent inside the algorithm proper.
-    pub fn run_time(&self) -> Duration {
-        self.run_time
-    }
-
-    /// End-to-end wall-clock time of `run()`.
-    pub fn total_time(&self) -> Duration {
-        self.view.total_time
-    }
-
-    /// The precomputed top-`k` objects, when the query asked via `top_k`.
-    pub fn top_objects(&self) -> Option<&[(usize, f64)]> {
-        self.view.top_objects.as_deref()
-    }
-
-    /// Rskyline probability of one uncertain object.
-    pub fn object_prob(&self, object: usize) -> f64 {
-        self.result().object_prob(&self.view.dataset, object)
-    }
-
-    /// Iterates `(object, instance, probability)` triples, skipping entries
-    /// below the query's `min_prob` threshold (all entries when none was
-    /// set).
-    pub fn iter_probs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        let threshold = self.view.min_prob.unwrap_or(f64::NEG_INFINITY);
-        self.result()
-            .iter_probs(&self.view.dataset)
-            .filter(move |&(_, _, p)| p >= threshold)
+    fn finish(outcome: Result<ArspOutcome, QueryError>) -> ArspOutcome {
+        expect_outcome(outcome)
     }
 }
 

@@ -10,9 +10,9 @@
 //!   sentinel unwind — not a `Result` threaded through every recursion — so
 //!   the kernels stay pure and the cost of cancellation support is a single
 //!   predictable branch on the hot path.
-//! * [`ArspQuery::try_run`](crate::engine::ArspQuery::try_run) and
-//!   [`ServiceQuery::try_run`](crate::service::ServiceQuery::try_run) wrap
-//!   execution in `catch_unwind` and translate the sentinel into a typed
+//! * [`Query::try_run`](crate::pipeline::Query::try_run) — the one query
+//!   builder's, the same on every front — wraps execution in `catch_unwind`
+//!   and translates the sentinel into a typed
 //!   [`QueryError::DeadlineExceeded`], and any *other* panic into
 //!   [`QueryError::Panicked`] — containment, not propagation. RAII guards
 //!   (scratch leases, coalescing claims) release on the way out, and a
@@ -31,7 +31,7 @@ use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Typed failure modes of a fallible query ([`try_run`]).
 ///
-/// [`try_run`]: crate::engine::ArspQuery::try_run
+/// [`try_run`]: crate::pipeline::Query::try_run
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {
     /// The query's [`QueryBudget`] expired (or was cancelled) before the
@@ -57,7 +57,9 @@ pub enum QueryError {
     /// deadline-aware coalescing wait. The waiter detached cleanly; the
     /// build (if alive) continues for future queries.
     BuildTimeout {
-        /// How long the joiner waited before detaching.
+        /// How long the query had run when its join detached, counted like
+        /// the deadline that expired — from the start of the query's
+        /// budget — so never less than that deadline.
         waited: Duration,
     },
     /// The query panicked for a reason other than cancellation. The panic
@@ -70,8 +72,8 @@ pub enum QueryError {
     /// A fail-closed sharded query ([`crate::cluster::ShardedService`])
     /// found at least one shard quarantined or mid-recovery. Retryable: the
     /// supervisor restores shards in the background. Callers that prefer an
-    /// answer over completeness opt into `allow_partial(true)` and receive a
-    /// [`crate::cluster::PartialResult`] instead of this error.
+    /// answer over completeness opt into `allow_partial(true)` and receive an
+    /// answer over the shards that are up instead of this error.
     ShardUnavailable {
         /// The shards that could not answer, in ascending order.
         shards_missing: Vec<usize>,
@@ -135,9 +137,7 @@ pub(crate) struct CancelUnwind;
 /// [`crate::coalesce::CoalescingCache::get_or_build_deadline`]): raised
 /// inside the serving layer's cache getters, classified into
 /// [`QueryError::BuildTimeout`] at the `try_run` boundary.
-pub(crate) struct BuildTimeoutUnwind {
-    pub(crate) waited: Duration,
-}
+pub(crate) struct BuildTimeoutUnwind;
 
 /// How many [`QueryBudget::check`] calls share one wall-clock sample.
 ///
@@ -151,8 +151,8 @@ const CLOCK_SAMPLE_STRIDE: u64 = 64;
 /// A cooperative cancellation budget for one query.
 ///
 /// Thread a reference into a query via
-/// [`ArspQuery::budget`](crate::engine::ArspQuery::budget) (or let
-/// [`deadline`](crate::engine::ArspQuery::deadline) construct one
+/// [`Query::budget`](crate::pipeline::Query::budget) (or let
+/// [`deadline`](crate::pipeline::Query::deadline) construct one
 /// internally). Kernels poll it; expiry or [`cancel`](Self::cancel) aborts
 /// the query with a typed [`QueryError::DeadlineExceeded`] at the
 /// `try_run` boundary.
@@ -347,9 +347,12 @@ pub(crate) fn classify_unwind(
     payload: Box<dyn std::any::Any + Send>,
     budget: Option<&QueryBudget>,
 ) -> QueryError {
-    if let Some(timeout) = payload.downcast_ref::<BuildTimeoutUnwind>() {
+    if payload.downcast_ref::<BuildTimeoutUnwind>().is_some() {
+        // The join gave up at the budget's deadline, which counts from the
+        // budget's start, not the join's: count `waited` from there too, or
+        // it reads less than the deadline that fired.
         return QueryError::BuildTimeout {
-            waited: timeout.waited,
+            waited: budget.map_or(Duration::ZERO, QueryBudget::elapsed),
         };
     }
     if payload.downcast_ref::<CancelUnwind>().is_some() {

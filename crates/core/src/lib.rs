@@ -55,9 +55,10 @@
 //! * the dynamic-dataset engine ([`dynamic`]) and the concurrent MVCC
 //!   serving layer on top of it ([`service`]): `Arc`-pinned snapshot
 //!   isolation for any number of reader threads beside one writer,
-//! * one query pipeline ([`pipeline`]) behind the static, dynamic and
-//!   serving fronts: Auto selection, artifact fetches and the kernel call
-//!   are written once,
+//! * one query pipeline ([`pipeline`]) and one query builder ([`Query`])
+//!   behind the static, dynamic, serving and cluster fronts: the setters,
+//!   the fault containment, Auto selection, artifact fetches and the kernel
+//!   call are written once,
 //! * the supervised sharded serving layer ([`cluster`]): per-shard fault
 //!   isolation and durability, a quarantine/recovery state machine, an
 //!   exact (bitwise) cross-shard merge and opt-in degraded partial-result
@@ -101,12 +102,13 @@ pub use algorithms::loop_scan::{arsp_loop, arsp_loop_parallel, arsp_loop_with_fd
 pub use algorithms::ArspAlgorithm;
 pub use asp::skyline_probabilities;
 pub use cluster::{
-    ApplyOutcome, ClusterConfig, ClusterQuery, ClusterStats, ClusterSubscription, PartialResult,
-    ShardChange, ShardHealth, ShardSupervisor, ShardedService, SupervisorCore,
+    ApplyOutcome, ClusterConfig, ClusterOutcome, ClusterQuery, ClusterStats, ClusterSubscription,
+    PartialResult, ShardChange, ShardHealth, ShardSupervisor, ShardedService, SupervisorCore,
 };
 pub use dynamic::{DynamicArspEngine, DynamicOutcome, DynamicQuery};
 pub use engine::{ArspEngine, ArspOutcome, ArspQuery, Execution, QueryAlgorithm};
 pub use fault::{QueryBudget, QueryError, RetryPolicy};
+pub use pipeline::{Query, QueryFront, QueryOutcome};
 pub use result::ArspResult;
 pub use scorespace::{FlatScorePoints, ScoreMatrix};
 pub use scratch::{QueryScratch, ScratchLease, ScratchPool};
@@ -124,7 +126,7 @@ pub mod prelude {
     pub use crate::algorithms::ArspAlgorithm;
     pub use crate::asp::skyline_probabilities;
     pub use crate::cluster::{
-        ClusterConfig, PartialResult, ShardHealth, ShardSupervisor, ShardedService,
+        ClusterConfig, ClusterOutcome, PartialResult, ShardHealth, ShardSupervisor, ShardedService,
     };
     pub use crate::dynamic::{DynamicArspEngine, DynamicOutcome};
     pub use crate::eclipse::{eclipse_dual_s, eclipse_quad};
@@ -132,6 +134,7 @@ pub mod prelude {
     pub use crate::engine::{ArspEngine, ArspOutcome, Execution, QueryAlgorithm};
     pub use crate::fault::{QueryBudget, QueryError, RetryPolicy};
     pub use crate::parallel::{num_threads, set_num_threads};
+    pub use crate::pipeline::{Query, QueryOutcome};
     pub use crate::result::ArspResult;
     pub use crate::service::{ArspService, ServiceOutcome, ServiceWriter, SnapshotPin};
     pub use crate::standing::{ChangeBatch, ChangedPair, StandingSpec, SubscriptionGuard};

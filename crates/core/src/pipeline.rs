@@ -3,11 +3,12 @@
 //! The static [`crate::engine::ArspEngine`], the mutable
 //! [`crate::dynamic::DynamicArspEngine`], the serving layer's
 //! [`crate::service::SnapshotPin`] and the cluster's
-//! [`crate::cluster::ClusterQuery`] answer a query the same way: resolve
-//! `Auto` ([`crate::engine::auto_select`]), derive the linear constraints of
-//! a ratio query when a general algorithm runs it, fetch the artifacts the
-//! chosen algorithm needs, and run that algorithm's one flat kernel — inside
-//! a scoped worker pool when the query asks for a thread bound. That body is
+//! [`crate::cluster::ShardedService`] hand out one query builder, [`Query`],
+//! and answer it the same way: resolve `Auto`
+//! ([`crate::engine::auto_select`]), derive the linear constraints of a ratio
+//! query when a general algorithm runs it, fetch the artifacts the chosen
+//! algorithm needs, and run that algorithm's one flat kernel — inside a
+//! scoped worker pool when the query asks for a thread bound. That body is
 //! written once, here, and it fetches every artifact from one place: a
 //! `ServingSnapshot` — one version's artifacts behind build-coalescing
 //! caches — plus the `SharedArtifacts` every snapshot of one store shares
@@ -20,11 +21,14 @@
 //!
 //! Every artifact a snapshot hands out is bitwise equal to a cold build at
 //! its version — built, seeded or patched forward — so every front returns
-//! the cold result. Each front's builder keeps only its own extras (the
-//! engine's `top_k`/`min_prob` views, the dynamic engine's row map, the
-//! service's version, admission and query counter), and every outcome is a
-//! [`QueryOutcome`]: the result, the algorithm that ran and why, the work
-//! counters and the build/run times, plus the front's view.
+//! the cold result. The builder carries everything a query can ask for, and
+//! its fault containment is the same on every front. A front supplies only
+//! what is its own, through [`QueryFront`]: admission (a real limit only on
+//! the service), how it pins the version it reads (the frozen snapshot, the
+//! dynamic advance, the service pin or the cluster's union stitch) and its
+//! view. Every outcome is a [`QueryOutcome`]: the result, the algorithm that
+//! ran and why, the work counters, the timings and the object-level views,
+//! plus the front's view.
 //!
 //! Per algorithm the artifact lookups run in one fixed sequence: `Auto` on
 //! linear constraints looks the vertex enumeration up once to count the
@@ -47,10 +51,10 @@ use crate::algorithms::loop_scan::{
 use crate::coalesce::{CoalesceCounters, CoalescingCache};
 use crate::engine::{auto_select, CacheStats, Execution, QueryAlgorithm};
 use crate::fault::{self, BuildTimeoutUnwind, QueryBudget, QueryError};
-use crate::result::ArspResult;
+use crate::result::{top_k_ranked, ArspResult};
 use crate::scorespace::ScoreMatrix;
 use crate::scratch::{QueryScratch, ScratchPool};
-use crate::stats::{CounterStats, QueryCounters};
+use crate::stats::{CounterStats, PeakGaugeGuard, QueryCounters};
 use crate::sync::atomic::AtomicUsize;
 use crate::sync::Arc;
 use arsp_data::{FlatStore, UncertainDataset};
@@ -113,25 +117,13 @@ pub(crate) enum QueryConstraints<'q> {
     Ratio(&'q WeightRatio),
 }
 
-/// What every front's builder collects before it runs: the constraints, the
-/// algorithm, the execution mode and whether to count work.
+/// What [`execute`] needs of a [`Query`]: the constraints, the algorithm,
+/// the execution mode and whether to count work.
 pub(crate) struct QuerySpec<'q> {
     pub(crate) constraints: QueryConstraints<'q>,
     pub(crate) algorithm: QueryAlgorithm,
     pub(crate) execution: Execution,
     pub(crate) collect_stats: bool,
-}
-
-impl<'q> QuerySpec<'q> {
-    /// An `Auto`, sequential, uncounted query.
-    pub(crate) fn new(constraints: QueryConstraints<'q>) -> Self {
-        Self {
-            constraints,
-            algorithm: QueryAlgorithm::Auto,
-            execution: Execution::Sequential,
-            collect_stats: false,
-        }
-    }
 }
 
 /// The scratch arenas a front lends its queries: one [`QueryScratch`] per
@@ -159,17 +151,19 @@ impl QueryPools {
 /// algorithm's artifacts from `source` (in the sequence the
 /// [module docs](self) list) and runs its flat kernel — inside a scoped pool
 /// of `threads` workers under `Execution::Parallel { threads > 0 }`, which
-/// never touches the process-wide knob. The outcome carries no view yet.
+/// never touches the process-wide knob. The outcome carries the front's
+/// `view`; [`Query::try_run`] fills in the rest.
 ///
 /// # Panics
 /// On a dimension mismatch, when DUAL is forced on linear constraints, and —
-/// by the fault-containment unwinds the fronts' `try_run` classifies — when
+/// by the fault-containment unwinds [`Query::try_run`] classifies — when
 /// `budget` expires or a deadline-bounded cache join times out.
-pub(crate) fn execute(
+pub(crate) fn execute<V>(
     source: &SnapshotSource<'_>,
     spec: &QuerySpec<'_>,
     budget: Option<&QueryBudget>,
-) -> QueryOutcome<()> {
+    view: V,
+) -> QueryOutcome<V> {
     let start = Instant::now();
     let flat = source.flat();
     let dim = match spec.constraints {
@@ -303,28 +297,15 @@ pub(crate) fn execute(
         algorithm,
         selection_reason,
         counters: sink.map(|s| s.snapshot()),
+        execution: spec.execution,
         build_time: run_start - start,
         run_time: run_start.elapsed(),
-        view: (),
+        total_time: Duration::ZERO,
+        flat,
+        top_objects: None,
+        min_prob: None,
+        view,
     }
-}
-
-/// Fault containment for the fronts' `try_run`: runs `body` under the
-/// caller's budget (else one owned for `deadline`) and turns any unwind out
-/// of it into a typed [`QueryError`]. AssertUnwindSafe holds because shared
-/// query state is only touched through unwind-safe structures — coalescing
-/// caches publish complete artifacts or nothing (and un-claim on unwind),
-/// scratch travels in RAII leases, snapshot pins are plain `Arc`s — so
-/// observing it after a caught unwind cannot see a broken invariant.
-pub(crate) fn contain<T>(
-    deadline: Option<Duration>,
-    budget: Option<&QueryBudget>,
-    body: impl FnOnce(Option<&QueryBudget>) -> T,
-) -> Result<T, QueryError> {
-    let owned = deadline.map(QueryBudget::with_deadline);
-    let budget = budget.or(owned.as_ref());
-    catch_unwind(AssertUnwindSafe(|| body(budget)))
-        .map_err(|payload| fault::classify_unwind(payload, budget))
 }
 
 /// The cache key of the per-snapshot singleton artifacts (dataset, R-tree,
@@ -465,8 +446,8 @@ impl SharedArtifacts {
 /// cold build at the snapshot's version — published, or built now and
 /// coalesced with every concurrent request for it. A join on another
 /// query's in-flight build waits at most until the query's deadline, then
-/// detaches by unwinding with `BuildTimeoutUnwind`, which the fronts'
-/// `try_run` classifies as [`QueryError::BuildTimeout`].
+/// detaches by unwinding with `BuildTimeoutUnwind`, which
+/// [`Query::try_run`] classifies as [`QueryError::BuildTimeout`].
 pub(crate) struct SnapshotSource<'a> {
     snapshot: &'a ServingSnapshot,
     shared: &'a SharedArtifacts,
@@ -482,9 +463,7 @@ impl SnapshotSource<'_> {
     ) -> V {
         match cache.get_or_build_deadline(key, self.deadline, build) {
             Ok(value) => value,
-            Err(timeout) => std::panic::resume_unwind(Box::new(BuildTimeoutUnwind {
-                waited: timeout.waited,
-            })),
+            Err(_) => std::panic::resume_unwind(Box::new(BuildTimeoutUnwind)),
         }
     }
 
@@ -548,36 +527,221 @@ impl SnapshotSource<'_> {
     }
 }
 
+/// A query under construction: the one builder every front hands out, from
+/// `query(&constraints)` and `ratio_query(&ratio)` on
+/// [`ArspEngine`](crate::engine::ArspEngine),
+/// [`DynamicArspEngine`](crate::dynamic::DynamicArspEngine),
+/// [`SnapshotPin`](crate::service::SnapshotPin) and
+/// [`ShardedService`](crate::cluster::ShardedService). `F` is the front it
+/// pins. Every setter is optional; finish with [`try_run`](Self::try_run)
+/// for a typed error, or with [`run`](Self::run).
+///
+/// ```
+/// use arsp_core::prelude::*;
+/// use std::time::Duration;
+///
+/// let engine = ArspEngine::new(arsp_data::paper_running_example());
+/// let constraints = ConstraintSet::weak_ranking(2, 1);
+/// let outcome = engine
+///     .query(&constraints)
+///     .algorithm(QueryAlgorithm::KdttPlus)
+///     .top_k(2)
+///     .deadline(Duration::from_secs(60))
+///     .try_run()
+///     .expect("a minute is plenty");
+/// assert_eq!(outcome.top_objects().unwrap().len(), 2);
+/// ```
+pub struct Query<'f, 'q, F> {
+    pub(crate) front: &'f F,
+    pub(crate) spec: QuerySpec<'q>,
+    top_k: Option<usize>,
+    min_prob: Option<f64>,
+    deadline: Option<Duration>,
+    budget: Option<&'q QueryBudget>,
+    /// Set by the cluster's own `allow_partial`; no other front reads it.
+    pub(crate) allow_partial: bool,
+}
+
+impl<'f, 'q, F: QueryFront> Query<'f, 'q, F> {
+    /// An `Auto`, sequential, uncounted query on `front`.
+    pub(crate) fn new(front: &'f F, constraints: QueryConstraints<'q>) -> Self {
+        Self {
+            front,
+            spec: QuerySpec {
+                constraints,
+                algorithm: QueryAlgorithm::Auto,
+                execution: Execution::Sequential,
+                collect_stats: false,
+            },
+            top_k: None,
+            min_prob: None,
+            deadline: None,
+            budget: None,
+            allow_partial: false,
+        }
+    }
+
+    /// Forces an algorithm (default: [`QueryAlgorithm::Auto`]). Accepts
+    /// [`ArspAlgorithm`](crate::ArspAlgorithm) values too. DUAL needs a
+    /// `ratio_query`: forced on linear constraints, the query fails with
+    /// [`QueryError::Panicked`].
+    pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
+        self.spec.algorithm = algorithm.into();
+        self
+    }
+
+    /// Chooses the execution mode (default: [`Execution::Sequential`]).
+    /// Parallel execution is bitwise identical, only faster.
+    pub fn execution(mut self, execution: Execution) -> Self {
+        self.spec.execution = execution;
+        self
+    }
+
+    /// Collects work counters (F-dominance tests, tree nodes visited, window
+    /// queries) into [`QueryOutcome::counters`]. Off by default — counting
+    /// is cheap but not free.
+    pub fn collect_stats(mut self, on: bool) -> Self {
+        self.spec.collect_stats = on;
+        self
+    }
+
+    /// Precomputes the top-`k` objects by rskyline probability into
+    /// [`QueryOutcome::top_objects`].
+    pub fn top_k(mut self, k: usize) -> Self {
+        self.top_k = Some(k);
+        self
+    }
+
+    /// Sets the reporting threshold for [`QueryOutcome::iter_probs`] —
+    /// triples below the threshold are skipped. The underlying
+    /// [`ArspResult`] always keeps every probability.
+    pub fn min_prob(mut self, threshold: f64) -> Self {
+        self.min_prob = Some(threshold);
+        self
+    }
+
+    /// Sets a wall-clock deadline, counted from the query's admission in
+    /// [`try_run`](Self::try_run). It is checked before the front pins, so
+    /// an expired one never advances the dynamic engine or restitches the
+    /// cluster's union, and the kernels poll it cooperatively (per node /
+    /// per instance / per heap pop). Expiry surfaces as
+    /// [`QueryError::DeadlineExceeded`] — or as [`QueryError::BuildTimeout`]
+    /// when it expires while joining another query's in-flight cache build.
+    pub fn deadline(mut self, limit: Duration) -> Self {
+        self.deadline = Some(limit);
+        self
+    }
+
+    /// Attaches a caller-owned [`QueryBudget`], for external cancellation
+    /// (e.g. a client disconnect calling [`QueryBudget::cancel`] from
+    /// another thread) and/or a deadline shared across several queries.
+    /// Takes precedence over [`deadline`](Self::deadline).
+    pub fn budget(mut self, budget: &'q QueryBudget) -> Self {
+        self.budget = Some(budget);
+        self
+    }
+
+    /// Executes the query with fault containment, the same on every front.
+    /// Admission comes first: only a service pin can shed, with
+    /// [`QueryError::Overloaded`]. Then, under the query's budget, the front
+    /// pins the version it reads and the pipeline runs. Deadline expiry and
+    /// cancellation surface as [`QueryError::DeadlineExceeded`], a timed-out
+    /// join on another query's cache build as [`QueryError::BuildTimeout`],
+    /// a cluster shard that is down as [`QueryError::ShardUnavailable`], and
+    /// any panic inside the query as [`QueryError::Panicked`]. In every
+    /// error case the front stays fully usable — scratch returns through
+    /// RAII leases, coalescing caches publish complete artifacts or nothing,
+    /// pins are `Arc`s — and re-running the identical query yields results
+    /// bitwise equal to a cold engine.
+    pub fn try_run(self) -> Result<QueryOutcome<F::View>, QueryError> {
+        let start = Instant::now();
+        let _admitted = self.front.admit()?;
+        let owned = self.deadline.map(QueryBudget::with_deadline);
+        let budget = self.budget.or(owned.as_ref());
+        // AssertUnwindSafe holds because shared query state is only touched
+        // through unwind-safe structures (see above), so observing it after
+        // a caught unwind cannot see a broken invariant.
+        let answered = catch_unwind(AssertUnwindSafe(|| {
+            fault::poll(budget);
+            F::answer(&self, budget)
+        }));
+        let mut outcome = answered.map_err(|payload| fault::classify_unwind(payload, budget))??;
+        outcome.top_objects = self.top_k.map(|k| outcome.top_k_objects(k));
+        outcome.min_prob = self.min_prob;
+        outcome.total_time = start.elapsed();
+        Ok(outcome)
+    }
+
+    /// Executes the query without a typed error. On the engine, the dynamic
+    /// engine and a service pin it returns the outcome, and panics where
+    /// [`try_run`](Self::try_run) returns an error. On the cluster it returns
+    /// `try_run`'s result as a [`PartialResult`](crate::cluster::PartialResult).
+    pub fn run(self) -> F::Run {
+        F::finish(self.try_run())
+    }
+}
+
+/// What a front supplies to [`Query`]: admission, how it pins the version a
+/// query reads, and its view on the outcome. The four fronts implement it.
+pub trait QueryFront: Sized {
+    /// The front's own part of every [`QueryOutcome`]: nothing on the
+    /// static engine, the version answered at on the dynamic engine and a
+    /// service pin, the answered and missing shards on the cluster.
+    type View;
+
+    /// What [`Query::run`] returns.
+    type Run;
+
+    /// Reserves an in-flight slot before the query's budget starts, or sheds
+    /// the query with [`QueryError::Overloaded`]. Only the service has an
+    /// admission limit; every other front admits every query.
+    #[doc(hidden)]
+    fn admit(&self) -> Result<Option<PeakGaugeGuard<'_>>, QueryError> {
+        Ok(None)
+    }
+
+    /// Pins the version `query` reads and runs the pipeline on it under
+    /// `budget`, inside the query's fault containment.
+    #[doc(hidden)]
+    fn answer(
+        query: &Query<'_, '_, Self>,
+        budget: Option<&QueryBudget>,
+    ) -> Result<QueryOutcome<Self::View>, QueryError>;
+
+    /// Turns [`Query::try_run`]'s result into [`Query::run`]'s.
+    #[doc(hidden)]
+    fn finish(outcome: Result<QueryOutcome<Self::View>, QueryError>) -> Self::Run;
+}
+
+/// [`QueryFront::finish`] of every front whose `run` returns the outcome.
+pub(crate) fn expect_outcome<V>(outcome: Result<QueryOutcome<V>, QueryError>) -> QueryOutcome<V> {
+    outcome.unwrap_or_else(|err| panic!("query failed: {err}; use try_run() for a typed error"))
+}
+
 /// The result of one query on any front: the probabilities plus how they
 /// were computed, and the front's own view `V` —
 /// [`ArspOutcome`](crate::engine::ArspOutcome),
-/// [`DynamicOutcome`](crate::dynamic::DynamicOutcome) and
-/// [`ServiceOutcome`](crate::service::ServiceOutcome) name the three.
-/// Instance ids are the snapshot's: the `i`-th live instance in canonical
-/// order, exactly the ids a cold engine on that version's dataset uses.
+/// [`DynamicOutcome`](crate::dynamic::DynamicOutcome),
+/// [`ServiceOutcome`](crate::service::ServiceOutcome) and
+/// [`ClusterOutcome`](crate::cluster::ClusterOutcome) name the four.
+/// Instance and object ids are the snapshot's: the `i`-th live instance in
+/// canonical order, exactly the ids a cold engine on that version's dataset
+/// uses (on the cluster, the union's: answered shards in shard order).
 pub struct QueryOutcome<V> {
     result: ArspResult,
     algorithm: QueryAlgorithm,
     selection_reason: Option<&'static str>,
     counters: Option<QueryCounters>,
-    pub(crate) build_time: Duration,
-    pub(crate) run_time: Duration,
+    execution: Execution,
+    build_time: Duration,
+    run_time: Duration,
+    total_time: Duration,
+    /// The snapshot answered over: where the object-level views read
+    /// object ids.
+    flat: Arc<FlatStore>,
+    top_objects: Option<Vec<(usize, f64)>>,
+    min_prob: Option<f64>,
     pub(crate) view: V,
-}
-
-impl QueryOutcome<()> {
-    /// Attaches a front's view.
-    pub(crate) fn with_view<V>(self, view: V) -> QueryOutcome<V> {
-        QueryOutcome {
-            result: self.result,
-            algorithm: self.algorithm,
-            selection_reason: self.selection_reason,
-            counters: self.counters,
-            build_time: self.build_time,
-            run_time: self.run_time,
-            view,
-        }
-    }
 }
 
 impl<V> QueryOutcome<V> {
@@ -621,5 +785,62 @@ impl<V> QueryOutcome<V> {
     /// Work counters, when the query asked for them via `collect_stats`.
     pub fn counters(&self) -> Option<QueryCounters> {
         self.counters
+    }
+
+    /// The execution mode the query requested.
+    pub fn execution(&self) -> Execution {
+        self.execution
+    }
+
+    /// Time spent building or fetching shared structures (vertex
+    /// enumeration, score matrix, sort order, R-trees). Near zero on cache
+    /// hits — the quantity a session amortises away.
+    pub fn build_time(&self) -> Duration {
+        self.build_time
+    }
+
+    /// Time spent inside the algorithm proper.
+    pub fn run_time(&self) -> Duration {
+        self.run_time
+    }
+
+    /// End-to-end wall-clock time of `try_run` (or `run`).
+    pub fn total_time(&self) -> Duration {
+        self.total_time
+    }
+
+    /// The precomputed top-`k` objects, when the query asked via `top_k`.
+    pub fn top_objects(&self) -> Option<&[(usize, f64)]> {
+        self.top_objects.as_deref()
+    }
+
+    /// Rskyline probability of one (snapshot) object: the sum of its
+    /// instances' probabilities.
+    pub fn object_prob(&self, object: usize) -> f64 {
+        self.flat
+            .object_instances(object)
+            .fold(0.0, |sum, id| sum + self.result.instance_prob(id))
+    }
+
+    /// Iterates `(object, instance, probability)` triples in instance order,
+    /// skipping entries below the query's `min_prob` threshold (all entries
+    /// when none was set).
+    pub fn iter_probs(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        let threshold = self.min_prob.unwrap_or(f64::NEG_INFINITY);
+        self.result
+            .probs()
+            .iter()
+            .enumerate()
+            .map(|(id, &prob)| (self.flat.object_of(id), id, prob))
+            .filter(move |&(_, _, prob)| prob >= threshold)
+    }
+
+    /// The `k` objects with the highest rskyline probability: bitwise what
+    /// [`ArspResult::top_k_objects`] returns on the snapshot's dataset.
+    fn top_k_objects(&self, k: usize) -> Vec<(usize, f64)> {
+        let object_probs = (0..self.flat.num_objects())
+            .map(|object| self.object_prob(object))
+            .collect();
+        top_k_ranked(object_probs, k)
     }
 }

@@ -108,15 +108,7 @@ impl ArspResult {
     /// The `k` objects with the highest rskyline probability, in descending
     /// order (ties broken by object id for determinism).
     pub fn top_k_objects(&self, dataset: &UncertainDataset, k: usize) -> Vec<(usize, f64)> {
-        let mut ranked: Vec<(usize, f64)> =
-            self.object_probs(dataset).into_iter().enumerate().collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        ranked.truncate(k);
-        ranked
+        top_k_ranked(self.object_probs(dataset), k)
     }
 
     /// Largest absolute difference between two results (used by tests and by
@@ -138,6 +130,20 @@ impl ArspResult {
     pub fn approx_eq(&self, other: &ArspResult, tol: f64) -> bool {
         self.len() == other.len() && self.max_abs_diff(other) <= tol
     }
+}
+
+/// The `k` highest of `object_probs` (indexed by object id) as
+/// `(object, probability)`, in descending order, ties broken by object id
+/// for determinism.
+pub(crate) fn top_k_ranked(object_probs: Vec<f64>, k: usize) -> Vec<(usize, f64)> {
+    let mut ranked: Vec<(usize, f64)> = object_probs.into_iter().enumerate().collect();
+    ranked.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    ranked.truncate(k);
+    ranked
 }
 
 #[cfg(test)]

@@ -23,10 +23,10 @@
 //!   standing refreshes and the readers' queries share each build at a
 //!   version.
 //!
-//! A pinned query runs the same pipeline as the static and dynamic engines
-//! ([`crate::pipeline`]) over the pinned snapshot, and [`ServiceQuery`]
-//! keeps only what is the service's own — admission control, the query
-//! counter and the pinned version on the outcome.
+//! A pinned query is the one [`Query`] builder every front hands out, run
+//! through the same pipeline ([`crate::pipeline`]) over the pinned snapshot;
+//! the pin supplies only what is the service's own — admission control, the
+//! query counter and the pinned version on the outcome.
 //!
 //! ## Reference-counted reclamation
 //!
@@ -57,9 +57,9 @@
 //!
 //! ## Fault tolerance
 //!
-//! Queries on a pin carry the same deadline/budget plumbing as the static
-//! engine ([`ServiceQuery::deadline`], [`ServiceQuery::try_run`]): expiry
-//! surfaces as a typed [`crate::fault::QueryError`], and — because scratch
+//! Queries on a pin carry the same deadline/budget plumbing as every other
+//! front ([`Query::deadline`], [`Query::try_run`]): expiry surfaces as a
+//! typed [`crate::fault::QueryError`], and — because scratch
 //! travels in RAII leases, a pin is an `Arc` that unwinding drops, and
 //! coalescing caches publish complete artifacts or nothing — the service
 //! stays fully usable afterwards; the next identical query is bitwise equal
@@ -96,13 +96,12 @@
 //! drop(pin); // the last pin on version 0: its caches are reclaimed here
 //! ```
 
-use std::time::Duration;
-
 use crate::dynamic::DynamicArspEngine;
-use crate::engine::{CacheStats, Execution, QueryAlgorithm};
+use crate::engine::CacheStats;
 use crate::fault::{QueryBudget, QueryError};
 use crate::pipeline::{
-    contain, execute, QueryConstraints, QueryOutcome, QuerySpec, ServingSnapshot, SharedArtifacts,
+    execute, expect_outcome, Query, QueryConstraints, QueryFront, QueryOutcome, ServingSnapshot,
+    SharedArtifacts,
 };
 use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
 use crate::stats::{PeakGauge, PeakGaugeGuard};
@@ -265,7 +264,7 @@ impl ArspService {
     }
 
     /// Caps the number of concurrently *executing* queries at `limit`:
-    /// beyond it, [`ServiceQuery::try_run`] sheds the query with a typed
+    /// beyond it, [`Query::try_run`] on a pin sheds the query with a typed
     /// [`QueryError::Overloaded`] instead of queueing it (pair with
     /// [`crate::fault::RetryPolicy`] for jittered retry). `None` — the
     /// default — admits everything. The bound is exact under every
@@ -548,141 +547,60 @@ impl SnapshotPin {
     /// Starts a query under general linear constraints against the pinned
     /// version (fluent, like [`crate::engine::ArspEngine::query`]).
     pub fn query<'p, 'q>(&'p self, constraints: &'q ConstraintSet) -> ServiceQuery<'p, 'q> {
-        ServiceQuery::new(self, QueryConstraints::Linear(constraints))
+        Query::new(self, QueryConstraints::Linear(constraints))
     }
 
     /// Starts a query under weight-ratio constraints (§IV); unlocks DUAL.
     pub fn ratio_query<'p, 'q>(&'p self, ratio: &'q WeightRatio) -> ServiceQuery<'p, 'q> {
-        ServiceQuery::new(self, QueryConstraints::Ratio(ratio))
+        Query::new(self, QueryConstraints::Ratio(ratio))
     }
 }
 
-/// A fluent query against a pinned snapshot — mirror of
-/// [`crate::engine::ArspQuery`]. Finish with [`ServiceQuery::run`].
-pub struct ServiceQuery<'p, 'q> {
-    pin: &'p SnapshotPin,
-    spec: QuerySpec<'q>,
-    deadline: Option<Duration>,
-    budget: Option<&'q QueryBudget>,
-}
+/// A query against a pinned snapshot: the one [`Query`] builder, answered at
+/// the pinned version — bitwise equal to a cold single-threaded engine on
+/// that version's snapshot dataset, for every algorithm and execution mode.
+pub type ServiceQuery<'p, 'q> = Query<'p, 'q, SnapshotPin>;
 
-impl<'p, 'q> ServiceQuery<'p, 'q> {
-    fn new(pin: &'p SnapshotPin, constraints: QueryConstraints<'q>) -> Self {
-        Self {
-            pin,
-            spec: QuerySpec::new(constraints),
-            deadline: None,
-            budget: None,
-        }
-    }
+impl QueryFront for SnapshotPin {
+    type View = ServiceView;
+    type Run = ServiceOutcome;
 
-    /// Forces an algorithm (default: [`QueryAlgorithm::Auto`]).
-    ///
-    /// # Panics
-    /// `run()` panics if [`QueryAlgorithm::Dual`] is forced on a non-ratio
-    /// query.
-    pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
-        self.spec.algorithm = algorithm.into();
-        self
-    }
-
-    /// Chooses the execution mode (default: [`Execution::Sequential`]);
-    /// parallel execution is bitwise identical.
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.spec.execution = execution;
-        self
-    }
-
-    /// Collects work counters into [`ServiceOutcome::counters`].
-    pub fn collect_stats(mut self, on: bool) -> Self {
-        self.spec.collect_stats = on;
-        self
-    }
-
-    /// Sets a wall-clock deadline for the query, exactly like
-    /// [`crate::engine::ArspQuery::deadline`]: the flat kernels poll it
-    /// cooperatively, and expiry surfaces from
-    /// [`try_run`](Self::try_run) as [`QueryError::DeadlineExceeded`] — or
-    /// as [`QueryError::BuildTimeout`] when the deadline expires while
-    /// joining another reader's in-flight cache build. Either way the pin,
-    /// the snapshot caches and the scratch pools stay fully usable.
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
-
-    /// Attaches a caller-owned [`QueryBudget`] for external cancellation
-    /// and/or a deadline shared across queries. Takes precedence over
-    /// [`deadline`](Self::deadline).
-    pub fn budget(mut self, budget: &'q QueryBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Admission control: reserves an in-flight slot, shedding the query
-    /// with [`QueryError::Overloaded`] when an admission limit is set and
-    /// already saturated.
-    fn admit(shared: &ServiceShared) -> Result<PeakGaugeGuard<'_>, QueryError> {
+    /// Admission control: reserves an in-flight slot and counts the query,
+    /// or sheds it with [`QueryError::Overloaded`] when an admission limit
+    /// is set and already saturated.
+    fn admit(&self) -> Result<Option<PeakGaugeGuard<'_>>, QueryError> {
+        let shared = &self.shared;
         let limit = shared.admission_limit.load(Ordering::Relaxed);
-        if limit == 0 {
-            return Ok(shared.gauge.enter());
-        }
-        shared.gauge.try_enter(limit).ok_or_else(|| {
+        let slot = if limit == 0 {
+            Some(shared.gauge.enter())
+        } else {
+            shared.gauge.try_enter(limit)
+        };
+        let Some(slot) = slot else {
             shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            QueryError::Overloaded {
+            return Err(QueryError::Overloaded {
                 inflight: shared.gauge.current(),
                 limit,
-            }
-        })
-    }
-
-    /// Executes the query at the pinned version. Bitwise equal to a cold
-    /// single-threaded engine on the pinned version's snapshot dataset, for
-    /// every algorithm and execution mode.
-    ///
-    /// # Panics
-    /// Panics when the query carries a deadline or budget that expires, or
-    /// when admission control sheds it — use [`try_run`](Self::try_run) for
-    /// a typed error instead.
-    pub fn run(self) -> ServiceOutcome {
-        if self.deadline.is_some() || self.budget.is_some() {
-            return self.try_run().unwrap_or_else(|err| {
-                panic!("query failed: {err}; use try_run() for a typed error")
             });
-        }
-        let pin = self.pin;
-        let _inflight = Self::admit(&pin.shared)
-            .unwrap_or_else(|err| panic!("query failed: {err}; use try_run() for a typed error"));
-        self.run_inner(None)
-    }
-
-    /// Executes the query with fault containment, mirroring
-    /// [`crate::engine::ArspQuery::try_run`]: admission shedding surfaces as
-    /// [`QueryError::Overloaded`], deadline expiry and cancellation as
-    /// [`QueryError::DeadlineExceeded`], a timed-out join on another
-    /// reader's cache build as [`QueryError::BuildTimeout`], and any other
-    /// panic inside the query as [`QueryError::Panicked`]. In every error
-    /// case the pin and the service remain fully usable: scratch returns
-    /// through RAII leases, the pin is an `Arc` the caller still holds,
-    /// coalescing caches publish complete artifacts or nothing, and
-    /// re-running the identical query yields results bitwise equal to a
-    /// cold engine.
-    pub fn try_run(mut self) -> Result<ServiceOutcome, QueryError> {
-        let _inflight = Self::admit(&self.pin.shared)?;
-        let (deadline, budget) = (self.deadline.take(), self.budget.take());
-        contain(deadline, budget, |budget| self.run_inner(budget))
-    }
-
-    /// The query body shared by [`run`](Self::run) and
-    /// [`try_run`](Self::try_run). The in-flight slot is already held.
-    fn run_inner(self, budget: Option<&QueryBudget>) -> ServiceOutcome {
-        let pin = self.pin;
-        let shared = &pin.shared;
+        };
         shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let source = shared.artifacts.source(pin.snapshot(), budget);
-        execute(&source, &self.spec, budget).with_view(ServiceView {
-            version: pin.snapshot().version,
-        })
+        Ok(Some(slot))
+    }
+
+    fn answer(
+        query: &ServiceQuery<'_, '_>,
+        budget: Option<&QueryBudget>,
+    ) -> Result<ServiceOutcome, QueryError> {
+        let pin = query.front;
+        let source = pin.shared.artifacts.source(pin.snapshot(), budget);
+        let view = ServiceView {
+            version: pin.version(),
+        };
+        Ok(execute(&source, &query.spec, budget, view))
+    }
+
+    fn finish(outcome: Result<ServiceOutcome, QueryError>) -> ServiceOutcome {
+        expect_outcome(outcome)
     }
 }
 
@@ -708,7 +626,7 @@ impl QueryOutcome<ServiceView> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ArspEngine;
+    use crate::engine::{ArspEngine, QueryAlgorithm};
     use arsp_data::paper_running_example;
 
     fn constraints() -> ConstraintSet {

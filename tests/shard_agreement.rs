@@ -92,9 +92,10 @@ fn the_shard_matrix_covers_every_shard_failpoint() {
 
 proptest! {
     // The exact-merge contract: sharded == unsharded, bitwise, over random
-    // datasets × shard counts × all five exact algorithms × both execution
-    // modes. A modest case count keeps the fsync-heavy suite fast; every
-    // case still covers 4 shard counts × 5 algorithms × 2 modes.
+    // datasets × shard counts × all five exact algorithms and Auto on linear
+    // constraints, DUAL and Auto on a weight ratio × both execution modes. A
+    // modest case count keeps the fsync-heavy suite fast; every case still
+    // covers 4 shard counts × 8 queries × 2 modes.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -115,6 +116,13 @@ proptest! {
         }
         .generate();
         let constraints = ConstraintSet::weak_ranking(dim, c);
+        let ratio = WeightRatio::uniform(dim, 0.5, 2.0);
+        let queries: Vec<(QueryAlgorithm, bool)> = EXACT_ALGORITHMS
+            .into_iter()
+            .chain([QueryAlgorithm::Auto])
+            .map(|algorithm| (algorithm, false))
+            .chain([(QueryAlgorithm::Dual, true), (QueryAlgorithm::Auto, true)])
+            .collect();
         let cold = ArspEngine::new(dataset.clone());
         let dir = scratch_dir("prop");
         for num_shards in [1usize, 2, 4, 7] {
@@ -124,29 +132,31 @@ proptest! {
                 ClusterConfig { num_shards, ..ClusterConfig::default() },
             )
             .expect("create cluster");
-            for algorithm in EXACT_ALGORITHMS {
+            for &(algorithm, by_ratio) in &queries {
                 for execution in [
                     Execution::Sequential,
                     Execution::Parallel { threads: 2 },
                 ] {
-                    let reference = cold
-                        .query(&constraints)
-                        .algorithm(algorithm)
-                        .execution(execution)
-                        .run();
-                    let got = cluster
-                        .query(&constraints)
+                    let (reference, got) = if by_ratio {
+                        (cold.ratio_query(&ratio), cluster.ratio_query(&ratio))
+                    } else {
+                        (cold.query(&constraints), cluster.query(&constraints))
+                    };
+                    let reference = reference.algorithm(algorithm).execution(execution).run();
+                    let got = got
                         .algorithm(algorithm)
                         .execution(execution)
                         .run()
                         .expect("all shards up");
                     prop_assert!(got.is_complete());
+                    prop_assert_eq!(got.algorithm, reference.algorithm());
                     prop_assert_eq!(
                         bits(&got.probs),
                         bits(reference.result().probs()),
-                        "{:?}/{:?} with {} shards diverged",
+                        "{:?}/{:?} (ratio query: {}) with {} shards diverged",
                         algorithm,
                         execution,
+                        by_ratio,
                         num_shards
                     );
                 }

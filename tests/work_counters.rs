@@ -8,9 +8,20 @@
 //! kernel rewrite — or a query front that feeds a kernel different
 //! artifacts — fails here in either mode.
 
+use std::path::{Path, PathBuf};
+
 use arsp::data::im_constraints;
 use arsp::geometry::fdom::LinearFDominance;
 use arsp::prelude::*;
+
+/// A unique scratch directory under the workspace `target/` (never `/tmp`).
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("target/work-counter-tests")
+        .join(format!("{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 /// The serving benchmark's dataset shape: 1000 objects of up to 16
 /// instances in d = 4, half of them partial.
@@ -115,7 +126,7 @@ fn loop_work_count_matches_the_recorded_baseline() {
 }
 
 /// Work counters of the other kernels on the dense dataset, recorded before
-/// the three query fronts were folded into one pipeline: KDTT, KDTT+ and
+/// the engine, dynamic and service fronts were folded into one pipeline: KDTT, KDTT+ and
 /// QDTT+ under `weak_ranking(4, 2)`, B&B under the wide IM user, DUAL under
 /// `WeightRatio::uniform(4, 0.5, 2.0)`. Every front must do exactly this
 /// work, sequential or parallel.
@@ -190,55 +201,61 @@ fn kernel_work_counts_match_the_recorded_baselines() {
     }
 }
 
-/// The dynamic engine and a pinned service snapshot run the same kernels
-/// over bitwise-equal artifacts, so they must report the pinned counters
-/// too.
+/// The dynamic engine, a pinned service snapshot and a 4-shard cluster run
+/// the same kernels over bitwise-equal artifacts (the cluster's union is
+/// bitwise the dataset), so they must report the pinned counters too.
 #[test]
 fn dynamic_and_service_fronts_do_the_pinned_work() {
     let dataset = dense_engine().dataset().clone();
     let dynamic = DynamicArspEngine::from_dataset(&dataset);
     let (service, _writer) = ArspService::from_dataset(&dataset);
     let pin = service.pin();
+    let dir = scratch_dir("fronts");
+    let config = ClusterConfig {
+        num_shards: 4,
+        ..ClusterConfig::default()
+    };
+    let cluster = ShardedService::create(&dir, &dataset, config).expect("create cluster");
     let wr = ConstraintSet::weak_ranking(4, 2);
     let im = wide_im_user();
     let ratio = WeightRatio::uniform(4, 0.5, 2.0);
     for (algorithm, pinned) in DENSE_PINNED_COUNTERS {
-        let (dyn_counters, svc_counters) = match algorithm {
+        let (dyn_query, svc_query, cluster_query) = match algorithm {
             QueryAlgorithm::Dual => (
-                dynamic
-                    .ratio_query(&ratio)
-                    .algorithm(algorithm)
-                    .collect_stats(true)
-                    .run()
-                    .counters(),
-                pin.ratio_query(&ratio)
-                    .algorithm(algorithm)
-                    .collect_stats(true)
-                    .run()
-                    .counters(),
+                dynamic.ratio_query(&ratio),
+                pin.ratio_query(&ratio),
+                cluster.ratio_query(&ratio),
             ),
-            _ => {
-                let cs = if algorithm == QueryAlgorithm::BranchAndBound {
-                    &im
-                } else {
-                    &wr
-                };
-                (
-                    dynamic
-                        .query(cs)
-                        .algorithm(algorithm)
-                        .collect_stats(true)
-                        .run()
-                        .counters(),
-                    pin.query(cs)
-                        .algorithm(algorithm)
-                        .collect_stats(true)
-                        .run()
-                        .counters(),
-                )
+            QueryAlgorithm::BranchAndBound => {
+                (dynamic.query(&im), pin.query(&im), cluster.query(&im))
             }
+            _ => (dynamic.query(&wr), pin.query(&wr), cluster.query(&wr)),
         };
-        assert_eq!(dyn_counters, Some(pinned), "dynamic {}", algorithm.name());
-        assert_eq!(svc_counters, Some(pinned), "service {}", algorithm.name());
+        let counted = |outcome: Option<QueryCounters>, front: &str| {
+            assert_eq!(outcome, Some(pinned), "{front} {}", algorithm.name());
+        };
+        counted(
+            dyn_query
+                .algorithm(algorithm)
+                .collect_stats(true)
+                .run()
+                .counters(),
+            "dynamic",
+        );
+        counted(
+            svc_query
+                .algorithm(algorithm)
+                .collect_stats(true)
+                .run()
+                .counters(),
+            "service",
+        );
+        let cluster_outcome = cluster_query
+            .algorithm(algorithm)
+            .collect_stats(true)
+            .try_run()
+            .expect("all shards up");
+        counted(cluster_outcome.counters(), "cluster");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
