@@ -114,29 +114,26 @@ pub fn arsp_dual_flat_engine(
         return result;
     }
 
-    #[cfg(feature = "parallel")]
     if parallel {
         let chunks = crate::parallel::chunk_bounds(n);
         if chunks.len() > 1 {
             use rayon::prelude::*;
 
             let fdom = &fdom;
-            let chunk_results: Vec<(usize, Vec<f64>, u64)> = crate::parallel::with_pool(|| {
-                chunks
-                    .into_par_iter()
-                    .map(|range| {
-                        let start = range.start;
-                        let mut queries = 0u64;
-                        let probs = range
-                            .map(|id| {
-                                crate::fault::poll(budget);
-                                dual_instance_prob(flat, fdom, agg, id, &mut queries)
-                            })
-                            .collect();
-                        (start, probs, queries)
-                    })
-                    .collect()
-            });
+            let chunk_results: Vec<(usize, Vec<f64>, u64)> = chunks
+                .into_par_iter()
+                .map(|range| {
+                    let start = range.start;
+                    let mut queries = 0u64;
+                    let probs = range
+                        .map(|id| {
+                            crate::fault::poll(budget);
+                            dual_instance_prob(flat, fdom, agg, id, &mut queries)
+                        })
+                        .collect();
+                    (start, probs, queries)
+                })
+                .collect();
 
             for (start, probs, queries) in chunk_results {
                 if let Some(s) = stats {
@@ -149,9 +146,6 @@ pub fn arsp_dual_flat_engine(
             return result;
         }
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = parallel;
-
     let mut window_queries = 0u64;
     for id in 0..n {
         crate::fault::poll(budget);
@@ -508,14 +502,11 @@ mod tests {
         let ratio = WeightRatio::uniform(3, 0.5, 2.0);
         let seq_stats = CounterStats::new();
         let seq = arsp_dual_flat_engine(&flat, &ratio, &agg, false, Some(&seq_stats), None);
-        // Force a fan-out even on single-core machines; the lock keeps
-        // knob-value assertions in other tests from observing the transient
-        // setting.
-        let _guard = crate::parallel::knob_lock();
-        crate::parallel::set_num_threads(4);
+        // A width-4 pool forces a fan-out even on single-core machines.
         let par_stats = CounterStats::new();
-        let par = arsp_dual_flat_engine(&flat, &ratio, &agg, true, Some(&par_stats), None);
-        crate::parallel::set_num_threads(0);
+        let par = crate::parallel::with_width(4, || {
+            arsp_dual_flat_engine(&flat, &ratio, &agg, true, Some(&par_stats), None)
+        });
         assert_eq!(seq.probs(), par.probs());
         assert_eq!(
             seq_stats.snapshot().window_queries,

@@ -98,7 +98,6 @@ fn is_one(x: f64) -> bool {
 /// Nodes smaller than this are traversed sequentially even when parallel
 /// levels remain: a performance threshold only — results are bitwise
 /// identical either way.
-#[cfg(feature = "parallel")]
 const MIN_PARALLEL_NODE: usize = 512;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -580,13 +579,11 @@ fn fused_rec_flat(
 /// the subtree's own slots are zeroed and read, so the buffer is reused
 /// without a full clear). Pooled in a [`KdWorkerPool`].
 #[derive(Debug, Default)]
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 pub struct KdWorkerScratch {
     scratch: KdScratch,
     out: Vec<f64>,
 }
 
-#[cfg(feature = "parallel")]
 impl KdWorkerScratch {
     /// Prepares the arena for a subtree over `n` points: σ and the candidate
     /// stack are seeded from the parent's exact snapshot, the undo stacks are
@@ -622,7 +619,6 @@ pub type KdWorkerPool = crate::scratch::ScratchPool<KdWorkerScratch>;
 /// slots straight out of the staging buffer (sibling subtrees cover
 /// disjoint ids, so merging cannot reorder anything) and return the arena
 /// itself; no per-subtree result vector is allocated.
-#[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
 fn run_flat_subtree(
     pts: &FlatScorePoints<'_>,
@@ -656,7 +652,6 @@ fn run_flat_subtree(
 
 /// Merges one subtree's slots from its worker's staging buffer into the
 /// shared output and parks the worker back in the pool.
-#[cfg(feature = "parallel")]
 fn merge_flat_subtree(
     pool: &KdWorkerPool,
     worker: KdWorkerScratch,
@@ -676,7 +671,6 @@ fn merge_flat_subtree(
 /// [`flat_node_exit`] restores state exactly, the snapshot a child receives
 /// is bitwise the state the sequential recursion would hand it, so outputs
 /// cannot differ.
-#[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
 fn fused_rec_flat_par(
     pts: &FlatScorePoints<'_>,
@@ -964,8 +958,7 @@ pub fn kd_asp_flat_engine(
 /// design — it exists to measure the construction overhead the fused
 /// variants remove. Pass `None` for `pool` to use a throwaway pool
 /// (arenas still reused across this call's subtrees); the engine passes its
-/// session-owned pool. Without the `parallel` feature this is
-/// [`kd_asp_flat_engine`].
+/// session-owned pool. The fan-out follows the ambient rayon width.
 #[allow(clippy::too_many_arguments)]
 pub fn kd_asp_flat_engine_parallel(
     pts: FlatScorePoints<'_>,
@@ -977,38 +970,8 @@ pub fn kd_asp_flat_engine_parallel(
     pool: Option<&KdWorkerPool>,
     budget: Option<&crate::fault::QueryBudget>,
 ) -> Vec<f64> {
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = pool;
-        kd_asp_flat_engine(
-            pts,
-            num_objects,
-            num_instances,
-            variant,
-            stats,
-            scratch,
-            budget,
-        )
-    }
-    #[cfg(feature = "parallel")]
-    {
-        let split = match variant {
-            KdVariant::Prebuilt => {
-                return kd_asp_flat_engine(
-                    pts,
-                    num_objects,
-                    num_instances,
-                    variant,
-                    stats,
-                    scratch,
-                    budget,
-                );
-            }
-            KdVariant::FusedKd => SplitKind::Kd,
-            KdVariant::FusedQuad => SplitKind::Quad,
-        };
-        let levels = crate::parallel::fan_out_levels();
-        if levels == 0 || pts.len() < MIN_PARALLEL_NODE {
+    let split = match variant {
+        KdVariant::Prebuilt => {
             return kd_asp_flat_engine(
                 pts,
                 num_objects,
@@ -1019,28 +982,39 @@ pub fn kd_asp_flat_engine_parallel(
                 budget,
             );
         }
-        crate::parallel::with_pool(|| {
-            let mut out = vec![0.0; num_instances];
-            let n = pts.len();
-            scratch.prepare(num_objects, n);
-            let owned_pool;
-            let pool = match pool {
-                Some(p) => p,
-                None => {
-                    owned_pool = KdWorkerPool::new();
-                    &owned_pool
-                }
-            };
-            let mut bc = FlatBc { beta: 1.0, chi: 0 };
-            let mut order = std::mem::take(&mut scratch.order);
-            fused_rec_flat_par(
-                &pts, pool, scratch, &mut bc, &mut order, 0, n, 0, split, &mut out, levels, stats,
-                budget,
-            );
-            scratch.order = order;
-            out
-        })
+        KdVariant::FusedKd => SplitKind::Kd,
+        KdVariant::FusedQuad => SplitKind::Quad,
+    };
+    let levels = crate::parallel::fan_out_levels();
+    if levels == 0 || pts.len() < MIN_PARALLEL_NODE {
+        return kd_asp_flat_engine(
+            pts,
+            num_objects,
+            num_instances,
+            variant,
+            stats,
+            scratch,
+            budget,
+        );
     }
+    let mut out = vec![0.0; num_instances];
+    let n = pts.len();
+    scratch.prepare(num_objects, n);
+    let owned_pool;
+    let pool = match pool {
+        Some(p) => p,
+        None => {
+            owned_pool = KdWorkerPool::new();
+            &owned_pool
+        }
+    };
+    let mut bc = FlatBc { beta: 1.0, chi: 0 };
+    let mut order = std::mem::take(&mut scratch.order);
+    fused_rec_flat_par(
+        &pts, pool, scratch, &mut bc, &mut order, 0, n, 0, split, &mut out, levels, stats, budget,
+    );
+    scratch.order = order;
+    out
 }
 
 #[cfg(test)]
@@ -1342,12 +1316,8 @@ mod tests {
     #[test]
     fn large_inputs_match_brute_force_in_every_variant() {
         // One scratch reused across every run exercises the arena reset and
-        // the high-water-mark reuse on top of the agreement. Forcing a
-        // fan-out makes the parallel recursion run even on one core; the
-        // lock keeps knob-value assertions in other tests from observing the
-        // transient setting.
-        let _guard = crate::parallel::knob_lock();
-        crate::parallel::set_num_threads(4);
+        // the high-water-mark reuse on top of the agreement. A width-4 pool
+        // makes the parallel recursion fan out even on one core.
         let mut scratch = KdScratch::new();
         for (seed, dim) in [(7u64, 2usize), (8, 3), (9, 4)] {
             let pts = large_random_points(seed, dim);
@@ -1355,11 +1325,10 @@ mod tests {
             for variant in VARIANTS {
                 let seq = pts.seq(variant, &mut scratch);
                 assert_close(&seq, &want);
-                let par = pts.par(variant, &mut scratch);
+                let par = crate::parallel::with_width(4, || pts.par(variant, &mut scratch));
                 assert_eq!(seq, par, "{variant:?} diverged (seed {seed}, dim {dim})");
             }
         }
-        crate::parallel::set_num_threads(0);
     }
 
     #[test]
@@ -1387,31 +1356,25 @@ mod tests {
         // Two threads (one fan-out level, where the large-input test uses
         // four) and no worker pool: every call draws its arenas from a
         // throwaway pool.
-        let _guard = crate::parallel::knob_lock();
-        crate::parallel::set_num_threads(2);
         let mut scratch = KdScratch::new();
         for (seed, dim) in [(101u64, 2usize), (102, 3), (103, 4)] {
             let pts = large_random_points(seed, dim);
             for variant in [KdVariant::FusedKd, KdVariant::FusedQuad] {
                 let seq = pts.seq(variant, &mut scratch);
-                let par = pts.par(variant, &mut scratch);
+                let par = crate::parallel::with_width(2, || pts.par(variant, &mut scratch));
                 assert_eq!(seq, par, "{variant:?} traversal diverged (seed {seed})");
             }
         }
-        crate::parallel::set_num_threads(0);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_flat_traversal_is_bitwise_identical_to_sequential_flat() {
-        let _guard = crate::parallel::knob_lock();
         // One scratch and one worker pool reused across every run: the
         // second pass per configuration exercises warm-arena reuse on top of
         // the bitwise agreement.
         let mut scratch = KdScratch::new();
         let pool = KdWorkerPool::new();
         for threads in [2usize, 4] {
-            crate::parallel::set_num_threads(threads);
             for (seed, dim) in [(101u64, 2usize), (102, 3), (103, 4)] {
                 let pts = large_random_points(seed, dim);
                 let (view, m, n) = (pts.view(), pts.num_objects(), pts.len());
@@ -1419,16 +1382,18 @@ mod tests {
                 for variant in VARIANTS {
                     let seq = kd_asp_flat_engine(view, m, n, variant, None, &mut scratch, None);
                     for _ in 0..2 {
-                        let par = kd_asp_flat_engine_parallel(
-                            view,
-                            m,
-                            n,
-                            variant,
-                            None,
-                            &mut scratch,
-                            Some(&pool),
-                            None,
-                        );
+                        let par = crate::parallel::with_width(threads, || {
+                            kd_asp_flat_engine_parallel(
+                                view,
+                                m,
+                                n,
+                                variant,
+                                None,
+                                &mut scratch,
+                                Some(&pool),
+                                None,
+                            )
+                        });
                         assert_eq!(
                             seq, par,
                             "parallel flat {variant:?} diverged \
@@ -1438,18 +1403,14 @@ mod tests {
                 }
             }
         }
-        crate::parallel::set_num_threads(0);
         assert!(
             pool.hits() > 0,
             "repeated parallel runs must reuse pooled worker arenas"
         );
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_flat_traversal_reports_identical_stats() {
-        let _guard = crate::parallel::knob_lock();
-        crate::parallel::set_num_threads(4);
         let pts = large_random_points(104, 3);
         let (view, m, n) = (pts.view(), pts.num_objects(), pts.len());
         let mut scratch = KdScratch::new();
@@ -1457,16 +1418,18 @@ mod tests {
             let seq_stats = CounterStats::new();
             let seq = kd_asp_flat_engine(view, m, n, variant, Some(&seq_stats), &mut scratch, None);
             let par_stats = CounterStats::new();
-            let par = kd_asp_flat_engine_parallel(
-                view,
-                m,
-                n,
-                variant,
-                Some(&par_stats),
-                &mut scratch,
-                None,
-                None,
-            );
+            let par = crate::parallel::with_width(4, || {
+                kd_asp_flat_engine_parallel(
+                    view,
+                    m,
+                    n,
+                    variant,
+                    Some(&par_stats),
+                    &mut scratch,
+                    None,
+                    None,
+                )
+            });
             assert_eq!(seq, par);
             assert_eq!(
                 seq_stats.snapshot(),
@@ -1474,6 +1437,5 @@ mod tests {
                 "work counters must not depend on the execution mode ({variant:?})"
             );
         }
-        crate::parallel::set_num_threads(0);
     }
 }

@@ -22,17 +22,17 @@ use arsp_geometry::ConstraintSet;
 
 /// KDTT: Algorithm 1 over a fully prebuilt kd-tree.
 pub fn arsp_kdtt(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    run(dataset, constraints, KdVariant::Prebuilt, false)
+    run(dataset, constraints, KdVariant::Prebuilt)
 }
 
 /// KDTT+: Algorithm 1 with construction fused into the traversal.
 pub fn arsp_kdtt_plus(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    run(dataset, constraints, KdVariant::FusedKd, false)
+    run(dataset, constraints, KdVariant::FusedKd)
 }
 
 /// QDTT+: Algorithm 1 with fused quadtree-style splitting.
 pub fn arsp_qdtt_plus(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    run(dataset, constraints, KdVariant::FusedQuad, false)
+    run(dataset, constraints, KdVariant::FusedQuad)
 }
 
 /// KDTT+ with a pre-built F-dominance test (lets benchmarks exclude vertex
@@ -41,7 +41,7 @@ pub fn arsp_qdtt_plus(dataset: &UncertainDataset, constraints: &ConstraintSet) -
 /// # Panics
 /// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_kdtt_plus_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    run_with_fdom(dataset, fdom, KdVariant::FusedKd, false)
+    run_with_fdom(dataset, fdom, KdVariant::FusedKd)
 }
 
 /// QDTT+ with a pre-built F-dominance test.
@@ -49,7 +49,7 @@ pub fn arsp_kdtt_plus_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDomina
 /// # Panics
 /// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_qdtt_plus_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    run_with_fdom(dataset, fdom, KdVariant::FusedQuad, false)
+    run_with_fdom(dataset, fdom, KdVariant::FusedQuad)
 }
 
 /// KDTT with a pre-built F-dominance test.
@@ -57,36 +57,12 @@ pub fn arsp_qdtt_plus_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDomina
 /// # Panics
 /// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_kdtt_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    run_with_fdom(dataset, fdom, KdVariant::Prebuilt, false)
+    run_with_fdom(dataset, fdom, KdVariant::Prebuilt)
 }
 
-/// KDTT+, parallel: the fused traversal fans sibling subtrees out to worker
-/// threads, with results bitwise identical to [`arsp_kdtt_plus`] (see
-/// [`crate::parallel`] for why). Without the `parallel` feature this is
-/// [`arsp_kdtt_plus`].
-pub fn arsp_kdtt_plus_parallel(
-    dataset: &UncertainDataset,
-    constraints: &ConstraintSet,
-) -> ArspResult {
-    run(dataset, constraints, KdVariant::FusedKd, true)
-}
-
-/// QDTT+, parallel: bitwise identical to [`arsp_qdtt_plus`].
-pub fn arsp_qdtt_plus_parallel(
-    dataset: &UncertainDataset,
-    constraints: &ConstraintSet,
-) -> ArspResult {
-    run(dataset, constraints, KdVariant::FusedQuad, true)
-}
-
-fn run(
-    dataset: &UncertainDataset,
-    constraints: &ConstraintSet,
-    variant: KdVariant,
-    parallel: bool,
-) -> ArspResult {
+fn run(dataset: &UncertainDataset, constraints: &ConstraintSet, variant: KdVariant) -> ArspResult {
     let fdom = LinearFDominance::from_constraints(constraints);
-    run_with_fdom(dataset, &fdom, variant, parallel)
+    run_with_fdom(dataset, &fdom, variant)
 }
 
 /// The free functions' one-shot path: flatten the dataset, project it once
@@ -96,7 +72,6 @@ fn run_with_fdom(
     dataset: &UncertainDataset,
     fdom: &LinearFDominance,
     variant: KdVariant,
-    parallel: bool,
 ) -> ArspResult {
     assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
     let flat = FlatStore::from_dataset(dataset);
@@ -106,7 +81,7 @@ fn run_with_fdom(
         &flat,
         &scores,
         variant,
-        parallel,
+        false,
         None,
         &mut scratch,
         None,

@@ -69,7 +69,7 @@ use arsp_geometry::ConstraintSet;
 /// Computes ARSP with the LOOP baseline.
 pub fn arsp_loop(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
     let fdom = LinearFDominance::from_constraints(constraints);
-    run_with_fdom(dataset, &fdom, false)
+    run_with_fdom(dataset, &fdom)
 }
 
 /// LOOP with a pre-built F-dominance test (used by benchmarks to exclude the
@@ -78,33 +78,18 @@ pub fn arsp_loop(dataset: &UncertainDataset, constraints: &ConstraintSet) -> Ars
 /// # Panics
 /// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_loop_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    run_with_fdom(dataset, fdom, false)
-}
-
-/// LOOP with the per-instance scans fanned out over worker threads. Each
-/// instance's probability is an independent product accumulated in exactly
-/// the order of the sequential scan, so the result is bitwise identical to
-/// [`arsp_loop`]. The worker count is bounded by
-/// [`crate::parallel::set_num_threads`]; without the `parallel` feature this
-/// is [`arsp_loop`].
-pub fn arsp_loop_parallel(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    let fdom = LinearFDominance::from_constraints(constraints);
-    run_with_fdom(dataset, &fdom, true)
+    run_with_fdom(dataset, fdom)
 }
 
 /// The free functions' one-shot path: flatten the dataset, project it once
 /// into a [`ScoreMatrix`], sort it and run [`arsp_loop_flat_engine`] with
 /// fresh working memory.
-fn run_with_fdom(
-    dataset: &UncertainDataset,
-    fdom: &LinearFDominance,
-    parallel: bool,
-) -> ArspResult {
+fn run_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
     assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
     let flat = FlatStore::from_dataset(dataset);
     let scores = ScoreMatrix::compute(&flat, fdom);
     let order = instance_order_from_scores(&scores);
-    arsp_loop_flat_engine(&flat, &scores, &order, parallel, None, None, None, None)
+    arsp_loop_flat_engine(&flat, &scores, &order, false, None, None, None, None)
 }
 
 /// The cold sort comparison of every LOOP order: ascending key, ties broken
@@ -425,33 +410,30 @@ pub fn arsp_loop_flat_engine(
         return result;
     }
 
-    #[cfg(feature = "parallel")]
     if parallel {
         let chunks = crate::parallel::triangular_chunk_bounds(n);
         if chunks.len() > 1 {
             use rayon::prelude::*;
 
-            let chunk_results: Vec<(Vec<f64>, u64)> = crate::parallel::with_pool(|| {
-                chunks
-                    .clone()
-                    .into_par_iter()
-                    .map(|range| {
-                        let mut scratch = pool.map_or_else(LoopScratch::default, |p| p.take());
-                        scratch.work.prepare(num_objects);
-                        let mut tests = 0u64;
-                        let probs = range
-                            .map(|pos| {
-                                crate::fault::poll(budget);
-                                scan.target_prob(pos, &mut scratch.work, &mut tests)
-                            })
-                            .collect();
-                        if let Some(p) = pool {
-                            p.put(scratch);
-                        }
-                        (probs, tests)
-                    })
-                    .collect()
-            });
+            let chunk_results: Vec<(Vec<f64>, u64)> = chunks
+                .clone()
+                .into_par_iter()
+                .map(|range| {
+                    let mut scratch = pool.map_or_else(LoopScratch::default, |p| p.take());
+                    scratch.work.prepare(num_objects);
+                    let mut tests = 0u64;
+                    let probs = range
+                        .map(|pos| {
+                            crate::fault::poll(budget);
+                            scan.target_prob(pos, &mut scratch.work, &mut tests)
+                        })
+                        .collect();
+                    if let Some(p) = pool {
+                        p.put(scratch);
+                    }
+                    (probs, tests)
+                })
+                .collect();
 
             for (range, (probs, tests)) in chunks.into_iter().zip(chunk_results) {
                 if let Some(s) = stats {
@@ -464,9 +446,6 @@ pub fn arsp_loop_flat_engine(
             return result;
         }
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = (parallel, pool);
-
     work.prepare(num_objects);
     let mut tests = 0u64;
     for pos in 0..n {
@@ -570,15 +549,17 @@ mod tests {
         }
         .generate();
         let constraints = ConstraintSet::weak_ranking(3, 2);
-        // Force a fan-out even on single-core machines; the lock keeps
-        // knob-value assertions in other tests from observing the transient
-        // setting.
-        let _guard = crate::parallel::knob_lock();
-        crate::parallel::set_num_threads(4);
         let seq = arsp_loop(&d, &constraints);
-        let par = arsp_loop_parallel(&d, &constraints);
-        crate::parallel::set_num_threads(0);
-        assert_eq!(seq.probs(), par.probs());
+        let flat = FlatStore::from_dataset(&d);
+        let scores = ScoreMatrix::compute(&flat, &LinearFDominance::from_constraints(&constraints));
+        let order = instance_order_from_scores(&scores);
+        // Explicit widths force a fan-out even on single-core machines.
+        for threads in [2, 3, 4] {
+            let par = crate::parallel::with_width(threads, || {
+                arsp_loop_flat_engine(&flat, &scores, &order, true, None, None, None, None)
+            });
+            assert_eq!(seq.probs(), par.probs(), "{threads} threads");
+        }
     }
 
     #[test]
@@ -615,20 +596,19 @@ mod tests {
         assert!(stats.snapshot().fdom_tests > 0);
 
         // The parallel path reports through the same sink.
-        let _guard = crate::parallel::knob_lock();
-        crate::parallel::set_num_threads(4);
         let par_stats = CounterStats::new();
-        let par = arsp_loop_flat_engine(
-            &flat,
-            &scores,
-            &order,
-            true,
-            Some(&par_stats),
-            None,
-            None,
-            None,
-        );
-        crate::parallel::set_num_threads(0);
+        let par = crate::parallel::with_width(4, || {
+            arsp_loop_flat_engine(
+                &flat,
+                &scores,
+                &order,
+                true,
+                Some(&par_stats),
+                None,
+                None,
+                None,
+            )
+        });
         assert_eq!(baseline.probs(), par.probs());
         assert_eq!(
             par_stats.snapshot().fdom_tests,
@@ -681,18 +661,24 @@ mod tests {
 
         // The parallel scan agrees too — with and without a worker pool,
         // which must be reused across repeated sweeps.
-        let _guard = crate::parallel::knob_lock();
-        crate::parallel::set_num_threads(4);
-        let par = arsp_loop_flat_engine(&flat, &scores, &order, true, None, None, None, None);
         let pool = crate::scratch::ScratchPool::<LoopScratch>::new();
-        for _ in 0..2 {
-            let pooled =
-                arsp_loop_flat_engine(&flat, &scores, &order, true, None, None, Some(&pool), None);
-            assert_eq!(reference.probs(), pooled.probs());
-        }
-        crate::parallel::set_num_threads(0);
-        assert_eq!(reference.probs(), par.probs());
-        #[cfg(feature = "parallel")]
+        crate::parallel::with_width(4, || {
+            let par = arsp_loop_flat_engine(&flat, &scores, &order, true, None, None, None, None);
+            assert_eq!(reference.probs(), par.probs());
+            for _ in 0..2 {
+                let pooled = arsp_loop_flat_engine(
+                    &flat,
+                    &scores,
+                    &order,
+                    true,
+                    None,
+                    None,
+                    Some(&pool),
+                    None,
+                );
+                assert_eq!(reference.probs(), pooled.probs());
+            }
+        });
         assert!(
             pool.hits() > 0,
             "the second pooled sweep must reuse the first sweep's arenas"

@@ -74,29 +74,6 @@ impl ArspAlgorithm {
             ArspAlgorithm::BranchAndBound => bnb::arsp_bnb(dataset, constraints),
         }
     }
-
-    /// Runs the algorithm with its parallel execution path (see
-    /// [`crate::parallel`]). Guaranteed to return a result **bitwise
-    /// identical** to [`ArspAlgorithm::run`]; the fan-out is bounded by
-    /// [`crate::parallel::set_num_threads`]. ENUM has no parallel path (its
-    /// possible-world sums are float-order-sensitive, and it is the
-    /// exponential toy baseline), KDTT's prebuilt-tree traversal is the
-    /// construction-cost baseline, and B&B's traversal is order-dependent, so
-    /// all three simply run sequentially.
-    pub fn run_parallel(
-        &self,
-        dataset: &UncertainDataset,
-        constraints: &ConstraintSet,
-    ) -> ArspResult {
-        match self {
-            ArspAlgorithm::Enum => enumerate::arsp_enum(dataset, constraints),
-            ArspAlgorithm::Loop => loop_scan::arsp_loop_parallel(dataset, constraints),
-            ArspAlgorithm::Kdtt => kdtt::arsp_kdtt(dataset, constraints),
-            ArspAlgorithm::KdttPlus => kdtt::arsp_kdtt_plus_parallel(dataset, constraints),
-            ArspAlgorithm::QdttPlus => kdtt::arsp_qdtt_plus_parallel(dataset, constraints),
-            ArspAlgorithm::BranchAndBound => bnb::arsp_bnb(dataset, constraints),
-        }
-    }
 }
 
 #[cfg(test)]

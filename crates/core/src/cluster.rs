@@ -412,16 +412,37 @@ impl ShardedService {
     /// durable store (truncating torn WAL tails, replaying intact records)
     /// and rebuilds each serving chain from the recovered state. Returns
     /// the cluster and one [`RecoveryReport`] per shard.
+    ///
+    /// # Errors
+    /// An [`io::ErrorKind::InvalidData`] error naming the missing index when
+    /// the `shard-<i>` directories have a gap (`shard-1/` gone while
+    /// `shard-2/` exists): opening the shards before the gap would silently
+    /// drop every shard after it. Nothing is recovered in that case.
     pub fn open(
         dir: impl AsRef<Path>,
         failure_threshold: u32,
     ) -> io::Result<(Self, Vec<RecoveryReport>)> {
         let dir = dir.as_ref();
-        let mut shards = Vec::new();
-        let mut reports = Vec::new();
+        let num_shards = (0..)
+            .take_while(|&shard| Self::shard_dir(dir, shard).is_dir())
+            .count();
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            let index = path
+                .file_name()
+                .and_then(|name| name.to_str()?.strip_prefix("shard-")?.parse::<usize>().ok());
+            if let Some(beyond) = index.filter(|&k| k > num_shards && path.is_dir()) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("shard-{num_shards} is missing but shard-{beyond} exists"),
+                ));
+            }
+        }
+        let mut shards = Vec::with_capacity(num_shards);
+        let mut reports = Vec::with_capacity(num_shards);
         let mut dim = None;
-        while Self::shard_dir(dir, shards.len()).is_dir() {
-            let shard_dir = Self::shard_dir(dir, shards.len());
+        for shard in 0..num_shards {
+            let shard_dir = Self::shard_dir(dir, shard);
             let (durable, report) = DurableStore::open(&shard_dir)?;
             match dim {
                 None => dim = Some(durable.store().dim()),
@@ -1496,6 +1517,31 @@ mod tests {
         assert_eq!(reports.len(), 3);
         let after = reopened.query(&constraints()).run().expect("all up");
         assert_eq!(after.probs, before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopening_a_cluster_with_a_shard_gap_is_an_error() {
+        let _gate = failpoint::exclusive();
+        let dir = scratch_dir("gap");
+        let config = ClusterConfig {
+            num_shards: 3,
+            ..ClusterConfig::default()
+        };
+        drop(ShardedService::create(&dir, &paper_running_example(), config).expect("create"));
+        std::fs::remove_dir_all(dir.join("shard-1")).expect("remove shard-1");
+        let err = ShardedService::open(&dir, 3)
+            .err()
+            .expect("a gap must not open");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("shard-1 is missing"), "{err}");
+        // Without shard-0 the same gap rule names index 0.
+        std::fs::remove_dir_all(dir.join("shard-0")).expect("remove shard-0");
+        let err = ShardedService::open(&dir, 3)
+            .err()
+            .expect("a gap must not open");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("shard-0 is missing"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -59,7 +59,7 @@
 //! ```
 //!
 //! [`ArspEngine::run_batch`] evaluates a whole constraint sweep, in parallel
-//! across queries when the `parallel` feature is on, with all caches shared —
+//! across queries at the ambient rayon width, with all caches shared —
 //! the per-query cost of a sweep drops to the traversal itself.
 //!
 //! The engine is one of four fronts over the same query pipeline
@@ -151,14 +151,13 @@ pub enum Execution {
     /// Run on the calling thread.
     #[default]
     Sequential,
-    /// Run the algorithm's parallel twin. `threads = 0` keeps the
-    /// process-wide setting (all cores unless
-    /// [`crate::parallel::set_num_threads`] narrowed it); a positive count
-    /// runs this query inside a dedicated scoped worker pool of that size
-    /// (a process-wide override, when set, still wins — and the global knob
-    /// itself is never touched, so concurrent queries cannot interfere).
+    /// Run the algorithm's parallel twin. A positive `threads` runs this
+    /// query inside a scoped rayon pool of that width; `threads = 0` runs
+    /// it at the ambient rayon width (all cores, unless the caller is
+    /// already inside a sized pool). The width is the query's alone:
+    /// concurrent queries of different widths cannot interfere.
     Parallel {
-        /// Worker-thread bound for this query; `0` = process-wide default.
+        /// Width of this query's pool; `0` = the ambient rayon width.
         threads: usize,
     },
 }
@@ -320,8 +319,8 @@ impl ArspEngine {
     }
 
     /// Evaluates a constraint sweep with every cache shared across the batch,
-    /// in parallel across queries when the `parallel` feature is enabled
-    /// (each query itself runs sequentially — one level of fan-out). Outcomes
+    /// in parallel across queries at the ambient rayon width (each query
+    /// itself runs sequentially — one level of fan-out). Outcomes
     /// are returned in input order. Algorithms are auto-selected; use
     /// [`ArspEngine::run_batch_with`] to force one.
     pub fn run_batch(&self, sweep: &[ConstraintSet]) -> Vec<ArspOutcome> {
@@ -334,17 +333,11 @@ impl ArspEngine {
         sweep: &[ConstraintSet],
         algorithm: QueryAlgorithm,
     ) -> Vec<ArspOutcome> {
-        let run_one =
-            |constraints: &ConstraintSet| self.query(constraints).algorithm(algorithm).run();
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            crate::parallel::with_pool(|| sweep.par_iter().map(run_one).collect())
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            sweep.iter().map(run_one).collect()
-        }
+        use rayon::prelude::*;
+        sweep
+            .par_iter()
+            .map(|constraints| self.query(constraints).algorithm(algorithm).run())
+            .collect()
     }
 
     /// Aggregate hit/miss counters over all internal caches — how much index
@@ -544,8 +537,7 @@ mod tests {
             QueryAlgorithm::BranchAndBound,
         ] {
             let seq = engine.query(&constraints).algorithm(algo).run();
-            // The per-query bound uses a scoped pool, so the process-wide
-            // knob is never touched (no knob_lock needed).
+            // The per-query width installs a scoped pool around the query.
             let par = engine
                 .query(&constraints)
                 .algorithm(algo)
@@ -624,7 +616,6 @@ mod tests {
         assert_eq!(steady.scratch_hits, after_first.scratch_hits + 3);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_queries_reuse_worker_arenas() {
         // Large enough to cross the kd twin's parallel node threshold, so

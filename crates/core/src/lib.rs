@@ -49,8 +49,8 @@
 //! * ARSP algorithms for weight ratio constraints: [`arsp_dual`] and the
 //!   d = 2 specialisation [`DualMs2d`],
 //! * a rayon-based parallel execution layer ([`parallel`]): every kernel
-//!   has a bitwise-deterministic parallel form
-//!   ([`ArspAlgorithm::run_parallel`], [`arsp_kdtt_plus_parallel`], …),
+//!   has a bitwise-deterministic parallel twin, run by a query with
+//!   [`Execution::Parallel`] at the width that query names,
 //! * the all-skyline-probabilities special case [`skyline_probabilities`],
 //! * the dynamic-dataset engine ([`dynamic`]) and the concurrent MVCC
 //!   serving layer on top of it ([`service`]): `Arc`-pinned snapshot
@@ -95,10 +95,10 @@ pub use algorithms::bnb::{arsp_bnb, arsp_bnb_with_fdom, arsp_bnb_without_pruning
 pub use algorithms::dual::{arsp_dual, DualMs2d};
 pub use algorithms::enumerate::{arsp_enum, arsp_enum_with_limit};
 pub use algorithms::kdtt::{
-    arsp_kdtt, arsp_kdtt_plus, arsp_kdtt_plus_parallel, arsp_kdtt_plus_with_fdom,
-    arsp_kdtt_with_fdom, arsp_qdtt_plus, arsp_qdtt_plus_parallel, arsp_qdtt_plus_with_fdom,
+    arsp_kdtt, arsp_kdtt_plus, arsp_kdtt_plus_with_fdom, arsp_kdtt_with_fdom, arsp_qdtt_plus,
+    arsp_qdtt_plus_with_fdom,
 };
-pub use algorithms::loop_scan::{arsp_loop, arsp_loop_parallel, arsp_loop_with_fdom};
+pub use algorithms::loop_scan::{arsp_loop, arsp_loop_with_fdom};
 pub use algorithms::ArspAlgorithm;
 pub use asp::skyline_probabilities;
 pub use cluster::{
@@ -133,15 +133,14 @@ pub mod prelude {
     pub use crate::effectiveness::{rskyline_ranking, skyline_ranking};
     pub use crate::engine::{ArspEngine, ArspOutcome, Execution, QueryAlgorithm};
     pub use crate::fault::{QueryBudget, QueryError, RetryPolicy};
-    pub use crate::parallel::{num_threads, set_num_threads};
     pub use crate::pipeline::{Query, QueryOutcome};
     pub use crate::result::ArspResult;
     pub use crate::service::{ArspService, ServiceOutcome, ServiceWriter, SnapshotPin};
     pub use crate::standing::{ChangeBatch, ChangedPair, StandingSpec, SubscriptionGuard};
     pub use crate::stats::QueryCounters;
     pub use crate::{
-        arsp_bnb, arsp_dual, arsp_enum, arsp_kdtt, arsp_kdtt_plus, arsp_kdtt_plus_parallel,
-        arsp_loop, arsp_loop_parallel, arsp_qdtt_plus, arsp_qdtt_plus_parallel, DualMs2d,
+        arsp_bnb, arsp_dual, arsp_enum, arsp_kdtt, arsp_kdtt_plus, arsp_loop, arsp_qdtt_plus,
+        DualMs2d,
     };
     pub use arsp_data::{InstanceHandle, SyntheticConfig, UncertainDataset, VersionedStore};
     pub use arsp_geometry::constraints::{ConstraintSet, WeightRatio};

@@ -150,8 +150,8 @@ impl QueryPools {
 /// The query body every front runs: resolves `Auto`, fetches the chosen
 /// algorithm's artifacts from `source` (in the sequence the
 /// [module docs](self) list) and runs its flat kernel — inside a scoped pool
-/// of `threads` workers under `Execution::Parallel { threads > 0 }`, which
-/// never touches the process-wide knob. The outcome carries the front's
+/// of `threads` workers under `Execution::Parallel { threads > 0 }`, at the
+/// ambient rayon width under `threads = 0`. The outcome carries the front's
 /// `view`; [`Query::try_run`] fills in the rest.
 ///
 /// # Panics
@@ -285,11 +285,8 @@ pub(crate) fn execute<V>(
         }
     };
     let (result, run_start) = match spec.execution {
-        #[cfg(feature = "parallel")]
-        Execution::Parallel { threads } if threads > 0 => {
-            crate::parallel::with_pool_sized(threads, run)
-        }
-        _ => run(),
+        Execution::Parallel { threads } => crate::parallel::with_width(threads, run),
+        Execution::Sequential => run(),
     };
 
     QueryOutcome {

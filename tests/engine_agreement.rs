@@ -236,7 +236,7 @@ fn parallel_engine_queries_match_sequential() {
         let par = engine
             .query(&constraints)
             .algorithm(algorithm)
-            .execution(Execution::Parallel { threads: 0 })
+            .execution(Execution::Parallel { threads: 2 })
             .run();
         assert_eq!(
             seq.result().probs(),

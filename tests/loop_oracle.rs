@@ -21,7 +21,6 @@
 use arsp::core::algorithms::loop_scan::{
     arsp_loop_flat_engine, instance_order_from_scores, InstanceOrder,
 };
-use arsp::core::parallel::set_num_threads;
 use arsp::core::stats::CounterStats;
 use arsp::core::ScoreMatrix;
 use arsp::data::FlatStore;
@@ -198,19 +197,24 @@ fn flat_engine_matches_the_naive_scan_sequential_and_on_two_threads() {
         let flat = FlatStore::from_dataset(&dataset);
         let scores = ScoreMatrix::compute(&flat, &fdom);
         let order = instance_order_from_scores(&scores);
+        let two_threads = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool");
         for parallel in [false, true] {
-            set_num_threads(2);
             let stats = CounterStats::new();
-            let got = arsp_loop_flat_engine(
-                &flat,
-                &scores,
-                &order,
-                parallel,
-                Some(&stats),
-                None,
-                None,
-                None,
-            );
+            let got = two_threads.install(|| {
+                arsp_loop_flat_engine(
+                    &flat,
+                    &scores,
+                    &order,
+                    parallel,
+                    Some(&stats),
+                    None,
+                    None,
+                    None,
+                )
+            });
             let what = format!("{what} parallel={parallel}");
             assert_bits(&expected, got.probs(), &what);
             assert_eq!(stats.snapshot().fdom_tests, expected_tests, "{what}: tests");

@@ -1,10 +1,26 @@
-//! The parallel execution layer's contract: `run_parallel` produces results
-//! **bitwise identical** to `run` — not merely within tolerance — for every
-//! algorithm, dataset shape and thread count. This is what makes the
-//! `parallel` feature safe to leave on by default: no experiment or
-//! regression test can be perturbed by it.
+//! The parallel execution layer's contract: an engine query under
+//! `Execution::Parallel { threads }` produces results **bitwise identical**
+//! to the sequential free function — not merely within tolerance — for every
+//! algorithm, dataset shape and width. Each query names its width, so the
+//! fan-out exercised here does not depend on the host's core count, and no
+//! experiment or regression test can be perturbed by choosing a width.
 
 use arsp::prelude::*;
+
+/// One engine query with `algorithm` at width `threads`.
+fn parallel_run(
+    engine: &ArspEngine,
+    algorithm: ArspAlgorithm,
+    constraints: &ConstraintSet,
+    threads: usize,
+) -> ArspResult {
+    engine
+        .query(constraints)
+        .algorithm(algorithm)
+        .execution(Execution::Parallel { threads })
+        .run()
+        .into_result()
+}
 
 /// Dataset shapes covering both sides of the fused traversals' internal
 /// parallel node-size threshold.
@@ -52,9 +68,10 @@ fn feasible(algorithm: ArspAlgorithm, config: &SyntheticConfig) -> bool {
 }
 
 #[test]
-fn run_parallel_is_bitwise_identical_for_every_algorithm() {
+fn parallel_queries_are_bitwise_identical_for_every_algorithm() {
     for config in shapes() {
         let dataset = config.generate();
+        let engine = ArspEngine::new(dataset.clone());
         for c in 1..config.dim {
             let constraints = ConstraintSet::weak_ranking(config.dim, c);
             for algorithm in ArspAlgorithm::ALL {
@@ -62,7 +79,7 @@ fn run_parallel_is_bitwise_identical_for_every_algorithm() {
                     continue;
                 }
                 let sequential = algorithm.run(&dataset, &constraints);
-                let parallel = algorithm.run_parallel(&dataset, &constraints);
+                let parallel = parallel_run(&engine, algorithm, &constraints, 2);
                 assert_eq!(
                     sequential.probs(),
                     parallel.probs(),
@@ -88,23 +105,17 @@ fn thread_count_never_changes_results() {
         ..SyntheticConfig::default()
     };
     let dataset = config.generate();
+    let engine = ArspEngine::new(dataset.clone());
     let constraints = ConstraintSet::weak_ranking(3, 2);
-    let reference = arsp_kdtt_plus(&dataset, &constraints);
-
-    // The knob is process-global, so this test temporarily narrows it; all
-    // settings must agree bitwise with the sequential reference, which also
-    // makes the temporary narrowing invisible to concurrently running tests.
-    for threads in [1, 2, 3, 8] {
-        set_num_threads(threads);
-        assert_eq!(num_threads(), threads);
-        for algorithm in [
-            ArspAlgorithm::Loop,
-            ArspAlgorithm::KdttPlus,
-            ArspAlgorithm::QdttPlus,
-            ArspAlgorithm::BranchAndBound,
-        ] {
-            let got = algorithm.run_parallel(&dataset, &constraints);
-            let want = algorithm.run(&dataset, &constraints);
+    for algorithm in [
+        ArspAlgorithm::Loop,
+        ArspAlgorithm::KdttPlus,
+        ArspAlgorithm::QdttPlus,
+        ArspAlgorithm::BranchAndBound,
+    ] {
+        let want = algorithm.run(&dataset, &constraints);
+        for threads in [1, 2, 3, 8] {
+            let got = parallel_run(&engine, algorithm, &constraints, threads);
             assert_eq!(
                 got.probs(),
                 want.probs(),
@@ -112,12 +123,7 @@ fn thread_count_never_changes_results() {
                 algorithm.name()
             );
         }
-        assert_eq!(
-            reference.probs(),
-            arsp_kdtt_plus(&dataset, &constraints).probs()
-        );
     }
-    set_num_threads(0);
 }
 
 #[test]
@@ -137,10 +143,68 @@ fn parallel_agrees_with_independent_reference_algorithm() {
     .generate();
     let constraints = ConstraintSet::weak_ranking(3, 1);
     let loop_result = arsp_loop(&dataset, &constraints);
-    let parallel = arsp_kdtt_plus_parallel(&dataset, &constraints);
+    let engine = ArspEngine::new(dataset);
+    let parallel = parallel_run(&engine, ArspAlgorithm::KdttPlus, &constraints, 2);
     assert!(
         loop_result.approx_eq(&parallel, 1e-8),
         "diff = {}",
         loop_result.max_abs_diff(&parallel)
     );
+}
+
+#[test]
+fn concurrent_queries_at_different_widths_do_not_interfere() {
+    // Each query's width is its own: queries at widths 1, 2, 4 and 8 on
+    // concurrent threads over one shared engine all return the sequential
+    // bits, with the same work counters.
+    let dataset = SyntheticConfig {
+        num_objects: 260,
+        max_instances: 5,
+        dim: 2,
+        region_length: 0.35,
+        phi: 0.2,
+        seed: 3,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let engine = ArspEngine::new(dataset);
+    let constraints = ConstraintSet::weak_ranking(2, 1);
+    let algorithms = [
+        QueryAlgorithm::Loop,
+        QueryAlgorithm::KdttPlus,
+        QueryAlgorithm::QdttPlus,
+    ];
+    let sequential: Vec<_> = algorithms
+        .iter()
+        .map(|&algorithm| {
+            engine
+                .query(&constraints)
+                .algorithm(algorithm)
+                .collect_stats(true)
+                .run()
+        })
+        .collect();
+    std::thread::scope(|s| {
+        for threads in [1, 2, 4, 8] {
+            let (engine, constraints, sequential) = (&engine, &constraints, &sequential);
+            s.spawn(move || {
+                for _ in 0..3 {
+                    for (algorithm, want) in algorithms.iter().zip(sequential) {
+                        let got = engine
+                            .query(constraints)
+                            .algorithm(*algorithm)
+                            .execution(Execution::Parallel { threads })
+                            .collect_stats(true)
+                            .run();
+                        assert_eq!(
+                            got.result().probs(),
+                            want.result().probs(),
+                            "{algorithm:?} diverged at {threads} threads"
+                        );
+                        assert_eq!(got.counters(), want.counters(), "{algorithm:?}");
+                    }
+                }
+            });
+        }
+    });
 }

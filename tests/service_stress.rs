@@ -223,8 +223,12 @@ fn read_loop(
             break;
         }
         let pin = service.pin();
+        // Every fifth query runs in parallel, alternating widths 2 and 4:
+        // reader threads times intra-query fan-out.
         let execution = if i % 5 == 4 {
-            Execution::Parallel { threads: 2 }
+            Execution::Parallel {
+                threads: if i % 10 == 4 { 2 } else { 4 },
+            }
         } else {
             Execution::Sequential
         };
