@@ -17,7 +17,6 @@
 //!   `ScoreMatrix`, the parallel twins, pooled per-query and per-worker
 //!   arenas.
 //!
-//! Each query names its own width, so no process-wide setting is involved.
 //! Results are bitwise identical across all variants — enforced by
 //! `tests/engine_agreement.rs` and `tests/parallel_agreement.rs`; numbers
 //! are recorded in EXPERIMENTS.md and `BENCH_parallel_flat.json`.

@@ -971,22 +971,12 @@ pub fn kd_asp_flat_engine_parallel(
     budget: Option<&crate::fault::QueryBudget>,
 ) -> Vec<f64> {
     let split = match variant {
-        KdVariant::Prebuilt => {
-            return kd_asp_flat_engine(
-                pts,
-                num_objects,
-                num_instances,
-                variant,
-                stats,
-                scratch,
-                budget,
-            );
-        }
-        KdVariant::FusedKd => SplitKind::Kd,
-        KdVariant::FusedQuad => SplitKind::Quad,
+        KdVariant::Prebuilt => None,
+        KdVariant::FusedKd => Some(SplitKind::Kd),
+        KdVariant::FusedQuad => Some(SplitKind::Quad),
     };
     let levels = crate::parallel::fan_out_levels();
-    if levels == 0 || pts.len() < MIN_PARALLEL_NODE {
+    let Some(split) = split.filter(|_| levels > 0 && pts.len() >= MIN_PARALLEL_NODE) else {
         return kd_asp_flat_engine(
             pts,
             num_objects,
@@ -996,7 +986,7 @@ pub fn kd_asp_flat_engine_parallel(
             scratch,
             budget,
         );
-    }
+    };
     let mut out = vec![0.0; num_instances];
     let n = pts.len();
     scratch.prepare(num_objects, n);

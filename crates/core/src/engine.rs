@@ -537,7 +537,6 @@ mod tests {
             QueryAlgorithm::BranchAndBound,
         ] {
             let seq = engine.query(&constraints).algorithm(algo).run();
-            // The per-query width installs a scoped pool around the query.
             let par = engine
                 .query(&constraints)
                 .algorithm(algo)

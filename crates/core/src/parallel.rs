@@ -38,8 +38,8 @@
 //! the wall-clock time.
 
 /// Runs `f` inside a rayon pool of `threads` workers, so every parallel
-/// driver under `f` (kd subtree joins, LOOP and DUAL chunks, batch sweeps)
-/// fans out to that width. `0` runs `f` at the ambient width. A scoped pool
+/// driver under `f` (kd subtree joins, LOOP and DUAL chunks) fans out to
+/// that width. `0` runs `f` at the ambient width. A scoped pool
 /// touches no process-wide state, so concurrent queries of different widths
 /// cannot interfere.
 pub(crate) fn with_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {

@@ -56,6 +56,15 @@ fn constraints_for(dataset: &UncertainDataset) -> ConstraintSet {
 
 type PointPath = fn(&UncertainDataset, &LinearFDominance) -> ArspResult;
 
+/// Runs `f` at width 2, so the parallel arms fan out on any host.
+fn two_wide<R>(f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool")
+        .install(f)
+}
+
 fn assert_matches_enum(truth: &ArspResult, got: &ArspResult, what: &str) {
     assert!(
         truth.approx_eq(got, 1e-9),
@@ -76,8 +85,9 @@ fn loop_flat_engine_matches_point_path_bitwise() {
         let scores = ScoreMatrix::compute(&flat, &fdom);
         let order = instance_order_from_scores(&scores);
         for parallel in [false, true] {
-            let got =
-                arsp_loop_flat_engine(&flat, &scores, &order, parallel, None, None, None, None);
+            let got = two_wide(|| {
+                arsp_loop_flat_engine(&flat, &scores, &order, parallel, None, None, None, None)
+            });
             assert_matches_enum(&truth, &got, "arsp_loop_flat_engine");
             assert_eq!(got.probs(), point_path.probs(), "arsp_loop_flat_engine");
         }
@@ -105,16 +115,18 @@ fn kdtt_flat_engine_matches_point_path_in_every_variant() {
         for (variant, point_path) in cases {
             let want = point_path(&dataset, &fdom);
             for parallel in [false, true] {
-                let got = arsp_kdtt_flat_engine(
-                    &flat,
-                    &scores,
-                    variant,
-                    parallel,
-                    None,
-                    &mut scratch,
-                    None,
-                    None,
-                );
+                let got = two_wide(|| {
+                    arsp_kdtt_flat_engine(
+                        &flat,
+                        &scores,
+                        variant,
+                        parallel,
+                        None,
+                        &mut scratch,
+                        None,
+                        None,
+                    )
+                });
                 let what = format!("arsp_kdtt_flat_engine/{variant:?}");
                 assert_matches_enum(&truth, &got, &what);
                 assert_eq!(got.probs(), want.probs(), "{what}");
@@ -148,16 +160,18 @@ fn kd_asp_flat_engine_parallel_twin_is_bitwise_identical() {
                 None,
             );
             let mut scratch = KdScratch::new();
-            let parallel = kd_asp_flat_engine_parallel(
-                FlatScorePoints::new(&flat, &scores),
-                flat.num_objects(),
-                flat.num_instances(),
-                variant,
-                None,
-                &mut scratch,
-                Some(&pool),
-                None,
-            );
+            let parallel = two_wide(|| {
+                kd_asp_flat_engine_parallel(
+                    FlatScorePoints::new(&flat, &scores),
+                    flat.num_objects(),
+                    flat.num_instances(),
+                    variant,
+                    None,
+                    &mut scratch,
+                    Some(&pool),
+                    None,
+                )
+            });
             assert_eq!(
                 parallel, sequential,
                 "kd_asp_flat_engine_parallel/{variant:?}"
@@ -181,7 +195,7 @@ fn dual_flat_engine_matches_point_path_bitwise() {
         let flat = FlatStore::from_dataset(&dataset);
         let agg = build_dual_index(&flat);
         for parallel in [false, true] {
-            let got = arsp_dual_flat_engine(&flat, &ratio, &agg, parallel, None, None);
+            let got = two_wide(|| arsp_dual_flat_engine(&flat, &ratio, &agg, parallel, None, None));
             let what = format!("arsp_dual_flat_engine parallel={parallel}");
             assert_matches_enum(&truth, &got, &what);
             assert_eq!(got.probs(), point_path.probs(), "{what}");
