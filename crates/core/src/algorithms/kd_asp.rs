@@ -54,6 +54,37 @@
 //! entirely outside the node and dominates everything in it, so the pruning
 //! is exact.
 //!
+//! ## Candidate pass
+//!
+//! Every traversal, sequential or parallel, and ASP spend most of their time
+//! in one loop: lines 9–18 of Algorithm 1, which check each of the parent's
+//! candidates against the node's corners. There is one body for it,
+//! `candidate_pass`, and it has no data-dependent branch in the dominance
+//! tests or in the survivor append:
+//!
+//! 1. each candidate's row is compared with `pmin` and with `pmax` on every
+//!    coordinate, with no early exit, and its `in_node` mark is read once;
+//! 2. a candidate outside the node and below `pmin` is folded into σ (the
+//!    only branch left, taken in candidate order, so σ/β/χ take exactly the
+//!    float steps an early-exit pass takes);
+//! 3. every candidate is written at the stack top, and the top advances by
+//!    its "not folded and below `pmax`" flag, so the survivors keep their
+//!    order.
+//!
+//! Dominance is a pure conjunction of the same `<=` comparisons, so the
+//! folded and surviving candidates, and `fdom_tests` (one test per candidate
+//! outside the node, one per candidate not folded), are those of an
+//! early-exit pass, and every probability is the same bits.
+//!
+//! The score width is a type parameter of that body: `Fixed<D>` makes it a
+//! compile-time constant, so the coordinate loop unrolls fully, and
+//! `Runtime` carries it as a value. `flat_candidate_pass` dispatches on the
+//! input's score dimension: d′ = 1..=16 each run their own compiled copy,
+//! and larger d′ run the runtime-width copy. On the serving benchmark's
+//! union, the compiled copies make KDTT+ about 1.6× faster than an
+//! early-exit pass; a runtime-width loop alone recovers only part of that
+//! (EXPERIMENTS.md).
+//!
 //! ## Exact undo
 //!
 //! On node exit the state is restored **exactly**, not recomputed: the σ
@@ -69,7 +100,6 @@
 use crate::scorespace::FlatScorePoints;
 use crate::stats::CounterStats;
 use arsp_geometry::mbr::{extend_bounds, reset_bounds};
-use arsp_geometry::point::dominates;
 use arsp_index::kdtree::KdNodeContent;
 use arsp_index::{FlatEntries, KdTree};
 
@@ -284,11 +314,44 @@ fn emit_coincident_flat(
     }
 }
 
+/// The score width of one candidate pass: a compile-time constant
+/// ([`Fixed`]) or a runtime value ([`Runtime`]). [`candidate_pass`] is
+/// generic over it, so each fixed width compiles to its own fully unrolled
+/// copy of the one pass body.
+trait Width: Copy {
+    fn dim(self) -> usize;
+}
+
+/// A score width known at compile time.
+#[derive(Clone, Copy)]
+struct Fixed<const D: usize>;
+
+impl<const D: usize> Width for Fixed<D> {
+    #[inline(always)]
+    fn dim(self) -> usize {
+        D
+    }
+}
+
+/// A score width known only at run time (d′ above the compiled widths).
+#[derive(Clone, Copy)]
+struct Runtime(usize);
+
+impl Width for Runtime {
+    #[inline(always)]
+    fn dim(self) -> usize {
+        self.0
+    }
+}
+
 /// The candidate pass of lines 9–18 over the shared stacks: reads the
 /// parent's candidate range `[c0, c1)` of `scratch.cand`, appends this node's
 /// surviving candidates at the top of the stack, and records σ mutations on
 /// the shared undo stack. Returns the number of F-dominance tests performed.
 /// `bstart` locates this node's `pmin`/`pmax` inside the bounds arena.
+///
+/// Dispatches on the score dimension: d′ = 1..=16 run their own compiled
+/// copy of [`candidate_pass`], larger d′ the runtime-width copy.
 fn flat_candidate_pass(
     pts: &FlatScorePoints<'_>,
     s: &mut KdScratch,
@@ -297,27 +360,61 @@ fn flat_candidate_pass(
     c1: usize,
     bstart: usize,
 ) -> u64 {
-    let dim = pts.dim;
+    macro_rules! by_width {
+        ($($d:literal)*) => {
+            match pts.dim {
+                $($d => candidate_pass(Fixed::<$d>, pts, s, bc, c0, c1, bstart),)*
+                dim => candidate_pass(Runtime(dim), pts, s, bc, c0, c1, bstart),
+            }
+        };
+    }
+    by_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+}
+
+/// The one candidate-pass body, compiled once per [`Width`]: both corner
+/// tests on every coordinate, σ folds in candidate order, and a branch-free
+/// survivor append (see "Candidate pass" in the module docs for why the
+/// result is bitwise that of an early-exit pass).
+#[inline(always)]
+fn candidate_pass<W: Width>(
+    w: W,
+    pts: &FlatScorePoints<'_>,
+    s: &mut KdScratch,
+    bc: &mut FlatBc,
+    c0: usize,
+    c1: usize,
+    bstart: usize,
+) -> u64 {
+    let dim = w.dim();
+    let (pmin, pmax) = s.bounds[bstart..bstart + 2 * dim].split_at(dim);
+    let coords = pts.coords;
+    // Room for every candidate at the top, so the append never branches.
+    let base = s.cand.len();
+    s.cand.resize(base + (c1 - c0), 0);
+    let mut top = base;
     let mut tests = 0u64;
     for i in c0..c1 {
         let c = s.cand[i];
         let cu = c as usize;
-        let row = pts.coords_of(cu);
-        let outside_and_below = !s.in_node[cu] && {
-            tests += 1;
-            dominates(row, &s.bounds[bstart..bstart + dim])
-        };
-        if outside_and_below {
+        let row = &coords[cu * dim..][..dim];
+        let mut below_min = true;
+        let mut below_max = true;
+        for ((&x, &lo), &hi) in row.iter().zip(pmin).zip(pmax) {
+            below_min &= x <= lo;
+            below_max &= x <= hi;
+        }
+        let outside = !s.in_node[cu];
+        let fold = outside & below_min;
+        tests += u64::from(outside) + u64::from(!fold);
+        if fold {
             let obj = pts.objects[cu] as usize;
             s.saved.push((obj as u32, s.sigma[obj]));
             flat_sky_add(&mut s.sigma, bc, obj, pts.probs[cu]);
-        } else {
-            tests += 1;
-            if dominates(row, &s.bounds[bstart + dim..bstart + 2 * dim]) {
-                s.cand.push(c);
-            }
         }
+        s.cand[top] = c;
+        top += usize::from(!fold & below_max);
     }
+    s.cand.truncate(top);
     tests
 }
 
@@ -1010,6 +1107,7 @@ pub fn kd_asp_flat_engine_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arsp_geometry::point::dominates;
 
     /// A point set in flat columns; point `i` is instance `i`.
     #[derive(Default)]
@@ -1426,6 +1524,220 @@ mod tests {
                 par_stats.snapshot(),
                 "work counters must not depend on the execution mode ({variant:?})"
             );
+        }
+    }
+
+    /// ≥ 1,024 tie-heavy points in `dim` score dimensions: grid coordinates
+    /// (ties on every split axis), a quarter of the instances copying an
+    /// earlier instance's coordinates (duplicates across objects), and two
+    /// objects holding half their mass at the minimum corner of the whole
+    /// set. Every object has 2–5 instances, so no single instance saturates
+    /// σ and prunes the traversal at the root.
+    fn tie_heavy_points(dim: usize) -> Points {
+        use rand::prelude::*;
+        let mut rng = TestRng::seed_from_u64(0x7e57 + dim as u64);
+        let grid_row = |rng: &mut TestRng| -> Vec<f64> {
+            (0..dim)
+                .map(|_| rng.gen_range(0..8) as f64 * 0.25)
+                .collect()
+        };
+        let mut pts = Points::default();
+        for obj in 0..2 {
+            pts.push(obj, 0.5, &vec![0.0; dim]);
+            let row = grid_row(&mut rng);
+            pts.push(obj, 0.5, &row);
+        }
+        let mut obj = 2;
+        while pts.len() < 1_030 {
+            let k = rng.gen_range(2..6);
+            for _ in 0..k {
+                let row = if pts.len() > 4 && rng.gen_bool(0.25) {
+                    let from = rng.gen_range(4..pts.len());
+                    pts.view().coords_of(from).to_vec()
+                } else {
+                    grid_row(&mut rng)
+                };
+                pts.push(obj, 1.0 / k as f64, &row);
+            }
+            obj += 1;
+        }
+        pts
+    }
+
+    /// FNV-1a over every probability's bit pattern.
+    fn bits_digest(probs: &[f64]) -> u64 {
+        probs.iter().fold(0xcbf2_9ce4_8422_2325, |h, p| {
+            p.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// Pins per score dimension 1..=18, one `(digest, fdom_tests,
+    /// nodes_visited)` triple per variant in [`VARIANTS`] order. Dimensions
+    /// 1..=16 run the pass's compiled widths, 17 and 18 its runtime width.
+    const WIDTH_PINS: [[(u64, u64, u64); 3]; 18] = [
+        // d' = 1
+        [
+            (0x48dbcec752eb56e5, 5535, 7),
+            (0x48dbcec752eb56e5, 5523, 7),
+            (0x48dbcec752eb56e5, 5535, 7),
+        ],
+        // d' = 2
+        [
+            (0xf0d45c9911a734f, 28992, 121),
+            (0xfc6add3519c8b30a, 15449, 33),
+            (0xbac55b56a3038832, 28992, 121),
+        ],
+        // d' = 3
+        [
+            (0x1d2ee4f092a30d84, 159031, 865),
+            (0xc455f6985ffdb6ee, 73588, 273),
+            (0xebc02b251afbfc86, 159031, 865),
+        ],
+        // d' = 4
+        [
+            (0x4ce6c921fa5e2c1d, 247138, 1389),
+            (0x39cc9660580e250b, 171026, 723),
+            (0x1be1e60902d0c3ad, 247138, 1389),
+        ],
+        // d' = 5
+        [
+            (0xbd4d41a218e3e8df, 351106, 1677),
+            (0x743fb7e1d59a89fc, 309933, 875),
+            (0x7168074ce39dc070, 351106, 1677),
+        ],
+        // d' = 6
+        [
+            (0x941f616e6bc07fc5, 348410, 1751),
+            (0x556afcb9045751b7, 359368, 855),
+            (0x34478a65f21d2ede, 348410, 1751),
+        ],
+        // d' = 7
+        [
+            (0x64ecff0e5260a3e2, 322085, 1793),
+            (0x9aea29976e93feaf, 420481, 904),
+            (0x88ec5eec67d03c2f, 322085, 1793),
+        ],
+        // d' = 8
+        [
+            (0xd72059b06cc60a62, 309667, 1833),
+            (0x629d7cf6127e2b3, 599085, 992),
+            (0x8087e681b7b466e4, 309667, 1833),
+        ],
+        // d' = 9
+        [
+            (0x281cae90e6c13644, 297215, 1845),
+            (0x38f7c73deaa4b0b1, 864890, 1011),
+            (0x6262975bb7e0990, 297215, 1845),
+        ],
+        // d' = 10
+        [
+            (0x6153794e13eac8fa, 262837, 1859),
+            (0x6d8bc5716205acc8, 1088790, 958),
+            (0x3b5360bf79402b6a, 262837, 1859),
+        ],
+        // d' = 11
+        [
+            (0x5335566bdee37d6a, 254470, 1835),
+            (0x393ea8e1800e2d26, 1296776, 884),
+            (0x24248ea19c315a25, 254470, 1835),
+        ],
+        // d' = 12
+        [
+            (0x9a6f060913b40185, 239611, 1813),
+            (0x942bae31d9256475, 1435161, 809),
+            (0x42fb86fddfa74183, 239611, 1813),
+        ],
+        // d' = 13
+        [
+            (0x464d579874993649, 210244, 1813),
+            (0xbd12e5b9e5617d83, 1512977, 804),
+            (0x68c7464a4fbf9735, 210244, 1813),
+        ],
+        // d' = 14
+        [
+            (0x60cfc141b28d03fa, 212216, 1821),
+            (0x1d33f166a381b40b, 1518838, 779),
+            (0xd02b8c77a1447a52, 212216, 1821),
+        ],
+        // d' = 15
+        [
+            (0x442c1fd226124276, 203536, 1847),
+            (0xfbf817f1d4ad0193, 1553253, 777),
+            (0x1ca4071999a4f7ad, 203536, 1847),
+        ],
+        // d' = 16
+        [
+            (0xad55316b4b965cc6, 200810, 1843),
+            (0x2b4fbe46638375c1, 1589228, 777),
+            (0xc5f4f8e315209c9c, 200810, 1843),
+        ],
+        // d' = 17
+        [
+            (0xaceda2a285a527cb, 183316, 1837),
+            (0xc5fcc8e397a08e38, 1592331, 778),
+            (0x1ab80844ae26acdb, 183316, 1837),
+        ],
+        // d' = 18
+        [
+            (0x351f9e488f556b7e, 185171, 1869),
+            (0xa3bc7bce248dee, 1610400, 782),
+            (0x4836f9464eed35b3, 185171, 1869),
+        ],
+    ];
+
+    /// Every variant, sequential and at widths 2 and 3, must hit its pin at
+    /// every score dimension. The pins were recorded with the early-exit
+    /// candidate pass, so they hold the branch-free pass to its bits and
+    /// counters.
+    #[test]
+    fn kernel_output_is_pinned_at_every_width() {
+        let mut scratch = KdScratch::new();
+        let pool = KdWorkerPool::new();
+        for (d, pins) in WIDTH_PINS.iter().enumerate() {
+            let dim = d + 1;
+            let pts = tie_heavy_points(dim);
+            let (view, m, n) = (pts.view(), pts.num_objects(), pts.len());
+            assert!(
+                n >= 2 * MIN_PARALLEL_NODE,
+                "must fan out past the threshold"
+            );
+            for (&variant, &pin) in VARIANTS.iter().zip(pins) {
+                for width in [None, Some(2), Some(3)] {
+                    let stats = CounterStats::new();
+                    let probs = match width {
+                        None => kd_asp_flat_engine(
+                            view,
+                            m,
+                            n,
+                            variant,
+                            Some(&stats),
+                            &mut scratch,
+                            None,
+                        ),
+                        Some(threads) => crate::parallel::with_width(threads, || {
+                            kd_asp_flat_engine_parallel(
+                                view,
+                                m,
+                                n,
+                                variant,
+                                Some(&stats),
+                                &mut scratch,
+                                Some(&pool),
+                                None,
+                            )
+                        }),
+                    };
+                    let c = stats.snapshot();
+                    assert_eq!(
+                        (bits_digest(&probs), c.fdom_tests, c.nodes_visited),
+                        pin,
+                        "d' = {dim}, {variant:?}, width {width:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -780,11 +780,18 @@ impl ShardedService {
     /// full batch immediately. After every
     /// [`apply_batch`](Self::apply_batch), the shard's publish refreshes its
     /// subscription, so [`ClusterSubscription::drain`] yields the per-shard
-    /// change-sets in shard-major order — stitched exactly like the
-    /// cross-shard result merge (shard-order concatenation; handles are
-    /// shard-local, so every change is tagged with its shard). Fails closed
-    /// with [`QueryError::ShardUnavailable`] when any shard is down —
+    /// change-sets in shard-major order (handles are shard-local, so every
+    /// change is tagged with its shard). Fails closed with
+    /// [`QueryError::ShardUnavailable`] when any shard is down —
     /// subscribing to a partial population would silently miss its changes.
+    ///
+    /// Each feed holds **its shard's own** ARSP: every instance is scored
+    /// against its shard's objects only. An instance's skyline probability
+    /// depends on every object, so the feed is not the cluster's answer:
+    /// [`ClusterSubscription::maintained`] is not a [`ClusterQuery`] over
+    /// the union: an instance's probability there misses every dominator
+    /// that another shard holds. Driving the feed from the union is ROADMAP
+    /// item 3.
     pub fn subscribe(&self, spec: &StandingSpec) -> Result<ClusterSubscription, QueryError> {
         let mut guards = Vec::with_capacity(self.num_shards());
         let mut missing = Vec::new();
@@ -1030,9 +1037,10 @@ impl ClusterSubscription {
         &self.guards[shard]
     }
 
-    /// Drains every shard's undelivered batches, stitched shard-major
-    /// (shard 0's batches oldest-first, then shard 1's, …) — the same
-    /// shard-order concatenation the cross-shard result merge uses.
+    /// Drains every shard's undelivered batches, shard-major (shard 0's
+    /// batches oldest-first, then shard 1's, …). Each batch changes its
+    /// shard's own ARSP, not the cluster's union result (see
+    /// [`ShardedService::subscribe`]).
     pub fn drain(&self) -> Vec<ShardChange> {
         let mut changes = Vec::new();
         for (shard, guard) in self.guards.iter().enumerate() {
@@ -1043,8 +1051,10 @@ impl ClusterSubscription {
         changes
     }
 
-    /// The stitched maintained result: `(shard, handle, probability)` in
-    /// shard-major, then ascending-handle order.
+    /// Every shard's maintained result: `(shard, handle, probability)` in
+    /// shard-major, then ascending-handle order. Each probability is the
+    /// instance's ARSP within its own shard, so this is not a
+    /// [`ClusterQuery`] over the union (see [`ShardedService::subscribe`]).
     pub fn maintained(&self) -> Vec<(usize, InstanceHandle, f64)> {
         let mut rows = Vec::new();
         for (shard, guard) in self.guards.iter().enumerate() {

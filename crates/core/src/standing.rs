@@ -32,8 +32,11 @@
 //! duplicated result versions. The refresh queries run on the snapshot just
 //! published, so they share every artifact build with the readers' queries
 //! at that version. [`crate::cluster::ShardedService::subscribe`]
-//! fans one spec out per shard and stitches the per-shard change-sets
-//! shard-major, exactly like the cross-shard result merge. Dropping a
+//! fans one spec out per shard and concatenates the per-shard change-sets
+//! shard-major. Each shard's feed holds that shard's own ARSP, scored
+//! against its shard's objects only, so it is not the cluster's union
+//! result (a `ClusterQuery`); driving cluster feeds from the union is
+//! ROADMAP item 3. Dropping a
 //! [`SubscriptionGuard`] unsubscribes (RAII — safe at any time, including
 //! mid-publish from another thread).
 

@@ -94,6 +94,7 @@ const KERNEL_SCOPE: &[(&str, &[&str])] = &[
             "fused_rec_flat",
             "prebuilt_rec_flat",
             "flat_candidate_pass",
+            "candidate_pass",
             "flat_node_enter",
             "flat_node_exit",
             "flat_sky_add",
