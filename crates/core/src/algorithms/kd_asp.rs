@@ -8,24 +8,22 @@
 //! Pr_sky(t) = p(t) · Π_{j ≠ i} (1 − Σ_{s ∈ T_j, s ⪯ t} p(s))
 //! ```
 //!
-//! There are two entry points, both over a columnar [`FlatScorePoints`] view
-//! (one dim-strided coordinate array plus parallel object/probability
-//! columns, indexed by instance id):
+//! There is one entry point, [`kd_asp_flat_engine`], over a columnar
+//! [`FlatScorePoints`] view (one dim-strided coordinate array plus parallel
+//! object/probability columns, indexed by instance id), and one traversal
+//! behind it: one kernel, fanned out. With `parallel` set, sibling subtrees
+//! of the first few recursion levels run on worker threads, with a result
+//! bitwise identical to running every child on the calling thread.
 //!
-//! * [`kd_asp_flat_engine`] runs on the calling thread;
-//! * [`kd_asp_flat_engine_parallel`] dispatches sibling subtrees of the first
-//!   few recursion levels to worker threads, with a result bitwise identical
-//!   to the sequential traversal.
-//!
-//! Each takes a [`KdVariant`], matching the algorithm variants the paper
-//! evaluates:
+//! It takes a [`KdVariant`], matching the algorithm variants the paper
+//! evaluates. They differ only in where a node's children come from:
 //!
 //! * **KDTT+** ([`KdVariant::FusedKd`]): the kd partitioning is created
 //!   *during* the traversal, so subtrees whose instances all have zero
 //!   probability are never even constructed;
 //! * **KDTT** ([`KdVariant::Prebuilt`]): the kd-tree is fully built first and
 //!   then traversed pre-order (the original formulation of Afshani et al.
-//!   that the paper optimises). It stays sequential under both entry points,
+//!   that the paper optimises). It stays sequential under `parallel`,
 //!   because it exists to measure the construction cost the fused variants
 //!   remove;
 //! * **QDTT+** ([`KdVariant::FusedQuad`]): the fused traversal with
@@ -93,9 +91,9 @@
 //! restored from the snapshot taken on node entry. Arithmetic "inverses"
 //! like `β / (1 − σ)` would drift under floating point. Bitwise restoration
 //! is what lets sibling subtrees observe identical states, which in turn is
-//! what makes the parallel traversal exact: a worker seeded with a copy of
-//! the parent's post-pass state sees bitwise the state the sequential
-//! recursion would hand the same child.
+//! what makes the fan-out exact: a worker seeded with a copy of the parent's
+//! post-pass state sees bitwise the state the inline recursion would hand
+//! the same child.
 
 use crate::scorespace::FlatScorePoints;
 use crate::stats::CounterStats;
@@ -130,10 +128,35 @@ fn is_one(x: f64) -> bool {
 /// identical either way.
 const MIN_PARALLEL_NODE: usize = 512;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SplitKind {
+/// Where a node's children come from: the one thing, besides the fan-out,
+/// that tells the three variants apart.
+#[derive(Clone, Copy)]
+enum Split<'t> {
+    /// KDTT+: a median kd split on the depth axis.
     Kd,
+    /// QDTT+: quadrant groups, or a kd split on a mask collision.
     Quad,
+    /// KDTT: a node of the prebuilt tree, whose points are the node's range
+    /// of the tree's leaf order.
+    Prebuilt(&'t KdTree, usize),
+}
+
+impl Split<'_> {
+    /// The split of child `g`, in the order [`flat_children`] lays them out.
+    fn child(self, g: usize) -> Self {
+        match self {
+            Split::Prebuilt(tree, node) => Split::Prebuilt(tree, subtrees(tree, node)[g]),
+            fused => fused,
+        }
+    }
+}
+
+/// The left and right subtrees of a prebuilt tree's node with children.
+fn subtrees(tree: &KdTree, node: usize) -> [usize; 2] {
+    let KdNodeContent::Internal { left, right, .. } = *tree.node(node).content() else {
+        unreachable!("a prebuilt leaf holds one point, so it has no children");
+    };
+    [left, right]
 }
 
 /// Collects the positions (entry ids) of every point under a kd-tree node.
@@ -164,14 +187,14 @@ fn collect_positions(tree: &KdTree, node: usize, out: &mut Vec<u32>) {
 // After the first query warms the arena up, the traversal performs no heap
 // allocation.
 //
-// The parallel traversal ([`kd_asp_flat_engine_parallel`]) dispatches
-// sibling subtrees of the first few recursion levels to worker threads: each
-// subtree checks a [`KdWorkerScratch`] arena out of a shared [`KdWorkerPool`],
-// seeds σ and the candidate list from the parent's exact snapshot (bitwise
-// the state the sequential recursion would hand it), recurses with the
-// ordinary sequential machinery, and the parent merges the subtree's output
-// slots. Exact snapshot + exact undo is what makes the fan-out invisible in
-// the output.
+// One recursion, `kd_rec_flat`, holds the node body for every variant; only
+// the source of a node's children (`Split`) varies. Under `parallel` the same
+// recursion fans the children of its first few levels out to worker threads:
+// each child checks a [`KdWorkerScratch`] arena out of a shared
+// [`KdWorkerPool`], seeds σ and the candidate list from the parent's exact
+// snapshot (bitwise the state the inline recursion would hand it), recurses,
+// and the parent merges the child's output slots. Exact snapshot + exact
+// undo is what makes the fan-out invisible in the output.
 
 /// Reusable working memory of the flat kd-ASP\* traversal. Create once (or
 /// take one out of the engine's scratch pool), pass to any number of
@@ -199,10 +222,8 @@ pub struct KdScratch {
     qkeys: Vec<(u64, u32)>,
     /// Quadrant permutation staging buffer (consumed before recursing).
     qbuf: Vec<u32>,
-    /// Stack arena of quadrant-group end offsets (survives recursion).
-    qbounds: Vec<u32>,
-    /// Prebuilt-traversal member list (consumed before recursing).
-    members: Vec<u32>,
+    /// Stack arena of child end offsets (survives recursion).
+    ends: Vec<u32>,
     /// Coincident-node per-object mass accumulator.
     node_mass: Vec<(u32, f64)>,
 }
@@ -225,7 +246,7 @@ impl KdScratch {
         self.cand.clear();
         self.cand.extend(0..n as u32);
         self.saved.clear();
-        self.qbounds.clear();
+        self.ends.clear();
     }
 }
 
@@ -419,13 +440,26 @@ fn candidate_pass<W: Width>(
 }
 
 /// Writes the node's corners into the depth slot of the bounds arena
-/// (coordinate-wise min then max corner).
-fn flat_corners(pts: &FlatScorePoints<'_>, s: &mut KdScratch, order: &[u32], bstart: usize) {
+/// (coordinate-wise min then max corner): KDTT reads them off its prebuilt
+/// tree, the fused variants compute them from the node's points.
+fn flat_corners(
+    pts: &FlatScorePoints<'_>,
+    s: &mut KdScratch,
+    order: &[u32],
+    bstart: usize,
+    split: Split<'_>,
+) {
     let dim = pts.dim;
     if s.bounds.len() < bstart + 2 * dim {
         s.bounds.resize(bstart + 2 * dim, 0.0);
     }
     let (pmin, pmax) = s.bounds[bstart..bstart + 2 * dim].split_at_mut(dim);
+    if let Split::Prebuilt(tree, node) = split {
+        let mbr = tree.node(node).mbr();
+        pmin.copy_from_slice(mbr.min().coords());
+        pmax.copy_from_slice(mbr.max().coords());
+        return;
+    }
     reset_bounds(pmin, pmax);
     for &idx in order {
         extend_bounds(pmin, pmax, pts.coords_of(idx as usize));
@@ -463,9 +497,9 @@ struct FlatPass {
     cend: usize,
 }
 
-/// The shared node prologue of the flat traversals: computes the corners
-/// into the depth slot `bstart`, marks the node's points, runs the candidate
-/// pass over the parent range `[c0, c1)` and reports to the stats sink.
+/// The node prologue: writes the corners into the depth slot `bstart`,
+/// marks the node's points, runs the candidate pass over the parent range
+/// `[c0, c1)` and reports to the stats sink.
 #[allow(clippy::too_many_arguments)]
 fn flat_node_enter(
     pts: &FlatScorePoints<'_>,
@@ -475,9 +509,10 @@ fn flat_node_enter(
     c0: usize,
     c1: usize,
     bstart: usize,
+    split: Split<'_>,
     stats: Option<&CounterStats>,
 ) -> FlatPass {
-    flat_corners(pts, s, order, bstart);
+    flat_corners(pts, s, order, bstart, split);
     for &idx in order.iter() {
         s.in_node[idx as usize] = true;
     }
@@ -503,7 +538,7 @@ fn flat_node_enter(
     }
 }
 
-/// The shared node epilogue: exact undo — σ entries newest-first, β/χ from
+/// The node epilogue: exact undo — σ entries newest-first, β/χ from
 /// the snapshot, candidate stack truncated to this node's base.
 fn flat_node_exit(s: &mut KdScratch, bc: &mut FlatBc, pass: &FlatPass) {
     while s.saved.len() > pass.saved_start {
@@ -521,17 +556,17 @@ fn flat_node_exit(s: &mut KdScratch, bc: &mut FlatBc, pass: &FlatPass) {
 /// via one O(n log n) sort of (mask, position) pairs (sorting by the position
 /// as the tie-breaker makes the unstable sort behave stably). Only non-empty
 /// quadrants materialise, so high-dimensional score spaces do not explode
-/// the fan-out beyond |P|. On success returns the base offset `qb0` of the
-/// group end offsets pushed onto the `qbounds` stack arena (the caller
-/// recurses group by group, then truncates back to `qb0`); returns `None` on
-/// a mask collision (dimensions ≥ 64 put every point in one group), where the
-/// caller falls back to a kd split to guarantee progress.
+/// the fan-out beyond |P|. On success pushes the group end offsets onto the
+/// `ends` stack arena and returns `true`; returns `false` on a mask
+/// collision (masks cover coordinates 0..64 only, so points that agree there
+/// share one group), where the caller falls back to a kd split to guarantee
+/// progress.
 fn flat_quad_group(
     pts: &FlatScorePoints<'_>,
     s: &mut KdScratch,
     order: &mut [u32],
     bstart: usize,
-) -> Option<usize> {
+) -> bool {
     let dim = pts.dim;
     s.center.clear();
     s.center
@@ -550,7 +585,7 @@ fn flat_quad_group(
         s.qkeys.push((mask, pos as u32));
     }
     if all_same {
-        return None;
+        return false;
     }
     s.qkeys.sort_unstable();
     // Permute `order` into grouped form via a staging copy.
@@ -559,42 +594,78 @@ fn flat_quad_group(
     for (slot, &(_, pos)) in s.qkeys.iter().enumerate() {
         order[slot] = s.qbuf[pos as usize];
     }
-    // Group end offsets survive the child recursions on the qbounds stack
+    // Group end offsets survive the child recursions on the ends stack
     // arena.
-    let qb0 = s.qbounds.len();
     for (slot, &(mask, _)) in s.qkeys.iter().enumerate() {
         if s.qkeys
             .get(slot + 1)
             .map_or(true, |&(next, _)| next != mask)
         {
-            s.qbounds.push(slot as u32 + 1);
+            s.ends.push(slot as u32 + 1);
         }
     }
-    Some(qb0)
+    true
 }
 
-/// **KDTT+** / **QDTT+**'s fused traversal: the node's partitioning is built
-/// on the way down, so pruned subtrees are never constructed. `c0..c1` is
-/// this node's candidate range in the shared stack.
-#[allow(clippy::too_many_arguments)]
-fn fused_rec_flat(
+/// What every node of one traversal shares.
+struct Traversal<'a> {
+    pts: FlatScorePoints<'a>,
+    /// Worker arenas of the fan-out; `None` runs every child inline.
+    pool: Option<&'a KdWorkerPool>,
+    stats: Option<&'a CounterStats>,
+    budget: Option<&'a crate::fault::QueryBudget>,
+}
+
+/// Partitions `order` into the node's children and pushes their end offsets
+/// (ascending, the last one `order.len()`) onto the `ends` stack arena.
+/// Returns the stack base, which the caller truncates back to once the
+/// children have run. A kd split has two children at the median, a quad
+/// split one per non-empty quadrant (or a kd split on a mask collision), and
+/// a prebuilt node its tree's left and right subtrees.
+fn flat_children(
     pts: &FlatScorePoints<'_>,
+    s: &mut KdScratch,
+    order: &mut [u32],
+    depth: usize,
+    bstart: usize,
+    split: Split<'_>,
+) -> usize {
+    let base = s.ends.len();
+    let mid = match split {
+        Split::Quad if flat_quad_group(pts, s, order, bstart) => return base,
+        Split::Kd | Split::Quad => flat_kd_partition(pts, order, depth),
+        Split::Prebuilt(tree, node) => tree.node(subtrees(tree, node)[0]).size(),
+    };
+    s.ends.push(mid as u32);
+    s.ends.push(order.len() as u32);
+    base
+}
+
+/// The kd-ASP\* traversal of every variant, sequential or fanned out, one
+/// node per call: the node pass ([`flat_node_enter`]), then a leaf, a
+/// coincident node, or — only while χ = 0 — the children of
+/// [`flat_children`], then the exact undo ([`flat_node_exit`]). The children
+/// run inline, or on worker arenas ([`fan_out_children`]) while fan-out
+/// `levels` remain and the node holds at least [`MIN_PARALLEL_NODE`] points.
+/// `c0..c1` is this node's candidate range in the shared stack.
+#[allow(clippy::too_many_arguments)]
+fn kd_rec_flat(
+    t: &Traversal<'_>,
     s: &mut KdScratch,
     bc: &mut FlatBc,
     order: &mut [u32],
     c0: usize,
     c1: usize,
     depth: usize,
-    split: SplitKind,
+    split: Split<'_>,
+    levels: usize,
     out: &mut [f64],
-    stats: Option<&CounterStats>,
-    budget: Option<&crate::fault::QueryBudget>,
 ) {
-    crate::fault::poll(budget);
+    crate::fault::poll(t.budget);
+    let pts = &t.pts;
     let dim = pts.dim;
     let bstart = depth * 2 * dim;
-    let pass = flat_node_enter(pts, s, bc, order, c0, c1, bstart, stats);
-    let (cstart, cend) = (pass.cstart, pass.cend);
+    let pass = flat_node_enter(pts, s, bc, order, c0, c1, bstart, split, t.stats);
 
     if order.len() == 1 {
         let iu = order[0] as usize;
@@ -604,77 +675,47 @@ fn fused_rec_flat(
         let (sigma, node_mass) = (&s.sigma, &mut s.node_mass);
         emit_coincident_flat(pts, order, sigma, bc, node_mass, out);
     } else if bc.chi == 0 {
-        let grouped = match split {
-            SplitKind::Kd => None,
-            SplitKind::Quad => flat_quad_group(pts, s, order, bstart),
-        };
-        match grouped {
-            Some(qb0) => {
-                let groups = s.qbounds.len() - qb0;
-                let mut gstart = 0usize;
-                for g in 0..groups {
-                    let gend = s.qbounds[qb0 + g] as usize;
-                    fused_rec_flat(
-                        pts,
+        let base = flat_children(pts, s, order, depth, bstart, split);
+        match t.pool {
+            Some(pool) if levels > 0 && order.len() >= MIN_PARALLEL_NODE => {
+                fan_out_children(
+                    t, pool, s, bc, &pass, order, base, depth, split, levels, out,
+                );
+            }
+            _ => {
+                let mut start = 0;
+                for g in 0..s.ends.len() - base {
+                    let end = s.ends[base + g] as usize;
+                    kd_rec_flat(
+                        t,
                         s,
                         bc,
-                        &mut order[gstart..gend],
-                        cstart,
-                        cend,
+                        &mut order[start..end],
+                        pass.cstart,
+                        pass.cend,
                         depth + 1,
-                        split,
+                        split.child(g),
+                        levels,
                         out,
-                        stats,
-                        budget,
                     );
-                    gstart = gend;
+                    start = end;
                 }
-                s.qbounds.truncate(qb0);
-            }
-            None => {
-                // Kd split, or the quad mask-collision fallback.
-                let mid = flat_kd_partition(pts, order, depth);
-                let (left, right) = order.split_at_mut(mid);
-                fused_rec_flat(
-                    pts,
-                    s,
-                    bc,
-                    left,
-                    cstart,
-                    cend,
-                    depth + 1,
-                    split,
-                    out,
-                    stats,
-                    budget,
-                );
-                fused_rec_flat(
-                    pts,
-                    s,
-                    bc,
-                    right,
-                    cstart,
-                    cend,
-                    depth + 1,
-                    split,
-                    out,
-                    stats,
-                    budget,
-                );
             }
         }
+        s.ends.truncate(base);
     }
     // χ ≥ 1 with |P| > 1: every point of the node is dominated by the entire
     // mass of some object lying outside the node — the subtree has zero
-    // skyline probability everywhere and is pruned (never constructed).
+    // skyline probability everywhere and is pruned (the fused variants never
+    // construct it).
 
     flat_node_exit(s, bc, &pass);
 }
 
-/// One worker's arena for the parallel flat traversal: a [`KdScratch`] for
-/// the subtree's recursion plus a full-length output staging buffer (only
-/// the subtree's own slots are zeroed and read, so the buffer is reused
-/// without a full clear). Pooled in a [`KdWorkerPool`].
+/// One worker's arena for the fan-out: a [`KdScratch`] for the subtree's
+/// recursion plus a full-length output staging buffer (only the subtree's
+/// own slots are zeroed and read, so the buffer is reused without a full
+/// clear). Pooled in a [`KdWorkerPool`].
 #[derive(Debug, Default)]
 pub struct KdWorkerScratch {
     scratch: KdScratch,
@@ -692,7 +733,7 @@ impl KdWorkerScratch {
         s.cand.clear();
         s.cand.extend_from_slice(cand);
         s.saved.clear();
-        s.qbounds.clear();
+        s.ends.clear();
         s.in_node.clear();
         s.in_node.resize(n, false);
         if self.out.len() < n {
@@ -702,47 +743,115 @@ impl KdWorkerScratch {
 }
 
 /// A stealable stack of [`KdWorkerScratch`] arenas shared by the subtree
-/// tasks of the parallel flat traversal. [`crate::engine::ArspEngine`] owns
-/// one per session, so warmed-up parallel queries (and `run_batch` sweeps)
-/// stop allocating arena memory per subtree; free-function callers get a throwaway pool
-/// per call, which still reuses arenas across that call's subtrees.
+/// tasks of the fan-out. [`crate::engine::ArspEngine`] owns one per session,
+/// so warmed-up parallel queries (and `run_batch` sweeps) stop allocating
+/// arena memory per subtree; free-function callers get a throwaway pool per
+/// call, which still reuses arenas across that call's subtrees.
 pub type KdWorkerPool = crate::scratch::ScratchPool<KdWorkerScratch>;
 
-/// One subtree of the parallel flat traversal, on a pooled worker arena: σ,
-/// β, χ and the candidate list are seeded from the parent's exact snapshot
-/// (bitwise the state the sequential recursion would hand the same subtree)
-/// and the recursion writes into the arena's staging buffer. The arena is
-/// returned — not pooled — so the parent can merge the subtree's output
-/// slots straight out of the staging buffer (sibling subtrees cover
-/// disjoint ids, so merging cannot reorder anything) and return the arena
-/// itself; no per-subtree result vector is allocated.
+/// Runs a node's children (the `ends` stack from `base`) on pooled worker
+/// arenas: two children through [`rayon::join`], more through a parallel
+/// iterator. Every worker starts from the node's post-pass σ, β, χ and
+/// candidate list, bitwise the state the inline recursion would hand the
+/// same child, and the node merges each child's output slots afterwards.
+#[allow(clippy::too_many_arguments)]
+fn fan_out_children(
+    t: &Traversal<'_>,
+    pool: &KdWorkerPool,
+    s: &KdScratch,
+    bc: &FlatBc,
+    pass: &FlatPass,
+    order: &mut [u32],
+    base: usize,
+    depth: usize,
+    split: Split<'_>,
+    levels: usize,
+    out: &mut [f64],
+) {
+    let ends = &s.ends[base..];
+    let cand = &s.cand[pass.cstart..pass.cend];
+    let run = |split: Split<'_>, child: &mut [u32]| {
+        run_flat_subtree(
+            t,
+            pool,
+            child,
+            &s.sigma,
+            cand,
+            bc,
+            depth + 1,
+            split,
+            levels - 1,
+        )
+    };
+    if let [mid, _] = *ends {
+        let (left, right) = order.split_at_mut(mid as usize);
+        let (l, r) = rayon::join(|| run(split.child(0), left), || run(split.child(1), right));
+        merge_flat_subtree(pool, l, left, out);
+        merge_flat_subtree(pool, r, right, out);
+        return;
+    }
+    let mut children = Vec::with_capacity(ends.len());
+    let mut rest = &mut *order;
+    let mut start = 0;
+    for (g, &end) in ends.iter().enumerate() {
+        let (head, tail) = rest.split_at_mut(end as usize - start);
+        children.push((split.child(g), head));
+        rest = tail;
+        start = end as usize;
+    }
+    use rayon::prelude::*;
+    let workers: Vec<KdWorkerScratch> = children
+        .into_par_iter()
+        .map(|(split, child)| run(split, child))
+        .collect();
+    let mut start = 0;
+    for (worker, &end) in workers.into_iter().zip(ends) {
+        merge_flat_subtree(pool, worker, &order[start..end as usize], out);
+        start = end as usize;
+    }
+}
+
+/// One subtree of the fan-out, on a pooled worker arena seeded with the
+/// parent's exact post-pass state. The arena is returned — not pooled — so
+/// the parent can merge the subtree's output slots straight out of the
+/// staging buffer (sibling subtrees cover disjoint ids, so merging cannot
+/// reorder anything) and then pool the arena itself; no per-subtree result
+/// vector is allocated.
 #[allow(clippy::too_many_arguments)]
 fn run_flat_subtree(
-    pts: &FlatScorePoints<'_>,
+    t: &Traversal<'_>,
     pool: &KdWorkerPool,
     order: &mut [u32],
-    cand: &[u32],
     sigma: &[f64],
-    beta: f64,
-    chi: usize,
+    cand: &[u32],
+    bc: &FlatBc,
     depth: usize,
-    split: SplitKind,
+    split: Split<'_>,
     levels: usize,
-    stats: Option<&CounterStats>,
-    budget: Option<&crate::fault::QueryBudget>,
 ) -> KdWorkerScratch {
     let mut worker = pool.take();
-    worker.prepare(pts.len(), sigma, cand);
+    worker.prepare(t.pts.len(), sigma, cand);
     // Zero exactly this subtree's output slots: pruned leaves must read as
     // zero, and the pooled buffer may hold another subtree's stale values.
     for &idx in order.iter() {
         worker.out[idx as usize] = 0.0;
     }
-    let mut bc = FlatBc { beta, chi };
-    let c1 = cand.len();
+    let mut bc = FlatBc {
+        beta: bc.beta,
+        chi: bc.chi,
+    };
     let KdWorkerScratch { scratch, out } = &mut worker;
-    fused_rec_flat_par(
-        pts, pool, scratch, &mut bc, order, 0, c1, depth, split, out, levels, stats, budget,
+    kd_rec_flat(
+        t,
+        scratch,
+        &mut bc,
+        order,
+        0,
+        cand.len(),
+        depth,
+        split,
+        levels,
+        out,
     );
     worker
 }
@@ -761,245 +870,30 @@ fn merge_flat_subtree(
     pool.put(worker);
 }
 
-/// The parallel form of [`fused_rec_flat`]: node processing is identical,
-/// but while parallel `levels` remain, child subtrees are dispatched through
-/// [`rayon::join`] (kd splits) or a parallel iterator (quad groups) onto
-/// pooled worker arenas seeded with exact state snapshots. Because
-/// [`flat_node_exit`] restores state exactly, the snapshot a child receives
-/// is bitwise the state the sequential recursion would hand it, so outputs
-/// cannot differ.
-#[allow(clippy::too_many_arguments)]
-fn fused_rec_flat_par(
-    pts: &FlatScorePoints<'_>,
-    pool: &KdWorkerPool,
-    s: &mut KdScratch,
-    bc: &mut FlatBc,
-    order: &mut [u32],
-    c0: usize,
-    c1: usize,
-    depth: usize,
-    split: SplitKind,
-    out: &mut [f64],
-    levels: usize,
-    stats: Option<&CounterStats>,
-    budget: Option<&crate::fault::QueryBudget>,
-) {
-    if levels == 0 || order.len() < MIN_PARALLEL_NODE {
-        fused_rec_flat(pts, s, bc, order, c0, c1, depth, split, out, stats, budget);
-        return;
-    }
-    crate::fault::poll(budget);
-    let dim = pts.dim;
-    let bstart = depth * 2 * dim;
-    let pass = flat_node_enter(pts, s, bc, order, c0, c1, bstart, stats);
-
-    if order.len() == 1 {
-        let iu = order[0] as usize;
-        out[iu] = flat_leaf_probability(&s.sigma, bc, pts.objects[iu] as usize, pts.probs[iu]);
-    } else if s.bounds[bstart..bstart + dim] == s.bounds[bstart + dim..bstart + 2 * dim] {
-        let (sigma, node_mass) = (&s.sigma, &mut s.node_mass);
-        emit_coincident_flat(pts, order, sigma, bc, node_mass, out);
-    } else if bc.chi == 0 {
-        let grouped = match split {
-            SplitKind::Kd => None,
-            SplitKind::Quad => flat_quad_group(pts, s, order, bstart),
-        };
-        match grouped {
-            Some(qb0) => {
-                // Carve `order` into its per-group sub-slices (disjoint, in
-                // ascending mask order), then run every group on a worker.
-                let group_count = s.qbounds.len() - qb0;
-                let mut slices: Vec<&mut [u32]> = Vec::with_capacity(group_count);
-                let mut rest: &mut [u32] = &mut *order;
-                let mut gstart = 0usize;
-                for g in 0..group_count {
-                    let gend = s.qbounds[qb0 + g] as usize;
-                    let (head, tail) = rest.split_at_mut(gend - gstart);
-                    slices.push(head);
-                    rest = tail;
-                    gstart = gend;
-                }
-                let sigma: &[f64] = &s.sigma;
-                let cand: &[u32] = &s.cand[pass.cstart..pass.cend];
-                let (beta, chi) = (bc.beta, bc.chi);
-                use rayon::prelude::*;
-                let workers: Vec<KdWorkerScratch> = slices
-                    .into_par_iter()
-                    .map(|group| {
-                        run_flat_subtree(
-                            pts,
-                            pool,
-                            group,
-                            cand,
-                            sigma,
-                            beta,
-                            chi,
-                            depth + 1,
-                            split,
-                            levels - 1,
-                            stats,
-                            budget,
-                        )
-                    })
-                    .collect();
-                let mut gstart = 0usize;
-                for (g, worker) in workers.into_iter().enumerate() {
-                    let gend = s.qbounds[qb0 + g] as usize;
-                    merge_flat_subtree(pool, worker, &order[gstart..gend], out);
-                    gstart = gend;
-                }
-                s.qbounds.truncate(qb0);
-            }
-            None => {
-                // Kd split, or the quad mask-collision fallback.
-                let mid = flat_kd_partition(pts, order, depth);
-                let (left, right) = order.split_at_mut(mid);
-                let sigma: &[f64] = &s.sigma;
-                let cand: &[u32] = &s.cand[pass.cstart..pass.cend];
-                let (beta, chi) = (bc.beta, bc.chi);
-                let (lworker, rworker) = rayon::join(
-                    || {
-                        run_flat_subtree(
-                            pts,
-                            pool,
-                            left,
-                            cand,
-                            sigma,
-                            beta,
-                            chi,
-                            depth + 1,
-                            split,
-                            levels - 1,
-                            stats,
-                            budget,
-                        )
-                    },
-                    || {
-                        run_flat_subtree(
-                            pts,
-                            pool,
-                            right,
-                            cand,
-                            sigma,
-                            beta,
-                            chi,
-                            depth + 1,
-                            split,
-                            levels - 1,
-                            stats,
-                            budget,
-                        )
-                    },
-                );
-                merge_flat_subtree(pool, lworker, &order[..mid], out);
-                merge_flat_subtree(pool, rworker, &order[mid..], out);
-            }
-        }
-    }
-
-    flat_node_exit(s, bc, &pass);
-}
-
-/// **KDTT**'s traversal: pre-order over a fully prebuilt kd-tree (so pruned
-/// subtrees have still paid their construction cost, which is exactly the
-/// overhead KDTT+ removes), with the same node pass and exact undo as the
-/// fused traversal.
-#[allow(clippy::too_many_arguments)]
-fn prebuilt_rec_flat(
-    pts: &FlatScorePoints<'_>,
-    tree: &KdTree,
-    node: usize,
-    s: &mut KdScratch,
-    bc: &mut FlatBc,
-    c0: usize,
-    c1: usize,
-    out: &mut [f64],
-    stats: Option<&CounterStats>,
-    budget: Option<&crate::fault::QueryBudget>,
-) {
-    crate::fault::poll(budget);
-    let dim = pts.dim;
-    let n = tree.node(node);
-    // The node corners come from the prebuilt tree. They are pushed onto the
-    // bounds arena as a stack (this recursion does not track depth) and
-    // popped again right after the candidate pass.
-    let bstart = s.bounds.len();
-    s.bounds.extend_from_slice(n.mbr().min().coords());
-    s.bounds.extend_from_slice(n.mbr().max().coords());
-
-    s.members.clear();
-    collect_positions(tree, node, &mut s.members);
-    for i in 0..s.members.len() {
-        let idx = s.members[i];
-        s.in_node[idx as usize] = true;
-    }
-    let saved_start = s.saved.len();
-    let beta_before = bc.beta;
-    let chi_before = bc.chi;
-    let cstart = s.cand.len();
-    let tests = flat_candidate_pass(pts, s, bc, c0, c1, bstart);
-    for i in 0..s.members.len() {
-        let idx = s.members[i];
-        s.in_node[idx as usize] = false;
-    }
-    if let Some(st) = stats {
-        st.add_nodes_visited(1);
-        st.add_fdom_tests(tests);
-    }
-    let cend = s.cand.len();
-
-    let coincident = s.bounds[bstart..bstart + dim] == s.bounds[bstart + dim..bstart + 2 * dim];
-    s.bounds.truncate(bstart);
-
-    match *n.content() {
-        KdNodeContent::Leaf { .. } => {
-            if s.members.len() == 1 {
-                let iu = s.members[0] as usize;
-                out[iu] =
-                    flat_leaf_probability(&s.sigma, bc, pts.objects[iu] as usize, pts.probs[iu]);
-            } else {
-                let members = std::mem::take(&mut s.members);
-                let (sigma, node_mass) = (&s.sigma, &mut s.node_mass);
-                emit_coincident_flat(pts, &members, sigma, bc, node_mass, out);
-                s.members = members;
-            }
-        }
-        KdNodeContent::Internal { left, right, .. } => {
-            if coincident {
-                let members = std::mem::take(&mut s.members);
-                let (sigma, node_mass) = (&s.sigma, &mut s.node_mass);
-                emit_coincident_flat(pts, &members, sigma, bc, node_mass, out);
-                s.members = members;
-            } else if bc.chi == 0 {
-                prebuilt_rec_flat(pts, tree, left, s, bc, cstart, cend, out, stats, budget);
-                prebuilt_rec_flat(pts, tree, right, s, bc, cstart, cend, out, stats, budget);
-            }
-            // χ ≥ 1: prune the traversal (the tree itself was already built).
-        }
-    }
-
-    while s.saved.len() > saved_start {
-        let (obj, old) = s.saved.pop().expect("saved_start bounds the stack");
-        s.sigma[obj as usize] = old;
-    }
-    bc.beta = beta_before;
-    bc.chi = chi_before;
-    s.cand.truncate(cstart);
-}
-
 /// The kd-ASP\* entry point: runs the traversal `variant` over a
 /// [`FlatScorePoints`] view with all working memory drawn from a reusable
 /// [`KdScratch`], optionally reporting work counters to `stats`. Point `id`'s
 /// probability lands in slot `id` of the returned vector of length
-/// `num_instances`. Runs on the calling thread — see
-/// [`kd_asp_flat_engine_parallel`] for the worker-pool form.
+/// `num_instances`.
+///
+/// With `parallel` set, the fused variants fan the sibling subtrees of the
+/// first few recursion levels out to worker threads, as many levels as the
+/// ambient rayon width needs, on [`KdWorkerScratch`] arenas drawn from
+/// `pool` (a throwaway pool when `None`; the engine passes its
+/// session-owned one). Exact-snapshot state restore makes the result
+/// **bitwise identical** to the inline run (see the module docs). KDTT runs
+/// inline either way: it exists to measure the construction cost the fused
+/// variants remove.
+#[allow(clippy::too_many_arguments)]
 pub fn kd_asp_flat_engine(
     pts: FlatScorePoints<'_>,
     num_objects: usize,
     num_instances: usize,
     variant: KdVariant,
+    parallel: bool,
     stats: Option<&CounterStats>,
     scratch: &mut KdScratch,
+    pool: Option<&KdWorkerPool>,
     budget: Option<&crate::fault::QueryBudget>,
 ) -> Vec<f64> {
     let mut out = vec![0.0; num_instances];
@@ -1008,11 +902,15 @@ pub fn kd_asp_flat_engine(
     }
     let n = pts.len();
     scratch.prepare(num_objects, n);
-    let mut bc = FlatBc { beta: 1.0, chi: 0 };
-    match variant {
+    let mut order = std::mem::take(&mut scratch.order);
+    let tree;
+    let split = match variant {
+        KdVariant::FusedKd => Split::Kd,
+        KdVariant::FusedQuad => Split::Quad,
         KdVariant::Prebuilt => {
             // Build the full kd-tree over the flat points (the construction
-            // cost is the point of the KDTT baseline), then traverse.
+            // cost is the point of the KDTT baseline); every node's points
+            // are then a range of the tree's leaf order.
             let mut entries = FlatEntries::with_capacity(pts.dim, n);
             for id in 0..n {
                 entries.push(
@@ -1022,83 +920,36 @@ pub fn kd_asp_flat_engine(
                     pts.coords_of(id),
                 );
             }
-            let tree = KdTree::build_flat(entries);
+            tree = KdTree::build_flat(entries);
             let root = tree.root().expect("non-empty tree");
-            // The prebuilt traversal stages corners at the top of the bounds
-            // arena; start empty.
-            scratch.bounds.clear();
-            prebuilt_rec_flat(
-                &pts, &tree, root, scratch, &mut bc, 0, n, &mut out, stats, budget,
-            );
+            order.clear();
+            collect_positions(&tree, root, &mut order);
+            Split::Prebuilt(&tree, root)
         }
-        KdVariant::FusedKd | KdVariant::FusedQuad => {
-            let split = if variant == KdVariant::FusedKd {
-                SplitKind::Kd
-            } else {
-                SplitKind::Quad
-            };
-            let mut order = std::mem::take(&mut scratch.order);
-            fused_rec_flat(
-                &pts, scratch, &mut bc, &mut order, 0, n, 0, split, &mut out, stats, budget,
-            );
-            scratch.order = order;
-        }
-    }
-    out
-}
-
-/// The parallel form of [`kd_asp_flat_engine`]: the same fused traversal,
-/// with sibling subtrees of the first few recursion levels dispatched to
-/// worker threads on pooled [`KdWorkerScratch`] arenas. Exact-snapshot state
-/// restore makes the result **bitwise identical** to the sequential engine
-/// (see the module docs). The prebuilt (KDTT) traversal stays sequential by
-/// design — it exists to measure the construction overhead the fused
-/// variants remove. Pass `None` for `pool` to use a throwaway pool
-/// (arenas still reused across this call's subtrees); the engine passes its
-/// session-owned pool. The fan-out follows the ambient rayon width.
-#[allow(clippy::too_many_arguments)]
-pub fn kd_asp_flat_engine_parallel(
-    pts: FlatScorePoints<'_>,
-    num_objects: usize,
-    num_instances: usize,
-    variant: KdVariant,
-    stats: Option<&CounterStats>,
-    scratch: &mut KdScratch,
-    pool: Option<&KdWorkerPool>,
-    budget: Option<&crate::fault::QueryBudget>,
-) -> Vec<f64> {
-    let split = match variant {
-        KdVariant::Prebuilt => None,
-        KdVariant::FusedKd => Some(SplitKind::Kd),
-        KdVariant::FusedQuad => Some(SplitKind::Quad),
     };
-    let levels = crate::parallel::fan_out_levels();
-    let Some(split) = split.filter(|_| levels > 0 && pts.len() >= MIN_PARALLEL_NODE) else {
-        return kd_asp_flat_engine(
-            pts,
-            num_objects,
-            num_instances,
-            variant,
-            stats,
-            scratch,
-            budget,
-        );
+    let levels = if parallel && variant != KdVariant::Prebuilt {
+        crate::parallel::fan_out_levels()
+    } else {
+        0
     };
-    let mut out = vec![0.0; num_instances];
-    let n = pts.len();
-    scratch.prepare(num_objects, n);
     let owned_pool;
     let pool = match pool {
-        Some(p) => p,
+        _ if levels == 0 => None,
+        Some(pool) => Some(pool),
         None => {
             owned_pool = KdWorkerPool::new();
-            &owned_pool
+            Some(&owned_pool)
         }
     };
+    let t = Traversal {
+        pts,
+        pool,
+        stats,
+        budget,
+    };
     let mut bc = FlatBc { beta: 1.0, chi: 0 };
-    let mut order = std::mem::take(&mut scratch.order);
-    fused_rec_flat_par(
-        &pts, pool, scratch, &mut bc, &mut order, 0, n, 0, split, &mut out, levels, stats, budget,
+    kd_rec_flat(
+        &t, scratch, &mut bc, &mut order, 0, n, 0, split, levels, &mut out,
     );
     scratch.order = order;
     out
@@ -1151,14 +1002,27 @@ mod tests {
             self.objects.iter().max().map_or(0, |&o| o as usize + 1)
         }
 
-        fn seq(&self, variant: KdVariant, scratch: &mut KdScratch) -> Vec<f64> {
+        fn run(&self, variant: KdVariant, parallel: bool, scratch: &mut KdScratch) -> Vec<f64> {
             let (m, n) = (self.num_objects(), self.len());
-            kd_asp_flat_engine(self.view(), m, n, variant, None, scratch, None)
+            kd_asp_flat_engine(
+                self.view(),
+                m,
+                n,
+                variant,
+                parallel,
+                None,
+                scratch,
+                None,
+                None,
+            )
+        }
+
+        fn seq(&self, variant: KdVariant, scratch: &mut KdScratch) -> Vec<f64> {
+            self.run(variant, false, scratch)
         }
 
         fn par(&self, variant: KdVariant, scratch: &mut KdScratch) -> Vec<f64> {
-            let (m, n) = (self.num_objects(), self.len());
-            kd_asp_flat_engine_parallel(self.view(), m, n, variant, None, scratch, None, None)
+            self.run(variant, true, scratch)
         }
     }
 
@@ -1468,14 +1332,25 @@ mod tests {
                 let (view, m, n) = (pts.view(), pts.num_objects(), pts.len());
                 assert!(n > MIN_PARALLEL_NODE, "must cross the parallel threshold");
                 for variant in VARIANTS {
-                    let seq = kd_asp_flat_engine(view, m, n, variant, None, &mut scratch, None);
+                    let seq = kd_asp_flat_engine(
+                        view,
+                        m,
+                        n,
+                        variant,
+                        false,
+                        None,
+                        &mut scratch,
+                        None,
+                        None,
+                    );
                     for _ in 0..2 {
                         let par = crate::parallel::with_width(threads, || {
-                            kd_asp_flat_engine_parallel(
+                            kd_asp_flat_engine(
                                 view,
                                 m,
                                 n,
                                 variant,
+                                true,
                                 None,
                                 &mut scratch,
                                 Some(&pool),
@@ -1504,14 +1379,25 @@ mod tests {
         let mut scratch = KdScratch::new();
         for variant in [KdVariant::FusedKd, KdVariant::FusedQuad] {
             let seq_stats = CounterStats::new();
-            let seq = kd_asp_flat_engine(view, m, n, variant, Some(&seq_stats), &mut scratch, None);
+            let seq = kd_asp_flat_engine(
+                view,
+                m,
+                n,
+                variant,
+                false,
+                Some(&seq_stats),
+                &mut scratch,
+                None,
+                None,
+            );
             let par_stats = CounterStats::new();
             let par = crate::parallel::with_width(4, || {
-                kd_asp_flat_engine_parallel(
+                kd_asp_flat_engine(
                     view,
                     m,
                     n,
                     variant,
+                    true,
                     Some(&par_stats),
                     &mut scratch,
                     None,
@@ -1688,17 +1574,43 @@ mod tests {
         ],
     ];
 
+    /// The quad mask-collision input: [`tie_heavy_points`] at d' = 2 behind
+    /// 64 leading coordinates every point shares (d' = 66). A quadrant mask
+    /// covers coordinates 0..64 only, so no mask tells two points apart and
+    /// every QDTT+ node takes the kd fallback.
+    fn collision_points() -> Points {
+        let base = tie_heavy_points(2);
+        let mut pts = Points::default();
+        for i in 0..base.len() {
+            let mut row = vec![0.5; 64];
+            row.extend_from_slice(base.view().coords_of(i));
+            pts.push(base.objects[i] as usize, base.probs[i], &row);
+        }
+        pts
+    }
+
+    /// [`collision_points`]' pin, one triple per variant in [`VARIANTS`]
+    /// order.
+    const COLLISION_PINS: [(u64, u64, u64); 3] = [
+        (0x6da7c0a192c9b709, 1584293, 1161),
+        (0x6da7c0a192c9b709, 1584293, 1161),
+        (0x6da7c0a192c9b709, 1584293, 1161),
+    ];
+
     /// Every variant, sequential and at widths 2 and 3, must hit its pin at
-    /// every score dimension. The pins were recorded with the early-exit
-    /// candidate pass, so they hold the branch-free pass to its bits and
-    /// counters.
+    /// every score dimension and on the quad mask-collision input. The width
+    /// pins were recorded with the early-exit candidate pass, so they hold
+    /// the branch-free pass to its bits and counters.
     #[test]
     fn kernel_output_is_pinned_at_every_width() {
         let mut scratch = KdScratch::new();
         let pool = KdWorkerPool::new();
-        for (d, pins) in WIDTH_PINS.iter().enumerate() {
-            let dim = d + 1;
-            let pts = tie_heavy_points(dim);
+        let cases = WIDTH_PINS
+            .iter()
+            .enumerate()
+            .map(|(d, pins)| (tie_heavy_points(d + 1), pins))
+            .chain(std::iter::once((collision_points(), &COLLISION_PINS)));
+        for (pts, pins) in cases {
             let (view, m, n) = (pts.view(), pts.num_objects(), pts.len());
             assert!(
                 n >= 2 * MIN_PARALLEL_NODE,
@@ -1707,34 +1619,29 @@ mod tests {
             for (&variant, &pin) in VARIANTS.iter().zip(pins) {
                 for width in [None, Some(2), Some(3)] {
                     let stats = CounterStats::new();
-                    let probs = match width {
-                        None => kd_asp_flat_engine(
+                    let run = |scratch: &mut KdScratch| {
+                        kd_asp_flat_engine(
                             view,
                             m,
                             n,
                             variant,
+                            width.is_some(),
                             Some(&stats),
-                            &mut scratch,
+                            scratch,
+                            Some(&pool),
                             None,
-                        ),
-                        Some(threads) => crate::parallel::with_width(threads, || {
-                            kd_asp_flat_engine_parallel(
-                                view,
-                                m,
-                                n,
-                                variant,
-                                Some(&stats),
-                                &mut scratch,
-                                Some(&pool),
-                                None,
-                            )
-                        }),
+                        )
+                    };
+                    let probs = match width {
+                        None => run(&mut scratch),
+                        Some(threads) => crate::parallel::with_width(threads, || run(&mut scratch)),
                     };
                     let c = stats.snapshot();
                     assert_eq!(
                         (bits_digest(&probs), c.fdom_tests, c.nodes_visited),
                         pin,
-                        "d' = {dim}, {variant:?}, width {width:?}"
+                        "d' = {}, {variant:?}, width {width:?}",
+                        pts.dim
                     );
                 }
             }

@@ -94,10 +94,10 @@ fn run_with_fdom(
 /// score-space mapping is already materialised as a cached [`ScoreMatrix`]
 /// (one vectorizable pass, shared across queries and algorithms) and the
 /// traversal runs allocation-free over the columnar view with a reusable
-/// [`kd_asp::KdScratch`]. With `parallel` set, sibling subtrees run on
-/// worker threads drawing arenas from `pool` (see
-/// [`kd_asp::kd_asp_flat_engine_parallel`]); results are bitwise identical
-/// across every option combination.
+/// [`kd_asp::KdScratch`]. With `parallel` set, the one traversal fans
+/// sibling subtrees out to worker threads drawing arenas from `pool` (see
+/// [`kd_asp::kd_asp_flat_engine`]); results are bitwise identical across
+/// every option combination.
 #[allow(clippy::too_many_arguments)]
 pub fn arsp_kdtt_flat_engine(
     flat: &FlatStore,
@@ -109,30 +109,17 @@ pub fn arsp_kdtt_flat_engine(
     pool: Option<&kd_asp::KdWorkerPool>,
     budget: Option<&crate::fault::QueryBudget>,
 ) -> ArspResult {
-    let pts = FlatScorePoints::new(flat, scores);
-    let probs = if parallel {
-        kd_asp::kd_asp_flat_engine_parallel(
-            pts,
-            flat.num_objects(),
-            flat.num_instances(),
-            variant,
-            stats,
-            scratch,
-            pool,
-            budget,
-        )
-    } else {
-        kd_asp::kd_asp_flat_engine(
-            pts,
-            flat.num_objects(),
-            flat.num_instances(),
-            variant,
-            stats,
-            scratch,
-            budget,
-        )
-    };
-    ArspResult::from_probs(probs)
+    ArspResult::from_probs(kd_asp::kd_asp_flat_engine(
+        FlatScorePoints::new(flat, scores),
+        flat.num_objects(),
+        flat.num_instances(),
+        variant,
+        parallel,
+        stats,
+        scratch,
+        pool,
+        budget,
+    ))
 }
 
 #[cfg(test)]

@@ -28,8 +28,10 @@ pub fn skyline_probabilities(dataset: &UncertainDataset) -> ArspResult {
         flat.num_objects(),
         flat.num_instances(),
         KdVariant::FusedKd,
+        false,
         None,
         &mut KdScratch::new(),
+        None,
         None,
     );
     ArspResult::from_probs(probs)

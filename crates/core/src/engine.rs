@@ -144,20 +144,24 @@ impl From<ArspAlgorithm> for QueryAlgorithm {
     }
 }
 
-/// How a query executes: single-threaded, or with the algorithm's parallel
-/// twin (bitwise-identical results — see [`crate::parallel`]).
+/// How a query executes: single-threaded, or with the algorithm's one
+/// kernel fanned out over worker threads (bitwise-identical results — see
+/// [`crate::parallel`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Execution {
     /// Run on the calling thread.
     #[default]
     Sequential,
-    /// Run the algorithm's parallel twin. A positive `threads` runs this
-    /// query inside a scoped rayon pool of that width; `threads = 0` runs
-    /// it at the ambient rayon width (all cores, unless the caller is
-    /// already inside a sized pool). The width is the query's alone:
-    /// concurrent queries of different widths cannot interfere.
+    /// Fan the algorithm's kernel out over worker threads. A positive
+    /// `threads` runs this query inside a scoped rayon pool of that width,
+    /// clamped to [`crate::parallel::MAX_WIDTH`]; `threads = 0` runs it at
+    /// the ambient rayon width (all cores, unless the caller is already
+    /// inside a sized pool). The width is the query's alone: concurrent
+    /// queries of different widths cannot interfere, and no width changes
+    /// a result.
     Parallel {
-        /// Width of this query's pool; `0` = the ambient rayon width.
+        /// Width of this query's pool (at most
+        /// [`crate::parallel::MAX_WIDTH`]); `0` = the ambient rayon width.
         threads: usize,
     },
 }

@@ -49,8 +49,8 @@
 //! * ARSP algorithms for weight ratio constraints: [`arsp_dual`] and the
 //!   d = 2 specialisation [`DualMs2d`],
 //! * a rayon-based parallel execution layer ([`parallel`]): every kernel
-//!   has a bitwise-deterministic parallel twin, run by a query with
-//!   [`Execution::Parallel`] at the width that query names,
+//!   fans out bitwise-deterministically when a query runs it with
+//!   [`Execution::Parallel`], at the width that query names,
 //! * the all-skyline-probabilities special case [`skyline_probabilities`],
 //! * the dynamic-dataset engine ([`dynamic`]) and the concurrent MVCC
 //!   serving layer on top of it ([`service`]): `Arc`-pinned snapshot

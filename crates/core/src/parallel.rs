@@ -1,17 +1,18 @@
 //! The rayon-based parallel execution layer.
 //!
 //! An engine query run with [`crate::engine::Execution::Parallel`] runs the
-//! algorithm's parallel twin, which produces **bitwise-identical** results to
-//! its sequential counterpart:
+//! algorithm's one kernel fanned out over worker threads, with results
+//! **bitwise identical** to the same kernel run on the calling thread:
 //!
 //! * **LOOP** parallelises over instances — each instance's probability is an
 //!   independent product accumulated in a deterministic order,
-//! * **KDTT+ / QDTT+** parallelise the fused kd-ASP\* traversal: sibling
-//!   subtrees run on worker arenas seeded with copies of the
+//! * **KDTT+ / QDTT+** fan the one kd-ASP\* traversal out: sibling subtrees
+//!   of its first few levels run on worker arenas seeded with copies of the
 //!   exactly-restored traversal state (σ, β, χ), so every leaf sees the same
-//!   float operations as in the sequential recursion,
-//! * **KDTT** runs sequentially: its prebuilt-tree traversal is the
-//!   construction-cost baseline the fused variants are measured against,
+//!   float operations as when every child runs inline,
+//! * **KDTT** runs sequentially: the same traversal over its prebuilt tree
+//!   is the construction-cost baseline the fused variants are measured
+//!   against,
 //! * **B&B** runs sequentially: its best-first traversal and aggregated
 //!   R-tree updates are order-dependent, and fanning out each popped
 //!   instance's window queries measured 0.16–0.30× of sequential,
@@ -21,9 +22,10 @@
 //!   are order-sensitive under floating point, so chunked summation would
 //!   change results. It is an exponential toy baseline either way.
 //!
-//! Each algorithm has one kernel, over the flat columnar structures. Its
-//! twin draws per-worker arenas from pooled [`crate::scratch::ScratchPool`]
-//! stacks (no per-task arena allocation at steady state).
+//! Each algorithm has one kernel, over the flat columnar structures. Fanned
+//! out, it draws per-worker arenas from pooled
+//! [`crate::scratch::ScratchPool`] stacks (no per-task arena allocation at
+//! steady state).
 //!
 //! The determinism guarantee is checked end-to-end by the
 //! `parallel_agreement` and `engine_agreement` integration tests.
@@ -31,21 +33,28 @@
 //! ## Width
 //!
 //! A query's width comes from the query alone: `Parallel { threads }` with
-//! `threads > 0` installs a rayon pool of that width around the query, and
-//! `threads = 0` runs at the ambient rayon width. The twins size their
-//! fan-out from [`rayon::current_num_threads`]. Because parallel and
-//! sequential paths agree bitwise, the width never changes any result, only
-//! the wall-clock time.
+//! `threads > 0` installs a rayon pool of that width around the query,
+//! clamped to [`MAX_WIDTH`], and `threads = 0` runs at the ambient rayon
+//! width. The kernels size their fan-out from [`rayon::current_num_threads`].
+//! Because parallel and sequential paths agree bitwise, the width never
+//! changes any result, only the wall-clock time.
 
-/// Runs `f` inside a rayon pool of `threads` workers, so every parallel
-/// driver under `f` (kd subtree joins, LOOP and DUAL chunks) fans out to
-/// that width. `0` runs `f` at the ambient width. A scoped pool
-/// touches no process-wide state, so concurrent queries of different widths
-/// cannot interfere.
+/// The widest pool a query runs in: `Execution::Parallel { threads }` above
+/// this runs at this width. LOOP and DUAL cut their scan into one chunk per
+/// worker and run each chunk on its own OS thread, so an unbounded width
+/// would start one thread per instance.
+pub const MAX_WIDTH: usize = 64;
+
+/// Runs `f` inside a rayon pool of `threads` workers (at most
+/// [`MAX_WIDTH`]), so every parallel driver under `f` (kd subtree joins,
+/// LOOP and DUAL chunks) fans out to that width. `0` runs `f` at the
+/// ambient width. A scoped pool touches no process-wide state, so
+/// concurrent queries of different widths cannot interfere.
 pub(crate) fn with_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     if threads == 0 {
         return f();
     }
+    let threads = threads.min(MAX_WIDTH);
     match rayon::ThreadPoolBuilder::new().num_threads(threads).build() {
         Ok(pool) => pool.install(f),
         Err(_) => f(),
@@ -173,5 +182,19 @@ mod tests {
             with_width(0, rayon::current_num_threads),
             rayon::current_num_threads()
         );
+    }
+
+    #[test]
+    fn with_width_clamps_to_the_cap() {
+        // Installing a pool only sets the width; no thread starts here.
+        assert_eq!(
+            with_width(usize::MAX, rayon::current_num_threads),
+            MAX_WIDTH
+        );
+        assert_eq!(
+            with_width(MAX_WIDTH + 1, rayon::current_num_threads),
+            MAX_WIDTH
+        );
+        assert_eq!(with_width(MAX_WIDTH, rayon::current_num_threads), MAX_WIDTH);
     }
 }

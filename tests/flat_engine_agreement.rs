@@ -18,9 +18,7 @@
 //! function must be named in a test under `tests/`.
 
 use arsp_core::algorithms::dual::{arsp_dual_flat_engine, build_dual_index};
-use arsp_core::algorithms::kd_asp::{
-    kd_asp_flat_engine, kd_asp_flat_engine_parallel, KdScratch, KdVariant, KdWorkerPool,
-};
+use arsp_core::algorithms::kd_asp::{kd_asp_flat_engine, KdScratch, KdVariant, KdWorkerPool};
 use arsp_core::algorithms::kdtt::{
     arsp_kdtt_flat_engine, arsp_kdtt_plus_with_fdom, arsp_kdtt_with_fdom, arsp_qdtt_plus_with_fdom,
 };
@@ -136,7 +134,7 @@ fn kdtt_flat_engine_matches_point_path_in_every_variant() {
 }
 
 #[test]
-fn kd_asp_flat_engine_parallel_twin_is_bitwise_identical() {
+fn kd_asp_flat_engine_fan_out_is_bitwise_identical() {
     for dataset in datasets() {
         let constraints = constraints_for(&dataset);
         let truth = arsp_enum(&dataset, &constraints);
@@ -155,17 +153,20 @@ fn kd_asp_flat_engine_parallel_twin_is_bitwise_identical() {
                 flat.num_objects(),
                 flat.num_instances(),
                 variant,
+                false,
                 None,
                 &mut scratch,
+                None,
                 None,
             );
             let mut scratch = KdScratch::new();
             let parallel = two_wide(|| {
-                kd_asp_flat_engine_parallel(
+                kd_asp_flat_engine(
                     FlatScorePoints::new(&flat, &scores),
                     flat.num_objects(),
                     flat.num_instances(),
                     variant,
+                    true,
                     None,
                     &mut scratch,
                     Some(&pool),
@@ -174,7 +175,7 @@ fn kd_asp_flat_engine_parallel_twin_is_bitwise_identical() {
             });
             assert_eq!(
                 parallel, sequential,
-                "kd_asp_flat_engine_parallel/{variant:?}"
+                "kd_asp_flat_engine parallel/{variant:?}"
             );
             assert_matches_enum(
                 &truth,

@@ -91,8 +91,8 @@ const KERNEL_SCOPE: &[(&str, &[&str])] = &[
     (
         "crates/core/src/algorithms/kd_asp.rs",
         &[
-            "fused_rec_flat",
-            "prebuilt_rec_flat",
+            "kd_rec_flat",
+            "flat_children",
             "flat_candidate_pass",
             "candidate_pass",
             "flat_node_enter",
