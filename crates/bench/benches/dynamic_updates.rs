@@ -4,17 +4,15 @@
 //! throwing the engine away and rebuilding it cold on the mutated snapshot:
 //!
 //! * **update throughput** — how fast the versioned store absorbs a stream
-//!   of overwrites (tombstone + delta append + cache bookkeeping), with the
-//!   default logarithmic-method policy folding the delta back in as it
-//!   grows;
+//!   of overwrites (tombstone + delta append + cache bookkeeping), with an
+//!   explicit `merge_now` folding the delta back in after every batch;
 //! * **query latency under churn** — the cost of `(mutate a δ-row batch,
 //!   query, fold)` cycles at delta fractions ≈ {1 %, 5 %, 20 %} of the live
 //!   rows, for LOOP (patched score matrix + order), KDTT+ (patched score
 //!   matrix + flat store) and DUAL (per-object index rebuilt from the
 //!   patched flat snapshot), each running the same flat kernel on both
-//!   sides: measured on the warm dynamic engine (`dyn`, with the
-//!   logarithmic-method fold charged to every cycle — a conservative upper
-//!   bound) and as a cold rebuild per cycle (`cold` —
+//!   sides: measured on the warm dynamic engine (`dyn`, with the fold
+//!   charged to every cycle — a conservative upper bound) and as a cold rebuild per cycle (`cold` —
 //!   `ArspEngine::new(snapshot)` plus the query, which is what reflecting a
 //!   mutation used to require).
 //!
@@ -30,7 +28,6 @@ use arsp_core::engine::{ArspEngine, QueryAlgorithm};
 use arsp_data::{InstanceHandle, SyntheticConfig, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::WeightRatio;
 use arsp_geometry::ConstraintSet;
-use arsp_index::DeltaPolicy;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -109,8 +106,9 @@ fn bench_dynamic_updates(c: &mut Criterion) {
     let ratio = WeightRatio::uniform(3, 0.5, 2.0);
 
     // ---- update throughput ------------------------------------------------
-    // Batches of 100 overwrites against a warm engine under the default
-    // merge policy (compactions amortised into the measured time).
+    // Batches of 100 overwrites against a warm engine, each ending in a
+    // `merge_now` that keeps the state bounded (the engine never compacts
+    // on its own; the compaction is inside the measured time).
     {
         let mut engine = DynamicArspEngine::from_dataset(&base);
         let _ = engine.query(&constraints).run(); // warm the caches
@@ -131,16 +129,17 @@ fn bench_dynamic_updates(c: &mut Criterion) {
                         None => false,
                     });
                 }
+                engine.merge_now();
                 black_box(engine.version())
             })
         });
     }
 
     // ---- query latency under churn ---------------------------------------
-    // One cycle = δ overwrites + one query + (dyn only) the
-    // logarithmic-method fold. The manual policy plus the explicit per-cycle
-    // `merge_now` pin the delta the query fuses at exactly the labeled
-    // fraction and keep state bounded across criterion iterations; the fold
+    // One cycle = δ overwrites + one query + (dyn only) the fold. The
+    // explicit per-cycle `merge_now` pins the delta the query fuses at
+    // exactly the labeled fraction and keeps state bounded across
+    // criterion iterations; the fold
     // cost is charged to the dyn side, making its numbers a conservative
     // upper bound. `cold` rebuilds an engine on the mutated snapshot every
     // cycle — what the same workload cost before this subsystem existed.
@@ -150,7 +149,6 @@ fn bench_dynamic_updates(c: &mut Criterion) {
             ("kdtt_plus", QueryAlgorithm::KdttPlus),
         ] {
             let mut engine = DynamicArspEngine::from_dataset(&base);
-            engine.set_delta_policy(DeltaPolicy::manual());
             let _ = engine.query(&constraints).algorithm(algorithm).run();
             let mut churn = Churn::new(engine.store());
             group.bench_function(format!("churn/{algo_label}/dyn/{label}"), |b| {
@@ -174,7 +172,7 @@ fn bench_dynamic_updates(c: &mut Criterion) {
                         .algorithm(algorithm)
                         .run()
                         .result_size();
-                    // The cycle ends with the logarithmic-method fold, so
+                    // The cycle ends with the fold, so
                     // the query above really saw a delta of the labeled
                     // fraction and state stays bounded across iterations;
                     // the fold's cost is charged to the dyn side.
@@ -211,7 +209,6 @@ fn bench_dynamic_updates(c: &mut Criterion) {
         // engine build.
         {
             let mut engine = DynamicArspEngine::from_dataset(&base);
-            engine.set_delta_policy(DeltaPolicy::manual());
             let _ = engine.ratio_query(&ratio).run();
             let mut churn = Churn::new(engine.store());
             group.bench_function(format!("churn/dual/dyn/{label}"), |b| {

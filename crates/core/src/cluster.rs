@@ -5,9 +5,11 @@
 //! ([`arsp_data::shard_ranges`]) into N shards. Each shard owns its own
 //! write/fault/durability domain: a [`DurableStore`] (checksummed WAL +
 //! atomic snapshots in its own directory) and an [`ArspService`] snapshot
-//! chain, kept in lockstep by applying every [`MutationOp`] batch to both
-//! halves (handle allocation is deterministic, so the two
-//! [`VersionedStore`]s stay bitwise equal).
+//! chain. Every [`MutationOp`] batch reaches both halves through one
+//! checked loop ([`arsp_data::persist::apply_checked`]), durable half
+//! first, so the two [`VersionedStore`]s stay bitwise equal: handle
+//! allocation is deterministic, and each compacts only at a logged
+//! [`MutationOp::Merge`].
 //!
 //! ## The exact cross-shard merge
 //!
@@ -287,14 +289,15 @@ pub enum ApplyOutcome {
 /// `(version, epoch)` immediately before the batch was first attempted:
 /// recovery skips the entry when the recovered store is already past it
 /// (the WAL held the whole batch), and applies it otherwise — the same
-/// idempotence rule the WAL replay itself uses.
+/// idempotence rule the WAL replay itself uses. An entry the store rejects
+/// is dropped.
 struct ReplayEntry {
     pre: Option<(u64, u64)>,
     ops: Vec<MutationOp>,
 }
 
 /// The serving half of a shard: the per-shard MVCC service plus its writer,
-/// mutated in lockstep with the durable half.
+/// whose engine replays every batch the durable half logged.
 struct ShardServing {
     service: ArspService,
     writer: ServiceWriter,
@@ -335,6 +338,7 @@ struct UnionEntry {
 struct ClusterCounters {
     batches_applied: AtomicU64,
     batches_queued: AtomicU64,
+    batches_rejected: AtomicU64,
     crashes_contained: AtomicU64,
     io_failures: AtomicU64,
     recoveries: AtomicU64,
@@ -479,7 +483,7 @@ impl ShardedService {
 
     /// Builds the serving half from a clone of the durable store: an
     /// independent bitwise copy, handle allocation included, so the two
-    /// halves keep evolving identically under the same ops.
+    /// halves keep evolving identically under the same checked ops.
     fn serving_from_durable(durable: &DurableStore) -> ShardServing {
         let (service, writer) = ArspService::from_store(durable.store().clone());
         ShardServing { service, writer }
@@ -520,6 +524,9 @@ impl ShardedService {
     /// the serving chain, then publishes. An empty batch is a no-op.
     ///
     /// * Shard down → the batch is queued for replay ([`ApplyOutcome::Queued`]).
+    /// * An op the store rejects (see [`DurableStore::apply_batch`]) →
+    ///   `Err` of kind [`io::ErrorKind::InvalidInput`]; nothing is logged,
+    ///   applied or queued, and the shard's health is untouched.
     /// * I/O error before anything durable changed → `Err`; the supervisor
     ///   counts the failure (degrade, then quarantine at the threshold).
     /// * Panic, or a failure after the batch became durable → the shard is
@@ -544,11 +551,17 @@ impl ShardedService {
             (durable.store().version(), durable.store().epoch())
         };
         let slot = &mut *slot;
-        match catch_unwind(AssertUnwindSafe(|| Self::apply_to_slot(slot, &ops))) {
+        match catch_unwind(AssertUnwindSafe(|| Self::apply_to_slot(slot, pre, &ops))) {
             Ok(Ok(())) => {
                 slot.supervisor.record_success();
                 counters.batches_applied.fetch_add(1, Ordering::Relaxed);
                 Ok(ApplyOutcome::Applied)
+            }
+            Ok(Err(ApplyFailure::Rejected(err))) => {
+                // The batch, not the shard, is at fault: nothing was logged
+                // and both halves are as they were.
+                counters.batches_rejected.fetch_add(1, Ordering::Relaxed);
+                Err(err)
             }
             Ok(Err(ApplyFailure::Clean(err))) => {
                 // The WAL rolled back byte-for-byte: no durable trace, both
@@ -558,9 +571,10 @@ impl ShardedService {
                 Err(err)
             }
             Ok(Err(ApplyFailure::Dirty(err))) => {
-                // The batch is already durable but the shard failed before
-                // publishing: treat it exactly like a crash so recovery
-                // rebuilds serving from disk (which holds the batch).
+                // The batch is durable (or in doubt) but the shard failed
+                // before publishing: treat it exactly like a crash so
+                // recovery rebuilds serving from disk and lands the queued
+                // batch exactly once.
                 Self::contain_crash(slot, counters, Some(pre), ops);
                 Err(err)
             }
@@ -588,22 +602,36 @@ impl ShardedService {
     }
 
     /// The fallible body of [`Self::apply_batch`]: WAL first, then the serving
-    /// twin, then publish. `Clean` failures left no durable trace; `Dirty`
-    /// ones happened after the batch hit the WAL.
-    fn apply_to_slot(slot: &mut ShardSlot, ops: &[MutationOp]) -> Result<(), ApplyFailure> {
+    /// twin replays the same ops, then publish. A failed apply that leaves
+    /// the durable store past `pre` left the batch in doubt: `Dirty`.
+    fn apply_to_slot(
+        slot: &mut ShardSlot,
+        pre: (u64, u64),
+        ops: &[MutationOp],
+    ) -> Result<(), ApplyFailure> {
         failpoint::hit("shard.apply").map_err(ApplyFailure::Clean)?;
-        slot.durable
+        let durable = slot
+            .durable
             .as_mut()
-            .expect("an available shard has a durable store")
-            .apply_batch(ops)
-            .map_err(ApplyFailure::Clean)?;
+            .expect("an available shard has a durable store");
+        durable.apply_batch(ops).map_err(|err| {
+            if (durable.store().version(), durable.store().epoch()) != pre {
+                ApplyFailure::Dirty(err)
+            } else if err.kind() == io::ErrorKind::InvalidInput {
+                ApplyFailure::Rejected(err)
+            } else {
+                ApplyFailure::Clean(err)
+            }
+        })?;
         let serving = slot
             .serving
             .as_mut()
             .expect("an available shard has a serving chain");
-        for op in ops {
-            apply_op_to_writer(&mut serving.writer, op);
-        }
+        serving
+            .writer
+            .engine_mut()
+            .apply(ops)
+            .map_err(ApplyFailure::Dirty)?;
         failpoint::hit("shard.publish").map_err(ApplyFailure::Dirty)?;
         serving.writer.publish();
         Ok(())
@@ -704,7 +732,7 @@ impl ShardedService {
         // always restarts from disk, so drop the in-memory halves first.
         slot.teardown();
         let slot = &mut *slot;
-        match catch_unwind(AssertUnwindSafe(|| Self::restore_slot(slot))) {
+        match catch_unwind(AssertUnwindSafe(|| Self::restore_slot(slot, counters))) {
             Ok(Ok(())) => {
                 slot.supervisor.recovery_succeeded();
                 counters.recoveries.fetch_add(1, Ordering::Relaxed);
@@ -726,7 +754,7 @@ impl ShardedService {
     }
 
     /// The recovery body: reopen, catch up, rebuild serving.
-    fn restore_slot(slot: &mut ShardSlot) -> io::Result<()> {
+    fn restore_slot(slot: &mut ShardSlot, counters: &ClusterCounters) -> io::Result<()> {
         failpoint::hit("shard.recover")?;
         let (mut durable, _report) = DurableStore::open(&slot.dir)?;
         while let Some(entry) = slot.replay.front_mut() {
@@ -736,7 +764,14 @@ impl ShardedService {
                 // Tag before attempting: if this apply crashes, the next
                 // recovery can still decide exactly-once from the tag.
                 entry.pre = Some(at);
-                durable.apply_batch(&entry.ops)?;
+                match durable.apply_batch(&entry.ops) {
+                    // Checked only now, the batch was refused with nothing
+                    // logged: drop it and catch up on the rest.
+                    Err(err) if err.kind() == io::ErrorKind::InvalidInput => {
+                        counters.batches_rejected.fetch_add(1, Ordering::Relaxed);
+                    }
+                    result => result?,
+                }
             }
             slot.replay.pop_front();
         }
@@ -790,8 +825,8 @@ impl ShardedService {
     /// depends on every object, so the feed is not the cluster's answer:
     /// [`ClusterSubscription::maintained`] is not a [`ClusterQuery`] over
     /// the union: an instance's probability there misses every dominator
-    /// that another shard holds. Driving the feed from the union is ROADMAP
-    /// item 3.
+    /// that another shard holds. Driving the feed from the union is the open
+    /// ROADMAP item on standing queries that answer the cluster's question.
     pub fn subscribe(&self, spec: &StandingSpec) -> Result<ClusterSubscription, QueryError> {
         let mut guards = Vec::with_capacity(self.num_shards());
         let mut missing = Vec::new();
@@ -936,6 +971,7 @@ impl ShardedService {
         ClusterStats {
             batches_applied: c.batches_applied.load(Ordering::Relaxed),
             batches_queued: c.batches_queued.load(Ordering::Relaxed),
+            batches_rejected: c.batches_rejected.load(Ordering::Relaxed),
             crashes_contained: c.crashes_contained.load(Ordering::Relaxed),
             io_failures: c.io_failures.load(Ordering::Relaxed),
             recoveries: c.recoveries.load(Ordering::Relaxed),
@@ -948,38 +984,13 @@ impl ShardedService {
 }
 
 /// `Clean` failures happened before anything durable changed (the WAL
-/// rolls an errored append back byte-for-byte); `Dirty` ones after the
-/// batch hit the WAL, so the shard must be rebuilt from disk.
+/// rolls an errored append back byte-for-byte); `Rejected` ones are batches
+/// the store refused, with nothing logged; `Dirty` ones leave the batch
+/// durable or in doubt, so the shard must be rebuilt from disk.
 enum ApplyFailure {
     Clean(io::Error),
+    Rejected(io::Error),
     Dirty(io::Error),
-}
-
-/// Replays one logged op through the serving writer — the serving-side
-/// mirror of [`MutationOp::apply_to`], keeping both halves in lockstep.
-fn apply_op_to_writer(writer: &mut ServiceWriter, op: &MutationOp) {
-    match op {
-        MutationOp::InsertObject { label, instances } => {
-            writer.insert_object(label.clone(), instances.clone());
-        }
-        MutationOp::InsertInstance {
-            object,
-            coords,
-            prob,
-        } => {
-            writer.insert_instance(*object as usize, coords, *prob);
-        }
-        MutationOp::UpdateInstance {
-            handle,
-            coords,
-            prob,
-        } => writer.update_instance(InstanceHandle::from_index(*handle as usize), coords, *prob),
-        MutationOp::RemoveInstance { handle } => {
-            writer.remove_instance(InstanceHandle::from_index(*handle as usize));
-        }
-        MutationOp::RetireObject { object } => writer.retire_object(*object as usize),
-        MutationOp::Merge => writer.merge_now(),
-    }
 }
 
 /// Cluster-level runtime counters (see [`ShardedService::cluster_stats`]).
@@ -989,6 +1000,10 @@ pub struct ClusterStats {
     pub batches_applied: u64,
     /// Batches queued because their shard was down.
     pub batches_queued: u64,
+    /// Batches the store refused: rejected live with
+    /// [`io::ErrorKind::InvalidInput`], or dropped by recovery when queued
+    /// while the shard was down.
+    pub batches_rejected: u64,
     /// Shard panics contained behind the query/write boundary.
     pub crashes_contained: u64,
     /// I/O failures counted by the supervisors.
@@ -1613,6 +1628,34 @@ mod tests {
         assert!(cluster.recover_now(1).expect("recovery succeeds"));
         assert!(lock(&cluster.shared.shards[1]).replay.is_empty());
         assert_serving_copies_durable(&cluster);
+
+        // Enough single-insert batches that a serving engine compacting on
+        // its own would have split from its durable store, which compacts
+        // only where the log says `Merge`.
+        for i in 0..200 {
+            cluster
+                .apply_batch(0, batch(1.0 / f64::from(i + 2)))
+                .expect("apply");
+        }
+        assert_serving_copies_durable(&cluster);
+
+        // A logged `Merge` compacts both stores; a second one, on a shard
+        // with nothing pending, still bumps both epochs.
+        for _ in 0..2 {
+            cluster
+                .apply_batch(0, vec![MutationOp::Merge])
+                .expect("apply");
+            assert_serving_copies_durable(&cluster);
+        }
+        assert_eq!(
+            lock(&cluster.shared.shards[0])
+                .durable
+                .as_ref()
+                .expect("shard is up")
+                .store()
+                .pending_rows(),
+            0
+        );
 
         failpoint::reset();
         let _ = std::fs::remove_dir_all(&dir);

@@ -43,9 +43,18 @@
 //! runs over the same artifacts. Each artifact is bitwise the cold build at
 //! this version, so each result is the cold result. Standing-query refreshes
 //! ([`DynamicArspEngine::refresh_standing`]) are ordinary queries on this
-//! path. The logarithmic-method [`DeltaPolicy`] only decides when the store
-//! compacts ([`DynamicArspEngine::merge_now`]): it bounds the tombstoned
-//! rows and the appended tail a store carries, not any query's work.
+//! path.
+//!
+//! ## Compaction
+//!
+//! The engine never compacts on its own: the store carries its tombstoned
+//! rows and appended tail until the owner calls
+//! [`DynamicArspEngine::merge_now`], or until a mutation batch says
+//! [`MutationOp::Merge`]. A shard's serving engine replays its durable
+//! store's batches through the same checked loop the write-ahead log's
+//! replay runs ([`apply_checked`]), so both stores compact at exactly the
+//! same ops and stay bitwise copies. Compaction moves rows, not snapshot
+//! ids: it changes no query's result, only the rows a store carries.
 //!
 //! ```
 //! use arsp_core::dynamic::DynamicArspEngine;
@@ -66,9 +75,10 @@
 //! assert_eq!(outcome.result().probs(), cold.query(&constraints).run().result().probs());
 //! ```
 //!
-//! [`DeltaPolicy`]: arsp_index::DeltaPolicy
 //! [`FlatStore`]: arsp_data::FlatStore
 //! [`InstanceOrder`]: crate::algorithms::loop_scan::InstanceOrder
+
+use std::io;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{lock, Arc, Mutex};
@@ -82,10 +92,10 @@ use crate::pipeline::{
 };
 use crate::scorespace::ScoreMatrix;
 use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
-use arsp_data::{InstanceHandle, UncertainDataset, VersionedStore};
+use arsp_data::persist::apply_checked;
+use arsp_data::{InstanceHandle, MutationOp, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 use arsp_geometry::fdom::LinearFDominance;
-use arsp_index::DeltaPolicy;
 
 /// Sentinel for "row has no snapshot id".
 const NONE32: u32 = u32::MAX;
@@ -144,7 +154,6 @@ fn sorts_before(a: (f64, u32), b: (f64, u32)) -> bool {
 /// artifact share one build. See the [module docs](self).
 pub struct DynamicArspEngine {
     store: VersionedStore,
-    policy: DeltaPolicy,
     /// The vertex enumerations, scratch pools and cache counters every
     /// snapshot shares — with a serving layer's readers too.
     artifacts: Arc<SharedArtifacts>,
@@ -175,24 +184,12 @@ impl DynamicArspEngine {
         };
         Self {
             store,
-            policy: DeltaPolicy::default(),
             artifacts,
             current: Mutex::new(current),
             invalidated: AtomicU64::new(0),
             merges: AtomicU64::new(0),
             standing: StandingQueryRegistry::new(),
         }
-    }
-    /// Replaces the logarithmic-method merge policy (default:
-    /// [`DeltaPolicy::default`]). [`DeltaPolicy::manual`] disables automatic
-    /// compaction; [`DeltaPolicy::eager`] compacts after every mutation.
-    pub fn set_delta_policy(&mut self, policy: DeltaPolicy) {
-        self.policy = policy;
-    }
-
-    /// The active merge policy.
-    pub fn delta_policy(&self) -> DeltaPolicy {
-        self.policy
     }
 
     /// Read access to the underlying versioned store.
@@ -219,22 +216,17 @@ impl DynamicArspEngine {
         label: Option<String>,
         instances: Vec<(Vec<f64>, f64)>,
     ) -> usize {
-        let object = self.store.insert_object(label, instances);
-        self.after_mutation();
-        object
+        self.store.insert_object(label, instances)
     }
 
     /// Appends an instance to an object; returns its stable handle.
     pub fn insert_instance(&mut self, object: usize, coords: &[f64], prob: f64) -> InstanceHandle {
-        let handle = self.store.insert_instance(object, coords, prob);
-        self.after_mutation();
-        handle
+        self.store.insert_instance(object, coords, prob)
     }
 
     /// Deletes one instance (tombstone).
     pub fn remove_instance(&mut self, handle: InstanceHandle) {
         self.store.remove_instance(handle);
-        self.after_mutation();
     }
 
     /// Overwrites one instance (revised coordinates and/or probability). The
@@ -242,24 +234,20 @@ impl DynamicArspEngine {
     /// (see [`VersionedStore::update_instance`]).
     pub fn update_instance(&mut self, handle: InstanceHandle, coords: &[f64], prob: f64) {
         self.store.update_instance(handle, coords, prob);
-        self.after_mutation();
     }
 
     /// Retires a whole object.
     pub fn retire_object(&mut self, object: usize) {
         self.store.retire_object(object);
-        self.after_mutation();
     }
 
-    /// Compacts the store now (folds the delta tail and tombstones into a
-    /// fresh canonical base) regardless of the policy. The cached artifacts
-    /// are patched forward to the current version first; the compaction
-    /// then moves rows but no snapshot id, so only the row map is rebuilt.
-    /// A no-op when nothing is pending.
+    /// Compacts the store now: folds the delta tail and tombstones into a
+    /// fresh canonical base and bumps the epoch, even when nothing is
+    /// pending, exactly as [`VersionedStore::merge`] and a logged
+    /// [`MutationOp::Merge`] do. The cached artifacts are patched forward to
+    /// the current version first; the compaction then moves rows but no
+    /// snapshot id, so only the row map is rebuilt.
     pub fn merge_now(&mut self) {
-        if self.store.pending_rows() == 0 {
-            return;
-        }
         // Advance while the row ids still relate the current snapshot to
         // the live rows.
         self.current();
@@ -271,13 +259,27 @@ impl DynamicArspEngine {
         current.rowmap = Arc::new(build_rowmap(&self.store));
     }
 
-    fn after_mutation(&mut self) {
-        if self
-            .policy
-            .should_merge(self.store.num_live_instances(), self.store.pending_rows())
-        {
-            self.merge_now();
-        }
+    /// Applies a mutation batch through [`apply_checked`], the loop a
+    /// durable store's apply and its log replay run: each op is validated,
+    /// then applied, and a [`MutationOp::Merge`] goes to
+    /// [`merge_now`](Self::merge_now). A shard's serving engine replays its
+    /// durable store's batches this way, so the two stores stay bitwise
+    /// copies.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`] naming the first op the store
+    /// rejects; the ops before it stay applied.
+    pub(crate) fn apply(&mut self, ops: &[MutationOp]) -> io::Result<()> {
+        apply_checked(
+            self,
+            ops,
+            |engine| &engine.store,
+            |engine, op| match op {
+                MutationOp::Merge => engine.merge_now(),
+                op => op.apply_to(&mut engine.store),
+            },
+        )
+        .map_err(|reason| io::Error::new(io::ErrorKind::InvalidInput, reason))
     }
 
     // ---- queries ----------------------------------------------------------
@@ -631,7 +633,6 @@ mod tests {
         }
         .generate();
         let mut engine = DynamicArspEngine::from_dataset(&dataset);
-        engine.set_delta_policy(DeltaPolicy::manual());
         let constraints = ConstraintSet::weak_ranking(3, 1);
         let ratio = WeightRatio::uniform(3, 0.5, 2.0);
 
@@ -692,7 +693,6 @@ mod tests {
         dataset.push_object(vec![(vec![0.3, 0.8], 0.6)]);
         dataset.push_object(vec![(vec![0.7, 0.7], 0.5)]);
         let mut engine = DynamicArspEngine::from_dataset(&dataset);
-        engine.set_delta_policy(DeltaPolicy::manual());
         let constraints = ConstraintSet::weak_ranking(2, 1);
 
         // Warm the LOOP caches, then append delta rows coincident with bulk
@@ -864,7 +864,6 @@ mod tests {
         }
         .generate();
         let mut engine = DynamicArspEngine::from_dataset(&dataset);
-        engine.set_delta_policy(DeltaPolicy::manual());
         let constraints = ConstraintSet::weak_ranking(3, 2);
 
         // Warm the LOOP artifacts, then run a mutate → query loop.
@@ -888,7 +887,7 @@ mod tests {
         assert!(churned.hits > warm.hits);
         assert_eq!(
             churned.merges_performed, warm.merges_performed,
-            "manual policy: the store must not have compacted"
+            "the engine must not compact on its own"
         );
         // LOOP never builds the R-tree or dataset, so no invalidations
         // either.
@@ -914,9 +913,9 @@ mod tests {
             "the cached R-tree and snapshot dataset must both drop"
         );
 
-        // Crossing the merge threshold compacts the store.
-        engine.set_delta_policy(DeltaPolicy::eager());
+        // A merge right after the mutation compacts the store.
         let _ = engine.insert_object(None, vec![(vec![0.8, 0.1, 0.2], 0.6)]);
+        engine.merge_now();
         let merged = engine.cache_stats();
         assert_eq!(merged.merges_performed, churned.merges_performed + 1);
         assert_eq!(engine.store().delta_rows(), 0);

@@ -144,5 +144,4 @@ pub mod prelude {
     };
     pub use arsp_data::{InstanceHandle, SyntheticConfig, UncertainDataset, VersionedStore};
     pub use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
-    pub use arsp_index::DeltaPolicy;
 }

@@ -464,9 +464,9 @@ impl ServiceWriter {
         self.engine.retire_object(object)
     }
 
-    /// Compacts the store now (see [`DynamicArspEngine::merge_now`]).
-    /// Published snapshots are unaffected — compaction moves rows, not
-    /// snapshot ids.
+    /// Compacts the store now (see [`DynamicArspEngine::merge_now`]); the
+    /// engine never compacts on its own. Published snapshots are
+    /// unaffected — compaction moves rows, not snapshot ids.
     pub fn merge_now(&mut self) {
         self.engine.merge_now()
     }
@@ -493,9 +493,9 @@ impl ServiceWriter {
     }
 
     /// Mutable access to the underlying dynamic engine — for mutation
-    /// batches driven through the [`DynamicArspEngine`] API (e.g. the shared
-    /// agreement-test harness). Readers still see nothing until
-    /// [`ServiceWriter::publish`].
+    /// batches driven through the [`DynamicArspEngine`] API (a shard's
+    /// logged batches, the shared agreement-test harness). Readers still
+    /// see nothing until [`ServiceWriter::publish`].
     pub fn engine_mut(&mut self) -> &mut DynamicArspEngine {
         &mut self.engine
     }

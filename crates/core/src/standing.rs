@@ -35,8 +35,9 @@
 //! fans one spec out per shard and concatenates the per-shard change-sets
 //! shard-major. Each shard's feed holds that shard's own ARSP, scored
 //! against its shard's objects only, so it is not the cluster's union
-//! result (a `ClusterQuery`); driving cluster feeds from the union is
-//! ROADMAP item 3. Dropping a
+//! result (a `ClusterQuery`); driving cluster feeds from the union is the
+//! open ROADMAP item on standing queries that answer the cluster's
+//! question. Dropping a
 //! [`SubscriptionGuard`] unsubscribes (RAII — safe at any time, including
 //! mid-publish from another thread).
 

@@ -4,12 +4,12 @@
 //! [`DurableStore`] wraps a [`VersionedStore`] with a simple, provable
 //! durability contract:
 //!
-//! * **Log-then-apply** — [`DurableStore::apply_batch`] encodes the batch,
-//!   appends one length-prefixed, CRC-32-guarded record to `wal.log`,
-//!   syncs it, and only then applies the ops to the in-memory store. An
-//!   append that fails (injected or real I/O error) rolls the file back to
-//!   its pre-append length, so the in-memory store and the durable state
-//!   never drift apart on the error path.
+//! * **Check-then-log** — [`DurableStore::apply_batch`] runs the batch
+//!   through [`apply_checked`], the loop replay runs, then appends one
+//!   length-prefixed, CRC-32-guarded record to `wal.log` and syncs it. A
+//!   rejected batch is never logged, a failed append (injected or real I/O
+//!   error) is cut off the file, and either way the store is reloaded from
+//!   the directory, so memory and disk never drift apart on the error path.
 //! * **Atomic snapshots** — [`DurableStore::checkpoint`] serialises the
 //!   full store state ([`VersionedStore::encode_state`]) into
 //!   `snapshot.tmp`, syncs, renames over `snapshot.bin` (atomic on POSIX),
@@ -122,14 +122,14 @@ impl MutationOp {
     /// Checks that [`apply_to`](Self::apply_to) would not panic on `store`:
     /// the handle or object it names is live, its coordinates match the
     /// store's dimension and are finite, each probability lies in `(0, 1]`
-    /// and the object's total stays within one. Recovery calls this on
-    /// decoded records, whose checksum proves only that the bytes are the
-    /// ones written, not that they describe a valid mutation.
-    fn validate(&self, store: &VersionedStore) -> io::Result<()> {
+    /// and the object's total stays within one. A checksum proves only that
+    /// logged bytes are the ones written, and a caller's batch proves
+    /// nothing, so every op passes here before it is applied.
+    fn validate(&self, store: &VersionedStore) -> Result<(), String> {
         match self {
             MutationOp::InsertObject { instances, .. } => {
                 if instances.is_empty() {
-                    return Err(bad_data("object inserted without instances".into()));
+                    return Err("object inserted without instances".into());
                 }
                 for (coords, prob) in instances {
                     check_instance(store, coords, *prob)?;
@@ -277,50 +277,65 @@ fn bad_data(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
-/// The store object id a logged op names, if it exists and is not retired.
-fn live_object(store: &VersionedStore, object: u64) -> io::Result<usize> {
-    match usize::try_from(object) {
-        Ok(id) if id < store.num_objects() && !store.is_retired(id) => Ok(id),
-        _ => Err(bad_data(format!(
-            "op names unknown or retired object {object}"
-        ))),
-    }
-}
-
-/// The row a logged handle names, if the handle is live.
-fn live_row(store: &VersionedStore, handle: u64) -> io::Result<usize> {
-    u32::try_from(handle)
-        .ok()
-        .and_then(|index| store.row_of(InstanceHandle::from_index(index as usize)))
-        .ok_or_else(|| bad_data(format!("op names dead handle {handle}")))
-}
-
-fn check_instance(store: &VersionedStore, coords: &[f64], prob: f64) -> io::Result<()> {
-    if coords.len() != store.dim() {
-        return Err(bad_data(format!(
-            "{}-d instance in a {}-d store",
-            coords.len(),
-            store.dim()
-        )));
-    }
-    if !coords.iter().all(|c| c.is_finite()) {
-        return Err(bad_data("non-finite coordinate".into()));
-    }
-    if !(prob > 0.0 && prob <= MAX_INSTANCE_PROB) {
-        return Err(bad_data(format!(
-            "instance probability {prob} outside (0, 1]"
-        )));
+/// The one path a mutation batch takes into a store, shared by WAL replay,
+/// [`DurableStore::apply_batch`] and a shard's serving engine: op by op,
+/// validate against the store (`store` reads it out of `target`), then
+/// `apply`, so a later op may name what an earlier one created.
+///
+/// # Errors
+/// The first rejected op's index and why; the ops before it stay applied.
+pub fn apply_checked<T: ?Sized>(
+    target: &mut T,
+    ops: &[MutationOp],
+    store: impl Fn(&T) -> &VersionedStore,
+    mut apply: impl FnMut(&mut T, &MutationOp),
+) -> Result<(), String> {
+    for (i, op) in ops.iter().enumerate() {
+        op.validate(store(target))
+            .map_err(|reason| format!("op {i} rejected: {reason}"))?;
+        apply(target, op);
     }
     Ok(())
 }
 
-fn check_budget(total: f64) -> io::Result<()> {
+/// The store object id an op names, if it exists and is not retired.
+fn live_object(store: &VersionedStore, object: u64) -> Result<usize, String> {
+    match usize::try_from(object) {
+        Ok(id) if id < store.num_objects() && !store.is_retired(id) => Ok(id),
+        _ => Err(format!("op names unknown or retired object {object}")),
+    }
+}
+
+/// The row an op's handle names, if the handle is live.
+fn live_row(store: &VersionedStore, handle: u64) -> Result<usize, String> {
+    u32::try_from(handle)
+        .ok()
+        .and_then(|index| store.row_of(InstanceHandle::from_index(index as usize)))
+        .ok_or_else(|| format!("op names dead handle {handle}"))
+}
+
+fn check_instance(store: &VersionedStore, coords: &[f64], prob: f64) -> Result<(), String> {
+    if coords.len() != store.dim() {
+        return Err(format!(
+            "{}-d instance in a {}-d store",
+            coords.len(),
+            store.dim()
+        ));
+    }
+    if !coords.iter().all(|c| c.is_finite()) {
+        return Err("non-finite coordinate".into());
+    }
+    if !(prob > 0.0 && prob <= MAX_INSTANCE_PROB) {
+        return Err(format!("instance probability {prob} outside (0, 1]"));
+    }
+    Ok(())
+}
+
+fn check_budget(total: f64) -> Result<(), String> {
     if total <= MAX_OBJECT_PROB {
         Ok(())
     } else {
-        Err(bad_data(format!(
-            "object total probability would reach {total}"
-        )))
+        Err(format!("object total probability would reach {total}"))
     }
 }
 
@@ -547,32 +562,47 @@ impl DurableStore {
         &self.store
     }
 
-    /// Durably applies one mutation batch: the batch is logged and synced
-    /// *before* it touches the in-memory store, and an append that errors
-    /// is rolled back byte-for-byte — on `Err` the store (memory and disk)
-    /// is exactly as it was before the call.
+    /// Durably applies one mutation batch: every op passes
+    /// [`apply_checked`] on the in-memory store before the batch is logged
+    /// and synced, so the log never holds a batch replay would reject.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`] for a rejected op, else the append's
+    /// error (the log rolled back). Staged ops are undone by the recovery
+    /// [`open`](Self::open) runs: memory and disk end as before the call.
+    /// If the rollback or that reload fails too, the store may be left past
+    /// its pre-call `(version, epoch)`, the batch in doubt: recover from
+    /// the directory before trusting the store again.
     pub fn apply_batch(&mut self, ops: &[MutationOp]) -> io::Result<()> {
+        let pre = (self.store.version(), self.store.epoch());
         let mut payload = Vec::new();
-        payload.extend_from_slice(&self.store.version().to_le_bytes());
-        payload.extend_from_slice(&self.store.epoch().to_le_bytes());
+        payload.extend_from_slice(&pre.0.to_le_bytes());
+        payload.extend_from_slice(&pre.1.to_le_bytes());
         payload.extend_from_slice(&(ops.len() as u32).to_le_bytes());
         for op in ops {
             op.encode_into(&mut payload);
         }
-        match self.append_record(&payload) {
-            Ok(()) => {}
-            Err(err) => {
+        let logged = match apply_checked(&mut self.store, ops, |s| s, |s, op| op.apply_to(s)) {
+            Err(reason) => Err(io::Error::new(io::ErrorKind::InvalidInput, reason)),
+            Ok(()) => self.append_record(&payload).or_else(|err| {
                 // Roll the log back to its pre-append length; the injected
                 // or real error then leaves no durable trace of the batch.
                 self.wal.set_len(self.wal_len)?;
                 self.wal.seek(SeekFrom::End(0))?;
-                return Err(err);
+                Err(err)
+            }),
+        };
+        if let Err(err) = logged {
+            if (self.store.version(), self.store.epoch()) != pre {
+                *self = Self::open(&self.dir)
+                    .map_err(|reload| {
+                        io::Error::other(format!("{err}; reloading the store failed: {reload}"))
+                    })?
+                    .0;
             }
+            return Err(err);
         }
         self.wal_len += 8 + payload.len() as u64;
-        for op in ops {
-            op.apply_to(&mut self.store);
-        }
         Ok(())
     }
 
@@ -641,12 +671,7 @@ fn replay_record(
             at.0, at.1
         )));
     }
-    // Op by op: a later op may name an object or handle an earlier one in
-    // the same batch created.
-    for op in &ops {
-        op.validate(store)?;
-        op.apply_to(store);
-    }
+    apply_checked(store, &ops, |s| s, |s, op| op.apply_to(s)).map_err(bad_data)?;
     report.records_replayed += 1;
     Ok(())
 }

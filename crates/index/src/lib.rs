@@ -17,9 +17,8 @@
 //!   instances sorted by angle around a reference instance with per-object
 //!   prefix sums, answering (possibly wrapping) angular range queries.
 //!
-//! For dynamic datasets the [`delta`] module adds the logarithmic-method
-//! [`DeltaPolicy`]: when a mutating store compacts its tombstones and
-//! appended tail. The indexes themselves are rebuilt per snapshot.
+//! Dynamic datasets rebuild these indexes per snapshot; when a mutating
+//! store compacts is its owner's call, not an index concern.
 //!
 //! The indexes know nothing about uncertain objects or rskyline semantics;
 //! they operate on point entries (id, object id, weight, coordinates) and
@@ -33,14 +32,12 @@
 
 pub mod aggregate_rtree;
 pub mod angular;
-pub mod delta;
 pub mod kdtree;
 pub mod region;
 pub mod rtree;
 
 pub use aggregate_rtree::AggregateRTree;
 pub use angular::AngularSweepIndex;
-pub use delta::DeltaPolicy;
 pub use kdtree::KdTree;
 pub use region::{DominanceRegion, FDominatorsOf, WindowTo};
 pub use rtree::{NodeContent, NodeId, RTree};

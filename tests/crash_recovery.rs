@@ -281,6 +281,140 @@ fn repeated_kills_at_the_same_site_still_converge() {
     fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// A live batch the store rejects is refused before anything is logged:
+/// `InvalidInput`, the in-memory store bitwise as it was (ops staged ahead
+/// of the bad one are undone), the WAL not one byte longer, and the
+/// directory still opens to the same state.
+#[test]
+fn invalid_live_batches_leave_memory_and_disk_untouched() {
+    let _gate = failpoint::exclusive();
+    failpoint::reset();
+    let dir = scratch_dir("invalid-live");
+    let wal_len = || fs::metadata(dir.join("wal.log")).expect("wal").len();
+    let mut durable = DurableStore::create(&dir, seed_store()).expect("create");
+    // One valid batch first, so the log and the replay count are not empty.
+    let Step::Apply(first) = &workload()[0] else {
+        unreachable!("the workload opens with a batch")
+    };
+    durable.apply_batch(first).expect("valid batch");
+    let before = durable.store().encode_state();
+    let logged = wal_len();
+
+    // The paper example after the first batch: object 0 holds handles 0
+    // (0.2), 1 (0.5) and 10 (0.1); objects 1–3 are at budget 1.
+    let cases = [
+        (
+            "dead handle",
+            vec![MutationOp::RemoveInstance { handle: 999 }],
+        ),
+        (
+            "insert over budget",
+            vec![MutationOp::InsertInstance {
+                object: 1,
+                coords: vec![1.0, 1.0],
+                prob: 0.25,
+            }],
+        ),
+        (
+            "wrong dimension",
+            vec![MutationOp::InsertInstance {
+                object: 0,
+                coords: vec![1.0, 1.0, 1.0],
+                prob: 0.05,
+            }],
+        ),
+        (
+            "invalid op after valid ones",
+            vec![
+                MutationOp::InsertObject {
+                    label: Some("staged".into()),
+                    instances: vec![(vec![6.0, 6.0], 0.5)],
+                },
+                MutationOp::UpdateInstance {
+                    handle: 0,
+                    coords: vec![2.5, 9.5],
+                    prob: 0.1,
+                },
+                MutationOp::Merge,
+                MutationOp::RemoveInstance { handle: 999 },
+            ],
+        ),
+    ];
+    for (case, ops) in &cases {
+        let err = durable.apply_batch(ops).expect_err(case);
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{case}: {err}"
+        );
+        assert_eq!(
+            durable.store().encode_state(),
+            before,
+            "{case}: memory moved"
+        );
+        assert_eq!(wal_len(), logged, "{case}: the WAL grew");
+    }
+    drop(durable);
+
+    let (mut reopened, report) = DurableStore::open(&dir).expect("reopen after rejections");
+    assert_eq!(report.records_replayed, 1);
+    assert_eq!(report.torn_bytes, 0);
+    assert_eq!(reopened.store().encode_state(), before);
+
+    // The store stays usable: a valid batch after the rejections lands.
+    let Step::Apply(second) = &workload()[1] else {
+        unreachable!("the workload's second step is a batch")
+    };
+    reopened
+        .apply_batch(second)
+        .expect("valid batch after rejections");
+    assert_eq!(reopened.store().encode_state(), prefix_states()[2]);
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Ops are checked one at a time against the store the ops before them
+/// left, so a later op may name an object and a handle that an earlier op
+/// in the same batch created.
+#[test]
+fn a_batch_may_name_what_its_own_earlier_ops_created() {
+    let _gate = failpoint::exclusive();
+    failpoint::reset();
+    let dir = scratch_dir("self-naming");
+    let seed = seed_store();
+    let (object, handle) = (seed.num_objects() as u64, seed.num_rows() as u64);
+    let mut durable = DurableStore::create(&dir, seed).expect("create");
+    let ops = vec![
+        MutationOp::InsertObject {
+            label: None,
+            instances: vec![(vec![6.0, 6.0], 0.5)],
+        },
+        MutationOp::InsertInstance {
+            object,
+            coords: vec![5.0, 7.0],
+            prob: 0.25,
+        },
+        MutationOp::UpdateInstance {
+            handle,
+            coords: vec![6.5, 5.5],
+            prob: 0.5,
+        },
+        MutationOp::RemoveInstance { handle: handle + 1 },
+    ];
+    durable
+        .apply_batch(&ops)
+        .expect("a self-naming batch is valid");
+    let mut expected = seed_store();
+    for op in &ops {
+        op.apply_to(&mut expected);
+    }
+    assert_eq!(durable.store().encode_state(), expected.encode_state());
+    drop(durable);
+    let (reopened, report) = DurableStore::open(&dir).expect("reopen");
+    assert_eq!(report.records_replayed, 1);
+    assert_eq!(reopened.store().encode_state(), expected.encode_state());
+    fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// The on-disk image of a store with a checkpoint and a WAL tail: the bytes
 /// of `snapshot.bin` and `wal.log` after the workload minus its final
 /// checkpoint, so the two batches after the middle checkpoint stay in the

@@ -16,7 +16,6 @@
 use arsp::core::dynamic::DynamicArspEngine;
 use arsp::core::engine::{ArspEngine, Execution, QueryAlgorithm};
 use arsp::core::service::{ArspService, SnapshotPin};
-use arsp::index::DeltaPolicy;
 use arsp::prelude::*;
 use arsp_data::{InstanceHandle, VersionedStore};
 use proptest::prelude::*;
@@ -234,6 +233,30 @@ fn apply_op(
     }
 }
 
+/// Compacts `engine` once its pending rows reach `min_pending` and
+/// `fraction` of its live rows. The engine never compacts on its own, so
+/// the harness drives merges: never, after every op (`merge_past(e, 0,
+/// 0.0)`), or past a threshold.
+fn merge_past(engine: &mut DynamicArspEngine, min_pending: usize, fraction: f64) {
+    let store = engine.store();
+    let pending = store.pending_rows();
+    if pending >= min_pending
+        && pending as f64 >= fraction * store.num_live_instances().max(1) as f64
+    {
+        engine.merge_now();
+    }
+}
+
+/// The three merge rules the proptests rotate through: never, after every
+/// op, and once the pending rows reach 4 and 5% of the live rows.
+fn harness_merge(engine: &mut DynamicArspEngine, rule: u8) {
+    match rule {
+        0 => {}
+        1 => merge_past(engine, 0, 0.0),
+        _ => merge_past(engine, 4, 0.05),
+    }
+}
+
 /// Asserts exact agreement between the dynamic engine and a cold rebuild on
 /// the mirror's dataset, for the given algorithms and both execution modes.
 fn assert_exact(
@@ -299,7 +322,7 @@ proptest! {
     // applies a random op sequence, and after *every* op checks exact
     // equality against a cold rebuild for a rotating algorithm (both
     // execution modes) — then sweeps all five algorithms plus DUAL at the
-    // end. Three delta policies rotate across cases so the un-merged,
+    // end. Three harness merge rules rotate across cases so the un-merged,
     // threshold-merged and eagerly-merged paths all see coverage.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -329,14 +352,10 @@ proptest! {
         let store = VersionedStore::from_dataset(&dataset);
         let mut mirror = Mirror::from_seed(&store, &dataset);
         let mut engine = DynamicArspEngine::from_store(store);
-        engine.set_delta_policy(match policy_pick {
-            0 => DeltaPolicy::manual(),
-            1 => DeltaPolicy::eager(),
-            _ => DeltaPolicy { min_pending: 4, max_fraction: 0.05 },
-        });
 
         for (step, &op) in ops.iter().enumerate() {
             let tag = apply_op(&mut engine, &mut mirror, op, dim);
+            harness_merge(&mut engine, policy_pick);
             // One rotating algorithm per step keeps the per-case cost sane
             // while every algorithm sees mid-sequence versions across steps
             // and cases; DUAL joins every third step.
@@ -454,8 +473,9 @@ proptest! {
 }
 
 /// A deterministic end-to-end script (no proptest) that drives every
-/// mutation kind, crosses the merge threshold, and checks the full algorithm
-/// sweep at every version — the suite's fast smoke path.
+/// mutation kind, crosses a harness merge threshold (6 pending rows and 10%
+/// of the live rows) as well as merging by op, and checks the full
+/// algorithm sweep at every version — the suite's fast smoke path.
 #[test]
 fn scripted_interleaving_stays_exact_under_the_default_policy() {
     let dataset = SyntheticConfig {
@@ -473,10 +493,6 @@ fn scripted_interleaving_stays_exact_under_the_default_policy() {
     let store = VersionedStore::from_dataset(&dataset);
     let mut mirror = Mirror::from_seed(&store, &dataset);
     let mut engine = DynamicArspEngine::from_store(store);
-    engine.set_delta_policy(DeltaPolicy {
-        min_pending: 6,
-        max_fraction: 0.1,
-    });
 
     let script: [RawOp; 10] = [
         (1, 7, (0.21, 0.84, 0.33), 0.5),
@@ -492,6 +508,7 @@ fn scripted_interleaving_stays_exact_under_the_default_policy() {
     ];
     for (step, &op) in script.iter().enumerate() {
         let tag = apply_op(&mut engine, &mut mirror, op, 3);
+        merge_past(&mut engine, 6, 0.1);
         assert_exact(
             &engine,
             &mirror,
@@ -502,7 +519,7 @@ fn scripted_interleaving_stays_exact_under_the_default_policy() {
             &format!("scripted step {step}: {tag}"),
         );
     }
-    // The default-policy pressure valve must have fired at least once given
-    // the tiny threshold above.
+    // The threshold merge must have fired at least once given the tiny
+    // threshold above.
     assert!(engine.cache_stats().merges_performed >= 1);
 }

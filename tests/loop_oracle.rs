@@ -26,7 +26,6 @@ use arsp::core::ScoreMatrix;
 use arsp::data::FlatStore;
 use arsp::geometry::fdom::LinearFDominance;
 use arsp::geometry::point;
-use arsp::index::DeltaPolicy;
 use arsp::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -278,7 +277,6 @@ fn dynamic_patched_order_matches_the_naive_scan() {
     for (what, dataset, cs) in cases() {
         let fdom = LinearFDominance::from_constraints(&cs);
         let mut engine = DynamicArspEngine::from_dataset(&dataset);
-        engine.set_delta_policy(DeltaPolicy::manual());
         // Warm the caches, then mutate: the query patches the cached
         // order and score matrix forward and runs the static kernel.
         let _ = engine.query(&cs).algorithm(QueryAlgorithm::Loop).run();

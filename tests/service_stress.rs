@@ -27,7 +27,6 @@ use arsp::core::engine::{ArspEngine, Execution, QueryAlgorithm};
 use arsp::core::service::{ArspService, ServiceWriter};
 use arsp::prelude::*;
 use arsp_data::InstanceHandle;
-use arsp_index::DeltaPolicy;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -573,7 +572,6 @@ fn reader_built_artifacts_carry_forward_across_publish() {
     }
     .generate();
     let (service, mut writer) = ArspService::from_dataset(&dataset);
-    writer.engine_mut().set_delta_policy(DeltaPolicy::manual());
     let constraints = ConstraintSet::weak_ranking(DIM, DIM - 1);
 
     // A reader builds the vertex enumeration, the score matrix and the

@@ -501,3 +501,118 @@ fn the_quarantine_state_machine_walks_every_registered_edge() {
     ];
     assert_eq!(walked.as_slice(), TRANSITION_EDGES);
 }
+
+/// A batch the store rejects is the client's fault, not the shard's: the
+/// cluster answers `InvalidInput`, the shard stays healthy with no failure
+/// counted, union answers are bit-identical to before, and the directory
+/// reopens. One queued while the shard is down is dropped by recovery,
+/// which still lands every valid batch. Both count in `batches_rejected`.
+#[test]
+fn rejected_batches_neither_crash_nor_block_a_shard() {
+    const NUM_SHARDS: usize = 2;
+    let dataset = SyntheticConfig {
+        num_objects: 10,
+        max_instances: 3,
+        dim: 2,
+        region_length: 0.35,
+        phi: 0.2,
+        seed: 5,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let constraints = ConstraintSet::weak_ranking(2, 1);
+    let _gate = failpoint::exclusive();
+    failpoint::reset();
+    let dir = scratch_dir("rejected");
+    let cluster = ShardedService::create(
+        &dir,
+        &dataset,
+        ClusterConfig {
+            num_shards: NUM_SHARDS,
+            ..ClusterConfig::default()
+        },
+    )
+    .expect("create cluster");
+    let mut mirrors: Vec<VersionedStore> = partition_dataset(&dataset, NUM_SHARDS)
+        .iter()
+        .map(VersionedStore::from_dataset)
+        .collect();
+    let union_bits = |cluster: &ShardedService| {
+        bits(
+            &cluster
+                .query(&constraints)
+                .run()
+                .expect("all shards up")
+                .probs,
+        )
+    };
+    let before = union_bits(&cluster);
+    let victim = 1;
+    let invalid = vec![
+        MutationOp::InsertObject {
+            label: None,
+            instances: vec![(vec![0.5, 0.5], 0.5)],
+        },
+        MutationOp::RemoveInstance { handle: 999 },
+    ];
+
+    let err = cluster
+        .apply_batch(victim, invalid.clone())
+        .expect_err("a dead handle is rejected");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert_eq!(cluster.shard_health(victim), ShardHealth::Healthy);
+    assert_eq!(union_bits(&cluster), before);
+    let stats = cluster.cluster_stats();
+    assert_eq!(stats.batches_rejected, 1);
+    assert_eq!(stats.io_failures, 0);
+    assert_eq!(stats.crashes_contained, 0);
+
+    // Down: an invalid batch queues between two valid ones.
+    failpoint::arm("shard.probe", FailAction::Panic);
+    assert_eq!(
+        cluster.probe(victim).expect("panic contained"),
+        ShardHealth::Quarantined
+    );
+    failpoint::reset();
+    let valid = |x: f64| {
+        vec![MutationOp::InsertObject {
+            label: None,
+            instances: vec![(vec![x, 0.25], 0.5)],
+        }]
+    };
+    for (ops, accepted) in [(valid(0.125), true), (invalid, false), (valid(0.375), true)] {
+        assert_eq!(
+            cluster.apply_batch(victim, ops.clone()).expect("queued"),
+            ApplyOutcome::Queued
+        );
+        if accepted {
+            for op in &ops {
+                op.apply_to(&mut mirrors[victim]);
+            }
+        }
+    }
+    assert!(cluster.recover_now(victim).expect("recovery succeeds"));
+    assert_eq!(cluster.shard_health(victim), ShardHealth::Healthy);
+    assert_eq!(cluster.cluster_stats().batches_rejected, 2);
+    let union = concat_datasets(
+        &mirrors
+            .iter()
+            .map(VersionedStore::snapshot_dataset)
+            .collect::<Vec<_>>(),
+    );
+    let reference = bits(
+        ArspEngine::new(union)
+            .query(&constraints)
+            .run()
+            .result()
+            .probs(),
+    );
+    let after = union_bits(&cluster);
+    assert_eq!(after, reference, "recovery diverged from the valid batches");
+    drop(cluster);
+
+    let (reopened, reports) = ShardedService::open(&dir, 3).expect("the directory reopens");
+    assert_eq!(reports.len(), NUM_SHARDS);
+    assert_eq!(union_bits(&reopened), after);
+    fs::remove_dir_all(&dir).expect("cleanup");
+}

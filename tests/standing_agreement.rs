@@ -161,6 +161,30 @@ fn coords_vec(dim: usize, raw: (f64, f64, f64)) -> Vec<f64> {
     [raw.0, raw.1, raw.2][..dim].to_vec()
 }
 
+/// Compacts `engine` once its pending rows reach `min_pending` and
+/// `fraction` of its live rows. The engine never compacts on its own, so
+/// the harness drives merges: never, after every op (`merge_past(e, 0,
+/// 0.0)`), or past a threshold.
+fn merge_past(engine: &mut DynamicArspEngine, min_pending: usize, fraction: f64) {
+    let store = engine.store();
+    let pending = store.pending_rows();
+    if pending >= min_pending
+        && pending as f64 >= fraction * store.num_live_instances().max(1) as f64
+    {
+        engine.merge_now();
+    }
+}
+
+/// The three merge rules the proptests rotate through: never, after every
+/// op, and once the pending rows reach 4 and 5% of the live rows.
+fn harness_merge(engine: &mut DynamicArspEngine, rule: u8) {
+    match rule {
+        0 => {}
+        1 => merge_past(engine, 0, 0.0),
+        _ => merge_past(engine, 4, 0.05),
+    }
+}
+
 /// Applies one raw operation as a *valid* mutation against the engine's
 /// current state; returns a short tag for failure messages.
 fn apply_op(engine: &mut DynamicArspEngine, op: RawOp, dim: usize) -> &'static str {
@@ -251,8 +275,8 @@ proptest! {
     // all five algorithms × both execution modes, plus Auto and a
     // weight-ratio watch — are maintained across a random op sequence, and
     // after *every* op each replayed feed must equal a cold rebuild
-    // bitwise. Delta policies rotate so maintenance runs across un-merged,
-    // threshold-merged and eagerly-merged change logs.
+    // bitwise. Three harness merge rules rotate so maintenance runs across
+    // un-merged, threshold-merged and eagerly-merged change logs.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -279,11 +303,6 @@ proptest! {
         let ratio = WeightRatio::uniform(dim, 0.5, 2.0);
 
         let mut engine = DynamicArspEngine::from_store(VersionedStore::from_dataset(&dataset));
-        engine.set_delta_policy(match policy_pick {
-            0 => DeltaPolicy::manual(),
-            1 => DeltaPolicy::eager(),
-            _ => DeltaPolicy { min_pending: 4, max_fraction: 0.05 },
-        });
 
         // The subscription panel: every pinnable algorithm × both execution
         // modes, one Auto, one ratio watch. `DynamicArspEngine::subscribe`
@@ -317,6 +336,7 @@ proptest! {
                 "initial"
             } else {
                 let tag = apply_op(&mut engine, ops[step - 1], dim);
+                harness_merge(&mut engine, policy_pick);
                 engine.refresh_standing();
                 tag
             };

@@ -50,7 +50,10 @@
 //!    own copy of the pipeline. So may the per-snapshot artifact builders
 //!    (`build_instance_rtree(`, `build_dual_index(`,
 //!    `instance_order_from_scores(`), so no front can grow a second
-//!    artifact store beside the serving snapshot's.
+//!    artifact store beside the serving snapshot's. And a match arm on
+//!    `MutationOp::Merge =>` may appear only in the dynamic engine, whose
+//!    `apply` is the one place a batch reaches a serving store, so no
+//!    front can grow its own unchecked copy of that dispatch.
 //!
 //! The scanner strips comments and string/char literals first, so banned
 //! tokens in docs or messages never trigger, and the fixture snippets in
@@ -158,6 +161,7 @@ const KERNEL_OWNERS: &[(&str, &[&str])] = &[
     ("build_instance_rtree(", DISPATCH_OWNERS),
     ("build_dual_index(", DISPATCH_OWNERS),
     ("instance_order_from_scores(", DISPATCH_OWNERS),
+    ("MutationOp::Merge =>", &["crates/core/src/dynamic.rs"]),
 ];
 
 /// One row of rule 5: every `pub fn` under `scope` whose name contains
@@ -984,8 +988,9 @@ fn check_kernel_ownership(file: &str, stripped: &str) -> Vec<Violation> {
                 rule: "kernel-ownership",
                 message: format!(
                     "`{call}` outside its owners {owners:?}: run queries through \
-                     the pipeline and kernels through their flat engine instead \
-                     of copying the dispatch or the fold"
+                     the pipeline, kernels through their flat engine and mutation \
+                     batches through `DynamicArspEngine::apply` instead of copying \
+                     the dispatch or the fold"
                 ),
             });
         }
@@ -1353,6 +1358,27 @@ mod tests {
         // A longer name that ends in the call is another function.
         let longer = strip_code(&format!("let r = my_{call}a);\n"));
         assert!(check_kernel_ownership("crates/core/src/dynamic.rs", &longer).is_empty());
+    }
+
+    #[test]
+    fn kernel_ownership_keeps_mutation_dispatch_in_the_dynamic_engine() {
+        let copy = strip_code(
+            "fn replay_on_writer(writer: &mut ServiceWriter, op: &MutationOp) {\n\
+             \x20   match op {\n\
+             \x20       MutationOp::Merge => writer.merge_now(),\n\
+             \x20       _ => {}\n\
+             \x20   }\n\
+             }\n",
+        );
+        let violations = check_kernel_ownership("crates/core/src/cluster.rs", &copy);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].line, 3);
+        assert!(violations[0].message.contains("MutationOp::Merge =>"));
+        assert!(check_kernel_ownership("crates/core/src/dynamic.rs", &copy).is_empty());
+        // Building or matching the op without dispatching on it is fine.
+        let other =
+            strip_code("let ops = vec![MutationOp::Merge];\nif op == MutationOp::Merge {}\n");
+        assert!(check_kernel_ownership("crates/core/src/cluster.rs", &other).is_empty());
     }
 
     #[test]
