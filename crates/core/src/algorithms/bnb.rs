@@ -526,6 +526,7 @@ mod tests {
     use crate::algorithms::enumerate::arsp_enum;
     use crate::algorithms::kdtt::arsp_kdtt_plus;
     use crate::algorithms::loop_scan::arsp_loop;
+    use crate::algorithms::pins::{bits_digest, tie_heavy_rows};
     use arsp_data::{paper_running_example, SyntheticConfig, UncertainDataset};
     use arsp_geometry::constraints::WeightRatio;
 
@@ -763,6 +764,102 @@ mod tests {
             stats_lazy.snapshot().nodes_visited,
             stats_flat.snapshot().nodes_visited
         );
+    }
+
+    /// [`tie_heavy_rows`] as a dataset, one object per run of rows.
+    fn tie_heavy_dataset(dim: usize) -> UncertainDataset {
+        let mut d = UncertainDataset::new(dim);
+        let mut instances = Vec::new();
+        let mut rows = tie_heavy_rows(dim).into_iter().peekable();
+        while let Some((object, prob, coords)) = rows.next() {
+            instances.push((coords, prob));
+            if rows.peek().map_or(true, |next| next.0 != object) {
+                d.push_object(std::mem::take(&mut instances));
+            }
+        }
+        d
+    }
+
+    /// Seed of the pinned IM preference region: three constraints at d = 4
+    /// whose region has ten vertices, the B&B regime of the serving
+    /// benchmark's palette.
+    const IM_SEED: u64 = 2;
+
+    /// Pins per dimension d = 1..=18 under `ConstraintSet::new(d)` (d' = d),
+    /// then the IM user at d = 4: `(digest, nodes_visited, window_queries)`.
+    const PINS: [(u64, u64, u64); 19] = [
+        (0x783361aeaf22bf47, 71, 95406),
+        (0x6c97debb7ed49921, 78, 25764),
+        (0x80064d3820772857, 86, 89331),
+        (0x44bcc6c02e477656, 87, 136161),
+        (0x2d725b401fd1ab71, 78, 180759),
+        (0x21446827ae58bd98, 103, 184847),
+        (0x9841cd47fa3b7228, 77, 187072),
+        (0xf06502c143b1c564, 78, 194903),
+        (0x6aace61011134f2, 79, 211815),
+        (0x7dc99f45024b8414, 76, 208515),
+        (0xa56a415912c3b89a, 79, 217013),
+        (0x8b2f2cede590af76, 79, 214375),
+        (0xb7fd3324948a8, 76, 210470),
+        (0x189bff9d55f93f7d, 76, 208406),
+        (0xee77112376654d2a, 77, 208571),
+        (0x53eaa7f609cd4078, 79, 219819),
+        (0x8bb3eba281aba19e, 77, 208316),
+        (0xa3bc7bce248dee, 78, 216059),
+        // IM user, d = 4, d' = 10
+        (0x8d2166dc6b65d635, 87, 87847),
+    ];
+
+    /// B&B, sequential and under widths 2 and 3, must hit its pin on every
+    /// tie-heavy input. The pins were recorded before the window loop gained
+    /// its object screen, so they hold the screened loop to the unscreened
+    /// loop's bits and counters.
+    #[test]
+    fn kernel_output_and_counters_are_pinned() {
+        let im = arsp_data::im_constraints(4, 3, IM_SEED);
+        let cases = (1..=18)
+            .map(|d| (tie_heavy_dataset(d), ConstraintSet::new(d)))
+            .chain(std::iter::once((tie_heavy_dataset(4), im)));
+        // One scratch across every run, so state left by a wider run would
+        // show in a narrower one.
+        let mut scratch = BnbScratch::new();
+        for ((d, constraints), &pin) in cases.zip(&PINS) {
+            let fdom = LinearFDominance::from_constraints(&constraints);
+            assert!(fdom.num_vertices() >= d.dim(), "d' must reach d");
+            let scores = ScoreMatrix::compute(&arsp_data::FlatStore::from_dataset(&d), &fdom);
+            let rtree = build_instance_rtree(&d);
+            for width in [None, Some(2), Some(3)] {
+                let stats = CounterStats::new();
+                let mut run = || {
+                    arsp_bnb_engine(
+                        &d,
+                        &fdom,
+                        Some(&rtree),
+                        Some(&scores),
+                        width.is_some(),
+                        Some(&stats),
+                        Some(&mut scratch),
+                        None,
+                    )
+                };
+                let result = match width {
+                    None => run(),
+                    Some(threads) => crate::parallel::with_width(threads, run),
+                };
+                let c = stats.snapshot();
+                assert_eq!(
+                    (
+                        bits_digest(result.probs()),
+                        c.nodes_visited,
+                        c.window_queries
+                    ),
+                    pin,
+                    "d = {}, d' = {}, width {width:?}",
+                    d.dim(),
+                    fdom.num_vertices()
+                );
+            }
+        }
     }
 
     #[test]

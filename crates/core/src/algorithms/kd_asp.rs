@@ -958,6 +958,7 @@ pub fn kd_asp_flat_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::pins::{bits_digest, tie_heavy_rows};
     use arsp_geometry::point::dominates;
 
     /// A point set in flat columns; point `i` is instance `i`.
@@ -1413,51 +1414,13 @@ mod tests {
         }
     }
 
-    /// ≥ 1,024 tie-heavy points in `dim` score dimensions: grid coordinates
-    /// (ties on every split axis), a quarter of the instances copying an
-    /// earlier instance's coordinates (duplicates across objects), and two
-    /// objects holding half their mass at the minimum corner of the whole
-    /// set. Every object has 2–5 instances, so no single instance saturates
-    /// σ and prunes the traversal at the root.
+    /// [`tie_heavy_rows`] as score-space points.
     fn tie_heavy_points(dim: usize) -> Points {
-        use rand::prelude::*;
-        let mut rng = TestRng::seed_from_u64(0x7e57 + dim as u64);
-        let grid_row = |rng: &mut TestRng| -> Vec<f64> {
-            (0..dim)
-                .map(|_| rng.gen_range(0..8) as f64 * 0.25)
-                .collect()
-        };
         let mut pts = Points::default();
-        for obj in 0..2 {
-            pts.push(obj, 0.5, &vec![0.0; dim]);
-            let row = grid_row(&mut rng);
-            pts.push(obj, 0.5, &row);
-        }
-        let mut obj = 2;
-        while pts.len() < 1_030 {
-            let k = rng.gen_range(2..6);
-            for _ in 0..k {
-                let row = if pts.len() > 4 && rng.gen_bool(0.25) {
-                    let from = rng.gen_range(4..pts.len());
-                    pts.view().coords_of(from).to_vec()
-                } else {
-                    grid_row(&mut rng)
-                };
-                pts.push(obj, 1.0 / k as f64, &row);
-            }
-            obj += 1;
+        for (obj, prob, row) in tie_heavy_rows(dim) {
+            pts.push(obj, prob, &row);
         }
         pts
-    }
-
-    /// FNV-1a over every probability's bit pattern.
-    fn bits_digest(probs: &[f64]) -> u64 {
-        probs.iter().fold(0xcbf2_9ce4_8422_2325, |h, p| {
-            p.to_bits()
-                .to_le_bytes()
-                .iter()
-                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-        })
     }
 
     /// Pins per score dimension 1..=18, one `(digest, fdom_tests,

@@ -17,6 +17,8 @@ pub mod enumerate;
 pub mod kd_asp;
 pub mod kdtt;
 pub mod loop_scan;
+#[cfg(test)]
+pub(crate) mod pins;
 
 use crate::result::ArspResult;
 use arsp_data::UncertainDataset;
