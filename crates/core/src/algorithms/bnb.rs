@@ -18,6 +18,23 @@
 //!   inserted into the aggregated R-trees.
 //!
 //! Expected time `O(m·n·log n)`.
+//!
+//! # Window loop
+//!
+//! Algorithm 2 folds `Π_j (1 − σ[j])` over every other object `j`, yet only
+//! objects that already hold an instance in their aggregated R-tree can
+//! contribute, and most of those hold nothing below `SV(t)`. So the loop
+//! walks [`BnbScratch`]'s list of objects with a non-empty tree, kept in
+//! ascending object order, and first tests the object's min corner — the
+//! componentwise minimum of the score images in its tree, one flat
+//! `m × d'` array — against `SV(t)`. Only a corner `⪯ SV(t)` pays for
+//! `window_sum`. Skipping is bit-exact: a corner that is not `⪯ SV(t)`
+//! exceeds `SV(t)` on some axis, so does every point in the tree, and
+//! `window_sum` would return zero; the factor `1 − 0` leaves the product's
+//! bits unchanged, and the remaining factors multiply in the same ascending
+//! order as a walk over all `m` trees. `window_queries` keeps the
+//! definition of that walk: it counts every non-empty tree of another
+//! object reached before the product hits zero, screened out or not.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -100,23 +117,31 @@ pub fn arsp_bnb_engine(
     arsp_bnb_impl(dataset, fdom, rtree, scores, true, stats, scratch, budget)
 }
 
-/// Computes `prob · Π_j (1 − σ[j])` over the non-empty aggregated R-trees,
-/// stopping at zero — the inner object loop of Algorithm 2.
+/// Computes `prob · Π_j (1 − σ[j])` over the objects in `active` (those
+/// whose aggregated R-tree holds an instance, ascending), stopping at zero —
+/// the inner object loop of Algorithm 2. Object `j` is asked for σ[j] only
+/// when its min corner `min_corner[j*d' .. (j+1)*d']` is ⪯ `sv`; otherwise
+/// σ[j] is 0 and its factor is exactly 1 (see the module docs).
 fn fold_window_products(
     agg: &[AggregateRTree],
+    active: &[usize],
+    min_corner: &[f64],
     own_object: usize,
     sv: &[f64],
     prob: f64,
     queries: &mut u64,
 ) -> f64 {
+    let d_prime = sv.len();
     let mut prob = prob;
-    for (j, tree) in agg.iter().enumerate() {
-        if j == own_object || tree.is_empty() {
+    for &j in active {
+        if j == own_object {
             continue;
         }
         *queries += 1;
-        let sigma = tree.window_sum(sv);
-        prob *= 1.0 - sigma;
+        if !dominates(&min_corner[j * d_prime..(j + 1) * d_prime], sv) {
+            continue;
+        }
+        prob *= 1.0 - agg[j].window_sum(sv);
         if prob <= 0.0 {
             return 0.0;
         }
@@ -127,10 +152,11 @@ fn fold_window_products(
 /// Reusable working memory of one B&B run: the best-first heap's backing
 /// vector, the tie-group staging buffers, the flat score-space images of the
 /// current tie group, the pruning set, the per-object corner/probability
-/// accumulators and the per-object aggregated R-trees. Take one out of the
-/// engine's scratch pool (or `Default::default()` a fresh one) and pass it to
-/// any number of [`arsp_bnb_engine`] calls; buffers grow to the high-water
-/// mark and are then reused.
+/// accumulators, the per-object aggregated R-trees and the list of objects
+/// whose tree is non-empty. Take one out of the engine's scratch pool (or
+/// `Default::default()` a fresh one) and pass it to any number of
+/// [`arsp_bnb_engine`] calls; buffers grow to the high-water mark and are
+/// then reused.
 #[derive(Debug, Default)]
 pub struct BnbScratch {
     heap: Vec<HeapItem>,
@@ -143,15 +169,21 @@ pub struct BnbScratch {
     intra: Vec<(usize, f64)>,
     /// Pruning set `P` as a flat `d'`-strided array.
     pruning: Vec<f64>,
-    /// Per-object running maximum corner (flat, `d'`-strided) and whether the
-    /// object has produced one yet.
+    /// Per-object componentwise maximum and minimum of the score images
+    /// inserted into the object's aggregated R-tree (flat, `d'`-strided). An
+    /// object's corners are meaningful only once its tree is non-empty: the
+    /// first insert copies the image into both. The maximum corners feed
+    /// `P`; the minimum corners screen the window loop.
     max_corner: Vec<f64>,
-    has_corner: Vec<bool>,
+    min_corner: Vec<f64>,
     acc_prob: Vec<f64>,
     /// Node-corner mapping buffer for the Theorem-4 subtree test.
     sv_buf: Vec<f64>,
     /// One aggregated R-tree per object (reset, not reallocated, per query).
     agg: Vec<AggregateRTree>,
+    /// The objects whose aggregated R-tree is non-empty, ascending — the
+    /// window loop walks these instead of all `m` objects.
+    active: Vec<usize>,
 }
 
 impl BnbScratch {
@@ -224,10 +256,11 @@ fn arsp_bnb_impl(
         intra,
         pruning,
         max_corner,
-        has_corner,
+        min_corner,
         acc_prob,
         sv_buf,
         agg,
+        active,
     } = &mut *s;
 
     // One aggregated R-tree per object, holding the score-space images of the
@@ -241,13 +274,14 @@ fn arsp_bnb_impl(
         agg.push(AggregateRTree::new(d_prime));
     }
 
-    // Pruning set P (score-space points, flat) and the per-object running
-    // maximum corner / accumulated probability feeding it.
+    // Pruning set P (score-space points, flat), the per-object running
+    // corners and accumulated probability, and the (empty) active list.
     pruning.clear();
     max_corner.clear();
     max_corner.resize(m * d_prime, 0.0);
-    has_corner.clear();
-    has_corner.resize(m, false);
+    min_corner.clear();
+    min_corner.resize(m * d_prime, 0.0);
+    active.clear();
     acc_prob.clear();
     acc_prob.resize(m, 0.0);
     sv_buf.clear();
@@ -351,8 +385,15 @@ fn arsp_bnb_impl(
                 for (t_pos, &t_id) in members.iter().enumerate() {
                     let t = dataset.instance(t_id);
                     let sv_t = &members_sv[t_pos * d_prime..(t_pos + 1) * d_prime];
-                    let mut prob =
-                        fold_window_products(agg, t.object, sv_t, t.prob, &mut window_queries);
+                    let mut prob = fold_window_products(
+                        agg,
+                        active,
+                        min_corner,
+                        t.object,
+                        sv_t,
+                        t.prob,
+                        &mut window_queries,
+                    );
                     if prob > 0.0 && members.len() > 1 {
                         // Per-object intra-group mass dominating t, folded on
                         // top of the outside mass the trees reported: the
@@ -395,26 +436,29 @@ fn arsp_bnb_impl(
                         let object = dataset.instance(t_id).object;
                         let p = dataset.instance(t_id).prob;
                         result.set(t_id, prob);
-                        agg[object].insert(sv, p);
-                        acc_prob[object] += p;
-                        let corner = &mut max_corner[object * d_prime..(object + 1) * d_prime];
-                        if has_corner[object] {
-                            for (c, &sv_k) in corner.iter_mut().zip(sv) {
-                                if sv_k > *c {
-                                    *c = sv_k;
+                        let span = object * d_prime..(object + 1) * d_prime;
+                        if agg[object].is_empty() {
+                            let at = active.partition_point(|&j| j < object);
+                            active.insert(at, object);
+                            max_corner[span.clone()].copy_from_slice(sv);
+                            min_corner[span.clone()].copy_from_slice(sv);
+                        } else {
+                            let corners = max_corner[span.clone()]
+                                .iter_mut()
+                                .zip(&mut min_corner[span.clone()]);
+                            for ((hi, lo), &sv_k) in corners.zip(sv) {
+                                if sv_k > *hi {
+                                    *hi = sv_k;
+                                }
+                                if sv_k < *lo {
+                                    *lo = sv_k;
                                 }
                             }
-                        } else {
-                            corner.copy_from_slice(sv);
-                            has_corner[object] = true;
                         }
-                        if use_pruning_set
-                            && acc_prob[object] >= 1.0 - ONE_EPS
-                            && has_corner[object]
-                        {
-                            pruning.extend_from_slice(
-                                &max_corner[object * d_prime..(object + 1) * d_prime],
-                            );
+                        agg[object].insert(sv, p);
+                        acc_prob[object] += p;
+                        if use_pruning_set && acc_prob[object] >= 1.0 - ONE_EPS {
+                            pruning.extend_from_slice(&max_corner[span]);
                         }
                     }
                 }

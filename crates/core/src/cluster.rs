@@ -627,11 +627,7 @@ impl ShardedService {
             .serving
             .as_mut()
             .expect("an available shard has a serving chain");
-        serving
-            .writer
-            .engine_mut()
-            .apply(ops)
-            .map_err(ApplyFailure::Dirty)?;
+        serving.writer.apply(ops).map_err(ApplyFailure::Dirty)?;
         failpoint::hit("shard.publish").map_err(ApplyFailure::Dirty)?;
         serving.writer.publish();
         Ok(())

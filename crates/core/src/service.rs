@@ -107,7 +107,7 @@ use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
 use crate::stats::{PeakGauge, PeakGaugeGuard};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{lock, Arc, Mutex, Weak};
-use arsp_data::{FlatStore, InstanceHandle, UncertainDataset, VersionedStore};
+use arsp_data::{FlatStore, InstanceHandle, MutationOp, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 
 /// Monotone service counters.
@@ -464,6 +464,20 @@ impl ServiceWriter {
         self.engine.retire_object(object)
     }
 
+    /// Applies a mutation batch the way a durable store applies it and its
+    /// log replays it: each op is validated, then applied, and a
+    /// [`MutationOp::Merge`] compacts through [`merge_now`](Self::merge_now).
+    /// A shard's serving writer replays its durable store's batches this way,
+    /// so the two stores stay bitwise copies. (Invisible to readers until
+    /// [`ServiceWriter::publish`], like every mutation.)
+    ///
+    /// # Errors
+    /// [`std::io::ErrorKind::InvalidInput`] naming the first op the store
+    /// rejects; the ops before it stay applied.
+    pub fn apply(&mut self, ops: &[MutationOp]) -> std::io::Result<()> {
+        self.engine.apply(ops)
+    }
+
     /// Compacts the store now (see [`DynamicArspEngine::merge_now`]); the
     /// engine never compacts on its own. Published snapshots are
     /// unaffected — compaction moves rows, not snapshot ids.
@@ -492,10 +506,10 @@ impl ServiceWriter {
         &self.engine
     }
 
-    /// Mutable access to the underlying dynamic engine — for mutation
-    /// batches driven through the [`DynamicArspEngine`] API (a shard's
-    /// logged batches, the shared agreement-test harness). Readers still
-    /// see nothing until [`ServiceWriter::publish`].
+    /// Mutable access to the underlying dynamic engine — for mutations
+    /// driven through the [`DynamicArspEngine`] API (the shared
+    /// agreement-test harness). Readers still see nothing until
+    /// [`ServiceWriter::publish`].
     pub fn engine_mut(&mut self) -> &mut DynamicArspEngine {
         &mut self.engine
     }

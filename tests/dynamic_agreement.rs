@@ -523,3 +523,91 @@ fn scripted_interleaving_stays_exact_under_the_default_policy() {
     // threshold above.
     assert!(engine.cache_stats().merges_performed >= 1);
 }
+
+/// [`ServiceWriter::apply`](arsp::core::service::ServiceWriter::apply), the
+/// checked batch entry a shard's serving writer runs: a batch naming a dead
+/// handle is refused with `InvalidInput` and changes nothing, and a valid
+/// batch of every op kind, published through it, answers bitwise like a cold
+/// engine on a store that took the same ops one call at a time.
+#[test]
+fn writer_apply_refuses_dead_handles_and_publishes_exact_batches() {
+    let dataset = SyntheticConfig {
+        num_objects: 14,
+        max_instances: 3,
+        dim: 3,
+        region_length: 0.35,
+        phi: 0.5,
+        seed: 91,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let constraints = ConstraintSet::weak_ranking(3, 2);
+    let (service, mut writer) = ArspService::from_store(VersionedStore::from_dataset(&dataset));
+    let before = writer.store().encode_state();
+
+    let dead = dataset.num_instances() as u64 + 7;
+    let err = writer
+        .apply(&[MutationOp::RemoveInstance { handle: dead }])
+        .expect_err("a dead handle must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(writer.store().encode_state(), before);
+    assert_eq!(writer.version(), service.current_version());
+
+    let new_object = dataset.num_objects();
+    let kept = dataset.instance(0);
+    let batch = [
+        MutationOp::InsertObject {
+            label: None,
+            instances: vec![(vec![0.31, 0.12, 0.57], 0.5)],
+        },
+        MutationOp::InsertInstance {
+            object: new_object as u64,
+            coords: vec![0.08, 0.64, 0.22],
+            prob: 0.25,
+        },
+        MutationOp::UpdateInstance {
+            handle: 0,
+            coords: vec![0.41, 0.05, 0.73],
+            prob: kept.prob,
+        },
+        MutationOp::RemoveInstance { handle: 1 },
+        MutationOp::Merge,
+        MutationOp::RetireObject { object: 2 },
+    ];
+    writer.apply(&batch).expect("a valid batch applies");
+    let published = writer.publish();
+
+    let mut direct = VersionedStore::from_dataset(&dataset);
+    let object = direct.insert_object(None, vec![(vec![0.31, 0.12, 0.57], 0.5)]);
+    assert_eq!(object, new_object);
+    direct.insert_instance(object, &[0.08, 0.64, 0.22], 0.25);
+    direct.update_instance(
+        InstanceHandle::from_index(0),
+        &[0.41, 0.05, 0.73],
+        kept.prob,
+    );
+    direct.remove_instance(InstanceHandle::from_index(1));
+    direct.merge();
+    direct.retire_object(2);
+    assert_eq!(writer.store().encode_state(), direct.encode_state());
+
+    let cold = ArspEngine::new(direct.snapshot_dataset());
+    let pin = service.pin();
+    assert_eq!(pin.version(), published);
+    for algorithm in ALGOS {
+        let reference = cold.query(&constraints).algorithm(algorithm).run();
+        for execution in EXECUTIONS {
+            let got = pin
+                .query(&constraints)
+                .algorithm(algorithm)
+                .execution(execution)
+                .run();
+            assert_eq!(
+                reference.result().probs(),
+                got.result().probs(),
+                "{} diverged from the cold engine ({execution:?})",
+                algorithm.name()
+            );
+        }
+    }
+}
