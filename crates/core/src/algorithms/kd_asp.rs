@@ -11,9 +11,27 @@
 //! There is one entry point, [`kd_asp_flat_engine`], over a columnar
 //! [`FlatScorePoints`] view (one dim-strided coordinate array plus parallel
 //! object/probability columns, indexed by instance id), and one traversal
-//! behind it: one kernel, fanned out. With `parallel` set, sibling subtrees
-//! of the first few recursion levels run on worker threads, with a result
-//! bitwise identical to running every child on the calling thread.
+//! behind it: one kernel, fanned out. With `parallel` set, the children of
+//! the first few recursion levels are split in halves offered to the rayon
+//! pool, with a result bitwise identical to running every child on the
+//! calling thread.
+//!
+//! ## Fan-out
+//!
+//! A median split halves a node's points but not its work: on a warm
+//! union-size engine the root's two subtrees took 0.7 vs 5.4 ms for one
+//! query. So the fan-out splits a few levels deeper than one subtree per
+//! worker (`fan_out_levels` in [`crate::parallel`]) and lets the pool balance
+//! them: at each split the first half of a node's children goes on inline,
+//! and the second waits in the pool for an idle thread. A thread that takes
+//! it starts from a seed of the node's exact post-pass state (σ, β, χ and
+//! candidates) planted in a pooled traversal arena; a half nobody took runs
+//! inline after the first, on the splitting thread's own arena. Leaves write
+//! their probability by position in the node's slice of the point order,
+//! so the halves write disjoint slices of one output and nothing is merged;
+//! the traversal scatters positions to instance ids once at the end. A
+//! traversal holds at most one seed and one arena per split, and an arena
+//! grows only when a half actually ran on another thread.
 //!
 //! It takes a [`KdVariant`], matching the algorithm variants the paper
 //! evaluates. They differ only in where a node's children come from:
@@ -189,12 +207,12 @@ fn collect_positions(tree: &KdTree, node: usize, out: &mut Vec<u32>) {
 //
 // One recursion, `kd_rec_flat`, holds the node body for every variant; only
 // the source of a node's children (`Split`) varies. Under `parallel` the same
-// recursion fans the children of its first few levels out to worker threads:
-// each child checks a [`KdWorkerScratch`] arena out of a shared
-// [`KdWorkerPool`], seeds σ and the candidate list from the parent's exact
-// snapshot (bitwise the state the inline recursion would hand it), recurses,
-// and the parent merges the child's output slots. Exact snapshot + exact
-// undo is what makes the fan-out invisible in the output.
+// recursion splits the children of its first few levels in halves
+// (`split_children`): the second half of each split carries a
+// [`KdWorkerScratch`] seed of the parent's exact post-pass σ and candidate
+// list (bitwise the state the inline recursion would hand it), from a shared
+// [`KdWorkerPool`]. Exact snapshot + exact undo is what makes the fan-out
+// invisible in the output.
 
 /// Reusable working memory of the flat kd-ASP\* traversal. Create once (or
 /// take one out of the engine's scratch pool), pass to any number of
@@ -226,6 +244,9 @@ pub struct KdScratch {
     ends: Vec<u32>,
     /// Coincident-node per-object mass accumulator.
     node_mass: Vec<(u32, f64)>,
+    /// Probabilities by position in `order`, scattered to instance ids once
+    /// the traversal ends.
+    staged: Vec<f64>,
 }
 
 impl KdScratch {
@@ -247,6 +268,8 @@ impl KdScratch {
         self.cand.extend(0..n as u32);
         self.saved.clear();
         self.ends.clear();
+        self.staged.clear();
+        self.staged.resize(n, 0.0);
     }
 }
 
@@ -295,7 +318,7 @@ fn flat_leaf_probability(sigma: &[f64], bc: &FlatBc, object: usize, prob: f64) -
 /// of the node mutually dominate each other, so on top of the outside mass in
 /// `σ` each point is also dominated by the node-internal mass of every other
 /// object present in the node: its factor `(1 − outside)` is replaced by
-/// `(1 − outside − inside)`.
+/// `(1 − outside − inside)`. `out[p]` receives the probability of `order[p]`.
 fn emit_coincident_flat(
     pts: &FlatScorePoints<'_>,
     order: &[u32],
@@ -313,7 +336,7 @@ fn emit_coincident_flat(
             None => node_mass.push((obj, p)),
         }
     }
-    for &idx in order {
+    for (slot, &idx) in out.iter_mut().zip(order) {
         let iu = idx as usize;
         let object = pts.objects[iu] as usize;
         let mut prob = flat_leaf_probability(sigma, bc, object, pts.probs[iu]);
@@ -331,7 +354,7 @@ fn emit_coincident_flat(
                 prob *= ((1.0 - outside - mass) / denom).max(0.0);
             }
         }
-        out[iu] = prob.max(0.0);
+        *slot = prob.max(0.0);
     }
 }
 
@@ -610,7 +633,7 @@ fn flat_quad_group(
 /// What every node of one traversal shares.
 struct Traversal<'a> {
     pts: FlatScorePoints<'a>,
-    /// Worker arenas of the fan-out; `None` runs every child inline.
+    /// Seeds and arenas of the fan-out; `None` runs every child inline.
     pool: Option<&'a KdWorkerPool>,
     stats: Option<&'a CounterStats>,
     budget: Option<&'a crate::fault::QueryBudget>,
@@ -644,22 +667,22 @@ fn flat_children(
 /// The kd-ASP\* traversal of every variant, sequential or fanned out, one
 /// node per call: the node pass ([`flat_node_enter`]), then a leaf, a
 /// coincident node, or — only while χ = 0 — the children of
-/// [`flat_children`], then the exact undo ([`flat_node_exit`]). The children
-/// run inline, or on worker arenas ([`fan_out_children`]) while fan-out
-/// `levels` remain and the node holds at least [`MIN_PARALLEL_NODE`] points.
-/// `c0..c1` is this node's candidate range in the shared stack.
+/// [`flat_children`] ([`run_children`]), then the exact undo
+/// ([`flat_node_exit`]). `c0..c1` is this node's candidate range in the
+/// shared stack, and `out[p]` receives the probability of `order[p]` (a
+/// pruned subtree leaves its slots as they are, which the callers zero).
 #[allow(clippy::too_many_arguments)]
 fn kd_rec_flat(
     t: &Traversal<'_>,
     s: &mut KdScratch,
     bc: &mut FlatBc,
     order: &mut [u32],
+    out: &mut [f64],
     c0: usize,
     c1: usize,
     depth: usize,
     split: Split<'_>,
     levels: usize,
-    out: &mut [f64],
 ) {
     crate::fault::poll(t.budget);
     let pts = &t.pts;
@@ -669,39 +692,32 @@ fn kd_rec_flat(
 
     if order.len() == 1 {
         let iu = order[0] as usize;
-        out[iu] = flat_leaf_probability(&s.sigma, bc, pts.objects[iu] as usize, pts.probs[iu]);
+        out[0] = flat_leaf_probability(&s.sigma, bc, pts.objects[iu] as usize, pts.probs[iu]);
     } else if s.bounds[bstart..bstart + dim] == s.bounds[bstart + dim..bstart + 2 * dim] {
         // All points of the node coincide; it cannot be split further.
         let (sigma, node_mass) = (&s.sigma, &mut s.node_mass);
         emit_coincident_flat(pts, order, sigma, bc, node_mass, out);
     } else if bc.chi == 0 {
         let base = flat_children(pts, s, order, depth, bstart, split);
-        match t.pool {
-            Some(pool) if levels > 0 && order.len() >= MIN_PARALLEL_NODE => {
-                fan_out_children(
-                    t, pool, s, bc, &pass, order, base, depth, split, levels, out,
-                );
-            }
-            _ => {
-                let mut start = 0;
-                for g in 0..s.ends.len() - base {
-                    let end = s.ends[base + g] as usize;
-                    kd_rec_flat(
-                        t,
-                        s,
-                        bc,
-                        &mut order[start..end],
-                        pass.cstart,
-                        pass.cend,
-                        depth + 1,
-                        split.child(g),
-                        levels,
-                        out,
-                    );
-                    start = end;
-                }
-            }
-        }
+        let children = Children {
+            split,
+            depth: depth + 1,
+            at: base,
+            first: 0,
+            count: s.ends.len() - base,
+            offset: 0,
+        };
+        run_children(
+            t,
+            s,
+            bc,
+            order,
+            out,
+            pass.cstart,
+            pass.cend,
+            children,
+            levels,
+        );
         s.ends.truncate(base);
     }
     // χ ≥ 1 with |P| > 1: every point of the node is dominated by the entire
@@ -712,162 +728,211 @@ fn kd_rec_flat(
     flat_node_exit(s, bc, &pass);
 }
 
-/// One worker's arena for the fan-out: a [`KdScratch`] for the subtree's
-/// recursion plus a full-length output staging buffer (only the subtree's
-/// own slots are zeroed and read, so the buffer is reused without a full
-/// clear). Pooled in a [`KdWorkerPool`].
-#[derive(Debug, Default)]
-pub struct KdWorkerScratch {
-    scratch: KdScratch,
-    out: Vec<f64>,
+/// A run of consecutive children of one node: children
+/// `first..first + count`, whose end offsets (measured from the node's first
+/// point) sit on the `ends` stack arena from `at`. The run's points start at
+/// `offset` within the node.
+#[derive(Clone, Copy)]
+struct Children<'t> {
+    split: Split<'t>,
+    /// The children's depth.
+    depth: usize,
+    at: usize,
+    first: usize,
+    count: usize,
+    offset: usize,
 }
 
-impl KdWorkerScratch {
-    /// Prepares the arena for a subtree over `n` points: σ and the candidate
-    /// stack are seeded from the parent's exact snapshot, the undo stacks are
-    /// emptied, and the staging buffer is grown to cover every point id.
-    fn prepare(&mut self, n: usize, sigma: &[f64], cand: &[u32]) {
-        let s = &mut self.scratch;
-        s.sigma.clear();
-        s.sigma.extend_from_slice(sigma);
-        s.cand.clear();
-        s.cand.extend_from_slice(cand);
-        s.saved.clear();
-        s.ends.clear();
-        s.in_node.clear();
-        s.in_node.resize(n, false);
-        if self.out.len() < n {
-            self.out.resize(n, 0.0);
+/// Runs a run of children over `order` (their points) with the node's
+/// candidate range `c0..c1`: split in two by [`split_children`] while
+/// binary fan-out `levels` remain and the run has two or more children and
+/// at least [`MIN_PARALLEL_NODE`] points, otherwise one child after the
+/// other on `s`. Inlined, so the sequential traversal recurses straight
+/// from node to node.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn run_children(
+    t: &Traversal<'_>,
+    s: &mut KdScratch,
+    bc: &mut FlatBc,
+    order: &mut [u32],
+    out: &mut [f64],
+    c0: usize,
+    c1: usize,
+    ch: Children<'_>,
+    levels: usize,
+) {
+    match t.pool {
+        Some(pool) if ch.count > 1 && levels > 0 && order.len() >= MIN_PARALLEL_NODE => {
+            split_children(t, pool, s, bc, order, out, c0, c1, ch, levels);
+        }
+        _ => {
+            let mut start = 0;
+            for g in 0..ch.count {
+                let end = s.ends[ch.at + g] as usize - ch.offset;
+                kd_rec_flat(
+                    t,
+                    s,
+                    bc,
+                    &mut order[start..end],
+                    &mut out[start..end],
+                    c0,
+                    c1,
+                    ch.depth,
+                    ch.split.child(ch.first + g),
+                    levels,
+                );
+                start = end;
+            }
         }
     }
 }
 
-/// A stealable stack of [`KdWorkerScratch`] arenas shared by the subtree
-/// tasks of the fan-out. [`crate::engine::ArspEngine`] owns one per session,
-/// so warmed-up parallel queries (and `run_batch` sweeps) stop allocating
-/// arena memory per subtree; free-function callers get a throwaway pool per
-/// call, which still reuses arenas across that call's subtrees.
-pub type KdWorkerPool = crate::scratch::ScratchPool<KdWorkerScratch>;
-
-/// Runs a node's children (the `ends` stack from `base`) on pooled worker
-/// arenas: two children through [`rayon::join`], more through a parallel
-/// iterator. Every worker starts from the node's post-pass σ, β, χ and
-/// candidate list, bitwise the state the inline recursion would hand the
-/// same child, and the node merges each child's output slots afterwards.
+/// Splits a run of children in two: the first half goes on inline on `s`,
+/// and the second is offered to the pool through [`rayon::join`] with a
+/// pooled seed of the node's σ, β, χ and candidates — bitwise the state the
+/// first half leaves behind, thanks to the exact undo. If another thread
+/// takes the second half, it plants the seed in a pooled traversal arena and
+/// runs there; otherwise the half runs on `s` after the first, as it would
+/// inline. Each split spends one level, so a traversal splits at most
+/// `2^levels − 1` times and holds at most that many seeds and arenas.
 #[allow(clippy::too_many_arguments)]
-fn fan_out_children(
+fn split_children(
     t: &Traversal<'_>,
     pool: &KdWorkerPool,
-    s: &KdScratch,
-    bc: &FlatBc,
-    pass: &FlatPass,
+    s: &mut KdScratch,
+    bc: &mut FlatBc,
     order: &mut [u32],
-    base: usize,
-    depth: usize,
-    split: Split<'_>,
-    levels: usize,
     out: &mut [f64],
-) {
-    let ends = &s.ends[base..];
-    let cand = &s.cand[pass.cstart..pass.cend];
-    let run = |split: Split<'_>, child: &mut [u32]| {
-        run_flat_subtree(
-            t,
-            pool,
-            child,
-            &s.sigma,
-            cand,
-            bc,
-            depth + 1,
-            split,
-            levels - 1,
-        )
-    };
-    if let [mid, _] = *ends {
-        let (left, right) = order.split_at_mut(mid as usize);
-        let (l, r) = rayon::join(|| run(split.child(0), left), || run(split.child(1), right));
-        merge_flat_subtree(pool, l, left, out);
-        merge_flat_subtree(pool, r, right, out);
-        return;
-    }
-    let mut children = Vec::with_capacity(ends.len());
-    let mut rest = &mut *order;
-    let mut start = 0;
-    for (g, &end) in ends.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(end as usize - start);
-        children.push((split.child(g), head));
-        rest = tail;
-        start = end as usize;
-    }
-    use rayon::prelude::*;
-    let workers: Vec<KdWorkerScratch> = children
-        .into_par_iter()
-        .map(|(split, child)| run(split, child))
-        .collect();
-    let mut start = 0;
-    for (worker, &end) in workers.into_iter().zip(ends) {
-        merge_flat_subtree(pool, worker, &order[start..end as usize], out);
-        start = end as usize;
-    }
-}
-
-/// One subtree of the fan-out, on a pooled worker arena seeded with the
-/// parent's exact post-pass state. The arena is returned — not pooled — so
-/// the parent can merge the subtree's output slots straight out of the
-/// staging buffer (sibling subtrees cover disjoint ids, so merging cannot
-/// reorder anything) and then pool the arena itself; no per-subtree result
-/// vector is allocated.
-#[allow(clippy::too_many_arguments)]
-fn run_flat_subtree(
-    t: &Traversal<'_>,
-    pool: &KdWorkerPool,
-    order: &mut [u32],
-    sigma: &[f64],
-    cand: &[u32],
-    bc: &FlatBc,
-    depth: usize,
-    split: Split<'_>,
+    c0: usize,
+    c1: usize,
+    ch: Children<'_>,
     levels: usize,
-) -> KdWorkerScratch {
-    let mut worker = pool.take();
-    worker.prepare(t.pts.len(), sigma, cand);
-    // Zero exactly this subtree's output slots: pruned leaves must read as
-    // zero, and the pooled buffer may hold another subtree's stale values.
-    for &idx in order.iter() {
-        worker.out[idx as usize] = 0.0;
-    }
-    let mut bc = FlatBc {
-        beta: bc.beta,
-        chi: bc.chi,
+) {
+    let half = ch.count / 2;
+    let mid = s.ends[ch.at + half - 1] as usize - ch.offset;
+    let first = Children { count: half, ..ch };
+    let second = Children {
+        at: ch.at + half,
+        first: ch.first + half,
+        count: ch.count - half,
+        offset: ch.offset + mid,
+        ..ch
     };
-    let KdWorkerScratch { scratch, out } = &mut worker;
-    kd_rec_flat(
-        t,
-        scratch,
-        &mut bc,
-        order,
-        0,
-        cand.len(),
-        depth,
-        split,
-        levels,
-        out,
+    let mut seed = pool.seeds.lease();
+    seed.fill(
+        &s.sigma,
+        &s.cand[c0..c1],
+        &s.ends[second.at..second.at + second.count],
     );
-    worker
+    let (beta, chi) = (bc.beta, bc.chi);
+    let (order_a, order_b) = order.split_at_mut(mid);
+    let (out_a, out_b) = out.split_at_mut(mid);
+    let splitter = std::thread::current().id();
+    let (_, inline) = rayon::join(
+        || run_children(t, s, bc, order_a, out_a, c0, c1, first, levels - 1),
+        move || {
+            if std::thread::current().id() == splitter {
+                return Some((order_b, out_b));
+            }
+            let mut arena = pool.arenas.lease();
+            seed.plant(&mut arena, t.pts.len());
+            drop(seed);
+            let cands = arena.cand.len();
+            let second = Children { at: 0, ..second };
+            let mut bc = FlatBc { beta, chi };
+            run_children(
+                t,
+                &mut arena,
+                &mut bc,
+                order_b,
+                out_b,
+                0,
+                cands,
+                second,
+                levels - 1,
+            );
+            None
+        },
+    );
+    if let Some((order_b, out_b)) = inline {
+        run_children(t, s, bc, order_b, out_b, c0, c1, second, levels - 1);
+    }
 }
 
-/// Merges one subtree's slots from its worker's staging buffer into the
-/// shared output and parks the worker back in the pool.
-fn merge_flat_subtree(
-    pool: &KdWorkerPool,
-    worker: KdWorkerScratch,
-    order: &[u32],
-    out: &mut [f64],
-) {
-    for &idx in order.iter() {
-        out[idx as usize] = worker.out[idx as usize];
+/// The seed of a split's second half: the node's exact post-pass σ, its
+/// candidates, and the end offsets of the half's children. Pooled in a
+/// [`KdWorkerPool`].
+#[derive(Debug, Default)]
+pub struct KdWorkerScratch {
+    sigma: Vec<f64>,
+    cand: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl KdWorkerScratch {
+    fn fill(&mut self, sigma: &[f64], cand: &[u32], ends: &[u32]) {
+        self.sigma.clear();
+        self.sigma.extend_from_slice(sigma);
+        self.cand.clear();
+        self.cand.extend_from_slice(cand);
+        self.ends.clear();
+        self.ends.extend_from_slice(ends);
     }
-    pool.put(worker);
+
+    /// Readies `arena` for the half on another thread, over `n` points: σ,
+    /// the candidates and the children's ends at the base of its stacks, the
+    /// undo stack empty and every point unmarked.
+    fn plant(&self, arena: &mut KdScratch, n: usize) {
+        arena.sigma.clear();
+        arena.sigma.extend_from_slice(&self.sigma);
+        arena.cand.clear();
+        arena.cand.extend_from_slice(&self.cand);
+        arena.ends.clear();
+        arena.ends.extend_from_slice(&self.ends);
+        arena.saved.clear();
+        arena.in_node.clear();
+        arena.in_node.resize(n, false);
+    }
+}
+
+/// The fan-out's pooled memory, in two stacks that never trade arenas: one
+/// seed per split (σ plus candidates, at most n entries), and one
+/// [`KdScratch`] per half that another thread runs (as large as its
+/// subtree's traversal needs). Halves that stay on the splitting thread
+/// run on its own scratch, so only as many traversal arenas grow as halves
+/// ever ran at once elsewhere. [`crate::engine::ArspEngine`] owns one per
+/// session, so warmed-up parallel queries (and `run_batch` sweeps) stop
+/// allocating; free-function callers get a throwaway pool per call.
+#[derive(Debug, Default)]
+pub struct KdWorkerPool {
+    seeds: crate::scratch::ScratchPool<KdWorkerScratch>,
+    arenas: crate::scratch::ScratchPool<KdScratch>,
+}
+
+impl KdWorkerPool {
+    /// Creates an empty pool.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Checkouts served from a pooled seed or arena.
+    pub fn hits(&self) -> u64 {
+        self.seeds.hits() + self.arenas.hits()
+    }
+
+    /// Seeds and arenas ever built: the pool's growth.
+    pub fn misses(&self) -> u64 {
+        self.seeds.misses() + self.arenas.misses()
+    }
+
+    /// Grows both stacks to what a traversal of `splits` splits can hold at
+    /// once, before it starts, so the pool's size follows the width and not
+    /// the scheduling.
+    fn warm(&self, splits: usize) {
+        self.seeds.warm(splits);
+        self.arenas.warm(splits);
+    }
 }
 
 /// The kd-ASP\* entry point: runs the traversal `variant` over a
@@ -877,13 +942,14 @@ fn merge_flat_subtree(
 /// `num_instances`.
 ///
 /// With `parallel` set, the fused variants fan the sibling subtrees of the
-/// first few recursion levels out to worker threads, as many levels as the
-/// ambient rayon width needs, on [`KdWorkerScratch`] arenas drawn from
-/// `pool` (a throwaway pool when `None`; the engine passes its
-/// session-owned one). Exact-snapshot state restore makes the result
-/// **bitwise identical** to the inline run (see the module docs). KDTT runs
-/// inline either way: it exists to measure the construction cost the fused
-/// variants remove.
+/// first few recursion levels out to the rayon pool, as many binary splits
+/// deep as `fan_out_levels` in [`crate::parallel`] gives for the ambient width,
+/// on [`KdWorkerScratch`] arenas drawn from `pool` (a throwaway pool when
+/// `None`; the engine passes its session-owned one, which this call first
+/// grows to the `2^levels − 1` arenas a traversal can hold at once).
+/// Exact-snapshot state restore makes the result **bitwise identical** to
+/// the inline run (see the module docs). KDTT runs inline either way: it
+/// exists to measure the construction cost the fused variants remove.
 #[allow(clippy::too_many_arguments)]
 pub fn kd_asp_flat_engine(
     pts: FlatScorePoints<'_>,
@@ -941,6 +1007,9 @@ pub fn kd_asp_flat_engine(
             Some(&owned_pool)
         }
     };
+    if let Some(pool) = pool {
+        pool.warm((1 << levels) - 1);
+    }
     let t = Traversal {
         pts,
         pool,
@@ -948,10 +1017,24 @@ pub fn kd_asp_flat_engine(
         budget,
     };
     let mut bc = FlatBc { beta: 1.0, chi: 0 };
+    let mut staged = std::mem::take(&mut scratch.staged);
     kd_rec_flat(
-        &t, scratch, &mut bc, &mut order, 0, n, 0, split, levels, &mut out,
+        &t,
+        scratch,
+        &mut bc,
+        &mut order,
+        &mut staged,
+        0,
+        n,
+        0,
+        split,
+        levels,
     );
+    for (&id, &prob) in order.iter().zip(&staged) {
+        out[id as usize] = prob;
+    }
     scratch.order = order;
+    scratch.staged = staged;
     out
 }
 

@@ -25,10 +25,10 @@
 //! * a pool of **per-query scratch arenas**
 //!   ([`QueryScratch`](crate::scratch::QueryScratch) — candidate stacks,
 //!   σ buffers, heap storage), checked out per query, plus
-//!   **per-worker arena pools** for the parallel twins (kd subtree arenas,
-//!   LOOP chunk arenas — see [`crate::scratch::ScratchPool`]), so a
-//!   warmed-up session allocates nothing per query or per worker task
-//!   beyond the result vector.
+//!   **per-worker arena pools** for the parallel twins (kd split seeds and
+//!   traversal arenas, LOOP chunk arenas — see
+//!   [`crate::scratch::ScratchPool`]), so a warmed-up session allocates
+//!   nothing per query or per worker task beyond the result vector.
 //!
 //! Every algorithm — under [`Execution::Sequential`] *and*
 //! [`Execution::Parallel`] — runs its flat columnar path over these cached
@@ -152,15 +152,14 @@ pub enum Execution {
     /// Run on the calling thread.
     #[default]
     Sequential,
-    /// Fan the algorithm's kernel out over worker threads. A positive
-    /// `threads` runs this query inside a scoped rayon pool of that width,
-    /// clamped to [`crate::parallel::MAX_WIDTH`]; `threads = 0` runs it at
-    /// the ambient rayon width (all cores, unless the caller is already
-    /// inside a sized pool). The width is the query's alone: concurrent
-    /// queries of different widths cannot interfere, and no width changes
-    /// a result.
+    /// Fan the algorithm's kernel out over the rayon pool. A positive
+    /// `threads` runs this query at that width, clamped to
+    /// [`crate::parallel::MAX_WIDTH`]; `threads = 0` runs it at the ambient
+    /// rayon width (all cores, unless the caller already runs at a set
+    /// width). The width is the query's alone: concurrent queries of
+    /// different widths cannot interfere, and no width changes a result.
     Parallel {
-        /// Width of this query's pool (at most
+        /// Width of this query's fan-out (at most
         /// [`crate::parallel::MAX_WIDTH`]); `0` = the ambient rayon width.
         threads: usize,
     },
@@ -649,22 +648,66 @@ mod tests {
             run_par();
         }
         let steady = engine.cache_stats();
-        // Arena growth is bounded by the concurrency high-water mark, never
-        // by the query count: one QueryScratch (repeats reuse it) plus at
-        // most two concurrent kd subtree arenas (threads = 2 → one fan-out
-        // level), no matter how many queries ran. Whether the second subtree
-        // arena ever materialises depends on scheduling (the first subtree
-        // may return its arena before the second checks one out), so the
-        // bound — not an exact count — is the deterministic claim.
-        assert!(
-            steady.scratch_misses <= 3,
-            "worker-arena growth must be bounded by the concurrency \
-             high-water mark, got {} arenas",
-            steady.scratch_misses
+        // One QueryScratch (repeats reuse it) plus the kd fan-out's seeds
+        // and traversal arenas: a traversal with `levels` binary fan-out
+        // levels splits at most 2^levels − 1 times, holds at most one seed
+        // and one arena per split, and grows the pool to that many before it
+        // starts, so the count is fixed by the width, never by the query
+        // count or the scheduling.
+        let levels = crate::parallel::with_width(2, crate::parallel::fan_out_levels);
+        assert_eq!(warm.scratch_misses, 1 + 2 * ((1u64 << levels) - 1));
+        assert_eq!(
+            steady.scratch_misses, warm.scratch_misses,
+            "worker-arena growth must be bounded by the fan-out depth"
         );
         assert!(
             steady.scratch_hits >= warm.scratch_hits + 8,
             "every repeat query must reuse at least its QueryScratch arena"
+        );
+    }
+
+    #[test]
+    fn union_size_parallel_kdtt_plus_keeps_a_fixed_arena_budget() {
+        // The serving benchmark's dataset shape, a little past union size:
+        // every node of the first fan-out levels crosses the parallel
+        // threshold, so each query splits the full 2^levels − 1 times.
+        let engine = ArspEngine::new(
+            SyntheticConfig {
+                num_objects: 1100,
+                max_instances: 16,
+                dim: 4,
+                region_length: 0.2,
+                phi: 0.5,
+                seed: 7,
+                ..SyntheticConfig::default()
+            }
+            .generate(),
+        );
+        assert!(engine.dataset().num_instances() >= 8_000);
+        let constraints = ConstraintSet::weak_ranking(4, 2);
+        let levels = crate::parallel::with_width(2, crate::parallel::fan_out_levels);
+        let splits = (1u64 << levels) - 1;
+        // One QueryScratch plus one seed and one traversal arena per split;
+        // independent of the number of splits (tasks) the queries run.
+        let budget = 1 + 2 * splits;
+        let mut after_first = None;
+        for _ in 0..20 {
+            let _ = engine
+                .query(&constraints)
+                .algorithm(QueryAlgorithm::KdttPlus)
+                .execution(Execution::Parallel { threads: 2 })
+                .run();
+            let misses = engine.cache_stats().scratch_misses;
+            assert!(misses <= budget, "{misses} arenas, budget {budget}");
+            assert_eq!(*after_first.get_or_insert(misses), misses);
+        }
+        // Every query split 2^levels − 1 times, each split taking a pooled
+        // seed (the first query's too, from the warmed pool), and every query
+        // after the first reused its QueryScratch: at least 159 checkouts
+        // served by 15 arenas.
+        assert!(
+            engine.cache_stats().scratch_hits >= 19 + 20 * splits,
+            "every split takes a pooled seed"
         );
     }
 

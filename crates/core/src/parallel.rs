@@ -6,10 +6,14 @@
 //!
 //! * **LOOP** parallelises over instances — each instance's probability is an
 //!   independent product accumulated in a deterministic order,
-//! * **KDTT+ / QDTT+** fan the one kd-ASP\* traversal out: sibling subtrees
-//!   of its first few levels run on worker arenas seeded with copies of the
-//!   exactly-restored traversal state (σ, β, χ), so every leaf sees the same
-//!   float operations as when every child runs inline,
+//! * **KDTT+ / QDTT+** fan the one kd-ASP\* traversal out: at each of its
+//!   first few binary splits one half of a node's children goes on inline
+//!   and the other is offered to the pool with a copy of the
+//!   exactly-restored traversal state (σ, β, χ), or runs inline afterwards
+//!   if no other thread takes it, so every leaf sees the same float
+//!   operations as when every child runs inline. The splits go a few levels
+//!   deeper than one subtree per worker, so the pool can balance subtrees
+//!   of uneven work,
 //! * **KDTT** runs sequentially: the same traversal over its prebuilt tree
 //!   is the construction-cost baseline the fused variants are measured
 //!   against,
@@ -27,29 +31,39 @@
 //! [`crate::scratch::ScratchPool`] stacks (no per-task arena allocation at
 //! steady state).
 //!
+//! All fan-outs run on the vendored rayon's one process-wide pool of
+//! `max(nproc − 1, 1)` persistent workers: `rayon::join` queues one half for
+//! a worker, runs the other on the calling thread, and takes the queued
+//! half back if no worker claimed it, so a split costs a queue push, not a
+//! thread start.
+//!
 //! The determinism guarantee is checked end-to-end by the
 //! `parallel_agreement` and `engine_agreement` integration tests.
 //!
 //! ## Width
 //!
 //! A query's width comes from the query alone: `Parallel { threads }` with
-//! `threads > 0` installs a rayon pool of that width around the query,
+//! `threads > 0` installs that width on the calling thread for the query,
 //! clamped to [`MAX_WIDTH`], and `threads = 0` runs at the ambient rayon
-//! width. The kernels size their fan-out from [`rayon::current_num_threads`].
+//! width. The kernels size their fan-out from [`rayon::current_num_threads`]
+//! and the pool runs each job at its caller's width. A width says how finely
+//! the kernels split, not how many threads run: the pool's size is fixed.
 //! Because parallel and sequential paths agree bitwise, the width never
 //! changes any result, only the wall-clock time.
 
-/// The widest pool a query runs in: `Execution::Parallel { threads }` above
-/// this runs at this width. LOOP and DUAL cut their scan into one chunk per
-/// worker and run each chunk on its own OS thread, so an unbounded width
-/// would start one thread per instance.
+/// The widest a query splits: `Execution::Parallel { threads }` above this
+/// runs at this width. LOOP and DUAL cut their scan into one chunk per unit
+/// of width and queue each chunk as a pool job, so an unbounded width would
+/// queue one job per instance.
 pub const MAX_WIDTH: usize = 64;
 
-/// Runs `f` inside a rayon pool of `threads` workers (at most
-/// [`MAX_WIDTH`]), so every parallel driver under `f` (kd subtree joins,
-/// LOOP and DUAL chunks) fans out to that width. `0` runs `f` at the
-/// ambient width. A scoped pool touches no process-wide state, so
-/// concurrent queries of different widths cannot interfere.
+/// Runs `f` at width `threads` (at most [`MAX_WIDTH`]), so every parallel
+/// driver under `f` (kd subtree joins, LOOP and DUAL chunks) fans out to
+/// that width. `0` runs `f` at the ambient width. The width is a
+/// thread-local of the calling thread (and of each pool job `f` queues), set
+/// for `f` only and restored when `f` returns or unwinds, so concurrent
+/// queries of different widths cannot interfere, and a query that panics or
+/// is cancelled leaves its thread at the width it had before.
 pub(crate) fn with_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     if threads == 0 {
         return f();
@@ -61,12 +75,21 @@ pub(crate) fn with_width<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Number of binary fan-out levels needed to keep every worker of the
-/// ambient pool busy: the smallest `l` with `2^l >= current_num_threads()`.
+/// Binary splits of the kd fan-out beyond one subtree per worker. A median
+/// split halves a node's points, not its work: on a warm union-size engine
+/// the root's two subtrees took 0.7 vs 5.4 ms, so two workers need several
+/// subtrees each to balance (measured in EXPERIMENTS.md).
+const EXTRA_FAN_OUT_LEVELS: usize = 2;
+
+/// Number of binary fan-out levels of the kd traversal at the ambient
+/// width: the smallest `l` with `2^l >= current_num_threads()`, plus
+/// [`EXTRA_FAN_OUT_LEVELS`] so the pool can balance uneven subtrees; `0` at
+/// width 1.
 pub(crate) fn fan_out_levels() -> usize {
-    rayon::current_num_threads()
-        .next_power_of_two()
-        .trailing_zeros() as usize
+    match rayon::current_num_threads() {
+        0 | 1 => 0,
+        width => width.next_power_of_two().trailing_zeros() as usize + EXTRA_FAN_OUT_LEVELS,
+    }
 }
 
 /// Splits `0..len` into at most `current_num_threads()` contiguous chunks
@@ -165,6 +188,10 @@ mod tests {
         for threads in [1usize, 2, 3, 5, 8] {
             with_width(threads, || assert!(1 << fan_out_levels() >= threads));
         }
+        // Above width 1, every worker gets several subtrees to balance.
+        for threads in [2usize, 3, 5, 8] {
+            with_width(threads, || assert!(1 << fan_out_levels() >= 4 * threads));
+        }
         assert_eq!(with_width(1, fan_out_levels), 0);
         assert!(1 << fan_out_levels() >= rayon::current_num_threads());
     }
@@ -182,6 +209,19 @@ mod tests {
             with_width(0, rayon::current_num_threads),
             rayon::current_num_threads()
         );
+    }
+
+    #[test]
+    fn with_width_restores_the_width_after_a_caught_panic() {
+        let before = rayon::current_num_threads();
+        let caught = std::panic::catch_unwind(|| {
+            with_width(7, || {
+                assert_eq!(rayon::current_num_threads(), 7);
+                panic!("a deadline sentinel unwinds through the query")
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(rayon::current_num_threads(), before);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! and answer it the same way: resolve `Auto`
 //! ([`crate::engine::auto_select`]), derive the linear constraints of a ratio
 //! query when a general algorithm runs it, fetch the artifacts the chosen
-//! algorithm needs, and run that algorithm's one flat kernel — inside a
-//! scoped worker pool when the query asks for a thread bound. That body is
+//! algorithm needs, and run that algorithm's one flat kernel — at the
+//! query's width when it asks for one. That body is
 //! written once, here, and it fetches every artifact from one place: a
 //! `ServingSnapshot` — one version's artifacts behind build-coalescing
 //! caches — plus the `SharedArtifacts` every snapshot of one store shares
@@ -149,9 +149,9 @@ impl QueryPools {
 
 /// The query body every front runs: resolves `Auto`, fetches the chosen
 /// algorithm's artifacts from `source` (in the sequence the
-/// [module docs](self) list) and runs its flat kernel — inside a scoped pool
-/// of `threads` workers under `Execution::Parallel { threads > 0 }`, at the
-/// ambient rayon width under `threads = 0`. The outcome carries the front's
+/// [module docs](self) list) and runs its flat kernel — at width `threads`
+/// under `Execution::Parallel { threads > 0 }`, at the ambient rayon width
+/// under `threads = 0`. The outcome carries the front's
 /// `view`; [`Query::try_run`] fills in the rest.
 ///
 /// # Panics

@@ -15,8 +15,9 @@
 //!    allocation-prone `.collect()` (the kernels draw working memory from
 //!    scratch arenas).
 //! 4. **safety-comments** — every `unsafe` token is preceded by a
-//!    `// SAFETY:` comment (the workspace denies `unsafe_code`, so this
-//!    guards any future, deliberately-allowed exception).
+//!    `// SAFETY:` comment. The workspace denies `unsafe_code`; the one
+//!    allowed exception is the vendored rayon's worker pool
+//!    (`vendor/rayon/src/pool.rs`), which this rule covers too.
 //! 5. **api-coverage** — table-driven ([`API_COVERAGE`]): every `pub fn` in
 //!    a scope whose name passes the row's filter must appear in an
 //!    integration test under `tests/`, as a bare mention or as a call
@@ -202,6 +203,7 @@ const SAFETY_ROOTS: &[&str] = &[
     "crates",
     "xtask/src",
     "vendor/interleave/src",
+    "vendor/rayon/src",
 ];
 
 /// One finding; `file` is repo-relative, `line` 1-based.
