@@ -73,7 +73,7 @@ use crate::pipeline::{
 use crate::service::{ArspService, ServiceWriter, SnapshotPin};
 use crate::standing::{ChangeBatch, StandingSpec, SubscriptionGuard};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{lock, Arc, Mutex};
+use crate::sync::{lock, thread, Arc, Mutex};
 use arsp_data::{
     failpoint, partition_dataset, DurableStore, FlatStore, InstanceHandle, MutationOp,
     RecoveryReport, UncertainDataset, VersionedStore,
@@ -521,7 +521,12 @@ impl ShardedService {
     }
 
     /// Applies one mutation batch to `shard`, durably (WAL first) and to
-    /// the serving chain, then publishes. An empty batch is a no-op.
+    /// the serving chain, then publishes, holding only that shard's slot
+    /// lock. The batch is acknowledged once it is published: the shard's
+    /// standing subscriptions are refreshed afterwards by its service's
+    /// notifier, off the slot lock, and every feed accessor waits for that
+    /// refresh (see [`ShardedService::subscribe`]). An empty batch is a
+    /// no-op.
     ///
     /// * Shard down → the batch is queued for replay ([`ApplyOutcome::Queued`]).
     /// * An op the store rejects (see [`DurableStore::apply_batch`]) →
@@ -531,7 +536,10 @@ impl ShardedService {
     ///   counts the failure (degrade, then quarantine at the threshold).
     /// * Panic, or a failure after the batch became durable → the shard is
     ///   torn down and quarantined, the batch queued pre-tagged
-    ///   ([`ApplyOutcome::Crashed`]); the cluster itself stays healthy.
+    ///   ([`ApplyOutcome::Crashed`]); the cluster itself stays healthy. A
+    ///   standing refresh that panicked on the notifier since the shard's
+    ///   last batch is re-raised by this batch's publish, so it crashes the
+    ///   shard here too.
     pub fn apply_batch(&self, shard: usize, ops: Vec<MutationOp>) -> io::Result<ApplyOutcome> {
         if ops.is_empty() {
             return Ok(ApplyOutcome::Applied);
@@ -807,14 +815,24 @@ impl ShardedService {
     }
 
     /// Fans a standing query out to every shard: each shard's serving chain
-    /// gets its own subscription under the same spec, delivered its initial
-    /// full batch immediately. After every
-    /// [`apply_batch`](Self::apply_batch), the shard's publish refreshes its
-    /// subscription, so [`ClusterSubscription::drain`] yields the per-shard
-    /// change-sets in shard-major order (handles are shard-local, so every
-    /// change is tagged with its shard). Fails closed with
+    /// gets its own subscription under the same spec, and its initial full
+    /// batch is refreshed before this returns. After every
+    /// [`apply_batch`](Self::apply_batch), the shard's publish hands the new
+    /// version to its service's notifier, which refreshes the subscription
+    /// after the batch is acknowledged, off the slot lock. Every
+    /// [`ClusterSubscription`] accessor — [`drain`](ClusterSubscription::drain),
+    /// [`maintained`](ClusterSubscription::maintained),
+    /// [`result_versions`](ClusterSubscription::result_versions) and the
+    /// guards [`shard`](ClusterSubscription::shard) returns — first waits
+    /// until each shard's notifier has refreshed every version published
+    /// before the call, so a feed read after a batch's acknowledgement
+    /// holds that batch. `drain` yields the per-shard change-sets in
+    /// shard-major order (handles are shard-local, so every change is
+    /// tagged with its shard). Fails closed with
     /// [`QueryError::ShardUnavailable`] when any shard is down —
-    /// subscribing to a partial population would silently miss its changes.
+    /// subscribing to a partial population would silently miss its changes
+    /// — and a shard whose initial sync crashes (a caught refresh panic
+    /// re-raised there) is quarantined and named the same way.
     ///
     /// Each feed holds **its shard's own** ARSP: every instance is scored
     /// against its shard's objects only. An instance's skyline probability
@@ -824,6 +842,7 @@ impl ShardedService {
     /// that another shard holds. Driving the feed from the union is the open
     /// ROADMAP item on standing queries that answer the cluster's question.
     pub fn subscribe(&self, spec: &StandingSpec) -> Result<ClusterSubscription, QueryError> {
+        let counters = &self.shared.counters;
         let mut guards = Vec::with_capacity(self.num_shards());
         let mut missing = Vec::new();
         // One pass, one slot lock at a time (like the union stitch). An
@@ -832,14 +851,24 @@ impl ShardedService {
         for (shard, slot) in self.shared.shards.iter().enumerate() {
             let mut slot = lock(slot);
             let available = slot.supervisor.health().is_available();
+            let slot = &mut *slot;
             match slot.serving.as_mut() {
                 Some(serving) if available => {
-                    let guard = serving.service.subscribe(spec.clone());
                     // Between batches the shard engine sits exactly at its
                     // published version (apply_to_slot publishes), so the
                     // initial full batch is delivered right here.
-                    serving.writer.sync_subscriptions();
-                    guards.push(guard);
+                    let subscribed = catch_unwind(AssertUnwindSafe(|| {
+                        let guard = serving.service.subscribe(spec.clone());
+                        serving.writer.sync_subscriptions();
+                        guard
+                    }));
+                    match subscribed {
+                        Ok(guard) => guards.push(guard),
+                        Err(_panic) => {
+                            Self::contain_crash(slot, counters, None, Vec::new());
+                            missing.push(shard);
+                        }
+                    }
                 }
                 _ => missing.push(shard),
             }
@@ -1030,8 +1059,9 @@ pub struct ShardChange {
 
 /// A standing query fanned out over every shard
 /// ([`ShardedService::subscribe`]): one per-shard [`SubscriptionGuard`]
-/// under a common spec. Dropping it unsubscribes everywhere (RAII, per
-/// shard).
+/// under a common spec. Each accessor reads through the guards' barrier,
+/// so it reflects every batch acknowledged before the call. Dropping it
+/// unsubscribes everywhere (RAII, per shard).
 #[derive(Debug)]
 pub struct ClusterSubscription {
     guards: Vec<SubscriptionGuard>,
@@ -1224,7 +1254,7 @@ impl From<ClusterOutcome> for PartialResult {
 /// [`stop`](Self::stop) or drop.
 pub struct ShardSupervisor {
     stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    handle: Option<thread::JoinHandle<()>>,
 }
 
 impl ShardSupervisor {
@@ -1232,7 +1262,7 @@ impl ShardSupervisor {
     pub fn start(cluster: ShardedService, interval: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
+        let handle = thread::spawn(move || {
             while !flag.load(Ordering::Relaxed) {
                 for shard in 0..cluster.num_shards() {
                     match cluster.shard_health(shard) {
@@ -1654,6 +1684,78 @@ mod tests {
         );
 
         failpoint::reset();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every shard's notifier state: `true` once started.
+    fn notifiers_started(cluster: &ShardedService) -> Vec<bool> {
+        cluster
+            .shared
+            .shards
+            .iter()
+            .map(|slot| {
+                lock(slot)
+                    .serving
+                    .as_ref()
+                    .expect("shard is up")
+                    .writer
+                    .engine()
+                    .standing()
+                    .notifier_started()
+            })
+            .collect()
+    }
+
+    /// A cluster nobody subscribes to — written to, read, reopened — starts
+    /// no notifier; a subscription starts one per shard, and dropping the
+    /// cluster with refreshes still queued joins every one of them after
+    /// it has refreshed its whole queue.
+    #[test]
+    fn only_subscribed_clusters_start_notifiers_and_dropping_joins_them() {
+        let _gate = failpoint::exclusive();
+        failpoint::reset();
+        let dir = scratch_dir("notifier");
+        let insert = |x: f64| {
+            vec![MutationOp::InsertObject {
+                label: None,
+                instances: vec![(vec![x, 8.0], 0.5)],
+            }]
+        };
+        let config = ClusterConfig {
+            num_shards: 2,
+            ..ClusterConfig::default()
+        };
+        let cluster =
+            ShardedService::create(&dir, &paper_running_example(), config).expect("create");
+        cluster.apply_batch(0, insert(8.0)).expect("apply");
+        cluster.query(&constraints()).run().expect("all up");
+        assert_eq!(notifiers_started(&cluster), vec![false, false]);
+        drop(cluster);
+
+        let (cluster, _) = ShardedService::open(&dir, 3).expect("reopen");
+        cluster.query(&constraints()).run().expect("all up");
+        assert_eq!(notifiers_started(&cluster), vec![false, false]);
+
+        let spec = StandingSpec::constraints(&constraints());
+        let sub = cluster.subscribe(&spec).expect("all up");
+        assert_eq!(notifiers_started(&cluster), vec![true, true]);
+        for k in 0..3 {
+            cluster
+                .apply_batch(0, insert(9.0 + f64::from(k)))
+                .expect("apply");
+        }
+        drop(cluster);
+        assert_eq!(
+            sub.shard(0).registry_refs(),
+            1,
+            "shard 0's notifier outlived its cluster"
+        );
+        assert_eq!(
+            sub.shard(1).registry_refs(),
+            1,
+            "shard 1's notifier outlived its cluster"
+        );
+        assert_eq!(sub.result_versions(), vec![4, 1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

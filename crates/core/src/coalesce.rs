@@ -296,7 +296,7 @@ mod tests {
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
+                crate::sync::thread::spawn(move || {
                     barrier.wait();
                     cache.get_or_build(&[7], || 42)
                 })
@@ -340,7 +340,7 @@ mod tests {
             let cache = Arc::clone(&cache);
             let release = Arc::clone(&release);
             let started = Arc::clone(&started);
-            std::thread::spawn(move || {
+            crate::sync::thread::spawn(move || {
                 cache.get_or_build(&[9], || {
                     started.wait(); // build claimed and running
                     release.wait(); // ...and stuck until released

@@ -42,8 +42,8 @@
 //! pipeline runs the one flat kernel a cold [`crate::engine::ArspEngine`]
 //! runs over the same artifacts. Each artifact is bitwise the cold build at
 //! this version, so each result is the cold result. Standing-query refreshes
-//! ([`DynamicArspEngine::refresh_standing`]) are ordinary queries on this
-//! path.
+//! ([`DynamicArspEngine::refresh_standing`]) are ordinary queries over the
+//! same snapshot.
 //!
 //! ## Compaction
 //!
@@ -91,7 +91,7 @@ use crate::pipeline::{
     SharedArtifacts,
 };
 use crate::scorespace::ScoreMatrix;
-use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
+use crate::standing::{RefreshTarget, StandingQueryRegistry, StandingSpec, SubscriptionGuard};
 use arsp_data::persist::apply_checked;
 use arsp_data::{InstanceHandle, MutationOp, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
@@ -300,11 +300,14 @@ impl DynamicArspEngine {
     /// Registers a standing query and refreshes it immediately: the guard's
     /// first [`crate::standing::ChangeBatch`] is the full result at the
     /// current version. Later batches arrive per
-    /// [`refresh_standing`](Self::refresh_standing) call (the serving layer
-    /// calls it from [`crate::service::ServiceWriter::publish`]).
+    /// [`refresh_standing`](Self::refresh_standing) call. Both run the
+    /// registry's one refresh inline, on the caller's thread; an engine
+    /// that backs a service is subscribed to through
+    /// [`crate::service::ArspService::subscribe`] instead, whose notifier
+    /// refreshes at each publish.
     pub fn subscribe(&self, spec: StandingSpec) -> SubscriptionGuard {
         let guard = self.standing.subscribe(spec);
-        self.standing.refresh(self);
+        self.refresh_standing();
         guard
     }
 
@@ -318,18 +321,24 @@ impl DynamicArspEngine {
     /// one change batch per subscription whose result moved (see
     /// [`crate::standing`]). A no-op for subscriptions already current.
     pub fn refresh_standing(&self) {
-        self.standing.refresh(self);
+        self.standing.refresh(&self.refresh_target());
     }
 
-    /// The stable handle of each snapshot id at the current version — the
-    /// re-keying the standing layer needs to diff results across versions.
-    pub(crate) fn snapshot_handles(&self) -> Vec<InstanceHandle> {
-        let (_, rowmap) = self.current();
-        rowmap
+    /// The current snapshot with the stable handle of each of its snapshot
+    /// ids: what a standing refresh at this version reads, inline or — once
+    /// the serving layer has published it — on the notifier.
+    pub(crate) fn refresh_target(&self) -> RefreshTarget {
+        let (snapshot, rowmap) = self.current();
+        let handles = rowmap
             .row_of_snap
             .iter()
             .map(|&row| self.store.handle_of_row(row as usize))
-            .collect()
+            .collect();
+        RefreshTarget {
+            artifacts: Arc::clone(&self.artifacts),
+            snapshot,
+            handles,
+        }
     }
 
     /// The current snapshot id of a live instance (`None` once removed).

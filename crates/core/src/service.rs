@@ -16,10 +16,11 @@
 //! * **The writer** owns a [`ServiceWriter`]: mutations go through the
 //!   underlying dynamic engine (`&mut self`, invisible to readers), and
 //!   [`ServiceWriter::publish`] atomically swaps in the engine's snapshot of
-//!   the new version. Readers and writer share one artifact store: every
-//!   score matrix and LOOP order published at the old version — whether a
-//!   reader's query or the writer's standing refresh built it — is
-//!   delta-patched into the new snapshot, not rebuilt, and the writer's
+//!   the new version, then hands it to the standing-query notifier and
+//!   returns (see [`crate::standing`]). Readers, writer and notifier share
+//!   one artifact store: every score matrix and LOOP order published at the
+//!   old version — whether a reader's query or a standing refresh built it
+//!   — is delta-patched into the new snapshot, not rebuilt, and the
 //!   standing refreshes and the readers' queries share each build at a
 //!   version.
 //!
@@ -48,7 +49,7 @@
 //! work: ten readers arriving with the same new constraint set would project
 //! ten identical score matrices. The snapshot caches therefore *coalesce*:
 //! the first requester claims the build, later requesters with the same key
-//! — readers or the writer's standing refresh — block on a condvar and
+//! — readers or a standing refresh — block on a condvar and
 //! share the published artifact ([`ServingStats::coalesced_builds`] counts
 //! the joins). Distinct keys never wait on each other. The `#[doc(hidden)]`
 //! [`ArspService::set_coalescing_rendezvous`] knob makes a builder wait for a
@@ -232,13 +233,14 @@ impl ArspService {
     }
 
     /// Registers a standing query against this service. The subscription is
-    /// *pending* until the writer next refreshes —
+    /// *pending* until the writer next hands a version to the notifier —
     /// [`ServiceWriter::publish`] after a mutation batch, or
-    /// [`ServiceWriter::sync_subscriptions`] when nothing is pending — at
-    /// which point the guard's first [`crate::standing::ChangeBatch`] is the
+    /// [`ServiceWriter::sync_subscriptions`] when nothing is pending — whose
+    /// refresh makes the guard's first [`crate::standing::ChangeBatch`] the
     /// full result at the published version. All later batches arrive in
-    /// publish order with gapless per-subscription result versions; dropping
-    /// the guard unsubscribes (see [`crate::standing`]).
+    /// publish order with gapless per-subscription result versions, and the
+    /// guard's accessors wait for every version published before they are
+    /// called; dropping the guard unsubscribes (see [`crate::standing`]).
     pub fn subscribe(&self, spec: StandingSpec) -> SubscriptionGuard {
         self.shared.standing.subscribe(spec)
     }
@@ -285,6 +287,7 @@ impl ArspService {
         let shared = &self.shared;
         let (active_pins, pinned_snapshots) = lock(&shared.state).prune(&shared.counters.retired);
         let cache = shared.artifacts.cache_stats();
+        let notifier = shared.standing.notifier_stats();
         ServingStats {
             inflight: shared.gauge.current(),
             peak_inflight: shared.gauge.peak(),
@@ -300,6 +303,9 @@ impl ArspService {
             notifications_delivered: shared.standing.counters().notifications_delivered(),
             dirty_instances_scanned: 0,
             standing_full_fallbacks: 0,
+            standing_backlog: notifier.backlog,
+            standing_lag_max_us: notifier.lag_max_us,
+            standing_refresh_panics: notifier.panics,
         }
     }
 
@@ -338,14 +344,14 @@ pub struct ServingStats {
     pub queries_shed: u64,
     /// Artifact builds actually performed across all snapshot caches —
     /// exactly one per distinct missing key, however many readers asked.
-    /// Includes the builds of the writer's standing refreshes, which share
-    /// the readers' caches.
+    /// Includes the builds of the standing refreshes, which share the
+    /// readers' caches.
     pub shared_builds: u64,
     /// Lookups that joined another thread's in-progress build instead of
     /// duplicating it.
     pub coalesced_builds: u64,
-    /// Lookups answered from an already-published artifact (the writer's
-    /// standing refreshes included).
+    /// Lookups answered from an already-published artifact (the standing
+    /// refreshes included).
     pub cache_hits: u64,
     /// Snapshots published (the constructor's initial snapshot counts).
     pub snapshots_published: u64,
@@ -356,9 +362,10 @@ pub struct ServingStats {
     pub active_pins: u64,
     /// Distinct versions currently pinned.
     pub pinned_snapshots: u64,
-    /// Standing-query change-set notifications enqueued by the writer's
+    /// Standing-query change-set notifications enqueued by the notifier's
     /// refreshes (one per subscription per published version change, plus
-    /// each subscription's initial full batch).
+    /// each subscription's initial full batch). A refresh still in the
+    /// notifier's backlog is not counted yet.
     pub notifications_delivered: u64,
     /// Always 0: every standing refresh is one ordinary query, so no pass
     /// recomputes a dirty subset any more. Kept only because the serving
@@ -368,6 +375,16 @@ pub struct ServingStats {
     /// [`dirty_instances_scanned`](Self::dirty_instances_scanned): no
     /// refresh has a cheaper path to fall back from.
     pub standing_full_fallbacks: u64,
+    /// Gauge: versions handed to the standing notifier and not yet
+    /// refreshed, the one in progress included. It stays near zero while
+    /// the notifier keeps up with the writer.
+    pub standing_backlog: u64,
+    /// The longest time, in microseconds, from handing a version to the
+    /// notifier to its refresh finishing (queueing included).
+    pub standing_lag_max_us: u64,
+    /// Standing refreshes that panicked on the notifier (each re-raised by
+    /// the writer's next publish or sync).
+    pub standing_refresh_panics: u64,
 }
 
 /// The writer half: owns the dynamic engine. Mutations are invisible to
@@ -380,23 +397,30 @@ pub struct ServiceWriter {
 impl ServiceWriter {
     /// Publishes the engine's current version: advances the engine's
     /// snapshot to it (the patch pass every first query at a new version
-    /// runs) and atomically swaps that snapshot in.
+    /// runs), atomically swaps that snapshot in, and — when any standing
+    /// subscription is live — hands the published version to the registry's
+    /// notifier, which refreshes the subscriptions against it after this
+    /// returns (see [`crate::standing`]). The write is visible to readers,
+    /// and to every feed accessor through its read-your-writes barrier, when
+    /// this returns; the refresh itself is not waited for.
     /// The superseded snapshot retires immediately when unpinned; otherwise
     /// its pins keep it alive and the last one's drop reclaims it, while the
-    /// service keeps only a `Weak` to count it. A no-op (returning the
-    /// already-published version) when nothing changed since the last
-    /// publish. Returns the published version.
+    /// service keeps only a `Weak` to count it. When nothing changed since
+    /// the last publish, nothing is swapped (returning the already-published
+    /// version), but pending subscriptions are still handed that version.
+    /// Returns the published version.
+    ///
+    /// # Panics
+    /// Re-raises a standing refresh that panicked on the notifier since the
+    /// last `publish` or [`sync_subscriptions`](Self::sync_subscriptions),
+    /// before publishing anything.
     pub fn publish(&mut self) -> u64 {
         let shared = &self.shared;
-        {
-            let state = lock(&shared.state);
-            let published = state.current.0.version;
-            if published == self.engine.version() {
-                // Nothing new to publish — but pending subscriptions still
-                // get their initial batch at the already-published version.
-                self.engine.refresh_standing();
-                return published;
-            }
+        shared.standing.reraise_refresh_panic();
+        let published = lock(&shared.state).current.0.version;
+        if published == self.engine.version() {
+            self.notify();
+            return published;
         }
         let snapshot = self.engine.snapshot();
         let version = snapshot.version;
@@ -412,25 +436,37 @@ impl ServiceWriter {
             shared.counters.retired.fetch_add(1, Ordering::Relaxed);
         }
         drop(state);
-        // Drain the notification queue on the writer thread, right after the
-        // swap: every subscription moves to exactly this version, so
-        // subscribers observe change-sets in publish order with no missed or
-        // duplicated result versions (the publish-vs-notify protocol the
-        // model checker exercises).
-        self.engine.refresh_standing();
+        self.notify();
         version
     }
 
     /// Delivers initial batches to subscriptions registered since the last
-    /// publish, without publishing anything. A no-op (and the safe choice)
-    /// while unpublished mutations are pending — readers must never learn of
-    /// state that has not been published, so this refreshes only when the
-    /// engine is exactly at the published version; otherwise the next
-    /// [`publish`](Self::publish) delivers.
+    /// publish, without publishing anything: hands the published version to
+    /// the notifier, like [`publish`](Self::publish), and waits until it is
+    /// refreshed. A no-op (and the safe choice) while unpublished mutations
+    /// are pending — readers must never learn of state that has not been
+    /// published, so this hands off only when the engine is exactly at the
+    /// published version; otherwise the next [`publish`](Self::publish)
+    /// delivers.
+    ///
+    /// # Panics
+    /// Re-raises a caught refresh panic, like [`publish`](Self::publish).
     pub fn sync_subscriptions(&mut self) {
+        let standing = &self.shared.standing;
+        standing.reraise_refresh_panic();
         let published = lock(&self.shared.state).current.0.version;
         if published == self.engine.version() {
-            self.engine.refresh_standing();
+            self.notify();
+            standing.settle();
+        }
+    }
+
+    /// Hands the engine's current (just published) version to the
+    /// notifier, when any subscription is live to need it.
+    fn notify(&self) {
+        let standing = &self.shared.standing;
+        if standing.is_watched() {
+            standing.hand_off(self.engine.refresh_target());
         }
     }
 
@@ -756,7 +792,7 @@ mod tests {
         assert_eq!(observe(), (true, 3, 0));
         drop(pin);
         assert_eq!(observe(), (true, 2, 0));
-        std::thread::spawn(move || drop(elsewhere))
+        crate::sync::thread::spawn(move || drop(elsewhere))
             .join()
             .expect("the dropping thread panicked");
         assert_eq!(observe(), (true, 1, 0));

@@ -10,11 +10,11 @@
 //!
 //! ## The evaluation path
 //!
-//! A refresh evaluates every subscription that is behind the engine's
-//! version as one ordinary query through the engine's builder — the same
-//! pipeline ([`crate::pipeline`]) every other query runs, over the engine's
-//! delta-patched artifacts, with the subscription's algorithm and execution
-//! mode — re-keys the snapshot-space result by stable instance handle, and
+//! One function refreshes every subscription that is behind a version: it
+//! runs each as one ordinary query through the pipeline every other query
+//! runs ([`crate::pipeline`]), over that version's snapshot with its
+//! delta-patched artifacts and the subscription's algorithm and execution
+//! mode, re-keys the snapshot-space result by stable instance handle, and
 //! diffs it bitwise against the maintained result. There is no incremental
 //! variant: the paper answers each query from scratch, and a dirty-set
 //! narrowing pass for LOOP subscriptions was measured not to pay for itself
@@ -26,28 +26,61 @@
 //! ## Serving integration
 //!
 //! [`crate::service::ArspService::subscribe`] registers against the shared
-//! registry; [`crate::service::ServiceWriter::publish`] refreshes every
-//! subscription on the writer thread right after the snapshot swap, so
-//! subscribers observe change-sets in publish order with no missed or
-//! duplicated result versions. The refresh queries run on the snapshot just
-//! published, so they share every artifact build with the readers' queries
-//! at that version. [`crate::cluster::ShardedService::subscribe`]
-//! fans one spec out per shard and concatenates the per-shard change-sets
-//! shard-major. Each shard's feed holds that shard's own ARSP, scored
-//! against its shard's objects only, so it is not the cluster's union
-//! result (a `ClusterQuery`); driving cluster feeds from the union is the
-//! open ROADMAP item on standing queries that answer the cluster's
-//! question. Dropping a
-//! [`SubscriptionGuard`] unsubscribes (RAII — safe at any time, including
-//! mid-publish from another thread).
+//! registry. [`crate::service::ServiceWriter::publish`] swaps the new
+//! snapshot in and hands the published version — the pinned snapshot and
+//! the stable handle of each of its instances — to the registry's
+//! *notifier*, then returns: the write is acknowledged before its refresh.
+//! The notifier is one thread per registry, started by the first hand-off
+//! (a subscription's initial sync, or the first publish after one
+//! registers) and joined when the registry drops, after it has refreshed
+//! everything handed to it. It refreshes every subscription in publish
+//! order, exactly once per published version, never coalescing two
+//! versions; it evaluates against the pinned snapshot, not the writer's
+//! engine, which may already have moved on, so the refresh queries share
+//! every artifact build with the readers' queries at that version. A
+//! refresh never passes reader admission: a shed refresh would leave a gap
+//! in the feed. A refresh that panics is caught on the notifier and counted,
+//! and the writer's next `publish` or `sync_subscriptions` re-raises it, so
+//! a supervisor that contains writer panics (the cluster's `apply_batch`)
+//! handles it like any other crash.
+//!
+//! **Read-your-writes.** Every [`SubscriptionGuard`] accessor
+//! ([`poll`](SubscriptionGuard::poll), [`drain`](SubscriptionGuard::drain),
+//! [`maintained`](SubscriptionGuard::maintained),
+//! [`result_version`](SubscriptionGuard::result_version),
+//! [`is_pending`](SubscriptionGuard::is_pending)) first waits until the
+//! notifier has finished every version handed to it before the call. A
+//! consumer that reads its feed after a publish returned therefore sees
+//! that publish; [`crate::service::ServiceWriter::sync_subscriptions`]
+//! delivers initial batches through the same queue and waits for them.
+//! Without a service — [`crate::dynamic::DynamicArspEngine::subscribe`] and
+//! [`refresh_standing`](crate::dynamic::DynamicArspEngine::refresh_standing)
+//! — the same refresh runs inline over the engine's current snapshot and no
+//! thread starts.
+//!
+//! [`crate::cluster::ShardedService::subscribe`] fans one spec out per
+//! shard and concatenates the per-shard change-sets shard-major. Each
+//! shard's feed holds that shard's own ARSP, scored against its shard's
+//! objects only, so it is not the cluster's union result (a
+//! `ClusterQuery`); driving cluster feeds from the union is the open
+//! ROADMAP item on standing queries that answer the cluster's question.
+//! Dropping a [`SubscriptionGuard`] unsubscribes (RAII — safe at any time,
+//! including while its refresh is queued: nothing more is delivered).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
-use crate::dynamic::DynamicArspEngine;
 use crate::engine::{Execution, QueryAlgorithm};
+use crate::fault::{classify_unwind, QueryBudget, QueryError};
+use crate::pipeline::{
+    execute, expect_outcome, Query, QueryConstraints, QueryFront, QueryOutcome, ServingSnapshot,
+    SharedArtifacts,
+};
 use crate::stats::StandingCounters;
-use crate::sync::{lock, Arc, Mutex};
-use arsp_data::InstanceHandle;
+use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::{lock, thread, Arc, Condvar, Mutex, MutexGuard};
+use arsp_data::{failpoint, InstanceHandle};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 
 /// What a subscription watches: general linear constraints or a weight
@@ -163,43 +196,228 @@ struct SubMap {
     subs: BTreeMap<u64, SubscriptionState>,
 }
 
+/// One version as a refresh reads it: the snapshot, the caches every
+/// snapshot of its store shares, and the stable handle of each snapshot id
+/// at that version. A hand-off pins the published snapshot, so the refresh
+/// answers at exactly that version whatever the writer does next.
+pub(crate) struct RefreshTarget {
+    pub(crate) artifacts: Arc<SharedArtifacts>,
+    pub(crate) snapshot: Arc<ServingSnapshot>,
+    pub(crate) handles: Vec<InstanceHandle>,
+}
+
+/// A refresh's query front: the target's snapshot, admitted
+/// unconditionally (the default [`QueryFront::admit`]) — a shed refresh
+/// would leave a gap in the feed.
+impl QueryFront for RefreshTarget {
+    type View = ();
+    type Run = QueryOutcome<()>;
+
+    fn answer(
+        query: &Query<'_, '_, Self>,
+        budget: Option<&QueryBudget>,
+    ) -> Result<QueryOutcome<()>, QueryError> {
+        let target = query.front;
+        let source = target.artifacts.source(&target.snapshot, budget);
+        Ok(execute(&source, &query.spec, budget, ()))
+    }
+
+    fn finish(outcome: Result<QueryOutcome<()>, QueryError>) -> QueryOutcome<()> {
+        expect_outcome(outcome)
+    }
+}
+
+/// The hand-off between the writer and the notifier.
+#[derive(Default)]
+struct Feed {
+    /// Versions handed over and not yet taken by the notifier, oldest
+    /// first, each with its hand-off instant.
+    queue: VecDeque<(RefreshTarget, Instant)>,
+    /// Hand-offs so far: the ticket a read-your-writes barrier waits for.
+    handed: u64,
+    /// Hand-offs whose refresh has finished (or panicked).
+    refreshed: u64,
+    /// Longest hand-off-to-refresh-done time seen, in microseconds.
+    lag_max_us: u64,
+    /// Refreshes that panicked on the notifier.
+    panics: u64,
+    /// The message of a caught refresh panic the writer has not re-raised.
+    unraised: Option<String>,
+    /// The notifier thread, once the first hand-off started it.
+    thread: Option<thread::JoinHandle<()>>,
+    /// Set when the registry drops: the notifier exits once the queue is
+    /// empty.
+    shutdown: bool,
+}
+
 struct RegistryInner {
     subs: Mutex<SubMap>,
+    /// Live subscriptions, readable without the subscription lock (which a
+    /// refresh holds throughout). `Relaxed`: it publishes no data, and a
+    /// subscribe that happens before a publish is still seen by it.
+    live: AtomicUsize,
     counters: StandingCounters,
+    feed: Mutex<Feed>,
+    /// Signalled on every hand-off, finished refresh and shutdown.
+    fed: Condvar,
+}
+
+impl RegistryInner {
+    fn wait<'a>(&self, feed: MutexGuard<'a, Feed>) -> MutexGuard<'a, Feed> {
+        self.fed
+            .wait(feed)
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// The read-your-writes barrier: waits until the notifier has finished
+    /// every hand-off made before the call.
+    fn settle(&self) {
+        let mut feed = lock(&self.feed);
+        let ticket = feed.handed;
+        while feed.refreshed < ticket {
+            feed = self.wait(feed);
+        }
+    }
+
+    /// The one refresh: brings every subscription not yet at `target`'s
+    /// version to it, enqueueing one [`ChangeBatch`] each (pending
+    /// subscriptions get their initial full batch). Holds the subscription
+    /// lock throughout, so refreshes never interleave and a dropped guard's
+    /// entry is either refreshed whole or never seen.
+    fn refresh(&self, target: &RefreshTarget) {
+        failpoint::hit("standing.refresh").unwrap_or_else(|err| panic!("{err}"));
+        let version = target.snapshot.version;
+        let mut map = lock(&self.subs);
+        for state in map.subs.values_mut() {
+            if state.last_version == Some(version) {
+                continue;
+            }
+            let fresh = evaluate(target, &state.spec);
+            let changes = diff_maintained(&state.maintained, &fresh);
+            state.maintained = fresh;
+            state.last_version = Some(version);
+            state.result_version += 1;
+            state.queue.push_back(ChangeBatch {
+                result_version: state.result_version,
+                version,
+                changes,
+            });
+            self.counters.add_notification();
+        }
+    }
+
+    /// The notifier thread: refreshes each hand-off in order, exactly once,
+    /// until the registry drops and the queue is empty. A refresh panic is
+    /// caught, counted and kept for the writer to re-raise.
+    fn notify(&self) {
+        loop {
+            let (target, handed_at) = {
+                let mut feed = lock(&self.feed);
+                loop {
+                    if let Some(next) = feed.queue.pop_front() {
+                        break next;
+                    }
+                    if feed.shutdown {
+                        return;
+                    }
+                    feed = self.wait(feed);
+                }
+            };
+            let refreshed = catch_unwind(AssertUnwindSafe(|| self.refresh(&target)));
+            let lag_us = u64::try_from(handed_at.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let mut feed = lock(&self.feed);
+            feed.refreshed += 1;
+            feed.lag_max_us = feed.lag_max_us.max(lag_us);
+            if let Err(payload) = refreshed {
+                feed.panics += 1;
+                let message = match classify_unwind(payload, None) {
+                    QueryError::Panicked { message } => message,
+                    other => other.to_string(),
+                };
+                feed.unraised.get_or_insert(message);
+            }
+            drop(feed);
+            self.fed.notify_all();
+        }
+    }
+}
+
+/// What the notifier has done: the standing fields of
+/// [`crate::service::ServingStats`].
+pub(crate) struct NotifierStats {
+    pub(crate) backlog: u64,
+    pub(crate) lag_max_us: u64,
+    pub(crate) panics: u64,
+}
+
+/// Stops and joins the notifier when the last registry handle drops. Only
+/// registry handles hold it — guards and the notifier itself hold the
+/// inner state only — so dropping the engine and service that share a
+/// registry ends its thread.
+struct NotifierOwner {
+    inner: Arc<RegistryInner>,
+}
+
+impl Drop for NotifierOwner {
+    fn drop(&mut self) {
+        let thread = {
+            let mut feed = lock(&self.inner.feed);
+            feed.shutdown = true;
+            feed.thread.take()
+        };
+        self.inner.fed.notify_all();
+        if let Some(thread) = thread {
+            // Refresh panics are caught inside the loop; nothing else in it
+            // panics, and a drop has no caller to report to.
+            let _ = thread.join();
+        }
+    }
 }
 
 /// The standing-query registry: owns every subscription's maintained state
-/// and queue. Cheap to clone (an `Arc` inside) — the dynamic engine, the
-/// serving layer and every [`SubscriptionGuard`] share one. See the
+/// and queue, and the notifier that refreshes them for a service. Cheap to
+/// clone (an `Arc` inside) — the dynamic engine and the serving layer share
+/// one; the notifier stops when the last clone drops. See the
 /// [module docs](self).
 #[derive(Clone)]
 pub struct StandingQueryRegistry {
-    inner: Arc<RegistryInner>,
+    owner: Arc<NotifierOwner>,
 }
 
 impl StandingQueryRegistry {
     pub(crate) fn new() -> Self {
         Self {
-            inner: Arc::new(RegistryInner {
-                subs: Mutex::new(SubMap {
-                    next_id: 0,
-                    subs: BTreeMap::new(),
+            owner: Arc::new(NotifierOwner {
+                inner: Arc::new(RegistryInner {
+                    subs: Mutex::new(SubMap {
+                        next_id: 0,
+                        subs: BTreeMap::new(),
+                    }),
+                    live: AtomicUsize::new(0),
+                    counters: StandingCounters::new(),
+                    feed: Mutex::new(Feed::default()),
+                    fed: Condvar::new(),
                 }),
-                counters: StandingCounters::new(),
             }),
         }
+    }
+
+    fn inner(&self) -> &Arc<RegistryInner> {
+        &self.owner.inner
     }
 
     /// Registers a standing query. The subscription starts *pending*: its
     /// first [`ChangeBatch`] (the full initial result, all `old_prob: None`)
     /// arrives at the next refresh — immediately for
-    /// [`DynamicArspEngine::subscribe`], at the next
+    /// [`DynamicArspEngine::subscribe`](crate::dynamic::DynamicArspEngine::subscribe),
+    /// through the notifier at the next
     /// [`publish`](crate::service::ServiceWriter::publish) (or
     /// [`sync_subscriptions`](crate::service::ServiceWriter::sync_subscriptions))
     /// for service-level subscriptions. Dropping the returned guard
     /// unsubscribes.
     pub fn subscribe(&self, spec: StandingSpec) -> SubscriptionGuard {
-        let mut map = lock(&self.inner.subs);
+        let inner = self.inner();
+        let mut map = lock(&inner.subs);
         let id = map.next_id;
         map.next_id += 1;
         map.subs.insert(
@@ -212,68 +430,98 @@ impl StandingQueryRegistry {
                 queue: VecDeque::new(),
             },
         );
+        inner.live.fetch_add(1, Ordering::Relaxed);
         drop(map);
         SubscriptionGuard {
-            registry: Arc::clone(&self.inner),
+            registry: Arc::clone(inner),
             id,
         }
     }
 
     /// Number of live subscriptions.
     pub fn num_subscriptions(&self) -> usize {
-        lock(&self.inner.subs).subs.len()
+        lock(&self.inner().subs).subs.len()
     }
 
     /// The registry's monotone notification counter.
     pub(crate) fn counters(&self) -> &StandingCounters {
-        &self.inner.counters
+        &self.inner().counters
     }
 
-    /// Brings every subscription to the engine's current version, enqueueing
-    /// one [`ChangeBatch`] per subscription whose `last_version` differs
-    /// (pending subscriptions get their initial full batch). Runs on the
-    /// caller's thread under the subscription lock — the serving layer calls
-    /// this from the single writer thread, which is what makes notification
-    /// order the publish order.
-    pub(crate) fn refresh(&self, engine: &DynamicArspEngine) {
-        let version = engine.version();
-        let mut map = lock(&self.inner.subs);
-        for state in map.subs.values_mut() {
-            if state.last_version == Some(version) {
-                continue;
-            }
-            let fresh = evaluate(engine, &state.spec);
-            let changes = diff_maintained(&state.maintained, &fresh);
-            state.maintained = fresh;
-            state.last_version = Some(version);
-            state.result_version += 1;
-            state.queue.push_back(ChangeBatch {
-                result_version: state.result_version,
-                version,
-                changes,
-            });
-            self.inner.counters.add_notification();
+    /// Refreshes every subscription to `target` on the caller's thread —
+    /// the inline path of a dynamic engine without a service.
+    pub(crate) fn refresh(&self, target: &RefreshTarget) {
+        self.inner().refresh(target);
+    }
+
+    /// Whether any subscription is live; a writer hands nothing off
+    /// otherwise, so a registry nobody subscribes to starts no thread.
+    pub(crate) fn is_watched(&self) -> bool {
+        self.inner().live.load(Ordering::Relaxed) > 0
+    }
+
+    /// Whether the notifier thread has been started.
+    #[cfg(test)]
+    pub(crate) fn notifier_started(&self) -> bool {
+        lock(&self.inner().feed).thread.is_some()
+    }
+
+    /// Hands one published version to the notifier, starting it on the
+    /// first hand-off, and returns at once.
+    pub(crate) fn hand_off(&self, target: RefreshTarget) {
+        let inner = self.inner();
+        let mut feed = lock(&inner.feed);
+        if feed.thread.is_none() {
+            let notifier = Arc::clone(inner);
+            feed.thread = Some(thread::spawn(move || notifier.notify()));
+        }
+        feed.queue.push_back((target, Instant::now()));
+        feed.handed += 1;
+        drop(feed);
+        inner.fed.notify_all();
+    }
+
+    /// Waits until the notifier has finished every hand-off made so far.
+    pub(crate) fn settle(&self) {
+        self.inner().settle();
+    }
+
+    /// Re-raises, on the writer's thread, the first refresh panic the
+    /// notifier caught since the last call.
+    pub(crate) fn reraise_refresh_panic(&self) {
+        let unraised = lock(&self.inner().feed).unraised.take();
+        if let Some(message) = unraised {
+            panic!("standing refresh panicked on the notifier: {message}");
+        }
+    }
+
+    /// The notifier's backlog, worst lag and caught panics.
+    pub(crate) fn notifier_stats(&self) -> NotifierStats {
+        let feed = lock(&self.inner().feed);
+        NotifierStats {
+            backlog: feed.handed - feed.refreshed,
+            lag_max_us: feed.lag_max_us,
+            panics: feed.panics,
         }
     }
 }
 
-/// A subscription's result at the engine's current version: one query
-/// through the engine's builder, re-keyed from snapshot-instance-id space to
-/// handles.
-fn evaluate(engine: &DynamicArspEngine, spec: &StandingSpec) -> BTreeMap<InstanceHandle, f64> {
-    let query = match &spec.kind {
-        SpecKind::Linear(cs) => engine.query(cs),
-        SpecKind::Ratio(r) => engine.ratio_query(r),
+/// A subscription's result at `target`'s version: one query through the
+/// pipeline, re-keyed from snapshot-instance-id space to handles.
+fn evaluate(target: &RefreshTarget, spec: &StandingSpec) -> BTreeMap<InstanceHandle, f64> {
+    let constraints = match &spec.kind {
+        SpecKind::Linear(cs) => QueryConstraints::Linear(cs),
+        SpecKind::Ratio(r) => QueryConstraints::Ratio(r),
     };
-    let outcome = query
+    let outcome = Query::new(target, constraints)
         .algorithm(spec.algorithm)
         .execution(spec.execution)
         .run();
-    engine
-        .snapshot_handles()
-        .into_iter()
+    target
+        .handles
+        .iter()
         .enumerate()
-        .map(|(s, h)| (h, outcome.instance_prob(s)))
+        .map(|(s, &h)| (h, outcome.instance_prob(s)))
         .collect()
 }
 
@@ -340,11 +588,14 @@ fn diff_maintained(
 }
 
 /// RAII handle of one live subscription: consume change batches through it,
-/// drop it to unsubscribe. Dropping is safe at any time from any thread —
-/// the registry entry (maintained state and queue) is removed under the
-/// subscription lock, so a concurrent refresh either completes the entry's
-/// batch first or never sees it; the guard's `Arc` keeps the registry alive
-/// either way.
+/// drop it to unsubscribe. Every accessor below first waits until the
+/// notifier has finished the versions handed to it before the call (the
+/// read-your-writes barrier of the [module docs](self)). Dropping is safe
+/// at any time from any thread — the registry entry (maintained state and
+/// queue) is removed under the subscription lock, so a concurrent refresh
+/// either completes the entry's batch first or never sees it, and a
+/// refresh still queued for it delivers nothing; the guard's `Arc` keeps
+/// the registry's state alive either way.
 pub struct SubscriptionGuard {
     registry: Arc<RegistryInner>,
     id: u64,
@@ -356,16 +607,27 @@ impl SubscriptionGuard {
         self.id
     }
 
+    /// Holders of the registry state this guard reads: the guards, plus
+    /// one each for a registry handle and a running notifier.
+    #[cfg(test)]
+    pub(crate) fn registry_refs(&self) -> usize {
+        Arc::strong_count(&self.registry)
+    }
+
+    /// The subscription table, once every earlier hand-off is refreshed.
+    fn settled(&self) -> MutexGuard<'_, SubMap> {
+        self.registry.settle();
+        lock(&self.registry.subs)
+    }
+
     /// Dequeues the oldest undelivered change batch, if any.
     pub fn poll(&self) -> Option<ChangeBatch> {
-        let mut map = lock(&self.registry.subs);
-        map.subs.get_mut(&self.id)?.queue.pop_front()
+        self.settled().subs.get_mut(&self.id)?.queue.pop_front()
     }
 
     /// Dequeues every undelivered change batch, oldest first.
     pub fn drain(&self) -> Vec<ChangeBatch> {
-        let mut map = lock(&self.registry.subs);
-        match map.subs.get_mut(&self.id) {
+        match self.settled().subs.get_mut(&self.id) {
             Some(state) => state.queue.drain(..).collect(),
             None => Vec::new(),
         }
@@ -374,8 +636,7 @@ impl SubscriptionGuard {
     /// A copy of the maintained result: `(handle, probability)` in ascending
     /// handle order. Empty while the subscription is pending.
     pub fn maintained(&self) -> Vec<(InstanceHandle, f64)> {
-        let map = lock(&self.registry.subs);
-        match map.subs.get(&self.id) {
+        match self.settled().subs.get(&self.id) {
             Some(state) => state.maintained.iter().map(|(&h, &p)| (h, p)).collect(),
             None => Vec::new(),
         }
@@ -384,16 +645,16 @@ impl SubscriptionGuard {
     /// The latest per-subscription result version (0 while pending —
     /// batches number from 1).
     pub fn result_version(&self) -> u64 {
-        let map = lock(&self.registry.subs);
-        map.subs
+        self.settled()
+            .subs
             .get(&self.id)
             .map_or(0, |state| state.result_version)
     }
 
     /// `true` until the first refresh delivers the initial full batch.
     pub fn is_pending(&self) -> bool {
-        let map = lock(&self.registry.subs);
-        map.subs
+        self.settled()
+            .subs
             .get(&self.id)
             .is_some_and(|state| state.last_version.is_none())
     }
@@ -411,13 +672,88 @@ impl Drop for SubscriptionGuard {
     fn drop(&mut self) {
         let mut map = lock(&self.registry.subs);
         map.subs.remove(&self.id);
+        self.registry.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::DynamicArspEngine;
+    use crate::service::{ArspService, ServiceWriter};
     use arsp_data::paper_running_example;
+
+    /// A version-changing mutation that keeps every probability budget.
+    fn mutate(writer: &mut ServiceWriter, step: f64) {
+        let row = writer
+            .store()
+            .canonical_rows()
+            .next()
+            .expect("the running example has live rows");
+        let handle = writer.store().handle_of_row(row);
+        writer.update_instance(handle, &[3.0 + step, 4.0], 0.05);
+    }
+
+    #[test]
+    fn a_service_nobody_subscribes_to_starts_no_notifier() {
+        let (service, mut writer) = ArspService::from_dataset(&paper_running_example());
+        for step in 0..3 {
+            mutate(&mut writer, f64::from(step));
+            writer.publish();
+        }
+        writer.sync_subscriptions();
+        assert!(!writer.engine().standing().notifier_started());
+        let stats = service.serving_stats();
+        assert_eq!((stats.standing_backlog, stats.standing_lag_max_us), (0, 0));
+    }
+
+    #[test]
+    fn the_inline_engine_path_starts_no_notifier() {
+        let engine = DynamicArspEngine::from_dataset(&paper_running_example());
+        let cs = WeightRatio::uniform(2, 0.5, 2.0).to_constraint_set();
+        let sub = engine.subscribe(StandingSpec::constraints(&cs));
+        engine.refresh_standing();
+        assert_eq!(sub.drain().len(), 1);
+        assert!(!engine.standing().notifier_started());
+    }
+
+    /// Dropping the service and its writer with refreshes still queued
+    /// joins the notifier after it has refreshed every hand-off: the feed
+    /// is complete and the guard holds the last reference to the
+    /// registry's state (the notifier's clone went with its thread).
+    #[test]
+    fn dropping_the_service_with_refreshes_pending_joins_the_notifier() {
+        let (service, mut writer) = ArspService::from_dataset(&paper_running_example());
+        let cs = ConstraintSet::weak_ranking(2, 1);
+        let sub = service.subscribe(StandingSpec::constraints(&cs));
+        writer.sync_subscriptions();
+        assert!(writer.engine().standing().notifier_started());
+        for step in 1..=4 {
+            mutate(&mut writer, f64::from(step));
+            writer.publish();
+        }
+        drop(service);
+        drop(writer);
+        assert_eq!(sub.registry_refs(), 1);
+        let versions: Vec<u64> = sub.drain().iter().map(|b| b.version).collect();
+        assert_eq!(versions, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn backlog_drains_to_zero_and_lag_is_recorded() {
+        let (service, mut writer) = ArspService::from_dataset(&paper_running_example());
+        let cs = ConstraintSet::weak_ranking(2, 1);
+        let sub = service.subscribe(StandingSpec::constraints(&cs));
+        writer.sync_subscriptions();
+        mutate(&mut writer, 1.0);
+        writer.publish();
+        assert_eq!(sub.result_version(), 2);
+        let stats = service.serving_stats();
+        assert_eq!(stats.standing_backlog, 0);
+        assert!(stats.standing_lag_max_us > 0);
+        assert_eq!(stats.standing_refresh_panics, 0);
+        assert_eq!(stats.notifications_delivered, 2);
+    }
 
     #[test]
     fn subscribe_and_drop_bookkeeping() {

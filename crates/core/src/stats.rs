@@ -245,7 +245,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let s = sink.clone();
-                std::thread::spawn(move || s.add_nodes_visited(100))
+                crate::sync::thread::spawn(move || s.add_nodes_visited(100))
             })
             .collect();
         for h in handles {

@@ -2,26 +2,32 @@
 //!
 //! Everything concurrent in this crate ([`crate::service`],
 //! [`crate::coalesce`], [`crate::dynamic`], [`crate::scratch`],
-//! [`crate::stats`]) imports its primitives from here instead of
-//! `std::sync` directly (`cargo xtask lint` enforces it). In normal builds
+//! [`crate::stats`], [`crate::standing`]) imports its primitives — and
+//! spawns its threads — from here instead of `std::sync` and `std::thread`
+//! directly (`cargo xtask lint` enforces it). In normal builds
 //! the module is a zero-cost re-export of `std::sync`. Under
 //! `--cfg arsp_model_check` (set by `cargo xtask model-check`) the same
 //! names resolve to the vendored `interleave` model checker's twins, whose
 //! deterministic scheduler exhaustively explores thread interleavings at
 //! every synchronization point — that one swap is what lets
-//! `tests/model_check.rs` prove the pin/publish/retire and coalescing
-//! protocols over *all* schedules instead of the ones the OS happens to
-//! produce.
+//! `tests/model_check.rs` prove the pin/publish/retire, coalescing and
+//! publish-vs-notify protocols over *all* schedules instead of the ones the
+//! OS happens to produce. `thread` offers `spawn`, `JoinHandle` and
+//! `yield_now` under both builds (the checker's twin has no `sleep`).
 
 #[cfg(not(arsp_model_check))]
 pub use std::sync::atomic;
 #[cfg(not(arsp_model_check))]
 pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+#[cfg(not(arsp_model_check))]
+pub use std::thread;
 
 #[cfg(arsp_model_check)]
 pub use interleave::sync::atomic;
 #[cfg(arsp_model_check)]
 pub use interleave::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+#[cfg(arsp_model_check)]
+pub use interleave::thread;
 
 /// Locks a mutex, riding through poisoning: a panicking holder poisons the
 /// `std` mutex, but every structure in this crate guarded by one stays

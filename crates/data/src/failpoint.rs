@@ -2,7 +2,9 @@
 //!
 //! The persistence layer ([`crate::persist`]) names each point where a real
 //! process could die or an I/O call could fail — *fail-point sites* — and
-//! calls [`hit`] there. In normal operation a hit is a cheap no-op; a test
+//! calls [`hit`] there; so do the serving layer's shard write path
+//! (`shard.*`) and its standing-query notifier (`standing.refresh`, hit
+//! before each refresh). In normal operation a hit is a cheap no-op; a test
 //! (or the `ARSP_FAILPOINTS` environment variable) can *arm* a site with a
 //! [`FailAction`] to inject a panic, an I/O error, or a delay at exactly
 //! that point, deterministically. The crash-recovery suite iterates
@@ -10,8 +12,9 @@
 //! recovery lands on an applied-batch prefix (`cargo xtask lint` enforces
 //! that every registered site appears in that test matrix).
 //!
-//! Sites sit on I/O paths only, so the bookkeeping cost of a hit (one
-//! uncontended mutex lock) is noise next to the syscalls around it. Hits
+//! Sites sit on I/O paths or before a whole refresh only, so the
+//! bookkeeping cost of a hit (one uncontended mutex lock) is noise next to
+//! the work around it. Hits
 //! are counted whether or not the site is armed, so tests can assert a
 //! path was actually exercised.
 //!
@@ -41,6 +44,7 @@ pub const SITES: &[&str] = &[
     "shard.publish",
     "shard.probe",
     "shard.recover",
+    "standing.refresh",
 ];
 
 /// Denominator of the [`FailAction::Chance`] probability: a chance action

@@ -26,11 +26,14 @@
 //!    a quarantined or recovering shard rejects new pins with the typed
 //!    error in every interleaving, and a restart never retires a snapshot a
 //!    reader still pins (the seeded broken variant is caught);
-//! 6. **publish-vs-notify** — a standing-query subscriber draining
-//!    concurrently with the writer's publish+refresh cycles observes every
-//!    published version exactly once, in order, with gapless result
-//!    versions (the seeded split-lock drain that loses a notification is
-//!    caught);
+//! 6. **publish-vs-notify** — three parties: the writer hands each
+//!    published version to the standing notifier, the notifier refreshes
+//!    it, and a subscriber drains through the read-your-writes barrier. The
+//!    subscriber observes every published version exactly once, in order,
+//!    with gapless result versions, and a feed read after an acknowledged
+//!    write holds it (three seeded variants are caught: a split-lock drain
+//!    that loses a notification, a barrier that reads the published counter
+//!    before the enqueue, and a notifier that coalesces two versions);
 //! 7. **advance-vs-build** — the writer advancing and publishing the next
 //!    version while a reader builds an artifact on the current one never
 //!    waits on (or joins) the reader's in-flight build, and the next
@@ -51,7 +54,7 @@ use arsp_core::fault::{QueryBudget, QueryError};
 use arsp_core::service::{ArspService, ServiceWriter};
 use arsp_core::standing::StandingSpec;
 use arsp_core::stats::PeakGauge;
-use arsp_core::sync::atomic::AtomicUsize;
+use arsp_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use arsp_core::sync::{lock, Arc, Condvar, Mutex};
 use arsp_data::paper_running_example;
 use arsp_geometry::constraints::ConstraintSet;
@@ -574,10 +577,14 @@ fn mutation_shard_pin_that_does_not_hold_the_snapshot_is_caught() {
 // ---------------------------------------------------------------------------
 
 /// A subscriber draining its standing-query feed concurrently with the
-/// writer publishing twice, on the real [`ArspService`]: in every
-/// interleaving the reassembled feed is exactly one batch per published
-/// version, in publish order, with gapless result versions — no
-/// notification is lost to the drain/refresh race and none is duplicated.
+/// writer publishing twice, on the real [`ArspService`] — three parties: the
+/// writer's publish hands each version to the registry's notifier thread,
+/// which refreshes it, while the subscriber drains through the guard's
+/// read-your-writes barrier. In every interleaving the reassembled feed is
+/// exactly one batch per published version, in publish order, with
+/// gapless result versions — no notification is lost to the
+/// drain/refresh race and none is duplicated — and dropping the service
+/// joins the notifier.
 #[test]
 fn publish_vs_notify_feeds_every_version_exactly_once() {
     let dataset = paper_running_example();
@@ -589,7 +596,7 @@ fn publish_vs_notify_feeds_every_version_exactly_once() {
         writer.sync_subscriptions();
         let subscriber = thread::spawn(move || {
             // Two mid-stream drains land at arbitrary points of the writer's
-            // two publish+refresh cycles.
+            // two publish cycles and the notifier's refreshes.
             let mut batches = sub.drain();
             batches.extend(sub.drain());
             (sub, batches)
@@ -613,6 +620,8 @@ fn publish_vs_notify_feeds_every_version_exactly_once() {
             !sub.is_pending() && sub.result_version() == 3,
             "subscription bookkeeping diverged from the feed"
         );
+        drop(service);
+        drop(writer);
     });
     println!(
         "publish_vs_notify_feeds_every_version_exactly_once: {} interleavings explored",
@@ -621,78 +630,200 @@ fn publish_vs_notify_feeds_every_version_exactly_once() {
     assert!(report.schedules >= 50);
 }
 
-/// The distilled drain-vs-refresh protocol — the exact lock discipline of
-/// `standing.rs` (enqueue and drain each atomic under the one subscription
-/// mutex). The broken variant splits the drain into a read and a clear
-/// under separate lock acquisitions: a refresh landing in between gets its
-/// batch cleared unseen — the lost-notification regression the checker
-/// must catch.
-fn drain_vs_refresh_protocol(broken_split_drain: bool) {
+/// The seeded defects of the distilled publish → notify → drain protocol.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum NotifyBug {
+    /// The protocol as `standing.rs` runs it.
+    None,
+    /// The drain clones the queue and clears it under a second lock
+    /// acquisition: a refresh landing in between is cleared unseen.
+    SplitDrain,
+    /// The writer acknowledges a version before handing it to the
+    /// notifier, so a barrier can read the published counter before the
+    /// enqueue it should wait for: an acknowledged write can be missing
+    /// from the feed the subscriber reads next.
+    EarlyTicket,
+    /// The notifier takes every queued version at once and refreshes only
+    /// to the newest: two versions coalesce into one batch.
+    Coalesce,
+}
+
+/// The distilled three-party protocol — the exact lock discipline of
+/// `standing.rs`. The writer hands versions 1 and 2 to the notifier
+/// (enqueue and ticket under the feed lock, then the acknowledgement); the
+/// notifier refreshes each under the subscription lock and counts it done;
+/// the subscriber reads the newest acknowledged version, passes the
+/// barrier (waits until every hand-off made before it is refreshed) and
+/// drains. Every interleaving must give read-your-writes — the drained
+/// feed reaches the acknowledged version — and, with the final drain,
+/// exactly one batch per version, in order, with gapless result versions.
+fn publish_notify_drain_protocol(bug: NotifyBug) {
+    use std::collections::VecDeque;
+
+    #[derive(Default)]
+    struct Feed {
+        queue: VecDeque<u64>,
+        handed: u64,
+        refreshed: u64,
+        shutdown: bool,
+    }
+    #[derive(Default)]
     struct Sub {
         result_version: u64,
-        queue: Vec<u64>,
+        last_version: u64,
+        /// `(result_version, version)` batches not yet drained.
+        queue: Vec<(u64, u64)>,
     }
-    let sub = Arc::new(Mutex::new(Sub {
-        result_version: 0,
-        queue: Vec::new(),
-    }));
+    let feed = Arc::new((Mutex::new(Feed::default()), Condvar::new()));
+    let sub = Arc::new(Mutex::new(Sub::default()));
+    let acked = Arc::new(AtomicU64::new(0));
 
-    let s1 = Arc::clone(&sub);
-    let consumer = thread::spawn(move || {
-        let mut seen = Vec::new();
-        for _ in 0..2 {
-            if broken_split_drain {
-                let snapshot = lock(&s1).queue.clone();
-                lock(&s1).queue.clear();
-                seen.extend(snapshot);
-            } else {
-                let mut sub = lock(&s1);
-                seen.append(&mut sub.queue);
+    let (f1, s1) = (Arc::clone(&feed), Arc::clone(&sub));
+    let notifier = thread::spawn(move || loop {
+        let versions: Vec<u64> = {
+            let (state, fed) = &*f1;
+            let mut feed = lock(state);
+            loop {
+                if !feed.queue.is_empty() {
+                    break if bug == NotifyBug::Coalesce {
+                        feed.queue.drain(..).collect()
+                    } else {
+                        feed.queue.pop_front().into_iter().collect()
+                    };
+                }
+                if feed.shutdown {
+                    return;
+                }
+                feed = fed.wait(feed).expect("model condvars never poison");
+            }
+        };
+        let newest = *versions.last().expect("took at least one version");
+        {
+            let mut sub = lock(&s1);
+            if sub.last_version != newest {
+                sub.result_version += 1;
+                let rv = sub.result_version;
+                sub.queue.push((rv, newest));
+                sub.last_version = newest;
             }
         }
-        seen
+        let (state, fed) = &*f1;
+        lock(state).refreshed += versions.len() as u64;
+        fed.notify_all();
     });
 
-    // The writer (main thread): three publish+notify cycles, each atomic
-    // under the subscription lock.
-    for _ in 0..3 {
-        let mut sub = lock(&sub);
-        sub.result_version += 1;
-        let rv = sub.result_version;
-        sub.queue.push(rv);
+    let (f2, s2, a2) = (Arc::clone(&feed), Arc::clone(&sub), Arc::clone(&acked));
+    let subscriber = thread::spawn(move || {
+        let seen_ack = a2.load(Ordering::SeqCst);
+        {
+            let (state, fed) = &*f2;
+            let mut feed = lock(state);
+            let ticket = feed.handed;
+            while feed.refreshed < ticket {
+                feed = fed.wait(feed).expect("model condvars never poison");
+            }
+        }
+        let drained = if bug == NotifyBug::SplitDrain {
+            let snapshot = lock(&s2).queue.clone();
+            lock(&s2).queue.clear();
+            snapshot
+        } else {
+            std::mem::take(&mut lock(&s2).queue)
+        };
+        assert!(
+            seen_ack == 0 || drained.last().is_some_and(|&(_, v)| v >= seen_ack),
+            "read-your-writes: version {seen_ack} was acknowledged but the feed read after it \
+             ends at {drained:?}"
+        );
+        drained
+    });
+
+    // The writer (main thread): two publishes, each handing its version to
+    // the notifier and acknowledging it.
+    for version in 1..=2u64 {
+        if bug == NotifyBug::EarlyTicket {
+            acked.store(version, Ordering::SeqCst);
+        }
+        {
+            let (state, fed) = &*feed;
+            let mut f = lock(state);
+            f.queue.push_back(version);
+            f.handed += 1;
+            drop(f);
+            fed.notify_all();
+        }
+        if bug != NotifyBug::EarlyTicket {
+            acked.store(version, Ordering::SeqCst);
+        }
     }
 
-    let mut seen = consumer.join().expect("consumer panicked");
+    let mut seen = subscriber.join().expect("subscriber panicked");
+    {
+        let (state, fed) = &*feed;
+        lock(state).shutdown = true;
+        fed.notify_all();
+    }
+    notifier.join().expect("notifier panicked");
     seen.append(&mut lock(&sub).queue);
-    assert_eq!(seen, vec![1, 2, 3], "a notification was lost or duplicated");
+    assert_eq!(
+        seen,
+        vec![(1, 1), (2, 2)],
+        "a version was lost, duplicated or coalesced"
+    );
 }
 
 #[test]
-fn drain_vs_refresh_protocol_holds_in_every_interleaving() {
-    let report = interleave::model(|| drain_vs_refresh_protocol(false));
+fn publish_notify_drain_protocol_holds_in_every_interleaving() {
+    let report = Builder::new()
+        .preemption_bound(2)
+        .check(|| publish_notify_drain_protocol(NotifyBug::None));
     println!(
-        "drain_vs_refresh_protocol_holds_in_every_interleaving: {} interleavings explored",
+        "publish_notify_drain_protocol_holds_in_every_interleaving: {} interleavings explored",
         report.schedules
     );
     assert!(report.schedules >= 10);
 }
 
-/// Mutation test: the split-lock drain MUST be caught as a lost
-/// notification — proves the checker actually guards the standing feed's
-/// exactly-once delivery, not just the happy path.
+/// Runs a seeded broken variant, which the checker MUST fail with a panic
+/// whose message contains `expected` — proof that it guards that part of
+/// the feed's contract, not just the happy path.
+fn assert_notify_bug_is_caught(bug: NotifyBug, expected: &str, name: &str) {
+    let failure = Builder::new()
+        .preemption_bound(2)
+        .check_result(|| publish_notify_drain_protocol(bug))
+        .expect_err("the checker missed a broken standing-feed protocol");
+    assert_eq!(failure.kind, FailureKind::Panic, "{name}: {failure}");
+    assert!(
+        failure.message.contains(expected),
+        "{name}: unexpected failure: {failure}"
+    );
+    println!("{name}: failing schedule #{}", failure.schedule);
+}
+
 #[test]
 fn mutation_split_lock_drain_loses_a_notification_and_is_caught() {
-    let failure = Builder::new()
-        .check_result(|| drain_vs_refresh_protocol(true))
-        .expect_err("the checker missed a lost standing notification");
-    assert_eq!(failure.kind, FailureKind::Panic);
-    assert!(
-        failure.message.contains("lost or duplicated"),
-        "unexpected failure: {failure}"
+    assert_notify_bug_is_caught(
+        NotifyBug::SplitDrain,
+        "lost, duplicated or coalesced",
+        "mutation_split_lock_drain_loses_a_notification_and_is_caught",
     );
-    println!(
-        "mutation_split_lock_drain_loses_a_notification_and_is_caught: failing schedule #{}",
-        failure.schedule
+}
+
+#[test]
+fn mutation_barrier_ticket_read_before_the_enqueue_is_caught() {
+    assert_notify_bug_is_caught(
+        NotifyBug::EarlyTicket,
+        "read-your-writes",
+        "mutation_barrier_ticket_read_before_the_enqueue_is_caught",
+    );
+}
+
+#[test]
+fn mutation_notifier_that_coalesces_two_versions_is_caught() {
+    assert_notify_bug_is_caught(
+        NotifyBug::Coalesce,
+        "lost, duplicated or coalesced",
+        "mutation_notifier_that_coalesces_two_versions_is_caught",
     );
 }
 

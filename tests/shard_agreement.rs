@@ -12,9 +12,10 @@
 //!    typed `ShardUnavailable`, and recovery lands the crashed shard
 //!    bitwise on its applied-batch state (exactly once per batch).
 //!
-//! This suite owns the `shard.*` fail-point sites ([`SHARD_MATRIX`]); the
-//! persistence sites belong to `tests/crash_recovery.rs`, and together the
-//! two matrices partition `arsp_data::failpoint::SITES` (asserted below,
+//! This suite owns the serving-side fail-point sites: the `shard.*` ones
+//! ([`SHARD_MATRIX`]) and the standing notifier's ([`STANDING_MATRIX`]);
+//! the persistence sites belong to `tests/crash_recovery.rs`, and together
+//! the matrices partition `arsp_data::failpoint::SITES` (asserted below,
 //! linted by `cargo xtask lint`). The lint's supervisor-coverage rule also
 //! checks every `TRANSITION_EDGES` edge is named by a test — the state
 //! machine walk at the bottom names all of them.
@@ -29,7 +30,7 @@ use arsp::core::cluster::{
 use arsp::core::engine::{ArspEngine, EXACT_ALGORITHMS};
 use arsp::prelude::*;
 use arsp_data::failpoint::{self, FailAction};
-use arsp_data::{partition_dataset, MutationOp, VersionedStore};
+use arsp_data::{paper_running_example, partition_dataset, MutationOp, VersionedStore};
 use proptest::prelude::*;
 
 /// Every shard fail-point site this suite kills the cluster at. Must stay
@@ -41,6 +42,12 @@ const SHARD_MATRIX: &[&str] = &[
     "shard.probe",
     "shard.recover",
 ];
+
+/// Every standing-notifier fail-point site this suite kills a shard's
+/// notifier at. Must stay in sync with the `standing.*` part of
+/// `arsp_data::failpoint::SITES` (asserted below, linted by
+/// `cargo xtask lint`).
+const STANDING_MATRIX: &[&str] = &["standing.refresh"];
 
 /// A unique scratch directory under the workspace `target/` (never `/tmp`).
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -87,6 +94,20 @@ fn the_shard_matrix_covers_every_shard_failpoint() {
         SHARD_MATRIX, expected,
         "a shard fail-point site was added or renamed without updating \
          the shard matrix"
+    );
+}
+
+#[test]
+fn the_standing_matrix_covers_every_standing_failpoint() {
+    let expected: Vec<&str> = arsp_data::failpoint::SITES
+        .iter()
+        .copied()
+        .filter(|site| site.starts_with("standing."))
+        .collect();
+    assert_eq!(
+        STANDING_MATRIX, expected,
+        "a standing fail-point site was added or renamed without updating \
+         the standing matrix"
     );
 }
 
@@ -615,4 +636,151 @@ fn rejected_batches_neither_crash_nor_block_a_shard() {
     assert_eq!(reports.len(), NUM_SHARDS);
     assert_eq!(union_bits(&reopened), after);
     fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A standing refresh that panics on a shard's notifier, at every site of
+/// [`STANDING_MATRIX`]: the batch that caused it is already acknowledged,
+/// the panic is caught on the notifier (the process survives, the feed
+/// gains nothing for that version), and the shard's next batch re-raises it
+/// from its publish — so `apply_batch` contains it like any other crash.
+/// The shard quarantines, recovers to its head, and the union answers
+/// bitwise as the mirrors do: no batch was lost or applied twice.
+#[test]
+fn a_refresh_panic_on_the_notifier_crashes_only_its_shard_and_recovers() {
+    const NUM_SHARDS: usize = 3;
+    let dataset = SyntheticConfig {
+        num_objects: 12,
+        max_instances: 3,
+        dim: 2,
+        region_length: 0.35,
+        phi: 0.2,
+        seed: 13,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let constraints = ConstraintSet::weak_ranking(2, 1);
+    let insert = |x: f64, y: f64| {
+        vec![MutationOp::InsertObject {
+            label: None,
+            instances: vec![(vec![x, y], 0.5)],
+        }]
+    };
+    let _gate = failpoint::exclusive();
+
+    for &site in STANDING_MATRIX {
+        failpoint::reset();
+        let dir = scratch_dir(&site.replace('.', "-"));
+        let cluster = ShardedService::create(
+            &dir,
+            &dataset,
+            ClusterConfig {
+                num_shards: NUM_SHARDS,
+                ..ClusterConfig::default()
+            },
+        )
+        .expect("create cluster");
+        let mut mirrors: Vec<VersionedStore> = partition_dataset(&dataset, NUM_SHARDS)
+            .iter()
+            .map(VersionedStore::from_dataset)
+            .collect();
+        let mut apply = |cluster: &ShardedService, shard: usize, ops: Vec<MutationOp>| {
+            let outcome = cluster
+                .apply_batch(shard, ops.clone())
+                .expect("no I/O error");
+            for op in &ops {
+                op.apply_to(&mut mirrors[shard]);
+            }
+            outcome
+        };
+        let sub = cluster
+            .subscribe(&StandingSpec::constraints(&constraints).algorithm(QueryAlgorithm::Loop))
+            .expect("all shards up");
+        assert_eq!(sub.result_versions(), vec![1; NUM_SHARDS]);
+
+        let victim = 1usize;
+        failpoint::arm(site, FailAction::Panic);
+        assert_eq!(
+            apply(&cluster, victim, insert(3.0, 2.0)),
+            ApplyOutcome::Applied,
+            "site `{site}`: the write is acknowledged before its refresh"
+        );
+        // The barrier waits out the panicked refresh, which delivered nothing.
+        assert_eq!(sub.result_versions(), vec![1; NUM_SHARDS], "site `{site}`");
+        assert_eq!(failpoint::hit_count(site), NUM_SHARDS as u64 + 1);
+        assert_eq!(cluster.shard_health(victim), ShardHealth::Healthy);
+
+        // The shard's next publish re-raises it: contained as a crash.
+        assert_eq!(
+            apply(&cluster, victim, insert(4.0, 2.5)),
+            ApplyOutcome::Crashed,
+            "site `{site}`"
+        );
+        assert_eq!(cluster.shard_health(victim), ShardHealth::Quarantined);
+        assert_eq!(cluster.cluster_stats().crashes_contained, 1);
+        // The other shards keep serving writes and feeds.
+        assert_eq!(apply(&cluster, 0, insert(5.0, 1.0)), ApplyOutcome::Applied);
+        assert_eq!(sub.shard(0).result_version(), 2, "site `{site}`");
+
+        assert!(cluster.recover_now(victim).expect("recovery succeeds"));
+        assert_eq!(cluster.shard_health(victim), ShardHealth::Healthy);
+        for (shard, mirror) in mirrors.iter().enumerate() {
+            assert_eq!(
+                cluster.shard_version(shard),
+                Some(mirror.version()),
+                "site `{site}`: shard {shard} is not at its head"
+            );
+        }
+        let union = concat_datasets(
+            &mirrors
+                .iter()
+                .map(VersionedStore::snapshot_dataset)
+                .collect::<Vec<_>>(),
+        );
+        let reference = ArspEngine::new(union).query(&constraints).run();
+        let got = cluster.query(&constraints).run().expect("all shards up");
+        assert_eq!(
+            bits(&got.probs),
+            bits(reference.result().probs()),
+            "site `{site}`: a batch was lost or applied twice"
+        );
+        failpoint::reset();
+        drop(cluster);
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+/// One service, below the cluster: a refresh panic at every site of
+/// [`STANDING_MATRIX`] is caught and counted on the notifier, and the
+/// writer's next publish re-raises it exactly once, naming its cause.
+#[test]
+fn a_refresh_panic_is_counted_and_reraised_once_by_the_next_publish() {
+    let _gate = failpoint::exclusive();
+    for &site in STANDING_MATRIX {
+        failpoint::reset();
+        let (service, mut writer) = ArspService::from_dataset(&paper_running_example());
+        let constraints = ConstraintSet::weak_ranking(2, 1);
+        let sub = service.subscribe(StandingSpec::constraints(&constraints));
+        writer.sync_subscriptions();
+        let mut step = 0.0;
+        let mut mutate = |writer: &mut ServiceWriter| {
+            step += 1.0;
+            writer.insert_object(None, vec![(vec![4.0 + step, 4.0], 0.5)]);
+        };
+        failpoint::arm(site, FailAction::Panic);
+        mutate(&mut writer);
+        writer.publish();
+        assert_eq!(sub.result_version(), 1, "site `{site}`: nothing delivered");
+        assert_eq!(service.serving_stats().standing_refresh_panics, 1);
+        mutate(&mut writer);
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| writer.publish()))
+            .expect_err("the next publish re-raises the refresh panic");
+        let message = raised.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            message.contains(&format!("fail-point `{site}`")),
+            "{message}"
+        );
+        failpoint::reset();
+        writer.publish();
+        assert_eq!(sub.result_version(), 2, "site `{site}`: the feed resumes");
+    }
 }

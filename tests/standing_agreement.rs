@@ -594,8 +594,9 @@ fn subscribers_observe_only_published_state_and_drop_unsubscribes() {
 }
 
 /// The writer's DUAL subscription and a reader's DUAL query on the same
-/// published version share one DUAL-index build: the refresh at publish
-/// builds it in the published snapshot and the reader's query hits it. The
+/// published version share one DUAL-index build: the notifier's refresh of
+/// the publish builds it in the published snapshot and the reader's query
+/// hits it. The
 /// other way round too: a subscription whose first refresh comes after a
 /// reader's query builds nothing. Both answer exactly as a cold engine.
 #[test]
@@ -609,6 +610,9 @@ fn writer_dual_refresh_and_reader_dual_query_share_one_index_build() {
     writer.insert_object(None, vec![(vec![4.0, 4.0], 0.5)]);
     let before = service.serving_stats();
     writer.publish();
+    // The refresh runs on the notifier after `publish` returns; a feed
+    // accessor waits for it (the read-your-writes barrier).
+    assert_eq!(sub.result_version(), 2);
     let refreshed = service.serving_stats();
     let reader = service
         .pin()
@@ -671,6 +675,59 @@ fn writer_dual_refresh_and_reader_dual_query_share_one_index_build() {
     assert_eq!(
         bits(reader.result().probs()),
         bits(reference.result().probs())
+    );
+}
+
+/// The notifier's lifecycle: dropping a guard while refreshes for it are
+/// still queued delivers nothing more to it and panics nowhere, and
+/// dropping the service and its writer with refreshes pending joins the
+/// notifier only after it has refreshed every hand-off — the surviving
+/// feed is exactly the publish sequence.
+#[test]
+fn dropping_a_guard_or_the_service_mid_feed_keeps_the_other_feeds_whole() {
+    let (service, mut writer) = ArspService::from_dataset(&paper_running_example());
+    let constraints = ConstraintSet::weak_ranking(2, 1);
+    let spec = StandingSpec::constraints(&constraints).algorithm(QueryAlgorithm::Loop);
+    let keeper = service.subscribe(spec.clone());
+    let dropper = service.subscribe(spec);
+    writer.sync_subscriptions();
+    let mut published = vec![writer.version()];
+    let mut publish_round = |writer: &mut ServiceWriter, round: usize| {
+        let r = round as f64;
+        writer.insert_object(None, vec![(vec![4.0 + r * 0.25, 4.5 - r * 0.25], 0.5)]);
+        published.push(writer.publish());
+    };
+    for round in 0..4 {
+        publish_round(&mut writer, round);
+    }
+    drop(dropper);
+    assert_eq!(writer.engine().standing().num_subscriptions(), 1);
+    for round in 4..8 {
+        publish_round(&mut writer, round);
+    }
+    let final_dataset = writer.snapshot_dataset();
+    let final_store = writer.store().clone();
+    drop(service);
+    drop(writer);
+
+    let feed = keeper.drain();
+    assert_eq!(
+        feed.iter().map(|b| b.version).collect::<Vec<_>>(),
+        published,
+        "the surviving feed must be exactly the publish sequence"
+    );
+    let mut replay = Replay::default();
+    for batch in &feed {
+        replay.apply(batch, "surviving feed");
+    }
+    let reference = ArspEngine::new(final_dataset)
+        .query(&constraints)
+        .algorithm(QueryAlgorithm::Loop)
+        .run();
+    assert_bitwise_eq(
+        &replay.maintained,
+        &expected_map(&final_store, reference.result().probs()),
+        "surviving feed at the last published version",
     );
 }
 

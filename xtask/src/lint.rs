@@ -4,9 +4,10 @@
 //! concurrency-correctness conventions that rustc cannot:
 //!
 //! 1. **sync-facade** — the serving/reclamation modules must reach their
-//!    sync primitives through `arsp_core::sync` (so the `interleave` model
-//!    checker can swap them in), never
-//!    `std::sync::{Mutex, Condvar, RwLock}` or `std::sync::atomic` directly.
+//!    sync primitives and spawn their threads through `arsp_core::sync` (so
+//!    the `interleave` model checker can swap them in), never
+//!    `std::sync::{Mutex, Condvar, RwLock}`, `std::sync::atomic` or
+//!    `std::thread::{spawn, JoinHandle}` directly.
 //! 2. **lock-unwrap** — no `.unwrap()` in those modules: lock results go
 //!    through the poisoning-aware `sync::lock` helper, everything else
 //!    through `expect` with an invariant message.
@@ -29,8 +30,9 @@
 //! 6. **failpoint-coverage** — every fail-point site registered in
 //!    `arsp_data::failpoint::SITES` must appear (as a quoted literal) in a
 //!    kill matrix: the persistence sites in `tests/crash_recovery.rs`, the
-//!    shard sites in `tests/shard_agreement.rs`. And every `hit("...")` on
-//!    a write path (persistence or cluster) must name a registered site —
+//!    shard and standing-notifier sites in `tests/shard_agreement.rs`. And
+//!    every `hit("...")` on a write path (persistence, cluster or the
+//!    standing notifier) must name a registered site —
 //!    so a fail-point added without a kill test, or a typo'd site name that
 //!    would silently never fire, fails the lint.
 //! 7. **supervisor-coverage** — every `QueryError` variant and every
@@ -81,12 +83,15 @@ const SYNC_SCOPE: &[&str] = &[
 
 /// Direct-std tokens banned inside [`SYNC_SCOPE`] (rule 1). `Arc` and
 /// `Barrier` are deliberately absent: the façade re-exports `Arc`
-/// unchanged, and `Barrier` only appears in tests as a start-line gate.
+/// unchanged, and `Barrier` only appears in tests as a start-line gate. So
+/// are `std::thread::sleep` and `yield_now`, which start no thread.
 const SYNC_BANNED: &[&str] = &[
     "std::sync::Mutex",
     "std::sync::Condvar",
     "std::sync::RwLock",
     "std::sync::atomic",
+    "std::thread::spawn",
+    "std::thread::JoinHandle",
 ];
 
 /// Flat algorithm kernels that must stay timing- and allocation-free
@@ -127,8 +132,11 @@ const KERNEL_SCOPE: &[(&str, &[&str])] = &[
 /// `hit(...)`, and the crash suites whose kill matrices must together
 /// cover every registered site.
 const FAILPOINT_REGISTRY: &str = "crates/data/src/failpoint.rs";
-const FAILPOINT_WRITE_PATHS: &[&str] =
-    &["crates/data/src/persist.rs", "crates/core/src/cluster.rs"];
+const FAILPOINT_WRITE_PATHS: &[&str] = &[
+    "crates/data/src/persist.rs",
+    "crates/core/src/cluster.rs",
+    "crates/core/src/standing.rs",
+];
 const CRASH_SUITES: &[&str] = &["tests/crash_recovery.rs", "tests/shard_agreement.rs"];
 
 /// Rule 7 inputs: the typed query errors and the quarantine state machine.
@@ -1057,6 +1065,23 @@ mod tests {
         let good = strip_code(
             "use crate::sync::{lock, Arc, Mutex};\nuse crate::sync::atomic::AtomicU64;\n\
              use std::sync::Barrier; // allowed: test start-line gate\n",
+        );
+        assert!(check_sync_facade("f.rs", &good).is_empty());
+    }
+
+    #[test]
+    fn sync_facade_fires_on_a_direct_thread_spawn_and_passes_the_facade() {
+        let bad = strip_code(
+            "let t: std::thread::JoinHandle<()> =\n    std::thread::spawn(move || work());\n",
+        );
+        let violations = check_sync_facade("f.rs", &bad);
+        assert_eq!(violations.len(), 2);
+        assert_eq!(violations[0].line, 2);
+        assert_eq!(violations[1].line, 1);
+
+        let good = strip_code(
+            "let t: thread::JoinHandle<()> = crate::sync::thread::spawn(move || work());\n\
+             std::thread::sleep(interval);\n",
         );
         assert!(check_sync_facade("f.rs", &good).is_empty());
     }
