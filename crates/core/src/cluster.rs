@@ -525,8 +525,10 @@ impl ShardedService {
     /// lock. The batch is acknowledged once it is published: the shard's
     /// standing subscriptions are refreshed afterwards by its service's
     /// notifier, off the slot lock, and every feed accessor waits for that
-    /// refresh (see [`ShardedService::subscribe`]). An empty batch is a
-    /// no-op.
+    /// refresh (see [`ShardedService::subscribe`]). The publish waits only
+    /// while the notifier is [`HAND_OFF_BOUND`](crate::standing::HAND_OFF_BOUND)
+    /// versions behind, so a writer faster than the refreshes is paced by
+    /// them. An empty batch is a no-op.
     ///
     /// * Shard down → the batch is queued for replay ([`ApplyOutcome::Queued`]).
     /// * An op the store rejects (see [`DurableStore::apply_batch`]) →
@@ -816,7 +818,9 @@ impl ShardedService {
 
     /// Fans a standing query out to every shard: each shard's serving chain
     /// gets its own subscription under the same spec, and its initial full
-    /// batch is refreshed before this returns. After every
+    /// batch is refreshed before this returns (under the slot lock, behind
+    /// at most [`HAND_OFF_BOUND`](crate::standing::HAND_OFF_BOUND) refreshes
+    /// already queued on that shard). After every
     /// [`apply_batch`](Self::apply_batch), the shard's publish hands the new
     /// version to its service's notifier, which refreshes the subscription
     /// after the batch is acknowledged, off the slot lock. Every

@@ -377,7 +377,9 @@ pub struct ServingStats {
     pub standing_full_fallbacks: u64,
     /// Gauge: versions handed to the standing notifier and not yet
     /// refreshed, the one in progress included. It stays near zero while
-    /// the notifier keeps up with the writer.
+    /// the notifier keeps up with the writer and never exceeds
+    /// [`HAND_OFF_BOUND`](crate::standing::HAND_OFF_BOUND), at which the
+    /// writer waits.
     pub standing_backlog: u64,
     /// The longest time, in microseconds, from handing a version to the
     /// notifier to its refresh finishing (queueing included).
@@ -402,12 +404,17 @@ impl ServiceWriter {
     /// notifier, which refreshes the subscriptions against it after this
     /// returns (see [`crate::standing`]). The write is visible to readers,
     /// and to every feed accessor through its read-your-writes barrier, when
-    /// this returns; the refresh itself is not waited for.
+    /// this returns; the refresh itself is not waited for, except that the
+    /// hand-off waits while the notifier already holds
+    /// [`HAND_OFF_BOUND`](crate::standing::HAND_OFF_BOUND) unrefreshed
+    /// versions, so a writer that outpaces the refreshes runs at their pace
+    /// instead of queueing without limit.
     /// The superseded snapshot retires immediately when unpinned; otherwise
     /// its pins keep it alive and the last one's drop reclaims it, while the
     /// service keeps only a `Weak` to count it. When nothing changed since
     /// the last publish, nothing is swapped (returning the already-published
-    /// version), but pending subscriptions are still handed that version.
+    /// version), and the version is handed off again only when a
+    /// subscription registered since its last hand-off.
     /// Returns the published version.
     ///
     /// # Panics
@@ -442,8 +449,9 @@ impl ServiceWriter {
 
     /// Delivers initial batches to subscriptions registered since the last
     /// publish, without publishing anything: hands the published version to
-    /// the notifier, like [`publish`](Self::publish), and waits until it is
-    /// refreshed. A no-op (and the safe choice) while unpublished mutations
+    /// the notifier, like [`publish`](Self::publish) (only when a
+    /// subscription registered since its last hand-off), and waits until
+    /// every hand-off so far is refreshed. A no-op (and the safe choice) while unpublished mutations
     /// are pending — readers must never learn of state that has not been
     /// published, so this hands off only when the engine is exactly at the
     /// published version; otherwise the next [`publish`](Self::publish)
@@ -462,12 +470,11 @@ impl ServiceWriter {
     }
 
     /// Hands the engine's current (just published) version to the
-    /// notifier, when any subscription is live to need it.
+    /// notifier, when a subscription needs its refresh.
     fn notify(&self) {
-        let standing = &self.shared.standing;
-        if standing.is_watched() {
-            standing.hand_off(self.engine.refresh_target());
-        }
+        self.shared
+            .standing
+            .hand_off(self.engine.version(), || self.engine.refresh_target());
     }
 
     /// Adds a new uncertain object; returns its store object id. (Invisible

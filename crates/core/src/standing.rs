@@ -37,12 +37,17 @@
 //! order, exactly once per published version, never coalescing two
 //! versions; it evaluates against the pinned snapshot, not the writer's
 //! engine, which may already have moved on, so the refresh queries share
-//! every artifact build with the readers' queries at that version. A
-//! refresh never passes reader admission: a shed refresh would leave a gap
-//! in the feed. A refresh that panics is caught on the notifier and counted,
-//! and the writer's next `publish` or `sync_subscriptions` re-raises it, so
-//! a supervisor that contains writer panics (the cluster's `apply_batch`)
-//! handles it like any other crash.
+//! every artifact build with the readers' queries at that version. The
+//! queue is bounded: a hand-off waits while the notifier already holds
+//! [`HAND_OFF_BOUND`] unrefreshed versions, so a writer that publishes
+//! faster than the refreshes run slows to their pace rather than pinning
+//! an ever longer tail of snapshots. A publish or sync at an unchanged
+//! version hands nothing off unless a subscription registered since the
+//! last hand-off. A refresh never passes reader admission: a shed refresh
+//! would leave a gap in the feed. A refresh that panics is caught on the
+//! notifier and counted, and the writer's next `publish` or
+//! `sync_subscriptions` re-raises it, so a supervisor that contains writer
+//! panics (the cluster's `apply_batch`) handles it like any other crash.
 //!
 //! **Read-your-writes.** Every [`SubscriptionGuard`] accessor
 //! ([`poll`](SubscriptionGuard::poll), [`drain`](SubscriptionGuard::drain),
@@ -78,7 +83,7 @@ use crate::pipeline::{
     SharedArtifacts,
 };
 use crate::stats::StandingCounters;
-use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{lock, thread, Arc, Condvar, Mutex, MutexGuard};
 use arsp_data::{failpoint, InstanceHandle};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
@@ -227,6 +232,14 @@ impl QueryFront for RefreshTarget {
     }
 }
 
+/// Versions handed to the notifier and not yet refreshed (the one in
+/// progress included) at which the writer's next hand-off waits for it.
+/// Each queued version pins a published snapshot and a handle per
+/// instance, and a writer that publishes faster than the notifier
+/// refreshes would otherwise grow the queue, its memory and the feeds'
+/// lag without limit; at the bound it runs at the notifier's pace instead.
+pub const HAND_OFF_BOUND: u64 = 4;
+
 /// The hand-off between the writer and the notifier.
 #[derive(Default)]
 struct Feed {
@@ -237,6 +250,11 @@ struct Feed {
     handed: u64,
     /// Hand-offs whose refresh has finished (or panicked).
     refreshed: u64,
+    /// The version of the last hand-off and the registrations it covered:
+    /// a hand-off at the same version with no registration since would
+    /// refresh nothing. Cleared by a refresh panic, so the next hand-off
+    /// retries.
+    last_handed: Option<(u64, u64)>,
     /// Longest hand-off-to-refresh-done time seen, in microseconds.
     lag_max_us: u64,
     /// Refreshes that panicked on the notifier.
@@ -256,6 +274,10 @@ struct RegistryInner {
     /// refresh holds throughout). `Relaxed`: it publishes no data, and a
     /// subscribe that happens before a publish is still seen by it.
     live: AtomicUsize,
+    /// Subscriptions ever registered. Bumped under the subscription lock
+    /// after the insert with `Release`, so a writer that reads the bump
+    /// (`Acquire`) hands off a version whose refresh sees the entry.
+    registered: AtomicU64,
     counters: StandingCounters,
     feed: Mutex<Feed>,
     /// Signalled on every hand-off, finished refresh and shutdown.
@@ -330,6 +352,7 @@ impl RegistryInner {
             feed.lag_max_us = feed.lag_max_us.max(lag_us);
             if let Err(payload) = refreshed {
                 feed.panics += 1;
+                feed.last_handed = None;
                 let message = match classify_unwind(payload, None) {
                     QueryError::Panicked { message } => message,
                     other => other.to_string(),
@@ -394,6 +417,7 @@ impl StandingQueryRegistry {
                         subs: BTreeMap::new(),
                     }),
                     live: AtomicUsize::new(0),
+                    registered: AtomicU64::new(0),
                     counters: StandingCounters::new(),
                     feed: Mutex::new(Feed::default()),
                     fed: Condvar::new(),
@@ -431,6 +455,7 @@ impl StandingQueryRegistry {
             },
         );
         inner.live.fetch_add(1, Ordering::Relaxed);
+        inner.registered.fetch_add(1, Ordering::Release);
         drop(map);
         SubscriptionGuard {
             registry: Arc::clone(inner),
@@ -454,29 +479,47 @@ impl StandingQueryRegistry {
         self.inner().refresh(target);
     }
 
-    /// Whether any subscription is live; a writer hands nothing off
-    /// otherwise, so a registry nobody subscribes to starts no thread.
-    pub(crate) fn is_watched(&self) -> bool {
-        self.inner().live.load(Ordering::Relaxed) > 0
-    }
-
     /// Whether the notifier thread has been started.
     #[cfg(test)]
     pub(crate) fn notifier_started(&self) -> bool {
         lock(&self.inner().feed).thread.is_some()
     }
 
-    /// Hands one published version to the notifier, starting it on the
-    /// first hand-off, and returns at once.
-    pub(crate) fn hand_off(&self, target: RefreshTarget) {
+    /// Hand-offs so far.
+    #[cfg(test)]
+    pub(crate) fn hand_offs(&self) -> u64 {
+        lock(&self.inner().feed).handed
+    }
+
+    /// Hands the published `version` to the notifier, starting it on the
+    /// first hand-off; `target` builds what its refresh reads. Hands off
+    /// nothing when the refresh would change nothing: no subscription is
+    /// live (so a registry nobody subscribes to starts no thread), or the
+    /// last hand-off carried this version and no subscription registered
+    /// since. Returns once the version is queued, which waits only while
+    /// the notifier already holds [`HAND_OFF_BOUND`] unrefreshed versions.
+    /// Only the service's one writer hands off.
+    pub(crate) fn hand_off(&self, version: u64, target: impl FnOnce() -> RefreshTarget) {
         let inner = self.inner();
+        if inner.live.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        let registered = inner.registered.load(Ordering::Acquire);
+        if lock(&inner.feed).last_handed == Some((version, registered)) {
+            return;
+        }
+        let target = target();
         let mut feed = lock(&inner.feed);
+        while feed.handed - feed.refreshed >= HAND_OFF_BOUND {
+            feed = inner.wait(feed);
+        }
         if feed.thread.is_none() {
             let notifier = Arc::clone(inner);
             feed.thread = Some(thread::spawn(move || notifier.notify()));
         }
         feed.queue.push_back((target, Instant::now()));
         feed.handed += 1;
+        feed.last_handed = Some((version, registered));
         drop(feed);
         inner.fed.notify_all();
     }
@@ -737,6 +780,70 @@ mod tests {
         assert_eq!(sub.registry_refs(), 1);
         let versions: Vec<u64> = sub.drain().iter().map(|b| b.version).collect();
         assert_eq!(versions, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// A publish or sync at an unchanged version hands off only for a
+    /// subscription registered since the last hand-off, and then only that
+    /// subscription gets a batch.
+    #[test]
+    fn an_unchanged_version_is_handed_off_only_for_new_subscriptions() {
+        let (service, mut writer) = ArspService::from_dataset(&paper_running_example());
+        let cs = ConstraintSet::weak_ranking(2, 1);
+        let first = service.subscribe(StandingSpec::constraints(&cs));
+        writer.sync_subscriptions();
+        let registry = writer.engine().standing().clone();
+        assert_eq!(registry.hand_offs(), 1);
+        writer.sync_subscriptions();
+        assert_eq!(writer.publish(), 0);
+        assert_eq!(registry.hand_offs(), 1, "a current feed was handed off");
+
+        let second = service.subscribe(StandingSpec::constraints(&cs));
+        assert_eq!(writer.publish(), 0);
+        writer.sync_subscriptions();
+        assert_eq!(registry.hand_offs(), 2);
+        assert_eq!((first.result_version(), second.result_version()), (1, 1));
+
+        mutate(&mut writer, 1.0);
+        writer.publish();
+        assert_eq!(registry.hand_offs(), 3);
+        assert_eq!((first.result_version(), second.result_version()), (2, 2));
+    }
+
+    /// A writer that publishes back to back while the notifier is stalled
+    /// stops at [`HAND_OFF_BOUND`] unrefreshed versions; once the notifier
+    /// runs again, every version arrives in order.
+    #[test]
+    fn a_writer_ahead_of_the_notifier_waits_at_the_bound() {
+        let (service, mut writer) = ArspService::from_dataset(&paper_running_example());
+        let cs = ConstraintSet::weak_ranking(2, 1);
+        let sub = service.subscribe(StandingSpec::constraints(&cs));
+        writer.sync_subscriptions();
+        let registry = writer.engine().standing().clone();
+        // Holding the subscription lock stalls the notifier inside its next
+        // refresh, the way a slow refresh would.
+        let stall = lock(&registry.inner().subs);
+        let acked = Arc::new(AtomicU64::new(0));
+        let acks = Arc::clone(&acked);
+        let total = HAND_OFF_BOUND + 2;
+        let closed_loop = thread::spawn(move || {
+            for step in 1..=total {
+                mutate(&mut writer, step as f64);
+                writer.publish();
+                acks.store(step, Ordering::SeqCst);
+            }
+            writer
+        });
+        while registry.notifier_stats().backlog < HAND_OFF_BOUND {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(acked.load(Ordering::SeqCst), HAND_OFF_BOUND);
+        assert_eq!(registry.notifier_stats().backlog, HAND_OFF_BOUND);
+        drop(stall);
+        let _writer = closed_loop.join().expect("writer panicked");
+        let versions: Vec<u64> = sub.drain().iter().map(|b| b.version).collect();
+        assert_eq!(versions, (0..=total).collect::<Vec<_>>());
+        assert_eq!(service.serving_stats().standing_backlog, 0);
     }
 
     #[test]

@@ -31,9 +31,12 @@
 //!    it, and a subscriber drains through the read-your-writes barrier. The
 //!    subscriber observes every published version exactly once, in order,
 //!    with gapless result versions, and a feed read after an acknowledged
-//!    write holds it (three seeded variants are caught: a split-lock drain
-//!    that loses a notification, a barrier that reads the published counter
-//!    before the enqueue, and a notifier that coalesces two versions);
+//!    write holds it (two seeded variants are caught: a barrier that reads
+//!    the published counter before the enqueue, and a notifier that
+//!    coalesces two versions). The drain-vs-refresh race inside it — the
+//!    refresh enqueues and the drain takes under the one subscription lock
+//!    — is checked over every interleaving on its own (the seeded
+//!    split-lock drain that loses a notification is caught);
 //! 7. **advance-vs-build** — the writer advancing and publishing the next
 //!    version while a reader builds an artifact on the current one never
 //!    waits on (or joins) the reader's in-flight build, and the next
@@ -630,14 +633,86 @@ fn publish_vs_notify_feeds_every_version_exactly_once() {
     assert!(report.schedules >= 50);
 }
 
+/// The distilled drain-vs-refresh protocol — the exact lock discipline of
+/// `standing.rs` (enqueue and drain each atomic under the one subscription
+/// mutex). The broken variant splits the drain into a read and a clear
+/// under separate lock acquisitions: a refresh landing in between gets its
+/// batch cleared unseen — the lost-notification regression the checker
+/// must catch.
+fn drain_vs_refresh_protocol(broken_split_drain: bool) {
+    struct Sub {
+        result_version: u64,
+        queue: Vec<u64>,
+    }
+    let sub = Arc::new(Mutex::new(Sub {
+        result_version: 0,
+        queue: Vec::new(),
+    }));
+
+    let s1 = Arc::clone(&sub);
+    let consumer = thread::spawn(move || {
+        let mut seen = Vec::new();
+        for _ in 0..2 {
+            if broken_split_drain {
+                let snapshot = lock(&s1).queue.clone();
+                lock(&s1).queue.clear();
+                seen.extend(snapshot);
+            } else {
+                let mut sub = lock(&s1);
+                seen.append(&mut sub.queue);
+            }
+        }
+        seen
+    });
+
+    // The writer (main thread): three publish+notify cycles, each atomic
+    // under the subscription lock.
+    for _ in 0..3 {
+        let mut sub = lock(&sub);
+        sub.result_version += 1;
+        let rv = sub.result_version;
+        sub.queue.push(rv);
+    }
+
+    let mut seen = consumer.join().expect("consumer panicked");
+    seen.append(&mut lock(&sub).queue);
+    assert_eq!(seen, vec![1, 2, 3], "a notification was lost or duplicated");
+}
+
+#[test]
+fn drain_vs_refresh_protocol_holds_in_every_interleaving() {
+    let report = interleave::model(|| drain_vs_refresh_protocol(false));
+    println!(
+        "drain_vs_refresh_protocol_holds_in_every_interleaving: {} interleavings explored",
+        report.schedules
+    );
+    assert!(report.schedules >= 10);
+}
+
+/// Mutation test: the split-lock drain MUST be caught as a lost
+/// notification — proves the checker actually guards the standing feed's
+/// exactly-once delivery, not just the happy path.
+#[test]
+fn mutation_split_lock_drain_loses_a_notification_and_is_caught() {
+    let failure = Builder::new()
+        .check_result(|| drain_vs_refresh_protocol(true))
+        .expect_err("the checker missed a lost standing notification");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(
+        failure.message.contains("lost or duplicated"),
+        "unexpected failure: {failure}"
+    );
+    println!(
+        "mutation_split_lock_drain_loses_a_notification_and_is_caught: failing schedule #{}",
+        failure.schedule
+    );
+}
+
 /// The seeded defects of the distilled publish → notify → drain protocol.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum NotifyBug {
     /// The protocol as `standing.rs` runs it.
     None,
-    /// The drain clones the queue and clears it under a second lock
-    /// acquisition: a refresh landing in between is cleared unseen.
-    SplitDrain,
     /// The writer acknowledges a version before handing it to the
     /// notifier, so a barrier can read the published counter before the
     /// enqueue it should wait for: an acknowledged write can be missing
@@ -652,11 +727,15 @@ enum NotifyBug {
 /// `standing.rs`. The writer hands versions 1 and 2 to the notifier
 /// (enqueue and ticket under the feed lock, then the acknowledgement); the
 /// notifier refreshes each under the subscription lock and counts it done;
-/// the subscriber reads the newest acknowledged version, passes the
-/// barrier (waits until every hand-off made before it is refreshed) and
-/// drains. Every interleaving must give read-your-writes — the drained
-/// feed reaches the acknowledged version — and, with the final drain,
-/// exactly one batch per version, in order, with gapless result versions.
+/// the subscriber, twice, reads the newest acknowledged version, passes
+/// the barrier (waits until every hand-off made before it is refreshed)
+/// and drains. Every interleaving must give read-your-writes — the feed
+/// drained so far reaches the acknowledged version — and, with the final
+/// drain, exactly one batch per version, in order, with gapless result
+/// versions. Three parties are too many schedules to explore in full, so
+/// the checker bounds preemptions at three (the seeded variants are caught
+/// at two); [`drain_vs_refresh_protocol`] covers the drain/refresh race in
+/// every interleaving.
 fn publish_notify_drain_protocol(bug: NotifyBug) {
     use std::collections::VecDeque;
 
@@ -714,28 +793,27 @@ fn publish_notify_drain_protocol(bug: NotifyBug) {
 
     let (f2, s2, a2) = (Arc::clone(&feed), Arc::clone(&sub), Arc::clone(&acked));
     let subscriber = thread::spawn(move || {
-        let seen_ack = a2.load(Ordering::SeqCst);
-        {
-            let (state, fed) = &*f2;
-            let mut feed = lock(state);
-            let ticket = feed.handed;
-            while feed.refreshed < ticket {
-                feed = fed.wait(feed).expect("model condvars never poison");
+        // Two reads, each: note the newest acknowledged version, pass the
+        // barrier, drain.
+        let mut seen = Vec::new();
+        for _ in 0..2 {
+            let seen_ack = a2.load(Ordering::SeqCst);
+            {
+                let (state, fed) = &*f2;
+                let mut feed = lock(state);
+                let ticket = feed.handed;
+                while feed.refreshed < ticket {
+                    feed = fed.wait(feed).expect("model condvars never poison");
+                }
             }
+            seen.append(&mut lock(&s2).queue);
+            assert!(
+                seen_ack == 0 || seen.last().is_some_and(|&(_, v)| v >= seen_ack),
+                "read-your-writes: version {seen_ack} was acknowledged but the feed read \
+                 after it ends at {seen:?}"
+            );
         }
-        let drained = if bug == NotifyBug::SplitDrain {
-            let snapshot = lock(&s2).queue.clone();
-            lock(&s2).queue.clear();
-            snapshot
-        } else {
-            std::mem::take(&mut lock(&s2).queue)
-        };
-        assert!(
-            seen_ack == 0 || drained.last().is_some_and(|&(_, v)| v >= seen_ack),
-            "read-your-writes: version {seen_ack} was acknowledged but the feed read after it \
-             ends at {drained:?}"
-        );
-        drained
+        seen
     });
 
     // The writer (main thread): two publishes, each handing its version to
@@ -775,7 +853,7 @@ fn publish_notify_drain_protocol(bug: NotifyBug) {
 #[test]
 fn publish_notify_drain_protocol_holds_in_every_interleaving() {
     let report = Builder::new()
-        .preemption_bound(2)
+        .preemption_bound(3)
         .check(|| publish_notify_drain_protocol(NotifyBug::None));
     println!(
         "publish_notify_drain_protocol_holds_in_every_interleaving: {} interleavings explored",
@@ -798,15 +876,6 @@ fn assert_notify_bug_is_caught(bug: NotifyBug, expected: &str, name: &str) {
         "{name}: unexpected failure: {failure}"
     );
     println!("{name}: failing schedule #{}", failure.schedule);
-}
-
-#[test]
-fn mutation_split_lock_drain_loses_a_notification_and_is_caught() {
-    assert_notify_bug_is_caught(
-        NotifyBug::SplitDrain,
-        "lost, duplicated or coalesced",
-        "mutation_split_lock_drain_loses_a_notification_and_is_caught",
-    );
 }
 
 #[test]

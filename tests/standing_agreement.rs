@@ -37,7 +37,7 @@ use arsp::core::cluster::{ApplyOutcome, ClusterConfig, ShardedService};
 use arsp::core::dynamic::DynamicArspEngine;
 use arsp::core::engine::{ArspEngine, Execution, QueryAlgorithm};
 use arsp::core::service::ArspService;
-use arsp::core::standing::{ChangeBatch, StandingSpec, SubscriptionGuard};
+use arsp::core::standing::{ChangeBatch, StandingSpec, SubscriptionGuard, HAND_OFF_BOUND};
 use arsp::prelude::*;
 use arsp_data::failpoint::{self, FailAction};
 use arsp_data::{partition_dataset, InstanceHandle, VersionedStore};
@@ -729,6 +729,65 @@ fn dropping_a_guard_or_the_service_mid_feed_keeps_the_other_feeds_whole() {
         &expected_map(&final_store, reference.result().probs()),
         "surviving feed at the last published version",
     );
+}
+
+/// A closed-loop writer — each publish issued as soon as the last returned,
+/// far faster than four refreshes per version — never leaves more than
+/// [`HAND_OFF_BOUND`] versions waiting on the notifier: past the bound the
+/// writer runs at the notifier's pace. The feeds still hold every version,
+/// in order, and land bitwise on the cold engine.
+#[test]
+fn a_closed_loop_writer_keeps_the_standing_backlog_within_the_bound() {
+    let dataset = SyntheticConfig {
+        num_objects: 60,
+        max_instances: 4,
+        dim: 3,
+        region_length: 0.3,
+        phi: 0.5,
+        seed: 29,
+        ..SyntheticConfig::default()
+    }
+    .generate();
+    let (service, mut writer) = ArspService::from_dataset(&dataset);
+    let constraints = ConstraintSet::weak_ranking(3, 1);
+    let subs: Vec<SubscriptionGuard> = ALGOS
+        .iter()
+        .map(|&a| service.subscribe(StandingSpec::constraints(&constraints).algorithm(a)))
+        .collect();
+    writer.sync_subscriptions();
+    let mut published = vec![writer.version()];
+    let mut worst = 0;
+    for round in 0..24 {
+        let r = f64::from(round) / 24.0;
+        writer.insert_object(None, vec![(vec![0.2 + 0.5 * r, 0.7 - 0.5 * r, 0.4], 0.5)]);
+        published.push(writer.publish());
+        worst = worst.max(service.serving_stats().standing_backlog);
+        assert!(worst <= HAND_OFF_BOUND, "backlog {worst} past the bound");
+    }
+    println!("closed-loop writer: worst standing backlog {worst} of {HAND_OFF_BOUND}");
+    let final_dataset = writer.snapshot_dataset();
+    for (sub, &algorithm) in subs.iter().zip(&ALGOS) {
+        let feed = sub.drain();
+        assert_eq!(
+            feed.iter().map(|b| b.version).collect::<Vec<_>>(),
+            published,
+            "{algorithm:?}: the feed must be exactly the publish sequence"
+        );
+        let mut replay = Replay::default();
+        for batch in &feed {
+            replay.apply(batch, "closed-loop feed");
+        }
+        let reference = ArspEngine::new(final_dataset.clone())
+            .query(&constraints)
+            .algorithm(algorithm)
+            .run();
+        assert_bitwise_eq(
+            &replay.maintained,
+            &expected_map(writer.store(), reference.result().probs()),
+            "closed-loop feed at the last published version",
+        );
+    }
+    assert_eq!(service.serving_stats().standing_backlog, 0);
 }
 
 // ---------------------------------------------------------------------------
