@@ -259,3 +259,57 @@ fn dynamic_and_service_fronts_do_the_pinned_work() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// FNV-1a over every probability's bit pattern.
+fn bits_digest(probs: &[f64]) -> u64 {
+    probs.iter().fold(0xcbf2_9ce4_8422_2325, |h, p| {
+        p.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Probability-bit digests of the kd kernels on the dense dataset, one
+/// `(weak_ranking(4, 2), wide IM user)` pair per algorithm. Most of the
+/// dataset's instances have probability exactly zero, so a kernel change
+/// that skips or reorders zero work must leave these bits untouched.
+const DENSE_KD_BITS: [(QueryAlgorithm, [u64; 2]); 3] = [
+    (
+        QueryAlgorithm::Kdtt,
+        [0x295e_bf6e_9492_bf20, 0xd3df_7321_286f_3b91],
+    ),
+    (
+        QueryAlgorithm::KdttPlus,
+        [0x295e_bf6e_9492_bf20, 0xd3df_7321_286f_3b91],
+    ),
+    (
+        QueryAlgorithm::QdttPlus,
+        [0x01d4_7889_2da9_577c, 0x1782_f9ba_5a9a_dfd2],
+    ),
+];
+
+#[test]
+fn kd_probability_bits_are_pinned_on_the_dense_dataset() {
+    let engine = dense_engine();
+    let wr = ConstraintSet::weak_ranking(4, 2);
+    let im = wide_im_user();
+    for (algorithm, pinned) in DENSE_KD_BITS {
+        for (constraints, pin) in [&wr, &im].into_iter().zip(pinned) {
+            for execution in [Execution::Sequential, Execution::Parallel { threads: 2 }] {
+                let outcome = engine
+                    .query(constraints)
+                    .algorithm(algorithm)
+                    .execution(execution)
+                    .run();
+                let digest = bits_digest(outcome.result().probs());
+                assert_eq!(
+                    digest,
+                    pin,
+                    "{} ({execution:?}) moved a probability bit",
+                    algorithm.name()
+                );
+            }
+        }
+    }
+}
