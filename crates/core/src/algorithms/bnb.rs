@@ -34,7 +34,9 @@
 //! bits unchanged, and the remaining factors multiply in the same ascending
 //! order as a walk over all `m` trees. `window_queries` keeps the
 //! definition of that walk: it counts every non-empty tree of another
-//! object reached before the product hits zero, screened out or not.
+//! object reached before the product hits zero, screened out or not. A tie
+//! group's intra-group pass takes each object's outside mass from the σ
+//! this loop already asked for, so it adds no window query.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -121,7 +123,9 @@ pub fn arsp_bnb_engine(
 /// whose aggregated R-tree holds an instance, ascending), stopping at zero —
 /// the inner object loop of Algorithm 2. Object `j` is asked for σ[j] only
 /// when its min corner `min_corner[j*d' .. (j+1)*d']` is ⪯ `sv`; otherwise
-/// σ[j] is 0 and its factor is exactly 1 (see the module docs).
+/// σ[j] is 0 and its factor is exactly 1 (see the module docs). Every σ[j]
+/// asked for lands in `sigmas` as `(j, σ[j])`, ascending in `j`.
+#[allow(clippy::too_many_arguments)]
 fn fold_window_products(
     agg: &[AggregateRTree],
     active: &[usize],
@@ -130,9 +134,11 @@ fn fold_window_products(
     sv: &[f64],
     prob: f64,
     queries: &mut u64,
+    sigmas: &mut Vec<(usize, f64)>,
 ) -> f64 {
     let d_prime = sv.len();
     let mut prob = prob;
+    sigmas.clear();
     for &j in active {
         if j == own_object {
             continue;
@@ -141,7 +147,9 @@ fn fold_window_products(
         if !dominates(&min_corner[j * d_prime..(j + 1) * d_prime], sv) {
             continue;
         }
-        prob *= 1.0 - agg[j].window_sum(sv);
+        let sigma = agg[j].window_sum(sv);
+        sigmas.push((j, sigma));
+        prob *= 1.0 - sigma;
         if prob <= 0.0 {
             return 0.0;
         }
@@ -167,6 +175,8 @@ pub struct BnbScratch {
     members_sv: Vec<f64>,
     computed: Vec<(usize, f64)>,
     intra: Vec<(usize, f64)>,
+    /// The σ[j] the window loop asked for the current member, ascending.
+    sigmas: Vec<(usize, f64)>,
     /// Pruning set `P` as a flat `d'`-strided array.
     pruning: Vec<f64>,
     /// Per-object componentwise maximum and minimum of the score images
@@ -254,6 +264,7 @@ fn arsp_bnb_impl(
         members_sv,
         computed,
         intra,
+        sigmas,
         pruning,
         max_corner,
         min_corner,
@@ -393,6 +404,7 @@ fn arsp_bnb_impl(
                         sv_t,
                         t.prob,
                         &mut window_queries,
+                        sigmas,
                     );
                     if prob > 0.0 && members.len() > 1 {
                         // Per-object intra-group mass dominating t, folded on
@@ -412,9 +424,14 @@ fn arsp_bnb_impl(
                                 }
                             }
                         }
+                        // The outside mass is the σ the window loop took,
+                        // which ran to the end as prob > 0; an object it
+                        // screened out or that holds no tree has σ = 0,
+                        // exactly what `window_sum` returns there.
                         for &(obj, mass) in intra.iter() {
-                            window_queries += 1;
-                            let outside = agg[obj].window_sum(sv_t);
+                            let outside = sigmas
+                                .binary_search_by_key(&obj, |&(j, _)| j)
+                                .map_or(0.0, |k| sigmas[k].1);
                             let denom = 1.0 - outside;
                             if denom <= 0.0 {
                                 prob = 0.0;
@@ -832,32 +849,33 @@ mod tests {
     /// Pins per dimension d = 1..=18 under `ConstraintSet::new(d)` (d' = d),
     /// then the IM user at d = 4: `(digest, nodes_visited, window_queries)`.
     const PINS: [(u64, u64, u64); 19] = [
-        (0x783361aeaf22bf47, 71, 95406),
-        (0x6c97debb7ed49921, 78, 25764),
-        (0x80064d3820772857, 86, 89331),
-        (0x44bcc6c02e477656, 87, 136161),
-        (0x2d725b401fd1ab71, 78, 180759),
-        (0x21446827ae58bd98, 103, 184847),
-        (0x9841cd47fa3b7228, 77, 187072),
-        (0xf06502c143b1c564, 78, 194903),
-        (0x6aace61011134f2, 79, 211815),
-        (0x7dc99f45024b8414, 76, 208515),
-        (0xa56a415912c3b89a, 79, 217013),
-        (0x8b2f2cede590af76, 79, 214375),
-        (0xb7fd3324948a8, 76, 210470),
-        (0x189bff9d55f93f7d, 76, 208406),
-        (0xee77112376654d2a, 77, 208571),
-        (0x53eaa7f609cd4078, 79, 219819),
-        (0x8bb3eba281aba19e, 77, 208316),
-        (0xa3bc7bce248dee, 78, 216059),
+        (0x783361aeaf22bf47, 71, 65347),
+        (0x6c97debb7ed49921, 78, 14093),
+        (0x80064d3820772857, 86, 74878),
+        (0x44bcc6c02e477656, 87, 126537),
+        (0x2d725b401fd1ab71, 78, 171843),
+        (0x21446827ae58bd98, 103, 179077),
+        (0x9841cd47fa3b7228, 77, 183501),
+        (0xf06502c143b1c564, 78, 192153),
+        (0x6aace61011134f2, 79, 209509),
+        (0x7dc99f45024b8414, 76, 206872),
+        (0xa56a415912c3b89a, 79, 215450),
+        (0x8b2f2cede590af76, 79, 212500),
+        (0xb7fd3324948a8, 76, 209277),
+        (0x189bff9d55f93f7d, 76, 206963),
+        (0xee77112376654d2a, 77, 207366),
+        (0x53eaa7f609cd4078, 79, 218251),
+        (0x8bb3eba281aba19e, 77, 207211),
+        (0xa3bc7bce248dee, 78, 214721),
         // IM user, d = 4, d' = 10
-        (0x8d2166dc6b65d635, 87, 87847),
+        (0x8d2166dc6b65d635, 87, 86989),
     ];
 
     /// B&B, sequential and under widths 2 and 3, must hit its pin on every
-    /// tie-heavy input. The pins were recorded before the window loop gained
-    /// its object screen, so they hold the screened loop to the unscreened
-    /// loop's bits and counters.
+    /// tie-heavy input. The digests and node counts were recorded before the
+    /// window loop gained its object screen, so they hold the screened loop
+    /// to the unscreened loop's bits. The window counts were re-recorded when
+    /// the intra-group pass stopped asking the trees a second time.
     #[test]
     fn kernel_output_and_counters_are_pinned() {
         let im = arsp_data::im_constraints(4, 3, IM_SEED);

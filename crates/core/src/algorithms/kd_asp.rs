@@ -112,6 +112,51 @@
 //! what makes the fan-out exact: a worker seeded with a copy of the parent's
 //! post-pass state sees bitwise the state the inline recursion would hand
 //! the same child.
+//!
+//! ## Zero certificate
+//!
+//! Most instances of a large input have probability exactly zero, and χ
+//! finds that out only after a node's candidate pass has been paid. So before
+//! the traversal starts, [`zero_certificate`] flags points whose probability
+//! is provably `0.0` (Theorems 3–4, the pruning set of B&B), and a node
+//! whose every point is flagged returns at entry: no corners, no marks, no
+//! candidate pass, no undo, no subtree. Its output slots keep the `0.0` the
+//! traversal starts from.
+//!
+//! One pass over the points in id order gives every object `j` its total
+//! mass, its instance count `k_j` and its componentwise max corner `M_j`.
+//! Object `j` is *saturated* when `total_j − slack_j ≥ 1 − ONE_EPS`, where
+//! `slack_j = (k_j + 1)·4·ε·max(total_j, 1)` bounds the gap between this sum
+//! and any other summation order of the same terms (an object with a
+//! negative or NaN probability, or a NaN coordinate sum, is never
+//! saturated). Point `t` of object `o` is certified when some saturated
+//! corner satisfies `M_j ⪯ t` and `M_j ≠ t`; then `j ≠ o`, as `t ⪯ M_o`.
+//!
+//! Why the bits cannot move: every instance of `j` lies at `⪯ M_j ⪯ t` and
+//! away from `t`'s coordinates, so none shares `t`'s leaf or coincident node,
+//! and each is folded into `σ[j]` on the way down, as a candidate below
+//! `pmax`, by the time that node is reached. There `σ[j]` holds all of `j`'s
+//! mass in some order and passes `is_one`, so χ ≥ 1. The leaf or coincident
+//! arm writes `0.0` unless χ = 1 with `σ[o]` saturated, and a saturated
+//! `σ[o]` is counted in χ beside `σ[j]`, so χ ≥ 2 there: the arm writes
+//! `0.0`. If an ancestor is pruned first, its slots stay `0.0` as well. A
+//! skipped node changes no state another node reads (the exact undo would
+//! restore all of it), so every other slot is computed by the same float
+//! steps. A corner `M_a ⪯ M_b` certifies every point `M_b` does, so only
+//! Pareto-minimal saturated corners are kept, in ascending coordinate-sum
+//! order; a point's scan stops at the first corner whose sum exceeds the
+//! point's, because a float sum taken in one order is monotone in every
+//! term.
+//!
+//! The certificate's corner tests are capped at
+//! `CERTIFICATE_TESTS_PER_POINT · n` (each test at most d′ comparisons, so a
+//! fixed multiple of one pass over the `n × d′` score matrix). Points not
+//! reached by then stay unflagged; a partial certificate is still sound, and
+//! the cap depends on the input alone, so sequential == parallel and every
+//! other bitwise contract keep holding. Skipped nodes count no
+//! `nodes_visited` and no `fdom_tests`: the counters count work done. LOOP
+//! does not use the certificate: its `Π(1 − σ)` leaves a tiny positive value
+//! where kd-ASP\* writes `0.0`.
 
 use crate::scorespace::FlatScorePoints;
 use crate::stats::CounterStats;
@@ -145,6 +190,10 @@ fn is_one(x: f64) -> bool {
 /// levels remain: a performance threshold only — results are bitwise
 /// identical either way.
 const MIN_PARALLEL_NODE: usize = 512;
+
+/// Corner tests the zero certificate may spend per point, in total over the
+/// whole input (see "Zero certificate" in the module docs).
+const CERTIFICATE_TESTS_PER_POINT: usize = 8;
 
 /// Where a node's children come from: the one thing, besides the fan-out,
 /// that tells the three variants apart.
@@ -247,6 +296,138 @@ pub struct KdScratch {
     /// Probabilities by position in `order`, scattered to instance ids once
     /// the traversal ends.
     staged: Vec<f64>,
+    /// The zero certificate's buffers and flags.
+    cert: ZeroCertificate,
+}
+
+/// Working memory and result of the zero certificate (see the module docs).
+#[derive(Debug, Default)]
+struct ZeroCertificate {
+    /// `zero[i]`: point `i`'s probability is certified to be `0.0`.
+    zero: Vec<bool>,
+    /// Per-object total mass, summed in id order (NaN for an object with a
+    /// NaN coordinate sum or a probability that is not `≥ 0`, which the
+    /// summation-order slack does not cover).
+    total: Vec<f64>,
+    /// Per-object instance count.
+    count: Vec<u32>,
+    /// Per-object componentwise max corner, `d′`-strided.
+    max: Vec<f64>,
+    /// Every point's coordinate sum, in coordinate order.
+    point_sum: Vec<f64>,
+    /// Saturated objects as `(corner sum, object)`, ascending.
+    saturated: Vec<(f64, u32)>,
+    /// Pareto-minimal saturated corners (`d′`-strided) and their sums, in
+    /// ascending sum order.
+    corners: Vec<f64>,
+    corner_sum: Vec<f64>,
+}
+
+/// `(a ⪯ b, a ⪯ b with a ≠ b)`, every coordinate compared with no early
+/// exit: the certificate's tests mostly fail, and a data-dependent exit
+/// costs more in mispredictions than the comparisons it saves.
+#[inline]
+fn corner_test(a: &[f64], b: &[f64]) -> (bool, bool) {
+    let (mut below, mut apart) = (true, false);
+    for (&x, &y) in a.iter().zip(b) {
+        below &= x <= y;
+        apart |= x < y;
+    }
+    (below, below & apart)
+}
+
+/// Fills `c.zero` with the zero certificate of `pts` (see the module docs)
+/// and returns the number of points it flags.
+fn certify_zeros(pts: &FlatScorePoints<'_>, num_objects: usize, c: &mut ZeroCertificate) -> usize {
+    let (n, dim) = (pts.len(), pts.dim);
+    c.total.clear();
+    c.total.resize(num_objects, 0.0);
+    c.count.clear();
+    c.count.resize(num_objects, 0);
+    c.max.clear();
+    c.max.resize(num_objects * dim, f64::NEG_INFINITY);
+    c.point_sum.clear();
+    for i in 0..n {
+        let o = pts.objects[i] as usize;
+        let p = pts.probs[i];
+        let mut sum = 0.0;
+        for (hi, &x) in c.max[o * dim..][..dim].iter_mut().zip(pts.coords_of(i)) {
+            sum += x;
+            *hi = hi.max(x);
+        }
+        c.point_sum.push(sum);
+        c.total[o] += if sum.is_nan() || p.is_nan() || p < 0.0 {
+            f64::NAN
+        } else {
+            p
+        };
+        c.count[o] += 1;
+    }
+    c.saturated.clear();
+    for o in 0..num_objects {
+        // The rounding gap between two summation orders of the object's
+        // non-negative probabilities; a NaN total fails the test.
+        let slack = (f64::from(c.count[o]) + 1.0) * 4.0 * f64::EPSILON * c.total[o].max(1.0);
+        if c.total[o] - slack >= 1.0 - ONE_EPS {
+            let sum = c.max[o * dim..][..dim].iter().fold(0.0, |acc, &x| acc + x);
+            if !sum.is_nan() {
+                c.saturated.push((sum, o as u32));
+            }
+        }
+    }
+    c.zero.clear();
+    c.zero.resize(n, false);
+    c.saturated
+        .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut budget = CERTIFICATE_TESTS_PER_POINT * n;
+    c.corners.clear();
+    c.corner_sum.clear();
+    'corners: for &(sum, o) in &c.saturated {
+        let corner = &c.max[o as usize * dim..][..dim];
+        for kept in c.corners.chunks_exact(dim) {
+            if budget == 0 {
+                break 'corners;
+            }
+            budget -= 1;
+            if corner_test(kept, corner).0 {
+                continue 'corners;
+            }
+        }
+        c.corners.extend_from_slice(corner);
+        c.corner_sum.push(sum);
+    }
+    let mut certified = 0;
+    'points: for i in 0..n {
+        let row = pts.coords_of(i);
+        for (corner, &sum) in c.corners.chunks_exact(dim).zip(&c.corner_sum) {
+            if sum > c.point_sum[i] {
+                break;
+            }
+            if budget == 0 {
+                break 'points;
+            }
+            budget -= 1;
+            if corner_test(corner, row).1 {
+                c.zero[i] = true;
+                certified += 1;
+                break;
+            }
+        }
+    }
+    certified
+}
+
+/// The zero certificate the traversal of `pts` runs with: entry `i` is
+/// `true` when point `i`'s probability is provably `0.0`, and a node whose
+/// points are all flagged is skipped (see "Zero certificate" in the module
+/// docs). Computed in `scratch`'s buffers, as [`kd_asp_flat_engine`] does.
+pub fn zero_certificate<'s>(
+    pts: FlatScorePoints<'_>,
+    num_objects: usize,
+    scratch: &'s mut KdScratch,
+) -> &'s [bool] {
+    certify_zeros(&pts, num_objects, &mut scratch.cert);
+    &scratch.cert.zero
 }
 
 impl KdScratch {
@@ -637,6 +818,8 @@ struct Traversal<'a> {
     pool: Option<&'a KdWorkerPool>,
     stats: Option<&'a CounterStats>,
     budget: Option<&'a crate::fault::QueryBudget>,
+    /// The zero certificate's flags, `None` when it flags no point.
+    zero: Option<&'a [bool]>,
 }
 
 /// Partitions `order` into the node's children and pushes their end offsets
@@ -685,6 +868,13 @@ fn kd_rec_flat(
     levels: usize,
 ) {
     crate::fault::poll(t.budget);
+    if t.zero
+        .is_some_and(|zero| order.iter().all(|&i| zero[i as usize]))
+    {
+        // Every point is certified zero: the slots keep their 0.0, and the
+        // state stays as the node's exact undo would leave it.
+        return;
+    }
     let pts = &t.pts;
     let dim = pts.dim;
     let bstart = depth * 2 * dim;
@@ -1010,11 +1200,14 @@ pub fn kd_asp_flat_engine(
     if let Some(pool) = pool {
         pool.warm((1 << levels) - 1);
     }
+    let certified = certify_zeros(&pts, num_objects, &mut scratch.cert);
+    let zero = std::mem::take(&mut scratch.cert.zero);
     let t = Traversal {
         pts,
         pool,
         stats,
         budget,
+        zero: (certified > 0).then_some(&zero[..]),
     };
     let mut bc = FlatBc { beta: 1.0, chi: 0 };
     let mut staged = std::mem::take(&mut scratch.staged);
@@ -1035,6 +1228,7 @@ pub fn kd_asp_flat_engine(
     }
     scratch.order = order;
     scratch.staged = staged;
+    scratch.cert.zero = zero;
     out
 }
 
@@ -1497,6 +1691,113 @@ mod tests {
         }
     }
 
+    /// The fused traversal with no zero certificate: the reference the
+    /// certified skips must reproduce bit for bit.
+    fn unskipped(pts: &Points, variant: KdVariant) -> Vec<f64> {
+        let (m, n) = (pts.num_objects(), pts.len());
+        let mut s = KdScratch::new();
+        s.prepare(m, n);
+        let mut order = std::mem::take(&mut s.order);
+        let mut staged = std::mem::take(&mut s.staged);
+        let split = match variant {
+            KdVariant::FusedKd => Split::Kd,
+            KdVariant::FusedQuad => Split::Quad,
+            KdVariant::Prebuilt => unreachable!("fused variants only"),
+        };
+        let t = Traversal {
+            pts: pts.view(),
+            pool: None,
+            stats: None,
+            budget: None,
+            zero: None,
+        };
+        let mut bc = FlatBc { beta: 1.0, chi: 0 };
+        kd_rec_flat(
+            &t,
+            &mut s,
+            &mut bc,
+            &mut order,
+            &mut staged,
+            0,
+            n,
+            0,
+            split,
+            0,
+        );
+        let mut out = vec![0.0; n];
+        for (&id, &prob) in order.iter().zip(&staged) {
+            out[id as usize] = prob;
+        }
+        out
+    }
+
+    /// Points at the certificate's edges: grid coordinates, instances
+    /// copied across objects, object totals of exactly 1, 1 ± 1e-10 and
+    /// 1 − 1e-9, instances of mass ≤ 1e-9 and partial objects.
+    fn edge_points(seed: u64, dim: usize, num_objects: usize) -> Points {
+        use rand::prelude::*;
+        let mut rng = TestRng::seed_from_u64(seed);
+        let mut pts = Points::default();
+        for obj in 0..num_objects {
+            let k = rng.gen_range(1..=4);
+            let mut probs = vec![1.0 / k as f64; k];
+            match rng.gen_range(0..6) {
+                0 | 1 => {}
+                2 => probs[0] += 1e-10,
+                3 => probs[0] -= 1e-10,
+                4 => probs[0] -= 1e-9,
+                _ => probs[0] = rng.gen_range(1e-12..1e-9),
+            }
+            if rng.gen_bool(0.2) {
+                probs.iter_mut().for_each(|p| *p *= 0.6);
+            }
+            for p in probs {
+                let row: Vec<f64> = if pts.len() > 0 && rng.gen_bool(0.25) {
+                    pts.view().coords_of(rng.gen_range(0..pts.len())).to_vec()
+                } else {
+                    (0..dim).map(|_| grid(&mut rng)).collect()
+                };
+                pts.push(obj, p, &row);
+            }
+        }
+        pts
+    }
+
+    fn bits(probs: &[f64]) -> Vec<u64> {
+        probs.iter().map(|p| p.to_bits()).collect()
+    }
+
+    /// Every certified point reads `0.0` in the unskipped traversal, and the
+    /// traversal that skips certified subtrees gives every point the
+    /// unskipped bits, sequential and at width 2.
+    #[test]
+    fn certified_skips_match_the_unskipped_traversal_bit_for_bit() {
+        let mut scratch = KdScratch::new();
+        let mut certified_total = 0;
+        for seed in 0..60u64 {
+            let dim = 1 + seed as usize % 4;
+            let num_objects = if seed % 5 == 0 { 300 } else { 12 };
+            let pts = edge_points(seed, dim, num_objects);
+            let zero = zero_certificate(pts.view(), pts.num_objects(), &mut scratch).to_vec();
+            certified_total += zero.iter().filter(|&&z| z).count();
+            for variant in [KdVariant::FusedKd, KdVariant::FusedQuad] {
+                let want = unskipped(&pts, variant);
+                for (i, &z) in zero.iter().enumerate() {
+                    assert!(
+                        !z || want[i].to_bits() == 0.0f64.to_bits(),
+                        "seed {seed}: point {i} certified but the traversal gives {}",
+                        want[i]
+                    );
+                }
+                let seq = pts.seq(variant, &mut scratch);
+                assert_eq!(bits(&seq), bits(&want), "seed {seed}, {variant:?}");
+                let par = crate::parallel::with_width(2, || pts.par(variant, &mut scratch));
+                assert_eq!(bits(&par), bits(&want), "seed {seed}, {variant:?} width 2");
+            }
+        }
+        assert!(certified_total > 0, "the inputs must certify some points");
+    }
+
     /// [`tie_heavy_rows`] as score-space points.
     fn tie_heavy_points(dim: usize) -> Points {
         let mut pts = Points::default();
@@ -1512,63 +1813,63 @@ mod tests {
     const WIDTH_PINS: [[(u64, u64, u64); 3]; 18] = [
         // d' = 1
         [
-            (0x48dbcec752eb56e5, 5535, 7),
-            (0x48dbcec752eb56e5, 5523, 7),
-            (0x48dbcec752eb56e5, 5535, 7),
+            (0x48dbcec752eb56e5, 3982, 5),
+            (0x48dbcec752eb56e5, 3715, 4),
+            (0x48dbcec752eb56e5, 3982, 5),
         ],
         // d' = 2
         [
-            (0xf0d45c9911a734f, 28992, 121),
-            (0xfc6add3519c8b30a, 15449, 33),
-            (0xbac55b56a3038832, 28992, 121),
+            (0xf0d45c9911a734f, 23182, 105),
+            (0xfc6add3519c8b30a, 9652, 20),
+            (0xbac55b56a3038832, 23182, 105),
         ],
         // d' = 3
         [
-            (0x1d2ee4f092a30d84, 159031, 865),
-            (0xc455f6985ffdb6ee, 73588, 273),
-            (0xebc02b251afbfc86, 159031, 865),
+            (0x1d2ee4f092a30d84, 129690, 751),
+            (0xc455f6985ffdb6ee, 52312, 207),
+            (0xebc02b251afbfc86, 129690, 751),
         ],
         // d' = 4
         [
-            (0x4ce6c921fa5e2c1d, 247138, 1389),
-            (0x39cc9660580e250b, 171026, 723),
-            (0x1be1e60902d0c3ad, 247138, 1389),
+            (0x4ce6c921fa5e2c1d, 207019, 1247),
+            (0x39cc9660580e250b, 129160, 610),
+            (0x1be1e60902d0c3ad, 207019, 1247),
         ],
         // d' = 5
         [
-            (0xbd4d41a218e3e8df, 351106, 1677),
-            (0x743fb7e1d59a89fc, 309933, 875),
-            (0x7168074ce39dc070, 351106, 1677),
+            (0xbd4d41a218e3e8df, 304304, 1543),
+            (0x743fb7e1d59a89fc, 235419, 748),
+            (0x7168074ce39dc070, 304304, 1543),
         ],
         // d' = 6
         [
-            (0x941f616e6bc07fc5, 348410, 1751),
-            (0x556afcb9045751b7, 359368, 855),
-            (0x34478a65f21d2ede, 348410, 1751),
+            (0x941f616e6bc07fc5, 328295, 1675),
+            (0x556afcb9045751b7, 314358, 781),
+            (0x34478a65f21d2ede, 328295, 1675),
         ],
         // d' = 7
         [
-            (0x64ecff0e5260a3e2, 322085, 1793),
-            (0x9aea29976e93feaf, 420481, 904),
-            (0x88ec5eec67d03c2f, 322085, 1793),
+            (0x64ecff0e5260a3e2, 305662, 1728),
+            (0x9aea29976e93feaf, 382526, 836),
+            (0x88ec5eec67d03c2f, 305662, 1728),
         ],
         // d' = 8
         [
-            (0xd72059b06cc60a62, 309667, 1833),
-            (0x629d7cf6127e2b3, 599085, 992),
-            (0x8087e681b7b466e4, 309667, 1833),
+            (0xd72059b06cc60a62, 300748, 1801),
+            (0x629d7cf6127e2b3, 582853, 963),
+            (0x8087e681b7b466e4, 300748, 1801),
         ],
         // d' = 9
         [
-            (0x281cae90e6c13644, 297215, 1845),
-            (0x38f7c73deaa4b0b1, 864890, 1011),
-            (0x6262975bb7e0990, 297215, 1845),
+            (0x281cae90e6c13644, 295462, 1840),
+            (0x38f7c73deaa4b0b1, 859948, 1005),
+            (0x6262975bb7e0990, 295462, 1840),
         ],
         // d' = 10
         [
-            (0x6153794e13eac8fa, 262837, 1859),
-            (0x6d8bc5716205acc8, 1088790, 958),
-            (0x3b5360bf79402b6a, 262837, 1859),
+            (0x6153794e13eac8fa, 262293, 1858),
+            (0x6d8bc5716205acc8, 1088690, 957),
+            (0x3b5360bf79402b6a, 262293, 1858),
         ],
         // d' = 11
         [
@@ -1638,15 +1939,18 @@ mod tests {
     /// [`collision_points`]' pin, one triple per variant in [`VARIANTS`]
     /// order.
     const COLLISION_PINS: [(u64, u64, u64); 3] = [
-        (0x6da7c0a192c9b709, 1584293, 1161),
-        (0x6da7c0a192c9b709, 1584293, 1161),
-        (0x6da7c0a192c9b709, 1584293, 1161),
+        (0x6da7c0a192c9b709, 1093459, 725),
+        (0x6da7c0a192c9b709, 1093459, 725),
+        (0x6da7c0a192c9b709, 1093459, 725),
     ];
 
     /// Every variant, sequential and at widths 2 and 3, must hit its pin at
-    /// every score dimension and on the quad mask-collision input. The width
-    /// pins were recorded with the early-exit candidate pass, so they hold
-    /// the branch-free pass to its bits and counters.
+    /// every score dimension and on the quad mask-collision input. The
+    /// digests were recorded with the early-exit candidate pass and no zero
+    /// certificate, so they hold the branch-free pass and the certified skips
+    /// to those bits. The counters were re-recorded with the certificate:
+    /// they count the nodes and tests left once certified subtrees are
+    /// skipped.
     #[test]
     fn kernel_output_is_pinned_at_every_width() {
         let mut scratch = KdScratch::new();

@@ -128,30 +128,32 @@ fn loop_work_count_matches_the_recorded_baseline() {
 /// Work counters of the other kernels on the dense dataset, recorded before
 /// the engine, dynamic and service fronts were folded into one pipeline: KDTT, KDTT+ and
 /// QDTT+ under `weak_ranking(4, 2)`, B&B under the wide IM user, DUAL under
-/// `WeightRatio::uniform(4, 0.5, 2.0)`. Every front must do exactly this
-/// work, sequential or parallel.
+/// `WeightRatio::uniform(4, 0.5, 2.0)`. The kd rows were re-recorded with
+/// the zero certificate, which skips subtrees of certified-zero instances
+/// (their bits are held by [`DENSE_KD_BITS`]). Every front must do exactly
+/// this work, sequential or parallel.
 const DENSE_PINNED_COUNTERS: [(QueryAlgorithm, QueryCounters); 5] = [
     (
         QueryAlgorithm::Kdtt,
         QueryCounters {
-            fdom_tests: 2_142_123,
-            nodes_visited: 3_469,
+            fdom_tests: 1_584_010,
+            nodes_visited: 2_807,
             window_queries: 0,
         },
     ),
     (
         QueryAlgorithm::KdttPlus,
         QueryCounters {
-            fdom_tests: 2_142_123,
-            nodes_visited: 3_469,
+            fdom_tests: 1_584_010,
+            nodes_visited: 2_807,
             window_queries: 0,
         },
     ),
     (
         QueryAlgorithm::QdttPlus,
         QueryCounters {
-            fdom_tests: 2_227_303,
-            nodes_visited: 2_647,
+            fdom_tests: 1_086_019,
+            nodes_visited: 1_691,
             window_queries: 0,
         },
     ),

@@ -112,6 +112,8 @@ const KERNEL_SCOPE: &[(&str, &[&str])] = &[
             "flat_corners",
             "flat_kd_partition",
             "flat_quad_group",
+            "certify_zeros",
+            "corner_test",
         ],
     ),
     (
