@@ -728,6 +728,11 @@ impl ShardedService {
     /// `false` when the shard is not quarantined (nothing to do). A failure
     /// or contained panic inside recovery puts the shard back in
     /// quarantine for a later attempt.
+    ///
+    /// Known gap: the rebuilt serving chain is a new service with a new
+    /// standing registry, so a [`ClusterSubscription`] taken before the
+    /// crash keeps its old guard for this shard, and that shard's feed stops
+    /// advancing without an error (see [`ClusterSubscription`]).
     pub fn recover_now(&self, shard: usize) -> io::Result<bool> {
         let counters = &self.shared.counters;
         let mut slot = lock(&self.shared.shards[shard]);
@@ -1066,6 +1071,14 @@ pub struct ShardChange {
 /// under a common spec. Each accessor reads through the guards' barrier,
 /// so it reflects every batch acknowledged before the call. Dropping it
 /// unsubscribes everywhere (RAII, per shard).
+///
+/// Known gap: a shard recovery ([`ShardedService::recover_now`] or the
+/// background supervisor) rebuilds that shard's service, and with it a new
+/// standing registry. The guard this subscription holds for the shard
+/// stays on the old registry, so from then on the shard's feed silently
+/// stops advancing: [`ClusterSubscription::result_versions`] keeps the
+/// pre-crash version while the shard's own version moves on.
+/// Subscribe again after a recovery to follow the shard.
 #[derive(Debug)]
 pub struct ClusterSubscription {
     guards: Vec<SubscriptionGuard>,
