@@ -4,12 +4,12 @@
 //! Grid: IND/ANTI/CORR × d ∈ {4, 8} × {WR c = 1, WR c = 3, IM c = 3 (seed 1)}
 //! at the serving benchmark's union size (1,000 objects of up to 16
 //! instances, region 0.2, half of the objects partial, seed 7). Each cell
-//! runs KDTT+, B&B and Auto sequentially on one warm `ArspEngine` and takes
-//! the kernel time (`run_time`) of every run. Per cell it records each
-//! side's median and quartiles, the rskyline size, the kd zero
-//! certificate's count, KDTT+'s `fdom_tests` and `nodes_visited`, B&B's
-//! `nodes_visited` and `window_queries`, Auto's pick and Auto's regret
-//! (Auto's median ÷ the faster kernel's median).
+//! runs KDTT+, B&B and Auto sequentially on one warm `ArspEngine`, the timed
+//! runs in rotation, and takes the kernel time (`run_time`) of every run.
+//! Per cell it records each kernel's median and quartiles, the rskyline
+//! size, the kd zero certificate's count and cost, KDTT+'s `fdom_tests` and
+//! `nodes_visited`, B&B's `nodes_visited` and `window_queries`, Auto's pick
+//! and Auto's regret (Auto's median ÷ the faster kernel's median).
 //!
 //! ```sh
 //! cargo bench -p arsp-bench --bench crossover -- \
@@ -18,7 +18,7 @@
 //!
 //! prints one line per cell and, with `--file`, replaces block `--key` of
 //! that JSON file (its other blocks are kept) with the cells, `nproc` and
-//! `--rev`. Runs in about a minute.
+//! `--rev`. Runs in about 15 s on two cores.
 
 use std::time::{Duration, Instant};
 
@@ -47,7 +47,9 @@ fn dataset(distribution: Distribution, dim: usize) -> UncertainDataset {
 }
 
 /// The points the zero certificate flags in the cell, and the median time
-/// of computing it on a warm scratch, in ms.
+/// of computing it on a warm scratch, in ms. An `Option` so that the same
+/// bench, built against a revision without the certificate, records
+/// `null` there.
 fn certified(dataset: &UncertainDataset, constraints: &ConstraintSet) -> Option<(usize, f64)> {
     let flat = FlatStore::from_dataset(dataset);
     let scores = ScoreMatrix::compute(&flat, &LinearFDominance::from_constraints(constraints));
