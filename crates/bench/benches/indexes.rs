@@ -1,42 +1,45 @@
-//! Micro-benchmark: the index substrate — aggregated R-tree insertion +
-//! window queries (the inner loop of Algorithm 2) and kd-tree construction +
-//! region queries.
+//! Micro-benchmark: the index operations the kernels run — the instance
+//! R-tree bulk load (B&B), the kd-tree build (kd-ASP\*, DUAL-S), aggregated
+//! R-tree insertion + window sums (the inner loop of Algorithm 2) and the
+//! kd-tree existence query over an F-dominance region (DUAL-S).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use arsp_index::region::WindowTo;
-use arsp_index::{AggregateRTree, KdTree, PointEntry, RTree};
+use arsp_geometry::constraints::WeightRatio;
+use arsp_geometry::fdom::WeightRatioFDominance;
+use arsp_index::region::FDominatorsOf;
+use arsp_index::{AggregateRTree, FlatEntries, KdTree, RTree};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-fn random_entries(n: usize, dim: usize, seed: u64) -> Vec<PointEntry> {
+const DIM: usize = 4;
+
+fn random_entries(n: usize, seed: u64) -> FlatEntries {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..n)
-        .map(|id| {
-            PointEntry::new(
-                id,
-                id % 64,
-                rng.gen_range(0.01..1.0),
-                (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect(),
-            )
-        })
-        .collect()
+    let mut entries = FlatEntries::with_capacity(DIM, n);
+    for id in 0..n {
+        let weight = rng.gen_range(0.01..1.0);
+        let coords: Vec<f64> = (0..DIM).map(|_| rng.gen_range(0.0..1.0)).collect();
+        entries.push(id, id % 64, weight, &coords);
+    }
+    entries
 }
 
 fn bench_indexes(c: &mut Criterion) {
     let mut group = c.benchmark_group("indexes");
     group.sample_size(20);
+    let fdom = WeightRatioFDominance::new(WeightRatio::uniform(DIM, 0.5, 2.0));
 
     for n in [1_000usize, 10_000] {
-        let entries = random_entries(n, 4, 3);
+        let entries = random_entries(n, 3);
 
         group.bench_with_input(BenchmarkId::new("rtree_bulk_load", n), &entries, |b, e| {
-            b.iter(|| RTree::bulk_load(black_box(e.clone())).len())
+            b.iter(|| RTree::bulk_load_flat(black_box(e.clone())).len())
         });
 
         group.bench_with_input(BenchmarkId::new("kdtree_build", n), &entries, |b, e| {
-            b.iter(|| KdTree::build(black_box(e.clone())).len())
+            b.iter(|| KdTree::build_flat(black_box(e.clone())).len())
         });
 
         group.bench_with_input(
@@ -44,9 +47,9 @@ fn bench_indexes(c: &mut Criterion) {
             &entries,
             |b, e| {
                 b.iter(|| {
-                    let mut tree = AggregateRTree::new(4);
-                    for entry in e {
-                        tree.insert(&entry.coords, entry.weight);
+                    let mut tree = AggregateRTree::new(DIM);
+                    for pos in 0..e.len() {
+                        tree.insert(e.coords_of(pos), e.weight(pos));
                     }
                     tree.len()
                 })
@@ -54,39 +57,39 @@ fn bench_indexes(c: &mut Criterion) {
         );
 
         // Window query throughput against a pre-built aggregated R-tree.
-        let mut agg = AggregateRTree::new(4);
-        for e in &entries {
-            agg.insert(&e.coords, e.weight);
+        let mut agg = AggregateRTree::new(DIM);
+        for pos in 0..entries.len() {
+            agg.insert(entries.coords_of(pos), entries.weight(pos));
         }
-        let queries = random_entries(256, 4, 17);
+        let queries = random_entries(256, 17);
         group.bench_with_input(
             BenchmarkId::new("aggregate_rtree_window_sum", n),
             &queries,
             |b, qs| {
                 b.iter(|| {
                     let mut total = 0.0;
-                    for q in qs {
-                        total += agg.window_sum(black_box(&q.coords));
+                    for pos in 0..qs.len() {
+                        total += agg.window_sum(black_box(qs.coords_of(pos)));
                     }
                     total
                 })
             },
         );
 
-        let kdtree = KdTree::build_with_leaf_size(entries.clone(), 4);
-        group.bench_with_input(
-            BenchmarkId::new("kdtree_window_sum", n),
-            &queries,
-            |b, qs| {
-                b.iter(|| {
-                    let mut total = 0.0;
-                    for q in qs {
-                        total += kdtree.sum_weights_in(&WindowTo::new(black_box(&q.coords)));
-                    }
-                    total
-                })
-            },
-        );
+        // DUAL-S's existence query: does any other indexed point F-dominate
+        // this one? Asked for the first 256 indexed points, each skipping
+        // itself, against a leaf-size-4 tree as `eclipse_dual_s` builds it.
+        let kdtree = KdTree::build_flat_with_leaf_size(entries.clone(), 4);
+        group.bench_with_input(BenchmarkId::new("kdtree_any_in", n), &entries, |b, e| {
+            b.iter(|| {
+                let mut dominated = 0usize;
+                for pos in 0..256 {
+                    let region = FDominatorsOf::new(&fdom, black_box(e.coords_of(pos)));
+                    dominated += usize::from(kdtree.any_in(&region, Some(e.id(pos))));
+                }
+                dominated
+            })
+        });
     }
 
     group.finish();

@@ -1,11 +1,11 @@
 //! B&B — the branch-and-bound algorithm (Algorithm 2, §III-C).
 //!
-//! Instead of mapping the whole dataset into score space up front (as
-//! KDTT/QDTT do), B&B traverses an R-tree over the *original* space in
-//! best-first order of the score under one preference-region vertex, maps
-//! instances lazily, and for every instance queries one aggregated R-tree per
-//! other object for the dominating probability mass
-//! `σ[j] = Σ_{s∈T_j, SV(s) ⪯ SV(t)} p(s)`.
+//! B&B traverses an R-tree over the *original* space in best-first order of
+//! the score under one preference-region vertex, reads each popped
+//! instance's score-space image `SV(t)` from the [`ScoreMatrix`] (the one the
+//! engine caches and shares with LOOP and the KDTT family), and for every
+//! instance queries one aggregated R-tree per other object for the
+//! dominating probability mass `σ[j] = Σ_{s∈T_j, SV(s) ⪯ SV(t)} p(s)`.
 //!
 //! Two properties make this correct and output-sensitive:
 //!
@@ -44,7 +44,7 @@ use std::collections::BinaryHeap;
 use crate::result::ArspResult;
 use crate::scorespace::ScoreMatrix;
 use crate::stats::CounterStats;
-use arsp_data::UncertainDataset;
+use arsp_data::{FlatStore, UncertainDataset};
 use arsp_geometry::fdom::LinearFDominance;
 use arsp_geometry::point::{dominates, score};
 use arsp_geometry::ConstraintSet;
@@ -67,7 +67,7 @@ pub fn arsp_bnb(dataset: &UncertainDataset, constraints: &ConstraintSet) -> Arsp
 /// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_bnb_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
     assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
-    arsp_bnb_impl(dataset, fdom, None, None, true, None, None, None)
+    arsp_bnb_engine(dataset, fdom, None, None, false, None, None, None)
 }
 
 /// B&B without the pruning set `P` — every instance pays its window queries.
@@ -78,7 +78,19 @@ pub fn arsp_bnb_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -
 /// Panics if `fdom` was built for a different dimension than the dataset's.
 pub fn arsp_bnb_without_pruning(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
     assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
-    arsp_bnb_impl(dataset, fdom, None, None, false, None, None, None)
+    let rtree = build_instance_rtree(dataset);
+    let scores = ScoreMatrix::compute(&FlatStore::from_dataset(dataset), fdom);
+    let mut scratch = BnbScratch::default();
+    arsp_bnb_impl(
+        dataset,
+        fdom,
+        &rtree,
+        &scores,
+        false,
+        None,
+        &mut scratch,
+        None,
+    )
 }
 
 /// Builds the static R-tree over a dataset's instances that B&B traverses —
@@ -95,10 +107,10 @@ pub fn build_instance_rtree(dataset: &UncertainDataset) -> RTree {
 
 /// The full-control B&B entry point used by [`crate::engine::ArspEngine`]:
 /// optional prebuilt instance R-tree (must index the same dataset), optional
-/// precomputed [`ScoreMatrix`] (rows replace the per-instance lazy
-/// score-space mapping — same bits, no per-instance work), execution mode
-/// (see below), optional work-counter sink, optional reusable
-/// [`BnbScratch`]. Results are bitwise identical across every option
+/// precomputed [`ScoreMatrix`] (must cover the same dataset and `fdom`),
+/// execution mode (see below), optional work-counter sink, optional reusable
+/// [`BnbScratch`]. Whatever is missing is built here, once, before the
+/// traversal starts. Results are bitwise identical across every option
 /// combination.
 ///
 /// The execution flag is accepted and does not affect execution: B&B always
@@ -116,6 +128,30 @@ pub fn arsp_bnb_engine(
     scratch: Option<&mut BnbScratch>,
     budget: Option<&crate::fault::QueryBudget>,
 ) -> ArspResult {
+    let owned_tree;
+    let rtree = match rtree {
+        Some(tree) => tree,
+        None => {
+            owned_tree = build_instance_rtree(dataset);
+            &owned_tree
+        }
+    };
+    let owned_scores;
+    let scores = match scores {
+        Some(matrix) => matrix,
+        None => {
+            owned_scores = ScoreMatrix::compute(&FlatStore::from_dataset(dataset), fdom);
+            &owned_scores
+        }
+    };
+    let mut owned_scratch;
+    let scratch = match scratch {
+        Some(s) => s,
+        None => {
+            owned_scratch = BnbScratch::default();
+            &mut owned_scratch
+        }
+    };
     arsp_bnb_impl(dataset, fdom, rtree, scores, true, stats, scratch, budget)
 }
 
@@ -213,11 +249,11 @@ fn is_pruned(pruning: &[f64], d_prime: usize, sv: &[f64]) -> bool {
 fn arsp_bnb_impl(
     dataset: &UncertainDataset,
     fdom: &LinearFDominance,
-    prebuilt: Option<&RTree>,
-    scores: Option<&ScoreMatrix>,
+    rtree: &RTree,
+    scores: &ScoreMatrix,
     use_pruning_set: bool,
     stats: Option<&CounterStats>,
-    scratch: Option<&mut BnbScratch>,
+    s: &mut BnbScratch,
     budget: Option<&crate::fault::QueryBudget>,
 ) -> ArspResult {
     let n = dataset.num_instances();
@@ -229,34 +265,13 @@ fn arsp_bnb_impl(
     let d_prime = fdom.num_vertices();
     let omega = &fdom.vertices()[0];
     debug_assert!(
-        scores.map_or(true, |s| s.num_rows() == n && s.score_dim() == d_prime),
+        scores.num_rows() == n && scores.score_dim() == d_prime,
         "score matrix covers a different dataset or constraint set"
     );
-
-    // R-tree over the original-space instances (the index the paper assumes
-    // is maintained on I) — built here unless the caller shares a cached one.
-    let owned_tree;
-    let rtree = match prebuilt {
-        Some(tree) => {
-            debug_assert_eq!(tree.len(), n, "prebuilt R-tree indexes a different dataset");
-            tree
-        }
-        None => {
-            owned_tree = build_instance_rtree(dataset);
-            &owned_tree
-        }
-    };
+    debug_assert_eq!(rtree.len(), n, "R-tree indexes a different dataset");
     let mut nodes_popped = 0u64;
     let mut window_queries = 0u64;
 
-    let mut owned_scratch;
-    let s = match scratch {
-        Some(s) => s,
-        None => {
-            owned_scratch = BnbScratch::default();
-            &mut owned_scratch
-        }
-    };
     let BnbScratch {
         heap: heap_store,
         group,
@@ -363,24 +378,14 @@ fn arsp_bnb_impl(
                 // Deterministic member order regardless of heap internals.
                 group.sort_unstable();
 
-                // Score-space images of the non-pruned members, staged into
-                // the flat member buffer: precomputed rows are copied,
-                // otherwise the mapping is computed in place — either way no
-                // per-instance allocation.
+                // Score-space images of the non-pruned members, copied from
+                // the score matrix into the flat member buffer (no
+                // per-instance allocation).
                 members.clear();
                 members_sv.clear();
                 for &id in group.iter() {
                     let slot = members_sv.len();
-                    members_sv.resize(slot + d_prime, 0.0);
-                    match scores {
-                        Some(matrix) => {
-                            members_sv[slot..slot + d_prime].copy_from_slice(matrix.row(id))
-                        }
-                        None => fdom.map_to_score_space_into(
-                            &dataset.instance(id).coords,
-                            &mut members_sv[slot..slot + d_prime],
-                        ),
-                    }
+                    members_sv.extend_from_slice(scores.row(id));
                     if use_pruning_set && is_pruned(pruning, d_prime, &members_sv[slot..]) {
                         // Zero rskyline probability: never inserted into the
                         // aggregated R-trees, never contributes to P.
@@ -496,9 +501,9 @@ fn arsp_bnb_impl(
 
 /// Pushes a node's children (or leaf instances) onto the best-first heap,
 /// unless the Theorem-4 pruning set already covers the node. `sv_buf` is the
-/// reusable buffer for the node-corner mapping; leaf keys are read from the
-/// precomputed score matrix when one is available (bitwise the same value as
-/// recomputing the dot product).
+/// reusable buffer for the node-corner mapping; an instance's key is its
+/// score-matrix row's first entry, `S_ω(t)` for `ω = V[0]` (see
+/// [`ScoreMatrix::compute`]).
 #[allow(clippy::too_many_arguments)]
 fn expand_node(
     rtree: &RTree,
@@ -508,7 +513,7 @@ fn expand_node(
     use_pruning_set: bool,
     pruning: &[f64],
     d_prime: usize,
-    scores: Option<&ScoreMatrix>,
+    scores: &ScoreMatrix,
     sv_buf: &mut [f64],
     heap: &mut BinaryHeap<HeapItem>,
 ) {
@@ -533,12 +538,8 @@ fn expand_node(
             let entries = rtree.entries();
             for &ei in rtree.items(start, len) {
                 let id = entries.id(ei as usize);
-                let key = match scores {
-                    Some(matrix) => matrix.row(id)[0],
-                    None => score(entries.coords_of(ei as usize), omega),
-                };
                 heap.push(HeapItem {
-                    key,
+                    key: scores.row(id)[0],
                     kind: ItemKind::Instance(id),
                 });
             }
@@ -794,7 +795,8 @@ mod tests {
             assert_eq!(other_ref.probs(), other_got.probs());
         }
 
-        // Work counters are identical with and without the precomputed rows.
+        // Work counters are identical whether the entry point builds its own
+        // score matrix or is handed a shared one.
         let stats_lazy = CounterStats::new();
         let _ = arsp_bnb_engine(
             &d,

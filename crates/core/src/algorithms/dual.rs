@@ -29,9 +29,9 @@ use crate::stats::CounterStats;
 use arsp_data::{FlatStore, UncertainDataset};
 use arsp_geometry::constraints::WeightRatio;
 use arsp_geometry::fdom::WeightRatioFDominance;
-use arsp_index::angular::dominance_wedge;
 use arsp_index::region::FDominatorsOf;
 use arsp_index::AggregateRTree;
+use std::f64::consts::{FRAC_PI_2, TAU};
 
 /// Computes ARSP under weight ratio constraints with per-object aggregated
 /// R-trees (the general-dimension DUAL algorithm).
@@ -217,7 +217,7 @@ impl DualMs2d {
                     coincident.push((s.object, s.prob));
                     continue;
                 }
-                let angle = arsp_index::angular::normalize_angle(dy.atan2(dx));
+                let angle = normalize_angle(dy.atan2(dx));
                 if single_instance[s.object] {
                     items.push((angle, s.prob));
                 } else {
@@ -321,6 +321,35 @@ impl DualMs2d {
         }
         result
     }
+}
+
+/// Normalises an angle into `[0, 2π)`.
+fn normalize_angle(angle: f64) -> f64 {
+    let mut a = angle % TAU;
+    if a < 0.0 {
+        a += TAU;
+    }
+    if a >= TAU {
+        a -= TAU;
+    }
+    a
+}
+
+/// The angular wedge (as a `[lo, hi]` range of directions of `s − t`) that
+/// characterises `s ≺_F t` for 2-d weight ratio constraints `[l, h]`:
+/// the directions `u` with `u · (l, 1) ≤ 0` and `u · (h, 1) ≤ 0`.
+///
+/// Returns `(lo, hi)` with `lo ≤ hi` in radians (the wedge never wraps for
+/// `0 ≤ l ≤ h` because it always contains the direction `(0, −1)` i.e.
+/// `3π/2`).
+fn dominance_wedge(l: f64, h: f64) -> (f64, f64) {
+    assert!(l >= 0.0 && l <= h, "invalid ratio range");
+    // u · (l, 1) ≤ 0 describes the closed half-plane of directions
+    // θ ∈ [α_l + π/2, α_l + 3π/2] where α_l = atan2(1, l) ∈ (0, π/2].
+    // The intersection for l ≤ h is [α_l + π/2, α_h + 3π/2].
+    let alpha_l = 1.0f64.atan2(l);
+    let alpha_h = 1.0f64.atan2(h);
+    (alpha_l + FRAC_PI_2, alpha_h + 3.0 * FRAC_PI_2)
 }
 
 #[cfg(test)]
@@ -523,5 +552,40 @@ mod tests {
         let ratio = WeightRatio::uniform(2, 0.5, 2.0);
         let result = arsp_dual_flat_engine(&flat, &ratio, &agg, false, None, None);
         assert!(result.is_empty());
+    }
+
+    #[test]
+    fn normalisation() {
+        assert!((normalize_angle(-FRAC_PI_2) - 3.0 * FRAC_PI_2).abs() < 1e-12);
+        assert!((normalize_angle(TAU + 0.1) - 0.1).abs() < 1e-12);
+        assert_eq!(normalize_angle(0.0), 0.0);
+    }
+
+    #[test]
+    fn dominance_wedge_matches_direct_test() {
+        // For every direction θ, membership of the wedge must agree with the
+        // two half-plane conditions u·(l,1) ≤ 0 and u·(h,1) ≤ 0.
+        let (l, h) = (0.5, 2.0);
+        let (lo, hi) = dominance_wedge(l, h);
+        assert!(lo < hi);
+        for k in 0..720 {
+            let theta = k as f64 * TAU / 720.0;
+            let u = (theta.cos(), theta.sin());
+            let cond = u.0 * l + u.1 <= 1e-12 && u.0 * h + u.1 <= 1e-12;
+            let theta_n = normalize_angle(theta);
+            let in_wedge = theta_n >= lo - 1e-9 && theta_n <= hi + 1e-9;
+            // Allow boundary disagreement within numerical tolerance.
+            if (u.0 * l + u.1).abs() > 1e-6 && (u.0 * h + u.1).abs() > 1e-6 {
+                assert_eq!(cond, in_wedge, "θ = {theta}");
+            }
+        }
+    }
+
+    #[test]
+    fn wedge_for_degenerate_ratio() {
+        // l = h = 1: the wedge is the half-plane below the anti-diagonal,
+        // spanning exactly π.
+        let (lo, hi) = dominance_wedge(1.0, 1.0);
+        assert!((hi - lo - std::f64::consts::PI).abs() < 1e-9);
     }
 }

@@ -26,7 +26,7 @@ use arsp_geometry::constraints::WeightRatio;
 use arsp_geometry::fdom::{FDominance, WeightRatioFDominance};
 use arsp_geometry::point::dominates;
 use arsp_index::region::FDominatorsOf;
-use arsp_index::{KdTree, PointEntry};
+use arsp_index::{FlatEntries, KdTree};
 
 /// The skyline of a certain dataset, computed with a sort-based sweep:
 /// points are processed in ascending order of their coordinate sum, and each
@@ -98,11 +98,11 @@ pub fn eclipse_dual_s(data: &CertainDataset, ratio: &WeightRatio) -> Vec<usize> 
     assert_eq!(data.dim(), ratio.dim());
     let fdom = WeightRatioFDominance::new(ratio.clone());
     let sky = skyline(data);
-    let entries: Vec<PointEntry> = sky
-        .iter()
-        .map(|&id| PointEntry::new(id, id, 1.0, data.point(id).to_vec()))
-        .collect();
-    let tree = KdTree::build_with_leaf_size(entries, 4);
+    let mut entries = FlatEntries::with_capacity(data.dim(), sky.len());
+    for &id in &sky {
+        entries.push(id, id, 1.0, data.point(id));
+    }
+    let tree = KdTree::build_flat_with_leaf_size(entries, 4);
     let mut result = Vec::new();
     for &id in &sky {
         let region = FDominatorsOf::new(&fdom, data.point(id));

@@ -27,7 +27,11 @@ pub struct ScoreMatrix {
 
 impl ScoreMatrix {
     /// Projects every instance of the flat store onto the preference-region
-    /// vertices — the one vectorizable `coords · ω` pass.
+    /// vertices — the one vectorizable `coords · ω` pass. Entry `k` of row
+    /// `id` holds the bits of `arsp_geometry::point::score(coords, V[k])`,
+    /// the dot product [`LinearFDominance::map_to_score_space_into`] takes,
+    /// so B&B reads its best-first key `S_{V[0]}(t)` and its images `SV(t)`
+    /// straight from the rows.
     pub fn compute(flat: &FlatStore, fdom: &LinearFDominance) -> Self {
         let score_dim = fdom.num_vertices();
         let n = flat.num_instances();

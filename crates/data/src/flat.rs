@@ -12,7 +12,6 @@
 //! `Instance`-based paths.
 
 use crate::dataset::UncertainDataset;
-use arsp_geometry::PointRef;
 use std::ops::Range;
 
 /// A column-oriented snapshot of an [`UncertainDataset`]: coordinates in one
@@ -136,12 +135,6 @@ impl FlatStore {
         &self.coords[id * self.dim..(id + 1) * self.dim]
     }
 
-    /// Borrowed point view of one instance.
-    #[inline]
-    pub fn point_ref(&self, id: usize) -> PointRef<'_> {
-        PointRef(self.coords_of(id))
-    }
-
     /// Existence probability column (indexed by instance id).
     #[inline]
     pub fn probs(&self) -> &[f64] {
@@ -188,7 +181,6 @@ mod tests {
         assert_eq!(flat.coords().len(), d.num_instances() * d.dim());
         for inst in d.instances() {
             assert_eq!(flat.coords_of(inst.id), inst.coords.as_slice());
-            assert_eq!(flat.point_ref(inst.id).coords(), inst.coords.as_slice());
             assert_eq!(flat.prob(inst.id).to_bits(), inst.prob.to_bits());
             assert_eq!(flat.object_of(inst.id), inst.object);
         }

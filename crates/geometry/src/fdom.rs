@@ -142,11 +142,6 @@ impl WeightRatioFDominance {
     pub fn new(ratio: WeightRatio) -> Self {
         Self { ratio }
     }
-
-    /// The underlying weight ratio constraints.
-    pub fn ratio(&self) -> &WeightRatio {
-        &self.ratio
-    }
 }
 
 impl FDominance for WeightRatioFDominance {

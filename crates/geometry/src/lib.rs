@@ -14,20 +14,17 @@
 //!   weight-ratio constraints,
 //! * [`polytope`] — vertex enumeration of the preference region (the set `V`
 //!   of Theorem 2),
-//! * [`hyperplane`] — hyperplanes in the `x[d] = Σ a_i x[i] + b` form, the
-//!   point/hyperplane duality of §IV-A, and half-space side tests,
 //! * [`fdom`] — the F-dominance tests of Theorems 2 and 5 plus an LP-based
 //!   reference implementation used for cross-validation in tests.
 //!
 //! Everything is implemented from scratch on `f64`; the only tolerance used is
 //! [`EPS`], and only where geometric degeneracy actually matters (singular
-//! systems, feasibility of computed vertices, hyperplane side tests).
+//! systems, feasibility of computed vertices).
 
 #![deny(unsafe_code)]
 
 pub mod constraints;
 pub mod fdom;
-pub mod hyperplane;
 pub mod linalg;
 pub mod lp;
 pub mod mbr;
@@ -36,13 +33,12 @@ pub mod polytope;
 
 pub use constraints::{ConstraintSet, LinearConstraint, WeightRatio};
 pub use fdom::{FDominance, LinearFDominance, WeightRatioFDominance};
-pub use hyperplane::{HalfSpaceSide, Hyperplane};
 pub use mbr::Mbr;
-pub use point::{Point, PointRef};
+pub use point::Point;
 pub use polytope::preference_region_vertices;
 
-/// Tolerance used for geometric degeneracy decisions (singularity, feasibility
-/// of enumerated vertices, hyperplane side classification).
+/// Tolerance used for geometric degeneracy decisions (singularity and
+/// feasibility of enumerated vertices).
 ///
 /// Dominance tests deliberately do **not** use a tolerance: the paper defines
 /// `t ≺_F s` through plain `≤` comparisons of scores and the algorithms are

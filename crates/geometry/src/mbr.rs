@@ -67,14 +67,6 @@ impl Mbr {
         })
     }
 
-    /// Computes the MBR of a non-empty set of points.
-    pub fn from_points<'a, I>(iter: I) -> Option<Self>
-    where
-        I: IntoIterator<Item = &'a Point>,
-    {
-        Self::from_coord_slices(iter.into_iter().map(|p| p.coords()))
-    }
-
     /// Computes the MBR of a set of rows of a flat, `dim`-strided coordinate
     /// array (row `i` is `coords[i*dim..(i+1)*dim]`). Returns `None` for an
     /// empty row set. This is the columnar-store counterpart of
@@ -140,12 +132,6 @@ impl Mbr {
             .all(|(i, &c)| self.min[i] <= c && c <= self.max[i])
     }
 
-    /// Returns `true` when the two rectangles intersect (inclusive).
-    pub fn intersects(&self, other: &Mbr) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        (0..self.dim()).all(|i| self.min[i] <= other.max[i] && other.min[i] <= self.max[i])
-    }
-
     /// Returns `true` when `other` is fully contained in `self` (inclusive).
     pub fn contains_mbr(&self, other: &Mbr) -> bool {
         (0..self.dim()).all(|i| self.min[i] <= other.min[i] && other.max[i] <= self.max[i])
@@ -168,11 +154,6 @@ impl Mbr {
     /// Volume (product of side lengths); zero for degenerate rectangles.
     pub fn volume(&self) -> f64 {
         (0..self.dim()).map(|i| self.max[i] - self.min[i]).product()
-    }
-
-    /// Margin (sum of side lengths), used by R-tree split heuristics.
-    pub fn margin(&self) -> f64 {
-        (0..self.dim()).map(|i| self.max[i] - self.min[i]).sum()
     }
 
     /// Centre of the rectangle.
@@ -234,34 +215,30 @@ mod tests {
         Mbr::new(Point::from(min), Point::from(max))
     }
 
+    fn mbr_of(points: &[Vec<f64>]) -> Option<Mbr> {
+        Mbr::from_coord_slices(points.iter().map(Vec::as_slice))
+    }
+
     #[test]
     fn from_points_covers_all() {
-        let pts = [
-            Point::new(vec![1.0, 5.0]),
-            Point::new(vec![3.0, 2.0]),
-            Point::new(vec![2.0, 4.0]),
-        ];
-        let r = Mbr::from_points(pts.iter()).unwrap();
+        let pts = [vec![1.0, 5.0], vec![3.0, 2.0], vec![2.0, 4.0]];
+        let r = mbr_of(&pts).unwrap();
         assert_eq!(r.min().coords(), &[1.0, 2.0]);
         assert_eq!(r.max().coords(), &[3.0, 5.0]);
-        assert!(pts.iter().all(|p| r.contains(p.coords())));
+        assert!(pts.iter().all(|p| r.contains(p)));
     }
 
     #[test]
     fn empty_set_has_no_mbr() {
-        assert!(Mbr::from_points(std::iter::empty()).is_none());
+        assert!(mbr_of(&[]).is_none());
     }
 
     #[test]
     fn flat_rows_and_bounds_helpers_match_pointwise_construction() {
         let coords = [1.0, 5.0, 3.0, 2.0, 2.0, 4.0]; // 3 rows × 2 dims
         let flat = Mbr::from_flat_rows(&coords, 2, 0..3).unwrap();
-        let pts = [
-            Point::new(vec![1.0, 5.0]),
-            Point::new(vec![3.0, 2.0]),
-            Point::new(vec![2.0, 4.0]),
-        ];
-        assert_eq!(flat, Mbr::from_points(pts.iter()).unwrap());
+        let pts = [vec![1.0, 5.0], vec![3.0, 2.0], vec![2.0, 4.0]];
+        assert_eq!(flat, mbr_of(&pts).unwrap());
         assert!(Mbr::from_flat_rows(&coords, 2, std::iter::empty()).is_none());
 
         let mut min = vec![0.0; 2];
@@ -278,10 +255,6 @@ mod tests {
     fn contains_and_intersects() {
         let a = mbr(&[0.0, 0.0], &[2.0, 2.0]);
         let b = mbr(&[1.0, 1.0], &[3.0, 3.0]);
-        let c = mbr(&[2.5, 2.5], &[4.0, 4.0]);
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&c));
-        assert!(!a.intersects(&c));
         assert!(a.contains(&[1.0, 1.0]));
         assert!(!a.contains(&[1.0, 2.5]));
         assert!(a.contains_mbr(&mbr(&[0.5, 0.5], &[1.5, 1.5])));
@@ -305,7 +278,6 @@ mod tests {
     fn volume_margin_center() {
         let r = mbr(&[0.0, 0.0, 0.0], &[1.0, 2.0, 3.0]);
         assert_eq!(r.volume(), 6.0);
-        assert_eq!(r.margin(), 6.0);
         assert_eq!(r.center().coords(), &[0.5, 1.0, 1.5]);
     }
 
@@ -330,12 +302,11 @@ mod tests {
         #[test]
         fn mbr_envelopes_points(pts in proptest::collection::vec(
             proptest::collection::vec(-100.0f64..100.0, 3), 1..40)) {
-            let points: Vec<Point> = pts.into_iter().map(Point::new).collect();
-            let r = Mbr::from_points(points.iter()).unwrap();
-            for p in &points {
-                prop_assert!(r.contains(p.coords()));
-                prop_assert!(r.min().dominates(p));
-                prop_assert!(p.dominates(r.max()));
+            let r = mbr_of(&pts).unwrap();
+            for p in &pts {
+                prop_assert!(r.contains(p));
+                prop_assert!(dominates(r.min().coords(), p));
+                prop_assert!(dominates(p, r.max().coords()));
             }
         }
 
@@ -345,8 +316,8 @@ mod tests {
                                    b in proptest::collection::vec(-10.0f64..10.0, 2),
                                    c in proptest::collection::vec(-10.0f64..10.0, 2),
                                    d in proptest::collection::vec(-10.0f64..10.0, 2)) {
-            let r1 = Mbr::from_points([Point::new(a), Point::new(b)].iter()).unwrap();
-            let r2 = Mbr::from_points([Point::new(c), Point::new(d)].iter()).unwrap();
+            let r1 = mbr_of(&[a, b]).unwrap();
+            let r2 = mbr_of(&[c, d]).unwrap();
             let u = r1.union(&r2);
             prop_assert!(u.contains_mbr(&r1));
             prop_assert!(u.contains_mbr(&r2));

@@ -26,20 +26,6 @@ impl Point {
         Self { coords }
     }
 
-    /// Creates the origin of `R^d`.
-    pub fn origin(dim: usize) -> Self {
-        Self {
-            coords: vec![0.0; dim],
-        }
-    }
-
-    /// Creates a point with every coordinate set to `value`.
-    pub fn splat(dim: usize, value: f64) -> Self {
-        Self {
-            coords: vec![value; dim],
-        }
-    }
-
     /// Dimensionality of the point.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -52,54 +38,9 @@ impl Point {
         &self.coords
     }
 
-    /// Mutably borrow the coordinates.
-    #[inline]
-    pub fn coords_mut(&mut self) -> &mut [f64] {
-        &mut self.coords
-    }
-
     /// Consume the point and return its coordinate vector.
     pub fn into_coords(self) -> Vec<f64> {
         self.coords
-    }
-
-    /// Weak dominance: `self ⪯ other` iff every coordinate of `self` is `≤`
-    /// the corresponding coordinate of `other`.
-    ///
-    /// This is the relation written `⪯` throughout the paper (lower is
-    /// better). Note that a point weakly dominates itself; callers that need
-    /// the paper's "dominates another object `s ≠ t`" semantics must exclude
-    /// identity at the instance level, not at the coordinate level.
-    ///
-    /// # Panics
-    /// Panics in debug builds if the dimensionalities differ.
-    #[inline]
-    pub fn dominates(&self, other: &Point) -> bool {
-        dominates(&self.coords, &other.coords)
-    }
-
-    /// Strict dominance: `self ⪯ other` and the points differ in at least one
-    /// coordinate.
-    #[inline]
-    pub fn strictly_dominates(&self, other: &Point) -> bool {
-        strictly_dominates(&self.coords, &other.coords)
-    }
-
-    /// Linear score `S_ω(t) = Σ_i ω[i]·t[i]` of this point under weight `ω`.
-    #[inline]
-    pub fn score(&self, weight: &[f64]) -> f64 {
-        score(&self.coords, weight)
-    }
-
-    /// Squared Euclidean distance to another point (used only by tests and
-    /// generators; never by the algorithms themselves).
-    pub fn distance_sq(&self, other: &Point) -> f64 {
-        debug_assert_eq!(self.dim(), other.dim());
-        self.coords
-            .iter()
-            .zip(other.coords.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum()
     }
 
     /// Coordinate-wise minimum of two points.
@@ -122,18 +63,6 @@ impl Point {
                 .iter()
                 .zip(other.coords.iter())
                 .map(|(a, b)| a.max(*b))
-                .collect(),
-        )
-    }
-
-    /// Coordinate-wise difference `self − other`.
-    pub fn sub(&self, other: &Point) -> Point {
-        debug_assert_eq!(self.dim(), other.dim());
-        Point::new(
-            self.coords
-                .iter()
-                .zip(other.coords.iter())
-                .map(|(a, b)| a - b)
                 .collect(),
         )
     }
@@ -173,89 +102,20 @@ impl From<&[f64]> for Point {
     }
 }
 
-/// A borrowed view of a point: a coordinate slice with the point operations
-/// attached. This is the hot-path representation — the flat columnar stores
-/// hand out `PointRef`s into their contiguous coordinate arrays, so the
-/// algorithms never clone a [`Point`] to compare or score instances.
+/// Weak dominance: `a ⪯ b` iff every coordinate of `a` is `≤` the
+/// corresponding coordinate of `b`.
 ///
-/// All operations are bitwise identical to their [`Point`] counterparts (they
-/// share the same slice-level implementations).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PointRef<'a>(pub &'a [f64]);
-
-impl<'a> PointRef<'a> {
-    /// Dimensionality of the point.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The underlying coordinate slice.
-    #[inline]
-    pub fn coords(&self) -> &'a [f64] {
-        self.0
-    }
-
-    /// Weak dominance against another borrowed point.
-    #[inline]
-    pub fn dominates(&self, other: PointRef<'_>) -> bool {
-        dominates(self.0, other.0)
-    }
-
-    /// Strict dominance against another borrowed point.
-    #[inline]
-    pub fn strictly_dominates(&self, other: PointRef<'_>) -> bool {
-        strictly_dominates(self.0, other.0)
-    }
-
-    /// Linear score `S_ω(t) = Σ_i ω[i]·t[i]` under weight `ω`.
-    #[inline]
-    pub fn score(&self, weight: &[f64]) -> f64 {
-        score(self.0, weight)
-    }
-
-    /// An owned copy of the point (cold paths only).
-    pub fn to_point(&self) -> Point {
-        Point::from(self.0)
-    }
-}
-
-impl<'a> From<&'a [f64]> for PointRef<'a> {
-    fn from(coords: &'a [f64]) -> Self {
-        PointRef(coords)
-    }
-}
-
-impl<'a> From<&'a Point> for PointRef<'a> {
-    fn from(p: &'a Point) -> Self {
-        PointRef(p.coords())
-    }
-}
-
-/// Slice-level weak dominance, the hot-path version of [`Point::dominates`].
+/// This is the relation written `⪯` throughout the paper (lower is better).
+/// Note that a point weakly dominates itself; callers that need the paper's
+/// "dominates another object `s ≠ t`" semantics must exclude identity at the
+/// instance level, not at the coordinate level.
 #[inline]
 pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b.iter()).all(|(x, y)| x <= y)
 }
 
-/// Slice-level strict dominance (`⪯` and not coordinate-wise equal).
-#[inline]
-pub fn strictly_dominates(a: &[f64], b: &[f64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    let mut strict = false;
-    for (x, y) in a.iter().zip(b.iter()) {
-        if x > y {
-            return false;
-        }
-        if x < y {
-            strict = true;
-        }
-    }
-    strict
-}
-
-/// Slice-level linear score `Σ_i ω[i]·t[i]`.
+/// Linear score `S_ω(t) = Σ_i ω[i]·t[i]` of coordinates `t` under weight `ω`.
 #[inline]
 pub fn score(coords: &[f64], weight: &[f64]) -> f64 {
     debug_assert_eq!(coords.len(), weight.len());
@@ -269,22 +129,17 @@ mod tests {
 
     #[test]
     fn dominance_basic() {
-        let a = Point::new(vec![1.0, 2.0]);
-        let b = Point::new(vec![1.0, 3.0]);
-        let c = Point::new(vec![0.5, 4.0]);
-        assert!(a.dominates(&b));
-        assert!(!b.dominates(&a));
-        assert!(!a.dominates(&c));
-        assert!(!c.dominates(&a));
-        assert!(a.dominates(&a));
-        assert!(!a.strictly_dominates(&a));
-        assert!(a.strictly_dominates(&b));
+        let (a, b, c) = ([1.0, 2.0], [1.0, 3.0], [0.5, 4.0]);
+        assert!(dominates(&a, &b));
+        assert!(!dominates(&b, &a));
+        assert!(!dominates(&a, &c));
+        assert!(!dominates(&c, &a));
+        assert!(dominates(&a, &a));
     }
 
     #[test]
     fn score_is_weighted_sum() {
-        let p = Point::new(vec![2.0, 4.0, 6.0]);
-        assert_eq!(p.score(&[0.5, 0.25, 0.25]), 1.0 + 1.0 + 1.5);
+        assert_eq!(score(&[2.0, 4.0, 6.0], &[0.5, 0.25, 0.25]), 1.0 + 1.0 + 1.5);
     }
 
     #[test]
@@ -296,51 +151,22 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_distance() {
-        let a = Point::new(vec![3.0, 4.0]);
-        let o = Point::origin(2);
-        assert_eq!(a.sub(&o).coords(), &[3.0, 4.0]);
-        assert_eq!(a.distance_sq(&o), 25.0);
-    }
-
-    #[test]
-    fn point_ref_matches_point_operations() {
-        let a = Point::new(vec![1.0, 2.0, 3.0]);
-        let b = Point::new(vec![1.0, 3.0, 3.0]);
-        let (ra, rb) = (PointRef::from(&a), PointRef::from(&b));
-        assert_eq!(ra.dim(), 3);
-        assert_eq!(ra.coords(), a.coords());
-        assert_eq!(ra.dominates(rb), a.dominates(&b));
-        assert_eq!(ra.strictly_dominates(rb), a.strictly_dominates(&b));
-        let w = [0.2, 0.3, 0.5];
-        assert_eq!(ra.score(&w), a.score(&w));
-        assert_eq!(ra.to_point(), a);
-        let slice: &[f64] = &[4.0, 5.0];
-        assert_eq!(PointRef::from(slice).coords(), slice);
-    }
-
-    #[test]
     fn indexing() {
-        let mut p = Point::splat(3, 1.0);
+        let mut p = Point::new(vec![1.0; 3]);
         p[1] = 7.0;
         assert_eq!(p[1], 7.0);
         assert_eq!(p[0], 1.0);
     }
 
     proptest! {
-        /// Dominance is reflexive and transitive; strict dominance is irreflexive.
+        /// Dominance is reflexive and transitive.
         #[test]
         fn dominance_partial_order(a in proptest::collection::vec(-10.0f64..10.0, 4),
                                    b in proptest::collection::vec(-10.0f64..10.0, 4),
                                    c in proptest::collection::vec(-10.0f64..10.0, 4)) {
-            let (pa, pb, pc) = (Point::new(a), Point::new(b), Point::new(c));
-            prop_assert!(pa.dominates(&pa));
-            prop_assert!(!pa.strictly_dominates(&pa));
-            if pa.dominates(&pb) && pb.dominates(&pc) {
-                prop_assert!(pa.dominates(&pc));
-            }
-            if pa.strictly_dominates(&pb) {
-                prop_assert!(!pb.strictly_dominates(&pa));
+            prop_assert!(dominates(&a, &a));
+            if dominates(&a, &b) && dominates(&b, &c) {
+                prop_assert!(dominates(&a, &c));
             }
         }
 
@@ -348,11 +174,11 @@ mod tests {
         #[test]
         fn min_max_envelope(a in proptest::collection::vec(-10.0f64..10.0, 3),
                             b in proptest::collection::vec(-10.0f64..10.0, 3)) {
-            let (pa, pb) = (Point::new(a), Point::new(b));
+            let (pa, pb) = (Point::new(a.clone()), Point::new(b.clone()));
             let lo = pa.component_min(&pb);
             let hi = pa.component_max(&pb);
-            prop_assert!(lo.dominates(&pa) && lo.dominates(&pb));
-            prop_assert!(pa.dominates(&hi) && pb.dominates(&hi));
+            prop_assert!(dominates(lo.coords(), &a) && dominates(lo.coords(), &b));
+            prop_assert!(dominates(&a, hi.coords()) && dominates(&b, hi.coords()));
         }
 
         /// Scores under non-negative weights are monotone with respect to dominance.
@@ -360,10 +186,9 @@ mod tests {
         fn score_monotone(a in proptest::collection::vec(0.0f64..10.0, 3),
                           delta in proptest::collection::vec(0.0f64..5.0, 3),
                           w in proptest::collection::vec(0.0f64..1.0, 3)) {
-            let pa = Point::new(a.clone());
-            let pb = Point::new(a.iter().zip(&delta).map(|(x, d)| x + d).collect());
-            prop_assert!(pa.dominates(&pb));
-            prop_assert!(pa.score(&w) <= pb.score(&w) + 1e-12);
+            let b: Vec<f64> = a.iter().zip(&delta).map(|(x, d)| x + d).collect();
+            prop_assert!(dominates(&a, &b));
+            prop_assert!(score(&a, &w) <= score(&b, &w) + 1e-12);
         }
     }
 }

@@ -135,14 +135,6 @@ pub fn score_vector(coords: &[f64], vertices: &[Vec<f64>]) -> Vec<f64> {
         .collect()
 }
 
-/// Returns `true` when `omega` is a vertex of the region described by
-/// `constraints`, up to tolerance. Convenience helper for tests.
-pub fn is_vertex_of(constraints: &ConstraintSet, omega: &[f64]) -> bool {
-    preference_region_vertices(constraints)
-        .iter()
-        .any(|v| v.iter().zip(omega).all(|(a, b)| (a - b).abs() <= 1e-6))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,9 +273,10 @@ mod tests {
         let v = preference_region_vertices(&cs);
         for omega in &v {
             assert!(cs.contains(omega), "{omega:?}");
-            assert!(is_vertex_of(&cs, omega));
         }
-        assert!(!is_vertex_of(&cs, &[0.4, 0.3, 0.15, 0.1, 0.05]));
+        let interior = [0.4, 0.3, 0.15, 0.1, 0.05];
+        assert!(cs.contains(&interior));
+        assert!(!v.iter().any(|u| crate::approx_eq_slice(u, &interior)));
     }
 
     #[test]

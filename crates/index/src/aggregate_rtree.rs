@@ -86,11 +86,6 @@ impl AggregateRTree {
         self.len == 0
     }
 
-    /// Total weight stored in the tree.
-    pub fn total_weight(&self) -> f64 {
-        self.root.map_or(0.0, |r| self.nodes[r].weight_sum)
-    }
-
     /// Inserts a weighted point.
     ///
     /// # Panics
@@ -303,28 +298,6 @@ impl AggregateRTree {
             }
         }
     }
-
-    /// Returns `true` if any stored point lies inside the region.
-    pub fn any_in<R: DominanceRegion>(&self, region: &R) -> bool {
-        match self.root {
-            None => false,
-            Some(root) => self.any_rec(root, region),
-        }
-    }
-
-    fn any_rec<R: DominanceRegion>(&self, node_id: usize, region: &R) -> bool {
-        let node = &self.nodes[node_id];
-        if !region.may_intersect(&node.mbr) {
-            return false;
-        }
-        if region.covers(&node.mbr) {
-            return true;
-        }
-        match &node.content {
-            AggContent::Leaf(entries) => entries.iter().any(|e| region.contains(&e.coords)),
-            AggContent::Internal(children) => children.iter().any(|&c| self.any_rec(c, region)),
-        }
-    }
 }
 
 fn leaf_summary(entries: &[AggEntry]) -> (Mbr, f64) {
@@ -356,31 +329,28 @@ fn widest_dimension<'a>(coords: impl Iterator<Item = &'a [f64]>, dim: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::region::{FDominatorsOf, WindowTo};
+    use crate::region::FDominatorsOf;
     use crate::test_util::random_entries;
     use arsp_geometry::constraints::WeightRatio;
     use arsp_geometry::fdom::WeightRatioFDominance;
+    use arsp_geometry::point::dominates;
     use proptest::prelude::*;
 
     #[test]
     fn empty_tree_sums_to_zero() {
         let tree = AggregateRTree::new(3);
         assert!(tree.is_empty());
-        assert_eq!(tree.total_weight(), 0.0);
         assert_eq!(tree.window_sum(&[1.0, 1.0, 1.0]), 0.0);
-        assert!(!tree.any_in(&WindowTo::new(&[1.0, 1.0, 1.0])));
     }
 
     #[test]
     fn window_sum_matches_brute_force_after_incremental_inserts() {
         let entries = random_entries(600, 3, 30, 42);
         let mut tree = AggregateRTree::new(3);
-        for e in &entries {
-            tree.insert(&e.coords, e.weight);
+        for pos in 0..entries.len() {
+            tree.insert(entries.coords_of(pos), entries.weight(pos));
         }
         assert_eq!(tree.len(), entries.len());
-        let total: f64 = entries.iter().map(|e| e.weight).sum();
-        assert!((tree.total_weight() - total).abs() < 1e-9);
 
         for corner in [
             vec![0.5, 0.5, 0.5],
@@ -388,10 +358,9 @@ mod tests {
             vec![1.0, 1.0, 1.0],
             vec![0.0, 0.0, 0.0],
         ] {
-            let want: f64 = entries
-                .iter()
-                .filter(|e| e.coords.iter().zip(&corner).all(|(c, q)| c <= q))
-                .map(|e| e.weight)
+            let want: f64 = (0..entries.len())
+                .filter(|&pos| dominates(entries.coords_of(pos), &corner))
+                .map(|pos| entries.weight(pos))
                 .sum();
             let got = tree.window_sum(&corner);
             assert!(
@@ -408,17 +377,17 @@ mod tests {
         let entries = random_entries(120, 2, 10, 9);
         let mut tree = AggregateRTree::new(2);
         let mut inserted: Vec<(Vec<f64>, f64)> = Vec::new();
-        for e in &entries {
-            let corner = e.coords.clone();
+        for pos in 0..entries.len() {
+            let (corner, weight) = (entries.coords_of(pos), entries.weight(pos));
             let want: f64 = inserted
                 .iter()
-                .filter(|(c, _)| c.iter().zip(&corner).all(|(a, b)| a <= b))
+                .filter(|(c, _)| dominates(c, corner))
                 .map(|(_, w)| w)
                 .sum();
-            let got = tree.window_sum(&corner);
+            let got = tree.window_sum(corner);
             assert!((got - want).abs() < 1e-9);
-            tree.insert(&e.coords, e.weight);
-            inserted.push((e.coords.clone(), e.weight));
+            tree.insert(corner, weight);
+            inserted.push((corner.to_vec(), weight));
         }
     }
 
@@ -428,32 +397,31 @@ mod tests {
         let fdom = WeightRatioFDominance::new(ratio);
         let entries = random_entries(300, 2, 10, 17);
         let mut tree = AggregateRTree::new(2);
-        for e in &entries {
-            tree.insert(&e.coords, e.weight);
+        for pos in 0..entries.len() {
+            tree.insert(entries.coords_of(pos), entries.weight(pos));
         }
         let target = [0.6, 0.6];
         let region = FDominatorsOf::new(&fdom, &target);
         use arsp_geometry::fdom::FDominance as _;
-        let want: f64 = entries
-            .iter()
-            .filter(|e| fdom.f_dominates(&e.coords, &target))
-            .map(|e| e.weight)
+        let want: f64 = (0..entries.len())
+            .filter(|&pos| fdom.f_dominates(entries.coords_of(pos), &target))
+            .map(|pos| entries.weight(pos))
             .sum();
         let got = tree.sum_weights_in(&region);
         assert!((got - want).abs() < 1e-9);
-        assert_eq!(tree.any_in(&region), want > 0.0);
     }
 
     #[test]
     fn reset_empties_and_retargets_the_tree() {
         let mut tree = AggregateRTree::new(2);
-        for e in random_entries(80, 2, 5, 3) {
-            tree.insert(&e.coords, e.weight);
+        let entries = random_entries(80, 2, 5, 3);
+        for pos in 0..entries.len() {
+            tree.insert(entries.coords_of(pos), entries.weight(pos));
         }
         assert!(!tree.is_empty());
         tree.reset(3);
         assert!(tree.is_empty());
-        assert_eq!(tree.total_weight(), 0.0);
+        assert_eq!(tree.window_sum(&[1.0, 1.0, 1.0]), 0.0);
         tree.insert(&[0.1, 0.2, 0.3], 0.5);
         assert_eq!(tree.len(), 1);
         assert!((tree.window_sum(&[1.0, 1.0, 1.0]) - 0.5).abs() < 1e-12);

@@ -1,25 +1,25 @@
-//! A static kd-tree with per-node weight aggregates.
+//! A static median-split kd-tree.
 //!
 //! Two consumers:
 //!
 //! * the **KDTT** variant of Algorithm 1 first builds the whole kd-tree over
 //!   the score-space instance set `I'` and then performs the pre-order
 //!   traversal of Afshani et al.'s kd-ASP; the tree therefore exposes its
-//!   node structure,
+//!   node structure (MBR and subtree size per node),
 //! * the **eclipse DUAL-S** algorithm of §V-D asks existence queries ("is
 //!   there any point inside the F-dominance region of `t`, other than `t`
 //!   itself?") against the skyline of a certain dataset.
 //!
 //! Layout: entries live in a columnar [`FlatEntries`] store, leaf membership
 //! is a `(start, len)` range into one shared `leaf_items` array (no per-leaf
-//! `Vec`), and node MBRs/weight aggregates are derived **bottom-up** during
-//! construction — leaves scan only their own entries and internal nodes take
-//! the union/sum of their two children, so the build does `O(n·d)` coordinate
+//! `Vec`), and node MBRs are derived **bottom-up** during construction —
+//! leaves scan only their own entries and internal nodes take the union of
+//! their two children, so the build does `O(n·d)` coordinate
 //! work per level instead of rescanning the full subtree at every recursion
 //! depth.
 
 use crate::region::DominanceRegion;
-use crate::{EntryRef, FlatEntries, PointEntry};
+use crate::FlatEntries;
 use arsp_geometry::Mbr;
 
 /// Identifier of a node in the kd-tree arena.
@@ -50,7 +50,6 @@ pub enum KdNodeContent {
 #[derive(Clone, Debug)]
 pub struct KdNode {
     mbr: Mbr,
-    weight_sum: f64,
     size: usize,
     content: KdNodeContent,
 }
@@ -59,11 +58,6 @@ impl KdNode {
     /// Minimum bounding rectangle of the points under this node.
     pub fn mbr(&self) -> &Mbr {
         &self.mbr
-    }
-
-    /// Sum of the weights of the points under this node.
-    pub fn weight_sum(&self) -> f64 {
-        self.weight_sum
     }
 
     /// Number of points under this node.
@@ -77,7 +71,7 @@ impl KdNode {
     }
 }
 
-/// A static, median-split kd-tree over weighted point entries.
+/// A static, median-split kd-tree over point entries.
 #[derive(Clone, Debug)]
 pub struct KdTree {
     entries: FlatEntries,
@@ -92,17 +86,6 @@ pub struct KdTree {
 impl KdTree {
     /// Builds a kd-tree whose leaves hold a single entry (the granularity the
     /// paper's kd-ASP\* descends to).
-    pub fn build(entries: Vec<PointEntry>) -> Self {
-        Self::build_with_leaf_size(entries, 1)
-    }
-
-    /// Builds a kd-tree with a custom leaf capacity (≥ 1).
-    pub fn build_with_leaf_size(entries: Vec<PointEntry>, leaf_size: usize) -> Self {
-        Self::build_flat_with_leaf_size(FlatEntries::from_entries(&entries), leaf_size)
-    }
-
-    /// Builds a kd-tree directly over a columnar entry store (no row-oriented
-    /// intermediate).
     pub fn build_flat(entries: FlatEntries) -> Self {
         Self::build_flat_with_leaf_size(entries, 1)
     }
@@ -137,12 +120,10 @@ impl KdTree {
                 order.iter().map(|&i| i as usize),
             )
             .expect("non-empty point set");
-            let weight_sum: f64 = order.iter().map(|&i| self.entries.weight(i as usize)).sum();
             let start = self.leaf_items.len() as u32;
             self.leaf_items.extend_from_slice(order);
             self.nodes.push(KdNode {
                 mbr,
-                weight_sum,
                 size: order.len(),
                 content: KdNodeContent::Leaf {
                     start,
@@ -152,14 +133,6 @@ impl KdTree {
             return self.nodes.len() - 1;
         }
 
-        // The weight aggregate is summed linearly over the (pre-split) slice
-        // — floating-point addition is order-sensitive, and this is the exact
-        // accumulation order the pre-arena build used, keeping
-        // `sum_weights_in` aggregates bit-for-bit stable across the layout
-        // change. Weights are a single contiguous column, so this costs one
-        // streaming pass per level (unlike the coordinate rescans the
-        // bottom-up MBRs eliminate).
-        let weight_sum: f64 = order.iter().map(|&i| self.entries.weight(i as usize)).sum();
         let split_dim = depth % self.entries.dim();
         let mid = order.len() / 2;
         {
@@ -182,7 +155,6 @@ impl KdTree {
         let mbr = self.nodes[left].mbr.union(&self.nodes[right].mbr);
         self.nodes.push(KdNode {
             mbr,
-            weight_sum,
             size,
             content: KdNodeContent::Internal {
                 split_dim,
@@ -237,58 +209,6 @@ impl KdTree {
         self.root.map_or(0, |r| rec(self, r))
     }
 
-    /// Calls `f` for every entry inside the downward-closed region.
-    pub fn for_each_in<R: DominanceRegion>(&self, region: &R, mut f: impl FnMut(EntryRef<'_>)) {
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if !region.may_intersect(&node.mbr) {
-                continue;
-            }
-            match node.content {
-                KdNodeContent::Internal { left, right, .. } => {
-                    stack.push(left);
-                    stack.push(right);
-                }
-                KdNodeContent::Leaf { start, len } => {
-                    for &ei in self.leaf_items(start, len) {
-                        let e = self.entries.get(ei as usize);
-                        if region.contains(e.coords) {
-                            f(e);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sum of weights of entries inside the region, using node aggregates for
-    /// fully covered subtrees.
-    pub fn sum_weights_in<R: DominanceRegion>(&self, region: &R) -> f64 {
-        fn rec<R: DominanceRegion>(tree: &KdTree, id: KdNodeId, region: &R) -> f64 {
-            let node = &tree.nodes[id];
-            if !region.may_intersect(&node.mbr) {
-                return 0.0;
-            }
-            if region.covers(&node.mbr) {
-                return node.weight_sum;
-            }
-            match node.content {
-                KdNodeContent::Internal { left, right, .. } => {
-                    rec(tree, left, region) + rec(tree, right, region)
-                }
-                KdNodeContent::Leaf { start, len } => tree
-                    .leaf_items(start, len)
-                    .iter()
-                    .filter(|&&ei| region.contains(tree.entries.coords_of(ei as usize)))
-                    .map(|&ei| tree.entries.weight(ei as usize))
-                    .sum(),
-            }
-        }
-        self.root.map_or(0.0, |r| rec(self, r, region))
-    }
-
     /// Returns `true` when some entry with id different from `skip_id` lies
     /// inside the region.
     pub fn any_in<R: DominanceRegion>(&self, region: &R, skip_id: Option<usize>) -> bool {
@@ -333,23 +253,25 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        let t = KdTree::build(Vec::new());
+        let t = KdTree::build_flat(FlatEntries::with_capacity(1, 0));
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
         let corner = [1.0];
-        assert_eq!(t.sum_weights_in(&WindowTo::new(&corner)), 0.0);
+        assert!(!t.any_in(&WindowTo::new(&corner), None));
 
-        let t = KdTree::build(vec![PointEntry::new(0, 0, 0.7, vec![0.5, 0.5])]);
+        let mut entries = FlatEntries::with_capacity(2, 1);
+        entries.push(0, 0, 0.7, &[0.5, 0.5]);
+        let t = KdTree::build_flat(entries);
         assert_eq!(t.len(), 1);
         assert_eq!(t.height(), 1);
         let corner = [0.6, 0.6];
-        assert!((t.sum_weights_in(&WindowTo::new(&corner)) - 0.7).abs() < 1e-12);
+        assert!(t.any_in(&WindowTo::new(&corner), None));
+        assert!(!t.any_in(&WindowTo::new(&corner), Some(0)));
     }
 
     #[test]
     fn balanced_height() {
-        let entries = random_entries(1024, 3, 20, 2);
-        let t = KdTree::build(entries);
+        let t = KdTree::build_flat(random_entries(1024, 3, 20, 2));
         // A median-split kd-tree over 1024 points with unit leaves has height
         // exactly 11.
         assert_eq!(t.height(), 11);
@@ -357,8 +279,7 @@ mod tests {
 
     #[test]
     fn node_invariants() {
-        let entries = random_entries(300, 2, 10, 4);
-        let t = KdTree::build_with_leaf_size(entries, 4);
+        let t = KdTree::build_flat_with_leaf_size(random_entries(300, 2, 10, 4), 4);
         let mut stack = vec![t.root().unwrap()];
         let mut leaf_slots = 0;
         while let Some(id) = stack.pop() {
@@ -367,7 +288,6 @@ mod tests {
                 KdNodeContent::Internal { left, right, .. } => {
                     let (l, r) = (t.node(left), t.node(right));
                     assert_eq!(node.size(), l.size() + r.size());
-                    assert!((node.weight_sum() - (l.weight_sum() + r.weight_sum())).abs() < 1e-9);
                     assert!(node.mbr().contains_mbr(l.mbr()));
                     assert!(node.mbr().contains_mbr(r.mbr()));
                     stack.push(left);
@@ -389,55 +309,18 @@ mod tests {
     }
 
     #[test]
-    fn window_sum_matches_brute_force() {
-        let entries = random_entries(700, 4, 30, 8);
-        let t = KdTree::build_with_leaf_size(entries.clone(), 2);
-        for corner in [
-            vec![0.5, 0.5, 0.5, 0.5],
-            vec![0.9, 0.1, 0.8, 0.2],
-            vec![1.0, 1.0, 1.0, 1.0],
-        ] {
-            let want: f64 = entries
-                .iter()
-                .filter(|e| e.coords.iter().zip(&corner).all(|(c, q)| c <= q))
-                .map(|e| e.weight)
-                .sum();
-            let got = t.sum_weights_in(&WindowTo::new(&corner));
-            assert!((got - want).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn for_each_and_any_with_skip() {
-        let entries = vec![
-            PointEntry::new(0, 0, 1.0, vec![0.1, 0.1]),
-            PointEntry::new(1, 0, 1.0, vec![0.15, 0.12]),
-            PointEntry::new(2, 1, 1.0, vec![0.9, 0.9]),
-        ];
-        let t = KdTree::build(entries);
+        let mut entries = FlatEntries::with_capacity(2, 3);
+        entries.push(0, 0, 1.0, &[0.1, 0.1]);
+        entries.push(1, 0, 1.0, &[0.15, 0.12]);
+        entries.push(2, 1, 1.0, &[0.9, 0.9]);
+        let t = KdTree::build_flat(entries);
         let corner = [0.2, 0.2];
-        let mut ids = Vec::new();
-        t.for_each_in(&WindowTo::new(&corner), |e| ids.push(e.id));
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1]);
         assert!(t.any_in(&WindowTo::new(&corner), Some(0)));
         let tight = [0.11, 0.11];
         assert!(t.any_in(&WindowTo::new(&tight), None));
         assert!(!t.any_in(&WindowTo::new(&tight), Some(0)));
-    }
-
-    #[test]
-    fn flat_build_matches_row_oriented_build() {
-        let entries = random_entries(257, 3, 12, 6);
-        let via_rows = KdTree::build_with_leaf_size(entries.clone(), 2);
-        let via_flat = KdTree::build_flat_with_leaf_size(FlatEntries::from_entries(&entries), 2);
-        assert_eq!(via_rows.height(), via_flat.height());
-        for corner in [vec![0.5, 0.5, 0.5], vec![0.8, 0.3, 0.6]] {
-            let w = WindowTo::new(&corner);
-            assert_eq!(
-                via_rows.sum_weights_in(&w).to_bits(),
-                via_flat.sum_weights_in(&w).to_bits()
-            );
-        }
+        let below_all = [0.05, 0.05];
+        assert!(!t.any_in(&WindowTo::new(&below_all), None));
     }
 }

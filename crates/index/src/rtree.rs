@@ -3,9 +3,8 @@
 //! The paper organises the instance set `I` with an in-memory R-tree
 //! (§II-B) and Algorithm 2 (B&B) traverses that R-tree in best-first order,
 //! pushing child nodes into its own priority queue. The tree therefore
-//! exposes its node structure (`NodeId`, [`NodeContent`]) rather than hiding
-//! it behind query methods, while also offering the usual region queries for
-//! the other consumers (tests, LOOP-style scans, eclipse baselines).
+//! exposes its node structure (`NodeId`, [`NodeContent`]) instead of region
+//! queries.
 //!
 //! Layout: entries live in a columnar [`FlatEntries`] store and every node's
 //! children — child node ids for internal nodes, entry positions for leaves —
@@ -14,8 +13,7 @@
 //! *boundaries* instead of materialising a `Vec<Vec<usize>>` of groups, so
 //! bulk loading allocates O(1) vectors beyond the output arenas.
 
-use crate::region::DominanceRegion;
-use crate::{EntryRef, FlatEntries, PointEntry};
+use crate::FlatEntries;
 use arsp_geometry::Mbr;
 
 /// Identifier of a node inside an [`RTree`] arena.
@@ -58,11 +56,6 @@ impl Node {
     pub fn content(&self) -> &NodeContent {
         &self.content
     }
-
-    /// `true` when the node is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self.content, NodeContent::Leaf { .. })
-    }
 }
 
 /// A static STR bulk-loaded R-tree.
@@ -82,18 +75,8 @@ pub struct RTree {
 pub const DEFAULT_FANOUT: usize = 16;
 
 impl RTree {
-    /// Bulk loads an R-tree over the given entries with the default fanout.
-    pub fn bulk_load(entries: Vec<PointEntry>) -> Self {
-        Self::bulk_load_with_fanout(entries, DEFAULT_FANOUT)
-    }
-
-    /// Bulk loads an R-tree with an explicit fanout (≥ 2).
-    pub fn bulk_load_with_fanout(entries: Vec<PointEntry>, fanout: usize) -> Self {
-        Self::bulk_load_flat_with_fanout(FlatEntries::from_entries(&entries), fanout)
-    }
-
-    /// Bulk loads directly over a columnar entry store with the default
-    /// fanout (no row-oriented intermediate).
+    /// Bulk loads an R-tree over a columnar entry store with the default
+    /// fanout.
     pub fn bulk_load_flat(entries: FlatEntries) -> Self {
         Self::bulk_load_flat_with_fanout(entries, DEFAULT_FANOUT)
     }
@@ -232,67 +215,6 @@ impl RTree {
         }
         h
     }
-
-    /// Calls `f` for every entry inside the downward-closed region.
-    pub fn for_each_in<R: DominanceRegion>(&self, region: &R, mut f: impl FnMut(EntryRef<'_>)) {
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if !region.may_intersect(&node.mbr) {
-                continue;
-            }
-            match node.content {
-                NodeContent::Internal { start, len } => {
-                    stack.extend(self.items(start, len).iter().map(|&c| c as usize))
-                }
-                NodeContent::Leaf { start, len } => {
-                    for &ei in self.items(start, len) {
-                        let entry = self.entries.get(ei as usize);
-                        if region.contains(entry.coords) {
-                            f(entry);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sum of entry weights inside the region.
-    pub fn sum_weights_in<R: DominanceRegion>(&self, region: &R) -> f64 {
-        let mut total = 0.0;
-        self.for_each_in(region, |e| total += e.weight);
-        total
-    }
-
-    /// Returns `true` when some entry other than `skip_id` lies inside the
-    /// region. Uses covers/may_intersect pruning so it can stop early.
-    pub fn any_in<R: DominanceRegion>(&self, region: &R, skip_id: Option<usize>) -> bool {
-        let Some(root) = self.root else { return false };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if !region.may_intersect(&node.mbr) {
-                continue;
-            }
-            match node.content {
-                NodeContent::Internal { start, len } => {
-                    stack.extend(self.items(start, len).iter().map(|&c| c as usize))
-                }
-                NodeContent::Leaf { start, len } => {
-                    for &ei in self.items(start, len) {
-                        if Some(self.entries.id(ei as usize)) == skip_id {
-                            continue;
-                        }
-                        if region.contains(self.entries.coords_of(ei as usize)) {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        false
-    }
 }
 
 /// Recursive STR partitioning over a flat coordinate array: sorts
@@ -355,43 +277,35 @@ fn str_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::region::WindowTo;
     use crate::test_util::random_entries;
-
-    fn brute_window_sum(entries: &[PointEntry], corner: &[f64]) -> f64 {
-        entries
-            .iter()
-            .filter(|e| e.coords.iter().zip(corner).all(|(c, q)| c <= q))
-            .map(|e| e.weight)
-            .sum()
-    }
 
     #[test]
     fn empty_tree() {
-        let tree = RTree::bulk_load(Vec::new());
+        let tree = RTree::bulk_load_flat(FlatEntries::with_capacity(2, 0));
         assert!(tree.is_empty());
         assert_eq!(tree.root(), None);
         assert_eq!(tree.height(), 0);
-        let corner = [1.0, 1.0];
-        assert_eq!(tree.sum_weights_in(&WindowTo::new(&corner)), 0.0);
-        assert!(!tree.any_in(&WindowTo::new(&corner), None));
     }
 
     #[test]
     fn single_entry_tree() {
-        let tree = RTree::bulk_load(vec![PointEntry::new(0, 0, 0.5, vec![0.2, 0.3])]);
+        let mut entries = FlatEntries::with_capacity(2, 1);
+        entries.push(0, 0, 0.5, &[0.2, 0.3]);
+        let tree = RTree::bulk_load_flat(entries);
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.height(), 1);
-        let corner = [0.25, 0.35];
-        assert_eq!(tree.sum_weights_in(&WindowTo::new(&corner)), 0.5);
-        let corner2 = [0.1, 0.35];
-        assert_eq!(tree.sum_weights_in(&WindowTo::new(&corner2)), 0.0);
+        let root = tree.node(tree.root().unwrap());
+        assert_eq!(root.mbr().min().coords(), &[0.2, 0.3]);
+        assert_eq!(root.mbr().max().coords(), &[0.2, 0.3]);
+        let NodeContent::Leaf { start, len } = *root.content() else {
+            panic!("a one-entry tree is a single leaf");
+        };
+        assert_eq!(tree.items(start, len), &[0]);
     }
 
     #[test]
     fn node_mbrs_contain_children() {
-        let entries = random_entries(500, 3, 20, 7);
-        let tree = RTree::bulk_load(entries.clone());
+        let tree = RTree::bulk_load_flat(random_entries(500, 3, 20, 7));
         // Every entry must be inside the MBR of the leaf holding it, and every
         // child MBR must be inside its parent's MBR.
         let root = tree.root().unwrap();
@@ -414,13 +328,12 @@ mod tests {
                 }
             }
         }
-        assert_eq!(seen, entries.len());
+        assert_eq!(seen, tree.len());
     }
 
     #[test]
     fn leaf_sizes_respect_fanout() {
-        let entries = random_entries(300, 2, 10, 11);
-        let tree = RTree::bulk_load_with_fanout(entries, 8);
+        let tree = RTree::bulk_load_flat_with_fanout(random_entries(300, 2, 10, 11), 8);
         let root = tree.root().unwrap();
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
@@ -438,57 +351,8 @@ mod tests {
     }
 
     #[test]
-    fn window_sum_matches_brute_force() {
-        let entries = random_entries(800, 3, 25, 3);
-        let tree = RTree::bulk_load(entries.clone());
-        for corner in [
-            vec![0.5, 0.5, 0.5],
-            vec![0.9, 0.2, 0.7],
-            vec![0.05, 0.05, 0.05],
-            vec![1.0, 1.0, 1.0],
-        ] {
-            let got = tree.sum_weights_in(&WindowTo::new(&corner));
-            let want = brute_window_sum(&entries, &corner);
-            assert!(
-                (got - want).abs() < 1e-9,
-                "corner {corner:?}: {got} vs {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn for_each_visits_exactly_the_region() {
-        let entries = random_entries(400, 2, 10, 21);
-        let tree = RTree::bulk_load(entries.clone());
-        let corner = vec![0.6, 0.4];
-        let mut ids = Vec::new();
-        tree.for_each_in(&WindowTo::new(&corner), |e| ids.push(e.id));
-        ids.sort_unstable();
-        let mut expected: Vec<usize> = entries
-            .iter()
-            .filter(|e| e.coords[0] <= 0.6 && e.coords[1] <= 0.4)
-            .map(|e| e.id)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(ids, expected);
-    }
-
-    #[test]
-    fn any_in_respects_skip_id() {
-        let entries = vec![
-            PointEntry::new(0, 0, 1.0, vec![0.1, 0.1]),
-            PointEntry::new(1, 1, 1.0, vec![0.9, 0.9]),
-        ];
-        let tree = RTree::bulk_load(entries);
-        let corner = [0.2, 0.2];
-        assert!(tree.any_in(&WindowTo::new(&corner), None));
-        assert!(!tree.any_in(&WindowTo::new(&corner), Some(0)));
-    }
-
-    #[test]
     fn larger_tree_has_multiple_levels() {
-        let entries = random_entries(2000, 4, 50, 5);
-        let tree = RTree::bulk_load(entries);
+        let tree = RTree::bulk_load_flat(random_entries(2000, 4, 50, 5));
         assert!(tree.height() >= 3, "height = {}", tree.height());
         assert_eq!(tree.fanout(), DEFAULT_FANOUT);
     }
@@ -498,8 +362,7 @@ mod tests {
         // The flattened STR load must cover every entry exactly once with
         // consecutive, non-overlapping leaf ranges at the front of the item
         // arena.
-        let entries = random_entries(731, 3, 15, 13);
-        let tree = RTree::bulk_load(entries);
+        let tree = RTree::bulk_load_flat(random_entries(731, 3, 15, 13));
         let mut leaf_ranges: Vec<(u32, u32)> = Vec::new();
         let mut stack = vec![tree.root().unwrap()];
         while let Some(id) = stack.pop() {

@@ -6,8 +6,8 @@
 //!
 //! * [`geometry`] (`arsp-geometry`) — points, dominance, preference regions,
 //!   F-dominance tests,
-//! * [`index`] (`arsp-index`) — R-tree, aggregated R-tree, kd-tree, angular
-//!   index,
+//! * [`index`] (`arsp-index`) — R-tree, aggregated R-tree and kd-tree over
+//!   the columnar `FlatEntries` layout,
 //! * [`data`] (`arsp-data`) — the uncertain data model and workload
 //!   generators,
 //! * [`core`] (`arsp-core`) — the ARSP algorithms themselves.

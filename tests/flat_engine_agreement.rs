@@ -1,4 +1,5 @@
-//! Direct oracle tests for every `*_flat_engine*` entry point.
+//! Direct oracle tests for every `*_flat_engine*` entry point, and for B&B's
+//! `arsp_bnb_engine`.
 //!
 //! The flat engines are the one kernel per algorithm: the engine, service,
 //! dynamic and cluster paths call them, and so do the free functions. The
@@ -17,6 +18,7 @@
 //! `cargo xtask lint` enforces the coupling: every public `*flat_engine*`
 //! function must be named in a test under `tests/`.
 
+use arsp_core::algorithms::bnb::{arsp_bnb_engine, build_instance_rtree, BnbScratch};
 use arsp_core::algorithms::dual::{arsp_dual_flat_engine, build_dual_index};
 use arsp_core::algorithms::kd_asp::{kd_asp_flat_engine, KdScratch, KdVariant, KdWorkerPool};
 use arsp_core::algorithms::kdtt::{
@@ -25,7 +27,7 @@ use arsp_core::algorithms::kdtt::{
 use arsp_core::algorithms::loop_scan::{
     arsp_loop_flat_engine, arsp_loop_with_fdom, instance_order_from_scores,
 };
-use arsp_core::{arsp_dual, arsp_enum, ArspResult, FlatScorePoints, ScoreMatrix};
+use arsp_core::{arsp_bnb, arsp_dual, arsp_enum, ArspResult, FlatScorePoints, ScoreMatrix};
 use arsp_data::{paper_running_example, FlatStore, SyntheticConfig, UncertainDataset};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 use arsp_geometry::fdom::LinearFDominance;
@@ -198,6 +200,43 @@ fn dual_flat_engine_matches_point_path_bitwise() {
         for parallel in [false, true] {
             let got = two_wide(|| arsp_dual_flat_engine(&flat, &ratio, &agg, parallel, None, None));
             let what = format!("arsp_dual_flat_engine parallel={parallel}");
+            assert_matches_enum(&truth, &got, &what);
+            assert_eq!(got.probs(), point_path.probs(), "{what}");
+        }
+    }
+}
+
+/// B&B's free function builds its own R-tree, score matrix and scratch at
+/// entry; the engine entry point shares cached ones. Both must give the same
+/// bits, sequentially and at width 2 (B&B runs sequentially under either).
+#[test]
+fn bnb_engine_matches_point_path_bitwise() {
+    for dataset in datasets() {
+        let constraints = constraints_for(&dataset);
+        let truth = arsp_enum(&dataset, &constraints);
+        let point_path = arsp_bnb(&dataset, &constraints);
+        assert_matches_enum(&truth, &point_path, "arsp_bnb");
+
+        let fdom = LinearFDominance::from_constraints(&constraints);
+        let scores = ScoreMatrix::compute(&FlatStore::from_dataset(&dataset), &fdom);
+        let rtree = build_instance_rtree(&dataset);
+        let mut scratch = BnbScratch::new();
+        for width in [None, Some(2)] {
+            let parallel = width.is_some();
+            let mut run = || {
+                arsp_bnb_engine(
+                    &dataset,
+                    &fdom,
+                    Some(&rtree),
+                    Some(&scores),
+                    parallel,
+                    None,
+                    Some(&mut scratch),
+                    None,
+                )
+            };
+            let got = if parallel { two_wide(run) } else { run() };
+            let what = format!("arsp_bnb_engine width={width:?}");
             assert_matches_enum(&truth, &got, &what);
             assert_eq!(got.probs(), point_path.probs(), "{what}");
         }
