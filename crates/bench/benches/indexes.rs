@@ -21,7 +21,7 @@ fn random_entries(n: usize, seed: u64) -> FlatEntries {
     for id in 0..n {
         let weight = rng.gen_range(0.01..1.0);
         let coords: Vec<f64> = (0..DIM).map(|_| rng.gen_range(0.0..1.0)).collect();
-        entries.push(id, id % 64, weight, &coords);
+        entries.push(id, weight, &coords);
     }
     entries
 }

@@ -100,7 +100,7 @@ pub fn arsp_bnb_without_pruning(dataset: &UncertainDataset, fdom: &LinearFDomina
 pub fn build_instance_rtree(dataset: &UncertainDataset) -> RTree {
     let mut entries = FlatEntries::with_capacity(dataset.dim(), dataset.num_instances());
     for inst in dataset.instances() {
-        entries.push(inst.id, inst.object, inst.prob, &inst.coords);
+        entries.push(inst.id, inst.prob, &inst.coords);
     }
     RTree::bulk_load_flat(entries)
 }

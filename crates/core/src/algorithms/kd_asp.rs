@@ -78,13 +78,15 @@
 //! `candidate_pass`, and it has no data-dependent branch in the dominance
 //! tests or in the survivor append:
 //!
-//! 1. each candidate's row is compared with `pmin` and with `pmax` on every
-//!    coordinate, with no early exit, and its `in_node` mark is read once;
+//! 1. each candidate's row is compared with `pmin` and with `umax` on every
+//!    coordinate, with no early exit, and its `in_node` mark is read once
+//!    (`umax` is the node's max corner `pmax`, tightened by the zero
+//!    certificate; see "Candidate filter" below);
 //! 2. a candidate outside the node and below `pmin` is folded into σ (the
 //!    only branch left, taken in candidate order, so σ/β/χ take exactly the
 //!    float steps an early-exit pass takes);
 //! 3. every candidate is written at the stack top, and the top advances by
-//!    its "not folded and below `pmax`" flag, so the survivors keep their
+//!    its "not folded and below `umax`" flag, so the survivors keep their
 //!    order.
 //!
 //! Dominance is a pure conjunction of the same `<=` comparisons, so the
@@ -157,6 +159,37 @@
 //! `nodes_visited` and no `fdom_tests`: the counters count work done. LOOP
 //! does not use the certificate: its `Π(1 − σ)` leaves a tiny positive value
 //! where kd-ASP\* writes `0.0`.
+//!
+//! ### Candidate filter
+//!
+//! The certified points also set most of a node's max corner, so a
+//! candidate that lies below `pmax` may still dominate no point the
+//! traversal will compute. A candidate therefore survives a node only if it
+//! is ⪯ `umax`, the componentwise max over the node's *uncertified* points.
+//! `pmin` (the fold) and `pmax` (QDTT+'s centre and the coincident test)
+//! stay as they are, and so do the splits.
+//!
+//! Why the bits cannot move: a candidate `c` that is not ⪯ `umax(N)`
+//! dominates no uncertified point of `N`. A fold needs `c ⪯ pmin(C) ⪯ u`
+//! for some uncertified `u` in a visited descendant `C`, since a node whose
+//! points are all certified is skipped. So `c` never folds in a node that is
+//! visited, and dropping it changes no σ, β or χ; the survivors keep their
+//! order. `fdom_tests` can only fall, and `nodes_visited` does not change.
+//!
+//! NaN coordinates need one more rule. `pmin` and `pmax` come from `<`/`>`
+//! comparisons, which skip a NaN coordinate, so `pmin(C) ⪯ u` holds only on
+//! `u`'s non-NaN axes. On an axis where some uncertified point is NaN,
+//! `umax` is left at `pmax`; and `umax` is never above `pmax`, so the
+//! survivors are always a subset of the unfiltered pass's. Opening a NaN
+//! axis to +∞ instead would keep candidates the unfiltered pass drops, and
+//! those can fold into a node whose points are all NaN on that axis (its
+//! `pmin` is +∞ there): the NaN-row unit test catches that. `umax` is
+//! computed in the loop over the node's points that computes `pmin` and
+//! `pmax`; with no certificate, `umax = pmax`.
+//!
+//! The KDTT family runs with the certificate its
+//! [`ScoreMatrix`](crate::ScoreMatrix) memoises, computed by the first query
+//! over that matrix; ASP over identity points computes its own per call.
 
 use crate::scorespace::FlatScorePoints;
 use crate::stats::CounterStats;
@@ -276,8 +309,9 @@ pub struct KdScratch {
     cand: Vec<u32>,
     /// Shared σ-undo stack: `(object, σ before this node's addition)`.
     saved: Vec<(u32, f64)>,
-    /// Depth-indexed node corners: `2·dim` slots per recursion level
-    /// (`pmin` then `pmax`).
+    /// Depth-indexed node corners: `3·dim` slots per recursion level
+    /// (`pmin`, `pmax`, then `umax`, the max corner of the uncertified
+    /// points).
     bounds: Vec<f64>,
     /// Per-object dominating mass σ.
     sigma: Vec<f64>,
@@ -338,9 +372,9 @@ fn corner_test(a: &[f64], b: &[f64]) -> (bool, bool) {
     (below, below & apart)
 }
 
-/// Fills `c.zero` with the zero certificate of `pts` (see the module docs)
-/// and returns the number of points it flags.
-fn certify_zeros(pts: &FlatScorePoints<'_>, num_objects: usize, c: &mut ZeroCertificate) -> usize {
+/// Fills `c.zero` with the zero certificate of `pts` (see the module docs),
+/// or leaves it empty when the certificate flags no point.
+fn certify_zeros(pts: &FlatScorePoints<'_>, num_objects: usize, c: &mut ZeroCertificate) {
     let (n, dim) = (pts.len(), pts.dim);
     c.total.clear();
     c.total.resize(num_objects, 0.0);
@@ -398,7 +432,7 @@ fn certify_zeros(pts: &FlatScorePoints<'_>, num_objects: usize, c: &mut ZeroCert
         c.corners.extend_from_slice(corner);
         c.corner_sum.push(sum);
     }
-    let mut certified = 0;
+    let mut certified = false;
     'points: for i in 0..n {
         let row = pts.coords_of(i);
         for (corner, &sum) in c.corners.chunks_exact(dim).zip(&c.corner_sum) {
@@ -411,18 +445,22 @@ fn certify_zeros(pts: &FlatScorePoints<'_>, num_objects: usize, c: &mut ZeroCert
             budget -= 1;
             if corner_test(corner, row).1 {
                 c.zero[i] = true;
-                certified += 1;
+                certified = true;
                 break;
             }
         }
     }
-    certified
+    if !certified {
+        c.zero.clear();
+    }
 }
 
 /// The zero certificate the traversal of `pts` runs with: entry `i` is
 /// `true` when point `i`'s probability is provably `0.0`, and a node whose
 /// points are all flagged is skipped (see "Zero certificate" in the module
-/// docs). Computed in `scratch`'s buffers, as [`kd_asp_flat_engine`] does.
+/// docs). The slice is empty when no point is flagged. Computed in
+/// `scratch`'s buffers, as [`kd_asp_flat_engine`] does without a
+/// certificate.
 pub fn zero_certificate<'s>(
     pts: FlatScorePoints<'_>,
     num_objects: usize,
@@ -613,7 +651,8 @@ fn candidate_pass<W: Width>(
     bstart: usize,
 ) -> u64 {
     let dim = w.dim();
-    let (pmin, pmax) = s.bounds[bstart..bstart + 2 * dim].split_at(dim);
+    let corners = &s.bounds[bstart..bstart + 3 * dim];
+    let (pmin, umax) = (&corners[..dim], &corners[2 * dim..]);
     let coords = pts.coords;
     // Room for every candidate at the top, so the append never branches.
     let base = s.cand.len();
@@ -626,7 +665,7 @@ fn candidate_pass<W: Width>(
         let row = &coords[cu * dim..][..dim];
         let mut below_min = true;
         let mut below_max = true;
-        for ((&x, &lo), &hi) in row.iter().zip(pmin).zip(pmax) {
+        for ((&x, &lo), &hi) in row.iter().zip(pmin).zip(umax) {
             below_min &= x <= lo;
             below_max &= x <= hi;
         }
@@ -645,30 +684,61 @@ fn candidate_pass<W: Width>(
     tests
 }
 
-/// Writes the node's corners into the depth slot of the bounds arena
-/// (coordinate-wise min then max corner): KDTT reads them off its prebuilt
-/// tree, the fused variants compute them from the node's points.
+/// Writes the node's corners into the depth slot of the bounds arena: the
+/// coordinate-wise min corner `pmin`, max corner `pmax` and `umax`, the max
+/// corner of the points `zero` leaves uncertified, capped at `pmax` (a NaN
+/// coordinate leaves its axis at `pmax`; `umax = pmax` with no
+/// certificate). KDTT reads `pmin` and `pmax` off its prebuilt tree, the
+/// fused variants compute them from the node's points in the loop that
+/// computes `umax`.
 fn flat_corners(
     pts: &FlatScorePoints<'_>,
     s: &mut KdScratch,
     order: &[u32],
     bstart: usize,
     split: Split<'_>,
+    zero: Option<&[bool]>,
 ) {
     let dim = pts.dim;
-    if s.bounds.len() < bstart + 2 * dim {
-        s.bounds.resize(bstart + 2 * dim, 0.0);
+    if s.bounds.len() < bstart + 3 * dim {
+        s.bounds.resize(bstart + 3 * dim, 0.0);
     }
-    let (pmin, pmax) = s.bounds[bstart..bstart + 2 * dim].split_at_mut(dim);
-    if let Split::Prebuilt(tree, node) = split {
+    let (pmin, rest) = s.bounds[bstart..bstart + 3 * dim].split_at_mut(dim);
+    let (pmax, umax) = rest.split_at_mut(dim);
+    let prebuilt = if let Split::Prebuilt(tree, node) = split {
         let mbr = tree.node(node).mbr();
         pmin.copy_from_slice(mbr.min().coords());
         pmax.copy_from_slice(mbr.max().coords());
+        true
+    } else {
+        reset_bounds(pmin, pmax);
+        false
+    };
+    let Some(zero) = zero else {
+        if !prebuilt {
+            for &idx in order {
+                extend_bounds(pmin, pmax, pts.coords_of(idx as usize));
+            }
+        }
+        umax.copy_from_slice(pmax);
         return;
-    }
-    reset_bounds(pmin, pmax);
+    };
+    umax.fill(f64::NEG_INFINITY);
     for &idx in order {
-        extend_bounds(pmin, pmax, pts.coords_of(idx as usize));
+        let row = pts.coords_of(idx as usize);
+        if !prebuilt {
+            extend_bounds(pmin, pmax, row);
+        }
+        if !zero[idx as usize] {
+            for (hi, &x) in umax.iter_mut().zip(row) {
+                *hi = if x.is_nan() { f64::INFINITY } else { hi.max(x) };
+            }
+        }
+    }
+    // `x <= umax` must imply `x <= pmax`, which ignores NaN coordinates: an
+    // axis a NaN opened (or a NaN corner) falls back to `pmax`.
+    for (hi, &top) in umax.iter_mut().zip(pmax.iter()) {
+        *hi = if *hi < top { *hi } else { top };
     }
 }
 
@@ -708,7 +778,7 @@ struct FlatPass {
 /// `[c0, c1)` and reports to the stats sink.
 #[allow(clippy::too_many_arguments)]
 fn flat_node_enter(
-    pts: &FlatScorePoints<'_>,
+    t: &Traversal<'_>,
     s: &mut KdScratch,
     bc: &mut FlatBc,
     order: &[u32],
@@ -716,9 +786,9 @@ fn flat_node_enter(
     c1: usize,
     bstart: usize,
     split: Split<'_>,
-    stats: Option<&CounterStats>,
 ) -> FlatPass {
-    flat_corners(pts, s, order, bstart, split);
+    let pts = &t.pts;
+    flat_corners(pts, s, order, bstart, split, t.zero.filter(|_| t.filter));
     for &idx in order.iter() {
         s.in_node[idx as usize] = true;
     }
@@ -730,7 +800,7 @@ fn flat_node_enter(
     for &idx in order.iter() {
         s.in_node[idx as usize] = false;
     }
-    if let Some(st) = stats {
+    if let Some(st) = t.stats {
         st.add_nodes_visited(1);
         st.add_fdom_tests(tests);
     }
@@ -820,8 +890,13 @@ struct Traversal<'a> {
     pool: Option<&'a KdWorkerPool>,
     stats: Option<&'a CounterStats>,
     budget: Option<&'a crate::fault::QueryBudget>,
-    /// The zero certificate's flags, `None` when it flags no point.
+    /// The zero certificate's flags, `None` when it flags no point: a node
+    /// whose points are all flagged is skipped, and the candidate filter
+    /// reads `umax` over the unflagged ones.
     zero: Option<&'a [bool]>,
+    /// Whether `umax` leaves the flagged points out: always, but for the
+    /// unit tests' reference traversal without the candidate filter.
+    filter: bool,
 }
 
 /// Partitions `order` into the node's children and pushes their end offsets
@@ -879,8 +954,8 @@ fn kd_rec_flat(
     }
     let pts = &t.pts;
     let dim = pts.dim;
-    let bstart = depth * 2 * dim;
-    let pass = flat_node_enter(pts, s, bc, order, c0, c1, bstart, split, t.stats);
+    let bstart = depth * 3 * dim;
+    let pass = flat_node_enter(t, s, bc, order, c0, c1, bstart, split);
 
     if order.len() == 1 {
         let iu = order[0] as usize;
@@ -1142,6 +1217,9 @@ impl KdWorkerPool {
 /// Exact-snapshot state restore makes the result **bitwise identical** to
 /// the inline run (see the module docs). KDTT runs inline either way: it
 /// exists to measure the construction cost the fused variants remove.
+///
+/// The traversal's zero certificate is computed in `scratch` first; the
+/// KDTT family passes the one its [`crate::ScoreMatrix`] memoises instead.
 #[allow(clippy::too_many_arguments)]
 pub fn kd_asp_flat_engine(
     pts: FlatScorePoints<'_>,
@@ -1153,6 +1231,39 @@ pub fn kd_asp_flat_engine(
     scratch: &mut KdScratch,
     pool: Option<&KdWorkerPool>,
     budget: Option<&crate::fault::QueryBudget>,
+) -> Vec<f64> {
+    certify_zeros(&pts, num_objects, &mut scratch.cert);
+    let zero = std::mem::take(&mut scratch.cert.zero);
+    let out = kd_asp_flat_engine_certified(
+        pts,
+        num_objects,
+        num_instances,
+        variant,
+        parallel,
+        stats,
+        scratch,
+        pool,
+        budget,
+        &zero,
+    );
+    scratch.cert.zero = zero;
+    out
+}
+
+/// [`kd_asp_flat_engine`] with `pts`' zero certificate given, as
+/// [`zero_certificate`] computes it (an empty slice flags no point).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn kd_asp_flat_engine_certified(
+    pts: FlatScorePoints<'_>,
+    num_objects: usize,
+    num_instances: usize,
+    variant: KdVariant,
+    parallel: bool,
+    stats: Option<&CounterStats>,
+    scratch: &mut KdScratch,
+    pool: Option<&KdWorkerPool>,
+    budget: Option<&crate::fault::QueryBudget>,
+    zero: &[bool],
 ) -> Vec<f64> {
     let mut out = vec![0.0; num_instances];
     if pts.is_empty() {
@@ -1171,12 +1282,7 @@ pub fn kd_asp_flat_engine(
             // are then a range of the tree's leaf order.
             let mut entries = FlatEntries::with_capacity(pts.dim, n);
             for id in 0..n {
-                entries.push(
-                    id,
-                    pts.objects[id] as usize,
-                    pts.probs[id],
-                    pts.coords_of(id),
-                );
+                entries.push(id, pts.probs[id], pts.coords_of(id));
             }
             tree = KdTree::build_flat(entries);
             let root = tree.root().expect("non-empty tree");
@@ -1202,14 +1308,14 @@ pub fn kd_asp_flat_engine(
     if let Some(pool) = pool {
         pool.warm((1 << levels) - 1);
     }
-    let certified = certify_zeros(&pts, num_objects, &mut scratch.cert);
-    let zero = std::mem::take(&mut scratch.cert.zero);
+    debug_assert!(zero.is_empty() || zero.len() == n);
     let t = Traversal {
         pts,
         pool,
         stats,
         budget,
-        zero: (certified > 0).then_some(&zero[..]),
+        zero: (!zero.is_empty()).then_some(zero),
+        filter: true,
     };
     let mut bc = FlatBc { beta: 1.0, chi: 0 };
     let mut staged = std::mem::take(&mut scratch.staged);
@@ -1230,7 +1336,6 @@ pub fn kd_asp_flat_engine(
     }
     scratch.order = order;
     scratch.staged = staged;
-    scratch.cert.zero = zero;
     out
 }
 
@@ -1693,9 +1798,17 @@ mod tests {
         }
     }
 
-    /// The fused traversal with no zero certificate: the reference the
-    /// certified skips must reproduce bit for bit.
-    fn unskipped(pts: &Points, variant: KdVariant) -> Vec<f64> {
+    /// The fused traversal run by hand, sequentially, with `zero` as its
+    /// certificate and its work counters. `filter: false` keeps every
+    /// candidate below the node's full max corner, as before the candidate
+    /// filter. With no certificate it is the reference the certified skips
+    /// and the filter must reproduce bit for bit.
+    fn reference(
+        pts: &Points,
+        variant: KdVariant,
+        zero: Option<&[bool]>,
+        filter: bool,
+    ) -> (Vec<f64>, crate::stats::QueryCounters) {
         let (m, n) = (pts.num_objects(), pts.len());
         let mut s = KdScratch::new();
         s.prepare(m, n);
@@ -1706,12 +1819,14 @@ mod tests {
             KdVariant::FusedQuad => Split::Quad,
             KdVariant::Prebuilt => unreachable!("fused variants only"),
         };
+        let stats = CounterStats::new();
         let t = Traversal {
             pts: pts.view(),
             pool: None,
-            stats: None,
+            stats: Some(&stats),
             budget: None,
-            zero: None,
+            zero,
+            filter,
         };
         let mut bc = FlatBc { beta: 1.0, chi: 0 };
         kd_rec_flat(
@@ -1730,12 +1845,20 @@ mod tests {
         for (&id, &prob) in order.iter().zip(&staged) {
             out[id as usize] = prob;
         }
-        out
+        (out, stats.snapshot())
+    }
+
+    /// The fused traversal with no zero certificate.
+    fn unskipped(pts: &Points, variant: KdVariant) -> Vec<f64> {
+        reference(pts, variant, None, true).0
     }
 
     /// Points at the certificate's edges: grid coordinates, instances
     /// copied across objects, object totals of exactly 1, 1 ± 1e-10 and
-    /// 1 − 1e-9, instances of mass ≤ 1e-9 and partial objects.
+    /// 1 − 1e-9, instances of mass ≤ 1e-9 and partial objects. One row in
+    /// ten copies an earlier row with one coordinate NaN: never certified,
+    /// it sits among certified points, in the nodes the candidate filter
+    /// reads `umax` over.
     fn edge_points(seed: u64, dim: usize, num_objects: usize) -> Points {
         use rand::prelude::*;
         let mut rng = TestRng::seed_from_u64(seed);
@@ -1754,11 +1877,15 @@ mod tests {
                 probs.iter_mut().for_each(|p| *p *= 0.6);
             }
             for p in probs {
-                let row: Vec<f64> = if pts.len() > 0 && rng.gen_bool(0.25) {
+                let mut row: Vec<f64> = if pts.len() > 0 && rng.gen_bool(0.25) {
                     pts.view().coords_of(rng.gen_range(0..pts.len())).to_vec()
                 } else {
                     (0..dim).map(|_| grid(&mut rng)).collect()
                 };
+                if pts.len() > 0 && rng.gen_bool(0.1) {
+                    row = pts.view().coords_of(rng.gen_range(0..pts.len())).to_vec();
+                    row[rng.gen_range(0..dim)] = f64::NAN;
+                }
                 pts.push(obj, p, &row);
             }
         }
@@ -1800,6 +1927,58 @@ mod tests {
         assert!(certified_total > 0, "the inputs must certify some points");
     }
 
+    /// The candidate filter on inputs with NaN rows: the filtered traversal
+    /// (certificate, skips and `umax`) gives the unskipped bits, sequential
+    /// and at width 2, with no more F-dominance tests than the unskipped
+    /// traversal and as many nodes as the same skips without the filter.
+    #[test]
+    fn candidate_filter_is_bit_exact_on_nan_rows() {
+        let mut scratch = KdScratch::new();
+        let (mut nan_rows, mut dropped) = (0, 0);
+        for seed in 0..60u64 {
+            let dim = 1 + seed as usize % 4;
+            let num_objects = if seed % 5 == 0 { 300 } else { 12 };
+            let pts = edge_points(seed, dim, num_objects);
+            nan_rows += pts.coords.iter().filter(|x| x.is_nan()).count();
+            let zero = zero_certificate(pts.view(), pts.num_objects(), &mut scratch).to_vec();
+            let flags = (!zero.is_empty()).then_some(&zero[..]);
+            for variant in [KdVariant::FusedKd, KdVariant::FusedQuad] {
+                let (want, full) = reference(&pts, variant, None, true);
+                let (_, unfiltered) = reference(&pts, variant, flags, false);
+                for width in [None, Some(2)] {
+                    let stats = CounterStats::new();
+                    let (m, n) = (pts.num_objects(), pts.len());
+                    let run = |scratch: &mut KdScratch| {
+                        kd_asp_flat_engine(
+                            pts.view(),
+                            m,
+                            n,
+                            variant,
+                            width.is_some(),
+                            Some(&stats),
+                            scratch,
+                            None,
+                            None,
+                        )
+                    };
+                    let got = match width {
+                        None => run(&mut scratch),
+                        Some(threads) => crate::parallel::with_width(threads, || run(&mut scratch)),
+                    };
+                    let c = stats.snapshot();
+                    let at = format!("seed {seed}, {variant:?}, width {width:?}");
+                    assert_eq!(bits(&got), bits(&want), "{at}");
+                    assert!(c.fdom_tests <= full.fdom_tests, "{at}");
+                    assert!(c.fdom_tests <= unfiltered.fdom_tests, "{at}");
+                    assert_eq!(c.nodes_visited, unfiltered.nodes_visited, "{at}");
+                    dropped += unfiltered.fdom_tests - c.fdom_tests;
+                }
+            }
+        }
+        assert!(nan_rows > 0, "the inputs must hold NaN rows");
+        assert!(dropped > 0, "the filter must drop some candidate");
+    }
+
     /// [`tie_heavy_rows`] as score-space points.
     fn tie_heavy_points(dim: usize) -> Points {
         let mut pts = Points::default();
@@ -1815,63 +1994,63 @@ mod tests {
     const WIDTH_PINS: [[(u64, u64, u64); 3]; 18] = [
         // d' = 1
         [
-            (0x48dbcec752eb56e5, 3982, 5),
-            (0x48dbcec752eb56e5, 3715, 4),
-            (0x48dbcec752eb56e5, 3982, 5),
+            (0x48dbcec752eb56e5, 1642, 5),
+            (0x48dbcec752eb56e5, 1489, 4),
+            (0x48dbcec752eb56e5, 1642, 5),
         ],
         // d' = 2
         [
-            (0xf0d45c9911a734f, 23182, 105),
-            (0xfc6add3519c8b30a, 9652, 20),
-            (0xbac55b56a3038832, 23182, 105),
+            (0xf0d45c9911a734f, 8229, 105),
+            (0xfc6add3519c8b30a, 4701, 20),
+            (0xbac55b56a3038832, 8229, 105),
         ],
         // d' = 3
         [
-            (0x1d2ee4f092a30d84, 129690, 751),
-            (0xc455f6985ffdb6ee, 52312, 207),
-            (0xebc02b251afbfc86, 129690, 751),
+            (0x1d2ee4f092a30d84, 86211, 751),
+            (0xc455f6985ffdb6ee, 45295, 207),
+            (0xebc02b251afbfc86, 86211, 751),
         ],
         // d' = 4
         [
-            (0x4ce6c921fa5e2c1d, 207019, 1247),
-            (0x39cc9660580e250b, 129160, 610),
-            (0x1be1e60902d0c3ad, 207019, 1247),
+            (0x4ce6c921fa5e2c1d, 149298, 1247),
+            (0x39cc9660580e250b, 107351, 610),
+            (0x1be1e60902d0c3ad, 149298, 1247),
         ],
         // d' = 5
         [
-            (0xbd4d41a218e3e8df, 304304, 1543),
-            (0x743fb7e1d59a89fc, 235419, 748),
-            (0x7168074ce39dc070, 304304, 1543),
+            (0xbd4d41a218e3e8df, 246124, 1543),
+            (0x743fb7e1d59a89fc, 221744, 748),
+            (0x7168074ce39dc070, 246124, 1543),
         ],
         // d' = 6
         [
-            (0x941f616e6bc07fc5, 328295, 1675),
-            (0x556afcb9045751b7, 314358, 781),
-            (0x34478a65f21d2ede, 328295, 1675),
+            (0x941f616e6bc07fc5, 284432, 1675),
+            (0x556afcb9045751b7, 299806, 781),
+            (0x34478a65f21d2ede, 284432, 1675),
         ],
         // d' = 7
         [
-            (0x64ecff0e5260a3e2, 305662, 1728),
-            (0x9aea29976e93feaf, 382526, 836),
-            (0x88ec5eec67d03c2f, 305662, 1728),
+            (0x64ecff0e5260a3e2, 261495, 1728),
+            (0x9aea29976e93feaf, 365953, 836),
+            (0x88ec5eec67d03c2f, 261495, 1728),
         ],
         // d' = 8
         [
-            (0xd72059b06cc60a62, 300748, 1801),
-            (0x629d7cf6127e2b3, 582853, 963),
-            (0x8087e681b7b466e4, 300748, 1801),
+            (0xd72059b06cc60a62, 275760, 1801),
+            (0x629d7cf6127e2b3, 573425, 963),
+            (0x8087e681b7b466e4, 275760, 1801),
         ],
         // d' = 9
         [
-            (0x281cae90e6c13644, 295462, 1840),
-            (0x38f7c73deaa4b0b1, 859948, 1005),
-            (0x6262975bb7e0990, 295462, 1840),
+            (0x281cae90e6c13644, 285279, 1840),
+            (0x38f7c73deaa4b0b1, 858876, 1005),
+            (0x6262975bb7e0990, 285279, 1840),
         ],
         // d' = 10
         [
-            (0x6153794e13eac8fa, 262293, 1858),
-            (0x6d8bc5716205acc8, 1088690, 957),
-            (0x3b5360bf79402b6a, 262293, 1858),
+            (0x6153794e13eac8fa, 258838, 1858),
+            (0x6d8bc5716205acc8, 1088494, 957),
+            (0x3b5360bf79402b6a, 258838, 1858),
         ],
         // d' = 11
         [
@@ -1941,18 +2120,19 @@ mod tests {
     /// [`collision_points`]' pin, one triple per variant in [`VARIANTS`]
     /// order.
     const COLLISION_PINS: [(u64, u64, u64); 3] = [
-        (0x6da7c0a192c9b709, 1093459, 725),
-        (0x6da7c0a192c9b709, 1093459, 725),
-        (0x6da7c0a192c9b709, 1093459, 725),
+        (0x6da7c0a192c9b709, 197082, 725),
+        (0x6da7c0a192c9b709, 197082, 725),
+        (0x6da7c0a192c9b709, 197082, 725),
     ];
 
     /// Every variant, sequential and at widths 2 and 3, must hit its pin at
     /// every score dimension and on the quad mask-collision input. The
     /// digests were recorded with the early-exit candidate pass and no zero
-    /// certificate, so they hold the branch-free pass and the certified skips
-    /// to those bits. The counters were re-recorded with the certificate:
-    /// they count the nodes and tests left once certified subtrees are
-    /// skipped.
+    /// certificate, so they hold the branch-free pass, the certified skips
+    /// and the candidate filter to those bits. The counters were re-recorded
+    /// with the certificate (the nodes and tests left once certified
+    /// subtrees are skipped), and `fdom_tests` again with the candidate
+    /// filter.
     #[test]
     fn kernel_output_is_pinned_at_every_width() {
         let mut scratch = KdScratch::new();

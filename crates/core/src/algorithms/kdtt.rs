@@ -97,7 +97,9 @@ fn run_with_fdom(
 /// [`kd_asp::KdScratch`]. With `parallel` set, the one traversal fans
 /// sibling subtrees out to worker threads drawing arenas from `pool` (see
 /// [`kd_asp::kd_asp_flat_engine`]); results are bitwise identical across
-/// every option combination.
+/// every option combination. The traversal runs with the zero certificate
+/// `scores` memoises, computed by the first call over the matrix, so
+/// `scores` must have been computed from `flat` (see [`ScoreMatrix`]).
 #[allow(clippy::too_many_arguments)]
 pub fn arsp_kdtt_flat_engine(
     flat: &FlatStore,
@@ -109,7 +111,7 @@ pub fn arsp_kdtt_flat_engine(
     pool: Option<&kd_asp::KdWorkerPool>,
     budget: Option<&crate::fault::QueryBudget>,
 ) -> ArspResult {
-    ArspResult::from_probs(kd_asp::kd_asp_flat_engine(
+    ArspResult::from_probs(kd_asp::kd_asp_flat_engine_certified(
         FlatScorePoints::new(flat, scores),
         flat.num_objects(),
         flat.num_instances(),
@@ -119,6 +121,7 @@ pub fn arsp_kdtt_flat_engine(
         scratch,
         pool,
         budget,
+        scores.zero_certificate(flat),
     ))
 }
 

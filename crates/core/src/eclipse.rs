@@ -100,7 +100,7 @@ pub fn eclipse_dual_s(data: &CertainDataset, ratio: &WeightRatio) -> Vec<usize> 
     let sky = skyline(data);
     let mut entries = FlatEntries::with_capacity(data.dim(), sky.len());
     for &id in &sky {
-        entries.push(id, id, 1.0, data.point(id));
+        entries.push(id, 1.0, data.point(id));
     }
     let tree = KdTree::build_flat_with_leaf_size(entries, 4);
     let mut result = Vec::new();

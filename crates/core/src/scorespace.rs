@@ -7,8 +7,10 @@
 //! the all-skyline-probabilities (ASP) problem, which the KDTT/QDTT/B&B
 //! algorithms then solve.
 
+use crate::algorithms::kd_asp;
 use arsp_data::FlatStore;
 use arsp_geometry::fdom::LinearFDominance;
+use std::sync::OnceLock;
 
 /// The per-constraint projected scores of the whole dataset as one flat,
 /// row-major matrix: row `id` is `SV(t_id)` (length `d' = |V|`), computed in
@@ -19,10 +21,21 @@ use arsp_geometry::fdom::LinearFDominance;
 /// original coordinates (Theorem 2). [`crate::engine::ArspEngine`] caches one
 /// matrix per distinct vertex set and shares it across LOOP, the KDTT family
 /// and B&B.
+///
+/// The matrix also memoises kd-ASP\*'s zero certificate of its rows
+/// ([`kd_asp::zero_certificate`]): the first KDTT-family query over it
+/// computes the certificate once, and every later one, on any thread or
+/// clone made after that, reuses it. Building a matrix never computes it, so
+/// a write that patches matrices forward does not pay for it. The
+/// certificate reads the flat store's objects and probabilities as well as
+/// the rows, so the store a KDTT-family kernel is given with the matrix
+/// must be the one the matrix was computed from (or patched to, for the
+/// dynamic engine): a matrix is never shared between stores.
 #[derive(Clone, Debug)]
 pub struct ScoreMatrix {
     score_dim: usize,
     values: Vec<f64>,
+    zero_certificate: OnceLock<Vec<bool>>,
 }
 
 impl ScoreMatrix {
@@ -39,7 +52,7 @@ impl ScoreMatrix {
         for (id, row) in values.chunks_exact_mut(score_dim).enumerate() {
             fdom.map_to_score_space_into(flat.coords_of(id), row);
         }
-        Self { score_dim, values }
+        Self::from_values(score_dim, values)
     }
 
     /// Assembles a matrix from precomputed row-major values — the dynamic
@@ -50,7 +63,11 @@ impl ScoreMatrix {
     pub fn from_values(score_dim: usize, values: Vec<f64>) -> Self {
         debug_assert!(score_dim >= 1);
         debug_assert_eq!(values.len() % score_dim, 0);
-        Self { score_dim, values }
+        Self {
+            score_dim,
+            values,
+            zero_certificate: OnceLock::new(),
+        }
     }
 
     /// Score-space dimensionality `d'`.
@@ -75,6 +92,17 @@ impl ScoreMatrix {
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// The zero certificate of the rows over `flat`, the store this matrix
+    /// was computed from: computed on the first call, memoised after (see
+    /// the type docs). Empty when it flags no point.
+    pub(crate) fn zero_certificate(&self, flat: &FlatStore) -> &[bool] {
+        self.zero_certificate.get_or_init(|| {
+            let pts = FlatScorePoints::new(flat, self);
+            kd_asp::zero_certificate(pts, flat.num_objects(), &mut kd_asp::KdScratch::new())
+                .to_vec()
+        })
     }
 }
 

@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn window_sum_matches_brute_force_after_incremental_inserts() {
-        let entries = random_entries(600, 3, 30, 42);
+        let entries = random_entries(600, 3, 42);
         let mut tree = AggregateRTree::new(3);
         for pos in 0..entries.len() {
             tree.insert(entries.coords_of(pos), entries.weight(pos));
@@ -374,7 +374,7 @@ mod tests {
     fn interleaved_inserts_and_queries() {
         // B&B interleaves insertions and window queries; check consistency at
         // every step on a small workload.
-        let entries = random_entries(120, 2, 10, 9);
+        let entries = random_entries(120, 2, 9);
         let mut tree = AggregateRTree::new(2);
         let mut inserted: Vec<(Vec<f64>, f64)> = Vec::new();
         for pos in 0..entries.len() {
@@ -395,7 +395,7 @@ mod tests {
     fn fdominance_region_sum() {
         let ratio = WeightRatio::uniform(2, 0.5, 2.0);
         let fdom = WeightRatioFDominance::new(ratio);
-        let entries = random_entries(300, 2, 10, 17);
+        let entries = random_entries(300, 2, 17);
         let mut tree = AggregateRTree::new(2);
         for pos in 0..entries.len() {
             tree.insert(entries.coords_of(pos), entries.weight(pos));
@@ -414,7 +414,7 @@ mod tests {
     #[test]
     fn reset_empties_and_retargets_the_tree() {
         let mut tree = AggregateRTree::new(2);
-        let entries = random_entries(80, 2, 5, 3);
+        let entries = random_entries(80, 2, 3);
         for pos in 0..entries.len() {
             tree.insert(entries.coords_of(pos), entries.weight(pos));
         }

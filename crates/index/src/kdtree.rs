@@ -260,7 +260,7 @@ mod tests {
         assert!(!t.any_in(&WindowTo::new(&corner), None));
 
         let mut entries = FlatEntries::with_capacity(2, 1);
-        entries.push(0, 0, 0.7, &[0.5, 0.5]);
+        entries.push(0, 0.7, &[0.5, 0.5]);
         let t = KdTree::build_flat(entries);
         assert_eq!(t.len(), 1);
         assert_eq!(t.height(), 1);
@@ -271,7 +271,7 @@ mod tests {
 
     #[test]
     fn balanced_height() {
-        let t = KdTree::build_flat(random_entries(1024, 3, 20, 2));
+        let t = KdTree::build_flat(random_entries(1024, 3, 2));
         // A median-split kd-tree over 1024 points with unit leaves has height
         // exactly 11.
         assert_eq!(t.height(), 11);
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn node_invariants() {
-        let t = KdTree::build_flat_with_leaf_size(random_entries(300, 2, 10, 4), 4);
+        let t = KdTree::build_flat_with_leaf_size(random_entries(300, 2, 4), 4);
         let mut stack = vec![t.root().unwrap()];
         let mut leaf_slots = 0;
         while let Some(id) = stack.pop() {
@@ -311,9 +311,9 @@ mod tests {
     #[test]
     fn for_each_and_any_with_skip() {
         let mut entries = FlatEntries::with_capacity(2, 3);
-        entries.push(0, 0, 1.0, &[0.1, 0.1]);
-        entries.push(1, 0, 1.0, &[0.15, 0.12]);
-        entries.push(2, 1, 1.0, &[0.9, 0.9]);
+        entries.push(0, 1.0, &[0.1, 0.1]);
+        entries.push(1, 1.0, &[0.15, 0.12]);
+        entries.push(2, 1.0, &[0.9, 0.9]);
         let t = KdTree::build_flat(entries);
         let corner = [0.2, 0.2];
         assert!(t.any_in(&WindowTo::new(&corner), Some(0)));

@@ -46,7 +46,7 @@ pub type SharedRTree = std::sync::Arc<RTree>;
 pub type SharedAggregateForest = std::sync::Arc<Vec<AggregateRTree>>;
 
 /// The columnar entry store the static indexes are built over: one contiguous
-/// dim-strided coordinate array plus parallel id/object/weight columns. Row
+/// dim-strided coordinate array plus parallel id/weight columns. Row
 /// `pos` (the *entry position*, the index the tree nodes reference) has
 /// coordinates `coords()[pos*dim .. (pos+1)*dim]`.
 ///
@@ -54,7 +54,6 @@ pub type SharedAggregateForest = std::sync::Arc<Vec<AggregateRTree>>;
 pub struct FlatEntries {
     dim: usize,
     ids: Vec<u32>,
-    objects: Vec<u32>,
     weights: Vec<f64>,
     coords: Vec<f64>,
 }
@@ -65,7 +64,6 @@ impl FlatEntries {
         Self {
             dim,
             ids: Vec::with_capacity(n),
-            objects: Vec::with_capacity(n),
             weights: Vec::with_capacity(n),
             coords: Vec::with_capacity(n * dim),
         }
@@ -74,18 +72,13 @@ impl FlatEntries {
     /// Appends one entry.
     ///
     /// # Panics
-    /// Panics if the coordinates have the wrong dimensionality, or if `id` /
-    /// `object` exceed the columnar store's `u32` range (failing fast here
-    /// beats a silently wrapped id corrupting result indexing downstream).
-    pub fn push(&mut self, id: usize, object: usize, weight: f64, coords: &[f64]) {
+    /// Panics if the coordinates have the wrong dimensionality, or if `id`
+    /// exceeds the columnar store's `u32` range (failing fast here beats a
+    /// silently wrapped id corrupting result indexing downstream).
+    pub fn push(&mut self, id: usize, weight: f64, coords: &[f64]) {
         assert_eq!(coords.len(), self.dim, "entry dimensionality mismatch");
         assert!(id <= u32::MAX as usize, "entry id {id} exceeds u32 range");
-        assert!(
-            object <= u32::MAX as usize,
-            "object id {object} exceeds u32 range"
-        );
         self.ids.push(id as u32);
-        self.objects.push(object as u32);
         self.weights.push(weight);
         self.coords.extend_from_slice(coords);
     }
@@ -126,12 +119,6 @@ impl FlatEntries {
         self.ids[pos] as usize
     }
 
-    /// Owning object of the entry at `pos`.
-    #[inline]
-    pub fn object(&self, pos: usize) -> usize {
-        self.objects[pos] as usize
-    }
-
     /// Weight of the entry at `pos`.
     #[inline]
     pub fn weight(&self, pos: usize) -> f64 {
@@ -147,14 +134,13 @@ pub(crate) mod test_util {
 
     /// Deterministic random entries for index tests; entry `pos` has id
     /// `pos`.
-    pub fn random_entries(n: usize, dim: usize, objects: usize, seed: u64) -> FlatEntries {
+    pub fn random_entries(n: usize, dim: usize, seed: u64) -> FlatEntries {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut entries = FlatEntries::with_capacity(dim, n);
         for id in 0..n {
             let coords: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let object = rng.gen_range(0..objects);
             let weight = rng.gen_range(0.01..1.0);
-            entries.push(id, object, weight, &coords);
+            entries.push(id, weight, &coords);
         }
         entries
     }
@@ -168,16 +154,15 @@ mod tests {
     fn flat_entries_mirror_point_entries() {
         let mut flat = FlatEntries::with_capacity(2, 2);
         assert!(flat.is_empty());
-        flat.push(7, 2, 0.5, &[1.0, 2.0]);
-        flat.push(3, 0, 0.25, &[4.0, 5.0]);
+        flat.push(7, 0.5, &[1.0, 2.0]);
+        flat.push(3, 0.25, &[4.0, 5.0]);
         assert_eq!(flat.len(), 2);
         assert!(!flat.is_empty());
         assert_eq!(flat.dim(), 2);
         assert_eq!(flat.coords(), &[1.0, 2.0, 4.0, 5.0]);
-        let rows = [(7, 2, 0.5, [1.0, 2.0]), (3, 0, 0.25, [4.0, 5.0])];
-        for (pos, (id, object, weight, coords)) in rows.iter().enumerate() {
+        let rows = [(7, 0.5, [1.0, 2.0]), (3, 0.25, [4.0, 5.0])];
+        for (pos, (id, weight, coords)) in rows.iter().enumerate() {
             assert_eq!(flat.id(pos), *id);
-            assert_eq!(flat.object(pos), *object);
             assert_eq!(flat.weight(pos), *weight);
             assert_eq!(flat.coords_of(pos), coords);
         }

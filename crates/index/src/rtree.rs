@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn single_entry_tree() {
         let mut entries = FlatEntries::with_capacity(2, 1);
-        entries.push(0, 0, 0.5, &[0.2, 0.3]);
+        entries.push(0, 0.5, &[0.2, 0.3]);
         let tree = RTree::bulk_load_flat(entries);
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.height(), 1);
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn node_mbrs_contain_children() {
-        let tree = RTree::bulk_load_flat(random_entries(500, 3, 20, 7));
+        let tree = RTree::bulk_load_flat(random_entries(500, 3, 7));
         // Every entry must be inside the MBR of the leaf holding it, and every
         // child MBR must be inside its parent's MBR.
         let root = tree.root().unwrap();
@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn leaf_sizes_respect_fanout() {
-        let tree = RTree::bulk_load_flat_with_fanout(random_entries(300, 2, 10, 11), 8);
+        let tree = RTree::bulk_load_flat_with_fanout(random_entries(300, 2, 11), 8);
         let root = tree.root().unwrap();
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn larger_tree_has_multiple_levels() {
-        let tree = RTree::bulk_load_flat(random_entries(2000, 4, 50, 5));
+        let tree = RTree::bulk_load_flat(random_entries(2000, 4, 5));
         assert!(tree.height() >= 3, "height = {}", tree.height());
         assert_eq!(tree.fanout(), DEFAULT_FANOUT);
     }
@@ -362,7 +362,7 @@ mod tests {
         // The flattened STR load must cover every entry exactly once with
         // consecutive, non-overlapping leaf ranges at the front of the item
         // arena.
-        let tree = RTree::bulk_load_flat(random_entries(731, 3, 15, 13));
+        let tree = RTree::bulk_load_flat(random_entries(731, 3, 13));
         let mut leaf_ranges: Vec<(u32, u32)> = Vec::new();
         let mut stack = vec![tree.root().unwrap()];
         while let Some(id) = stack.pop() {

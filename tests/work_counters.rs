@@ -130,13 +130,15 @@ fn loop_work_count_matches_the_recorded_baseline() {
 /// QDTT+ under `weak_ranking(4, 2)`, B&B under the wide IM user, DUAL under
 /// `WeightRatio::uniform(4, 0.5, 2.0)`. The kd rows were re-recorded with
 /// the zero certificate, which skips subtrees of certified-zero instances
-/// (their bits are held by [`DENSE_KD_BITS`]). Every front must do exactly
-/// this work, sequential or parallel.
+/// (their bits are held by [`DENSE_KD_BITS`]), and their `fdom_tests` once
+/// more with the candidate filter, which drops candidates that dominate no
+/// uncertified point of a node. Every front must do exactly this work,
+/// sequential or parallel.
 const DENSE_PINNED_COUNTERS: [(QueryAlgorithm, QueryCounters); 5] = [
     (
         QueryAlgorithm::Kdtt,
         QueryCounters {
-            fdom_tests: 1_584_010,
+            fdom_tests: 441_788,
             nodes_visited: 2_807,
             window_queries: 0,
         },
@@ -144,7 +146,7 @@ const DENSE_PINNED_COUNTERS: [(QueryAlgorithm, QueryCounters); 5] = [
     (
         QueryAlgorithm::KdttPlus,
         QueryCounters {
-            fdom_tests: 1_584_010,
+            fdom_tests: 441_788,
             nodes_visited: 2_807,
             window_queries: 0,
         },
@@ -152,7 +154,7 @@ const DENSE_PINNED_COUNTERS: [(QueryAlgorithm, QueryCounters); 5] = [
     (
         QueryAlgorithm::QdttPlus,
         QueryCounters {
-            fdom_tests: 1_086_019,
+            fdom_tests: 457_976,
             nodes_visited: 1_691,
             window_queries: 0,
         },

@@ -10,11 +10,20 @@
 //! instances that coincide across objects, objects whose total mass is
 //! exactly 1, 1 ± 1e-10 or 1 − 1e-9, and instances with mass ≤ 1e-9 (which
 //! leave the rest of their object within rounding of saturation).
+//!
+//! A [`ScoreMatrix`] memoises the certificate of its rows. The last two
+//! tests hold the memo to the certificate a cold engine computes: through
+//! the dynamic engine and the service across write batches, and across
+//! clones of one matrix.
 
-use arsp_core::algorithms::kd_asp::{zero_certificate, KdScratch, KdVariant};
+use arsp_core::algorithms::kd_asp::{kd_asp_flat_engine, zero_certificate, KdScratch, KdVariant};
 use arsp_core::algorithms::kdtt::arsp_kdtt_flat_engine;
-use arsp_core::{arsp_enum, FlatScorePoints, ScoreMatrix};
-use arsp_data::{FlatStore, UncertainDataset};
+use arsp_core::stats::CounterStats;
+use arsp_core::{
+    arsp_enum, ArspEngine, ArspService, DynamicArspEngine, Execution, FlatScorePoints,
+    QueryAlgorithm, QueryCounters, ScoreMatrix,
+};
+use arsp_data::{FlatStore, InstanceHandle, UncertainDataset};
 use arsp_geometry::constraints::ConstraintSet;
 use arsp_geometry::fdom::LinearFDominance;
 use proptest::prelude::*;
@@ -228,4 +237,151 @@ fn certificate_edges() {
             assert_eq!(out[i].to_bits(), 0.0f64.to_bits());
         }
     }
+}
+
+/// KDTT+ bits and counters of one outcome.
+type Answer = (Vec<u64>, Option<QueryCounters>);
+
+fn answer(probs: &[f64], counters: Option<QueryCounters>) -> Answer {
+    (probs.iter().map(|p| p.to_bits()).collect(), counters)
+}
+
+/// Random write batches through a dynamic engine and a service: after each
+/// one, KDTT+ on either front — twice, so the second query reads the
+/// matrix's memo, sequential and at width 2 — gives a cold engine's bits and
+/// counters. A memo kept from an earlier version or taken from another
+/// matrix would skip other subtrees and move `nodes_visited`.
+#[test]
+fn memoised_certificate_matches_a_cold_engine_across_batches() {
+    let dataset = edge_dataset(11, 3, 120, 3);
+    let constraints = ConstraintSet::weak_ranking(3, 1);
+    let mut dynamic = DynamicArspEngine::from_dataset(&dataset);
+    let (service, mut writer) = ArspService::from_dataset(&dataset);
+    let mut live: Vec<(InstanceHandle, f64)> = (0..dataset.num_instances())
+        .map(|id| (dynamic.store().handle_of_row(id), dataset.instance(id).prob))
+        .collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut certified_versions = 0;
+    for batch in 0..6 {
+        for _ in 0..rng.gen_range(1..=8) {
+            match rng.gen_range(0..4) {
+                0 | 1 if !live.is_empty() => {
+                    let (handle, prob) = live[rng.gen_range(0..live.len())];
+                    let coords: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..1.0)).collect();
+                    dynamic.update_instance(handle, &coords, prob);
+                    writer.update_instance(handle, &coords, prob);
+                }
+                2 if !live.is_empty() => {
+                    let (handle, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                    dynamic.remove_instance(handle);
+                    writer.remove_instance(handle);
+                }
+                _ => {
+                    let coords: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..0.3)).collect();
+                    dynamic.insert_object(None, vec![(coords.clone(), 1.0)]);
+                    writer.insert_object(None, vec![(coords, 1.0)]);
+                }
+            }
+        }
+        if batch % 3 == 2 {
+            dynamic.merge_now();
+            writer.merge_now();
+        }
+        writer.publish();
+
+        let snapshot = dynamic.snapshot_dataset();
+        let flat = FlatStore::from_dataset(&snapshot);
+        let scores = ScoreMatrix::compute(&flat, &LinearFDominance::from_constraints(&constraints));
+        let mut scratch = KdScratch::new();
+        let view = FlatScorePoints::new(&flat, &scores);
+        if zero_certificate(view, flat.num_objects(), &mut scratch).contains(&true) {
+            certified_versions += 1;
+        }
+        let cold = ArspEngine::new(snapshot);
+        let outcome = cold
+            .query(&constraints)
+            .algorithm(QueryAlgorithm::KdttPlus)
+            .collect_stats(true)
+            .run();
+        let want = answer(outcome.result().probs(), outcome.counters());
+        let pin = service.pin();
+        for execution in [Execution::Sequential, Execution::Parallel { threads: 2 }] {
+            for round in 0..2 {
+                let at = format!("batch {batch}, {execution:?}, round {round}");
+                let got = dynamic
+                    .query(&constraints)
+                    .algorithm(QueryAlgorithm::KdttPlus)
+                    .execution(execution)
+                    .collect_stats(true)
+                    .run();
+                assert_eq!(
+                    answer(got.result().probs(), got.counters()),
+                    want,
+                    "dynamic, {at}"
+                );
+                let got = pin
+                    .query(&constraints)
+                    .algorithm(QueryAlgorithm::KdttPlus)
+                    .execution(execution)
+                    .collect_stats(true)
+                    .run();
+                assert_eq!(
+                    answer(got.result().probs(), got.counters()),
+                    want,
+                    "service, {at}"
+                );
+            }
+        }
+    }
+    assert!(certified_versions > 0, "some version must certify points");
+}
+
+/// A matrix cloned before its memo is filled and one cloned after give the
+/// bits and counters of the original, and of the traversal that computes
+/// the certificate in its own scratch.
+#[test]
+fn cloned_matrices_give_the_same_bits_before_and_after_the_memo() {
+    let dataset = edge_dataset(3, 3, 400, 4);
+    let flat = FlatStore::from_dataset(&dataset);
+    let scores = ScoreMatrix::compute(
+        &flat,
+        &LinearFDominance::from_constraints(&ConstraintSet::weak_ranking(3, 1)),
+    );
+    let run = |matrix: &ScoreMatrix| {
+        let stats = CounterStats::new();
+        let result = arsp_kdtt_flat_engine(
+            &flat,
+            matrix,
+            KdVariant::FusedKd,
+            false,
+            Some(&stats),
+            &mut KdScratch::new(),
+            None,
+            None,
+        );
+        answer(result.probs(), Some(stats.snapshot()))
+    };
+    let before = scores.clone();
+    let first = run(&scores);
+    let after = scores.clone();
+    assert_eq!(run(&scores), first, "the memo read back");
+    assert_eq!(run(&before), first, "cloned before the memo was filled");
+    assert_eq!(run(&after), first, "cloned after the memo was filled");
+    let stats = CounterStats::new();
+    let own = kd_asp_flat_engine(
+        FlatScorePoints::new(&flat, &scores),
+        flat.num_objects(),
+        flat.num_instances(),
+        KdVariant::FusedKd,
+        false,
+        Some(&stats),
+        &mut KdScratch::new(),
+        None,
+        None,
+    );
+    assert_eq!(
+        answer(&own, Some(stats.snapshot())),
+        first,
+        "certificate in scratch"
+    );
 }
