@@ -588,7 +588,7 @@ mod tests {
     use crate::algorithms::enumerate::arsp_enum;
     use crate::algorithms::kdtt::arsp_kdtt_plus;
     use crate::algorithms::loop_scan::arsp_loop;
-    use crate::algorithms::pins::{bits_digest, tie_heavy_rows};
+    use crate::algorithms::pins::{bits_digest, tie_heavy_rows, tie_heavy_rows_with};
     use arsp_data::{paper_running_example, SyntheticConfig, UncertainDataset};
     use arsp_geometry::constraints::WeightRatio;
 
@@ -831,9 +831,14 @@ mod tests {
 
     /// [`tie_heavy_rows`] as a dataset, one object per run of rows.
     fn tie_heavy_dataset(dim: usize) -> UncertainDataset {
+        dataset_of(dim, tie_heavy_rows(dim))
+    }
+
+    /// `(object, prob, coords)` rows as a dataset, one object per run of rows.
+    fn dataset_of(dim: usize, rows: Vec<(usize, f64, Vec<f64>)>) -> UncertainDataset {
         let mut d = UncertainDataset::new(dim);
         let mut instances = Vec::new();
-        let mut rows = tie_heavy_rows(dim).into_iter().peekable();
+        let mut rows = rows.into_iter().peekable();
         while let Some((object, prob, coords)) = rows.next() {
             instances.push((coords, prob));
             if rows.peek().map_or(true, |next| next.0 != object) {
@@ -923,6 +928,65 @@ mod tests {
                     fdom.num_vertices()
                 );
             }
+        }
+    }
+
+    /// Dimensions of the multi-level pins, whose objects hold 20–40
+    /// instances each.
+    const MULTI_LEVEL_DIMS: [usize; 6] = [3, 4, 6, 8, 12, 16];
+
+    /// `(digest, nodes_visited, window_queries)` per [`MULTI_LEVEL_DIMS`]
+    /// entry under `ConstraintSet::new(d)`, then the IM user at d = 4.
+    const MULTI_LEVEL_PINS: [(u64, u64, u64); 7] = [
+        (0x5fb1bdca4be4e817, 86, 30636),
+        (0x98cb79621c7e1d0c, 87, 31141),
+        (0xa31fbc3ec6336b8e, 103, 32544),
+        (0x039ebf9d56397a11, 80, 30135),
+        (0x0c3961d4eef481d0, 86, 29546),
+        (0xfed18273a4aacdb9, 100, 32731),
+        // IM user, d = 4, d' = 10
+        (0x872fc56241017840, 87, 30520),
+    ];
+
+    /// B&B on inputs whose aggregated R-trees outgrow one leaf and split:
+    /// [`PINS`] gives every object 2–5 instances, so no tree there ever
+    /// splits. Recorded before the aggregated R-tree moved to flat arenas.
+    #[test]
+    fn multi_level_trees_are_pinned() {
+        let rows = |d| tie_heavy_rows_with(d, 20..41);
+        let im = arsp_data::im_constraints(4, 3, IM_SEED);
+        let cases = MULTI_LEVEL_DIMS
+            .iter()
+            .map(|&d| (dataset_of(d, rows(d)), ConstraintSet::new(d)))
+            .chain(std::iter::once((dataset_of(4, rows(4)), im)));
+        let mut scratch = BnbScratch::new();
+        for ((d, constraints), &pin) in cases.zip(&MULTI_LEVEL_PINS) {
+            let fdom = LinearFDominance::from_constraints(&constraints);
+            let stats = CounterStats::new();
+            let result = arsp_bnb_engine(
+                &d,
+                &fdom,
+                None,
+                None,
+                false,
+                Some(&stats),
+                Some(&mut scratch),
+                None,
+            );
+            let c = stats.snapshot();
+            let got = (
+                bits_digest(result.probs()),
+                c.nodes_visited,
+                c.window_queries,
+            );
+            let deepest = scratch.agg.iter().map(AggregateRTree::len).max();
+            // A leaf holds at most 16 entries, so a larger tree has split.
+            assert!(
+                deepest.is_some_and(|len| len > 16),
+                "d = {}: no aggregated tree split",
+                d.dim()
+            );
+            assert_eq!(got, pin, "d = {}, d' = {}", d.dim(), fdom.num_vertices());
         }
     }
 

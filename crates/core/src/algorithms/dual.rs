@@ -544,6 +544,39 @@ mod tests {
         );
     }
 
+    /// DUAL's bits on tie-heavy inputs whose objects hold 20–40 instances,
+    /// so every object's aggregated R-tree splits, per d = 2, 3, 4, 6 under
+    /// the ratio range `[0.5, 2]`. Recorded before the aggregated R-tree
+    /// moved to flat arenas.
+    #[test]
+    fn multi_level_trees_are_pinned() {
+        use crate::algorithms::pins::{bits_digest, tie_heavy_rows_with};
+        const PINS: [(usize, u64); 4] = [
+            (2, 0x449af96e6ce110c4),
+            (3, 0x88e7e8f558ba6775),
+            (4, 0xafb92071fabc0f36),
+            (6, 0x79dc075277b46e3d),
+        ];
+        for (dim, pin) in PINS {
+            let mut d = UncertainDataset::new(dim);
+            let mut instances = Vec::new();
+            let mut rows = tie_heavy_rows_with(dim, 20..41).into_iter().peekable();
+            while let Some((object, prob, coords)) = rows.next() {
+                instances.push((coords, prob));
+                if rows.peek().map_or(true, |next| next.0 != object) {
+                    d.push_object(std::mem::take(&mut instances));
+                }
+            }
+            let flat = FlatStore::from_dataset(&d);
+            let agg = build_dual_index(&flat);
+            // A leaf holds at most 16 entries, so a larger tree has split.
+            assert!(agg.iter().any(|tree| tree.len() > 16));
+            let ratio = WeightRatio::uniform(dim, 0.5, 2.0);
+            let got = arsp_dual_flat_engine(&flat, &ratio, &agg, false, None, None);
+            assert_eq!(bits_digest(got.probs()), pin, "d = {dim}");
+        }
+    }
+
     #[test]
     fn flat_engine_handles_empty_datasets() {
         let d = UncertainDataset::new(2);

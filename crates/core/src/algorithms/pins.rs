@@ -22,6 +22,16 @@ pub(crate) fn bits_digest(probs: &[f64]) -> u64 {
 /// corner of the whole set. Every object has 2–5 instances, so no single
 /// instance saturates its object and prunes everything behind it.
 pub(crate) fn tie_heavy_rows(dim: usize) -> Vec<(usize, f64, Vec<f64>)> {
+    tie_heavy_rows_with(dim, 2..6)
+}
+
+/// [`tie_heavy_rows`] whose objects after the first two hold `instances`
+/// instances each (a count drawn per object), e.g. `20..41`: enough for an
+/// object's aggregated R-tree to outgrow one leaf and split.
+pub(crate) fn tie_heavy_rows_with(
+    dim: usize,
+    instances: std::ops::Range<i32>,
+) -> Vec<(usize, f64, Vec<f64>)> {
     let mut rng = ChaCha8Rng::seed_from_u64(0x7e57 + dim as u64);
     let grid_row = |rng: &mut ChaCha8Rng| -> Vec<f64> {
         (0..dim)
@@ -36,7 +46,7 @@ pub(crate) fn tie_heavy_rows(dim: usize) -> Vec<(usize, f64, Vec<f64>)> {
     }
     let mut obj = 2;
     while rows.len() < 1_030 {
-        let k = rng.gen_range(2..6);
+        let k = rng.gen_range(instances.clone());
         for _ in 0..k {
             let row = if rows.len() > 4 && rng.gen_bool(0.25) {
                 let from = rng.gen_range(4..rows.len());

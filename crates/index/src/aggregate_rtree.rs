@@ -438,6 +438,58 @@ mod tests {
         assert!((tree.window_sum(&[0.4, 0.6]) - 0.0).abs() < 1e-12);
     }
 
+    /// FNV-1a digest of every window sum's bits, per d = 1..=11, over 400
+    /// inserts of grid points with ties and duplicates, asking two windows
+    /// after every insert. 400 entries make trees of three levels, so the
+    /// digests hold leaf and internal splits to the tree shape they were
+    /// recorded with (before the tree moved to flat arenas).
+    #[test]
+    fn window_sum_bits_are_pinned() {
+        use rand::prelude::*;
+        use rand_chacha::ChaCha8Rng;
+        const PINS: [u64; 11] = [
+            0x89f9240a4bc01828,
+            0x7696fffaa5e33515,
+            0xb70282349ea26ab7,
+            0xbd4e62ae841a1017,
+            0xcb036e0e8a4bc615,
+            0xa6db21c23d974505,
+            0xc4093ea28e2b735e,
+            0xcd3a6aab00456729,
+            0x0d14840a875700c7,
+            0xd5d21582b6711ffc,
+            0x04237e894e3efa63,
+        ];
+        for (dim, &pin) in (1..=11).zip(&PINS) {
+            let mut rng = ChaCha8Rng::seed_from_u64(0xa66 + dim as u64);
+            let grid = |rng: &mut ChaCha8Rng| -> Vec<f64> {
+                (0..dim)
+                    .map(|_| rng.gen_range(0..8) as f64 * 0.25)
+                    .collect()
+            };
+            let mut tree = AggregateRTree::new(dim);
+            let mut points: Vec<Vec<f64>> = Vec::new();
+            let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+            for _ in 0..400 {
+                let point = if !points.is_empty() && rng.gen_bool(0.25) {
+                    points[rng.gen_range(0..points.len())].clone()
+                } else {
+                    grid(&mut rng)
+                };
+                let weight = f64::from(rng.gen_range(1..9)) / 48.0;
+                tree.insert(&point, weight);
+                let corner = grid(&mut rng);
+                for sum in [tree.window_sum(&point), tree.window_sum(&corner)] {
+                    for byte in sum.to_bits().to_le_bytes() {
+                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+                points.push(point);
+            }
+            assert_eq!(digest, pin, "d = {dim}");
+        }
+    }
+
     proptest! {
         /// Incremental window sums always match a brute-force filter.
         #[test]
