@@ -28,9 +28,10 @@ use arsp_data::SyntheticConfig;
 use arsp_geometry::constraints::WeightRatio;
 use arsp_geometry::ConstraintSet;
 
-const ALGORITHMS: [(&str, QueryAlgorithm); 3] = [
+const ALGORITHMS: [(&str, QueryAlgorithm); 4] = [
     ("loop", QueryAlgorithm::Loop),
     ("kdtt_plus", QueryAlgorithm::KdttPlus),
+    ("qdtt_plus", QueryAlgorithm::QdttPlus),
     ("bnb", QueryAlgorithm::BranchAndBound),
 ];
 

@@ -23,20 +23,29 @@
 //!
 //! Algorithm 2 folds `Π_j (1 − σ[j])` over every other object `j`, yet only
 //! objects that already hold an instance in their aggregated R-tree can
-//! contribute, and most of those hold nothing below `SV(t)`. So the loop
-//! walks [`BnbScratch`]'s list of objects with a non-empty tree, kept in
-//! ascending object order, and first tests the object's min corner — the
-//! componentwise minimum of the score images in its tree, one flat
-//! `m × d'` array — against `SV(t)`. Only a corner `⪯ SV(t)` pays for
-//! `window_sum`. Skipping is bit-exact: a corner that is not `⪯ SV(t)`
-//! exceeds `SV(t)` on some axis, so does every point in the tree, and
-//! `window_sum` would return zero; the factor `1 − 0` leaves the product's
-//! bits unchanged, and the remaining factors multiply in the same ascending
-//! order as a walk over all `m` trees. `window_queries` keeps the
-//! definition of that walk: it counts every non-empty tree of another
-//! object reached before the product hits zero, screened out or not. A tie
-//! group's intra-group pass takes each object's outside mass from the σ
-//! this loop already asked for, so it adds no window query.
+//! contribute, and most of those hold nothing below `SV(t)`. So
+//! [`BnbScratch`] keeps the min corner of every non-empty tree — the
+//! componentwise minimum of the score images in it — in one dense
+//! `d'`-strided array in activation order, with the object column beside
+//! it. The loop first screens every corner against `SV(t)` with a
+//! branch-free `⪯` test compiled per score width (`by_width!`), writing
+//! the objects that pass (other than `t`'s own) to a hit list. It sorts the
+//! few hits ascending and asks only their trees for `window_sum`.
+//!
+//! Why the bits hold: a corner that is not `⪯ SV(t)` exceeds `SV(t)` on
+//! some axis, so does every point in the tree, and `window_sum` would
+//! return zero; the factor `1 − 0` is exactly one. A walk over all `m`
+//! trees in ascending order that asks only the trees whose corner passes
+//! asks exactly the sorted hits, in that order, so the product takes the
+//! same float steps and stops at the same object. `window_queries` keeps
+//! the definition of that walk:
+//! it counts every non-empty tree of another object up to the one where the
+//! product hits zero (all of them when it never does), screened out or
+//! not, read off the ascending list of non-empty trees by a
+//! `partition_point`. A tie group's intra-group pass takes each object's
+//! outside mass from the σ this loop already asked for, so it adds no
+//! window query. The Theorem-4 pruning test runs the same width-compiled
+//! `⪯` over the pruning set, for tie-group members and R-tree nodes alike.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -49,6 +58,8 @@ use arsp_geometry::fdom::LinearFDominance;
 use arsp_geometry::point::{dominates, score};
 use arsp_geometry::ConstraintSet;
 use arsp_index::{AggregateRTree, FlatEntries, NodeContent, RTree};
+
+use super::width::{by_width, Width};
 
 /// Tolerance for deciding that an object's accumulated probability has
 /// reached one (mirrors the saturation tolerance of kd-ASP\*).
@@ -155,42 +166,96 @@ pub fn arsp_bnb_engine(
     arsp_bnb_impl(dataset, fdom, rtree, scores, true, stats, scratch, budget)
 }
 
-/// Computes `prob · Π_j (1 − σ[j])` over the objects in `active` (those
-/// whose aggregated R-tree holds an instance, ascending), stopping at zero —
-/// the inner object loop of Algorithm 2. Object `j` is asked for σ[j] only
-/// when its min corner `min_corner[j*d' .. (j+1)*d']` is ⪯ `sv`; otherwise
-/// σ[j] is 0 and its factor is exactly 1 (see the module docs). Every σ[j]
+/// Computes `prob · Π_j (1 − σ[j])` over the objects whose aggregated
+/// R-tree holds an instance, stopping at zero — the inner object loop of
+/// Algorithm 2. `corners` holds those trees' min corners in activation
+/// order, `d'`-strided, beside their `objects`; `active` lists the same
+/// objects ascending. Only the objects other than `own_object` whose
+/// corner is ⪯ `sv` are asked for σ[j], in ascending order; every other
+/// σ[j] is 0 and its factor exactly 1 (see the module docs). Every σ[j]
 /// asked for lands in `sigmas` as `(j, σ[j])`, ascending in `j`.
 #[allow(clippy::too_many_arguments)]
 fn fold_window_products(
     agg: &[AggregateRTree],
     active: &[usize],
-    min_corner: &[f64],
+    corners: &[f64],
+    objects: &[u32],
     own_object: usize,
     sv: &[f64],
     prob: f64,
     queries: &mut u64,
+    hits: &mut Vec<u32>,
     sigmas: &mut Vec<(usize, f64)>,
 ) -> f64 {
-    let d_prime = sv.len();
+    by_width!(sv.len(), |w| screen_corners(
+        w,
+        corners,
+        objects,
+        own_object as u32,
+        sv,
+        hits
+    ));
+    hits.sort_unstable();
+    // The own object's tree, if any, is in `active` but never asked.
+    let own_active = !agg[own_object].is_empty();
     let mut prob = prob;
     sigmas.clear();
-    for &j in active {
-        if j == own_object {
-            continue;
-        }
-        *queries += 1;
-        if !dominates(&min_corner[j * d_prime..(j + 1) * d_prime], sv) {
-            continue;
-        }
+    for &j in hits.iter() {
+        let j = j as usize;
         let sigma = agg[j].window_sum(sv);
         sigmas.push((j, sigma));
         prob *= 1.0 - sigma;
         if prob <= 0.0 {
+            let reached = active.partition_point(|&k| k <= j);
+            *queries += (reached - usize::from(own_active && own_object < j)) as u64;
             return 0.0;
         }
     }
+    *queries += (active.len() - usize::from(own_active)) as u64;
     prob
+}
+
+/// `a ⪯ b` on the first `w` coordinates, every coordinate compared with no
+/// early exit.
+#[inline(always)]
+fn below<W: Width>(w: W, a: &[f64], b: &[f64]) -> bool {
+    let d = w.dim();
+    a[..d]
+        .iter()
+        .zip(&b[..d])
+        .fold(true, |acc, (&x, &y)| acc & (x <= y))
+}
+
+/// The window loop's screen: writes to `hits`, in activation order, the
+/// objects other than `own` whose min corner is ⪯ `sv`, with a branch-free
+/// test and append.
+#[inline(always)]
+fn screen_corners<W: Width>(
+    w: W,
+    corners: &[f64],
+    objects: &[u32],
+    own: u32,
+    sv: &[f64],
+    hits: &mut Vec<u32>,
+) {
+    hits.clear();
+    hits.resize(objects.len(), 0);
+    let mut top = 0;
+    for (corner, &j) in corners.chunks_exact(w.dim()).zip(objects) {
+        hits[top] = j;
+        top += usize::from(below(w, corner, sv) & (j != own));
+    }
+    hits.truncate(top);
+}
+
+/// Membership test against the flat pruning set (Theorem 4): some point
+/// of `pruning` is ⪯ `sv`, tested per point with the width-compiled
+/// [`below`].
+#[inline]
+fn is_pruned(pruning: &[f64], sv: &[f64]) -> bool {
+    by_width!(sv.len(), |w| pruning
+        .chunks_exact(w.dim())
+        .any(|corner| below(w, corner, sv)))
 }
 
 /// Reusable working memory of one B&B run: the best-first heap's backing
@@ -215,20 +280,27 @@ pub struct BnbScratch {
     sigmas: Vec<(usize, f64)>,
     /// Pruning set `P` as a flat `d'`-strided array.
     pruning: Vec<f64>,
-    /// Per-object componentwise maximum and minimum of the score images
-    /// inserted into the object's aggregated R-tree (flat, `d'`-strided). An
-    /// object's corners are meaningful only once its tree is non-empty: the
-    /// first insert copies the image into both. The maximum corners feed
-    /// `P`; the minimum corners screen the window loop.
+    /// Per-object componentwise maximum of the score images inserted into
+    /// the object's aggregated R-tree (flat, `d'`-strided), meaningful once
+    /// the tree is non-empty: the first insert copies the image. It feeds
+    /// `P`.
     max_corner: Vec<f64>,
-    min_corner: Vec<f64>,
+    /// Componentwise minimum of each non-empty tree's score images, one
+    /// `d'`-strided row per tree in activation order, beside the tree's
+    /// object: the window loop's screen.
+    min_corners: Vec<f64>,
+    min_objects: Vec<u32>,
+    /// An active object's row in `min_corners`.
+    min_slot: Vec<u32>,
+    /// The screen's hits for the current member.
+    hits: Vec<u32>,
     acc_prob: Vec<f64>,
     /// Node-corner mapping buffer for the Theorem-4 subtree test.
     sv_buf: Vec<f64>,
     /// One aggregated R-tree per object (reset, not reallocated, per query).
     agg: Vec<AggregateRTree>,
     /// The objects whose aggregated R-tree is non-empty, ascending — the
-    /// window loop walks these instead of all `m` objects.
+    /// window loop counts its `window_queries` on these.
     active: Vec<usize>,
 }
 
@@ -237,12 +309,6 @@ impl BnbScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Membership test against the flat pruning set (Theorem 4).
-#[inline]
-fn is_pruned(pruning: &[f64], d_prime: usize, sv: &[f64]) -> bool {
-    pruning.chunks_exact(d_prime).any(|p| dominates(p, sv))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -282,7 +348,10 @@ fn arsp_bnb_impl(
         sigmas,
         pruning,
         max_corner,
-        min_corner,
+        min_corners,
+        min_objects,
+        min_slot,
+        hits,
         acc_prob,
         sv_buf,
         agg,
@@ -305,8 +374,10 @@ fn arsp_bnb_impl(
     pruning.clear();
     max_corner.clear();
     max_corner.resize(m * d_prime, 0.0);
-    min_corner.clear();
-    min_corner.resize(m * d_prime, 0.0);
+    min_corners.clear();
+    min_objects.clear();
+    min_slot.clear();
+    min_slot.resize(m, 0);
     active.clear();
     acc_prob.clear();
     acc_prob.resize(m, 0.0);
@@ -336,7 +407,6 @@ fn arsp_bnb_impl(
                     fdom,
                     use_pruning_set,
                     pruning,
-                    d_prime,
                     scores,
                     sv_buf,
                     &mut heap,
@@ -366,7 +436,6 @@ fn arsp_bnb_impl(
                                 fdom,
                                 use_pruning_set,
                                 pruning,
-                                d_prime,
                                 scores,
                                 sv_buf,
                                 &mut heap,
@@ -386,7 +455,7 @@ fn arsp_bnb_impl(
                 for &id in group.iter() {
                     let slot = members_sv.len();
                     members_sv.extend_from_slice(scores.row(id));
-                    if use_pruning_set && is_pruned(pruning, d_prime, &members_sv[slot..]) {
+                    if use_pruning_set && is_pruned(pruning, &members_sv[slot..]) {
                         // Zero rskyline probability: never inserted into the
                         // aggregated R-trees, never contributes to P.
                         members_sv.truncate(slot);
@@ -404,11 +473,13 @@ fn arsp_bnb_impl(
                     let mut prob = fold_window_products(
                         agg,
                         active,
-                        min_corner,
+                        min_corners,
+                        min_objects,
                         t.object,
                         sv_t,
                         t.prob,
                         &mut window_queries,
+                        hits,
                         sigmas,
                     );
                     if prob > 0.0 && members.len() > 1 {
@@ -463,11 +534,14 @@ fn arsp_bnb_impl(
                             let at = active.partition_point(|&j| j < object);
                             active.insert(at, object);
                             max_corner[span.clone()].copy_from_slice(sv);
-                            min_corner[span.clone()].copy_from_slice(sv);
+                            min_slot[object] = min_objects.len() as u32;
+                            min_objects.push(object as u32);
+                            min_corners.extend_from_slice(sv);
                         } else {
+                            let row = min_slot[object] as usize * d_prime;
                             let corners = max_corner[span.clone()]
                                 .iter_mut()
-                                .zip(&mut min_corner[span.clone()]);
+                                .zip(&mut min_corners[row..row + d_prime]);
                             for ((hi, lo), &sv_k) in corners.zip(sv) {
                                 if sv_k > *hi {
                                     *hi = sv_k;
@@ -512,7 +586,6 @@ fn expand_node(
     fdom: &LinearFDominance,
     use_pruning_set: bool,
     pruning: &[f64],
-    d_prime: usize,
     scores: &ScoreMatrix,
     sv_buf: &mut [f64],
     heap: &mut BinaryHeap<HeapItem>,
@@ -520,7 +593,7 @@ fn expand_node(
     let node = rtree.node(node_id);
     if use_pruning_set && !pruning.is_empty() {
         fdom.map_to_score_space_into(node.mbr().min().coords(), sv_buf);
-        if is_pruned(pruning, d_prime, sv_buf) {
+        if is_pruned(pruning, sv_buf) {
             return;
         }
     }

@@ -94,14 +94,36 @@
 //! outside the node, one per candidate not folded), are those of an
 //! early-exit pass, and every probability is the same bits.
 //!
-//! The score width is a type parameter of that body: `Fixed<D>` makes it a
-//! compile-time constant, so the coordinate loop unrolls fully, and
-//! `Runtime` carries it as a value. `flat_candidate_pass` dispatches on the
-//! input's score dimension: d′ = 1..=16 each run their own compiled copy,
-//! and larger d′ run the runtime-width copy. On the serving benchmark's
-//! union, the compiled copies make KDTT+ about 1.6× faster than an
-//! early-exit pass; a runtime-width loop alone recovers only part of that
-//! (EXPERIMENTS.md).
+//! The score width is a type parameter of that body (see
+//! `algorithms::width`): `Fixed<D>` makes it a compile-time constant, so the
+//! coordinate loop unrolls fully, and `Runtime` carries it as a value.
+//! `by_width!` dispatches on the input's score dimension: d′ = 1..=16 each
+//! run their own compiled copy, and larger d′ run the runtime-width copy. On
+//! the serving benchmark's union, the compiled copies make KDTT+ about 1.6×
+//! faster than an early-exit pass; a runtime-width loop alone recovers only
+//! part of that (EXPERIMENTS.md).
+//!
+//! ## Node pass
+//!
+//! Before its candidate pass, a node makes one pass over its own points,
+//! `node_pass`, compiled per width like the candidate pass and just as
+//! branch-free. It takes a fresh stamp and writes it as each point's
+//! `in_node` mark, so no second loop clears the marks: a point is inside the
+//! current node exactly when its mark equals the current stamp (a wrapped
+//! stamp clears every mark first). In the same loop it writes the node's
+//! three corners into its depth slot of the bounds arena:
+//!
+//! * `pmin` and `pmax`, widened by `<`/`>` selects, which skip a NaN
+//!   coordinate. KDTT overwrites them with its prebuilt tree's node corners
+//!   after the loop, as it read them before;
+//! * `umax`, raised by every point the certificate leaves unflagged to
+//!   `max(umax, x)`, or to `+∞` on a NaN coordinate, then capped at `pmax`.
+//!   A point's flag only selects whether `umax` takes the raised value. With
+//!   no certificate `umax` is a copy of `pmax`.
+//!
+//! Every corner is thus the value a plain per-point `<`/`>` loop gives at
+//! any width, and every probability the same bits (the width pins in the
+//! unit tests hold each compiled copy to them).
 //!
 //! ## Exact undo
 //!
@@ -185,15 +207,15 @@
 //! those can fold into a node whose points are all NaN on that axis (its
 //! `pmin` is +∞ there): the NaN-row unit test catches that. `umax` is
 //! computed in the loop over the node's points that computes `pmin` and
-//! `pmax`; with no certificate, `umax = pmax`.
+//! `pmax` (see "Node pass"); with no certificate, `umax = pmax`.
 //!
 //! The KDTT family runs with the certificate its
 //! [`ScoreMatrix`](crate::ScoreMatrix) memoises, computed by the first query
 //! over that matrix; ASP over identity points computes its own per call.
 
+use super::width::{by_width, Width};
 use crate::scorespace::FlatScorePoints;
 use crate::stats::CounterStats;
-use arsp_geometry::mbr::{extend_bounds, reset_bounds};
 use arsp_index::kdtree::KdNodeContent;
 use arsp_index::{FlatEntries, KdTree};
 
@@ -315,8 +337,12 @@ pub struct KdScratch {
     bounds: Vec<f64>,
     /// Per-object dominating mass σ.
     sigma: Vec<f64>,
-    /// "Point is inside the current node" marks.
-    in_node: Vec<bool>,
+    /// "Point is inside the current node" marks: point `i` is inside when
+    /// `in_node[i] == stamp`. Each node pass takes a fresh stamp, so no pass
+    /// has to clear the marks it set.
+    in_node: Vec<u32>,
+    /// The current node's stamp.
+    stamp: u32,
     /// Quadrant-split centre (consumed before recursing).
     center: Vec<f64>,
     /// Quadrant `(mask, position)` sort pairs (consumed before recursing).
@@ -482,7 +508,8 @@ impl KdScratch {
         self.sigma.clear();
         self.sigma.resize(num_objects, 0.0);
         self.in_node.clear();
-        self.in_node.resize(n, false);
+        self.in_node.resize(n, 0);
+        self.stamp = 0;
         self.order.clear();
         self.order.extend(0..n as u32);
         self.cand.clear();
@@ -491,6 +518,16 @@ impl KdScratch {
         self.ends.clear();
         self.staged.clear();
         self.staged.resize(n, 0.0);
+    }
+
+    /// Advances the mark stamp for the next node. When it wraps, every mark
+    /// is cleared first, so no mark can carry the new stamp.
+    fn next_stamp(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.in_node.fill(0);
+            self.stamp = 1;
+        }
     }
 }
 
@@ -579,44 +616,14 @@ fn emit_coincident_flat(
     }
 }
 
-/// The score width of one candidate pass: a compile-time constant
-/// ([`Fixed`]) or a runtime value ([`Runtime`]). [`candidate_pass`] is
-/// generic over it, so each fixed width compiles to its own fully unrolled
-/// copy of the one pass body.
-trait Width: Copy {
-    fn dim(self) -> usize;
-}
-
-/// A score width known at compile time.
-#[derive(Clone, Copy)]
-struct Fixed<const D: usize>;
-
-impl<const D: usize> Width for Fixed<D> {
-    #[inline(always)]
-    fn dim(self) -> usize {
-        D
-    }
-}
-
-/// A score width known only at run time (d′ above the compiled widths).
-#[derive(Clone, Copy)]
-struct Runtime(usize);
-
-impl Width for Runtime {
-    #[inline(always)]
-    fn dim(self) -> usize {
-        self.0
-    }
-}
-
 /// The candidate pass of lines 9–18 over the shared stacks: reads the
 /// parent's candidate range `[c0, c1)` of `scratch.cand`, appends this node's
 /// surviving candidates at the top of the stack, and records σ mutations on
 /// the shared undo stack. Returns the number of F-dominance tests performed.
 /// `bstart` locates this node's `pmin`/`pmax` inside the bounds arena.
 ///
-/// Dispatches on the score dimension: d′ = 1..=16 run their own compiled
-/// copy of [`candidate_pass`], larger d′ the runtime-width copy.
+/// Runs the [`candidate_pass`] compiled for the score dimension (see
+/// [`by_width!`]).
 fn flat_candidate_pass(
     pts: &FlatScorePoints<'_>,
     s: &mut KdScratch,
@@ -625,15 +632,7 @@ fn flat_candidate_pass(
     c1: usize,
     bstart: usize,
 ) -> u64 {
-    macro_rules! by_width {
-        ($($d:literal)*) => {
-            match pts.dim {
-                $($d => candidate_pass(Fixed::<$d>, pts, s, bc, c0, c1, bstart),)*
-                dim => candidate_pass(Runtime(dim), pts, s, bc, c0, c1, bstart),
-            }
-        };
-    }
-    by_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    by_width!(pts.dim, |w| candidate_pass(w, pts, s, bc, c0, c1, bstart))
 }
 
 /// The one candidate-pass body, compiled once per [`Width`]: both corner
@@ -669,7 +668,7 @@ fn candidate_pass<W: Width>(
             below_min &= x <= lo;
             below_max &= x <= hi;
         }
-        let outside = !s.in_node[cu];
+        let outside = s.in_node[cu] != s.stamp;
         let fold = outside & below_min;
         tests += u64::from(outside) + u64::from(!fold);
         if fold {
@@ -684,14 +683,9 @@ fn candidate_pass<W: Width>(
     tests
 }
 
-/// Writes the node's corners into the depth slot of the bounds arena: the
-/// coordinate-wise min corner `pmin`, max corner `pmax` and `umax`, the max
-/// corner of the points `zero` leaves uncertified, capped at `pmax` (a NaN
-/// coordinate leaves its axis at `pmax`; `umax = pmax` with no
-/// certificate). KDTT reads `pmin` and `pmax` off its prebuilt tree, the
-/// fused variants compute them from the node's points in the loop that
-/// computes `umax`.
-fn flat_corners(
+/// Runs the [`node_pass`] compiled for the score dimension (see
+/// [`by_width!`]).
+fn flat_node_pass(
     pts: &FlatScorePoints<'_>,
     s: &mut KdScratch,
     order: &[u32],
@@ -699,46 +693,65 @@ fn flat_corners(
     split: Split<'_>,
     zero: Option<&[bool]>,
 ) {
-    let dim = pts.dim;
+    by_width!(pts.dim, |w| node_pass(
+        w, pts, s, order, bstart, split, zero
+    ))
+}
+
+/// The one node-pass body, compiled once per [`Width`]: marks the node's
+/// points with the current stamp and writes the node's corners into the
+/// depth slot `bstart` of the bounds arena, in one branch-free loop over
+/// the points (see "Node pass" in the module docs). `pmin` and `pmax` are
+/// the coordinate-wise min and max corners, taken with `<`/`>` so a NaN
+/// coordinate is skipped; KDTT then overwrites them with its prebuilt
+/// tree's corners. `umax` is the max corner of the points `zero` leaves
+/// uncertified, capped at `pmax` (a NaN coordinate leaves its axis at
+/// `pmax`; `umax = pmax` with no certificate).
+#[inline(always)]
+fn node_pass<W: Width>(
+    w: W,
+    pts: &FlatScorePoints<'_>,
+    s: &mut KdScratch,
+    order: &[u32],
+    bstart: usize,
+    split: Split<'_>,
+    zero: Option<&[bool]>,
+) {
+    let dim = w.dim();
     if s.bounds.len() < bstart + 3 * dim {
         s.bounds.resize(bstart + 3 * dim, 0.0);
     }
     let (pmin, rest) = s.bounds[bstart..bstart + 3 * dim].split_at_mut(dim);
     let (pmax, umax) = rest.split_at_mut(dim);
-    let prebuilt = if let Split::Prebuilt(tree, node) = split {
+    pmin.fill(f64::INFINITY);
+    pmax.fill(f64::NEG_INFINITY);
+    umax.fill(f64::NEG_INFINITY);
+    let coords = pts.coords;
+    for &idx in order {
+        let iu = idx as usize;
+        s.in_node[iu] = s.stamp;
+        let uncertified = zero.is_some_and(|zero| !zero[iu]);
+        let row = &coords[iu * dim..][..dim];
+        for (((lo, hi), up), &x) in pmin.iter_mut().zip(&mut *pmax).zip(&mut *umax).zip(row) {
+            *lo = if x < *lo { x } else { *lo };
+            *hi = if x > *hi { x } else { *hi };
+            let raised = if x.is_nan() { f64::INFINITY } else { up.max(x) };
+            *up = if uncertified { raised } else { *up };
+        }
+    }
+    if let Split::Prebuilt(tree, node) = split {
         let mbr = tree.node(node).mbr();
         pmin.copy_from_slice(mbr.min().coords());
         pmax.copy_from_slice(mbr.max().coords());
-        true
-    } else {
-        reset_bounds(pmin, pmax);
-        false
-    };
-    let Some(zero) = zero else {
-        if !prebuilt {
-            for &idx in order {
-                extend_bounds(pmin, pmax, pts.coords_of(idx as usize));
-            }
-        }
+    }
+    if zero.is_none() {
         umax.copy_from_slice(pmax);
         return;
-    };
-    umax.fill(f64::NEG_INFINITY);
-    for &idx in order {
-        let row = pts.coords_of(idx as usize);
-        if !prebuilt {
-            extend_bounds(pmin, pmax, row);
-        }
-        if !zero[idx as usize] {
-            for (hi, &x) in umax.iter_mut().zip(row) {
-                *hi = if x.is_nan() { f64::INFINITY } else { hi.max(x) };
-            }
-        }
     }
     // `x <= umax` must imply `x <= pmax`, which ignores NaN coordinates: an
     // axis a NaN opened (or a NaN corner) falls back to `pmax`.
-    for (hi, &top) in umax.iter_mut().zip(pmax.iter()) {
-        *hi = if *hi < top { *hi } else { top };
+    for (up, &top) in umax.iter_mut().zip(&*pmax) {
+        *up = if *up < top { *up } else { top };
     }
 }
 
@@ -773,9 +786,10 @@ struct FlatPass {
     cend: usize,
 }
 
-/// The node prologue: writes the corners into the depth slot `bstart`,
-/// marks the node's points, runs the candidate pass over the parent range
-/// `[c0, c1)` and reports to the stats sink.
+/// The node prologue: the node pass writes the corners into the depth slot
+/// `bstart` and marks the node's points under a fresh stamp, then the
+/// candidate pass runs over the parent range `[c0, c1)`, and the work is
+/// reported to the stats sink.
 #[allow(clippy::too_many_arguments)]
 fn flat_node_enter(
     t: &Traversal<'_>,
@@ -788,18 +802,13 @@ fn flat_node_enter(
     split: Split<'_>,
 ) -> FlatPass {
     let pts = &t.pts;
-    flat_corners(pts, s, order, bstart, split, t.zero.filter(|_| t.filter));
-    for &idx in order.iter() {
-        s.in_node[idx as usize] = true;
-    }
+    s.next_stamp();
+    flat_node_pass(pts, s, order, bstart, split, t.zero.filter(|_| t.filter));
     let saved_start = s.saved.len();
     let beta_before = bc.beta;
     let chi_before = bc.chi;
     let cstart = s.cand.len();
     let tests = flat_candidate_pass(pts, s, bc, c0, c1, bstart);
-    for &idx in order.iter() {
-        s.in_node[idx as usize] = false;
-    }
     if let Some(st) = t.stats {
         st.add_nodes_visited(1);
         st.add_fdom_tests(tests);
@@ -1159,7 +1168,8 @@ impl KdWorkerScratch {
         arena.ends.extend_from_slice(&self.ends);
         arena.saved.clear();
         arena.in_node.clear();
-        arena.in_node.resize(n, false);
+        arena.in_node.resize(n, 0);
+        arena.stamp = 0;
     }
 }
 

@@ -19,6 +19,7 @@ pub mod kdtt;
 pub mod loop_scan;
 #[cfg(test)]
 pub(crate) mod pins;
+mod width;
 
 use crate::result::ArspResult;
 use arsp_data::UncertainDataset;

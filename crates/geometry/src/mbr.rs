@@ -33,14 +33,6 @@ impl Mbr {
         Self { min, max }
     }
 
-    /// Creates a degenerate MBR covering a single point.
-    pub fn from_point(p: &Point) -> Self {
-        Self {
-            min: p.clone(),
-            max: p.clone(),
-        }
-    }
-
     /// Computes the MBR of a non-empty set of coordinate slices.
     ///
     /// Returns `None` for an empty iterator.
@@ -151,20 +143,6 @@ impl Mbr {
         dominates(coords, self.max.coords())
     }
 
-    /// Volume (product of side lengths); zero for degenerate rectangles.
-    pub fn volume(&self) -> f64 {
-        (0..self.dim()).map(|i| self.max[i] - self.min[i]).product()
-    }
-
-    /// Centre of the rectangle.
-    pub fn center(&self) -> Point {
-        Point::new(
-            (0..self.dim())
-                .map(|i| 0.5 * (self.min[i] + self.max[i]))
-                .collect(),
-        )
-    }
-
     /// Intersection volume of two MBRs (zero when disjoint).
     pub fn intersection_volume(&self, other: &Mbr) -> f64 {
         let mut v = 1.0;
@@ -178,32 +156,6 @@ impl Mbr {
         }
         v
     }
-}
-
-/// Widens `[min, max]` (two caller-owned slices) to cover `coords` in place.
-/// The allocation-free building block the flat traversals use to accumulate
-/// node bounds in a scratch arena without materialising intermediate [`Mbr`]
-/// values.
-#[inline]
-pub fn extend_bounds(min: &mut [f64], max: &mut [f64], coords: &[f64]) {
-    debug_assert_eq!(min.len(), coords.len());
-    debug_assert_eq!(max.len(), coords.len());
-    for (i, &c) in coords.iter().enumerate() {
-        if c < min[i] {
-            min[i] = c;
-        }
-        if c > max[i] {
-            max[i] = c;
-        }
-    }
-}
-
-/// Resets `[min, max]` to the empty bounds (`+∞` / `−∞`), ready for
-/// [`extend_bounds`] accumulation.
-#[inline]
-pub fn reset_bounds(min: &mut [f64], max: &mut [f64]) {
-    min.fill(f64::INFINITY);
-    max.fill(f64::NEG_INFINITY);
 }
 
 #[cfg(test)]
@@ -234,21 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_rows_and_bounds_helpers_match_pointwise_construction() {
+    fn flat_rows_match_pointwise_construction() {
         let coords = [1.0, 5.0, 3.0, 2.0, 2.0, 4.0]; // 3 rows × 2 dims
         let flat = Mbr::from_flat_rows(&coords, 2, 0..3).unwrap();
         let pts = [vec![1.0, 5.0], vec![3.0, 2.0], vec![2.0, 4.0]];
         assert_eq!(flat, mbr_of(&pts).unwrap());
         assert!(Mbr::from_flat_rows(&coords, 2, std::iter::empty()).is_none());
-
-        let mut min = vec![0.0; 2];
-        let mut max = vec![0.0; 2];
-        reset_bounds(&mut min, &mut max);
-        for row in 0..3 {
-            extend_bounds(&mut min, &mut max, &coords[row * 2..(row + 1) * 2]);
-        }
-        assert_eq!(min.as_slice(), flat.min().coords());
-        assert_eq!(max.as_slice(), flat.max().coords());
     }
 
     #[test]
@@ -272,13 +215,6 @@ mod tests {
         assert!(r.possibly_dominated_by(&[3.0, 1.0]));
         // (5,5) cannot dominate anything in r.
         assert!(!r.possibly_dominated_by(&[5.0, 5.0]));
-    }
-
-    #[test]
-    fn volume_margin_center() {
-        let r = mbr(&[0.0, 0.0, 0.0], &[1.0, 2.0, 3.0]);
-        assert_eq!(r.volume(), 6.0);
-        assert_eq!(r.center().coords(), &[0.5, 1.0, 1.5]);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl Point {
         &self.coords
     }
 
-    /// Consume the point and return its coordinate vector.
-    pub fn into_coords(self) -> Vec<f64> {
-        self.coords
-    }
-
     /// Coordinate-wise minimum of two points.
     pub fn component_min(&self, other: &Point) -> Point {
         debug_assert_eq!(self.dim(), other.dim());

@@ -12,46 +12,81 @@
 //! computes per-object dominating mass under weight-ratio constraints without
 //! the theoretical point-location structure (see DESIGN.md, substitutions).
 //!
-//! Implementation notes: quadratic-cost split heuristics are unnecessary at
-//! the fanouts used here; nodes split along the dimension with the largest
-//! spread at the median, which keeps the tree balanced enough for the
-//! best-first workloads of the paper while keeping insertion simple and
-//! predictable.
+//! Implementation notes. The tree lives in flat arenas, so a window query
+//! chases no per-entry or per-corner heap pointer, and [`reset`] empties
+//! them without freeing:
+//!
+//! * entry coordinates in one `dim`-strided array, with the weights beside
+//!   them, in insertion order;
+//! * node corners in one `2·dim`-strided array (min corner, then max
+//!   corner);
+//! * one small record per node: its weight sum, whether it is a leaf, and
+//!   its items (entry or child indices) in a fixed `[u32; MAX_ENTRIES + 1]`,
+//!   whose one slot over the fanout holds the item that makes it split.
+//!
+//! An insert descends to the child whose box needs the least volume
+//! enlargement (ties to the smaller volume). An over-full node splits at
+//! the median of the axis with the widest spread (of entry coordinates in a
+//! leaf, of child box centres in an internal node), after a *stable* sort of
+//! its items along that axis; quadratic-cost split heuristics are
+//! unnecessary at these fanouts. Every float step — corners widened by
+//! `<`/`>`, volumes multiplied axis by axis, weight sums added in item order
+//! — follows from the insertion sequence alone, so the tree's shape and
+//! every sum's bits do too.
+//!
+//! [`reset`]: AggregateRTree::reset
 
 use crate::region::DominanceRegion;
-use arsp_geometry::Mbr;
-use arsp_geometry::Point;
 
 /// Maximum number of children / leaf entries per node.
 const MAX_ENTRIES: usize = 16;
 
-/// A weighted point stored in the tree.
-#[derive(Clone, Debug)]
-struct AggEntry {
-    coords: Vec<f64>,
-    weight: f64,
-}
-
-#[derive(Clone, Debug)]
-enum AggContent {
-    Leaf(Vec<AggEntry>),
-    Internal(Vec<usize>),
-}
-
+/// One node: its aggregate, its kind and its items (entry indices in a
+/// leaf, child node indices in an internal node). Its corners live in the
+/// tree's corner arena.
 #[derive(Clone, Debug)]
 struct AggNode {
-    mbr: Mbr,
     weight_sum: f64,
-    content: AggContent,
+    leaf: bool,
+    len: u8,
+    items: [u32; MAX_ENTRIES + 1],
+}
+
+impl AggNode {
+    fn new(leaf: bool, weight_sum: f64, items: &[u32]) -> Self {
+        let mut node = Self {
+            weight_sum,
+            leaf,
+            len: 0,
+            items: [0; MAX_ENTRIES + 1],
+        };
+        node.set_items(items);
+        node
+    }
+
+    #[inline]
+    fn items(&self) -> &[u32] {
+        &self.items[..usize::from(self.len)]
+    }
+
+    fn set_items(&mut self, items: &[u32]) {
+        self.items[..items.len()].copy_from_slice(items);
+        self.len = items.len() as u8;
+    }
 }
 
 /// A dynamic aggregated R-tree over weighted points.
 #[derive(Clone, Debug)]
 pub struct AggregateRTree {
     dim: usize,
+    /// Entry `e`'s coordinates are `coords[e·dim .. (e+1)·dim]`.
+    coords: Vec<f64>,
+    weights: Vec<f64>,
+    /// Node `v`'s min corner is `corners[2v·dim ..][..dim]`, its max corner
+    /// the next `dim` values.
+    corners: Vec<f64>,
     nodes: Vec<AggNode>,
-    root: Option<usize>,
-    len: usize,
+    root: Option<u32>,
 }
 
 impl AggregateRTree {
@@ -60,30 +95,34 @@ impl AggregateRTree {
         assert!(dim >= 1);
         Self {
             dim,
+            coords: Vec::new(),
+            weights: Vec::new(),
+            corners: Vec::new(),
             nodes: Vec::new(),
             root: None,
-            len: 0,
         }
     }
 
     /// Empties the tree and re-targets it at `dim`-dimensional points,
-    /// keeping the node arena's allocation for reuse across queries.
+    /// keeping every arena's allocation for reuse across queries.
     pub fn reset(&mut self, dim: usize) {
         assert!(dim >= 1);
         self.dim = dim;
+        self.coords.clear();
+        self.weights.clear();
+        self.corners.clear();
         self.nodes.clear();
         self.root = None;
-        self.len = 0;
     }
 
     /// Number of points stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.weights.len()
     }
 
     /// `true` when no point has been inserted yet.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.weights.is_empty()
     }
 
     /// Inserts a weighted point.
@@ -92,88 +131,74 @@ impl AggregateRTree {
     /// Panics if the point has the wrong dimensionality.
     pub fn insert(&mut self, coords: &[f64], weight: f64) {
         assert_eq!(coords.len(), self.dim, "dimension mismatch on insert");
-        self.len += 1;
-        let entry = AggEntry {
-            coords: coords.to_vec(),
-            weight,
-        };
-        match self.root {
-            None => {
-                let mbr = Mbr::from_point(&Point::from(coords));
-                self.nodes.push(AggNode {
-                    mbr,
-                    weight_sum: weight,
-                    content: AggContent::Leaf(vec![entry]),
-                });
-                self.root = Some(self.nodes.len() - 1);
-            }
-            Some(root) => {
-                if let Some(sibling) = self.insert_rec(root, entry) {
-                    // The root split: create a new root with the two halves.
-                    let mbr = self.nodes[root].mbr.union(&self.nodes[sibling].mbr);
-                    let weight_sum = self.nodes[root].weight_sum + self.nodes[sibling].weight_sum;
-                    self.nodes.push(AggNode {
-                        mbr,
-                        weight_sum,
-                        content: AggContent::Internal(vec![root, sibling]),
-                    });
-                    self.root = Some(self.nodes.len() - 1);
+        let entry = u32::try_from(self.weights.len()).expect("entry count exceeds u32 range");
+        self.coords.extend_from_slice(coords);
+        self.weights.push(weight);
+        let node = match self.root {
+            None => AggNode::new(true, weight, &[entry]),
+            Some(root) => match self.insert_rec(root, entry) {
+                None => return,
+                // The root split: a new root holds the two halves.
+                Some(sibling) => {
+                    let weight_sum = self.nodes[root as usize].weight_sum
+                        + self.nodes[sibling as usize].weight_sum;
+                    AggNode::new(false, weight_sum, &[root, sibling])
                 }
-            }
-        }
+            },
+        };
+        self.root = Some(self.push_node(node));
     }
 
-    /// Recursive insertion; returns the id of a new sibling node when the
-    /// visited node had to split.
-    fn insert_rec(&mut self, node_id: usize, entry: AggEntry) -> Option<usize> {
-        // Update this node's aggregate and MBR up front: the entry will end up
-        // somewhere in this subtree regardless of splits below.
-        self.nodes[node_id].weight_sum += entry.weight;
-        self.nodes[node_id].mbr.extend_coords(&entry.coords);
-
-        let child_action = match &self.nodes[node_id].content {
-            AggContent::Leaf(_) => None,
-            AggContent::Internal(children) => Some(self.choose_subtree(children, &entry.coords)),
-        };
-
-        match child_action {
-            None => {
-                // Leaf: push and split if necessary.
-                if let AggContent::Leaf(entries) = &mut self.nodes[node_id].content {
-                    entries.push(entry);
-                    if entries.len() <= MAX_ENTRIES {
-                        return None;
-                    }
-                }
-                Some(self.split_leaf(node_id))
-            }
-            Some(child) => {
-                if let Some(new_child) = self.insert_rec(child, entry) {
-                    if let AggContent::Internal(children) = &mut self.nodes[node_id].content {
-                        children.push(new_child);
-                        if children.len() <= MAX_ENTRIES {
-                            return None;
-                        }
-                    }
-                    return Some(self.split_internal(node_id));
-                }
-                None
-            }
+    /// Recursive insertion of entry `e` below node `v`; returns the new
+    /// sibling node when `v` had to split.
+    fn insert_rec(&mut self, v: u32, e: u32) -> Option<u32> {
+        let (dim, vu) = (self.dim, v as usize);
+        // The entry ends up somewhere in this subtree whatever splits
+        // below, so the aggregate and the box grow up front.
+        self.nodes[vu].weight_sum += self.weights[e as usize];
+        let min = 2 * vu * dim;
+        for k in 0..dim {
+            widen(
+                &mut self.corners,
+                min + k,
+                dim,
+                self.coords[e as usize * dim + k],
+            );
         }
+        let item = if self.nodes[vu].leaf {
+            e
+        } else {
+            let child = self.choose_subtree(vu, e);
+            self.insert_rec(child, e)?
+        };
+        let node = &mut self.nodes[vu];
+        node.items[usize::from(node.len)] = item;
+        node.len += 1;
+        (usize::from(node.len) > MAX_ENTRIES).then(|| self.split(vu))
     }
 
-    /// Chooses the child whose MBR needs the least enlargement to cover the
-    /// point (ties broken by smaller volume).
-    fn choose_subtree(&self, children: &[usize], coords: &[f64]) -> usize {
+    /// The child of internal node `v` whose box needs the least volume
+    /// enlargement to cover entry `e` (ties broken by smaller volume).
+    fn choose_subtree(&self, v: usize, e: u32) -> u32 {
+        let point = self.entry(e);
+        let children = self.nodes[v].items();
         let mut best = children[0];
         let mut best_enlargement = f64::INFINITY;
         let mut best_volume = f64::INFINITY;
         for &c in children {
-            let mbr = &self.nodes[c].mbr;
-            let mut extended = mbr.clone();
-            extended.extend_coords(coords);
-            let enlargement = extended.volume() - mbr.volume();
-            let volume = mbr.volume();
+            let (min, max) = self.box_of(c as usize);
+            let volume: f64 = min.iter().zip(max).map(|(lo, hi)| hi - lo).product();
+            let extended: f64 = min
+                .iter()
+                .zip(max)
+                .zip(point)
+                .map(|((&lo, &hi), &x)| {
+                    let hi = if x > hi { x } else { hi };
+                    let lo = if x < lo { x } else { lo };
+                    hi - lo
+                })
+                .product();
+            let enlargement = extended - volume;
             if enlargement < best_enlargement
                 || (enlargement == best_enlargement && volume < best_volume)
             {
@@ -185,84 +210,123 @@ impl AggregateRTree {
         best
     }
 
-    /// Splits an over-full leaf along the dimension with the widest spread;
-    /// the original node keeps the lower half, the new sibling gets the rest.
-    fn split_leaf(&mut self, node_id: usize) -> usize {
-        let dim = self.dim;
-        let mut entries = match std::mem::replace(
-            &mut self.nodes[node_id].content,
-            AggContent::Leaf(Vec::new()),
-        ) {
-            AggContent::Leaf(e) => e,
-            AggContent::Internal(_) => unreachable!("split_leaf called on internal node"),
-        };
-        let split_dim = widest_dimension(entries.iter().map(|e| e.coords.as_slice()), dim);
-        entries.sort_unstable_by(|a, b| {
-            a.coords[split_dim]
-                .partial_cmp(&b.coords[split_dim])
+    /// Splits over-full node `v` at the median of its widest axis: `v`
+    /// keeps the lower half of its items, a new sibling, returned, the rest.
+    fn split(&mut self, v: usize) -> u32 {
+        let leaf = self.nodes[v].leaf;
+        // Only a full node splits, so every slot holds an item.
+        debug_assert_eq!(usize::from(self.nodes[v].len), MAX_ENTRIES + 1);
+        let mut items = self.nodes[v].items;
+        let axis = self.widest_axis(leaf, &items);
+        items.sort_by(|&a, &b| {
+            self.split_key(leaf, a, axis)
+                .partial_cmp(&self.split_key(leaf, b, axis))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let upper = entries.split_off(entries.len() / 2);
-        let (low_mbr, low_sum) = leaf_summary(&entries);
-        let (high_mbr, high_sum) = leaf_summary(&upper);
-
-        self.nodes[node_id].content = AggContent::Leaf(entries);
-        self.nodes[node_id].mbr = low_mbr;
-        self.nodes[node_id].weight_sum = low_sum;
-
-        self.nodes.push(AggNode {
-            mbr: high_mbr,
-            weight_sum: high_sum,
-            content: AggContent::Leaf(upper),
-        });
-        self.nodes.len() - 1
+        let (low, high) = items.split_at(items.len() / 2);
+        let low_sum = self.items_sum(leaf, low);
+        self.nodes[v].set_items(low);
+        self.nodes[v].weight_sum = low_sum;
+        self.set_box(v);
+        let high_sum = self.items_sum(leaf, high);
+        self.push_node(AggNode::new(leaf, high_sum, high))
     }
 
-    /// Splits an over-full internal node by the centres of its children's
-    /// MBRs along the widest dimension.
-    fn split_internal(&mut self, node_id: usize) -> usize {
-        let dim = self.dim;
-        let mut children = match std::mem::replace(
-            &mut self.nodes[node_id].content,
-            AggContent::Internal(Vec::new()),
-        ) {
-            AggContent::Internal(c) => c,
-            AggContent::Leaf(_) => unreachable!("split_internal called on leaf node"),
+    /// The axis on which the split keys of `items` spread the most (the
+    /// last such axis on a tie).
+    fn widest_axis(&self, leaf: bool, items: &[u32]) -> usize {
+        let spread = |axis| {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &i in items {
+                let x = self.split_key(leaf, i, axis);
+                lo = lo.min(x);
+                hi = hi.max(x);
+            }
+            hi - lo
         };
-        let centers: Vec<Vec<f64>> = children
-            .iter()
-            .map(|&c| self.nodes[c].mbr.center().into_coords())
-            .collect();
-        let split_dim = widest_dimension(centers.iter().map(|c| c.as_slice()), dim);
-        children.sort_unstable_by(|&a, &b| {
-            self.nodes[a].mbr.center()[split_dim]
-                .partial_cmp(&self.nodes[b].mbr.center()[split_dim])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let upper = children.split_off(children.len() / 2);
-        let (low_mbr, low_sum) = self.internal_summary(&children);
-        let (high_mbr, high_sum) = self.internal_summary(&upper);
-
-        self.nodes[node_id].content = AggContent::Internal(children);
-        self.nodes[node_id].mbr = low_mbr;
-        self.nodes[node_id].weight_sum = low_sum;
-
-        self.nodes.push(AggNode {
-            mbr: high_mbr,
-            weight_sum: high_sum,
-            content: AggContent::Internal(upper),
-        });
-        self.nodes.len() - 1
+        (0..self.dim)
+            .map(|axis| (axis, spread(axis)))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map_or(0, |(axis, _)| axis)
     }
 
-    fn internal_summary(&self, children: &[usize]) -> (Mbr, f64) {
-        let mbr = children
-            .iter()
-            .map(|&c| self.nodes[c].mbr.clone())
-            .reduce(|a, b| a.union(&b))
-            .expect("internal nodes have children");
-        let sum = children.iter().map(|&c| self.nodes[c].weight_sum).sum();
-        (mbr, sum)
+    /// An item's position on `axis`: an entry's coordinate in a leaf, a
+    /// child box's centre in an internal node.
+    fn split_key(&self, leaf: bool, item: u32, axis: usize) -> f64 {
+        if leaf {
+            self.entry(item)[axis]
+        } else {
+            let (min, max) = self.box_of(item as usize);
+            0.5 * (min[axis] + max[axis])
+        }
+    }
+
+    /// The weight sum of `items`: entry weights in a leaf, child aggregates
+    /// in an internal node.
+    fn items_sum(&self, leaf: bool, items: &[u32]) -> f64 {
+        if leaf {
+            items.iter().map(|&e| self.weights[e as usize]).sum()
+        } else {
+            items
+                .iter()
+                .map(|&c| self.nodes[c as usize].weight_sum)
+                .sum()
+        }
+    }
+
+    /// Appends a node, with its box computed from its items.
+    fn push_node(&mut self, node: AggNode) -> u32 {
+        let v = self.nodes.len();
+        self.nodes.push(node);
+        self.corners.resize(self.corners.len() + 2 * self.dim, 0.0);
+        self.set_box(v);
+        v as u32
+    }
+
+    /// Recomputes node `v`'s box from its items: the first item's box (an
+    /// entry is a point box), widened by every further item's corners.
+    fn set_box(&mut self, v: usize) {
+        let dim = self.dim;
+        let node = &self.nodes[v];
+        let (min, corners) = (2 * v * dim, &mut self.corners);
+        for (i, &item) in node.items().iter().enumerate() {
+            let item = item as usize;
+            for k in 0..dim {
+                if node.leaf {
+                    let x = self.coords[item * dim + k];
+                    if i == 0 {
+                        corners[min + k] = x;
+                        corners[min + dim + k] = x;
+                    } else {
+                        widen(corners, min + k, dim, x);
+                    }
+                } else {
+                    let (lo, hi) = (
+                        corners[2 * item * dim + k],
+                        corners[(2 * item + 1) * dim + k],
+                    );
+                    if i == 0 {
+                        corners[min + k] = lo;
+                        corners[min + dim + k] = hi;
+                    } else {
+                        widen(corners, min + k, dim, lo);
+                        widen(corners, min + k, dim, hi);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Entry `e`'s coordinates.
+    #[inline]
+    fn entry(&self, e: u32) -> &[f64] {
+        &self.coords[e as usize * self.dim..][..self.dim]
+    }
+
+    /// Node `v`'s min and max corners.
+    #[inline]
+    fn box_of(&self, v: usize) -> (&[f64], &[f64]) {
+        self.corners[2 * v * self.dim..][..2 * self.dim].split_at(self.dim)
     }
 
     /// Sum of the weights of all points `p ⪯ corner` (the window query of
@@ -275,55 +339,45 @@ impl AggregateRTree {
     pub fn sum_weights_in<R: DominanceRegion>(&self, region: &R) -> f64 {
         match self.root {
             None => 0.0,
-            Some(root) => self.sum_rec(root, region),
+            Some(root) => self.sum_rec(root as usize, region),
         }
     }
 
-    fn sum_rec<R: DominanceRegion>(&self, node_id: usize, region: &R) -> f64 {
-        let node = &self.nodes[node_id];
-        if !region.may_intersect(&node.mbr) {
+    fn sum_rec<R: DominanceRegion>(&self, v: usize, region: &R) -> f64 {
+        let (min, max) = self.box_of(v);
+        if !region.may_intersect(min) {
             return 0.0;
         }
-        if region.covers(&node.mbr) {
+        let node = &self.nodes[v];
+        if region.covers(max) {
             return node.weight_sum;
         }
-        match &node.content {
-            AggContent::Leaf(entries) => entries
+        if node.leaf {
+            node.items()
                 .iter()
-                .filter(|e| region.contains(&e.coords))
-                .map(|e| e.weight)
-                .sum(),
-            AggContent::Internal(children) => {
-                children.iter().map(|&c| self.sum_rec(c, region)).sum()
-            }
+                .filter(|&&e| region.contains(self.entry(e)))
+                .map(|&e| self.weights[e as usize])
+                .sum()
+        } else {
+            node.items()
+                .iter()
+                .map(|&c| self.sum_rec(c as usize, region))
+                .sum()
         }
     }
 }
 
-fn leaf_summary(entries: &[AggEntry]) -> (Mbr, f64) {
-    let mbr = Mbr::from_coord_slices(entries.iter().map(|e| e.coords.as_slice()))
-        .expect("leaf halves are non-empty");
-    let sum = entries.iter().map(|e| e.weight).sum();
-    (mbr, sum)
-}
-
-/// Index of the dimension with the largest coordinate spread.
-fn widest_dimension<'a>(coords: impl Iterator<Item = &'a [f64]>, dim: usize) -> usize {
-    let mut min = vec![f64::INFINITY; dim];
-    let mut max = vec![f64::NEG_INFINITY; dim];
-    for c in coords {
-        for i in 0..dim {
-            min[i] = min[i].min(c[i]);
-            max[i] = max[i].max(c[i]);
-        }
+/// Widens a box to cover `x` on one axis, `corners[min]` being the axis's
+/// min-corner slot and `corners[min + dim]` its max-corner slot (`<`/`>`,
+/// so a NaN leaves the box as it is).
+#[inline]
+fn widen(corners: &mut [f64], min: usize, dim: usize, x: f64) {
+    if x < corners[min] {
+        corners[min] = x;
     }
-    (0..dim)
-        .max_by(|&a, &b| {
-            (max[a] - min[a])
-                .partial_cmp(&(max[b] - min[b]))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .unwrap_or(0)
+    if x > corners[min + dim] {
+        corners[min + dim] = x;
+    }
 }
 
 #[cfg(test)]

@@ -216,12 +216,12 @@ impl KdTree {
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id];
-            if !region.may_intersect(&node.mbr) {
+            if !region.may_intersect(node.mbr.min().coords()) {
                 continue;
             }
             // Covered subtrees contain at least one qualifying point unless
             // the subtree holds only the excluded entry.
-            if region.covers(&node.mbr) && (skip_id.is_none() || node.size > 1) {
+            if region.covers(node.mbr.max().coords()) && (skip_id.is_none() || node.size > 1) {
                 return true;
             }
             match node.content {

@@ -17,19 +17,25 @@
 
 use arsp_geometry::fdom::FDominance;
 use arsp_geometry::point::dominates;
-use arsp_geometry::Mbr;
 
-/// A downward-closed region of the data space.
+/// A downward-closed region of the data space. Boxes are tested through
+/// their corners, which downward closure makes exact.
 pub trait DominanceRegion {
-    /// Returns `true` when every point of the MBR lies inside the region.
-    fn covers(&self, mbr: &Mbr) -> bool;
-
-    /// Returns `true` when some point of the MBR *may* lie inside the region;
-    /// returning `false` guarantees the MBR is disjoint from the region.
-    fn may_intersect(&self, mbr: &Mbr) -> bool;
-
     /// Exact membership test for a single point.
     fn contains(&self, coords: &[f64]) -> bool;
+
+    /// Returns `true` when every point of a box with max corner `max` lies
+    /// inside the region (when `max` itself does).
+    fn covers(&self, max: &[f64]) -> bool {
+        self.contains(max)
+    }
+
+    /// Returns `true` when some point of a box with min corner `min` *may*
+    /// lie inside the region; returning `false` (`min` lies outside)
+    /// guarantees the box is disjoint from the region.
+    fn may_intersect(&self, min: &[f64]) -> bool {
+        self.contains(min)
+    }
 }
 
 /// The window `{p | p ⪯ q}` (all points coordinate-wise dominating nothing —
@@ -49,14 +55,6 @@ impl<'a> WindowTo<'a> {
 }
 
 impl DominanceRegion for WindowTo<'_> {
-    fn covers(&self, mbr: &Mbr) -> bool {
-        dominates(mbr.max().coords(), self.corner)
-    }
-
-    fn may_intersect(&self, mbr: &Mbr) -> bool {
-        dominates(mbr.min().coords(), self.corner)
-    }
-
     fn contains(&self, coords: &[f64]) -> bool {
         dominates(coords, self.corner)
     }
@@ -80,14 +78,6 @@ impl<'a, F: FDominance> FDominatorsOf<'a, F> {
 }
 
 impl<F: FDominance> DominanceRegion for FDominatorsOf<'_, F> {
-    fn covers(&self, mbr: &Mbr) -> bool {
-        self.fdom.f_dominates(mbr.max().coords(), self.target)
-    }
-
-    fn may_intersect(&self, mbr: &Mbr) -> bool {
-        self.fdom.f_dominates(mbr.min().coords(), self.target)
-    }
-
     fn contains(&self, coords: &[f64]) -> bool {
         self.fdom.f_dominates(coords, self.target)
     }
@@ -98,7 +88,7 @@ mod tests {
     use super::*;
     use arsp_geometry::constraints::WeightRatio;
     use arsp_geometry::fdom::WeightRatioFDominance;
-    use arsp_geometry::Point;
+    use arsp_geometry::{Mbr, Point};
 
     fn mbr(min: &[f64], max: &[f64]) -> Mbr {
         Mbr::new(Point::from(min), Point::from(max))
@@ -111,10 +101,10 @@ mod tests {
         assert!(w.contains(&[5.0, 5.0]));
         assert!(w.contains(&[1.0, 2.0]));
         assert!(!w.contains(&[6.0, 1.0]));
-        assert!(w.covers(&mbr(&[0.0, 0.0], &[4.0, 4.0])));
-        assert!(!w.covers(&mbr(&[0.0, 0.0], &[6.0, 4.0])));
-        assert!(w.may_intersect(&mbr(&[0.0, 0.0], &[6.0, 4.0])));
-        assert!(!w.may_intersect(&mbr(&[6.0, 0.0], &[8.0, 4.0])));
+        assert!(w.covers(mbr(&[0.0, 0.0], &[4.0, 4.0]).max().coords()));
+        assert!(!w.covers(mbr(&[0.0, 0.0], &[6.0, 4.0]).max().coords()));
+        assert!(w.may_intersect(mbr(&[0.0, 0.0], &[6.0, 4.0]).min().coords()));
+        assert!(!w.may_intersect(mbr(&[6.0, 0.0], &[8.0, 4.0]).min().coords()));
     }
 
     #[test]
@@ -129,11 +119,11 @@ mod tests {
         assert!(!r.contains(&[20.0, 20.0]));
         // An MBR whose max corner F-dominates the target is fully covered.
         let inside = mbr(&[0.0, 0.0], &[6.0, 12.0]);
-        assert!(r.covers(&inside));
-        assert!(r.may_intersect(&inside));
+        assert!(r.covers(inside.max().coords()));
+        assert!(r.may_intersect(inside.min().coords()));
         // An MBR whose min corner does not F-dominate the target is disjoint.
         let outside = mbr(&[20.0, 20.0], &[30.0, 30.0]);
-        assert!(!r.may_intersect(&outside));
+        assert!(!r.may_intersect(outside.min().coords()));
     }
 
     #[test]
@@ -146,8 +136,8 @@ mod tests {
             mbr(&[4.0, 4.0, 4.0], &[5.0, 5.0, 5.0]),
         ];
         for b in &boxes {
-            if w.covers(b) {
-                assert!(w.may_intersect(b));
+            if w.covers(b.max().coords()) {
+                assert!(w.may_intersect(b.min().coords()));
             }
         }
     }
