@@ -1,12 +1,12 @@
 //! Ablation benchmark: B&B with and without the Theorem-4 pruning set `P`,
 //! and with a narrow vs wide preference region (which controls how much the
-//! pruning set can help) — the design-choice ablation called out in
-//! DESIGN.md.
+//! pruning set can help) — the design-choice ablation README's
+//! "Substitutions" section names.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use arsp_core::algorithms::bnb::{arsp_bnb_with_fdom, arsp_bnb_without_pruning};
+use arsp_core::algorithms::bnb::{arsp_bnb_engine, arsp_bnb_without_pruning};
 use arsp_data::{Distribution, SyntheticConfig};
 use arsp_geometry::fdom::LinearFDominance;
 use arsp_geometry::ConstraintSet;
@@ -34,7 +34,12 @@ fn bench_ablation(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("with_pruning_set", label),
             &dataset,
-            |b, d| b.iter(|| arsp_bnb_with_fdom(black_box(d), &fdom).result_size()),
+            |b, d| {
+                b.iter(|| {
+                    arsp_bnb_engine(black_box(d), &fdom, None, None, false, None, None, None)
+                        .result_size()
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("without_pruning_set", label),

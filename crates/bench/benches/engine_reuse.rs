@@ -2,10 +2,11 @@
 //! calling the free functions once per query.
 //!
 //! A constraint sweep over one dataset is the paper's own workload shape
-//! (every figure is such a sweep). The free functions rebuild the instance
-//! R-tree (B&B) and re-enumerate preference-region vertices on every call;
-//! the engine builds each structure once per session and serves the rest of
-//! the sweep from its caches. Numbers recorded in EXPERIMENTS.md.
+//! (every figure is such a sweep). Each free function is a one-shot query
+//! on a fresh engine, so it rebuilds the instance R-tree (B&B) and
+//! re-enumerates preference-region vertices on every call; a session builds
+//! each structure once and serves the rest of the sweep from its caches.
+//! Numbers recorded in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

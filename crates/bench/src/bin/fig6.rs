@@ -70,7 +70,7 @@ fn percentage_sweep(name: &str, full: &UncertainDataset, constraints: &Constrain
 
 fn main() {
     let scale = scale_factor();
-    println!("Fig. 6 reproduction — simulated real datasets (see DESIGN.md substitutions)");
+    println!("Fig. 6 reproduction — simulated real datasets (see README, Substitutions)");
     println!(
         "scale = 1/{scale}, time limit = {}s",
         arsp_bench::time_limit_secs()

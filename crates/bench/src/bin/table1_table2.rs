@@ -16,7 +16,7 @@ use arsp_geometry::ConstraintSet;
 
 fn main() {
     // The paper extracts the 2021 season and keeps rebounds / assists / points;
-    // the simulated stand-in keeps the same shape (see DESIGN.md).
+    // the simulated stand-in keeps the same shape (see README, "Substitutions").
     let engine = ArspEngine::new(real::nba_like(300, 60, 3, 2021));
     let dataset = engine.dataset();
     let constraints = ConstraintSet::weak_ranking(3, 2);

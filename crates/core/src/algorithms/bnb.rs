@@ -50,6 +50,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::engine::{one_shot, QueryAlgorithm};
 use crate::result::ArspResult;
 use crate::scorespace::ScoreMatrix;
 use crate::stats::CounterStats;
@@ -65,25 +66,16 @@ use super::width::{by_width, Width};
 /// reached one (mirrors the saturation tolerance of kd-ASP\*).
 const ONE_EPS: f64 = 1e-9;
 
-/// Computes ARSP with the branch-and-bound algorithm.
+/// Computes ARSP with the branch-and-bound algorithm, as a one-shot
+/// [`ArspEngine`](crate::engine::ArspEngine) query with
+/// [`QueryAlgorithm::BranchAndBound`] forced.
 pub fn arsp_bnb(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    let fdom = LinearFDominance::from_constraints(constraints);
-    arsp_bnb_with_fdom(dataset, &fdom)
-}
-
-/// B&B with a pre-built F-dominance test (lets benchmarks exclude vertex
-/// enumeration, which is a shared one-off cost).
-///
-/// # Panics
-/// Panics if `fdom` was built for a different dimension than the dataset's.
-pub fn arsp_bnb_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
-    arsp_bnb_engine(dataset, fdom, None, None, false, None, None, None)
+    one_shot(dataset, constraints, QueryAlgorithm::BranchAndBound)
 }
 
 /// B&B without the pruning set `P` — every instance pays its window queries.
-/// Exposed for the ablation study of the design choice called out in
-/// DESIGN.md; not part of the paper's evaluated configurations.
+/// Exposed for the ablation study of the pruning set (README,
+/// "Substitutions"); not part of the paper's evaluated configurations.
 ///
 /// # Panics
 /// Panics if `fdom` was built for a different dimension than the dataset's.
@@ -734,7 +726,7 @@ mod tests {
         .generate();
         let constraints = ConstraintSet::weak_ranking(3, 2);
         let fdom = LinearFDominance::from_constraints(&constraints);
-        let with = arsp_bnb_with_fdom(&d, &fdom);
+        let with = arsp_bnb_engine(&d, &fdom, None, None, false, None, None, None);
         let without = arsp_bnb_without_pruning(&d, &fdom);
         assert!(with.approx_eq(&without, 1e-9));
     }
@@ -830,7 +822,7 @@ mod tests {
         .generate();
         let constraints = ConstraintSet::weak_ranking(3, 2);
         let fdom = LinearFDominance::from_constraints(&constraints);
-        let reference = arsp_bnb_with_fdom(&d, &fdom);
+        let reference = arsp_bnb_engine(&d, &fdom, None, None, false, None, None, None);
 
         let flat = arsp_data::FlatStore::from_dataset(&d);
         let scores = ScoreMatrix::compute(&flat, &fdom);
@@ -854,7 +846,7 @@ mod tests {
             let other = ConstraintSet::weak_ranking(3, 1);
             let other_fdom = LinearFDominance::from_constraints(&other);
             let other_scores = ScoreMatrix::compute(&flat, &other_fdom);
-            let other_ref = arsp_bnb_with_fdom(&d, &other_fdom);
+            let other_ref = arsp_bnb_engine(&d, &other_fdom, None, None, false, None, None, None);
             let other_got = arsp_bnb_engine(
                 &d,
                 &other_fdom,
@@ -1067,8 +1059,7 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn with_fdom_rejects_a_region_of_another_dimension() {
         let d = SyntheticConfig::small(5, 2, 2, 1).generate();
-        let fdom = LinearFDominance::from_constraints(&ConstraintSet::weak_ranking(3, 1));
-        let _ = arsp_bnb_with_fdom(&d, &fdom);
+        let _ = arsp_bnb(&d, &ConstraintSet::weak_ranking(3, 1));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   reporting / point-location machinery (Theorem 6), which the paper itself
 //!   describes as "theoretical in nature"; the queries answered are identical
 //!   (per-object dominating mass under weight-ratio constraints), only the
-//!   data structure differs. See DESIGN.md. Its kernel,
+//!   data structure differs (README, "Substitutions"). Its kernel,
 //!   [`arsp_dual_flat_engine`], is what every path runs, the engine under
 //!   every execution mode included: it streams a [`FlatStore`] and, under
 //!   parallel execution, chunks instances over worker threads (bitwise
@@ -24,6 +24,7 @@
 //!   each query costs `O(log n)` plus a term for objects with several
 //!   instances.
 
+use crate::engine::{ArspEngine, QueryAlgorithm};
 use crate::result::ArspResult;
 use crate::stats::CounterStats;
 use arsp_data::{FlatStore, UncertainDataset};
@@ -34,11 +35,17 @@ use arsp_index::AggregateRTree;
 use std::f64::consts::{FRAC_PI_2, TAU};
 
 /// Computes ARSP under weight ratio constraints with per-object aggregated
-/// R-trees (the general-dimension DUAL algorithm).
+/// R-trees (the general-dimension DUAL algorithm), as a one-shot
+/// [`ArspEngine`] ratio query with [`QueryAlgorithm::Dual`] forced.
+///
+/// # Panics
+/// If the ratio's dimensionality differs from the dataset's.
 pub fn arsp_dual(dataset: &UncertainDataset, ratio: &WeightRatio) -> ArspResult {
-    let flat = FlatStore::from_dataset(dataset);
-    let agg = build_dual_index(&flat);
-    arsp_dual_flat_engine(&flat, ratio, &agg, false, None, None)
+    ArspEngine::new(dataset.clone())
+        .ratio_query(ratio)
+        .algorithm(QueryAlgorithm::Dual)
+        .run()
+        .into_result()
 }
 
 /// Builds DUAL's per-object aggregated R-trees over the *original-space*
@@ -471,10 +478,10 @@ mod tests {
         let _ = DualMs2d::preprocess(&d);
     }
 
-    /// The "point engine" is the free function [`arsp_dual`], which takes
-    /// the `Point`-layout [`UncertainDataset`] and builds the flat store and
-    /// forests per call; the flat engine is the kernel called directly with
-    /// a shared index and a stats sink. They must agree bitwise, and agree
+    /// The "point engine" is the free function [`arsp_dual`], a one-shot
+    /// engine query that builds the flat store and forests per call; the
+    /// flat engine is the kernel called directly with a shared index and a
+    /// stats sink. They must agree bitwise, and agree
     /// with KDTT+ (a different algorithm) within float tolerance.
     #[test]
     fn flat_engine_is_bitwise_identical_to_point_engine() {

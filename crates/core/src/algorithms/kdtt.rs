@@ -13,80 +13,30 @@
 
 use super::kd_asp;
 pub use super::kd_asp::KdVariant;
+use crate::engine::{one_shot, QueryAlgorithm};
 use crate::result::ArspResult;
 use crate::scorespace::{FlatScorePoints, ScoreMatrix};
 use crate::stats::CounterStats;
 use arsp_data::{FlatStore, UncertainDataset};
-use arsp_geometry::fdom::LinearFDominance;
 use arsp_geometry::ConstraintSet;
 
-/// KDTT: Algorithm 1 over a fully prebuilt kd-tree.
+/// KDTT: Algorithm 1 over a fully prebuilt kd-tree, as a one-shot
+/// [`ArspEngine`](crate::engine::ArspEngine) query with
+/// [`QueryAlgorithm::Kdtt`] forced.
 pub fn arsp_kdtt(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    run(dataset, constraints, KdVariant::Prebuilt)
+    one_shot(dataset, constraints, QueryAlgorithm::Kdtt)
 }
 
-/// KDTT+: Algorithm 1 with construction fused into the traversal.
+/// KDTT+: Algorithm 1 with construction fused into the traversal, as a
+/// one-shot engine query with [`QueryAlgorithm::KdttPlus`] forced.
 pub fn arsp_kdtt_plus(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    run(dataset, constraints, KdVariant::FusedKd)
+    one_shot(dataset, constraints, QueryAlgorithm::KdttPlus)
 }
 
-/// QDTT+: Algorithm 1 with fused quadtree-style splitting.
+/// QDTT+: Algorithm 1 with fused quadtree-style splitting, as a one-shot
+/// engine query with [`QueryAlgorithm::QdttPlus`] forced.
 pub fn arsp_qdtt_plus(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    run(dataset, constraints, KdVariant::FusedQuad)
-}
-
-/// KDTT+ with a pre-built F-dominance test (lets benchmarks exclude vertex
-/// enumeration, which is a shared one-off cost).
-///
-/// # Panics
-/// Panics if `fdom` was built for a different dimension than the dataset's.
-pub fn arsp_kdtt_plus_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    run_with_fdom(dataset, fdom, KdVariant::FusedKd)
-}
-
-/// QDTT+ with a pre-built F-dominance test.
-///
-/// # Panics
-/// Panics if `fdom` was built for a different dimension than the dataset's.
-pub fn arsp_qdtt_plus_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    run_with_fdom(dataset, fdom, KdVariant::FusedQuad)
-}
-
-/// KDTT with a pre-built F-dominance test.
-///
-/// # Panics
-/// Panics if `fdom` was built for a different dimension than the dataset's.
-pub fn arsp_kdtt_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    run_with_fdom(dataset, fdom, KdVariant::Prebuilt)
-}
-
-fn run(dataset: &UncertainDataset, constraints: &ConstraintSet, variant: KdVariant) -> ArspResult {
-    let fdom = LinearFDominance::from_constraints(constraints);
-    run_with_fdom(dataset, &fdom, variant)
-}
-
-/// The free functions' one-shot path: flatten the dataset, project it once
-/// into a [`ScoreMatrix`] and run [`arsp_kdtt_flat_engine`] with fresh
-/// working memory.
-fn run_with_fdom(
-    dataset: &UncertainDataset,
-    fdom: &LinearFDominance,
-    variant: KdVariant,
-) -> ArspResult {
-    assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
-    let flat = FlatStore::from_dataset(dataset);
-    let scores = ScoreMatrix::compute(&flat, fdom);
-    let mut scratch = kd_asp::KdScratch::new();
-    arsp_kdtt_flat_engine(
-        &flat,
-        &scores,
-        variant,
-        false,
-        None,
-        &mut scratch,
-        None,
-        None,
-    )
+    one_shot(dataset, constraints, QueryAlgorithm::QdttPlus)
 }
 
 /// The KDTT-family entry point behind every query path, used by
@@ -239,7 +189,6 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn with_fdom_rejects_a_region_of_another_dimension() {
         let d = SyntheticConfig::small(5, 2, 2, 1).generate();
-        let fdom = LinearFDominance::from_constraints(&ConstraintSet::weak_ranking(3, 1));
-        let _ = arsp_kdtt_plus_with_fdom(&d, &fdom);
+        let _ = arsp_kdtt_plus(&d, &ConstraintSet::weak_ranking(3, 1));
     }
 }

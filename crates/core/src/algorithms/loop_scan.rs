@@ -59,37 +59,18 @@
 //! different-object lanes in `[0, tie_end[pos])`, which is the number of
 //! pairs the textbook scan tested.
 
+use crate::engine::{one_shot, QueryAlgorithm};
 use crate::result::ArspResult;
 use crate::scorespace::ScoreMatrix;
 use crate::stats::CounterStats;
 use arsp_data::{FlatStore, UncertainDataset};
-use arsp_geometry::fdom::LinearFDominance;
 use arsp_geometry::ConstraintSet;
 
-/// Computes ARSP with the LOOP baseline.
+/// Computes ARSP with the LOOP baseline, as a one-shot
+/// [`ArspEngine`](crate::engine::ArspEngine) query with
+/// [`QueryAlgorithm::Loop`] forced.
 pub fn arsp_loop(dataset: &UncertainDataset, constraints: &ConstraintSet) -> ArspResult {
-    let fdom = LinearFDominance::from_constraints(constraints);
-    run_with_fdom(dataset, &fdom)
-}
-
-/// LOOP with a pre-built F-dominance test (used by benchmarks to exclude the
-/// one-off vertex enumeration from the measured time).
-///
-/// # Panics
-/// Panics if `fdom` was built for a different dimension than the dataset's.
-pub fn arsp_loop_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    run_with_fdom(dataset, fdom)
-}
-
-/// The free functions' one-shot path: flatten the dataset, project it once
-/// into a [`ScoreMatrix`], sort it and run [`arsp_loop_flat_engine`] with
-/// fresh working memory.
-fn run_with_fdom(dataset: &UncertainDataset, fdom: &LinearFDominance) -> ArspResult {
-    assert_eq!(dataset.dim(), fdom.dim(), "dimension mismatch");
-    let flat = FlatStore::from_dataset(dataset);
-    let scores = ScoreMatrix::compute(&flat, fdom);
-    let order = instance_order_from_scores(&scores);
-    arsp_loop_flat_engine(&flat, &scores, &order, false, None, None, None, None)
+    one_shot(dataset, constraints, QueryAlgorithm::Loop)
 }
 
 /// The cold sort comparison of every LOOP order: ascending key, ties broken
@@ -465,6 +446,7 @@ mod tests {
     use crate::algorithms::enumerate::arsp_enum;
     use arsp_data::{paper_running_example, SyntheticConfig, UncertainDataset};
     use arsp_geometry::constraints::WeightRatio;
+    use arsp_geometry::fdom::LinearFDominance;
 
     #[test]
     fn reproduces_example_1() {
@@ -617,10 +599,10 @@ mod tests {
         );
     }
 
-    /// The "point scan" is the free function, which takes the `Point`-layout
-    /// [`UncertainDataset`] and builds the flat store, score matrix and
-    /// order per call; the flat scan is the kernel called directly with
-    /// reused scratch and worker pools. They must agree bitwise.
+    /// The "point scan" is the free function, a one-shot engine query that
+    /// builds the flat store, score matrix and order per call; the flat
+    /// scan is the kernel called directly with reused scratch and worker
+    /// pools. They must agree bitwise.
     #[test]
     fn flat_scan_is_bitwise_identical_to_point_scan() {
         let d = SyntheticConfig {
@@ -689,8 +671,7 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn with_fdom_rejects_a_region_of_another_dimension() {
         let d = SyntheticConfig::small(5, 2, 2, 1).generate();
-        let fdom = LinearFDominance::from_constraints(&ConstraintSet::weak_ranking(3, 1));
-        let _ = arsp_loop_with_fdom(&d, &fdom);
+        let _ = arsp_loop(&d, &ConstraintSet::weak_ranking(3, 1));
     }
 
     /// Helper so synthetic tests can vary the seed tersely.

@@ -32,12 +32,12 @@
 //!
 //! Every algorithm — under [`Execution::Sequential`] *and*
 //! [`Execution::Parallel`] — runs its flat columnar path over these cached
-//! structures; the `Point`-based layouts survive only in the free functions.
+//! structures.
 //!
 //! Queries are built fluently and return an [`ArspOutcome`] that wraps the
-//! [`ArspResult`](crate::ArspResult) with the algorithm that ran (and why,
-//! if auto-selected), wall-clock timings split into index/build and
-//! execution time, and optional work counters:
+//! [`ArspResult`] with the algorithm that ran (and why, if auto-selected),
+//! wall-clock timings split into index/build and execution time, and
+//! optional work counters:
 //!
 //! ```
 //! use arsp_core::engine::ArspEngine;
@@ -64,19 +64,19 @@
 //!
 //! The engine is one of four fronts over the same query pipeline
 //! ([`crate::pipeline`]) and its one [`Query`] builder: its caches are one
-//! serving-style snapshot of the frozen dataset, and the pipeline runs the
-//! same kernels as the free functions ([`crate::arsp_kdtt_plus`] and
-//! friends), so engine results are **bitwise identical** to theirs — checked end-to-end by the
-//! `engine_agreement` integration test.
+//! serving-style snapshot of the frozen dataset. The free functions
+//! ([`crate::arsp_kdtt_plus`] and friends) are one-shot queries on a fresh
+//! engine, so a warm engine's results are **bitwise identical** to theirs —
+//! checked end-to-end by the `engine_agreement` integration test.
 
 use std::sync::Arc;
 
-use crate::algorithms::ArspAlgorithm;
 use crate::fault::{QueryBudget, QueryError};
 use crate::pipeline::{
     execute, expect_outcome, Query, QueryConstraints, QueryFront, QueryOutcome, ServingSnapshot,
     SharedArtifacts,
 };
+use crate::result::ArspResult;
 use arsp_data::{FlatStore, UncertainDataset};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 
@@ -130,19 +130,6 @@ pub const EXACT_ALGORITHMS: [QueryAlgorithm; 5] = [
     QueryAlgorithm::QdttPlus,
     QueryAlgorithm::BranchAndBound,
 ];
-
-impl From<ArspAlgorithm> for QueryAlgorithm {
-    fn from(a: ArspAlgorithm) -> Self {
-        match a {
-            ArspAlgorithm::Enum => QueryAlgorithm::Enum,
-            ArspAlgorithm::Loop => QueryAlgorithm::Loop,
-            ArspAlgorithm::Kdtt => QueryAlgorithm::Kdtt,
-            ArspAlgorithm::KdttPlus => QueryAlgorithm::KdttPlus,
-            ArspAlgorithm::QdttPlus => QueryAlgorithm::QdttPlus,
-            ArspAlgorithm::BranchAndBound => QueryAlgorithm::BranchAndBound,
-        }
-    }
-}
 
 /// How a query executes: single-threaded, or with the algorithm's one
 /// kernel fanned out over worker threads (bitwise-identical results — see
@@ -355,6 +342,26 @@ impl ArspEngine {
     }
 }
 
+/// One query with `algorithm` forced, on a fresh engine over a copy of
+/// `dataset`: the body of the free functions ([`crate::arsp_loop`],
+/// [`crate::arsp_kdtt`], [`crate::arsp_kdtt_plus`], [`crate::arsp_qdtt_plus`],
+/// [`crate::arsp_bnb`]).
+///
+/// # Panics
+/// As [`Query::run`] does: on a dimension mismatch or an empty preference
+/// region.
+pub(crate) fn one_shot(
+    dataset: &UncertainDataset,
+    constraints: &ConstraintSet,
+    algorithm: QueryAlgorithm,
+) -> ArspResult {
+    ArspEngine::new(dataset.clone())
+        .query(constraints)
+        .algorithm(algorithm)
+        .run()
+        .into_result()
+}
+
 /// A query on the static engine: the one [`Query`] builder, pinned to the
 /// engine's snapshot.
 pub type ArspQuery<'e, 'q> = Query<'e, 'q, ArspEngine>;
@@ -446,14 +453,33 @@ mod tests {
     }
 
     #[test]
+    fn names_match_paper() {
+        let all = [
+            QueryAlgorithm::Auto,
+            QueryAlgorithm::Enum,
+            QueryAlgorithm::Loop,
+            QueryAlgorithm::Kdtt,
+            QueryAlgorithm::KdttPlus,
+            QueryAlgorithm::QdttPlus,
+            QueryAlgorithm::BranchAndBound,
+            QueryAlgorithm::Dual,
+        ];
+        let names: Vec<&str> = all.iter().map(|a| a.name()).collect();
+        assert_eq!(
+            names,
+            vec!["AUTO", "ENUM", "LOOP", "KDTT", "KDTT+", "QDTT+", "B&B", "DUAL"]
+        );
+    }
+
+    #[test]
     fn forced_algorithms_and_arsp_algorithm_conversion() {
         let engine = ArspEngine::new(paper_running_example());
         let constraints = WeightRatio::uniform(2, 0.5, 2.0).to_constraint_set();
         let reference = engine.query(&constraints).run();
-        for algo in ArspAlgorithm::ALL {
+        for algo in std::iter::once(QueryAlgorithm::Enum).chain(EXACT_ALGORITHMS) {
             let outcome = engine.query(&constraints).algorithm(algo).run();
             assert!(!outcome.auto_selected());
-            assert_eq!(outcome.algorithm(), QueryAlgorithm::from(algo));
+            assert_eq!(outcome.algorithm(), algo);
             assert!(
                 reference.result().approx_eq(outcome.result(), 1e-9),
                 "{} disagrees",

@@ -33,9 +33,10 @@
 //! ```
 //!
 //! The per-algorithm free functions ([`arsp_kdtt_plus`] and friends) remain
-//! available and agree bitwise with the engine: each one builds the flat
-//! store and score projection the engine would cache, then calls the same
-//! kernel. There is one kernel per algorithm.
+//! available and agree bitwise with the engine: each one is a one-shot query
+//! on a fresh [`ArspEngine`] with its algorithm forced. There is one kernel
+//! per algorithm, one algorithm vocabulary ([`QueryAlgorithm`]) and one
+//! query pipeline that builds every artifact a kernel reads.
 //!
 //! ## What is provided
 //!
@@ -45,7 +46,7 @@
 //! * ARSP algorithms for general linear constraints:
 //!   [`arsp_enum`], [`arsp_loop`], [`arsp_kdtt`], [`arsp_kdtt_plus`],
 //!   [`arsp_qdtt_plus`], [`arsp_bnb`] (see [`algorithms`] for the mapping to
-//!   the paper's names),
+//!   the paper's names; [`QueryAlgorithm`] names each one as a value),
 //! * ARSP algorithms for weight ratio constraints: [`arsp_dual`] and the
 //!   d = 2 specialisation [`DualMs2d`],
 //! * a rayon-based parallel execution layer ([`parallel`]): every kernel
@@ -91,15 +92,11 @@ pub mod standing;
 pub mod stats;
 pub mod sync;
 
-pub use algorithms::bnb::{arsp_bnb, arsp_bnb_with_fdom, arsp_bnb_without_pruning};
+pub use algorithms::bnb::{arsp_bnb, arsp_bnb_without_pruning};
 pub use algorithms::dual::{arsp_dual, DualMs2d};
 pub use algorithms::enumerate::{arsp_enum, arsp_enum_with_limit};
-pub use algorithms::kdtt::{
-    arsp_kdtt, arsp_kdtt_plus, arsp_kdtt_plus_with_fdom, arsp_kdtt_with_fdom, arsp_qdtt_plus,
-    arsp_qdtt_plus_with_fdom,
-};
-pub use algorithms::loop_scan::{arsp_loop, arsp_loop_with_fdom};
-pub use algorithms::ArspAlgorithm;
+pub use algorithms::kdtt::{arsp_kdtt, arsp_kdtt_plus, arsp_qdtt_plus};
+pub use algorithms::loop_scan::arsp_loop;
 pub use asp::skyline_probabilities;
 pub use cluster::{
     ApplyOutcome, ClusterConfig, ClusterOutcome, ClusterQuery, ClusterStats, ClusterSubscription,
@@ -123,7 +120,6 @@ pub use stats::QueryCounters;
 /// Commonly used items, re-exported for convenient glob import.
 pub mod prelude {
     pub use crate::aggregate::aggregated_rskyline;
-    pub use crate::algorithms::ArspAlgorithm;
     pub use crate::asp::skyline_probabilities;
     pub use crate::cluster::{
         ClusterConfig, ClusterOutcome, PartialResult, ShardHealth, ShardSupervisor, ShardedService,

@@ -578,12 +578,11 @@ impl<'f, 'q, F: QueryFront> Query<'f, 'q, F> {
         }
     }
 
-    /// Forces an algorithm (default: [`QueryAlgorithm::Auto`]). Accepts
-    /// [`ArspAlgorithm`](crate::ArspAlgorithm) values too. DUAL needs a
+    /// Forces an algorithm (default: [`QueryAlgorithm::Auto`]). DUAL needs a
     /// `ratio_query`: forced on linear constraints, the query fails with
     /// [`QueryError::Panicked`].
-    pub fn algorithm(mut self, algorithm: impl Into<QueryAlgorithm>) -> Self {
-        self.spec.algorithm = algorithm.into();
+    pub fn algorithm(mut self, algorithm: QueryAlgorithm) -> Self {
+        self.spec.algorithm = algorithm;
         self
     }
 

@@ -25,7 +25,7 @@
 //!   shard write paths that tests arm to inject panics, I/O errors,
 //!   delays, or seeded probabilistic crashes.
 //! * [`real`] — simulated stand-ins for the IIP, CAR and NBA datasets (see
-//!   DESIGN.md for the substitution rationale).
+//!   README, "Substitutions", for the rationale).
 //! * [`constraints_gen`] — the WR and IM constraint generators of §V-A and
 //!   helpers for weight-ratio ranges.
 

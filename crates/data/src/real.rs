@@ -2,9 +2,9 @@
 //!
 //! The paper evaluates on three real datasets that are not redistributable
 //! here (IIP iceberg sightings, a used-car listing corpus, and NBA game
-//! logs). Following the substitution policy in DESIGN.md, this module builds
-//! *synthetic datasets with the same schema and the same structural
-//! properties the paper's analysis depends on*:
+//! logs). Following the substitution policy in README ("Substitutions"),
+//! this module builds *synthetic datasets with the same schema and the same
+//! structural properties the paper's analysis depends on*:
 //!
 //! * [`iip_like`] — 2 attributes, one instance per object, per-record
 //!   confidence ∈ {0.8, 0.7, 0.6}; every object is partial (`Σp < 1`), which

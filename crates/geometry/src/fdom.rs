@@ -61,16 +61,6 @@ impl LinearFDominance {
         }
     }
 
-    /// Builds the test from an explicit vertex set (used when the caller has
-    /// already enumerated the vertices).
-    pub fn from_vertices(dim: usize, vertices: Vec<Vec<f64>>) -> Self {
-        assert!(!vertices.is_empty());
-        for v in &vertices {
-            assert_eq!(v.len(), dim);
-        }
-        Self { dim, vertices }
-    }
-
     /// Dataset dimensionality the test was built for (the length of every
     /// vertex).
     pub fn dim(&self) -> usize {
@@ -326,13 +316,6 @@ mod tests {
             -5.0,
         ));
         let _ = LinearFDominance::from_constraints(&cs);
-    }
-
-    #[test]
-    fn from_vertices_roundtrip() {
-        let lin = example_linear();
-        let rebuilt = LinearFDominance::from_vertices(2, lin.vertices().to_vec());
-        assert!(rebuilt.f_dominates(&[3.0, 4.0], &[9.0, 12.0]));
     }
 
     proptest! {

@@ -5,7 +5,7 @@
 //! and reasons about dominance through the MBR corners, exactly as the paper
 //! does with `P_min` / `P_max` in Algorithm 1 and `N_min` in Algorithm 2.
 
-use crate::point::{dominates, Point};
+use crate::point::Point;
 
 /// An axis-aligned minimum bounding rectangle `[min, max]` in `R^d`.
 #[derive(Clone, Debug, PartialEq)]
@@ -128,39 +128,12 @@ impl Mbr {
     pub fn contains_mbr(&self, other: &Mbr) -> bool {
         (0..self.dim()).all(|i| self.min[i] <= other.min[i] && other.max[i] <= self.max[i])
     }
-
-    /// Returns `true` when the given point weakly dominates the *minimum*
-    /// corner, i.e. it dominates every point that could lie in the rectangle.
-    #[inline]
-    pub fn dominated_entirely_by(&self, coords: &[f64]) -> bool {
-        dominates(coords, self.min.coords())
-    }
-
-    /// Returns `true` when the given point weakly dominates the *maximum*
-    /// corner, i.e. it may dominate some point of the rectangle.
-    #[inline]
-    pub fn possibly_dominated_by(&self, coords: &[f64]) -> bool {
-        dominates(coords, self.max.coords())
-    }
-
-    /// Intersection volume of two MBRs (zero when disjoint).
-    pub fn intersection_volume(&self, other: &Mbr) -> f64 {
-        let mut v = 1.0;
-        for i in 0..self.dim() {
-            let lo = self.min[i].max(other.min[i]);
-            let hi = self.max[i].min(other.max[i]);
-            if hi <= lo {
-                return 0.0;
-            }
-            v *= hi - lo;
-        }
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::dominates;
     use proptest::prelude::*;
 
     fn mbr(min: &[f64], max: &[f64]) -> Mbr {
@@ -202,28 +175,6 @@ mod tests {
         assert!(!a.contains(&[1.0, 2.5]));
         assert!(a.contains_mbr(&mbr(&[0.5, 0.5], &[1.5, 1.5])));
         assert!(!a.contains_mbr(&b));
-    }
-
-    #[test]
-    fn dominance_against_corners() {
-        let r = mbr(&[2.0, 2.0], &[4.0, 4.0]);
-        // (1,1) dominates the min corner, so it dominates every point in r.
-        assert!(r.dominated_entirely_by(&[1.0, 1.0]));
-        // (3,1) does not dominate the min corner but dominates the max corner:
-        // it may dominate some points of r.
-        assert!(!r.dominated_entirely_by(&[3.0, 1.0]));
-        assert!(r.possibly_dominated_by(&[3.0, 1.0]));
-        // (5,5) cannot dominate anything in r.
-        assert!(!r.possibly_dominated_by(&[5.0, 5.0]));
-    }
-
-    #[test]
-    fn intersection_volume() {
-        let a = mbr(&[0.0, 0.0], &[2.0, 2.0]);
-        let b = mbr(&[1.0, 1.0], &[3.0, 3.0]);
-        assert_eq!(a.intersection_volume(&b), 1.0);
-        let c = mbr(&[5.0, 5.0], &[6.0, 6.0]);
-        assert_eq!(a.intersection_volume(&c), 0.0);
     }
 
     #[test]

@@ -37,30 +37,6 @@ impl Point {
     pub fn coords(&self) -> &[f64] {
         &self.coords
     }
-
-    /// Coordinate-wise minimum of two points.
-    pub fn component_min(&self, other: &Point) -> Point {
-        debug_assert_eq!(self.dim(), other.dim());
-        Point::new(
-            self.coords
-                .iter()
-                .zip(other.coords.iter())
-                .map(|(a, b)| a.min(*b))
-                .collect(),
-        )
-    }
-
-    /// Coordinate-wise maximum of two points.
-    pub fn component_max(&self, other: &Point) -> Point {
-        debug_assert_eq!(self.dim(), other.dim());
-        Point::new(
-            self.coords
-                .iter()
-                .zip(other.coords.iter())
-                .map(|(a, b)| a.max(*b))
-                .collect(),
-        )
-    }
 }
 
 impl fmt::Debug for Point {
@@ -138,14 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn component_min_max() {
-        let a = Point::new(vec![1.0, 5.0]);
-        let b = Point::new(vec![3.0, 2.0]);
-        assert_eq!(a.component_min(&b).coords(), &[1.0, 2.0]);
-        assert_eq!(a.component_max(&b).coords(), &[3.0, 5.0]);
-    }
-
-    #[test]
     fn indexing() {
         let mut p = Point::new(vec![1.0; 3]);
         p[1] = 7.0;
@@ -163,17 +131,6 @@ mod tests {
             if dominates(&a, &b) && dominates(&b, &c) {
                 prop_assert!(dominates(&a, &c));
             }
-        }
-
-        /// The component-wise min dominates both arguments and the max is dominated by both.
-        #[test]
-        fn min_max_envelope(a in proptest::collection::vec(-10.0f64..10.0, 3),
-                            b in proptest::collection::vec(-10.0f64..10.0, 3)) {
-            let (pa, pb) = (Point::new(a.clone()), Point::new(b.clone()));
-            let lo = pa.component_min(&pb);
-            let hi = pa.component_max(&pb);
-            prop_assert!(dominates(lo.coords(), &a) && dominates(lo.coords(), &b));
-            prop_assert!(dominates(&a, hi.coords()) && dominates(&b, hi.coords()));
         }
 
         /// Scores under non-negative weights are monotone with respect to dominance.

@@ -10,7 +10,7 @@
 //! The tree also answers weight sums over arbitrary downward-closed regions
 //! ([`DominanceRegion`]), which is how the practical DUAL algorithm of §IV
 //! computes per-object dominating mass under weight-ratio constraints without
-//! the theoretical point-location structure (see DESIGN.md, substitutions).
+//! the theoretical point-location structure (see README, "Substitutions").
 //!
 //! Implementation notes. The tree lives in flat arenas, so a window query
 //! chases no per-entry or per-corner heap pointer, and [`reset`] empties

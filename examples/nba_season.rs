@@ -15,8 +15,8 @@ use arsp::prelude::*;
 
 fn main() {
     // 150 players, 60 games each, 3 metrics (stand-ins for rebounds, assists,
-    // points; see DESIGN.md for the real-data substitution). The engine owns
-    // the season and serves every analysis query below.
+    // points; see README, "Substitutions", for the real-data stand-in). The
+    // engine owns the season and serves every analysis query below.
     let engine = ArspEngine::new(real::nba_like(150, 60, 3, 2021));
     let dataset = engine.dataset();
     let constraints = ConstraintSet::weak_ranking(3, 2);

@@ -4,6 +4,7 @@
 //! it evaluates equation (3) directly — and ENUM double-checks the smallest
 //! configurations.
 
+use arsp::core::engine::EXACT_ALGORITHMS;
 use arsp::data::im_constraints;
 use arsp::prelude::*;
 
@@ -147,18 +148,24 @@ fn agreement_on_simulated_real_datasets() {
 fn algorithm_enum_dispatch_matches_direct_calls() {
     let dataset = synthetic(20, 3, 3, Distribution::Independent, 0.0, 77);
     let constraints = ConstraintSet::weak_ranking(3, 2);
-    for algo in ArspAlgorithm::ALL {
-        if algo == ArspAlgorithm::Enum && dataset.num_instances() > 25 {
+    let engine = ArspEngine::new(dataset.clone());
+    for algo in std::iter::once(QueryAlgorithm::Enum).chain(EXACT_ALGORITHMS) {
+        if algo == QueryAlgorithm::Enum && dataset.num_instances() > 25 {
             continue; // ENUM would be too slow; covered elsewhere.
         }
-        let via_enum = algo.run(&dataset, &constraints);
+        let via_enum = engine
+            .query(&constraints)
+            .algorithm(algo)
+            .run()
+            .into_result();
         let direct = match algo {
-            ArspAlgorithm::Enum => arsp_enum(&dataset, &constraints),
-            ArspAlgorithm::Loop => arsp_loop(&dataset, &constraints),
-            ArspAlgorithm::Kdtt => arsp_kdtt(&dataset, &constraints),
-            ArspAlgorithm::KdttPlus => arsp_kdtt_plus(&dataset, &constraints),
-            ArspAlgorithm::QdttPlus => arsp_qdtt_plus(&dataset, &constraints),
-            ArspAlgorithm::BranchAndBound => arsp_bnb(&dataset, &constraints),
+            QueryAlgorithm::Enum => arsp_enum(&dataset, &constraints),
+            QueryAlgorithm::Loop => arsp_loop(&dataset, &constraints),
+            QueryAlgorithm::Kdtt => arsp_kdtt(&dataset, &constraints),
+            QueryAlgorithm::KdttPlus => arsp_kdtt_plus(&dataset, &constraints),
+            QueryAlgorithm::QdttPlus => arsp_qdtt_plus(&dataset, &constraints),
+            QueryAlgorithm::BranchAndBound => arsp_bnb(&dataset, &constraints),
+            other => unreachable!("{} is not swept", other.name()),
         };
         assert!(via_enum.approx_eq(&direct, 0.0));
     }

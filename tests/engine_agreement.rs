@@ -16,9 +16,26 @@
 //! independent oracles (ENUM and cross-algorithm agreement) live in
 //! `flat_engine_agreement` and `cross_algorithm_agreement`.
 
-use arsp::core::engine::CacheStats;
+use arsp::core::engine::{CacheStats, EXACT_ALGORITHMS};
 use arsp::prelude::*;
 use proptest::prelude::*;
+
+/// The free function of `algorithm`: a one-shot query on a cold engine.
+fn free_function(
+    algorithm: QueryAlgorithm,
+    dataset: &UncertainDataset,
+    constraints: &ConstraintSet,
+) -> ArspResult {
+    match algorithm {
+        QueryAlgorithm::Enum => arsp_enum(dataset, constraints),
+        QueryAlgorithm::Loop => arsp_loop(dataset, constraints),
+        QueryAlgorithm::Kdtt => arsp_kdtt(dataset, constraints),
+        QueryAlgorithm::KdttPlus => arsp_kdtt_plus(dataset, constraints),
+        QueryAlgorithm::QdttPlus => arsp_qdtt_plus(dataset, constraints),
+        QueryAlgorithm::BranchAndBound => arsp_bnb(dataset, constraints),
+        other => unreachable!("{} has no linear-constraint free function", other.name()),
+    }
+}
 
 fn shapes() -> Vec<SyntheticConfig> {
     vec![
@@ -57,8 +74,8 @@ fn shapes() -> Vec<SyntheticConfig> {
 
 /// ENUM enumerates possible worlds — beyond toy object counts it is
 /// intractable, exactly as in the paper's figures.
-fn feasible(algorithm: ArspAlgorithm, config: &SyntheticConfig) -> bool {
-    algorithm != ArspAlgorithm::Enum || config.num_objects <= 12
+fn feasible(algorithm: QueryAlgorithm, config: &SyntheticConfig) -> bool {
+    algorithm != QueryAlgorithm::Enum || config.num_objects <= 12
 }
 
 #[test]
@@ -68,11 +85,11 @@ fn engine_is_bitwise_identical_to_free_functions() {
         let engine = ArspEngine::new(dataset.clone());
         for c in 1..config.dim {
             let constraints = ConstraintSet::weak_ranking(config.dim, c);
-            for algorithm in ArspAlgorithm::ALL {
+            for algorithm in std::iter::once(QueryAlgorithm::Enum).chain(EXACT_ALGORITHMS) {
                 if !feasible(algorithm, &config) {
                     continue;
                 }
-                let free = algorithm.run(&dataset, &constraints);
+                let free = free_function(algorithm, &dataset, &constraints);
                 // Twice: once cold (building caches), once warm (pure reuse).
                 for attempt in ["cold", "warm"] {
                     let outcome = engine.query(&constraints).algorithm(algorithm).run();
@@ -341,14 +358,8 @@ proptest! {
         .generate();
         let constraints = ConstraintSet::weak_ranking(dim, ranking.min(dim - 1));
         let engine = ArspEngine::new(dataset.clone());
-        for algorithm in [
-            ArspAlgorithm::Loop,
-            ArspAlgorithm::Kdtt,
-            ArspAlgorithm::KdttPlus,
-            ArspAlgorithm::QdttPlus,
-            ArspAlgorithm::BranchAndBound,
-        ] {
-            let free = algorithm.run(&dataset, &constraints);
+        for algorithm in EXACT_ALGORITHMS {
+            let free = free_function(algorithm, &dataset, &constraints);
             for execution in [
                 Execution::Sequential,
                 Execution::Parallel { threads: 2 },
@@ -425,7 +436,7 @@ proptest! {
         }
         let kdtt = engine
             .ratio_query(&ratio)
-            .algorithm(ArspAlgorithm::KdttPlus)
+            .algorithm(QueryAlgorithm::KdttPlus)
             .run();
         prop_assert!(
             dual.result().approx_eq(kdtt.result(), 1e-9),

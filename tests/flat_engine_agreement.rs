@@ -1,17 +1,17 @@
 //! Direct oracle tests for every `*_flat_engine*` entry point, and for B&B's
 //! `arsp_bnb_engine`.
 //!
-//! The flat engines are the one kernel per algorithm: the engine, service,
-//! dynamic and cluster paths call them, and so do the free functions. The
-//! engine-level agreement suites exercise them indirectly — this suite calls
-//! each public flat entry point *directly* on hand-built inputs, on the
-//! paper's running example and a small synthetic set, and checks it two
-//! ways:
+//! The flat engines are the one kernel per algorithm: the query pipeline
+//! behind the engine, service, dynamic and cluster fronts calls them, and
+//! the free functions are one-shot engine queries. The engine-level
+//! agreement suites exercise them indirectly — this suite calls each public
+//! flat entry point *directly* on hand-built artifacts, on the paper's
+//! running example and a small synthetic set, and checks it two ways:
 //!
 //! * against ENUM, the possible-world oracle, within 1e-9;
-//! * bitwise against its "point path": the public free function, which
-//!   takes the `Point`-layout `UncertainDataset` and must be a thin wrapper
-//!   that flattens it and calls the same kernel.
+//! * bitwise against its "point path": the public free function of the same
+//!   algorithm, which takes the `UncertainDataset` and the constraints and
+//!   reaches the kernel through the pipeline's artifact fetches.
 //!
 //! A signature or semantics drift is caught even if the engine dispatch
 //! moves off a function.
@@ -21,13 +21,12 @@
 use arsp_core::algorithms::bnb::{arsp_bnb_engine, build_instance_rtree, BnbScratch};
 use arsp_core::algorithms::dual::{arsp_dual_flat_engine, build_dual_index};
 use arsp_core::algorithms::kd_asp::{kd_asp_flat_engine, KdScratch, KdVariant, KdWorkerPool};
-use arsp_core::algorithms::kdtt::{
-    arsp_kdtt_flat_engine, arsp_kdtt_plus_with_fdom, arsp_kdtt_with_fdom, arsp_qdtt_plus_with_fdom,
+use arsp_core::algorithms::kdtt::arsp_kdtt_flat_engine;
+use arsp_core::algorithms::loop_scan::{arsp_loop_flat_engine, instance_order_from_scores};
+use arsp_core::{
+    arsp_bnb, arsp_dual, arsp_enum, arsp_kdtt, arsp_kdtt_plus, arsp_loop, arsp_qdtt_plus,
+    ArspResult, FlatScorePoints, ScoreMatrix,
 };
-use arsp_core::algorithms::loop_scan::{
-    arsp_loop_flat_engine, arsp_loop_with_fdom, instance_order_from_scores,
-};
-use arsp_core::{arsp_bnb, arsp_dual, arsp_enum, ArspResult, FlatScorePoints, ScoreMatrix};
 use arsp_data::{paper_running_example, FlatStore, SyntheticConfig, UncertainDataset};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 use arsp_geometry::fdom::LinearFDominance;
@@ -54,7 +53,7 @@ fn constraints_for(dataset: &UncertainDataset) -> ConstraintSet {
     ConstraintSet::weak_ranking(dataset.dim(), 1)
 }
 
-type PointPath = fn(&UncertainDataset, &LinearFDominance) -> ArspResult;
+type PointPath = fn(&UncertainDataset, &ConstraintSet) -> ArspResult;
 
 /// Runs `f` at width 2, so the parallel arms fan out on any host.
 fn two_wide<R>(f: impl FnOnce() -> R) -> R {
@@ -79,7 +78,7 @@ fn loop_flat_engine_matches_point_path_bitwise() {
         let constraints = constraints_for(&dataset);
         let truth = arsp_enum(&dataset, &constraints);
         let fdom = LinearFDominance::from_constraints(&constraints);
-        let point_path = arsp_loop_with_fdom(&dataset, &fdom);
+        let point_path = arsp_loop(&dataset, &constraints);
 
         let flat = FlatStore::from_dataset(&dataset);
         let scores = ScoreMatrix::compute(&flat, &fdom);
@@ -108,12 +107,12 @@ fn kdtt_flat_engine_matches_point_path_in_every_variant() {
         // variants differ from each other by summation order, so only
         // same-variant comparisons are exact).
         let cases: [(KdVariant, PointPath); 3] = [
-            (KdVariant::Prebuilt, arsp_kdtt_with_fdom),
-            (KdVariant::FusedKd, arsp_kdtt_plus_with_fdom),
-            (KdVariant::FusedQuad, arsp_qdtt_plus_with_fdom),
+            (KdVariant::Prebuilt, arsp_kdtt),
+            (KdVariant::FusedKd, arsp_kdtt_plus),
+            (KdVariant::FusedQuad, arsp_qdtt_plus),
         ];
         for (variant, point_path) in cases {
-            let want = point_path(&dataset, &fdom);
+            let want = point_path(&dataset, &constraints);
             for parallel in [false, true] {
                 let got = two_wide(|| {
                     arsp_kdtt_flat_engine(
@@ -206,9 +205,11 @@ fn dual_flat_engine_matches_point_path_bitwise() {
     }
 }
 
-/// B&B's free function builds its own R-tree, score matrix and scratch at
-/// entry; the engine entry point shares cached ones. Both must give the same
-/// bits, sequentially and at width 2 (B&B runs sequentially under either).
+/// B&B's free function reaches `arsp_bnb_engine` through the pipeline, and
+/// a direct call with no artifacts builds its own R-tree, score matrix and
+/// scratch at entry; a direct call with shared ones builds none. All three
+/// must give the same bits, sequentially and at width 2 (B&B runs
+/// sequentially under either).
 #[test]
 fn bnb_engine_matches_point_path_bitwise() {
     for dataset in datasets() {
@@ -239,6 +240,16 @@ fn bnb_engine_matches_point_path_bitwise() {
             let what = format!("arsp_bnb_engine width={width:?}");
             assert_matches_enum(&truth, &got, &what);
             assert_eq!(got.probs(), point_path.probs(), "{what}");
+
+            let self_built =
+                || arsp_bnb_engine(&dataset, &fdom, None, None, parallel, None, None, None);
+            let built = if parallel {
+                two_wide(self_built)
+            } else {
+                self_built()
+            };
+            let what = format!("arsp_bnb_engine without artifacts width={width:?}");
+            assert_eq!(built.probs(), got.probs(), "{what}");
         }
     }
 }

@@ -5,12 +5,30 @@
 //! fan-out exercised here does not depend on the host's core count, and no
 //! experiment or regression test can be perturbed by choosing a width.
 
+use arsp::core::engine::EXACT_ALGORITHMS;
 use arsp::prelude::*;
+
+/// The sequential free function of `algorithm`.
+fn free_function(
+    algorithm: QueryAlgorithm,
+    dataset: &UncertainDataset,
+    constraints: &ConstraintSet,
+) -> ArspResult {
+    match algorithm {
+        QueryAlgorithm::Enum => arsp_enum(dataset, constraints),
+        QueryAlgorithm::Loop => arsp_loop(dataset, constraints),
+        QueryAlgorithm::Kdtt => arsp_kdtt(dataset, constraints),
+        QueryAlgorithm::KdttPlus => arsp_kdtt_plus(dataset, constraints),
+        QueryAlgorithm::QdttPlus => arsp_qdtt_plus(dataset, constraints),
+        QueryAlgorithm::BranchAndBound => arsp_bnb(dataset, constraints),
+        other => unreachable!("{} has no linear-constraint free function", other.name()),
+    }
+}
 
 /// One engine query with `algorithm` at width `threads`.
 fn parallel_run(
     engine: &ArspEngine,
-    algorithm: ArspAlgorithm,
+    algorithm: QueryAlgorithm,
     constraints: &ConstraintSet,
     threads: usize,
 ) -> ArspResult {
@@ -63,8 +81,8 @@ fn shapes() -> Vec<SyntheticConfig> {
 
 /// ENUM enumerates possible worlds — beyond toy object counts it is
 /// intractable, exactly as in the paper's figures.
-fn feasible(algorithm: ArspAlgorithm, config: &SyntheticConfig) -> bool {
-    algorithm != ArspAlgorithm::Enum || config.num_objects <= 12
+fn feasible(algorithm: QueryAlgorithm, config: &SyntheticConfig) -> bool {
+    algorithm != QueryAlgorithm::Enum || config.num_objects <= 12
 }
 
 #[test]
@@ -74,11 +92,11 @@ fn parallel_queries_are_bitwise_identical_for_every_algorithm() {
         let engine = ArspEngine::new(dataset.clone());
         for c in 1..config.dim {
             let constraints = ConstraintSet::weak_ranking(config.dim, c);
-            for algorithm in ArspAlgorithm::ALL {
+            for algorithm in std::iter::once(QueryAlgorithm::Enum).chain(EXACT_ALGORITHMS) {
                 if !feasible(algorithm, &config) {
                     continue;
                 }
-                let sequential = algorithm.run(&dataset, &constraints);
+                let sequential = free_function(algorithm, &dataset, &constraints);
                 let parallel = parallel_run(&engine, algorithm, &constraints, 2);
                 assert_eq!(
                     sequential.probs(),
@@ -108,12 +126,12 @@ fn thread_count_never_changes_results() {
     let engine = ArspEngine::new(dataset.clone());
     let constraints = ConstraintSet::weak_ranking(3, 2);
     for algorithm in [
-        ArspAlgorithm::Loop,
-        ArspAlgorithm::KdttPlus,
-        ArspAlgorithm::QdttPlus,
-        ArspAlgorithm::BranchAndBound,
+        QueryAlgorithm::Loop,
+        QueryAlgorithm::KdttPlus,
+        QueryAlgorithm::QdttPlus,
+        QueryAlgorithm::BranchAndBound,
     ] {
-        let want = algorithm.run(&dataset, &constraints);
+        let want = free_function(algorithm, &dataset, &constraints);
         for threads in [1, 2, 3, 8] {
             let got = parallel_run(&engine, algorithm, &constraints, threads);
             assert_eq!(
@@ -144,7 +162,7 @@ fn parallel_agrees_with_independent_reference_algorithm() {
     let constraints = ConstraintSet::weak_ranking(3, 1);
     let loop_result = arsp_loop(&dataset, &constraints);
     let engine = ArspEngine::new(dataset);
-    let parallel = parallel_run(&engine, ArspAlgorithm::KdttPlus, &constraints, 2);
+    let parallel = parallel_run(&engine, QueryAlgorithm::KdttPlus, &constraints, 2);
     assert!(
         loop_result.approx_eq(&parallel, 1e-8),
         "diff = {}",

@@ -45,15 +45,16 @@
 //!    in the file that owns the kernel (`sum_weights_in(` in DUAL's
 //!    module, `target_prob(` in LOOP's module), so a second copy of a
 //!    kernel's fold cannot grow in another module unseen. Likewise the
-//!    dispatch: `auto_select(` and every flat kernel entry
-//!    (`arsp_loop_flat_engine(`, `arsp_kdtt_flat_engine(`,
-//!    `arsp_bnb_engine(`, `arsp_dual_flat_engine(`) may appear only under
-//!    `algorithms/` and in the one query pipeline (plus `auto_select`'s
-//!    definition in the engine module), so a query front cannot grow its
-//!    own copy of the pipeline. So may the per-snapshot artifact builders
+//!    dispatch: every flat kernel entry (`arsp_loop_flat_engine(`,
+//!    `arsp_kdtt_flat_engine(`, `arsp_bnb_engine(`,
+//!    `arsp_dual_flat_engine(`) and every per-snapshot artifact builder
 //!    (`build_instance_rtree(`, `build_dual_index(`,
-//!    `instance_order_from_scores(`), so no front can grow a second
-//!    artifact store beside the serving snapshot's. And a match arm on
+//!    `instance_order_from_scores(`) may appear only in its defining
+//!    module and in the one query pipeline, so neither a query front nor
+//!    another algorithm's module can grow a second artifact path beside
+//!    the serving snapshot's. `auto_select(` may appear only under
+//!    `algorithms/`, in the pipeline and in its definition in the engine
+//!    module. And a match arm on
 //!    `MutationOp::Merge =>` may appear only in the dynamic engine, whose
 //!    `apply` is the one place a batch reaches a serving store, so no
 //!    front can grow its own unchecked copy of that dispatch.
@@ -159,9 +160,16 @@ const CLUSTER_FILE: &str = "crates/core/src/cluster.rs";
 /// Rule 8 scope: the crate whose algorithms must keep one kernel each.
 const KERNEL_OWNER_SCOPE: &str = "crates/core/src";
 
-/// Rule 8: the algorithms directory and the query pipeline, the only places
-/// that may dispatch to a flat kernel or build a kernel's artifact.
-const DISPATCH_OWNERS: &[&str] = &["crates/core/src/algorithms/", "crates/core/src/pipeline.rs"];
+/// Rule 8: the query pipeline, the one place that fetches a query's
+/// artifacts and runs its kernel.
+const PIPELINE: &str = "crates/core/src/pipeline.rs";
+
+/// Rule 8: each algorithm's flat kernel entries and artifact builders may be
+/// called only from their defining module and from [`PIPELINE`].
+const LOOP_OWNERS: &[&str] = &["crates/core/src/algorithms/loop_scan.rs", PIPELINE];
+const KDTT_OWNERS: &[&str] = &["crates/core/src/algorithms/kdtt.rs", PIPELINE];
+const BNB_OWNERS: &[&str] = &["crates/core/src/algorithms/bnb.rs", PIPELINE];
+const DUAL_OWNERS: &[&str] = &["crates/core/src/algorithms/dual.rs", PIPELINE];
 
 /// Rule 8 table: a kernel's inner call or a dispatch entry point → the
 /// files allowed to make it (an owner ending in `/` covers a directory).
@@ -172,17 +180,17 @@ const KERNEL_OWNERS: &[(&str, &[&str])] = &[
         "auto_select(",
         &[
             "crates/core/src/algorithms/",
-            "crates/core/src/pipeline.rs",
+            PIPELINE,
             "crates/core/src/engine.rs",
         ],
     ),
-    ("arsp_loop_flat_engine(", DISPATCH_OWNERS),
-    ("arsp_kdtt_flat_engine(", DISPATCH_OWNERS),
-    ("arsp_bnb_engine(", DISPATCH_OWNERS),
-    ("arsp_dual_flat_engine(", DISPATCH_OWNERS),
-    ("build_instance_rtree(", DISPATCH_OWNERS),
-    ("build_dual_index(", DISPATCH_OWNERS),
-    ("instance_order_from_scores(", DISPATCH_OWNERS),
+    ("arsp_loop_flat_engine(", LOOP_OWNERS),
+    ("instance_order_from_scores(", LOOP_OWNERS),
+    ("arsp_kdtt_flat_engine(", KDTT_OWNERS),
+    ("arsp_bnb_engine(", BNB_OWNERS),
+    ("build_instance_rtree(", BNB_OWNERS),
+    ("arsp_dual_flat_engine(", DUAL_OWNERS),
+    ("build_dual_index(", DUAL_OWNERS),
     ("MutationOp::Merge =>", &["crates/core/src/dynamic.rs"]),
 ];
 
@@ -1367,37 +1375,50 @@ mod tests {
         assert!(check_kernel_ownership("crates/core/src/dynamic.rs", &other).is_empty());
     }
 
-    /// A dispatch row fires in a query front and passes in the pipeline,
-    /// anywhere under `algorithms/`, and in `extra_owner` when given.
-    fn assert_dispatch_row(call: &str, extra_owner: Option<&str>) {
+    /// A dispatch row fires in every query front not among `owners` and in
+    /// each of `outside`, and passes in the pipeline and in each of
+    /// `owners`.
+    fn assert_dispatch_row(call: &str, owners: &[&str], outside: &[&str]) {
         let copy = strip_code(&format!("fn run() {{\n    let r = {call}a, b);\n}}\n"));
-        for front in [
+        let fronts = [
             "crates/core/src/dynamic.rs",
             "crates/core/src/service.rs",
             "crates/core/src/engine.rs",
             "crates/core/src/cluster.rs",
-        ] {
-            if Some(front) == extra_owner {
-                continue;
-            }
-            let violations = check_kernel_ownership(front, &copy);
-            assert_eq!(violations.len(), 1, "{front}: {violations:?}");
+        ];
+        for file in fronts
+            .into_iter()
+            .filter(|front| !owners.contains(front))
+            .chain(outside.iter().copied())
+        {
+            let violations = check_kernel_ownership(file, &copy);
+            assert_eq!(violations.len(), 1, "{file}: {violations:?}");
             assert_eq!(violations[0].line, 2);
             assert!(violations[0].message.contains(call));
         }
-        for owner in [
-            "crates/core/src/pipeline.rs",
-            "crates/core/src/algorithms/kdtt.rs",
-            "crates/core/src/algorithms/mod.rs",
-        ]
-        .into_iter()
-        .chain(extra_owner)
-        {
+        for owner in std::iter::once(PIPELINE).chain(owners.iter().copied()) {
             assert!(check_kernel_ownership(owner, &copy).is_empty(), "{owner}");
         }
         // A longer name that ends in the call is another function.
         let longer = strip_code(&format!("let r = my_{call}a);\n"));
         assert!(check_kernel_ownership("crates/core/src/dynamic.rs", &longer).is_empty());
+    }
+
+    /// A kernel entry or artifact builder row: it passes only in `owner` and
+    /// the pipeline, and fires in every other algorithm module.
+    fn assert_entry_row(call: &str, owner: &str) {
+        let others: Vec<&str> = [
+            "crates/core/src/algorithms/mod.rs",
+            "crates/core/src/algorithms/loop_scan.rs",
+            "crates/core/src/algorithms/kdtt.rs",
+            "crates/core/src/algorithms/kd_asp.rs",
+            "crates/core/src/algorithms/bnb.rs",
+            "crates/core/src/algorithms/dual.rs",
+        ]
+        .into_iter()
+        .filter(|module| *module != owner)
+        .collect();
+        assert_dispatch_row(call, &[owner], &others);
     }
 
     #[test]
@@ -1423,42 +1444,79 @@ mod tests {
 
     #[test]
     fn kernel_ownership_keeps_auto_select_in_the_pipeline() {
-        assert_dispatch_row("auto_select(", Some("crates/core/src/engine.rs"));
+        assert_dispatch_row(
+            "auto_select(",
+            &[
+                "crates/core/src/engine.rs",
+                "crates/core/src/algorithms/kdtt.rs",
+                "crates/core/src/algorithms/mod.rs",
+            ],
+            &[],
+        );
     }
 
     #[test]
     fn kernel_ownership_keeps_the_loop_entry_in_the_pipeline() {
-        assert_dispatch_row("arsp_loop_flat_engine(", None);
+        assert_entry_row(
+            "arsp_loop_flat_engine(",
+            "crates/core/src/algorithms/loop_scan.rs",
+        );
     }
 
     #[test]
     fn kernel_ownership_keeps_the_kdtt_entry_in_the_pipeline() {
-        assert_dispatch_row("arsp_kdtt_flat_engine(", None);
+        assert_entry_row(
+            "arsp_kdtt_flat_engine(",
+            "crates/core/src/algorithms/kdtt.rs",
+        );
     }
 
     #[test]
     fn kernel_ownership_keeps_the_bnb_entry_in_the_pipeline() {
-        assert_dispatch_row("arsp_bnb_engine(", None);
+        assert_entry_row("arsp_bnb_engine(", "crates/core/src/algorithms/bnb.rs");
     }
 
     #[test]
     fn kernel_ownership_keeps_the_dual_entry_in_the_pipeline() {
-        assert_dispatch_row("arsp_dual_flat_engine(", None);
+        assert_entry_row(
+            "arsp_dual_flat_engine(",
+            "crates/core/src/algorithms/dual.rs",
+        );
     }
 
     #[test]
     fn kernel_ownership_keeps_the_rtree_build_in_the_pipeline() {
-        assert_dispatch_row("build_instance_rtree(", None);
+        assert_entry_row("build_instance_rtree(", "crates/core/src/algorithms/bnb.rs");
     }
 
     #[test]
     fn kernel_ownership_keeps_the_dual_index_build_in_the_pipeline() {
-        assert_dispatch_row("build_dual_index(", None);
+        assert_entry_row("build_dual_index(", "crates/core/src/algorithms/dual.rs");
     }
 
     #[test]
     fn kernel_ownership_keeps_the_order_build_in_the_pipeline() {
-        assert_dispatch_row("instance_order_from_scores(", None);
+        assert_entry_row(
+            "instance_order_from_scores(",
+            "crates/core/src/algorithms/loop_scan.rs",
+        );
+    }
+
+    #[test]
+    fn kernel_ownership_fires_on_a_second_artifact_path_in_another_kernel() {
+        // A one-shot DUAL setup that runs the kd kernel itself, beside the
+        // pipeline.
+        let copy = strip_code(
+            "pub fn arsp_dual(dataset: &UncertainDataset) -> ArspResult {\n\
+             \x20   let flat = FlatStore::from_dataset(dataset);\n\
+             \x20   arsp_kdtt_flat_engine(&flat, &scores, variant, false, None, &mut s, None, None)\n\
+             }\n",
+        );
+        let violations = check_kernel_ownership("crates/core/src/algorithms/dual.rs", &copy);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].line, 3);
+        assert!(violations[0].message.contains("arsp_kdtt_flat_engine("));
+        assert!(check_kernel_ownership("crates/core/src/algorithms/kdtt.rs", &copy).is_empty());
     }
 
     #[test]
