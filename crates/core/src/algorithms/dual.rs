@@ -481,8 +481,8 @@ mod tests {
     /// The "point engine" is the free function [`arsp_dual`], a one-shot
     /// engine query that builds the flat store and forests per call; the
     /// flat engine is the kernel called directly with a shared index and a
-    /// stats sink. They must agree bitwise, and agree
-    /// with KDTT+ (a different algorithm) within float tolerance.
+    /// stats sink. They must agree bitwise, and agree with KDTT+ (a
+    /// different algorithm) within float tolerance.
     #[test]
     fn flat_engine_is_bitwise_identical_to_point_engine() {
         let d = SyntheticConfig {
