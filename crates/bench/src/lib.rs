@@ -231,8 +231,8 @@ mod tests {
         print_row("25", &measurements);
         // The five algorithms shared the engine's caches: the constraint
         // set's vertex enumeration was built exactly once.
-        let stats = engine.cache_stats();
-        assert!(stats.hits > 0, "sweep must reuse cached structures");
+        let stats = engine.serving_stats();
+        assert!(stats.cache_hits > 0, "sweep must reuse cached structures");
     }
 
     #[test]

@@ -80,11 +80,10 @@
 
 use std::io;
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::Ordering;
 use crate::sync::{lock, Arc, Mutex};
 
 use crate::algorithms::loop_scan::{cmp_key_id, InstanceOrder};
-use crate::engine::CacheStats;
 use crate::fault::{QueryBudget, QueryError};
 use crate::pipeline::{
     execute, expect_outcome, Query, QueryConstraints, QueryFront, QueryOutcome, ServingSnapshot,
@@ -92,6 +91,7 @@ use crate::pipeline::{
 };
 use crate::scorespace::ScoreMatrix;
 use crate::standing::{RefreshTarget, StandingQueryRegistry, StandingSpec, SubscriptionGuard};
+use crate::stats::ServingStats;
 use arsp_data::persist::apply_checked;
 use arsp_data::{InstanceHandle, MutationOp, UncertainDataset, VersionedStore};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
@@ -158,8 +158,6 @@ pub struct DynamicArspEngine {
     /// snapshot shares — with a serving layer's readers too.
     artifacts: Arc<SharedArtifacts>,
     current: Mutex<Current>,
-    invalidated: AtomicU64,
-    merges: AtomicU64,
     standing: StandingQueryRegistry,
 }
 
@@ -186,8 +184,6 @@ impl DynamicArspEngine {
             store,
             artifacts,
             current: Mutex::new(current),
-            invalidated: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
             standing: StandingQueryRegistry::new(),
         }
     }
@@ -252,7 +248,7 @@ impl DynamicArspEngine {
         // the live rows.
         self.current();
         self.store.merge();
-        self.merges.fetch_add(1, Ordering::Relaxed);
+        self.artifacts.merges.fetch_add(1, Ordering::Relaxed);
         // The canonical order survives the compaction, so the snapshot and
         // its artifacts stay valid; only their rows moved.
         let current = self.current.get_mut().unwrap_or_else(|p| p.into_inner());
@@ -366,18 +362,14 @@ impl DynamicArspEngine {
         }
     }
 
-    /// Aggregate cache counters: the coalescing-cache lookups of every
-    /// snapshot (shared with a serving layer's readers when the engine backs
-    /// one), the scratch pools, and the dynamic-only invalidation and merge
-    /// counters. A mutation-free repeat query adds only hits; see the
-    /// steady-state tests.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            caches_invalidated: self.invalidated.load(Ordering::Relaxed),
-            merges_performed: self.merges.load(Ordering::Relaxed),
-            notifications_delivered: self.standing.counters().notifications_delivered(),
-            ..self.artifacts.cache_stats()
-        }
+    /// The engine's [`ServingStats`]: the coalescing-cache lookups of every
+    /// snapshot, the scratch pools, the invalidation and merge counters
+    /// (all shared with a serving layer's readers when the engine backs
+    /// one) and the standing-query fields. A mutation-free repeat query
+    /// adds only hits; see the steady-state tests. The serving-only fields
+    /// stay 0.
+    pub fn serving_stats(&self) -> ServingStats {
+        self.standing.stats(self.artifacts.stats())
     }
 
     // ---- the current snapshot ---------------------------------------------
@@ -428,7 +420,9 @@ impl DynamicArspEngine {
             next.seed_order(fdom, Arc::new(patched));
         }
         let dropped = current.snapshot.ready_indexes() as u64;
-        self.invalidated.fetch_add(dropped, Ordering::Relaxed);
+        self.artifacts
+            .invalidated
+            .fetch_add(dropped, Ordering::Relaxed);
         Current {
             snapshot: Arc::new(next),
             rowmap: Arc::new(rowmap),
@@ -676,7 +670,7 @@ mod tests {
 
         // A manual compaction must not change anything either.
         engine.merge_now();
-        assert!(engine.cache_stats().merges_performed >= 1);
+        assert!(engine.serving_stats().merges_performed >= 1);
         assert_matches_cold_rebuild(&engine, &constraints);
         assert_dual_matches_cold_rebuild(&engine, &ratio);
 
@@ -798,7 +792,7 @@ mod tests {
         let _ = engine.query(&constraints).run();
     }
 
-    // ---- counter behaviour (satellite: cache_stats extension) -------------
+    // ---- counter behaviour (store fields of serving_stats) --------------
 
     #[test]
     fn steady_state_queries_add_only_hits() {
@@ -825,26 +819,26 @@ mod tests {
             assert_eq!(dual.algorithm(), QueryAlgorithm::Dual);
         };
         run_all(&engine);
-        let warm = engine.cache_stats();
-        assert!(warm.misses > 0);
+        let warm = engine.serving_stats();
+        assert!(warm.shared_builds > 0);
         assert_eq!(warm.caches_invalidated, 0, "no mutation, no invalidation");
         assert_eq!(warm.merges_performed, 0);
 
         run_all(&engine);
-        let steady = engine.cache_stats();
+        let steady = engine.serving_stats();
         assert_eq!(
-            warm.misses, steady.misses,
+            warm.shared_builds, steady.shared_builds,
             "repeat queries rebuilt something"
         );
         assert_eq!(warm.scratch_misses, steady.scratch_misses);
-        assert!(steady.hits > warm.hits);
+        assert!(steady.cache_hits > warm.cache_hits);
 
         // One mutation drops the three unpatchable per-version artifacts
         // (R-tree, DUAL index, snapshot dataset) exactly once each.
         let h = engine.store().handle_of_row(0);
         engine.remove_instance(h);
         run_all(&engine);
-        assert_eq!(engine.cache_stats().caches_invalidated, 3);
+        assert_eq!(engine.serving_stats().caches_invalidated, 3);
 
         // With only DUAL warm, one mutation costs exactly one invalidation:
         // its index.
@@ -853,11 +847,14 @@ mod tests {
         let h = engine.store().handle_of_row(0);
         engine.remove_instance(h);
         let _ = engine.ratio_query(&ratio).run();
-        let after = engine.cache_stats();
+        let after = engine.serving_stats();
         assert_eq!(after.caches_invalidated, 1);
         let _ = engine.ratio_query(&ratio).run();
-        let repeat = engine.cache_stats();
-        assert_eq!(repeat.misses, after.misses, "repeat DUAL rebuilt something");
+        let repeat = engine.serving_stats();
+        assert_eq!(
+            repeat.shared_builds, after.shared_builds,
+            "repeat DUAL rebuilt something"
+        );
         assert_eq!(repeat.caches_invalidated, 1);
     }
 
@@ -880,7 +877,7 @@ mod tests {
             .query(&constraints)
             .algorithm(QueryAlgorithm::Loop)
             .run();
-        let warm = engine.cache_stats();
+        let warm = engine.serving_stats();
         for i in 0..4u64 {
             let _ = engine.insert_object(None, vec![(vec![0.2, 0.3, 0.1 + 0.1 * i as f64], 0.5)]);
             let _ = engine
@@ -888,12 +885,12 @@ mod tests {
                 .algorithm(QueryAlgorithm::Loop)
                 .run();
         }
-        let churned = engine.cache_stats();
+        let churned = engine.serving_stats();
         // Each round builds nothing: the score matrix and the order are
         // patched forward, and the query hits them (the per-version row map
         // is not a cache lookup).
-        assert_eq!(churned.misses, warm.misses);
-        assert!(churned.hits > warm.hits);
+        assert_eq!(churned.shared_builds, warm.shared_builds);
+        assert!(churned.cache_hits > warm.cache_hits);
         assert_eq!(
             churned.merges_performed, warm.merges_performed,
             "the engine must not compact on its own"
@@ -909,13 +906,13 @@ mod tests {
             .query(&constraints)
             .algorithm(QueryAlgorithm::BranchAndBound)
             .run();
-        let after_bnb = engine.cache_stats();
+        let after_bnb = engine.serving_stats();
         let _ = engine.insert_object(None, vec![(vec![0.9, 0.9, 0.9], 0.4)]);
         let _ = engine
             .query(&constraints)
             .algorithm(QueryAlgorithm::BranchAndBound)
             .run();
-        let after_second = engine.cache_stats();
+        let after_second = engine.serving_stats();
         assert_eq!(
             after_second.caches_invalidated,
             after_bnb.caches_invalidated + 2,
@@ -925,7 +922,7 @@ mod tests {
         // A merge right after the mutation compacts the store.
         let _ = engine.insert_object(None, vec![(vec![0.8, 0.1, 0.2], 0.6)]);
         engine.merge_now();
-        let merged = engine.cache_stats();
+        let merged = engine.serving_stats();
         assert_eq!(merged.merges_performed, churned.merges_performed + 1);
         assert_eq!(engine.store().delta_rows(), 0);
 

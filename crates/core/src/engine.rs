@@ -77,6 +77,7 @@ use crate::pipeline::{
     SharedArtifacts,
 };
 use crate::result::ArspResult;
+use crate::stats::ServingStats;
 use arsp_data::{FlatStore, UncertainDataset};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
 
@@ -206,56 +207,6 @@ pub fn auto_select(
     }
 }
 
-/// Aggregate cache effectiveness counters (see [`ArspEngine::cache_stats`]
-/// and [`crate::dynamic::DynamicArspEngine::cache_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from a cached structure. A structure the dynamic
-    /// engine patched forward to a new version counts when a query looks it
-    /// up, not when it is patched.
-    pub hits: u64,
-    /// Lookups that had to build the structure.
-    pub misses: u64,
-    /// Scratch-pool checkouts served by a warmed arena (per-query
-    /// [`QueryScratch`](crate::scratch::QueryScratch) plus the per-worker
-    /// arenas of the parallel twins).
-    pub scratch_hits: u64,
-    /// Scratch-pool checkouts that had to create an arena — the total number
-    /// of arenas the session ever built. Constant across a steady-state
-    /// workload (zero arena growth), which is what the pool-reuse tests
-    /// assert.
-    pub scratch_misses: u64,
-    /// Cached structures dropped because a dataset mutation made them
-    /// unpatchable (the bulk-loaded instance R-tree, the DUAL per-object
-    /// index, the materialised snapshot dataset). Always 0 for the static
-    /// [`ArspEngine`].
-    pub caches_invalidated: u64,
-    /// Logarithmic-method merges performed: versioned-store compactions.
-    /// Always 0 for the static [`ArspEngine`].
-    pub merges_performed: u64,
-    /// Queries in flight *right now*. Always 0 for the single-caller static
-    /// and dynamic engines; live only for the concurrent serving layer
-    /// (`crate::service::ArspService`).
-    pub inflight: u64,
-    /// Cache lookups that joined another thread's in-progress build instead
-    /// of duplicating it (batch coalescing: concurrent queries on any front
-    /// — the serving layer, the dynamic engine, the static engine's
-    /// [`ArspEngine::run_batch`]).
-    pub coalesced_builds: u64,
-    /// Superseded snapshots whose cached artifacts were reclaimed after
-    /// their last pin dropped (or that had no pins at publish time). Always
-    /// 0 outside the serving layer.
-    pub snapshots_retired: u64,
-    /// Snapshot pins (and pin clones) currently outstanding across all
-    /// versions.
-    /// Always 0 outside the serving layer.
-    pub active_pins: u64,
-    /// Standing-query change-set notifications enqueued
-    /// (`crate::standing`). Always 0 for the static [`ArspEngine`], which
-    /// has no subscriptions.
-    pub notifications_delivered: u64,
-}
-
 /// A query-session engine over one uncertain dataset. Cheap to query
 /// repeatedly: all constraint-independent structures and all per-constraint
 /// one-off costs are cached inside (interior mutability — `&self` queries
@@ -272,11 +223,7 @@ impl ArspEngine {
     /// Creates an engine owning the dataset. Only the columnar store is
     /// built up front; every index waits for a query that needs it.
     pub fn new(dataset: UncertainDataset) -> Self {
-        Self::from_arc(Arc::new(dataset))
-    }
-
-    /// Creates an engine over an already-shared dataset.
-    pub fn from_arc(dataset: Arc<UncertainDataset>) -> Self {
+        let dataset = Arc::new(dataset);
         let shared = SharedArtifacts::new();
         let snapshot = shared.snapshot(0, Arc::new(FlatStore::from_dataset(&dataset)));
         snapshot.seed_dataset(Arc::clone(&dataset));
@@ -330,15 +277,15 @@ impl ArspEngine {
             .collect()
     }
 
-    /// Aggregate hit/miss counters over all internal caches — how much index
-    /// construction the session has amortised so far — plus the scratch-pool
-    /// counters (how much working-memory allocation it has amortised). A
-    /// repeated query adds only hits, which is what the cache-reuse and
-    /// pool-reuse tests assert. The dynamic-engine, serving and standing
-    /// counters stay 0: a frozen dataset never invalidates or merges, and a
+    /// The session's [`ServingStats`]: hit/build counters over all internal
+    /// caches — how much index construction the session has amortised so
+    /// far — plus the scratch-pool counters (how much working-memory
+    /// allocation it has amortised). A repeated query adds only hits, which
+    /// is what the cache-reuse and pool-reuse tests assert. Every other
+    /// field stays 0: a frozen dataset never invalidates or merges, and a
     /// single engine pins no snapshots and holds no subscriptions.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache_stats()
+    pub fn serving_stats(&self) -> ServingStats {
+        self.shared.stats()
     }
 }
 
@@ -506,19 +453,19 @@ mod tests {
             .query(&constraints)
             .algorithm(QueryAlgorithm::BranchAndBound)
             .run();
-        let after_first = engine.cache_stats();
-        assert!(after_first.misses >= 2, "fdom + rtree must be built");
+        let after_first = engine.serving_stats();
+        assert!(after_first.shared_builds >= 2, "fdom + rtree must be built");
 
         let second = engine
             .query(&constraints)
             .algorithm(QueryAlgorithm::BranchAndBound)
             .run();
-        let after_second = engine.cache_stats();
+        let after_second = engine.serving_stats();
         assert_eq!(
-            after_first.misses, after_second.misses,
+            after_first.shared_builds, after_second.shared_builds,
             "the repeat query must not rebuild anything"
         );
-        assert!(after_second.hits > after_first.hits);
+        assert!(after_second.cache_hits > after_first.cache_hits);
         assert_eq!(first.result().probs(), second.result().probs());
     }
 
@@ -623,7 +570,7 @@ mod tests {
         // built (sequential queries use one QueryScratch and no worker
         // arenas).
         let _ = engine.query(&constraints).run();
-        let after_first = engine.cache_stats();
+        let after_first = engine.serving_stats();
         assert_eq!(after_first.scratch_misses, 1, "one arena for one query");
 
         // Steady state: repeated queries — same or different algorithm, the
@@ -636,7 +583,7 @@ mod tests {
         ] {
             let _ = engine.query(&constraints).algorithm(algorithm).run();
         }
-        let steady = engine.cache_stats();
+        let steady = engine.serving_stats();
         assert_eq!(
             after_first.scratch_misses, steady.scratch_misses,
             "steady-state queries must not build new arenas"
@@ -669,11 +616,11 @@ mod tests {
                 .run();
         };
         run_par();
-        let warm = engine.cache_stats();
+        let warm = engine.serving_stats();
         for _ in 0..8 {
             run_par();
         }
-        let steady = engine.cache_stats();
+        let steady = engine.serving_stats();
         // One QueryScratch (repeats reuse it) plus the kd fan-out's seeds
         // and traversal arenas: a traversal with `levels` binary fan-out
         // levels splits at most 2^levels − 1 times, holds at most one seed
@@ -723,7 +670,7 @@ mod tests {
                 .algorithm(QueryAlgorithm::KdttPlus)
                 .execution(Execution::Parallel { threads: 2 })
                 .run();
-            let misses = engine.cache_stats().scratch_misses;
+            let misses = engine.serving_stats().scratch_misses;
             assert!(misses <= budget, "{misses} arenas, budget {budget}");
             assert_eq!(*after_first.get_or_insert(misses), misses);
         }
@@ -732,7 +679,7 @@ mod tests {
         // after the first reused its QueryScratch: at least 159 checkouts
         // served by 15 arenas.
         assert!(
-            engine.cache_stats().scratch_hits >= 19 + 20 * splits,
+            engine.serving_stats().scratch_hits >= 19 + 20 * splits,
             "every split takes a pooled seed"
         );
     }

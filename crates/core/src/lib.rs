@@ -42,7 +42,9 @@
 //!
 //! * the query engine ([`engine`]): builder-style sessions, cached shared
 //!   indexes, automatic algorithm selection, batched constraint sweeps,
-//!   per-query timings and work counters ([`stats`]),
+//!   per-query timings and work counters, and the one statistics snapshot
+//!   every single-store front returns ([`ServingStats`], both in
+//!   [`stats`]),
 //! * ARSP algorithms for general linear constraints:
 //!   [`arsp_enum`], [`arsp_loop`], [`arsp_kdtt`], [`arsp_kdtt_plus`],
 //!   [`arsp_qdtt_plus`], [`arsp_bnb`] (see [`algorithms`] for the mapping to
@@ -109,13 +111,11 @@ pub use pipeline::{Query, QueryFront, QueryOutcome};
 pub use result::ArspResult;
 pub use scorespace::{FlatScorePoints, ScoreMatrix};
 pub use scratch::{QueryScratch, ScratchLease, ScratchPool};
-pub use service::{
-    ArspService, ServiceOutcome, ServiceQuery, ServiceWriter, ServingStats, SnapshotPin,
-};
+pub use service::{ArspService, ServiceOutcome, ServiceQuery, ServiceWriter, SnapshotPin};
 pub use standing::{
     ChangeBatch, ChangedPair, StandingQueryRegistry, StandingSpec, SubscriptionGuard,
 };
-pub use stats::QueryCounters;
+pub use stats::{QueryCounters, ServingStats};
 
 /// Commonly used items, re-exported for convenient glob import.
 pub mod prelude {

@@ -49,13 +49,13 @@ use crate::algorithms::loop_scan::{
     arsp_loop_flat_engine, instance_order_from_scores, InstanceOrder, LoopScratch,
 };
 use crate::coalesce::{CoalesceCounters, CoalescingCache};
-use crate::engine::{auto_select, CacheStats, Execution, QueryAlgorithm};
+use crate::engine::{auto_select, Execution, QueryAlgorithm};
 use crate::fault::{self, BuildTimeoutUnwind, QueryBudget, QueryError};
 use crate::result::{top_k_ranked, ArspResult};
 use crate::scorespace::ScoreMatrix;
 use crate::scratch::{QueryScratch, ScratchPool};
-use crate::stats::{CounterStats, PeakGaugeGuard, QueryCounters};
-use crate::sync::atomic::AtomicUsize;
+use crate::stats::{CounterStats, PeakGaugeGuard, QueryCounters, ServingStats};
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::Arc;
 use arsp_data::{FlatStore, UncertainDataset};
 use arsp_geometry::constraints::{ConstraintSet, WeightRatio};
@@ -133,18 +133,6 @@ pub(crate) struct QueryPools {
     pub(crate) scratch: ScratchPool<QueryScratch>,
     pub(crate) loops: ScratchPool<LoopScratch>,
     pub(crate) kd: KdWorkerPool,
-}
-
-impl QueryPools {
-    /// The pools' checkout counters in the [`CacheStats`] shape (every other
-    /// field zero).
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            scratch_hits: self.scratch.hits() + self.loops.hits() + self.kd.hits(),
-            scratch_misses: self.scratch.misses() + self.loops.misses() + self.kd.misses(),
-            ..CacheStats::default()
-        }
-    }
 }
 
 /// The query body every front runs: resolves `Auto`, fetches the chosen
@@ -369,9 +357,10 @@ impl ServingSnapshot {
 }
 
 /// What every snapshot of one store shares: the version-independent vertex
-/// enumerations, the scratch pools, and the counters and rendezvous knob of
-/// every coalescing cache. A service's writer and readers share one; the
-/// cluster keeps one for all its unions.
+/// enumerations, the scratch pools, the counters and rendezvous knob of
+/// every coalescing cache, and the store's invalidation and merge counts. A
+/// service's writer and readers share one; the cluster keeps one for all
+/// its unions.
 pub(crate) struct SharedArtifacts {
     fdoms: CoalescingCache<Arc<LinearFDominance>>,
     pub(crate) pools: QueryPools,
@@ -379,6 +368,10 @@ pub(crate) struct SharedArtifacts {
     /// Joiners a builder waits for before publishing (`0` = publish at
     /// once; see `ArspService::set_coalescing_rendezvous`).
     pub(crate) rendezvous: Arc<AtomicUsize>,
+    /// Cached structures a snapshot advance dropped as unpatchable.
+    pub(crate) invalidated: AtomicU64,
+    /// Store compactions.
+    pub(crate) merges: AtomicU64,
 }
 
 impl SharedArtifacts {
@@ -390,6 +383,8 @@ impl SharedArtifacts {
             pools: QueryPools::default(),
             coalesce,
             rendezvous,
+            invalidated: AtomicU64::new(0),
+            merges: AtomicU64::new(0),
         }
     }
 
@@ -425,15 +420,21 @@ impl SharedArtifacts {
         }
     }
 
-    /// The coalescing and scratch counters in the [`CacheStats`] shape:
-    /// `hits`/`misses` are cache lookups answered/built (a join counts
-    /// under `coalesced_builds`, not as a miss).
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.coalesce.hits(),
-            misses: self.coalesce.builds(),
+    /// The store fields of [`ServingStats`]: cache lookups answered, built
+    /// and joined (a join counts under `coalesced_builds`, not as a build),
+    /// the scratch pools' checkouts, invalidations and merges. Every other
+    /// field is 0.
+    pub(crate) fn stats(&self) -> ServingStats {
+        let pools = &self.pools;
+        ServingStats {
+            cache_hits: self.coalesce.hits(),
+            shared_builds: self.coalesce.builds(),
             coalesced_builds: self.coalesce.coalesced(),
-            ..self.pools.cache_stats()
+            scratch_hits: pools.scratch.hits() + pools.loops.hits() + pools.kd.hits(),
+            scratch_misses: pools.scratch.misses() + pools.loops.misses() + pools.kd.misses(),
+            caches_invalidated: self.invalidated.load(Ordering::Relaxed),
+            merges_performed: self.merges.load(Ordering::Relaxed),
+            ..ServingStats::default()
         }
     }
 }

@@ -14,9 +14,8 @@
 //! stop allocating arena memory per task once the pool has warmed to the
 //! session's concurrency high-water mark (only O(fan-out) dispatch
 //! bookkeeping remains). Pools count their hits (arena reused) and misses
-//! (arena created), surfaced through
-//! [`crate::engine::ArspEngine::cache_stats`] — a steady-state workload adds
-//! only hits.
+//! (arena created), surfaced as the scratch fields of
+//! [`crate::stats::ServingStats`] — a steady-state workload adds only hits.
 //!
 //! Scratch reuse is purely a memory-management concern: results are bitwise
 //! identical whether a scratch is fresh, reused, or absent (the algorithms

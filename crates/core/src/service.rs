@@ -50,8 +50,9 @@
 //! ten identical score matrices. The snapshot caches therefore *coalesce*:
 //! the first requester claims the build, later requesters with the same key
 //! — readers or a standing refresh — block on a condvar and
-//! share the published artifact ([`ServingStats::coalesced_builds`] counts
-//! the joins). Distinct keys never wait on each other. The `#[doc(hidden)]`
+//! share the published artifact
+//! ([`ServingStats::coalesced_builds`](crate::stats::ServingStats::coalesced_builds)
+//! counts the joins). Distinct keys never wait on each other. The `#[doc(hidden)]`
 //! [`ArspService::set_coalescing_rendezvous`] knob makes a builder wait for a
 //! fixed number of joiners before publishing — deterministic-test machinery,
 //! not a production setting.
@@ -98,14 +99,13 @@
 //! ```
 
 use crate::dynamic::DynamicArspEngine;
-use crate::engine::CacheStats;
 use crate::fault::{QueryBudget, QueryError};
 use crate::pipeline::{
     execute, expect_outcome, Query, QueryConstraints, QueryFront, QueryOutcome, ServingSnapshot,
     SharedArtifacts,
 };
 use crate::standing::{StandingQueryRegistry, StandingSpec, SubscriptionGuard};
-use crate::stats::{PeakGauge, PeakGaugeGuard};
+use crate::stats::{PeakGauge, PeakGaugeGuard, ServingStats};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{lock, Arc, Mutex, Weak};
 use arsp_data::{FlatStore, InstanceHandle, MutationOp, UncertainDataset, VersionedStore};
@@ -189,12 +189,7 @@ impl ArspService {
     /// Builds a service over an existing versioned store (its current
     /// version is published immediately).
     pub fn from_store(store: VersionedStore) -> (Self, ServiceWriter) {
-        Self::from_engine(DynamicArspEngine::from_store(store))
-    }
-
-    /// Wraps an existing dynamic engine: its current snapshot, with every
-    /// artifact its queries built, is published as the first version.
-    pub fn from_engine(engine: DynamicArspEngine) -> (Self, ServiceWriter) {
+        let engine = DynamicArspEngine::from_store(store);
         let artifacts = Arc::clone(engine.artifacts());
         let shared = Arc::new(ServiceShared {
             state: Mutex::new(ServiceState {
@@ -280,113 +275,27 @@ impl ArspService {
             .store(limit.unwrap_or(0), Ordering::Relaxed);
     }
 
-    /// Serving-layer runtime statistics. Monotone counters describe the
-    /// whole session; `inflight`, `active_pins` and `pinned_snapshots` are
-    /// live gauges.
+    /// The service's [`ServingStats`]. Monotone counters describe the whole
+    /// session; `inflight`, `active_pins`, `pinned_snapshots` and
+    /// `standing_backlog` are live gauges. The store fields count the
+    /// lookups, scratch checkouts, invalidations and merges of the readers,
+    /// the writer and the standing refreshes alike, so the writer's
+    /// [`DynamicArspEngine::serving_stats`] reports the same figures.
     pub fn serving_stats(&self) -> ServingStats {
         let shared = &self.shared;
         let (active_pins, pinned_snapshots) = lock(&shared.state).prune(&shared.counters.retired);
-        let cache = shared.artifacts.cache_stats();
-        let notifier = shared.standing.notifier_stats();
         ServingStats {
             inflight: shared.gauge.current(),
             peak_inflight: shared.gauge.peak(),
             queries_served: shared.counters.queries.load(Ordering::Relaxed),
             queries_shed: shared.counters.shed.load(Ordering::Relaxed),
-            shared_builds: cache.misses,
-            coalesced_builds: cache.coalesced_builds,
-            cache_hits: cache.hits,
             snapshots_published: shared.counters.published.load(Ordering::Relaxed),
             snapshots_retired: shared.counters.retired.load(Ordering::Relaxed),
             active_pins,
             pinned_snapshots,
-            notifications_delivered: shared.standing.counters().notifications_delivered(),
-            dirty_instances_scanned: 0,
-            standing_full_fallbacks: 0,
-            standing_backlog: notifier.backlog,
-            standing_lag_max_us: notifier.lag_max_us,
-            standing_refresh_panics: notifier.panics,
+            ..shared.standing.stats(shared.artifacts.stats())
         }
     }
-
-    /// The serving layer's cache counters in the engine-wide [`CacheStats`]
-    /// shape: `hits`/`misses` are coalescing-cache lookups (a join counts
-    /// under [`CacheStats::coalesced_builds`], not as a miss) of the readers
-    /// and the writer alike, the scratch counters aggregate the shared
-    /// pools, and the serving-only fields (`inflight`, `snapshots_retired`,
-    /// `active_pins`) are live. The writer's
-    /// [`DynamicArspEngine::cache_stats`] reports the same lookups, plus its
-    /// invalidations and merges.
-    pub fn cache_stats(&self) -> CacheStats {
-        let shared = &self.shared;
-        let (active_pins, _) = lock(&shared.state).prune(&shared.counters.retired);
-        CacheStats {
-            inflight: shared.gauge.current(),
-            snapshots_retired: shared.counters.retired.load(Ordering::Relaxed),
-            active_pins,
-            notifications_delivered: shared.standing.counters().notifications_delivered(),
-            ..shared.artifacts.cache_stats()
-        }
-    }
-}
-
-/// Serving-layer runtime statistics (see [`ArspService::serving_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServingStats {
-    /// Queries in flight right now.
-    pub inflight: u64,
-    /// Highest concurrent in-flight query count ever observed.
-    pub peak_inflight: u64,
-    /// Queries served (monotone).
-    pub queries_served: u64,
-    /// Queries shed by admission control ([`ArspService::set_admission_limit`])
-    /// without executing.
-    pub queries_shed: u64,
-    /// Artifact builds actually performed across all snapshot caches —
-    /// exactly one per distinct missing key, however many readers asked.
-    /// Includes the builds of the standing refreshes, which share the
-    /// readers' caches.
-    pub shared_builds: u64,
-    /// Lookups that joined another thread's in-progress build instead of
-    /// duplicating it.
-    pub coalesced_builds: u64,
-    /// Lookups answered from an already-published artifact (the standing
-    /// refreshes included).
-    pub cache_hits: u64,
-    /// Snapshots published (the constructor's initial snapshot counts).
-    pub snapshots_published: u64,
-    /// Superseded snapshots reclaimed after their last pin dropped (or that
-    /// had no pins at publish time).
-    pub snapshots_retired: u64,
-    /// Pins (and pin clones) currently outstanding.
-    pub active_pins: u64,
-    /// Distinct versions currently pinned.
-    pub pinned_snapshots: u64,
-    /// Standing-query change-set notifications enqueued by the notifier's
-    /// refreshes (one per subscription per published version change, plus
-    /// each subscription's initial full batch). A refresh still in the
-    /// notifier's backlog is not counted yet.
-    pub notifications_delivered: u64,
-    /// Always 0: every standing refresh is one ordinary query, so no pass
-    /// recomputes a dirty subset any more. Kept only because the serving
-    /// benchmark reads it; the next change to the benchmark drops it.
-    pub dirty_instances_scanned: u64,
-    /// Always 0, for the same reason as
-    /// [`dirty_instances_scanned`](Self::dirty_instances_scanned): no
-    /// refresh has a cheaper path to fall back from.
-    pub standing_full_fallbacks: u64,
-    /// Gauge: versions handed to the standing notifier and not yet
-    /// refreshed, the one in progress included. It stays near zero while
-    /// the notifier keeps up with the writer and never exceeds
-    /// [`HAND_OFF_BOUND`](crate::standing::HAND_OFF_BOUND), at which the
-    /// writer waits.
-    pub standing_backlog: u64,
-    /// The longest time, in microseconds, from handing a version to the
-    /// notifier to its refresh finishing (queueing included).
-    pub standing_lag_max_us: u64,
-    /// Standing refreshes that panicked on the notifier (each re-raised by
-    /// the writer's next publish or sync).
-    pub standing_refresh_panics: u64,
 }
 
 /// The writer half: owns the dynamic engine. Mutations are invisible to
@@ -854,7 +763,7 @@ mod tests {
         assert_eq!(stats.queries_served, 3);
         assert_eq!(stats.inflight, 0);
         assert!(stats.peak_inflight >= 1);
-        assert_eq!(service.cache_stats().inflight, 0);
+        assert_eq!(service.serving_stats().inflight, 0);
     }
 
     #[test]
@@ -909,7 +818,7 @@ mod tests {
     fn counters_and_scratch_warmup_flow_through() {
         let (service, _writer) = ArspService::from_dataset(&paper_running_example());
         service.warm_scratch(2);
-        let stats = service.cache_stats();
+        let stats = service.serving_stats();
         assert_eq!(stats.scratch_misses, 4); // 2 query arenas + 2 loop arenas
         let pin = service.pin();
         let outcome = pin
@@ -924,7 +833,7 @@ mod tests {
                 .nodes_visited
                 > 0
         );
-        assert!(service.cache_stats().scratch_hits >= 1);
+        assert!(service.serving_stats().scratch_hits >= 1);
         assert_eq!(outcome.result_size(), outcome.result().result_size());
     }
 }

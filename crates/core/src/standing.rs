@@ -82,7 +82,7 @@ use crate::pipeline::{
     execute, expect_outcome, Query, QueryConstraints, QueryFront, QueryOutcome, ServingSnapshot,
     SharedArtifacts,
 };
-use crate::stats::StandingCounters;
+use crate::stats::ServingStats;
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{lock, thread, Arc, Condvar, Mutex, MutexGuard};
 use arsp_data::{failpoint, InstanceHandle};
@@ -278,7 +278,8 @@ struct RegistryInner {
     /// after the insert with `Release`, so a writer that reads the bump
     /// (`Acquire`) hands off a version whose refresh sees the entry.
     registered: AtomicU64,
-    counters: StandingCounters,
+    /// Change-set notifications enqueued so far.
+    notifications: AtomicU64,
     feed: Mutex<Feed>,
     /// Signalled on every hand-off, finished refresh and shutdown.
     fed: Condvar,
@@ -324,7 +325,7 @@ impl RegistryInner {
                 version,
                 changes,
             });
-            self.counters.add_notification();
+            self.notifications.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -363,14 +364,6 @@ impl RegistryInner {
             self.fed.notify_all();
         }
     }
-}
-
-/// What the notifier has done: the standing fields of
-/// [`crate::service::ServingStats`].
-pub(crate) struct NotifierStats {
-    pub(crate) backlog: u64,
-    pub(crate) lag_max_us: u64,
-    pub(crate) panics: u64,
 }
 
 /// Stops and joins the notifier when the last registry handle drops. Only
@@ -418,7 +411,7 @@ impl StandingQueryRegistry {
                     }),
                     live: AtomicUsize::new(0),
                     registered: AtomicU64::new(0),
-                    counters: StandingCounters::new(),
+                    notifications: AtomicU64::new(0),
                     feed: Mutex::new(Feed::default()),
                     fed: Condvar::new(),
                 }),
@@ -466,11 +459,6 @@ impl StandingQueryRegistry {
     /// Number of live subscriptions.
     pub fn num_subscriptions(&self) -> usize {
         lock(&self.inner().subs).subs.len()
-    }
-
-    /// The registry's monotone notification counter.
-    pub(crate) fn counters(&self) -> &StandingCounters {
-        &self.inner().counters
     }
 
     /// Refreshes every subscription to `target` on the caller's thread —
@@ -538,13 +526,18 @@ impl StandingQueryRegistry {
         }
     }
 
-    /// The notifier's backlog, worst lag and caught panics.
-    pub(crate) fn notifier_stats(&self) -> NotifierStats {
-        let feed = lock(&self.inner().feed);
-        NotifierStats {
-            backlog: feed.handed - feed.refreshed,
-            lag_max_us: feed.lag_max_us,
-            panics: feed.panics,
+    /// `base` with the standing fields of [`ServingStats`] filled in: the
+    /// notifications enqueued, and the notifier's backlog, worst lag and
+    /// caught panics (one lock of its feed).
+    pub(crate) fn stats(&self, base: ServingStats) -> ServingStats {
+        let inner = self.inner();
+        let feed = lock(&inner.feed);
+        ServingStats {
+            notifications_delivered: inner.notifications.load(Ordering::Relaxed),
+            standing_backlog: feed.handed - feed.refreshed,
+            standing_lag_max_us: feed.lag_max_us,
+            standing_refresh_panics: feed.panics,
+            ..base
         }
     }
 }
@@ -833,12 +826,12 @@ mod tests {
             }
             writer
         });
-        while registry.notifier_stats().backlog < HAND_OFF_BOUND {
+        while service.serving_stats().standing_backlog < HAND_OFF_BOUND {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
         assert_eq!(acked.load(Ordering::SeqCst), HAND_OFF_BOUND);
-        assert_eq!(registry.notifier_stats().backlog, HAND_OFF_BOUND);
+        assert_eq!(service.serving_stats().standing_backlog, HAND_OFF_BOUND);
         drop(stall);
         let _writer = closed_loop.join().expect("writer panicked");
         let versions: Vec<u64> = sub.drain().iter().map(|b| b.version).collect();

@@ -1,4 +1,5 @@
-//! Work counters threaded through the ARSP algorithms.
+//! Work counters threaded through the ARSP algorithms, and the one
+//! statistics snapshot of every single-store front ([`ServingStats`]).
 //!
 //! Every algorithm entry point accepts an optional [`CounterStats`] sink.
 //! When one is supplied (the engine does so for queries built with
@@ -13,6 +14,10 @@
 //! worker threads; algorithms accumulate locally and flush in batches (per
 //! instance, per node pass) to keep the hot loops free of per-test atomic
 //! traffic.
+//!
+//! [`ServingStats`] has one producer per field group: the artifact store
+//! every snapshot of a store shares, the standing-query registry, and the
+//! service (whose in-flight gauge is a [`PeakGauge`]).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -131,32 +136,92 @@ impl Drop for PeakGaugeGuard<'_> {
     }
 }
 
-/// The monotone counter of the standing-query subsystem
-/// (`crate::standing`): how many change-set notifications have been
-/// enqueued. Shared between a [`crate::standing::StandingQueryRegistry`] and
-/// the engines/services reporting it; purely observational, like every
-/// counter in this module.
-#[derive(Debug, Default)]
-pub struct StandingCounters {
-    notifications_delivered: AtomicU64,
-}
-
-impl StandingCounters {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one enqueued change-set notification.
-    #[inline]
-    pub fn add_notification(&self) {
-        self.notifications_delivered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Change-set notifications enqueued so far.
-    pub fn notifications_delivered(&self) -> u64 {
-        self.notifications_delivered.load(Ordering::Relaxed)
-    }
+/// The one statistics snapshot of a single-store front: the static
+/// [`ArspEngine`](crate::engine::ArspEngine), the dynamic
+/// [`DynamicArspEngine`](crate::dynamic::DynamicArspEngine) and the
+/// [`ArspService`](crate::service::ArspService) each return it from
+/// `serving_stats()`. The store fields (cache lookups, builds and joins,
+/// scratch checkouts, invalidations, merges) come from the artifacts every
+/// snapshot of the store shares, so a service and its writer's engine
+/// report the same figures. The serving fields (queries, pins, snapshots)
+/// are 0 on the engines; the standing, invalidation and merge fields are 0
+/// on the static engine.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServingStats {
+    /// Queries in flight right now.
+    pub inflight: u64,
+    /// Highest concurrent in-flight query count ever observed.
+    pub peak_inflight: u64,
+    /// Queries served (monotone).
+    pub queries_served: u64,
+    /// Queries shed by admission control
+    /// ([`ArspService::set_admission_limit`](crate::service::ArspService::set_admission_limit))
+    /// without executing.
+    pub queries_shed: u64,
+    /// Artifact builds actually performed across all snapshot caches —
+    /// exactly one per distinct missing key, however many readers asked.
+    /// Includes the builds of the standing refreshes, which share the
+    /// readers' caches.
+    pub shared_builds: u64,
+    /// Lookups that joined another thread's in-progress build instead of
+    /// duplicating it (batch coalescing: concurrent queries on any front —
+    /// the serving layer, the dynamic engine, the static engine's
+    /// [`run_batch`](crate::engine::ArspEngine::run_batch)).
+    pub coalesced_builds: u64,
+    /// Lookups answered from an already-published artifact (the standing
+    /// refreshes included). A structure the dynamic engine patched forward
+    /// to a new version counts when a query looks it up, not when it is
+    /// patched.
+    pub cache_hits: u64,
+    /// Scratch-pool checkouts served by a warmed arena (per-query
+    /// [`QueryScratch`](crate::scratch::QueryScratch) plus the per-worker
+    /// arenas of the parallel twins).
+    pub scratch_hits: u64,
+    /// Scratch-pool checkouts that had to create an arena — the total number
+    /// of arenas the store ever built. Constant across a steady-state
+    /// workload (zero arena growth), which is what the pool-reuse tests
+    /// assert.
+    pub scratch_misses: u64,
+    /// Cached structures dropped because a dataset mutation made them
+    /// unpatchable (the bulk-loaded instance R-tree, the DUAL per-object
+    /// index, the materialised snapshot dataset).
+    pub caches_invalidated: u64,
+    /// Logarithmic-method merges performed: versioned-store compactions.
+    pub merges_performed: u64,
+    /// Snapshots published (the constructor's initial snapshot counts).
+    pub snapshots_published: u64,
+    /// Superseded snapshots reclaimed after their last pin dropped (or that
+    /// had no pins at publish time).
+    pub snapshots_retired: u64,
+    /// Pins (and pin clones) currently outstanding.
+    pub active_pins: u64,
+    /// Distinct versions currently pinned.
+    pub pinned_snapshots: u64,
+    /// Standing-query change-set notifications enqueued (one per
+    /// subscription per refreshed version change, plus each subscription's
+    /// initial full batch). A refresh still in the notifier's backlog is
+    /// not counted yet.
+    pub notifications_delivered: u64,
+    /// Always 0: every standing refresh is one ordinary query, so no pass
+    /// recomputes a dirty subset any more. Kept only because the serving
+    /// benchmark reads it; the next change to the benchmark drops it.
+    pub dirty_instances_scanned: u64,
+    /// Always 0, for the same reason as
+    /// [`dirty_instances_scanned`](Self::dirty_instances_scanned): no
+    /// refresh has a cheaper path to fall back from.
+    pub standing_full_fallbacks: u64,
+    /// Gauge: versions handed to the standing notifier and not yet
+    /// refreshed, the one in progress included. It stays near zero while
+    /// the notifier keeps up with the writer and never exceeds
+    /// [`HAND_OFF_BOUND`](crate::standing::HAND_OFF_BOUND), at which the
+    /// writer waits.
+    pub standing_backlog: u64,
+    /// The longest time, in microseconds, from handing a version to the
+    /// notifier to its refresh finishing (queueing included).
+    pub standing_lag_max_us: u64,
+    /// Standing refreshes that panicked on the notifier (each re-raised by
+    /// the writer's next publish or sync).
+    pub standing_refresh_panics: u64,
 }
 
 /// A plain-value snapshot of [`CounterStats`], carried by

@@ -13,7 +13,7 @@
 //!
 //! Weight-ratio ranges (the `q` parameter of Fig. 8) are also generated here.
 
-use arsp_geometry::constraints::{ConstraintSet, LinearConstraint, WeightRatio};
+use arsp_geometry::constraints::{ConstraintSet, LinearConstraint};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -56,12 +56,6 @@ pub fn random_simplex_weight(dim: usize, rng: &mut impl Rng) -> Vec<f64> {
         .collect();
     let sum: f64 = raw.iter().sum();
     raw.into_iter().map(|x| x / sum).collect()
-}
-
-/// Uniform weight-ratio ranges `[l, h]^(d−1)` matching the `q` settings of
-/// Fig. 8 (e.g. `q = [0.36, 2.75]`).
-pub fn uniform_ratio(dim: usize, low: f64, high: f64) -> WeightRatio {
-    WeightRatio::uniform(dim, low, high)
 }
 
 /// The four ratio ranges the paper sweeps in Fig. 8(c), from widest to
@@ -134,7 +128,5 @@ mod tests {
             let width = |r: (f64, f64)| r.1 / r.0;
             assert!(width(w[0]) > width(w[1]));
         }
-        let wr = uniform_ratio(3, 0.36, 2.75);
-        assert_eq!(wr.dim(), 3);
     }
 }

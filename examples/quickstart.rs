@@ -117,12 +117,12 @@ fn main() {
 
     // The same query again: every shared structure is served from the cache.
     let again = engine.query(&constraints).run();
-    let stats = engine.cache_stats();
+    let stats = engine.serving_stats();
     println!(
         "  repeat query: build {:?} (cache: {} hits, {} misses)",
         again.build_time(),
-        stats.hits,
-        stats.misses
+        stats.cache_hits,
+        stats.shared_builds
     );
     assert_eq!(outcome.result().probs(), again.result().probs());
 }

@@ -244,7 +244,7 @@ fn main() {
         );
     }
 
-    let stats = engine.cache_stats();
+    let stats = engine.serving_stats();
     println!(
         "\nSession counters: {} notifications delivered, {} store compactions",
         stats.notifications_delivered, stats.merges_performed

@@ -521,7 +521,7 @@ fn scripted_interleaving_stays_exact_under_the_default_policy() {
     }
     // The threshold merge must have fired at least once given the tiny
     // threshold above.
-    assert!(engine.cache_stats().merges_performed >= 1);
+    assert!(engine.serving_stats().merges_performed >= 1);
 }
 
 /// [`ServiceWriter::apply`](arsp::core::service::ServiceWriter::apply), the

@@ -16,7 +16,8 @@
 //! independent oracles (ENUM and cross-algorithm agreement) live in
 //! `flat_engine_agreement` and `cross_algorithm_agreement`.
 
-use arsp::core::engine::{CacheStats, EXACT_ALGORITHMS};
+use arsp::core::engine::EXACT_ALGORITHMS;
+use arsp::core::ServingStats;
 use arsp::prelude::*;
 use proptest::prelude::*;
 
@@ -208,8 +209,11 @@ fn repeated_queries_and_batches_never_rebuild() {
             let _ = engine.query(constraints).algorithm(algorithm).run();
         }
     }
-    let warm: CacheStats = engine.cache_stats();
-    assert!(warm.misses > 0, "the warm-up must have built something");
+    let warm: ServingStats = engine.serving_stats();
+    assert!(
+        warm.shared_builds > 0,
+        "the warm-up must have built something"
+    );
 
     // Re-running the whole workload — single queries and a batch — must be
     // pure cache hits: zero further construction.
@@ -220,12 +224,12 @@ fn repeated_queries_and_batches_never_rebuild() {
             .algorithm(QueryAlgorithm::BranchAndBound)
             .run();
     }
-    let after = engine.cache_stats();
+    let after = engine.serving_stats();
     assert_eq!(
-        warm.misses, after.misses,
+        warm.shared_builds, after.shared_builds,
         "repeat workload rebuilt a cached structure"
     );
-    assert!(after.hits > warm.hits);
+    assert!(after.cache_hits > warm.cache_hits);
 }
 
 #[test]

@@ -13,7 +13,8 @@
 //!    a cold rebuild after *every* operation.
 //! 2. **Counters** — the static engine reports zeroed standing counters;
 //!    the dynamic maintenance path accounts dirty-set scans, fallbacks and
-//!    notifications exactly.
+//!    notifications exactly; a service and its writer's engine report one
+//!    set of store counters.
 //! 3. **Service-level stress** — subscriber threads drain concurrently with
 //!    reader threads while the single writer churns and publishes: nobody
 //!    ever misses or double-sees a result version, and the replayed feeds
@@ -38,9 +39,10 @@ use arsp::core::dynamic::DynamicArspEngine;
 use arsp::core::engine::{ArspEngine, Execution, QueryAlgorithm};
 use arsp::core::service::ArspService;
 use arsp::core::standing::{ChangeBatch, StandingSpec, SubscriptionGuard, HAND_OFF_BOUND};
+use arsp::core::ServingStats;
 use arsp::prelude::*;
 use arsp_data::failpoint::{self, FailAction};
-use arsp_data::{partition_dataset, InstanceHandle, VersionedStore};
+use arsp_data::{partition_dataset, InstanceHandle, MutationOp, VersionedStore};
 use proptest::prelude::*;
 
 const ALGOS: [QueryAlgorithm; 5] = [
@@ -388,7 +390,7 @@ fn static_engine_reports_zero_standing_counters() {
     let engine = ArspEngine::new(paper_running_example());
     let constraints = WeightRatio::uniform(2, 0.5, 2.0).to_constraint_set();
     engine.query(&constraints).run();
-    let stats = engine.cache_stats();
+    let stats = engine.serving_stats();
     assert_eq!(stats.notifications_delivered, 0);
 }
 
@@ -417,17 +419,65 @@ fn dynamic_engine_accounts_notifications() {
     let sub =
         engine.subscribe(StandingSpec::constraints(&constraints).algorithm(QueryAlgorithm::Loop));
     // The initial full batch is one notification.
-    assert_eq!(engine.cache_stats().notifications_delivered, 1);
+    assert_eq!(engine.serving_stats().notifications_delivered, 1);
 
     let handle = engine.store().handle_of_row(2);
     engine.update_instance(handle, &[3.5, 4.5], 0.05);
     engine.refresh_standing();
-    assert_eq!(engine.cache_stats().notifications_delivered, 2);
+    assert_eq!(engine.serving_stats().notifications_delivered, 2);
     assert_eq!(sub.drain().len(), 2);
 
     // A refresh with no version change notifies nobody.
     engine.refresh_standing();
-    assert_eq!(engine.cache_stats().notifications_delivered, 2);
+    assert_eq!(engine.serving_stats().notifications_delivered, 2);
+}
+
+/// A service and its writer's engine share one artifact store and one
+/// registry, so they report one set of store and standing counters: the
+/// readers' lookups, the writer's invalidations and merges, and the
+/// notifier's refreshes show up identically on both fronts.
+#[test]
+fn service_and_writer_engine_report_one_set_of_store_counters() {
+    let store = VersionedStore::from_dataset(&paper_running_example());
+    let (service, mut writer) = ArspService::from_store(store);
+    let constraints = WeightRatio::uniform(2, 0.5, 2.0).to_constraint_set();
+
+    // A pinned B&B read builds the version's instance R-tree.
+    service
+        .pin()
+        .query(&constraints)
+        .algorithm(QueryAlgorithm::BranchAndBound)
+        .run();
+    // Publishing an insert advances the snapshot, dropping that R-tree.
+    writer.insert_object(None, vec![(vec![5.0, 5.0], 0.4)]);
+    writer.publish();
+    // A logged compaction through the writer's apply.
+    writer
+        .apply(&[MutationOp::Merge])
+        .expect("a merge is always valid");
+    // A subscription's initial refresh on the notifier.
+    let sub = service.subscribe(StandingSpec::constraints(&constraints));
+    writer.sync_subscriptions();
+    assert_eq!(sub.drain().len(), 1);
+
+    let served = service.serving_stats();
+    let engine = writer.engine().serving_stats();
+    let store_fields = |s: &ServingStats| {
+        [
+            s.cache_hits,
+            s.shared_builds,
+            s.coalesced_builds,
+            s.scratch_hits,
+            s.scratch_misses,
+            s.caches_invalidated,
+            s.merges_performed,
+            s.notifications_delivered,
+        ]
+    };
+    assert_eq!(store_fields(&served), store_fields(&engine));
+    assert_eq!(served.merges_performed, 1);
+    assert!(served.caches_invalidated >= 1, "{served:?}");
+    assert_eq!(served.notifications_delivered, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -659,12 +709,12 @@ fn writer_dual_refresh_and_reader_dual_query_share_one_index_build() {
         .ratio_query(&ratio)
         .algorithm(QueryAlgorithm::Dual)
         .run();
-    let before = writer.engine().cache_stats();
+    let before = writer.engine().serving_stats();
     writer.sync_subscriptions();
     assert_eq!(late.drain().len(), 1);
     assert_eq!(
-        writer.engine().cache_stats().misses,
-        before.misses,
+        writer.engine().serving_stats().shared_builds,
+        before.shared_builds,
         "the late subscription's refresh must reuse the reader's index"
     );
     let cold = ArspEngine::new(writer.snapshot_dataset());

@@ -58,6 +58,11 @@
 //!    `MutationOp::Merge =>` may appear only in the dynamic engine, whose
 //!    `apply` is the one place a batch reaches a serving store, so no
 //!    front can grow its own unchecked copy of that dispatch.
+//! 9. **stats-model** — a public (`pub` or `pub(...)`) struct whose name
+//!    ends in `Stats` or `Counters` may be declared only in
+//!    [`STATS_OWNERS`] (`stats.rs`, `coalesce.rs`, `cluster.rs`), so the
+//!    program keeps one statistics snapshot per front instead of growing
+//!    another counter struct beside it.
 //!
 //! The scanner strips comments and string/char literals first, so banned
 //! tokens in docs or messages never trigger, and the fixture snippets in
@@ -192,6 +197,17 @@ const KERNEL_OWNERS: &[(&str, &[&str])] = &[
     ("arsp_dual_flat_engine(", DUAL_OWNERS),
     ("build_dual_index(", DUAL_OWNERS),
     ("MutationOp::Merge =>", &["crates/core/src/dynamic.rs"]),
+];
+
+/// Rule 9 scope: the first-party library and tool sources.
+const STATS_MODEL_ROOTS: &[&str] = &["crates", "src"];
+
+/// Rule 9: the only files that may declare a public `*Stats` or
+/// `*Counters` struct.
+const STATS_OWNERS: &[&str] = &[
+    "crates/core/src/stats.rs",
+    "crates/core/src/coalesce.rs",
+    "crates/core/src/cluster.rs",
 ];
 
 /// One row of rule 5: every `pub fn` under `scope` whose name contains
@@ -378,6 +394,19 @@ fn lint_tree(root: &Path) -> Result<Vec<Violation>, String> {
             .replace('\\', "/");
         let source = fs::read_to_string(&path).map_err(|e| format!("reading {rel}: {e}"))?;
         violations.extend(check_kernel_ownership(&rel, &strip_code(&source)));
+    }
+
+    // Rule 9: counter structs stay in the stats model's files.
+    for dir in STATS_MODEL_ROOTS {
+        for path in rust_files(&root.join(dir)) {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let source = fs::read_to_string(&path).map_err(|e| format!("reading {rel}: {e}"))?;
+            violations.extend(check_stats_model(&rel, &strip_code(&source)));
+        }
     }
 
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -1029,6 +1058,59 @@ fn check_kernel_ownership(file: &str, stripped: &str) -> Vec<Violation> {
     violations
 }
 
+// ---------------------------------------------------------------------------
+// Rule 9: stats-model
+// ---------------------------------------------------------------------------
+
+fn check_stats_model(file: &str, stripped: &str) -> Vec<Violation> {
+    if STATS_OWNERS.contains(&file) {
+        return Vec::new();
+    }
+    let bytes = stripped.as_bytes();
+    let mut violations = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = stripped[from..].find("struct ") {
+        let offset = from + pos;
+        from = offset + "struct ".len();
+        if offset > 0 && is_ident_byte(bytes[offset - 1]) {
+            continue;
+        }
+        let name: String = stripped[from..]
+            .trim_start()
+            .bytes()
+            .take_while(|&b| is_ident_byte(b))
+            .map(char::from)
+            .collect();
+        if !(name.ends_with("Stats") || name.ends_with("Counters")) {
+            continue;
+        }
+        // The visibility before `struct`: `pub`, or `pub(...)`.
+        let mut before = stripped[..offset].trim_end();
+        if let Some(open) = before.strip_suffix(')').and_then(|b| b.rfind('(')) {
+            before = before[..open].trim_end();
+        }
+        let public = before.ends_with("pub")
+            && !before[..before.len() - 3]
+                .bytes()
+                .next_back()
+                .is_some_and(is_ident_byte);
+        if !public {
+            continue;
+        }
+        violations.push(Violation {
+            file: file.to_string(),
+            line: line_of(stripped, offset),
+            rule: "stats-model",
+            message: format!(
+                "public counter struct `{name}` outside {STATS_OWNERS:?}: report \
+                 through `ServingStats` (or the cluster's and the coalescing \
+                 caches' own structs) instead of adding another stats shape"
+            ),
+        });
+    }
+    violations
+}
+
 /// `(offset, contents)` of every plain `"..."` literal in `text` (no escape
 /// handling — fail-point site names are bare dotted identifiers).
 fn string_literals(text: &str) -> Vec<(usize, String)> {
@@ -1517,6 +1599,38 @@ mod tests {
         assert_eq!(violations[0].line, 3);
         assert!(violations[0].message.contains("arsp_kdtt_flat_engine("));
         assert!(check_kernel_ownership("crates/core/src/algorithms/kdtt.rs", &copy).is_empty());
+    }
+
+    #[test]
+    fn stats_model_fires_on_a_counter_struct_outside_the_stats_files() {
+        let copy = strip_code(
+            "/// Aggregate cache counters.\n\
+             #[derive(Clone, Copy, Debug, Default)]\n\
+             pub struct CacheStats {\n    pub hits: u64,\n}\n\
+             pub(crate) struct NotifierStats { backlog: u64 }\n",
+        );
+        let violations = check_stats_model("crates/core/src/engine.rs", &copy);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert_eq!(violations[0].rule, "stats-model");
+        assert_eq!(violations[0].line, 3);
+        assert!(violations[0].message.contains("`CacheStats`"));
+        assert_eq!(violations[1].line, 6);
+        assert!(violations[1].message.contains("`NotifierStats`"));
+        for owner in STATS_OWNERS {
+            assert!(check_stats_model(owner, &copy).is_empty(), "{owner}");
+        }
+    }
+
+    #[test]
+    fn stats_model_passes_private_and_unrelated_structs() {
+        let fine = strip_code(
+            "struct ServiceCounters { queries: u64 }\n\
+             pub struct StatsView;\n\
+             pub struct CounterStatsLike;\n\
+             pub mod repub { struct LocalStats; }\n\
+             // pub struct CommentStats;\n",
+        );
+        assert!(check_stats_model("crates/core/src/service.rs", &fine).is_empty());
     }
 
     #[test]
